@@ -307,13 +307,37 @@ class IntervalSet:
         return self.lo - tol <= v <= self.hi + tol
 
     def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
-        """Representative covectors {low, mid, high}, clipped to the covector
-        box. Returns (reps, truncated)."""
-        lo = max(self.lo, -half_width)
-        hi = min(self.hi, half_width)
-        truncated = self.lo < -half_width or self.hi > half_width
-        reps = sorted({lo, 0.5 * (lo + hi), hi})
-        return np.array(reps, dtype=float).reshape(-1, 1), truncated
+        """Representative covectors {low, mid, high} of the interval clipped
+        to the covector box [-half_width, half_width]. Returns (reps,
+        truncated); see :meth:`batch_representatives` for the rule."""
+        reps, mask, truncated = IntervalSet.batch_representatives(
+            np.array([self.lo]), np.array([self.hi]), half_width
+        )
+        return reps[0][mask[0]], bool(truncated[0])
+
+    @staticmethod
+    def batch_representatives(
+        lo: Array, hi: Array, half_width: float
+    ) -> tuple[Array, Array, Array]:
+        """Representatives of the intervals [lo[i], hi[i]] for (N,) bound
+        arrays: padded (N, 3, 1) covectors, an (N, 3) mask and (N,)
+        truncation flags.
+
+        Each interval is clipped to the box: lo_c = min(max(lo, -hw), hi) and
+        hi_c = max(min(hi, hw), lo_c), so an interval that misses the box
+        keeps only its endpoint nearest to it. The rows are lo_c, the
+        midpoint and hi_c in increasing order, with repeated values masked
+        out; ``truncated`` is set exactly when clipping moved an endpoint.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        lo_c = np.minimum(np.maximum(lo, -half_width), hi)
+        hi_c = np.maximum(np.minimum(hi, half_width), lo_c)
+        mid = 0.5 * (lo_c + hi_c)
+        reps = np.stack([lo_c, mid, hi_c], axis=1)[:, :, None]
+        mask = np.stack([np.ones(lo_c.shape, dtype=bool), mid != lo_c, hi_c != mid], axis=1)
+        truncated = (lo_c > lo) | (hi_c < hi)
+        return reps, mask, truncated
 
 
 @dataclass(frozen=True)
@@ -448,6 +472,18 @@ class FunctionOracle:
     optional analytic side-oracles. The former returns a raw float (inf
     allowed), the latter a :data:`SubdiffSet` description or None where the
     subdifferential is empty or unknown.
+
+    ``exact_subdifferential_batch(points, half_width)`` is the optional
+    batched form of the latter, used by graph sampling. It maps an (N, dim)
+    array of points to ``(reps, mask, truncated)``: padded (N, R, dim)
+    representative covectors, an (N, R) boolean mask of the rows in use, and
+    (N,) truncation flags. For every point i, ``reps[i][mask[i]]`` and
+    ``truncated[i]`` must equal ``exact_subdifferential(x_i)
+    .representatives(half_width)`` bitwise, rows in the same order; a point
+    with an empty subdifferential (None) has no row in use and is not
+    truncated. R is the largest row count the oracle can return, and masked
+    slots hold arbitrary finite values. Without it,
+    :meth:`subdifferential_representatives` loops over the per-point oracle.
     """
 
     name: str
@@ -460,6 +496,9 @@ class FunctionOracle:
     exact_subdifferential: Callable[[Array], SubdiffSet | None] | None = None
     default_region: Region | None = None
     finite_point: Array | None = None
+    exact_subdifferential_batch: (
+        Callable[[Array, float], tuple[Array, Array, Array]] | None
+    ) = None
 
     def __post_init__(self) -> None:
         if self.finite_point is not None:
@@ -488,6 +527,22 @@ class FunctionOracle:
 
     def eval(self, x: Sequence[float] | float | Array) -> ExtReal:
         return ExtReal(self.value(x))
+
+    def subdifferential_representatives(
+        self, points: Array, half_width: float = DEFAULT_BOX_HALF_WIDTH
+    ) -> tuple[Array, Array, Array]:
+        """Representative covectors of the exact subdifferential at an
+        (N, dim) array of points, in the ``exact_subdifferential_batch``
+        layout. Uses the batched side-oracle when present and otherwise
+        loops over ``exact_subdifferential``."""
+        if self.exact_subdifferential is None:
+            raise ValueError(f"oracle {self.name!r} has no exact subdifferential")
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DimensionMismatchError(f"expected (N, {self.dim}) points, got {pts.shape}")
+        if self.exact_subdifferential_batch is not None:
+            return self.exact_subdifferential_batch(pts, half_width)
+        return _representatives_by_point(self.exact_subdifferential, pts, half_width)
 
     def __call__(self, x: Sequence[float] | float | Array) -> ExtReal:
         return self.eval(x)
@@ -527,7 +582,30 @@ class FunctionOracle:
             batch=batch,
             exact_subderivative=exact_sd,
             exact_subdifferential=exact_sdiff,
+            exact_subdifferential_batch=None,
         )
+
+
+def _representatives_by_point(
+    sdiff: Callable[[Array], SubdiffSet | None], pts: Array, half_width: float
+) -> tuple[Array, Array, Array]:
+    """Batched side-oracle layout built from per-point calls of ``sdiff``."""
+    n, dim = pts.shape
+    per_point = []
+    for x in pts:
+        desc = sdiff(x)
+        if desc is None:
+            per_point.append((np.zeros((0, dim)), False))
+        else:
+            per_point.append(desc.representatives(half_width))
+    width = max((r.shape[0] for r, _ in per_point), default=0)
+    reps = np.zeros((n, width, dim))
+    mask = np.zeros((n, width), dtype=bool)
+    for i, (r, _) in enumerate(per_point):
+        reps[i, : r.shape[0]] = r
+        mask[i, : r.shape[0]] = True
+    truncated = np.array([t for _, t in per_point], dtype=bool)
+    return reps, mask, truncated
 
 
 def _shift_set(desc: SubdiffSet | None, s: Array) -> SubdiffSet | None:

@@ -3,7 +3,9 @@
 Every entry is a proper lsc function with a vectorized evaluator, an exact
 subderivative oracle, and (for the convex entries) an exact subdifferential
 oracle. These supply ground truth for the numerical machinery and for the
-cross-validation suites. Functions are addressable by stable string ids.
+cross-validation suites. Every exact subdifferential comes with its batched
+form, written with ``np.where`` over the same pieces. Functions are
+addressable by stable string ids.
 """
 
 from __future__ import annotations
@@ -27,6 +29,22 @@ _BOX_TWOWELL = Region.interval(-1.0, 3.0)
 _BOX_2D = Region.box([(-2.0, 2.0), (-2.0, 2.0)])
 
 
+def _interval_side_oracle(bounds):
+    """Batched side-oracle of a 1-D entry whose subdifferential at x is the
+    interval [lo, hi] with (lo, hi) = bounds(x) for an (N,) array x; NaN
+    bounds mark points where it is empty."""
+
+    def batch(points: Array, half_width: float) -> tuple[Array, Array, Array]:
+        lo, hi = bounds(points[:, 0])
+        defined = ~np.isnan(lo)
+        reps, mask, truncated = IntervalSet.batch_representatives(
+            np.where(defined, lo, 0.0), np.where(defined, hi, 0.0), half_width
+        )
+        return reps, mask & defined[:, None], truncated & defined
+
+    return batch
+
+
 def _sd_abs(x: Array, d: Array) -> float:
     if x[0] > 0:
         return float(d[0])
@@ -41,6 +59,10 @@ def _sdiff_abs(x: Array) -> SubdiffSet:
     if x[0] < 0:
         return IntervalSet(-1.0, -1.0)
     return IntervalSet(-1.0, 1.0)
+
+
+def _bounds_abs(x: Array) -> tuple[Array, Array]:
+    return np.where(x > 0, 1.0, -1.0), np.where(x < 0, -1.0, 1.0)
 
 
 def _sd_square(x: Array, d: Array) -> float:
@@ -71,6 +93,15 @@ def _sdiff_ind_halfline(x: Array) -> SubdiffSet | None:
     return None
 
 
+def _bounds_ind_halfline(x: Array) -> tuple[Array, Array]:
+    lo = np.where(x > 0, 0.0, np.where(x == 0, -math.inf, math.nan))
+    return lo, np.where(x >= 0, 0.0, math.nan)
+
+
+def _bounds_ind_origin(x: Array) -> tuple[Array, Array]:
+    return np.where(x == 0, -math.inf, math.nan), np.where(x == 0, math.inf, math.nan)
+
+
 def _sd_ind_origin(x: Array, d: Array) -> float:
     if x[0] == 0:
         return 0.0 if d[0] == 0 else math.inf
@@ -91,6 +122,10 @@ def _sdiff_maxzero(x: Array) -> SubdiffSet:
     if x[0] < 0:
         return IntervalSet(0.0, 0.0)
     return IntervalSet(0.0, 1.0)
+
+
+def _bounds_maxzero(x: Array) -> tuple[Array, Array]:
+    return np.where(x > 0, 1.0, 0.0), np.where(x < 0, 0.0, 1.0)
 
 
 # min(|x|, |x-2|+1): two local minima, at 0 (value 0) and 2 (value 1); kinks
@@ -137,6 +172,19 @@ def _sdiff_norm2d(x: Array) -> SubdiffSet:
     return PolytopeSet((x / nx)[None, :])
 
 
+def _sdiff_norm2d_batch(points: Array, half_width: float) -> tuple[Array, Array, Array]:
+    # The stacked matmul takes the same BLAS dot product as np.linalg.norm of
+    # a single point, so the unit normals match _sdiff_norm2d bitwise
+    # (np.linalg.norm(points, axis=1) rounds differently).
+    nx = np.sqrt(points[:, None, :] @ points[:, :, None])[:, 0, 0]
+    kink = nx == 0.0
+    unit = points / np.where(kink, 1.0, nx)[:, None]
+    ball, _ = BallSet(np.zeros(2), 1.0).representatives(half_width)
+    reps = np.where(kink[:, None, None], ball[None], unit[:, None, :])
+    mask = kink[:, None] | (np.arange(ball.shape[0]) == 0)[None, :]
+    return reps, mask, np.zeros(points.shape[0], dtype=bool)
+
+
 def _sd_mixed2d(x: Array, d: Array) -> float:
     smooth = 2.0 * float(x[0]) * float(d[0])
     if x[1] > 0:
@@ -155,6 +203,17 @@ def _sdiff_mixed2d(x: Array) -> SubdiffSet:
     return PolytopeSet(np.array([[g, -1.0], [g, 1.0]]))
 
 
+def _sdiff_mixed2d_batch(points: Array, half_width: float) -> tuple[Array, Array, Array]:
+    g = 2.0 * points[:, 0]
+    first = np.stack([g, np.where(points[:, 1] > 0, 1.0, -1.0)], axis=-1)
+    second = np.stack([g, np.ones_like(g)], axis=-1)
+    centroid = np.stack([first, second], axis=1).mean(axis=1)
+    reps = np.stack([first, second, centroid], axis=1)
+    kink = points[:, 1] == 0
+    mask = np.stack([np.ones_like(kink), kink, kink], axis=1)
+    return reps, mask, np.zeros(points.shape[0], dtype=bool)
+
+
 def _build_library() -> dict[str, FunctionOracle]:
     entries = [
         FunctionOracle(
@@ -165,6 +224,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             is_convex=True,
             exact_subderivative=_sd_abs,
             exact_subdifferential=_sdiff_abs,
+            exact_subdifferential_batch=_interval_side_oracle(_bounds_abs),
             default_region=_BOX_1D,
             finite_point=np.array([0.0]),
         ),
@@ -176,6 +236,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             is_convex=True,
             exact_subderivative=_sd_square,
             exact_subdifferential=lambda x: IntervalSet(2.0 * float(x[0]), 2.0 * float(x[0])),
+            exact_subdifferential_batch=_interval_side_oracle(lambda x: (2.0 * x, 2.0 * x)),
             default_region=_BOX_1D,
             finite_point=np.array([0.0]),
         ),
@@ -198,6 +259,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             domain_description="the half-line [0, +inf)",
             exact_subderivative=_sd_ind_halfline,
             exact_subdifferential=_sdiff_ind_halfline,
+            exact_subdifferential_batch=_interval_side_oracle(_bounds_ind_halfline),
             default_region=_BOX_1D,
             finite_point=np.array([0.0]),
         ),
@@ -210,6 +272,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             domain_description="the single point {0}",
             exact_subderivative=_sd_ind_origin,
             exact_subdifferential=lambda x: IntervalSet(-math.inf, math.inf) if x[0] == 0 else None,
+            exact_subdifferential_batch=_interval_side_oracle(_bounds_ind_origin),
             default_region=_BOX_1D,
             finite_point=np.array([0.0]),
         ),
@@ -221,6 +284,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             is_convex=True,
             exact_subderivative=_sd_maxzero,
             exact_subdifferential=_sdiff_maxzero,
+            exact_subdifferential_batch=_interval_side_oracle(_bounds_maxzero),
             default_region=_BOX_1D,
             finite_point=np.array([0.0]),
         ),
@@ -242,6 +306,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             is_convex=True,
             exact_subderivative=_sd_norm2d,
             exact_subdifferential=_sdiff_norm2d,
+            exact_subdifferential_batch=_sdiff_norm2d_batch,
             default_region=_BOX_2D,
             finite_point=np.array([0.0, 0.0]),
         ),
@@ -253,6 +318,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             is_convex=True,
             exact_subderivative=_sd_mixed2d,
             exact_subdifferential=_sdiff_mixed2d,
+            exact_subdifferential_batch=_sdiff_mixed2d_batch,
             default_region=_BOX_2D,
             finite_point=np.array([0.0, 0.0]),
         ),

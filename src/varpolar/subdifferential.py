@@ -34,7 +34,7 @@ from .subderivative import (
     DEFAULT_SCHEME,
     LiminfScheme,
     clarke_directional_values,
-    lower_dini,
+    lower_dini_values,
 )
 
 #: Geometric epsilon ladder 1, 1/2, ..., 2**-10 used to approximate the
@@ -167,6 +167,50 @@ def _clarke_intervals_1d(
     return -up_neg, up_pos
 
 
+def _graph_rows(
+    f: FunctionOracle,
+    pts: Array,
+    source: str,
+    covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
+    covector_resolution: int = 41,
+    dir_resolution: int = 16,
+    scheme: LiminfScheme = DEFAULT_SCHEME,
+    delta_list: Sequence[float] = DEFAULT_DELTAS,
+    nbhd_resolution: int = 3,
+    tol: float = DEFAULT_TOL,
+) -> tuple[Array, Array, bool]:
+    """Raw graph rows at an (N, dim) array of points where f is finite.
+
+    Returns (owner, covectors, truncated): row r pairs pts[owner[r]] with
+    covectors[r]. Rows come point by point in the order of ``pts``, each
+    point's covectors in the order its construction lists them, and
+    duplicates are kept. See :func:`sample_subdiff_graph` for the sources.
+    """
+    if source == "exact":
+        reps, mask, trunc = f.subdifferential_representatives(pts, covector_half_width)
+        truncated = bool(np.any(trunc))
+    elif f.dim == 1:
+        lo, hi = _clarke_intervals_1d(f, pts, scheme, delta_list, nbhd_resolution)
+        cands = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
+        truncated = bool(np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)))
+        mask = (cands[None, :] >= lo[:, None] - tol) & (cands[None, :] <= hi[:, None] + tol)
+        reps = np.broadcast_to(cands[None, :, None], mask.shape + (1,))
+    else:
+        dirs = sphere_directions(f.dim, dir_resolution)
+        axis = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
+        mesh = np.meshgrid(*([axis] * f.dim), indexing="ij")
+        cands = np.stack([m.ravel() for m in mesh], axis=-1)
+        pairings = cands @ dirs.T
+        mask = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
+        for j, d in enumerate(dirs):
+            up, _ = clarke_directional_values(f, pts, d, scheme, delta_list, nbhd_resolution)
+            mask &= pairings[None, :, j] - up[:, None] <= tol
+        reps = np.broadcast_to(cands[None, :, :], mask.shape + (f.dim,))
+        truncated = False
+    owner = np.repeat(np.arange(pts.shape[0]), mask.sum(axis=1))
+    return owner, reps[mask], truncated
+
+
 def sample_subdiff_graph(
     f: FunctionOracle,
     region: Region,
@@ -183,65 +227,32 @@ def sample_subdiff_graph(
     """Sample representative (point, covector) pairs of the subdifferential
     graph over a region grid.
 
-    ``source="exact"`` uses the analytic side-oracle: interval endpoints and
-    midpoint in 1-D, the vertex list (plus centroid) in n-D, a center-plus-fan
-    for ball sets. ``source="clarke-numeric"`` accepts candidates from a
-    covector grid filtered by the generalized-derivative membership test.
-    Points where f is not finite contribute nothing. The sample's ``meta``
-    records the construction and whether any covector set was truncated to
-    the covector box.
+    ``source="exact"`` uses the analytic side-oracle (its batched form when
+    the oracle has one): interval endpoints and midpoint in 1-D, the vertex
+    list (plus centroid) in n-D, a center-plus-fan for ball sets.
+    ``source="clarke-numeric"`` accepts candidates from a covector grid
+    filtered by the generalized-derivative membership test. Points where f
+    is not finite contribute nothing. The sample's ``meta`` records the
+    construction and whether any covector set was truncated to the covector
+    box.
     """
     if source not in ("exact", "clarke-numeric"):
         raise ValueError(f"unknown source {source!r}")
     grid = region.sample(resolution)
     finite = np.isfinite(f.values(grid))
     pts = grid[finite]
-    truncated = False
-    p_rows: list[Array] = []
-    c_rows: list[Array] = []
-
-    if source == "exact":
-        if f.exact_subdifferential is None:
-            raise ValueError(f"oracle {f.name!r} has no exact subdifferential")
-        for x in pts:
-            desc = f.exact_subdifferential(x)
-            if desc is None:
-                continue
-            reps, trunc = desc.representatives(covector_half_width)
-            truncated = truncated or trunc
-            for c in reps:
-                p_rows.append(x)
-                c_rows.append(c)
-    else:
-        if f.dim == 1:
-            lo, hi = _clarke_intervals_1d(f, pts, scheme, delta_list, nbhd_resolution)
-            cands = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
-            truncated = bool(np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)))
-            for i, x in enumerate(pts):
-                keep = cands[(cands >= lo[i] - tol) & (cands <= hi[i] + tol)]
-                for c in keep:
-                    p_rows.append(x)
-                    c_rows.append(np.array([c]))
-        else:
-            dirs = sphere_directions(f.dim, dir_resolution)
-            axis = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
-            mesh = np.meshgrid(*([axis] * f.dim), indexing="ij")
-            cands = np.stack([m.ravel() for m in mesh], axis=-1)
-            for x in pts:
-                ups = np.array(
-                    [
-                        clarke_directional_values(
-                            f, x[None, :], d, scheme, delta_list, nbhd_resolution
-                        )[0][0]
-                        for d in dirs
-                    ]
-                )
-                margins = cands @ dirs.T - ups[None, :]
-                keep = np.all(margins <= tol, axis=1)
-                for c in cands[keep]:
-                    p_rows.append(x)
-                    c_rows.append(c)
-
+    owner, covectors, truncated = _graph_rows(
+        f,
+        pts,
+        source,
+        covector_half_width,
+        covector_resolution,
+        dir_resolution,
+        scheme,
+        delta_list,
+        nbhd_resolution,
+        tol,
+    )
     meta = {
         "function": f.name,
         "region": region.describe(),
@@ -250,10 +261,7 @@ def sample_subdiff_graph(
         "covector_half_width": covector_half_width,
         "truncated": truncated,
     }
-    if not p_rows:
-        g = GraphSample.empty(f.dim)
-        return GraphSample(g.points, g.covectors, meta)
-    return GraphSample(np.vstack(p_rows), np.vstack(c_rows), meta)
+    return GraphSample(pts[owner], covectors, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +316,16 @@ def cdd_profile(
 
     For each epsilon the graph is sampled on a local grid around xbar whose
     spacing scales with epsilon, which keeps the enlargement nonempty whenever
-    the subdifferential at xbar itself can be sampled. The right-hand side is
-    the minimum over the ladder of the supremum of pairings; unbounded
-    covector sets enter through their truncated representatives and set the
-    truncation flag on the verdict.
+    the subdifferential at xbar itself can be sampled. All grids of the ladder
+    are sampled in one pass and filtered as :func:`epsilon_enlargement` would,
+    row by row against their own epsilon. The right-hand side is the minimum
+    over the ladder of the supremum of pairings; unbounded covector sets
+    enter through their truncated representatives and set the truncation
+    flag on the verdict.
     """
     xb = as_point(xbar, f.dim)
-    if not math.isfinite(f.value(xb)):
+    fx = f.value(xb)
+    if not math.isfinite(fx):
         raise DomainError("the inequality check needs f(xbar) finite")
     eps_sorted = sorted(eps_list, reverse=True)
     if not eps_sorted or eps_sorted[-1] <= 0:
@@ -323,31 +334,48 @@ def cdd_profile(
     if source == "auto":
         source = "exact" if f.exact_subdifferential is not None else "clarke-numeric"
 
-    sups = np.full((len(eps_sorted), dirs.shape[0]), -math.inf)
-    empty_eps: float | None = None
-    truncated = False
-    for k, eps in enumerate(eps_sorted):
-        local = Region.box([(float(c - eps), float(c + eps)) for c in xb])
-        g = sample_subdiff_graph(
-            f,
-            local,
-            ring_resolution,
-            source=source,
-            covector_half_width=covector_half_width,
-            covector_resolution=covector_resolution,
-            scheme=scheme,
-        )
-        truncated = truncated or bool(g.meta.get("truncated"))
-        kept = epsilon_enlargement(g, f, xb, EnlargementParams(eps))
-        if len(kept) == 0:
-            if empty_eps is None:
-                empty_eps = eps
-            continue
-        sups[k] = (kept.covectors @ dirs.T).max(axis=0)
+    # All local grids of the ladder in one stack; level[i] is the ladder index
+    # of point i. The rows of every level's graph come out of one pass.
+    grids = [
+        Region.box([(float(c - eps), float(c + eps)) for c in xb]).sample(ring_resolution)
+        for eps in eps_sorted
+    ]
+    level = np.repeat(np.arange(len(grids)), [g.shape[0] for g in grids])
+    pts = np.vstack(grids)
+    fvals = f.values(pts)
+    finite = np.isfinite(fvals)
+    pts, fvals, level = pts[finite], fvals[finite], level[finite]
+    owner, covectors, truncated = _graph_rows(
+        f,
+        pts,
+        source,
+        covector_half_width=covector_half_width,
+        covector_resolution=covector_resolution,
+        scheme=scheme,
+    )
+
+    # The enlargement conditions of epsilon_enlargement, each row against the
+    # epsilon of its level. Duplicate rows change neither a supremum nor
+    # emptiness, so the rows need no deduplication.
+    row_level = level[owner]
+    eps_rows = np.asarray(eps_sorted)[row_level]
+    diffs = pts[owner] - xb[None, :]
+    kept = (
+        (np.linalg.norm(diffs, axis=1) <= eps_rows)
+        & (np.abs(fvals[owner] - fx) <= eps_rows)
+        & (np.einsum("ij,ij->i", covectors, diffs) <= eps_rows)
+    )
+    hits = kept[:, None] & (row_level[:, None] == np.arange(len(eps_sorted))[None, :])
+    sups = np.where(hits[:, :, None], (covectors @ dirs.T)[:, None, :], -math.inf).max(
+        axis=0, initial=-math.inf
+    )
+    empty = ~hits.any(axis=0)
+    empty_eps = eps_sorted[int(np.argmax(empty))] if np.any(empty) else None
+    lhs_values = lower_dini_values(f, np.repeat(xb[None, :], dirs.shape[0], axis=0), dirs, scheme)
 
     verdicts = []
     for j in range(dirs.shape[0]):
-        lhs = lower_dini(f, xb, dirs[j], scheme).as_float
+        lhs = float(lhs_values[j])
         rhs = float(sups[:, j].min())
         flags = ("covector_truncated",) if truncated else ()
         if empty_eps is not None:

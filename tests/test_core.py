@@ -142,6 +142,15 @@ def test_interval_set_truncation_flags():
     assert np.allclose(reps2[:, 0], [-1.0, 0.0, 1.0])
 
 
+def test_interval_set_representatives_outside_the_box_stay_members():
+    reps, truncated = IntervalSet(12.0, 12.0).representatives(half_width=10.0)
+    assert reps[:, 0].tolist() == [12.0] and not truncated
+    reps, truncated = IntervalSet(-math.inf, -12.0).representatives(half_width=10.0)
+    assert reps[:, 0].tolist() == [-12.0] and truncated
+    reps, truncated = IntervalSet(-1.0, 1.0).representatives(half_width=10.0)
+    assert reps[:, 0].tolist() == [-1.0, 0.0, 1.0] and not truncated
+
+
 def test_interval_set_membership():
     s = IntervalSet(-1.0, 1.0)
     assert s.contains(np.array([0.3]))

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from varpolar import IntervalSet
+from varpolar import IntervalSet, Region
 from varpolar.library import FUNCTION_IDS, get_function, test_library as library_oracles
+from varpolar.subdifferential import EPS_LADDER
 
 
 REQUIRED_IDS = {
@@ -135,3 +136,39 @@ def test_exact_subderivative_matches_difference_quotients_spot_check():
                 assert math.isinf(quotient)
             else:
                 assert quotient == pytest.approx(exact, abs=1e-5), (f.name, d)
+
+
+def _assert_batched_matches_per_point(f, points, half_width):
+    reps, mask, truncated = f.subdifferential_representatives(points, half_width)
+    assert reps.shape[:2] == mask.shape and truncated.shape == (len(points),)
+    for i, x in enumerate(points):
+        desc = f.exact_subdifferential(x)
+        if desc is None:
+            assert not mask[i].any() and not truncated[i], (f.name, x)
+            continue
+        want, want_truncated = desc.representatives(half_width)
+        got = reps[i][mask[i]]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (f.name, x)
+        assert bool(truncated[i]) == want_truncated, (f.name, x)
+
+
+@pytest.mark.parametrize("half_width", [10.0, 0.5])
+def test_batched_side_oracle_matches_per_point_representatives(half_width):
+    # Default grids, the cdd local grids of the epsilon ladder around the
+    # kink at the origin, random points whose coordinates are not dyadic (so
+    # that rounding differences show), and a tilted copy that takes the
+    # generic per-point route; half_width 0.5 clips most covector sets.
+    rng = np.random.default_rng(0)
+    for f in library_oracles():
+        if f.exact_subdifferential is None:
+            continue
+        assert f.exact_subdifferential_batch is not None, f.name
+        grids = [f.default_region.sample(65 if f.dim == 1 else 17)]
+        grids += [Region.box([(-eps, eps)] * f.dim).sample(9) for eps in EPS_LADDER]
+        grids.append(rng.uniform(-2.0, 2.0, size=(500, f.dim)))
+        for pts in grids:
+            _assert_batched_matches_per_point(f, pts, half_width)
+        tilted = f.shifted(np.full(f.dim, 0.25))
+        assert tilted.exact_subdifferential_batch is None
+        for pts in grids[:2]:
+            _assert_batched_matches_per_point(tilted, pts, half_width)

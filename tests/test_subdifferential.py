@@ -2,6 +2,7 @@
 subderivative/enlargement inequality, plus the calculus-level invariants:
 the inclusion chain, the tilt rule, and the separation smoke test."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,14 +12,20 @@ from hypothesis import given, settings, strategies as st
 from varpolar import (
     DomainError,
     EnlargementParams,
+    FunctionOracle,
+    GraphSample,
     Region,
     cdd_inequality_check,
     clarke_subdiff_contains,
     convex_subdiff_contains,
     epsilon_enlargement,
+    lower_dini,
     sample_subdiff_graph,
 )
+from varpolar.core import DEFAULT_TOL
 from varpolar.library import get_function, test_library as library_oracles
+from varpolar.subderivative import clarke_directional_values
+from varpolar.subdifferential import EPS_LADDER, cdd_profile, sphere_directions
 
 
 # -- convex membership ---------------------------------------------------------
@@ -105,6 +112,54 @@ def test_unbounded_subdifferential_sets_truncation_flag():
     )
     assert g.meta["truncated"] is True
     assert all(abs(c[0]) <= 10.0 for _, c in g.pairs())
+
+
+def test_numeric_graph_2d_matches_per_point_loop():
+    f = FunctionOracle(
+        name="neg_norm2d",
+        dim=2,
+        fn=lambda x: -float(np.linalg.norm(x)),
+        batch=lambda p: -np.linalg.norm(p, axis=1),
+    )
+    region = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
+    g = sample_subdiff_graph(f, region, 9, source="clarke-numeric")
+    # Reference: one generalized-derivative call per point and direction.
+    dirs = sphere_directions(2, 16)
+    axis = np.linspace(-10.0, 10.0, 41)
+    cands = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+    p_rows, c_rows = [], []
+    for x in region.sample(9):
+        ups = np.array([clarke_directional_values(f, x[None, :], d)[0][0] for d in dirs])
+        keep = np.all(cands @ dirs.T - ups[None, :] <= DEFAULT_TOL, axis=1)
+        p_rows += [x] * int(keep.sum())
+        c_rows += list(cands[keep])
+    ref = GraphSample(np.vstack(p_rows), np.vstack(c_rows))
+    assert len(g) > 0 and g.meta["truncated"] is False
+    assert g.points.tobytes() == ref.points.tobytes()
+    assert g.covectors.tobytes() == ref.covectors.tobytes()
+
+
+def test_exact_graph_uses_the_batched_side_oracle():
+    for f in library_oracles():
+        if f.exact_subdifferential is None:
+            continue
+        calls = []
+
+        def per_point(x, f=f):
+            calls.append(x)
+            return f.exact_subdifferential(x)
+
+        res = 17 if f.dim == 1 else 9
+        batched = sample_subdiff_graph(
+            dataclasses.replace(f, exact_subdifferential=per_point), f.default_region, res
+        )
+        assert calls == [], f.name
+        looped = sample_subdiff_graph(
+            dataclasses.replace(f, exact_subdifferential_batch=None), f.default_region, res
+        )
+        assert batched.points.tobytes() == looped.points.tobytes(), f.name
+        assert batched.covectors.tobytes() == looped.covectors.tobytes(), f.name
+        assert batched.meta["truncated"] == looped.meta["truncated"], f.name
 
 
 # -- enlargement -------------------------------------------------------------------
@@ -199,6 +254,53 @@ def test_cdd_passes_across_library_spot_checks():
                 continue
             for d in (1.0, -1.0):
                 assert cdd_inequality_check(f, x, d).ok, (fid, x, d)
+
+
+def _cdd_per_epsilon(f, xbar, dirs):
+    """(lhs, rhs) of the inequality from one deduplicated graph and one
+    enlargement per ladder step, and one lower_dini call per direction."""
+    source = "exact" if f.exact_subdifferential is not None else "clarke-numeric"
+    sups = np.full((len(EPS_LADDER), len(dirs)), -math.inf)
+    for k, eps in enumerate(sorted(EPS_LADDER, reverse=True)):
+        local = Region.box([(float(c - eps), float(c + eps)) for c in xbar])
+        g = sample_subdiff_graph(f, local, 9, source=source)
+        kept = epsilon_enlargement(g, f, xbar, EnlargementParams(eps))
+        if len(kept) > 0:
+            sups[k] = (kept.covectors @ dirs.T).max(axis=0)
+    lhs = [lower_dini(f, xbar, d).as_float for d in dirs]
+    return lhs, sups.min(axis=0).tolist()
+
+
+def test_cdd_profile_matches_per_epsilon_graphs():
+    for f in library_oracles():
+        eye = np.eye(f.dim)
+        dirs = np.vstack([eye, -eye, np.full((1, f.dim), 0.6)])
+        xbars = f.default_region.sample(5 if f.dim == 1 else 3)
+        for xbar in xbars[np.isfinite(f.values(xbars))]:
+            verdicts = cdd_profile(f, xbar, dirs)
+            lhs, rhs = _cdd_per_epsilon(f, xbar, dirs)
+            assert [v.details["lhs"] for v in verdicts] == lhs, (f.name, xbar)
+            assert [v.details["rhs"] for v in verdicts] == rhs, (f.name, xbar)
+
+
+@pytest.mark.parametrize(("name", "calls"), [("norm2d", 3), ("abs", 3), ("neg_abs", 9)])
+def test_cdd_profile_oracle_evaluation_count(monkeypatch, name, calls):
+    # One evaluation of the stacked epsilon grids, two for the lhs of all
+    # directions at once, and on the numeric route (neg_abs) three for each
+    # of the two 1-D generalized derivatives.
+    counted = []
+    values = FunctionOracle.values
+
+    def counting_values(self, points):
+        counted.append(len(points))
+        return values(self, points)
+
+    monkeypatch.setattr(FunctionOracle, "values", counting_values)
+    f = get_function(name)
+    eye = np.eye(f.dim)
+    verdicts = cdd_profile(f, np.zeros(f.dim), np.vstack([eye, -eye]))
+    assert all(v.ok for v in verdicts)
+    assert len(counted) == calls
 
 
 # -- inclusion chain and tilt rule -------------------------------------------------

@@ -24,7 +24,12 @@ import numpy as np
 from .core import DEFAULT_BOX_HALF_WIDTH
 from .library import FUNCTION_IDS, get_function
 from .minty import iar_check, minty_subdifferential, minty_subderivative
-from .polar import polar_contains, polar_membership_via_iar, polar_of_sample
+from .polar import (
+    DEFAULT_RAY_RESOLUTION,
+    polar_contains,
+    polar_membership_via_iar,
+    polar_of_sample,
+)
 from .subderivative import LiminfScheme, clarke_directional, lower_dini
 from .subdifferential import (
     clarke_subdiff_contains,
@@ -72,8 +77,14 @@ class RunConfig:
         for s in self.suites:
             if s != "all" and s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {SUITE_NAMES} or 'all'")
-        if self.resolution < 2 or self.resolution_2d < 2:
-            raise ConfigError("resolutions must be >= 2")
+        # a grid of one point collapses its quantifier (t_resolution = 1
+        # leaves only t = 0, so every rays check passes vacuously)
+        for key in ("resolution", "resolution_2d", "t_resolution", "covector_resolution",
+                    "thm3_candidates", "thm3_candidates_2d"):
+            if getattr(self, key) < 2:
+                raise ConfigError(f"{key} must be >= 2")
+        if self.probe_factor < 1:
+            raise ConfigError("probe_factor must be >= 1")
         if self.tol <= 0 or self.band <= 0 or self.cdd_tol <= 0 or self.polar_band <= 0:
             raise ConfigError("tolerances must be positive")
         if self.format not in ("json", "csv", "text"):
@@ -140,7 +151,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 target = type(current) if current is not None else str
                 if key in _LIST_KEYS:
                     target = list
-                setattr(cfg, key, _coerce(key, raw, target))
+                try:
+                    setattr(cfg, key, _coerce(key, raw, target))
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key!r} in section [{section}]: {exc}") from exc
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
@@ -288,12 +302,12 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         print(f"  convex membership: contains={conv.contains} residual={conv.residual:.6g} witness={None if conv.witness is None else conv.witness.tolist()}")
         clk = clarke_subdiff_contains(f, x, xstar, scheme=params.scheme, tol=params.tol)
         print(f"  generalized membership: contains={clk.contains} residual={clk.residual:.6g} witness={None if clk.witness is None else clk.witness.tolist()}")
-    res = params.grid_resolution(f.dim)
-    graph = sample_subdiff_graph(f, region, params.probe_factor * (res - 1) + 1,
+    graph = sample_subdiff_graph(f, region, params.probe_resolution(f.dim),
                                  source="exact" if f.exact_subdifferential else "clarke-numeric")
     pv = polar_contains(graph, x, xstar, tol=params.tol)
     print(f"  polar (graph route): related={pv.related} min_product={pv.min_product:.6g} witness={pv.witness}")
-    iv = polar_membership_via_iar(f, x, xstar, region, probe_resolution=res, tol=params.tol)
+    iv = polar_membership_via_iar(f, x, xstar, region, ray_resolution=DEFAULT_RAY_RESOLUTION,
+                                  probe_resolution=params.probe_resolution(f.dim), tol=params.tol)
     print(f"  polar (rays route): member={iv.ok} residual={iv.residual:.6g} witness={iv.witness}")
     return 0
 

@@ -302,7 +302,9 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="norm2d",
             dim=2,
             fn=lambda x: float(np.linalg.norm(x)),
-            batch=lambda p: np.linalg.norm(p, axis=1),
+            # the same IEEE operations as np.linalg.norm(p, axis=1), without
+            # its strided reduce
+            batch=lambda p: np.sqrt(p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1]),
             is_convex=True,
             exact_subderivative=_sd_norm2d,
             exact_subdifferential=_sdiff_norm2d,

@@ -58,23 +58,80 @@ def _finite_grid(f: FunctionOracle, region: Region, resolution: int) -> tuple[Ar
     return ys[finite], fy[finite]
 
 
-def _iar_residual(
-    f: FunctionOracle,
-    xbar: Array,
-    ys: Array,
-    fy: Array,
-    t_resolution: int,
-) -> tuple[float, tuple[Array, float] | None]:
+@dataclass(frozen=True)
+class _RayGrid:
+    """The rays kernel: ray points y + t(xbar - y) over a fixed probe grid.
+
+    ``ys`` are the probe points with finite value ``fy`` and ``ts`` a uniform
+    [0, 1] grid. The ray starts y(1 - t) do not depend on xbar, so they are
+    built once per probe grid; :meth:`points` only adds xbar t, the same
+    operations in the same order as building each ray point from scratch.
+    """
+
+    ys: Array
+    fy: Array
+    ts: Array
+    starts: Array
+
+    @classmethod
+    def build(cls, ys: Array, fy: Array, t_resolution: int) -> "_RayGrid":
+        ts = np.linspace(0.0, 1.0, t_resolution)
+        return cls(ys, fy, ts, ys[:, None, :] * (1.0 - ts)[None, :, None])
+
+    def points(self, xbar: Array) -> Array:
+        """(len(ys) * len(ts), dim) ray points toward xbar, y-major."""
+        pts = self.starts + xbar[None, None, :] * self.ts[None, :, None]
+        return pts.reshape(-1, xbar.shape[0])
+
+    def max_increase(self, vals: Array, fy: Array) -> tuple[float, tuple[Array, float]]:
+        """max over (y, t) of vals(y, t) - fy(y) and the maximizing (y, t),
+        for ``vals`` evaluated at :meth:`points` (+inf allowed)."""
+        with np.errstate(invalid="ignore"):
+            diffs = vals.reshape(self.ys.shape[0], self.ts.shape[0]) - fy[:, None]
+        i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
+        return float(diffs[i, j]), (self.ys[i], float(self.ts[j]))
+
+
+def _iar_residual(f: FunctionOracle, xbar: Array, rays: _RayGrid) -> tuple[float, tuple | None]:
     """max over (y, t) of f(y + t(xbar - y)) - f(y); +inf allowed."""
-    if ys.shape[0] == 0:
+    if rays.ys.shape[0] == 0:
         return -math.inf, None
-    ts = np.linspace(0.0, 1.0, t_resolution)
-    pts = ys[:, None, :] * (1.0 - ts)[None, :, None] + xbar[None, None, :] * ts[None, :, None]
-    vals = f.values(pts.reshape(-1, xbar.shape[0])).reshape(ys.shape[0], ts.shape[0])
-    with np.errstate(invalid="ignore"):
-        diffs = vals - fy[:, None]
-    i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-    return float(diffs[i, j]), (ys[i], float(ts[j]))
+    return rays.max_increase(f.values(rays.points(xbar)), rays.fy)
+
+
+def _tilted_iar_residuals(
+    f: FunctionOracle,
+    xs: Array,
+    covectors: Array,
+    probe: Region,
+    probe_resolution: int,
+    ray_resolution: int,
+) -> list[list[tuple[float, tuple[Array, float] | None]]]:
+    """Rays residual of the tilted function f - <x*, .> from each x in ``xs``
+    for each row x* of ``covectors``: entry [i][k] is the max over probe-grid
+    y with finite value and t in a uniform [0, 1] grid of
+    (f - x*)(y + t(x_i - y)) - (f - x*)(y), with the maximizing (y, t).
+
+    Tilting is linear, (f - x*)(p) = f(p) - <x*, p>, so f is evaluated once
+    on the probe grid and once on the ray points of each x; each covector
+    only subtracts its pairing. For an oracle with a ``batch`` evaluator
+    these are the same arrays, bitwise, as ``f.shifted(x*).values`` gives.
+    A probe grid without finite values makes every residual -inf with no
+    witness.
+    """
+    ys_all = probe.sample(probe_resolution)
+    fy_all = f.values(ys_all)
+    finite = np.isfinite(fy_all)
+    if not np.any(finite):
+        return [[(-math.inf, None)] * len(covectors) for _ in xs]
+    rays = _RayGrid.build(ys_all[finite], fy_all[finite], ray_resolution)
+    gys = [(fy_all - ys_all @ c)[finite] for c in covectors]
+    out = []
+    for x in xs:
+        pts = rays.points(x)
+        fp = f.values(pts)
+        out.append([rays.max_increase(fp - pts @ c, gy) for c, gy in zip(covectors, gys)])
+    return out
 
 
 def iar_check(
@@ -99,7 +156,7 @@ def iar_check(
     if ys.shape[0] == 0:
         # no finite-valued grid point: the quantifier is vacuous
         return MintyReport(residual=ExtReal(0.0), solution=True, witness=None, probe_meta=meta)
-    residual, witness = _iar_residual(f, xb, ys, fy, t_resolution)
+    residual, witness = _iar_residual(f, xb, _RayGrid.build(ys, fy, t_resolution))
     return MintyReport(
         residual=ExtReal(residual), solution=residual <= tol, witness=witness, probe_meta=meta
     )
@@ -319,8 +376,8 @@ def cross_validate(
     xgrid = region.sample(resolution)
     finite_x = np.isfinite(f.values(xgrid))
 
-    ys_c, fy_c = _finite_grid(f, region, probe_res)
-    ys_u, fy_u = _finite_grid(f, interior_region, probe_res)
+    rays_c = _RayGrid.build(*_finite_grid(f, region, probe_res), t_resolution)
+    rays_u = _RayGrid.build(*_finite_grid(f, interior_region, probe_res), t_resolution)
     graph_inside = graph.restrict_points(interior_region)
 
     rows: list[EquivalenceRow] = []
@@ -328,15 +385,15 @@ def cross_validate(
         if not ok:
             continue
         interior = bool(interior_region.contains(xb))
-        r_sd, _ = _subderivative_residual(f, xb, ys_c, scheme)
-        r_iar, _ = _iar_residual(f, xb, ys_c, fy_c, t_resolution)
+        r_sd, _ = _subderivative_residual(f, xb, rays_c.ys, scheme)
+        r_iar, _ = _iar_residual(f, xb, rays_c)
         v_sd, v_iar = r_sd <= tol, r_iar <= tol
         residuals = {"subderivative": r_sd, "iar": r_iar}
         verdicts = {"subderivative": v_sd, "iar": v_iar}
         classes = {"subderivative_vs_iar": classify(v_sd, r_sd, v_iar, r_iar, band)}
         if interior and len(graph_inside) > 0:
             r_sdiff, _ = _subdifferential_residual(xb, graph_inside, interior_region)
-            r_iar_u, _ = _iar_residual(f, xb, ys_u, fy_u, t_resolution)
+            r_iar_u, _ = _iar_residual(f, xb, rays_u)
             v_sdiff, v_iar_u = r_sdiff <= tol, r_iar_u <= tol
             residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
             verdicts.update({"subdifferential": v_sdiff, "iar_open": v_iar_u})

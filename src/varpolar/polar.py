@@ -26,9 +26,13 @@ from .core import (
     Verdict,
     as_point,
 )
+from .minty import _tilted_iar_residuals
 
 #: Tolerance for exact-arithmetic-representable samples.
 EXACT_TOL = 1e-9
+
+#: Points per ray of the dual (rays) route to polar membership.
+DEFAULT_RAY_RESOLUTION = 33
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ def polar_membership_via_iar(
     x: Sequence[float] | float | Array,
     xstar: Sequence[float] | float | Array,
     probe: Region,
-    ray_resolution: int = 33,
+    ray_resolution: int = DEFAULT_RAY_RESOLUTION,
     probe_resolution: int = 65,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
@@ -181,28 +185,22 @@ def polar_membership_via_iar(
     along every ray starting from x.
 
     Checked as (f - x*)(y + t(x - y)) <= (f - x*)(y) + tol for all probe-grid
-    y with finite value and all t in a uniform [0, 1] grid. The witness is the
-    violating (y, t).
+    y with finite value and all t in a uniform [0, 1] grid. Tilting is
+    linear, (f - x*)(p) = f(p) - <x*, p>, so the tilted values are f's values
+    minus the pairing with x*; this is the one-covector case of the rays
+    kernel that the thm3 suite runs over all candidate covectors at once.
+    The witness is the violating (y, t).
     """
     p = as_point(x, f.dim)
     c = as_point(xstar, f.dim)
-    g = f.shifted(c)
-    ys = probe.sample(probe_resolution)
-    gy = g.values(ys)
-    finite = np.isfinite(gy)
-    if not np.any(finite):
-        return Verdict(ok=True, residual=-math.inf, witness=None)
-    ys, gy = ys[finite], gy[finite]
-    ts = np.linspace(0.0, 1.0, ray_resolution)
-    pts = ys[:, None, :] * (1.0 - ts)[None, :, None] + p[None, None, :] * ts[None, :, None]
-    vals = g.values(pts.reshape(-1, f.dim)).reshape(ys.shape[0], ts.shape[0])
-    with np.errstate(invalid="ignore"):
-        diffs = vals - gy[:, None]
-    i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-    residual = float(diffs[i, j])
+    [[(residual, witness)]] = _tilted_iar_residuals(
+        f, p[None, :], c[None, :], probe, probe_resolution, ray_resolution
+    )
+    if witness is None:
+        return Verdict(ok=True, residual=residual, witness=None)
     return Verdict(
         ok=residual <= tol,
         residual=residual,
-        witness=(ys[i], float(ts[j])),
+        witness=witness,
         details={"probe": probe.describe(), "probe_resolution": probe_resolution},
     )

@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import DEFAULT_BOX_HALF_WIDTH, GraphSample, Region
 from .library import get_function
-from .minty import DEFAULT_BAND, cross_validate
-from .polar import is_absorbing, is_monotone, polar_contains, polar_membership_via_iar
+from .minty import DEFAULT_BAND, _tilted_iar_residuals, cross_validate
+from .polar import DEFAULT_RAY_RESOLUTION, _min_products, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
 from .subdifferential import EPS_LADDER, cdd_profile, sample_subdiff_graph
 
@@ -41,6 +41,11 @@ class SuiteParams:
 
     def grid_resolution(self, dim: int) -> int:
         return self.resolution if dim == 1 else self.resolution_2d
+
+    def probe_resolution(self, dim: int) -> int:
+        """Resolution of the y-probe grids: ``probe_factor`` times finer than
+        the query grid, nested in it."""
+        return self.probe_factor * (self.grid_resolution(dim) - 1) + 1
 
 
 def _graph_source(f) -> str:
@@ -141,32 +146,30 @@ def thm3_suite(function_id: str, params: SuiteParams) -> dict:
         covector_resolution=params.covector_resolution,
         scheme=params.scheme,
     )
-    probe_res = (
-        params.probe_factor * (params.resolution - 1) + 1
-        if f.dim == 1
-        else params.probe_factor * (params.resolution_2d - 1) + 1
+    if len(graph) == 0:
+        min_products = np.full((xs.shape[0], cs.shape[0]), np.inf)
+    else:
+        mins, _ = _min_products(
+            graph, np.repeat(xs, cs.shape[0], axis=0), np.tile(cs, (xs.shape[0], 1))
+        )
+        min_products = mins.reshape(xs.shape[0], cs.shape[0])
+    rays = _tilted_iar_residuals(
+        f, xs, cs, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION
     )
     agree = indeterminate = hard = 0
     disagreements = []
-    for x in xs:
-        for c in cs:
-            pv = polar_contains(graph, x, c, tol=params.tol)
-            iv = polar_membership_via_iar(
-                f, x, c, region,
-                ray_resolution=33,
-                probe_resolution=probe_res,
-                tol=params.tol,
-            )
-            if pv.related == iv.ok:
+    for x, x_mins, x_rays in zip(xs, min_products, rays):
+        for c, min_product, (iar_residual, _) in zip(cs, x_mins.tolist(), x_rays):
+            if (min_product >= -params.tol) == (iar_residual <= params.tol):
                 agree += 1
                 continue
             row = {
                 "x": x.tolist(),
                 "xstar": c.tolist(),
-                "min_product": pv.min_product,
-                "iar_residual": iv.residual,
+                "min_product": min_product,
+                "iar_residual": iar_residual,
             }
-            if abs(pv.min_product) <= params.polar_band:
+            if abs(min_product) <= params.polar_band:
                 indeterminate += 1
                 row["class"] = "indeterminate"
             else:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from varpolar.cli import main, load_config, ConfigError, report_json
+from varpolar.suites import thm3_suite
 
 
 def test_unknown_function_id_is_a_usage_error(capsys):
@@ -163,3 +164,45 @@ def test_threads_env_var(tmp_path, monkeypatch):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["config"]["threads"] == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # a one-point t grid leaves only t = 0: every rays check passes vacuously
+        "t_resolution = 1",
+        "covector_resolution = 1",
+        "thm3_candidates = 1",
+        "thm3_candidates_2d = 1",
+        "probe_factor = 0",
+        # values that cannot be coerced to the knob's type
+        "resolution = 1.5",
+        "threads = abc",
+    ],
+)
+def test_bad_knob_values_are_usage_errors(tmp_path, capsys, line):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(f"[run]\nfunctions = abs\n{line}\n", encoding="utf-8")
+    code = main(["suite", "--config", str(cfg_path)])
+    assert code == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+
+
+def test_explain_rays_route_uses_the_thm3_grid(tmp_path, capsys):
+    # thm3 probes at probe_factor times the grid resolution (9 points here);
+    # at the 5-point grid resolution this pair's residual would read 0.
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[run]\nresolution = 5\nthm3_candidates = 9\ntol = 0.2\n", encoding="utf-8")
+    params = load_config(str(cfg_path), {}).suite_params()
+    row = next(
+        r for r in thm3_suite("square", params)["disagreements"]
+        if r["x"] == [1.0] and r["xstar"] == [3.0]
+    )
+    code = main(["explain", "--config", str(cfg_path), "--function", "square",
+                 "--x", "1", "--xstar", "3"])
+    assert code == 0
+    rays = next(
+        line for line in capsys.readouterr().out.splitlines() if "polar (rays route)" in line
+    )
+    assert f"residual={row['iar_residual']:.6g} " in rays
+    assert row["iar_residual"] == 0.25

@@ -10,6 +10,7 @@ import pytest
 from varpolar import IntervalSet, Region
 from varpolar.library import FUNCTION_IDS, get_function, test_library as library_oracles
 from varpolar.subdifferential import EPS_LADDER
+from varpolar.suites import SuiteParams
 
 
 REQUIRED_IDS = {
@@ -172,3 +173,22 @@ def test_batched_side_oracle_matches_per_point_representatives(half_width):
         assert tilted.exact_subdifferential_batch is None
         for pts in grids[:2]:
             _assert_batched_matches_per_point(tilted, pts, half_width)
+
+
+def test_norm2d_batch_matches_linalg_norm_bitwise():
+    f = get_function("norm2d")
+    region = f.default_region
+    params = SuiteParams()
+    grid = region.sample(params.grid_resolution(2))
+    rng = np.random.default_rng(0)
+    magnitudes = 10.0 ** rng.uniform(-150.0, 150.0, size=(10_000, 2))
+    spread = magnitudes * rng.choice([-1.0, 1.0], size=(10_000, 2))
+    for pts in (grid, spread):
+        assert np.array_equal(f.values(pts), np.linalg.norm(pts, axis=1))
+    # the equivalence ray points: probe grid toward each query-grid xbar
+    ys = region.sample(params.probe_resolution(2))
+    ts = np.linspace(0.0, 1.0, params.t_resolution)
+    starts = ys[:, None, :] * (1.0 - ts)[None, :, None]
+    for xbar in grid:
+        pts = (starts + xbar[None, None, :] * ts[None, :, None]).reshape(-1, 2)
+        assert np.array_equal(f.values(pts), np.linalg.norm(pts, axis=1))

@@ -1,0 +1,155 @@
+"""The shared rays kernel: parity with the per-xbar and per-pair
+constructions it replaces, and pinned oracle-evaluation counts.
+
+The references below build every ray point from scratch and evaluate the
+tilted oracle ``f.shifted(x*)`` once per (x, x*) pair, as the suites did
+before the kernel hoisted the ray starts and used tilt linearity. Every
+comparison is exact (``==``)."""
+
+import math
+
+import numpy as np
+import pytest
+
+from varpolar import cross_validate, iar_check, polar_contains, polar_membership_via_iar
+from varpolar.core import FunctionOracle
+from varpolar.library import FUNCTION_IDS, get_function
+from varpolar.polar import DEFAULT_RAY_RESOLUTION
+from varpolar.subdifferential import sample_subdiff_graph
+from varpolar.suites import SuiteParams, _candidate_grids, run_suites, thm3_suite
+
+SMALL = SuiteParams(
+    resolution=9, resolution_2d=5, t_resolution=8, thm3_candidates=5, thm3_candidates_2d=3
+)
+
+
+def _reference_rays(g, x, probe, probe_resolution, t_resolution):
+    """max over finite probe y and t of g(y + t(x - y)) - g(y), with (y, t)."""
+    ys = probe.sample(probe_resolution)
+    gy = g.values(ys)
+    finite = np.isfinite(gy)
+    if not np.any(finite):
+        return -math.inf, None
+    ys, gy = ys[finite], gy[finite]
+    ts = np.linspace(0.0, 1.0, t_resolution)
+    pts = ys[:, None, :] * (1.0 - ts)[None, :, None] + x[None, None, :] * ts[None, :, None]
+    vals = g.values(pts.reshape(-1, g.dim)).reshape(ys.shape[0], ts.shape[0])
+    with np.errstate(invalid="ignore"):
+        diffs = vals - gy[:, None]
+    i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
+    return float(diffs[i, j]), (ys[i], float(ts[j]))
+
+
+def _reference_thm3(fid, params):
+    f = get_function(fid)
+    region = f.default_region
+    xs, cs = _candidate_grids(f, params)
+    cand_res = params.thm3_candidates if f.dim == 1 else params.thm3_candidates_2d
+    dense_res = 4 * (cand_res - 1) + 1
+    source = "exact" if f.exact_subdifferential is not None else "clarke-numeric"
+    graph = sample_subdiff_graph(
+        f, region, dense_res, source=source,
+        covector_half_width=params.covector_half_width,
+        covector_resolution=params.covector_resolution,
+        scheme=params.scheme,
+    )
+    probe_res = params.probe_factor * (params.grid_resolution(f.dim) - 1) + 1
+    counts = {"agree": 0, "indeterminate": 0, "hard": 0}
+    disagreements = []
+    for x in xs:
+        for c in cs:
+            pv = polar_contains(graph, x, c, tol=params.tol)
+            residual, _ = _reference_rays(f.shifted(c), x, region, probe_res, 33)
+            if pv.related == (residual <= params.tol):
+                counts["agree"] += 1
+                continue
+            cls = "indeterminate" if abs(pv.min_product) <= params.polar_band else "hard"
+            counts[cls] += 1
+            disagreements.append({"x": x.tolist(), "xstar": c.tolist(),
+                                  "min_product": pv.min_product,
+                                  "iar_residual": residual, "class": cls})
+    return {
+        "function": fid, "region": region.describe(), "candidates": len(xs) * len(cs),
+        "graph_resolution": dense_res, "graph_size": len(graph), "graph_source": source,
+        "band": params.polar_band, **counts, "hard_count": counts["hard"],
+        "disagreements": disagreements,
+    }
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_cross_validate_rays_residuals_match_the_reference(fid):
+    f = get_function(fid)
+    resolution = SMALL.grid_resolution(f.dim)
+    probe_res = SMALL.probe_resolution(f.dim)
+    region = f.default_region
+    interior = region.shrink(region.spacing(resolution))
+    rep = cross_validate(f, resolution=resolution, t_resolution=SMALL.t_resolution)
+    assert rep.rows
+    for row in rep.rows:
+        xb = np.array(row.xbar)
+        r, (y, t) = _reference_rays(f, xb, region, probe_res, SMALL.t_resolution)
+        assert row.residuals["iar"] == r, row
+        if "iar_open" in row.residuals:
+            r_u, _ = _reference_rays(f, xb, interior, probe_res, SMALL.t_resolution)
+            assert row.residuals["iar_open"] == r_u, row
+        rep_x = iar_check(f, xb, region, resolution=probe_res, t_resolution=SMALL.t_resolution)
+        assert float(rep_x.residual) == r and rep_x.witness[1] == t
+        assert np.array_equal(rep_x.witness[0], y)
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_thm3_suite_matches_the_per_pair_reference(fid):
+    assert thm3_suite(fid, SMALL) == _reference_thm3(fid, SMALL)
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_polar_membership_via_iar_matches_the_tilted_oracle(fid):
+    f = get_function(fid)
+    xs, cs = _candidate_grids(f, SMALL)
+    probe_res = SMALL.probe_resolution(f.dim)
+    for x in xs:
+        for c in cs:
+            v = polar_membership_via_iar(f, x, c, f.default_region, probe_resolution=probe_res)
+            residual, witness = _reference_rays(
+                f.shifted(c), x, f.default_region, probe_res, DEFAULT_RAY_RESOLUTION
+            )
+            assert v.residual == residual
+            if witness is None:
+                assert v.witness is None
+            else:
+                assert np.array_equal(v.witness[0], witness[0]) and v.witness[1] == witness[1]
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Sizes of every FunctionOracle.values call, in call order."""
+    sizes = []
+    values = FunctionOracle.values
+
+    def counting_values(self, points):
+        sizes.append(len(points))
+        return values(self, points)
+
+    monkeypatch.setattr(FunctionOracle, "values", counting_values)
+    return sizes
+
+
+def test_small_rays_run_oracle_evaluation_count(counted):
+    result = run_suites(["abs", "norm2d"], ["prop1", "thm2", "thm3"], SMALL)
+    assert result["hard_total"] == 0
+    # thm3 takes 7 calls on abs (graph grid, probe grid, 5 candidate x) and
+    # 11 on norm2d (the same with 9 candidate x); one evaluation per
+    # (x, x*) pair made this run 340 calls over 286,116 points
+    assert (len(counted), sum(counted)) == (144, 75_552)
+
+
+@pytest.mark.parametrize("fid", ["abs", "norm2d"])
+def test_thm3_evaluates_the_ray_points_once_per_candidate_x(counted, fid):
+    f = get_function(fid)
+    xs, cs = _candidate_grids(f, SMALL)
+    thm3_suite(fid, SMALL)
+    probe_points = SMALL.probe_resolution(f.dim) ** f.dim  # all finite for these two
+    ray_calls = counted.count(probe_points * DEFAULT_RAY_RESOLUTION)
+    assert ray_calls == len(xs) < len(xs) * len(cs)
+    # besides those: one call for the graph grid and one for the probe grid
+    assert len(counted) == ray_calls + 2

@@ -152,9 +152,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 if key in _LIST_KEYS:
                     target = list
                 try:
-                    setattr(cfg, key, _coerce(key, raw, target))
+                    value = _coerce(key, raw, target)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r} in section [{section}]: {exc}") from exc
+                setattr(cfg, key, value)
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)

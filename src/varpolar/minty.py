@@ -58,7 +58,6 @@ def _finite_grid(f: FunctionOracle, region: Region, resolution: int) -> tuple[Ar
     return ys[finite], fy[finite]
 
 
-@dataclass(frozen=True)
 class _RayGrid:
     """The rays kernel: ray points y + t(xbar - y) over a fixed probe grid.
 
@@ -66,17 +65,13 @@ class _RayGrid:
     [0, 1] grid. The ray starts y(1 - t) do not depend on xbar, so they are
     built once per probe grid; :meth:`points` only adds xbar t, the same
     operations in the same order as building each ray point from scratch.
+    (A plain class: a frozen dataclass costs about 1 ms of import time.)
     """
 
-    ys: Array
-    fy: Array
-    ts: Array
-    starts: Array
-
-    @classmethod
-    def build(cls, ys: Array, fy: Array, t_resolution: int) -> "_RayGrid":
-        ts = np.linspace(0.0, 1.0, t_resolution)
-        return cls(ys, fy, ts, ys[:, None, :] * (1.0 - ts)[None, :, None])
+    def __init__(self, ys: Array, fy: Array, t_resolution: int) -> None:
+        self.ys, self.fy = ys, fy
+        self.ts = np.linspace(0.0, 1.0, t_resolution)
+        self.starts = ys[:, None, :] * (1.0 - self.ts)[None, :, None]
 
     def points(self, xbar: Array) -> Array:
         """(len(ys) * len(ts), dim) ray points toward xbar, y-major."""
@@ -124,7 +119,7 @@ def _tilted_iar_residuals(
     finite = np.isfinite(fy_all)
     if not np.any(finite):
         return [[(-math.inf, None)] * len(covectors) for _ in xs]
-    rays = _RayGrid.build(ys_all[finite], fy_all[finite], ray_resolution)
+    rays = _RayGrid(ys_all[finite], fy_all[finite], ray_resolution)
     gys = [(fy_all - ys_all @ c)[finite] for c in covectors]
     out = []
     for x in xs:
@@ -156,7 +151,7 @@ def iar_check(
     if ys.shape[0] == 0:
         # no finite-valued grid point: the quantifier is vacuous
         return MintyReport(residual=ExtReal(0.0), solution=True, witness=None, probe_meta=meta)
-    residual, witness = _iar_residual(f, xb, _RayGrid.build(ys, fy, t_resolution))
+    residual, witness = _iar_residual(f, xb, _RayGrid(ys, fy, t_resolution))
     return MintyReport(
         residual=ExtReal(residual), solution=residual <= tol, witness=witness, probe_meta=meta
     )
@@ -376,8 +371,8 @@ def cross_validate(
     xgrid = region.sample(resolution)
     finite_x = np.isfinite(f.values(xgrid))
 
-    rays_c = _RayGrid.build(*_finite_grid(f, region, probe_res), t_resolution)
-    rays_u = _RayGrid.build(*_finite_grid(f, interior_region, probe_res), t_resolution)
+    rays_c = _RayGrid(*_finite_grid(f, region, probe_res), t_resolution)
+    rays_u = _RayGrid(*_finite_grid(f, interior_region, probe_res), t_resolution)
     graph_inside = graph.restrict_points(interior_region)
 
     rows: list[EquivalenceRow] = []

@@ -13,7 +13,6 @@ import configparser
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_BOX_HALF_WIDTH
+from .core import GraphSample
 from .library import FUNCTION_IDS, get_function
 from .minty import iar_check, minty_subdifferential, minty_subderivative
 from .polar import (
@@ -36,108 +35,59 @@ from .subdifferential import (
     convex_subdiff_contains,
     sample_subdiff_graph,
 )
-from .suites import SUITE_NAMES, SuiteParams, run_suites
+from .suites import SUITE_NAMES, SuiteParams, _candidate_grids, run_suites, thm3_graph
 
 
 class ConfigError(Exception):
     """Bad configuration or usage; maps to exit status 2."""
 
 
-@dataclass
-class RunConfig:
-    """Declarative run description: function ids, suite selection, grid and
-    scheme parameters, tolerance overrides, and output destinations."""
+@dataclass(frozen=True)
+class RunConfig(SuiteParams):
+    """Declarative run description: the suites' knobs plus function ids, suite
+    selection, and output destinations."""
 
     functions: list[str] = field(default_factory=lambda: list(FUNCTION_IDS))
     suites: list[str] = field(default_factory=lambda: ["all"])
-    resolution: int = 65
-    resolution_2d: int = 17
-    probe_factor: int = 2
-    t_resolution: int = 64
-    band: float = 1e-3
-    polar_band: float = 1e-2
-    tol: float = 1e-6
-    cdd_tol: float = 1e-3
-    covector_half_width: float = DEFAULT_BOX_HALF_WIDTH
-    covector_resolution: int = 41
-    thm3_candidates: int = 15
-    thm3_candidates_2d: int = 5
-    t0: float = 0.1
-    ratio: float = 0.7
-    steps: int = 40
-    tail_fraction: float = 0.25
     out: str | None = None
     format: str = "json"
-    threads: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        super().__post_init__()
         for fid in self.functions:
             if fid not in FUNCTION_IDS:
                 raise ConfigError(f"unknown function id {fid!r}; known: {', '.join(FUNCTION_IDS)}")
         for s in self.suites:
             if s != "all" and s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {SUITE_NAMES} or 'all'")
-        # a grid of one point collapses its quantifier (t_resolution = 1
-        # leaves only t = 0, so every rays check passes vacuously)
-        for key in ("resolution", "resolution_2d", "t_resolution", "covector_resolution",
-                    "thm3_candidates", "thm3_candidates_2d"):
-            if getattr(self, key) < 2:
-                raise ConfigError(f"{key} must be >= 2")
-        if self.probe_factor < 1:
-            raise ConfigError("probe_factor must be >= 1")
-        if self.tol <= 0 or self.band <= 0 or self.cdd_tol <= 0 or self.polar_band <= 0:
-            raise ConfigError("tolerances must be positive")
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
 
-    def scheme(self) -> LiminfScheme:
-        try:
-            return LiminfScheme(
-                t0=self.t0, ratio=self.ratio, steps=self.steps, tail_fraction=self.tail_fraction
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad scheme parameters: {exc}") from exc
-
-    def suite_params(self) -> SuiteParams:
-        return SuiteParams(
-            resolution=self.resolution,
-            resolution_2d=self.resolution_2d,
-            probe_factor=self.probe_factor,
-            t_resolution=self.t_resolution,
-            band=self.band,
-            polar_band=self.polar_band,
-            tol=self.tol,
-            cdd_tol=self.cdd_tol,
-            covector_half_width=self.covector_half_width,
-            covector_resolution=self.covector_resolution,
-            thm3_candidates=self.thm3_candidates,
-            thm3_candidates_2d=self.thm3_candidates_2d,
-            scheme=self.scheme(),
-        )
-
     def echo(self) -> dict:
+        """Every config key with its value, the scheme's fields flattened in."""
         d = asdict(self)
+        d.update(d.pop("scheme"))
         d["functions"] = sorted(self.functions)
         return d
 
 
-_LIST_KEYS = {"functions", "suites"}
+_SCHEME_KEYS = {f.name for f in fields(LiminfScheme)}
 
 
-def _coerce(key: str, raw: str, target_type: type):
-    if key in _LIST_KEYS:
+def _coerce(raw: str, default):
+    if isinstance(default, list):
         return [p.strip() for p in raw.replace(",", " ").split() if p.strip()]
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
+    if isinstance(default, (int, float)):
+        return type(default)(raw)
     return raw
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Build a RunConfig from an INI-style file plus flag overrides."""
-    cfg = RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
+    """Build a RunConfig from an INI-style file plus flag overrides. The keys
+    are the RunConfig fields with the scheme's fields in place of ``scheme``;
+    each value takes the type of its default."""
+    defaults = RunConfig().echo()
+    values = {}
     if path is not None:
         parser = configparser.ConfigParser()
         read = parser.read(path)
@@ -145,22 +95,18 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file {path!r} not found or unreadable")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                if key not in known:
+                if key not in defaults:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-                current = getattr(cfg, key)
-                target = type(current) if current is not None else str
-                if key in _LIST_KEYS:
-                    target = list
                 try:
-                    value = _coerce(key, raw, target)
+                    values[key] = _coerce(raw, defaults[key])
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r} in section [{section}]: {exc}") from exc
-                setattr(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    scheme = {key: values.pop(key) for key in _SCHEME_KEYS & values.keys()}
+    try:
+        return RunConfig(scheme=LiminfScheme(**scheme), **values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +174,7 @@ def render_text(report: dict) -> str:
 def cmd_suite(cfg: RunConfig) -> int:
     t_start = time.time()
     want_rows = bool(cfg.out) and cfg.format == "csv"
-    result = run_suites(
-        cfg.functions,
-        cfg.suites,
-        cfg.suite_params(),
-        max_workers=cfg.threads,
-        collect_rows=want_rows,
-    )
+    result = run_suites(cfg.functions, cfg.suites, cfg, collect_rows=want_rows)
     report = {
         "config": cfg.echo(),
         "suites": result["suites"],
@@ -268,7 +208,6 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
 
 def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | None) -> int:
     f = get_function(function_id)
-    params = cfg.suite_params()
     region = f.default_region
     x = _parse_point(x_raw, f.dim)
     print(f"function {function_id} on {region.describe()}")
@@ -278,8 +217,8 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
     if math.isfinite(fx):
         eye = np.eye(f.dim)
         for d in np.vstack([eye, -eye]):
-            sd = lower_dini(f, x, d, params.scheme)
-            up = clarke_directional(f, x, d, params.scheme)
+            sd = lower_dini(f, x, d, cfg.scheme)
+            up = clarke_directional(f, x, d, cfg.scheme)
             print(
                 f"  direction {d.tolist()}: subderivative {float(sd.value):.6g} "
                 f"(bracket {float(sd.bracket[0]):.6g}..{float(sd.bracket[1]):.6g}), "
@@ -287,10 +226,10 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
             )
 
     if xstar_raw is None:
-        res = params.grid_resolution(f.dim)
-        minty_d = minty_subderivative(f, x, region, resolution=res, scheme=params.scheme)
-        rays = iar_check(f, x, region, resolution=res, t_resolution=params.t_resolution)
-        graph = sample_subdiff_graph(f, region, res, source="exact" if f.exact_subdifferential else "clarke-numeric")
+        res = cfg.grid_resolution(f.dim)
+        minty_d = minty_subderivative(f, x, region, resolution=res, scheme=cfg.scheme)
+        rays = iar_check(f, x, region, resolution=res, t_resolution=cfg.t_resolution)
+        graph = sample_subdiff_graph(f, region, res, source="auto")
         minty_g = minty_subdifferential(f, x, region, graph)
         print(f"  minty (subderivative): solution={minty_d.solution} residual={float(minty_d.residual):.6g} witness={minty_d.witness}")
         print(f"  minty (subdifferential): solution={minty_g.solution} residual={float(minty_g.residual):.6g} witness={minty_g.witness}")
@@ -298,35 +237,30 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         return 0
 
     xstar = _parse_point(xstar_raw, f.dim)
+    probe_res = cfg.probe_resolution(f.dim)
     if math.isfinite(fx):
-        conv = convex_subdiff_contains(f, x, xstar, resolution=params.grid_resolution(f.dim), tol=params.tol)
+        conv = convex_subdiff_contains(f, x, xstar, probe=region, resolution=probe_res, tol=cfg.tol)
         print(f"  convex membership: contains={conv.contains} residual={conv.residual:.6g} witness={None if conv.witness is None else conv.witness.tolist()}")
-        clk = clarke_subdiff_contains(f, x, xstar, scheme=params.scheme, tol=params.tol)
+        clk = clarke_subdiff_contains(f, x, xstar, scheme=cfg.scheme, tol=cfg.tol)
         print(f"  generalized membership: contains={clk.contains} residual={clk.residual:.6g} witness={None if clk.witness is None else clk.witness.tolist()}")
-    graph = sample_subdiff_graph(f, region, params.probe_resolution(f.dim),
-                                 source="exact" if f.exact_subdifferential else "clarke-numeric")
-    pv = polar_contains(graph, x, xstar, tol=params.tol)
+    pv = polar_contains(thm3_graph(f, cfg), x, xstar, tol=cfg.tol)
     print(f"  polar (graph route): related={pv.related} min_product={pv.min_product:.6g} witness={pv.witness}")
     iv = polar_membership_via_iar(f, x, xstar, region, ray_resolution=DEFAULT_RAY_RESOLUTION,
-                                  probe_resolution=params.probe_resolution(f.dim), tol=params.tol)
+                                  probe_resolution=probe_res, tol=cfg.tol)
     print(f"  polar (rays route): member={iv.ok} residual={iv.residual:.6g} witness={iv.witness}")
     return 0
 
 
 def cmd_graph(cfg: RunConfig, function_id: str, source: str) -> int:
     f = get_function(function_id)
-    params = cfg.suite_params()
-    res = params.grid_resolution(f.dim)
-    if source == "auto":
-        source = "exact" if f.exact_subdifferential is not None else "clarke-numeric"
     graph = sample_subdiff_graph(
         f,
         f.default_region,
-        res,
+        cfg.grid_resolution(f.dim),
         source=source,
-        covector_half_width=params.covector_half_width,
-        covector_resolution=params.covector_resolution,
-        scheme=params.scheme,
+        covector_half_width=cfg.covector_half_width,
+        covector_resolution=cfg.covector_resolution,
+        scheme=cfg.scheme,
     )
     writer = csv.writer(sys.stdout)
     writer.writerow(graph.csv_header())
@@ -347,27 +281,13 @@ def cmd_graph(cfg: RunConfig, function_id: str, source: str) -> int:
 
 
 def cmd_polar(cfg: RunConfig, function_id: str) -> int:
-    from .core import GraphSample
-
     f = get_function(function_id)
-    params = cfg.suite_params()
-    res = params.grid_resolution(f.dim)
     graph = sample_subdiff_graph(
-        f, f.default_region, res,
-        source="exact" if f.exact_subdifferential is not None else "clarke-numeric",
-        scheme=params.scheme,
+        f, f.default_region, cfg.grid_resolution(f.dim), source="auto", scheme=cfg.scheme
     )
-    xs = f.default_region.sample(params.thm3_candidates if f.dim == 1 else params.thm3_candidates_2d)
-    if f.dim == 1:
-        cov = np.linspace(-4.0, 4.0, params.thm3_candidates)[:, None]
-    else:
-        axis = np.linspace(-2.0, 2.0, params.thm3_candidates_2d)
-        mesh = np.meshgrid(*([axis] * f.dim), indexing="ij")
-        cov = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts = np.repeat(xs, cov.shape[0], axis=0)
-    cvs = np.tile(cov, (xs.shape[0], 1))
-    candidates = GraphSample(pts, cvs)
-    related = polar_of_sample(graph, candidates, tol=params.tol)
+    xs, cov = _candidate_grids(f, cfg)
+    candidates = GraphSample(np.repeat(xs, cov.shape[0], axis=0), np.tile(cov, (xs.shape[0], 1)))
+    related = polar_of_sample(graph, candidates, tol=cfg.tol)
     writer = csv.writer(sys.stdout)
     writer.writerow(related.csv_header())
     writer.writerows(related.to_rows())
@@ -425,14 +345,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     }
     if getattr(args, "suites", None):
         overrides["suites"] = args.suites
-    cfg = load_config(args.config, overrides)
-    env_threads = os.environ.get("VARPOLAR_THREADS")
-    if env_threads:
-        try:
-            cfg.threads = max(1, int(env_threads))
-        except ValueError as exc:
-            raise ConfigError(f"bad VARPOLAR_THREADS value {env_threads!r}") from exc
-    return cfg
+    return load_config(args.config, overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

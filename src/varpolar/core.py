@@ -247,8 +247,7 @@ class Region:
             if resolution < 3:
                 raise ValueError("interior sampling needs resolution >= 3")
             axes = [a[1:-1] for a in axes]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = tensor_grid(axes)
         if self.kind == "ball":
             pts = pts[self.contains_many(pts)]
         return pts
@@ -280,6 +279,12 @@ class Region:
             d["center"] = self.center.tolist()
             d["radius"] = self.radius
         return d
+
+
+def tensor_grid(axes: Sequence[Array]) -> Array:
+    """All points of the tensor grid over the 1-D ``axes``, last axis varying
+    fastest, shape (prod of the axis lengths, len(axes))."""
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def sample_region(region: Region, resolution: int) -> Array:
@@ -370,8 +375,7 @@ class PolytopeSet:
         """All vertices plus the vertex centroid."""
         if self.vertices.shape[0] == 1:
             return self.vertices, False
-        reps = np.vstack([self.vertices, self.vertices.mean(axis=0, keepdims=True)])
-        return _dedupe_rows(reps), False
+        return np.vstack([self.vertices, self.vertices.mean(axis=0, keepdims=True)]), False
 
 
 @dataclass(frozen=True)
@@ -438,20 +442,6 @@ def _fibonacci_sphere(n: int) -> Array:
     z = 1.0 - 2.0 * (k + 0.5) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-
-
-def _dedupe_rows(rows: Array) -> Array:
-    """Drop duplicate rows, keeping first occurrences in order."""
-    if rows.shape[0] <= 1:
-        return rows
-    seen: set[bytes] = set()
-    keep = []
-    for i in range(rows.shape[0]):
-        key = rows[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return rows if len(keep) == rows.shape[0] else rows[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -364,8 +364,6 @@ def cross_validate(
     spacing = region.spacing(resolution)
     interior_region = region.shrink(spacing)
 
-    if graph_source == "auto":
-        graph_source = "exact" if f.exact_subdifferential is not None else "clarke-numeric"
     graph = sample_subdiff_graph(f, region, probe_res, source=graph_source)
 
     xgrid = region.sample(resolution)
@@ -413,7 +411,7 @@ def cross_validate(
         probe_meta={
             "probe_resolution": probe_res,
             "t_resolution": t_resolution,
-            "graph_source": graph_source,
+            "graph_source": graph.meta["source"],
             "graph_size": len(graph),
             "interior_region": interior_region.describe(),
             "scheme": scheme.as_dict(),

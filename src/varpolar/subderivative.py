@@ -329,40 +329,37 @@ def mean_value_witness(
     if lam > gap + tol:
         raise ValueError(f"lambda={lam} exceeds f(xbar) - f(x) = {gap}")
     d = q - p
+    best = (p, -math.inf)  # the largest subderivative of the last scan without a hit
 
-    def probe(ss: Array) -> Array | None:
+    def probe(ss: Array) -> tuple[Array | None, Array, Array | None]:
+        """Scan the segment at parameters ``ss``: the first point whose
+        subderivative reaches lam - tol (or None), the finite mask, and the
+        subderivatives at the finite points (None when there are none)."""
+        nonlocal best
         pts = p[None, :] + ss[:, None] * d[None, :]
         finite = np.isfinite(f.values(pts))
         if not np.any(finite):
-            return None
-        vals = lower_dini_values(f, pts[finite], np.tile(d, (int(finite.sum()), 1)), scheme)
+            return None, finite, None
+        pts = pts[finite]
+        vals = lower_dini_values(f, pts, np.tile(d, (pts.shape[0], 1)), scheme)
         ok = vals >= lam - tol
         if np.any(ok):
-            return pts[finite][int(np.argmax(ok))]
+            return pts[int(np.argmax(ok))], finite, vals
         idx = int(np.argmax(vals))
-        probe.best = (pts[finite][idx], float(vals[idx]))  # type: ignore[attr-defined]
-        return None
-
-    probe.best = (p, -math.inf)  # type: ignore[attr-defined]
+        best = (pts[idx], float(vals[idx]))
+        return None, finite, vals
 
     ss = np.linspace(0.0, 1.0, ray_resolution, endpoint=False)
-    hit = probe(ss)
+    hit, finite_mask, vals = probe(ss)
     if hit is not None:
         return hit
 
     # One refinement pass around the most promising grid point.
-    fvals = f.values(p[None, :] + ss[:, None] * d[None, :])
-    finite_mask = np.isfinite(fvals)
-    best_s = None
-    if np.any(finite_mask):
-        cand_pts = (p[None, :] + ss[:, None] * d[None, :])[finite_mask]
-        cand_vals = lower_dini_values(
-            f, cand_pts, np.tile(d, (cand_pts.shape[0], 1)), scheme
-        )
-        best_s = float(ss[finite_mask][int(np.argmax(cand_vals))])
+    if vals is not None:
+        best_s = float(ss[finite_mask][int(np.argmax(vals))])
         h = 1.0 / ray_resolution
         fine = np.linspace(max(0.0, best_s - h), min(1.0 - 1e-12, best_s + h), 4 * ray_resolution)
-        hit = probe(fine)
+        hit, _, _ = probe(fine)
         if hit is not None:
             return hit
 
@@ -377,11 +374,11 @@ def mean_value_witness(
                 s_lo = mid
             else:
                 s_hi = mid
-        hit = probe(np.array([s_lo]))
+        hit, _, _ = probe(np.array([s_lo]))
         if hit is not None:
             return hit
 
-    best_pt, best_val = probe.best  # type: ignore[attr-defined]
+    best_pt, best_val = best
     raise WitnessNotFoundError(
         f"no witness found for lambda={lam}: best subderivative {best_val} at {best_pt}",
         best_point=best_pt,

@@ -27,6 +27,7 @@ from .core import (
     Region,
     Verdict,
     as_point,
+    tensor_grid,
     _fibonacci_sphere,
 )
 from .subderivative import (
@@ -167,6 +168,14 @@ def _clarke_intervals_1d(
     return -up_neg, up_pos
 
 
+def _resolve_source(f: FunctionOracle, source: str) -> str:
+    """Resolve ``source="auto"``: the exact side-oracle when f has one, the
+    numeric route otherwise. Any other source passes through."""
+    if source != "auto":
+        return source
+    return "exact" if f.exact_subdifferential is not None else "clarke-numeric"
+
+
 def _graph_rows(
     f: FunctionOracle,
     pts: Array,
@@ -198,8 +207,7 @@ def _graph_rows(
     else:
         dirs = sphere_directions(f.dim, dir_resolution)
         axis = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
-        mesh = np.meshgrid(*([axis] * f.dim), indexing="ij")
-        cands = np.stack([m.ravel() for m in mesh], axis=-1)
+        cands = tensor_grid([axis] * f.dim)
         pairings = cands @ dirs.T
         mask = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
         for j, d in enumerate(dirs):
@@ -231,11 +239,13 @@ def sample_subdiff_graph(
     the oracle has one): interval endpoints and midpoint in 1-D, the vertex
     list (plus centroid) in n-D, a center-plus-fan for ball sets.
     ``source="clarke-numeric"`` accepts candidates from a covector grid
-    filtered by the generalized-derivative membership test. Points where f
-    is not finite contribute nothing. The sample's ``meta`` records the
-    construction and whether any covector set was truncated to the covector
-    box.
+    filtered by the generalized-derivative membership test.
+    ``source="auto"`` picks the exact side-oracle when f has one and the
+    numeric route otherwise. Points where f is not finite contribute nothing.
+    The sample's ``meta`` records the construction (with the source used) and
+    whether any covector set was truncated to the covector box.
     """
+    source = _resolve_source(f, source)
     if source not in ("exact", "clarke-numeric"):
         raise ValueError(f"unknown source {source!r}")
     grid = region.sample(resolution)
@@ -331,8 +341,7 @@ def cdd_profile(
     if not eps_sorted or eps_sorted[-1] <= 0:
         raise ValueError("eps_list must be a decreasing list of positive reals")
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if source == "auto":
-        source = "exact" if f.exact_subdifferential is not None else "clarke-numeric"
+    source = _resolve_source(f, source)
 
     # All local grids of the ladder in one stack; level[i] is the ladder index
     # of point i. The rows of every level's graph come out of one pass.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BOX_HALF_WIDTH, GraphSample, Region
+from .core import DEFAULT_BOX_HALF_WIDTH, GraphSample, Region, tensor_grid
 from .library import get_function
 from .minty import DEFAULT_BAND, _tilted_iar_residuals, cross_validate
 from .polar import DEFAULT_RAY_RESOLUTION, _min_products, is_absorbing, is_monotone
@@ -23,7 +23,8 @@ from .subdifferential import EPS_LADDER, cdd_profile, sample_subdiff_graph
 
 @dataclass(frozen=True)
 class SuiteParams:
-    """Knobs shared by the suites; mirrors the CLI configuration."""
+    """Knobs shared by the suites and the CLI configuration. Values that would
+    make a grid quantifier vacuous raise :class:`ValueError`."""
 
     resolution: int = 65
     resolution_2d: int = 17
@@ -39,17 +40,29 @@ class SuiteParams:
     thm3_candidates_2d: int = 5
     scheme: LiminfScheme = DEFAULT_SCHEME
 
+    def __post_init__(self) -> None:
+        # a grid of one point collapses its quantifier (t_resolution = 1
+        # leaves only t = 0, so every rays check passes vacuously)
+        for key in ("resolution", "resolution_2d", "t_resolution", "covector_resolution",
+                    "thm3_candidates", "thm3_candidates_2d"):
+            if getattr(self, key) < 2:
+                raise ValueError(f"{key} must be >= 2")
+        if self.probe_factor < 1:
+            raise ValueError("probe_factor must be >= 1")
+        if self.tol <= 0 or self.band <= 0 or self.cdd_tol <= 0 or self.polar_band <= 0:
+            raise ValueError("tolerances must be positive")
+
     def grid_resolution(self, dim: int) -> int:
         return self.resolution if dim == 1 else self.resolution_2d
+
+    def candidate_resolution(self, dim: int) -> int:
+        """Points per axis of thm3's candidate points and covectors."""
+        return self.thm3_candidates if dim == 1 else self.thm3_candidates_2d
 
     def probe_resolution(self, dim: int) -> int:
         """Resolution of the y-probe grids: ``probe_factor`` times finer than
         the query grid, nested in it."""
         return self.probe_factor * (self.grid_resolution(dim) - 1) + 1
-
-
-def _graph_source(f) -> str:
-    return "exact" if f.exact_subdifferential is not None else "clarke-numeric"
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +82,6 @@ def equivalence_report(function_id: str, params: SuiteParams):
     )
 
 
-def equivalence_suite(function_id: str, params: SuiteParams) -> dict:
-    return equivalence_report(function_id, params).to_dict()
-
-
 def _theorem_section(equiv: dict, theorem: str) -> dict:
     sec = dict(equiv[theorem])
     counted = sec["agree"] + sec["indeterminate"] + sec["hard"]
@@ -88,11 +97,6 @@ def _theorem_section(equiv: dict, theorem: str) -> dict:
         }
     )
     return sec
-
-
-def run_equivalence(function_ids: list[str], params: SuiteParams) -> dict[str, dict]:
-    """Cross-validate each function once; split into prop1/thm2 sections."""
-    return {fid: equivalence_suite(fid, params) for fid in function_ids}
 
 
 def prop1_from_equivalence(equiv_by_fn: dict[str, dict]) -> dict:
@@ -116,36 +120,32 @@ def thm2_from_equivalence(equiv_by_fn: dict[str, dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 def _candidate_grids(f, params: SuiteParams) -> tuple[np.ndarray, np.ndarray]:
-    region = f.default_region
-    if f.dim == 1:
-        xs = region.sample(params.thm3_candidates)
-        cs = np.linspace(-4.0, 4.0, params.thm3_candidates)[:, None]
-    else:
-        xs = region.sample(params.thm3_candidates_2d)
-        axis = np.linspace(-2.0, 2.0, params.thm3_candidates_2d)
-        mesh = np.meshgrid(*([axis] * f.dim), indexing="ij")
-        cs = np.stack([m.ravel() for m in mesh], axis=-1)
-    return xs, cs
+    n = params.candidate_resolution(f.dim)
+    bound = 4.0 if f.dim == 1 else 2.0
+    return f.default_region.sample(n), tensor_grid([np.linspace(-bound, bound, n)] * f.dim)
 
 
-def thm3_suite(function_id: str, params: SuiteParams) -> dict:
-    """Compare sampled-polar membership against the tilted increase-along-rays
-    route on a candidate grid, with the graph sampled four times denser than
-    the candidates."""
-    f = get_function(function_id)
-    region = f.default_region
-    xs, cs = _candidate_grids(f, params)
-    cand_res = params.thm3_candidates if f.dim == 1 else params.thm3_candidates_2d
-    dense_res = 4 * (cand_res - 1) + 1
-    graph = sample_subdiff_graph(
+def thm3_graph(f, params: SuiteParams) -> GraphSample:
+    """The graph of thm3's polar route: sampled four times denser than the
+    candidate points, from the exact side-oracle when there is one."""
+    return sample_subdiff_graph(
         f,
-        region,
-        dense_res,
-        source=_graph_source(f),
+        f.default_region,
+        4 * (params.candidate_resolution(f.dim) - 1) + 1,
+        source="auto",
         covector_half_width=params.covector_half_width,
         covector_resolution=params.covector_resolution,
         scheme=params.scheme,
     )
+
+
+def thm3_suite(function_id: str, params: SuiteParams) -> dict:
+    """Compare sampled-polar membership against the tilted increase-along-rays
+    route on a candidate grid, with the graph of :func:`thm3_graph`."""
+    f = get_function(function_id)
+    region = f.default_region
+    xs, cs = _candidate_grids(f, params)
+    graph = thm3_graph(f, params)
     if len(graph) == 0:
         min_products = np.full((xs.shape[0], cs.shape[0]), np.inf)
     else:
@@ -180,9 +180,9 @@ def thm3_suite(function_id: str, params: SuiteParams) -> dict:
         "function": function_id,
         "region": region.describe(),
         "candidates": int(xs.shape[0] * cs.shape[0]),
-        "graph_resolution": dense_res,
+        "graph_resolution": graph.meta["resolution"],
         "graph_size": len(graph),
-        "graph_source": _graph_source(f),
+        "graph_source": graph.meta["source"],
         "band": params.polar_band,
         "agree": agree,
         "indeterminate": indeterminate,
@@ -256,13 +256,12 @@ def _absorbing_candidates(f, region: Region, resolution: int) -> tuple[GraphSamp
     h = region.spacing(resolution)
     if f.dim == 1:
         xs = region.sample(resolution)[1:-1]
-        cov = np.arange(-4.5, 4.5 + 1e-9, 2 * h)[:, None]
+        axis = np.arange(-4.5, 4.5 + 1e-9, 2 * h)
     else:
         coarse = max(3, (resolution + 1) // 2)
         xs = region.sample(coarse, interior=True)
         axis = np.arange(-4.0, 4.0 + 1e-9, 2 * h)
-        mesh = np.meshgrid(*([axis] * f.dim), indexing="ij")
-        cov = np.stack([m.ravel() for m in mesh], axis=-1)
+    cov = tensor_grid([axis] * f.dim)
     pts = np.repeat(xs, cov.shape[0], axis=0)
     cvs = np.tile(cov, (xs.shape[0], 1))
     return GraphSample(pts, cvs), h
@@ -275,16 +274,16 @@ def predicates_suite(function_id: str, params: SuiteParams) -> dict:
     f = get_function(function_id)
     region = f.default_region
     resolution = params.grid_resolution(f.dim)
-    source = _graph_source(f)
     graph = sample_subdiff_graph(
         f,
         region,
         resolution,
-        source=source,
+        source="auto",
         covector_half_width=params.covector_half_width,
         covector_resolution=params.covector_resolution,
         scheme=params.scheme,
     )
+    source = graph.meta["source"]
     mono_tol = 1e-9 if source == "exact" else params.tol
     mono = is_monotone(graph, tol=mono_tol)
     mono_expected = bool(f.is_convex)
@@ -330,7 +329,6 @@ def run_suites(
     function_ids: list[str],
     suites: list[str],
     params: SuiteParams,
-    max_workers: int = 1,
     collect_rows: bool = False,
 ) -> dict:
     """Run the selected suites over the functions and assemble an
@@ -347,36 +345,9 @@ def run_suites(
     fids = sorted(function_ids)
 
     out: dict[str, dict] = {}
-    need_equiv = ("prop1" in selected) or ("thm2" in selected)
-
-    def run_one(task: tuple[str, str]):
-        kind, fid = task
-        if kind == "equiv":
-            return equivalence_report(fid, params)
-        if kind == "thm3":
-            return thm3_suite(fid, params)
-        if kind == "cdd":
-            return cdd_suite(fid, params)
-        return predicates_suite(fid, params)
-
-    tasks: list[tuple[str, str]] = []
-    if need_equiv:
-        tasks += [("equiv", fid) for fid in fids]
-    for name in ("thm3", "cdd", "predicates"):
-        if name in selected:
-            tasks += [(name, fid) for fid in fids]
-
-    if max_workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = dict(zip(tasks, pool.map(run_one, tasks)))
-    else:
-        results = {task: run_one(task) for task in tasks}
-
     rows_by_fn: dict[str, tuple] = {}
-    if need_equiv:
-        reports = {fid: results[("equiv", fid)] for fid in fids}
+    if "prop1" in selected or "thm2" in selected:
+        reports = {fid: equivalence_report(fid, params) for fid in fids}
         equiv = {fid: rep.to_dict() for fid, rep in reports.items()}
         if collect_rows:
             rows_by_fn = {fid: rep.rows_table() for fid, rep in reports.items()}
@@ -384,9 +355,9 @@ def run_suites(
             out["prop1"] = prop1_from_equivalence(equiv)
         if "thm2" in selected:
             out["thm2"] = thm2_from_equivalence(equiv)
-    for name in ("thm3", "cdd", "predicates"):
+    for name, suite in (("thm3", thm3_suite), ("cdd", cdd_suite), ("predicates", predicates_suite)):
         if name in selected:
-            per_fn = {fid: results[(name, fid)] for fid in fids}
+            per_fn = {fid: suite(fid, params) for fid in fids}
             out[name] = {
                 "functions": per_fn,
                 "hard_count": sum(s["hard_count"] for s in per_fn.values()),

@@ -2,11 +2,13 @@
 report determinism."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from varpolar.cli import main, load_config, ConfigError, report_json
-from varpolar.suites import thm3_suite
+from varpolar.subderivative import LiminfScheme
+from varpolar.suites import SuiteParams, thm3_suite
 
 
 def test_unknown_function_id_is_a_usage_error(capsys):
@@ -62,6 +64,11 @@ def test_suite_writes_report_and_exits_zero(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["hard_total"] == 0
     assert report["suites"]["predicates"]["functions"]["abs"]["monotone"] is True
+    # the config echo holds every knob once: the suites' knobs with the
+    # scheme's fields flattened in, plus the run's own keys
+    knobs = {f.name for f in fields(SuiteParams)} - {"scheme"}
+    scheme = {f.name for f in fields(LiminfScheme)}
+    assert set(report["config"]) == knobs | scheme | {"functions", "suites", "out", "format"}
     out = capsys.readouterr().out
     assert "predicates" in out
 
@@ -155,17 +162,6 @@ def test_explain_minty_query(capsys):
     assert "solution=True" in out
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("VARPOLAR_THREADS", "2")
-    code = main(
-        ["suite", "--suite", "predicates", "--function", "abs", "--resolution", "9",
-         "--out", str(tmp_path)]
-    )
-    assert code == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["config"]["threads"] == 2
-
-
 @pytest.mark.parametrize(
     "line",
     [
@@ -177,7 +173,7 @@ def test_threads_env_var(tmp_path, monkeypatch):
         "probe_factor = 0",
         # values that cannot be coerced to the knob's type
         "resolution = 1.5",
-        "threads = abc",
+        "steps = abc",
     ],
 )
 def test_bad_knob_values_are_usage_errors(tmp_path, capsys, line):
@@ -193,7 +189,7 @@ def test_explain_rays_route_uses_the_thm3_grid(tmp_path, capsys):
     # at the 5-point grid resolution this pair's residual would read 0.
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text("[run]\nresolution = 5\nthm3_candidates = 9\ntol = 0.2\n", encoding="utf-8")
-    params = load_config(str(cfg_path), {}).suite_params()
+    params = load_config(str(cfg_path), {})
     row = next(
         r for r in thm3_suite("square", params)["disagreements"]
         if r["x"] == [1.0] and r["xstar"] == [3.0]
@@ -206,3 +202,32 @@ def test_explain_rays_route_uses_the_thm3_grid(tmp_path, capsys):
     )
     assert f"residual={row['iar_residual']:.6g} " in rays
     assert row["iar_residual"] == 0.25
+
+
+def _explain_line(capsys, cfg_path, route):
+    code = main(["explain", "--config", str(cfg_path), "--function", "square",
+                 "--x", "1", "--xstar", "3"])
+    assert code == 0
+    return next(line for line in capsys.readouterr().out.splitlines() if route in line)
+
+
+def test_explain_graph_route_uses_the_thm3_graph(tmp_path, capsys):
+    # a graph sampled at the probe resolution instead of thm3's read 0 here
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[run]\nresolution = 5\nthm3_candidates = 9\ntol = 0.2\n", encoding="utf-8")
+    row = next(
+        r for r in thm3_suite("square", load_config(str(cfg_path), {}))["disagreements"]
+        if r["x"] == [1.0] and r["xstar"] == [3.0]
+    )
+    assert row["min_product"] == -0.125
+    graph = _explain_line(capsys, cfg_path, "polar (graph route)")
+    assert f"min_product={row['min_product']:.6g} " in graph
+
+
+def test_explain_convex_membership_probes_the_default_region(tmp_path, capsys):
+    # df(1) = {2} for the square; a 5-point probe of [-10, 10] only sees
+    # y in {-10, -5, 0, 5, 10} and reported contains=True residual=-2
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[run]\nresolution = 5\n", encoding="utf-8")
+    conv = _explain_line(capsys, cfg_path, "convex membership")
+    assert "contains=False residual=0.25 " in conv

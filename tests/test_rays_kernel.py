@@ -143,6 +143,12 @@ def test_small_rays_run_oracle_evaluation_count(counted):
     assert (len(counted), sum(counted)) == (144, 75_552)
 
 
+def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
+    result = run_suites(["abs", "norm2d"], ["cdd", "predicates"], SMALL)
+    assert result["hard_total"] == 0
+    assert (len(counted), sum(counted)) == (106, 24_532)
+
+
 @pytest.mark.parametrize("fid", ["abs", "norm2d"])
 def test_thm3_evaluates_the_ray_points_once_per_candidate_x(counted, fid):
     f = get_function(fid)

@@ -1,7 +1,5 @@
-"""Suite orchestration: result-tree invariants, worker-pool parity, and the
-exit-status contract of the suite verb."""
-
-import json
+"""Suite orchestration: result-tree invariants and the exit-status contract
+of the suite verb."""
 
 import pytest
 
@@ -21,6 +19,21 @@ def test_verdict_counts_sum_to_grid_cardinality():
     assert prop1["ind_halfline"]["grid_points"] == 9
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"t_resolution": 1}, "t_resolution must be >= 2"),
+        ({"covector_resolution": 1}, "covector_resolution must be >= 2"),
+        ({"probe_factor": 0}, "probe_factor must be >= 1"),
+        ({"cdd_tol": 0.0}, "tolerances must be positive"),
+    ],
+)
+def test_suite_params_reject_vacuous_knob_values(knobs, message):
+    # the library API refuses the same values as the CLI config
+    with pytest.raises(ValueError, match=message):
+        SuiteParams(**knobs)
+
+
 def test_unknown_suite_name_rejected():
     with pytest.raises(ValueError):
         run_suites(["abs"], ["prop99"], SMALL)
@@ -32,19 +45,13 @@ def test_all_expands_to_every_suite():
     assert result["hard_total"] == 0
 
 
-def test_worker_pool_matches_sequential():
-    seq = run_suites(["abs", "square"], ["prop1", "predicates"], SMALL, max_workers=1)
-    par = run_suites(["abs", "square"], ["prop1", "predicates"], SMALL, max_workers=4)
-    assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
-
-
 def test_truncation_flags_propagate():
     result = run_suites(["ind_origin"], ["cdd"], SMALL)
     assert result["truncation_flags"] == ["ind_origin"]
 
 
 def test_hard_disagreements_drive_exit_one(tmp_path, monkeypatch, capsys):
-    def fake_run_suites(function_ids, suites, params, max_workers=1, collect_rows=False):
+    def fake_run_suites(function_ids, suites, params, collect_rows=False):
         return {
             "suites": {"prop1": {"functions": {}, "hard_count": 1}},
             "hard_total": 1,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import GraphSample
 from .library import FUNCTION_IDS, get_function
-from .minty import iar_check, minty_subdifferential, minty_subderivative
+from .minty import _EquivalenceProbes
 from .polar import (
     DEFAULT_RAY_RESOLUTION,
     polar_contains,
@@ -226,14 +226,28 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
             )
 
     if xstar_raw is None:
-        res = cfg.grid_resolution(f.dim)
-        minty_d = minty_subderivative(f, x, region, resolution=res, scheme=cfg.scheme)
-        rays = iar_check(f, x, region, resolution=res, t_resolution=cfg.t_resolution)
-        graph = sample_subdiff_graph(f, region, res, source="auto")
-        minty_g = minty_subdifferential(f, x, region, graph)
-        print(f"  minty (subderivative): solution={minty_d.solution} residual={float(minty_d.residual):.6g} witness={minty_d.witness}")
-        print(f"  minty (subdifferential): solution={minty_g.solution} residual={float(minty_g.residual):.6g} witness={minty_g.witness}")
-        print(f"  increase-along-rays: solution={rays.solution} residual={float(rays.residual):.6g} witness={rays.witness}")
+        # the routes of the prop1/thm2 row at x, on the suites' probe grids
+        if not region.contains(x):
+            raise ConfigError(f"x = {x.tolist()} lies outside the region of {function_id}")
+        probes = _EquivalenceProbes(
+            f, region, cfg.grid_resolution(f.dim), cfg.probe_factor, cfg.t_resolution
+        )
+        row, witnesses = probes.row(x, cfg.scheme, cfg.tol, cfg.band)
+        for label, route in (
+            ("minty (subderivative)", "subderivative"),
+            ("minty (subdifferential)", "subdifferential"),
+            ("increase-along-rays", "iar"),
+            ("increase-along-rays (interior)", "iar_open"),
+        ):
+            if route in row.residuals:
+                print(f"  {label}: solution={row.verdicts[route]} "
+                      f"residual={row.residuals[route]:.6g} witness={witnesses[route]}")
+            else:
+                print(f"  {label}: not evaluated (x is not an interior point with graph pairs)")
+        classes = {"prop1": "subderivative_vs_iar", "thm2": "subdifferential_vs_iar"}
+        print("  suite classes: " + " ".join(
+            f"{suite}={row.classes[key]}" for suite, key in classes.items() if key in row.classes
+        ))
         return 0
 
     xstar = _parse_point(xstar_raw, f.dim)

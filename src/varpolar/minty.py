@@ -333,6 +333,73 @@ class EquivalenceReport:
         return header, table
 
 
+class _EquivalenceProbes:
+    """The probe constructions of :func:`cross_validate` for one region and
+    query-grid resolution: the rays grids at the probe resolution over the
+    region (``rays_c``) and over its open interior (``rays_u``), the graph
+    sampled at the probe resolution and its pairs inside the interior.
+
+    The interior is the region shrunk by one query-grid cell. :meth:`row`
+    evaluates the three routes at one xbar; ``explain`` calls it as well, so
+    its lines match the suite row of the same point.
+    """
+
+    def __init__(
+        self,
+        f: FunctionOracle,
+        region: Region,
+        resolution: int,
+        probe_factor: int,
+        t_resolution: int,
+        graph_source: str = "auto",
+    ) -> None:
+        self.f = f
+        self.probe_resolution = probe_factor * (resolution - 1) + 1
+        self.interior_region = region.shrink(region.spacing(resolution))
+        self.graph = sample_subdiff_graph(f, region, self.probe_resolution, source=graph_source)
+        self.rays_c = _RayGrid(*_finite_grid(f, region, self.probe_resolution), t_resolution)
+        self.rays_u = _RayGrid(
+            *_finite_grid(f, self.interior_region, self.probe_resolution), t_resolution
+        )
+        self.graph_inside = self.graph.restrict_points(self.interior_region)
+
+    def row(
+        self, xb: Array, scheme: LiminfScheme, tol: float, band: float
+    ) -> tuple[EquivalenceRow, dict[str, Any]]:
+        """The equivalence row at xbar and the witness of each route's
+        residual. The subdifferential route and the interior rays route run
+        only at interior xbar and when the interior holds graph pairs."""
+        f = self.f
+        interior = bool(self.interior_region.contains(xb))
+        r_sd, w_sd = _subderivative_residual(f, xb, self.rays_c.ys, scheme)
+        r_iar, w_iar = _iar_residual(f, xb, self.rays_c)
+        v_sd, v_iar = r_sd <= tol, r_iar <= tol
+        residuals = {"subderivative": r_sd, "iar": r_iar}
+        verdicts = {"subderivative": v_sd, "iar": v_iar}
+        witnesses = {"subderivative": w_sd, "iar": w_iar}
+        classes = {"subderivative_vs_iar": classify(v_sd, r_sd, v_iar, r_iar, band)}
+        if interior and len(self.graph_inside) > 0:
+            r_sdiff, w_sdiff = _subdifferential_residual(
+                xb, self.graph_inside, self.interior_region
+            )
+            r_iar_u, w_iar_u = _iar_residual(f, xb, self.rays_u)
+            v_sdiff, v_iar_u = r_sdiff <= tol, r_iar_u <= tol
+            residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
+            verdicts.update({"subdifferential": v_sdiff, "iar_open": v_iar_u})
+            witnesses.update({"subdifferential": w_sdiff, "iar_open": w_iar_u})
+            classes["subdifferential_vs_iar"] = classify(
+                v_sdiff, r_sdiff, v_iar_u, r_iar_u, band
+            )
+        row = EquivalenceRow(
+            xbar=tuple(float(c) for c in xb),
+            interior=interior,
+            residuals=residuals,
+            verdicts=verdicts,
+            classes=classes,
+        )
+        return row, witnesses
+
+
 def cross_validate(
     f: FunctionOracle,
     region: Region | None = None,
@@ -360,60 +427,21 @@ def cross_validate(
         region = f.default_region
     if region is None:
         raise ValueError(f"oracle {f.name!r} has no default region; pass one")
-    probe_res = probe_factor * (resolution - 1) + 1
-    spacing = region.spacing(resolution)
-    interior_region = region.shrink(spacing)
-
-    graph = sample_subdiff_graph(f, region, probe_res, source=graph_source)
-
+    probes = _EquivalenceProbes(f, region, resolution, probe_factor, t_resolution, graph_source)
     xgrid = region.sample(resolution)
     finite_x = np.isfinite(f.values(xgrid))
-
-    rays_c = _RayGrid(*_finite_grid(f, region, probe_res), t_resolution)
-    rays_u = _RayGrid(*_finite_grid(f, interior_region, probe_res), t_resolution)
-    graph_inside = graph.restrict_points(interior_region)
-
-    rows: list[EquivalenceRow] = []
-    for xb, ok in zip(xgrid, finite_x):
-        if not ok:
-            continue
-        interior = bool(interior_region.contains(xb))
-        r_sd, _ = _subderivative_residual(f, xb, rays_c.ys, scheme)
-        r_iar, _ = _iar_residual(f, xb, rays_c)
-        v_sd, v_iar = r_sd <= tol, r_iar <= tol
-        residuals = {"subderivative": r_sd, "iar": r_iar}
-        verdicts = {"subderivative": v_sd, "iar": v_iar}
-        classes = {"subderivative_vs_iar": classify(v_sd, r_sd, v_iar, r_iar, band)}
-        if interior and len(graph_inside) > 0:
-            r_sdiff, _ = _subdifferential_residual(xb, graph_inside, interior_region)
-            r_iar_u, _ = _iar_residual(f, xb, rays_u)
-            v_sdiff, v_iar_u = r_sdiff <= tol, r_iar_u <= tol
-            residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
-            verdicts.update({"subdifferential": v_sdiff, "iar_open": v_iar_u})
-            classes["subdifferential_vs_iar"] = classify(
-                v_sdiff, r_sdiff, v_iar_u, r_iar_u, band
-            )
-        rows.append(
-            EquivalenceRow(
-                xbar=tuple(float(c) for c in xb),
-                interior=interior,
-                residuals=residuals,
-                verdicts=verdicts,
-                classes=classes,
-            )
-        )
-
+    rows = [probes.row(xb, scheme, tol, band)[0] for xb, ok in zip(xgrid, finite_x) if ok]
     return EquivalenceReport(
         function=f.name,
         region=region.describe(),
         resolution=resolution,
         band=band,
         probe_meta={
-            "probe_resolution": probe_res,
+            "probe_resolution": probes.probe_resolution,
             "t_resolution": t_resolution,
-            "graph_source": graph.meta["source"],
-            "graph_size": len(graph),
-            "interior_region": interior_region.describe(),
+            "graph_source": probes.graph.meta["source"],
+            "graph_size": len(probes.graph),
+            "interior_region": probes.interior_region.describe(),
             "scheme": scheme.as_dict(),
         },
         rows=rows,

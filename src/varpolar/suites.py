@@ -18,7 +18,7 @@ from .library import get_function
 from .minty import DEFAULT_BAND, _tilted_iar_residuals, cross_validate
 from .polar import DEFAULT_RAY_RESOLUTION, _min_products, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
-from .subdifferential import EPS_LADDER, cdd_profile, sample_subdiff_graph
+from .subdifferential import EPS_LADDER, _cdd_profiles, sample_subdiff_graph
 
 
 @dataclass(frozen=True)
@@ -197,27 +197,37 @@ def thm3_suite(function_id: str, params: SuiteParams) -> dict:
 # ---------------------------------------------------------------------------
 
 def cdd_suite(function_id: str, params: SuiteParams) -> dict:
-    """Check the inequality at every finite grid point along +-e_i."""
+    """Check the inequality at every finite grid point along +-e_i.
+
+    The grid points go through the stacked pass of
+    :func:`~varpolar.subdifferential.cdd_profile` in blocks, so each block of
+    base points shares its oracle, graph and subderivative calls; every point
+    keeps its own verdicts and truncation flag, as a per-point
+    ``cdd_profile`` call gives them.
+    """
     f = get_function(function_id)
     region = f.default_region
     grid = region.sample(params.grid_resolution(f.dim))
-    finite = np.isfinite(f.values(grid))
+    xbars = grid[np.isfinite(f.values(grid))]
     eye = np.eye(f.dim)
     dirs = np.vstack([eye, -eye])
     checks = passes = 0
     truncated = False
     failures = []
-    for xb in grid[finite]:
-        for v in cdd_profile(
-            f,
-            xb,
-            dirs,
-            eps_list=EPS_LADDER,
-            scheme=params.scheme,
-            covector_half_width=params.covector_half_width,
-            covector_resolution=params.covector_resolution,
-            tol=params.cdd_tol,
-        ):
+    profiles = _cdd_profiles(
+        f,
+        xbars,
+        dirs,
+        EPS_LADDER,
+        ring_resolution=9,
+        source="auto",
+        scheme=params.scheme,
+        covector_half_width=params.covector_half_width,
+        covector_resolution=params.covector_resolution,
+        tol=params.cdd_tol,
+    )
+    for xb, verdicts in zip(xbars, profiles):
+        for v in verdicts:
             checks += 1
             truncated = truncated or ("covector_truncated" in v.flags)
             if v.ok:

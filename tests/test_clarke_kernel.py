@@ -1,0 +1,226 @@
+"""The lean generalized-derivative kernel and the stacked cdd pass: parity
+with the constructions they replace, and bounded memory.
+
+``_reference_clarke`` is the full (N, T, M, D, K, dim) formulation of the
+kernel: every direction-ball point evaluated once per delta, one quotient per
+ball point, then the infimum over the ball. The kernel evaluates the ball
+center once and takes the infimum on the f-values before the quotient; both
+must give the same floats, signs of zero included. ``cdd_suite`` must equal a
+loop of per-point ``cdd_profile`` calls."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from varpolar import subderivative, subdifferential
+from varpolar.core import Region
+from varpolar.library import FUNCTION_IDS, get_function
+from varpolar.subderivative import (
+    DEFAULT_DELTAS,
+    DEFAULT_SCHEME,
+    RADIUS_FACTOR,
+    clarke_directional_values,
+)
+from varpolar.subdifferential import EPS_LADDER, _cdd_profiles, _local_grids, cdd_profile
+from varpolar.suites import SuiteParams, cdd_suite
+
+
+def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DELTAS,
+                      nbhd_resolution=3):
+    xb = np.atleast_2d(np.asarray(xbars, dtype=float))
+    dd = np.asarray(d, dtype=float).reshape(f.dim)
+    deltas = np.asarray(sorted(delta_list, reverse=True), dtype=float)
+    n, dim = xb.shape
+    dnorm = float(np.linalg.norm(dd))
+    scale = dnorm if dnorm > 0 else 1.0
+    ts = scheme.tail_grid() / scale
+    radii = RADIUS_FACTOR * ts
+    eye = np.eye(dim)
+    offsets = [np.zeros(dim)]
+    for s in np.arange(1, nbhd_resolution + 1, dtype=float) / nbhd_resolution:
+        for i in range(dim):
+            offsets.append(s * eye[i])
+            offsets.append(-s * eye[i])
+    offs = np.asarray(offsets)
+    ball = np.vstack([np.zeros((1, dim)), eye, -eye])
+    dprime = dd[None, None, :] + deltas[:, None, None] * ball[None, :, :]
+    f0 = f.values(xb)
+    ring = xb[:, None, None, :] + radii[None, :, None, None] * offs[None, None, :, :]
+    fring = f.values(ring.reshape(-1, dim)).reshape(n, ts.size, offs.shape[0])
+    near = np.isfinite(fring) & (np.abs(fring - f0[:, None, None]) <= radii[None, :, None])
+    qpts = (
+        ring[:, :, :, None, None, :]
+        + ts[None, :, None, None, None, None] * dprime[None, None, None, :, :, :]
+    )
+    fq = f.values(qpts.reshape(-1, dim)).reshape(
+        n, ts.size, offs.shape[0], deltas.size, ball.shape[0]
+    )
+    with np.errstate(invalid="ignore"):
+        quot = (fq - fring[:, :, :, None, None]) * scale / ts[None, :, None, None, None]
+    quot = np.where(np.isnan(quot), math.inf, quot)
+    inner = np.where(near[:, :, :, None], quot.min(axis=4), -math.inf)
+    per_delta = inner.max(axis=(1, 2))
+    values = per_delta.max(axis=1)
+    if deltas.size >= 2:
+        d_hi, d_lo = deltas[-2], deltas[-1]
+        v_hi, v_lo = per_delta[:, -2], per_delta[:, -1]
+        both = np.isfinite(v_hi) & np.isfinite(v_lo)
+        if np.any(both):
+            slope = np.maximum(v_lo[both] - v_hi[both], 0.0) / (d_hi - d_lo)
+            values[both] = np.maximum(values[both], v_lo[both] + slope * d_lo)
+    return values, per_delta
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _finite_grid(f, resolution):
+    pts = f.default_region.sample(resolution)
+    return pts[np.isfinite(f.values(pts))]
+
+
+def _directions(dim):
+    eye = np.eye(dim)
+    return [*eye, *(-eye), np.zeros(dim), np.full(dim, 0.6), -0.3 * eye[0]]
+
+
+SETTINGS = [
+    {},
+    {"delta_list": (0.05,)},
+    {"delta_list": (0.05, 0.2, 0.1)},
+    {"nbhd_resolution": 1},
+]
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+@pytest.mark.parametrize("tilt", [0.0, 0.75])
+def test_kernel_matches_the_full_ball_reference(fid, tilt):
+    f = get_function(fid)
+    if tilt:
+        f = f.shifted(np.full(f.dim, tilt))
+    pts = _finite_grid(f, 17 if f.dim == 1 else 5)
+    for d in _directions(f.dim):
+        for kwargs in SETTINGS:
+            got = clarke_directional_values(f, pts, d, **kwargs)
+            want = _reference_clarke(f, pts, d, **kwargs)
+            assert _same_bits(got[0], want[0]), (fid, tilt, d, kwargs)
+            assert _same_bits(got[1], want[1]), (fid, tilt, d, kwargs)
+
+
+def test_kernel_blocks_match_per_point_calls():
+    f = get_function("twowell")
+    n = subderivative._CLARKE_BLOCK + 1
+    pts = np.linspace(-1.5, 1.5, n)[:, None]
+    for d in ([1.0], [-1.0]):
+        values, per_delta = clarke_directional_values(f, pts, d)
+        for i in (0, 1, n // 2, n - 2, n - 1):
+            v, p = clarke_directional_values(f, pts[i : i + 1], d)
+            assert _same_bits(values[i : i + 1], v) and _same_bits(per_delta[i : i + 1], p)
+        ref_values, ref_per_delta = _reference_clarke(f, pts, d)
+        assert _same_bits(values, ref_values) and _same_bits(per_delta, ref_per_delta)
+
+
+def test_local_grids_match_the_box_regions():
+    for fid in ("abs", "norm2d"):
+        f = get_function(fid)
+        xbars = f.default_region.sample(5 if f.dim == 1 else 3)
+        grids = _local_grids(xbars, np.asarray(EPS_LADDER), 9)
+        for b, xb in enumerate(xbars):
+            for k, eps in enumerate(EPS_LADDER):
+                box = Region.box([(float(c - eps), float(c + eps)) for c in xb])
+                assert _same_bits(grids[b, k], box.sample(9))
+
+
+def _cdd_loop(fid, params):
+    """cdd_suite's result from one cdd_profile call per finite grid point."""
+    f = get_function(fid)
+    grid = f.default_region.sample(params.grid_resolution(f.dim))
+    eye = np.eye(f.dim)
+    dirs = np.vstack([eye, -eye])
+    checks = passes = 0
+    truncated = False
+    failures = []
+    for xb in grid[np.isfinite(f.values(grid))]:
+        for v in cdd_profile(f, xb, dirs, scheme=params.scheme,
+                             covector_half_width=params.covector_half_width,
+                             covector_resolution=params.covector_resolution,
+                             tol=params.cdd_tol):
+            checks += 1
+            truncated = truncated or "covector_truncated" in v.flags
+            if v.ok:
+                passes += 1
+            else:
+                failures.append({
+                    "xbar": xb.tolist(),
+                    "direction": v.details["direction"],
+                    "lhs": v.details["lhs"],
+                    "rhs": v.details["rhs"],
+                    "residual": v.residual,
+                    "flags": list(v.flags),
+                })
+    return {
+        "function": fid,
+        "region": f.default_region.describe(),
+        "checks": checks,
+        "pass": passes,
+        "fail": len(failures),
+        "hard_count": len(failures),
+        "covector_truncated": truncated,
+        "failures": failures,
+    }
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_cdd_suite_matches_a_per_point_profile_loop(fid):
+    params = SuiteParams(resolution=9, resolution_2d=5)
+    assert cdd_suite(fid, params) == _cdd_loop(fid, params)
+
+
+def _verdict_fields(v):
+    return (v.ok, v.residual, v.flags, v.details,
+            None if v.witness is None else np.asarray(v.witness).tolist())
+
+
+@pytest.mark.parametrize("fid", ["ind_halfline", "twowell", "mixed2d"])
+def test_stacked_profiles_keep_per_point_verdicts(monkeypatch, fid):
+    # blocks of two base points in 1-D (one in 2-D) against one cdd_profile
+    # call each, verdict by verdict; a tight tolerance makes some mixed2d
+    # rows fail, and ind_halfline has truncated and untruncated base points
+    monkeypatch.setattr(subdifferential, "_CDD_BLOCK_POINTS", 2 * len(EPS_LADDER) * 9)
+    f = get_function(fid)
+    xbars = _finite_grid(f, 9 if f.dim == 1 else 5)
+    eye = np.eye(f.dim)
+    dirs = np.vstack([eye, -eye, np.full((1, f.dim), 0.6)])
+    stacked = list(_cdd_profiles(f, xbars, dirs, EPS_LADDER, 9, "auto", DEFAULT_SCHEME,
+                                 10.0, 41, 1e-12))
+    assert len(stacked) == len(xbars)
+    flags = set()
+    for xb, verdicts in zip(xbars, stacked):
+        alone = cdd_profile(f, xb, dirs, tol=1e-12)
+        assert [_verdict_fields(v) for v in verdicts] == [_verdict_fields(v) for v in alone]
+        flags.add(verdicts[0].flags)
+    if fid == "ind_halfline":
+        assert flags == {(), ("covector_truncated",)}
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_does_not_grow_with_the_batch():
+    f = get_function("twowell")
+    pts = np.linspace(-1.0, 1.0, 5000)[:, None]
+    assert _peak_mb(lambda: clarke_directional_values(f, pts, [1.0])) < 16.0
+
+
+def test_cdd_suite_memory_stays_bounded_at_high_resolution():
+    params = SuiteParams(resolution=257)
+    assert _peak_mb(lambda: cdd_suite("twowell", params)) < 16.0

@@ -3,12 +3,13 @@ report determinism."""
 
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from varpolar.cli import main, load_config, ConfigError, report_json
 from varpolar.subderivative import LiminfScheme
-from varpolar.suites import SuiteParams, thm3_suite
+from varpolar.suites import SuiteParams, equivalence_report, thm3_suite
 
 
 def test_unknown_function_id_is_a_usage_error(capsys):
@@ -231,3 +232,47 @@ def test_explain_convex_membership_probes_the_default_region(tmp_path, capsys):
     cfg_path.write_text("[run]\nresolution = 5\n", encoding="utf-8")
     conv = _explain_line(capsys, cfg_path, "convex membership")
     assert "contains=False residual=0.25 " in conv
+
+
+def test_explain_minty_routes_match_the_suite_row(tmp_path, capsys):
+    # prop1/thm2 probe at probe_factor times the grid resolution (9 points
+    # here); at the 5-point grid explain missed y = -0.5 and printed
+    # solution=True residual=9.09544e-08 for the subderivative route
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[run]\nresolution = 5\n", encoding="utf-8")
+    params = load_config(str(cfg_path), {})
+    row = next(r for r in equivalence_report("square", params).rows if r.xbar == (-1.0,))
+    assert row.residuals["subderivative"] == pytest.approx(0.5, abs=1e-6)
+    assert not row.verdicts["subderivative"]
+    code = main(["explain", "--config", str(cfg_path), "--function", "square", "--x", "-1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for label, route in (("minty (subderivative)", "subderivative"),
+                         ("minty (subdifferential)", "subdifferential"),
+                         ("increase-along-rays", "iar"),
+                         ("increase-along-rays (interior)", "iar_open")):
+        line = next(ln for ln in lines if ln.startswith(f"  {label}: "))
+        assert (f"solution={row.verdicts[route]} "
+                f"residual={row.residuals[route]:.6g} ") in line
+    assert "  suite classes: prop1=agree thm2=agree" in lines
+
+
+def test_explain_outside_the_region_is_a_usage_error(capsys):
+    assert main(["explain", "--function", "abs", "--x", "3"]) == 2
+    assert "outside the region" in capsys.readouterr().err
+
+
+def test_determinism_config_report_matches_the_stored_bytes(tmp_path, monkeypatch):
+    """The timing-free report of the determinism config, byte for byte, as
+    stored in tests/data (a change that keeps behaviour keeps these bytes)."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.ini").write_text(
+        "[run]\nsuites = all\nresolution = 33\nresolution_2d = 9\n"
+        "thm3_candidates = 9\nthm3_candidates_2d = 3\nout = report\n",
+        encoding="utf-8",
+    )
+    assert main(["suite", "--config", "run.ini"]) == 0
+    report = json.loads(Path("report/report.json").read_text(encoding="utf-8"))
+    fresh = report_json(report, include_timing=False) + "\n"
+    stored = Path(__file__).parent / "data" / "determinism_report.json"
+    assert fresh.encode() == stored.read_bytes()

@@ -146,7 +146,10 @@ def test_small_rays_run_oracle_evaluation_count(counted):
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
     result = run_suites(["abs", "norm2d"], ["cdd", "predicates"], SMALL)
     assert result["hard_total"] == 0
-    assert (len(counted), sum(counted)) == (106, 24_532)
+    # the cdd pass stacks the local grids of its base points, so a block of
+    # them shares one call per oracle use; one pass per base point made this
+    # run 106 calls over the same 24,532 points
+    assert (len(counted), sum(counted)) == (28, 24_532)
 
 
 @pytest.mark.parametrize("fid", ["abs", "norm2d"])

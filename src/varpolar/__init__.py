@@ -20,20 +20,16 @@ from .core import (
     UnusableSampleError,
     Verdict,
     as_point,
-    eval_shifted,
-    sample_region,
 )
 from .library import FUNCTION_IDS, get_function, test_library
 from .minty import (
     EquivalenceReport,
-    MintyReport,
     cross_validate,
     iar_check,
     minty_subderivative,
     minty_subdifferential,
 )
 from .polar import (
-    PolarVerdict,
     is_absorbing,
     is_monotone,
     polar_contains,
@@ -49,9 +45,6 @@ from .subderivative import (
     mean_value_witness,
 )
 from .subdifferential import (
-    EnlargementParams,
-    MembershipVerdict,
-    cdd_inequality_check,
     clarke_subdiff_contains,
     convex_subdiff_contains,
     epsilon_enlargement,
@@ -66,7 +59,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DimensionMismatchError",
     "DomainError",
-    "EnlargementParams",
     "EquivalenceReport",
     "ExtReal",
     "FUNCTION_IDS",
@@ -75,9 +67,6 @@ __all__ = [
     "INF",
     "IntervalSet",
     "LiminfScheme",
-    "MembershipVerdict",
-    "MintyReport",
-    "PolarVerdict",
     "PolytopeSet",
     "Region",
     "SubderivEstimate",
@@ -85,13 +74,11 @@ __all__ = [
     "Verdict",
     "WitnessNotFoundError",
     "as_point",
-    "cdd_inequality_check",
     "clarke_directional",
     "clarke_subdiff_contains",
     "convex_subdiff_contains",
     "cross_validate",
     "epsilon_enlargement",
-    "eval_shifted",
     "get_function",
     "iar_check",
     "is_absorbing",
@@ -103,7 +90,6 @@ __all__ = [
     "polar_contains",
     "polar_membership_via_iar",
     "polar_of_sample",
-    "sample_region",
     "sample_subdiff_graph",
     "test_library",
 ]

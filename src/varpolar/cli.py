@@ -30,12 +30,16 @@ from .polar import (
     polar_of_sample,
 )
 from .subderivative import LiminfScheme, clarke_directional, lower_dini
-from .subdifferential import (
-    clarke_subdiff_contains,
-    convex_subdiff_contains,
-    sample_subdiff_graph,
+from .subdifferential import clarke_subdiff_contains, convex_subdiff_contains
+from .suites import (
+    EQUIVALENCE_THEOREMS,
+    SUITE_NAMES,
+    SuiteParams,
+    _candidate_grids,
+    run_suites,
+    suite_graph,
+    thm3_graph,
 )
-from .suites import SUITE_NAMES, SuiteParams, _candidate_grids, run_suites, thm3_graph
 
 
 class ConfigError(Exception):
@@ -203,6 +207,8 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
         raise ConfigError(f"cannot parse point {raw!r}: {exc}") from exc
     if len(vals) != dim:
         raise ConfigError(f"point {raw!r} has {len(vals)} coordinates, expected {dim}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"point {raw!r} has a non-finite coordinate")
     return np.asarray(vals)
 
 
@@ -244,9 +250,9 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
                       f"residual={row.residuals[route]:.6g} witness={witnesses[route]}")
             else:
                 print(f"  {label}: not evaluated (x is not an interior point with graph pairs)")
-        classes = {"prop1": "subderivative_vs_iar", "thm2": "subdifferential_vs_iar"}
         print("  suite classes: " + " ".join(
-            f"{suite}={row.classes[key]}" for suite, key in classes.items() if key in row.classes
+            f"{suite}={row.classes[key]}"
+            for suite, key in EQUIVALENCE_THEOREMS.items() if key in row.classes
         ))
         return 0
 
@@ -254,11 +260,11 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
     probe_res = cfg.probe_resolution(f.dim)
     if math.isfinite(fx):
         conv = convex_subdiff_contains(f, x, xstar, probe=region, resolution=probe_res, tol=cfg.tol)
-        print(f"  convex membership: contains={conv.contains} residual={conv.residual:.6g} witness={None if conv.witness is None else conv.witness.tolist()}")
+        print(f"  convex membership: contains={conv.ok} residual={conv.residual:.6g} witness={None if conv.witness is None else conv.witness.tolist()}")
         clk = clarke_subdiff_contains(f, x, xstar, scheme=cfg.scheme, tol=cfg.tol)
-        print(f"  generalized membership: contains={clk.contains} residual={clk.residual:.6g} witness={None if clk.witness is None else clk.witness.tolist()}")
+        print(f"  generalized membership: contains={clk.ok} residual={clk.residual:.6g} witness={None if clk.witness is None else clk.witness.tolist()}")
     pv = polar_contains(thm3_graph(f, cfg), x, xstar, tol=cfg.tol)
-    print(f"  polar (graph route): related={pv.related} min_product={pv.min_product:.6g} witness={pv.witness}")
+    print(f"  polar (graph route): related={pv.ok} min_product={pv.residual:.6g} witness={pv.witness}")
     iv = polar_membership_via_iar(f, x, xstar, region, ray_resolution=DEFAULT_RAY_RESOLUTION,
                                   probe_resolution=probe_res, tol=cfg.tol)
     print(f"  polar (rays route): member={iv.ok} residual={iv.residual:.6g} witness={iv.witness}")
@@ -267,15 +273,7 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
 
 def cmd_graph(cfg: RunConfig, function_id: str, source: str) -> int:
     f = get_function(function_id)
-    graph = sample_subdiff_graph(
-        f,
-        f.default_region,
-        cfg.grid_resolution(f.dim),
-        source=source,
-        covector_half_width=cfg.covector_half_width,
-        covector_resolution=cfg.covector_resolution,
-        scheme=cfg.scheme,
-    )
+    graph = suite_graph(f, cfg, cfg.grid_resolution(f.dim), source)
     writer = csv.writer(sys.stdout)
     writer.writerow(graph.csv_header())
     writer.writerows(graph.to_rows())
@@ -296,9 +294,7 @@ def cmd_graph(cfg: RunConfig, function_id: str, source: str) -> int:
 
 def cmd_polar(cfg: RunConfig, function_id: str) -> int:
     f = get_function(function_id)
-    graph = sample_subdiff_graph(
-        f, f.default_region, cfg.grid_resolution(f.dim), source="auto", scheme=cfg.scheme
-    )
+    graph = suite_graph(f, cfg, cfg.grid_resolution(f.dim))
     xs, cov = _candidate_grids(f, cfg)
     candidates = GraphSample(np.repeat(xs, cov.shape[0], axis=0), np.tile(cov, (xs.shape[0], 1)))
     related = polar_of_sample(graph, candidates, tol=cfg.tol)

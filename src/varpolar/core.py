@@ -287,11 +287,6 @@ def tensor_grid(axes: Sequence[Array]) -> Array:
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def sample_region(region: Region, resolution: int) -> Array:
-    """Deterministic uniform grid of member points of ``region``."""
-    return region.sample(resolution)
-
-
 # ---------------------------------------------------------------------------
 # Subdifferential set descriptions
 # ---------------------------------------------------------------------------
@@ -608,21 +603,6 @@ def _shift_set(desc: SubdiffSet | None, s: Array) -> SubdiffSet | None:
     return BallSet(desc.center - s, desc.radius)
 
 
-def eval_shifted(
-    f: FunctionOracle,
-    xstar: Sequence[float] | float | Array,
-    y: Sequence[float] | float | Array,
-) -> ExtReal:
-    """Evaluate the tilted function (f - xstar) at y, i.e. f(y) - <xstar, y>,
-    with +inf preserved."""
-    s = as_point(xstar, f.dim)
-    p = as_point(y, f.dim)
-    v = f.value(p)
-    if v == math.inf:
-        return INF
-    return ExtReal(v - float(np.dot(s, p)))
-
-
 # ---------------------------------------------------------------------------
 # Sampled operator graphs
 # ---------------------------------------------------------------------------
@@ -708,8 +688,10 @@ class GraphSample:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Boolean outcome plus the numerical residual that decided it and a
-    witness (point, pair, or parameter) explaining a failure."""
+    """Outcome of every check in the package: the boolean, the residual
+    margin that decided it (for polar checks the minimum pairing product), a
+    witness (point, pair, or parameter) explaining it, flags, and details
+    such as the probe metadata."""
 
     ok: bool
     residual: float

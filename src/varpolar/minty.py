@@ -15,7 +15,7 @@ residual sits inside the documented band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -23,11 +23,11 @@ import numpy as np
 from .core import (
     Array,
     DEFAULT_TOL,
-    ExtReal,
     FunctionOracle,
     GraphSample,
     Region,
     UnusableSampleError,
+    Verdict,
     as_point,
 )
 from .subderivative import DEFAULT_SCHEME, LiminfScheme, lower_dini_values
@@ -36,19 +36,6 @@ from .subdifferential import sample_subdiff_graph
 #: Residual band inside which equivalence disagreements are logged as
 #: indeterminate rather than failures.
 DEFAULT_BAND = 1e-3
-
-
-@dataclass(frozen=True)
-class MintyReport:
-    """Residual report of one variational-inequality check at one point."""
-
-    residual: ExtReal
-    solution: bool
-    witness: Any = None
-    probe_meta: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.solution
 
 
 def _finite_grid(f: FunctionOracle, region: Region, resolution: int) -> tuple[Array, Array]:
@@ -136,11 +123,12 @@ def iar_check(
     resolution: int = 65,
     t_resolution: int = 64,
     tol: float = DEFAULT_TOL,
-) -> MintyReport:
+) -> Verdict:
     """Does f increase along rays starting from xbar, over the region grid?
 
     The residual is the largest increase f(y + t(xbar - y)) - f(y) over grid
-    points y with finite value and a uniform t grid containing 0 and 1.
+    points y with finite value and a uniform t grid containing 0 and 1, and
+    the witness the maximizing (y, t); the details hold the probe metadata.
     """
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
@@ -150,11 +138,9 @@ def iar_check(
             "t_resolution": t_resolution, "finite_grid_points": int(ys.shape[0])}
     if ys.shape[0] == 0:
         # no finite-valued grid point: the quantifier is vacuous
-        return MintyReport(residual=ExtReal(0.0), solution=True, witness=None, probe_meta=meta)
+        return Verdict(ok=True, residual=0.0, witness=None, details=meta)
     residual, witness = _iar_residual(f, xb, _RayGrid(ys, fy, t_resolution))
-    return MintyReport(
-        residual=ExtReal(residual), solution=residual <= tol, witness=witness, probe_meta=meta
-    )
+    return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
 def _subderivative_residual(
@@ -177,10 +163,10 @@ def minty_subderivative(
     resolution: int = 65,
     scheme: LiminfScheme = DEFAULT_SCHEME,
     tol: float = DEFAULT_TOL,
-) -> MintyReport:
+) -> Verdict:
     """Subderivative-type Minty residual: max over grid y in C with finite
     value of the subderivative of f at y toward xbar (y = xbar contributes
-    exactly 0)."""
+    exactly 0). The witness is the maximizing y."""
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
@@ -188,11 +174,9 @@ def minty_subderivative(
     meta = {"region": region.describe(), "resolution": resolution,
             "scheme": scheme.as_dict(), "finite_grid_points": int(ys.shape[0])}
     if ys.shape[0] == 0:
-        return MintyReport(residual=ExtReal(0.0), solution=True, witness=None, probe_meta=meta)
+        return Verdict(ok=True, residual=0.0, witness=None, details=meta)
     residual, witness = _subderivative_residual(f, xb, ys, scheme)
-    return MintyReport(
-        residual=ExtReal(residual), solution=residual <= tol, witness=witness, probe_meta=meta
-    )
+    return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
 def _subdifferential_residual(
@@ -213,18 +197,19 @@ def minty_subdifferential(
     region: Region,
     graph: GraphSample,
     tol: float = DEFAULT_TOL,
-) -> MintyReport:
+) -> Verdict:
     """Subdifferential-type Minty residual: max over sampled pairs (y, y*)
-    with y in the region of <y*, xbar - y>."""
+    with y in the region of <y*, xbar - y>. The witness is the maximizing
+    pair."""
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
     residual, witness = _subdifferential_residual(xb, graph, region)
-    return MintyReport(
-        residual=ExtReal(residual),
-        solution=residual <= tol,
+    return Verdict(
+        ok=residual <= tol,
+        residual=residual,
         witness=witness,
-        probe_meta={"region": region.describe(), "graph": dict(graph.meta)},
+        details={"region": region.describe(), "graph": dict(graph.meta)},
     )
 
 

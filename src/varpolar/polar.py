@@ -12,7 +12,6 @@ cross-validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,19 +34,6 @@ EXACT_TOL = 1e-9
 DEFAULT_RAY_RESOLUTION = 33
 
 
-@dataclass(frozen=True)
-class PolarVerdict:
-    """Outcome of a monotone-relatedness test: the minimum pairing product
-    over the graph and the element (or pair of elements) achieving it."""
-
-    related: bool
-    min_product: float
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.related
-
-
 def _min_products(T: GraphSample, points: Array, covectors: Array) -> tuple[Array, Array]:
     """For each candidate row, min over T of <y* - x*, y - x> and argmin."""
     py, cy = T.points, T.covectors
@@ -66,34 +52,36 @@ def polar_contains(
     x: Sequence[float] | float | Array,
     xstar: Sequence[float] | float | Array,
     tol: float = DEFAULT_TOL,
-) -> PolarVerdict:
+) -> Verdict:
     """Is (x, xstar) monotonically related to every sampled pair of T?
 
-    An empty sample relates everything (vacuous quantifier): min_product is
-    +inf by convention and no witness is reported.
+    The residual is the minimum pairing product over T and the witness the
+    sampled pair achieving it. An empty sample relates everything (vacuous
+    quantifier): the residual is +inf by convention and no witness is
+    reported.
     """
     p = as_point(x, T.dim if len(T) else None)
     c = as_point(xstar, p.shape[0])
     if len(T) == 0:
-        return PolarVerdict(related=True, min_product=math.inf, witness=None)
+        return Verdict(ok=True, residual=math.inf, witness=None)
     mins, args = _min_products(T, p[None, :], c[None, :])
     k = int(args[0])
-    return PolarVerdict(
-        related=bool(mins[0] >= -tol),
-        min_product=float(mins[0]),
+    return Verdict(
+        ok=bool(mins[0] >= -tol),
+        residual=float(mins[0]),
         witness=(T.points[k], T.covectors[k]),
     )
 
 
-def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> PolarVerdict:
+def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
     """Does every pair of elements of T satisfy <y* - x*, y - x> >= -tol?
 
-    The witness is the violating pair of graph elements (as two (point,
-    covector) tuples) achieving the minimum product.
+    The residual is the minimum product and the witness the pair of graph
+    elements (as two (point, covector) tuples) achieving it.
     """
     n = len(T)
     if n <= 1:
-        return PolarVerdict(related=True, min_product=math.inf, witness=None)
+        return Verdict(ok=True, residual=math.inf, witness=None)
     g = T.covectors @ T.points.T
     diag = np.diag(g)
     m = diag[:, None] + diag[None, :] - g - g.T
@@ -102,9 +90,9 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> PolarVerdict:
     k = int(np.argmin(vals))
     i, j = int(iu[0][k]), int(iu[1][k])
     mp = float(vals[k])
-    return PolarVerdict(
-        related=mp >= -tol,
-        min_product=mp,
+    return Verdict(
+        ok=mp >= -tol,
+        residual=mp,
         witness=((T.points[i], T.covectors[i]), (T.points[j], T.covectors[j])),
     )
 

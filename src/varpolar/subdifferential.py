@@ -12,7 +12,6 @@ flag rather than silently clipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -47,33 +46,6 @@ EPS_LADDER: tuple[float, ...] = tuple(2.0 ** -k for k in range(11))
 _CDD_BLOCK_POINTS = 4096
 
 
-@dataclass(frozen=True)
-class EnlargementParams:
-    """Shared bound for the three enlargement conditions."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    """Outcome of a covector membership test.
-
-    ``residual`` is the worst violated margin (<= tol when the covector is a
-    member); ``witness`` is the probe point or direction achieving it.
-    """
-
-    contains: bool
-    residual: float
-    witness: Array | None = None
-
-    def __bool__(self) -> bool:
-        return self.contains
-
-
 # ---------------------------------------------------------------------------
 # Membership tests
 # ---------------------------------------------------------------------------
@@ -85,11 +57,13 @@ def convex_subdiff_contains(
     probe: Region | None = None,
     resolution: int = 65,
     tol: float = DEFAULT_TOL,
-) -> MembershipVerdict:
+) -> Verdict:
     """Test the global support inequality <xstar, y - xbar> + f(xbar) <= f(y)
     over a probe grid.
 
-    The residual is the largest violation over grid points with f(y) finite.
+    The residual is the largest violation over grid points with f(y) finite
+    (<= tol when xstar is a member) and the witness the grid point achieving
+    it.
     """
     xb = as_point(xbar, f.dim)
     xs = as_point(xstar, f.dim)
@@ -101,11 +75,11 @@ def convex_subdiff_contains(
     fy = f.values(ys)
     finite = np.isfinite(fy)
     if not np.any(finite):
-        return MembershipVerdict(contains=True, residual=-math.inf, witness=None)
+        return Verdict(ok=True, residual=-math.inf, witness=None)
     margins = (ys[finite] - xb[None, :]) @ xs + fx - fy[finite]
     idx = int(np.argmax(margins))
     residual = float(margins[idx])
-    return MembershipVerdict(contains=residual <= tol, residual=residual, witness=ys[finite][idx])
+    return Verdict(ok=residual <= tol, residual=residual, witness=ys[finite][idx])
 
 
 def sphere_directions(dim: int, resolution: int) -> Array:
@@ -134,43 +108,51 @@ def clarke_subdiff_contains(
     delta_list: Sequence[float] = DEFAULT_DELTAS,
     nbhd_resolution: int = 3,
     tol: float = DEFAULT_TOL,
-) -> MembershipVerdict:
+) -> Verdict:
     """Test <xstar, d> <= generalized derivative of f at xbar along d for all
-    unit d in a deterministic sphere grid."""
+    unit d in a deterministic sphere grid.
+
+    The residual is the largest margin <xstar, d> - f_up(xbar; d) (-inf where
+    the bound is +inf) and the witness the first direction achieving it, or
+    None when every margin is -inf.
+    """
     xb = as_point(xbar, f.dim)
     xs = as_point(xstar, f.dim)
     if not math.isfinite(f.value(xb)):
         raise DomainError("membership tests need f(xbar) finite")
     dirs = sphere_directions(f.dim, dir_resolution)
-    best = -math.inf
-    witness = None
-    for d in dirs:
-        up, _ = clarke_directional_values(
-            f, xb[None, :], d, scheme, delta_list, nbhd_resolution
-        )
-        margin = float(np.dot(xs, d)) - float(up[0])  # -inf when the bound is +inf
-        if margin > best:
-            best, witness = margin, d
-    return MembershipVerdict(contains=best <= tol, residual=best, witness=witness)
+    support = _clarke_support(f, xb[None, :], dirs, scheme, delta_list, nbhd_resolution)[0]
+    # np.dot per direction: a matrix product rounds differently in 2-D and 3-D
+    margins = np.array([np.dot(xs, d) for d in dirs]) - support
+    j = int(np.argmax(margins))
+    best = float(margins[j])
+    witness = dirs[j] if best > -math.inf else None
+    return Verdict(ok=best <= tol, residual=best, witness=witness)
+
+
+def _clarke_support(
+    f: FunctionOracle,
+    pts: Array,
+    dirs: Array,
+    scheme: LiminfScheme,
+    delta_list: Sequence[float],
+    nbhd_resolution: int,
+) -> Array:
+    """(N, J) table of generalized derivatives f_up(pts[i]; dirs[j]), one
+    estimator call per direction, in direction order. Entries may be +inf.
+    The table is the support function, on the direction grid, of the
+    numeric Clarke subdifferential at each point."""
+    table = np.empty((pts.shape[0], dirs.shape[0]))
+    for j, d in enumerate(dirs):
+        table[:, j] = clarke_directional_values(
+            f, pts, d, scheme, delta_list, nbhd_resolution
+        )[0]
+    return table
 
 
 # ---------------------------------------------------------------------------
 # Graph sampling
 # ---------------------------------------------------------------------------
-
-def _clarke_intervals_1d(
-    f: FunctionOracle,
-    points: Array,
-    scheme: LiminfScheme,
-    delta_list: Sequence[float],
-    nbhd_resolution: int,
-) -> tuple[Array, Array]:
-    """Per-point bounds (-f_up(x;-1), f_up(x;+1)) describing the numeric
-    Clarke interval in 1-D. Either side may be infinite."""
-    up_pos, _ = clarke_directional_values(f, points, [1.0], scheme, delta_list, nbhd_resolution)
-    up_neg, _ = clarke_directional_values(f, points, [-1.0], scheme, delta_list, nbhd_resolution)
-    return -up_neg, up_pos
-
 
 def _resolve_source(f: FunctionOracle, source: str) -> str:
     """Resolve ``source="auto"``: the exact side-oracle when f has one, the
@@ -203,23 +185,23 @@ def _graph_rows(
     """
     if source == "exact":
         reps, mask, truncated = f.subdifferential_representatives(pts, covector_half_width)
-    elif f.dim == 1:
-        lo, hi = _clarke_intervals_1d(f, pts, scheme, delta_list, nbhd_resolution)
-        cands = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
-        truncated = ~np.isfinite(lo) | ~np.isfinite(hi)
-        mask = (cands[None, :] >= lo[:, None] - tol) & (cands[None, :] <= hi[:, None] + tol)
-        reps = np.broadcast_to(cands[None, :, None], mask.shape + (1,))
     else:
         dirs = sphere_directions(f.dim, dir_resolution)
+        support = _clarke_support(f, pts, dirs, scheme, delta_list, nbhd_resolution)
         axis = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
         cands = tensor_grid([axis] * f.dim)
-        pairings = cands @ dirs.T
-        mask = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
-        for j, d in enumerate(dirs):
-            up, _ = clarke_directional_values(f, pts, d, scheme, delta_list, nbhd_resolution)
-            mask &= pairings[None, :, j] - up[:, None] <= tol
+        if f.dim == 1:
+            # dirs is [[+1], [-1]]: the numeric Clarke interval [lo, hi]
+            lo, hi = -support[:, 1], support[:, 0]
+            truncated = ~np.isfinite(lo) | ~np.isfinite(hi)
+            mask = (axis[None, :] >= lo[:, None] - tol) & (axis[None, :] <= hi[:, None] + tol)
+        else:
+            pairings = cands @ dirs.T
+            mask = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
+            for j in range(dirs.shape[0]):
+                mask &= pairings[None, :, j] - support[:, j, None] <= tol
+            truncated = np.zeros(pts.shape[0], dtype=bool)
         reps = np.broadcast_to(cands[None, :, :], mask.shape + (f.dim,))
-        truncated = np.zeros(pts.shape[0], dtype=bool)
     owner = np.repeat(np.arange(pts.shape[0]), mask.sum(axis=1))
     return owner, reps[mask], truncated
 
@@ -283,31 +265,41 @@ def sample_subdiff_graph(
 # Epsilon-enlargement
 # ---------------------------------------------------------------------------
 
+def _enlargement_mask(
+    diffs: Array, fvals: Array, fx: Array | float, covectors: Array, eps: Array | float
+) -> Array:
+    """The three enlargement conditions row by row, for rows (x, x*) with
+    ``diffs`` = x - xbar and ``fvals`` = f(x): ||x - xbar|| <= eps,
+    |f(x) - f(xbar)| <= eps and <x*, x - xbar> <= eps. ``fx`` and ``eps``
+    are scalars or per-row arrays; a row with f(x) = +inf fails the second
+    condition."""
+    with np.errstate(invalid="ignore"):
+        close_f = np.abs(fvals - fx) <= eps
+    return (
+        (np.linalg.norm(diffs, axis=1) <= eps)
+        & close_f
+        & (np.einsum("ij,ij->i", covectors, diffs) <= eps)
+    )
+
+
 def epsilon_enlargement(
     g: GraphSample,
     f: FunctionOracle,
     xbar: Sequence[float] | float | Array,
-    params: EnlargementParams,
+    epsilon: float,
 ) -> GraphSample:
     """Keep exactly the pairs (x, x*) of g with ||x - xbar|| <= eps,
     |f(x) - f(xbar)| <= eps, and <x*, x - xbar> <= eps."""
+    if not (epsilon > 0):
+        raise ValueError("epsilon must be positive")
     xb = as_point(xbar, f.dim)
     fx = f.value(xb)
     if not math.isfinite(fx):
         raise DomainError("enlargement needs f(xbar) finite")
-    eps = params.epsilon
     if len(g) == 0:
         return g
     diffs = g.points - xb[None, :]
-    fvals = f.values(g.points)
-    with np.errstate(invalid="ignore"):
-        close_f = np.abs(fvals - fx) <= eps
-    mask = (
-        (np.linalg.norm(diffs, axis=1) <= eps)
-        & np.where(np.isfinite(fvals), close_f, False)
-        & (np.einsum("ij,ij->i", g.covectors, diffs) <= eps)
-    )
-    return g.filter(mask)
+    return g.filter(_enlargement_mask(diffs, f.values(g.points), fx, g.covectors, epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +381,7 @@ def _cdd_profiles(
         row_base = row_cell // levels
         eps_rows = eps[row_cell % levels]
         diffs = pts[owner] - xb[row_base]
-        kept = (
-            (np.linalg.norm(diffs, axis=1) <= eps_rows)
-            & (np.abs(fvals[owner] - fx[row_base]) <= eps_rows)
-            & (np.einsum("ij,ij->i", covectors, diffs) <= eps_rows)
-        )
+        kept = _enlargement_mask(diffs, fvals[owner], fx[row_base], covectors, eps_rows)
         pairings = covectors @ dirs.T
         sups = np.full((nb * levels, dirs.shape[0]), -math.inf)
         np.maximum.at(sups, row_cell[kept], pairings[kept])
@@ -502,37 +490,3 @@ def cdd_profile(
             tol,
         )
     )
-
-
-def cdd_inequality_check(
-    f: FunctionOracle,
-    xbar: Sequence[float] | float | Array,
-    d: Sequence[float] | float | Array,
-    eps_list: Sequence[float] = EPS_LADDER,
-    ring_resolution: int = 9,
-    source: str = "auto",
-    scheme: LiminfScheme = DEFAULT_SCHEME,
-    covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
-    covector_resolution: int = 41,
-    tol: float = 1e-3,
-) -> Verdict:
-    """Single-direction form of :func:`cdd_profile`.
-
-    The verdict is true iff the subderivative is bounded by the enlargement
-    supremum within tolerance and every sampled enlargement is nonempty; an
-    empty enlargement is reported with the offending epsilon as witness
-    (it signals under-sampling, never a true counterexample).
-    """
-    dd = as_point(d, f.dim)
-    return cdd_profile(
-        f,
-        xbar,
-        dd[None, :],
-        eps_list=eps_list,
-        ring_resolution=ring_resolution,
-        source=source,
-        scheme=scheme,
-        covector_half_width=covector_half_width,
-        covector_resolution=covector_resolution,
-        tol=tol,
-    )[0]

@@ -9,6 +9,7 @@ runs with the same parameters produce identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,13 @@ class SuiteParams:
                 raise ValueError(f"{key} must be >= 2")
         if self.probe_factor < 1:
             raise ValueError("probe_factor must be >= 1")
-        if self.tol <= 0 or self.band <= 0 or self.cdd_tol <= 0 or self.polar_band <= 0:
-            raise ValueError("tolerances must be positive")
+        # a NaN or infinite tolerance makes both sides of a suite's
+        # comparison read the same; a nonpositive half-width leaves no
+        # covector box
+        for key in ("tol", "band", "polar_band", "cdd_tol", "covector_half_width"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and positive")
 
     def grid_resolution(self, dim: int) -> int:
         return self.resolution if dim == 1 else self.resolution_2d
@@ -82,33 +88,31 @@ def equivalence_report(function_id: str, params: SuiteParams):
     )
 
 
-def _theorem_section(equiv: dict, theorem: str) -> dict:
-    sec = dict(equiv[theorem])
-    counted = sec["agree"] + sec["indeterminate"] + sec["hard"]
-    sec.update(
-        {
-            "function": equiv["function"],
-            "region": equiv["region"],
-            "resolution": equiv["resolution"],
-            "band": equiv["band"],
-            "grid_points": counted,
-            "indeterminate_fraction": (sec["indeterminate"] / counted) if counted else 0.0,
-            "hard_count": sec["hard"],
-        }
-    )
-    return sec
+#: The comparison of :class:`~varpolar.minty.EquivalenceReport` behind each
+#: equivalence suite.
+EQUIVALENCE_THEOREMS = {"prop1": "subderivative_vs_iar", "thm2": "subdifferential_vs_iar"}
 
 
-def prop1_from_equivalence(equiv_by_fn: dict[str, dict]) -> dict:
-    funcs = {fid: _theorem_section(e, "subderivative_vs_iar") for fid, e in equiv_by_fn.items()}
-    return {
-        "functions": funcs,
-        "hard_count": sum(s["hard"] for s in funcs.values()),
-    }
-
-
-def thm2_from_equivalence(equiv_by_fn: dict[str, dict]) -> dict:
-    funcs = {fid: _theorem_section(e, "subdifferential_vs_iar") for fid, e in equiv_by_fn.items()}
+def section_from_equivalence(equiv_by_fn: dict[str, dict], theorem: str) -> dict:
+    """The suite section of one equivalence comparison (a value of
+    :data:`EQUIVALENCE_THEOREMS`) from the equivalence reports of each
+    function, as dicts."""
+    funcs = {}
+    for fid, equiv in equiv_by_fn.items():
+        sec = dict(equiv[theorem])
+        counted = sec["agree"] + sec["indeterminate"] + sec["hard"]
+        sec.update(
+            {
+                "function": equiv["function"],
+                "region": equiv["region"],
+                "resolution": equiv["resolution"],
+                "band": equiv["band"],
+                "grid_points": counted,
+                "indeterminate_fraction": (sec["indeterminate"] / counted) if counted else 0.0,
+                "hard_count": sec["hard"],
+            }
+        )
+        funcs[fid] = sec
     return {
         "functions": funcs,
         "hard_count": sum(s["hard"] for s in funcs.values()),
@@ -125,18 +129,26 @@ def _candidate_grids(f, params: SuiteParams) -> tuple[np.ndarray, np.ndarray]:
     return f.default_region.sample(n), tensor_grid([np.linspace(-bound, bound, n)] * f.dim)
 
 
-def thm3_graph(f, params: SuiteParams) -> GraphSample:
-    """The graph of thm3's polar route: sampled four times denser than the
-    candidate points, from the exact side-oracle when there is one."""
+def suite_graph(f, params: SuiteParams, resolution: int, source: str = "auto") -> GraphSample:
+    """The subdifferential graph of f over its default region at
+    ``resolution``, sampled with the covector knobs and the scheme of
+    ``params``; ``source="auto"`` takes the exact side-oracle when f has
+    one."""
     return sample_subdiff_graph(
         f,
         f.default_region,
-        4 * (params.candidate_resolution(f.dim) - 1) + 1,
-        source="auto",
+        resolution,
+        source=source,
         covector_half_width=params.covector_half_width,
         covector_resolution=params.covector_resolution,
         scheme=params.scheme,
     )
+
+
+def thm3_graph(f, params: SuiteParams) -> GraphSample:
+    """The graph of thm3's polar route: sampled four times denser than the
+    candidate points, from the exact side-oracle when there is one."""
+    return suite_graph(f, params, 4 * (params.candidate_resolution(f.dim) - 1) + 1)
 
 
 def thm3_suite(function_id: str, params: SuiteParams) -> dict:
@@ -284,20 +296,12 @@ def predicates_suite(function_id: str, params: SuiteParams) -> dict:
     f = get_function(function_id)
     region = f.default_region
     resolution = params.grid_resolution(f.dim)
-    graph = sample_subdiff_graph(
-        f,
-        region,
-        resolution,
-        source="auto",
-        covector_half_width=params.covector_half_width,
-        covector_resolution=params.covector_resolution,
-        scheme=params.scheme,
-    )
+    graph = suite_graph(f, params, resolution)
     source = graph.meta["source"]
     mono_tol = 1e-9 if source == "exact" else params.tol
     mono = is_monotone(graph, tol=mono_tol)
     mono_expected = bool(f.is_convex)
-    mono_ok = mono.related == mono_expected
+    mono_ok = mono.ok == mono_expected
 
     cands, h = _absorbing_candidates(f, region, resolution)
     absorb = is_absorbing(graph, cands, match_radius=2 * h, oracle=f, tol=params.tol)
@@ -307,16 +311,16 @@ def predicates_suite(function_id: str, params: SuiteParams) -> dict:
         "function": function_id,
         "graph_source": source,
         "graph_size": len(graph),
-        "monotone": mono.related,
+        "monotone": mono.ok,
         "monotone_expected": mono_expected,
-        "monotone_min_product": mono.min_product,
+        "monotone_min_product": mono.residual,
         "absorbing": absorb.ok,
         "absorbing_match_radius": 2 * h,
         "absorbing_related": absorb.details.get("related"),
         "absorbing_unattributed": absorb.details.get("unattributed"),
         "hard_count": failures,
     }
-    if not mono.related and mono.witness is not None:
+    if not mono.ok and mono.witness is not None:
         (p1, c1), (p2, c2) = mono.witness
         result["monotone_witness"] = {
             "first": [p1.tolist(), c1.tolist()],
@@ -361,10 +365,9 @@ def run_suites(
         equiv = {fid: rep.to_dict() for fid, rep in reports.items()}
         if collect_rows:
             rows_by_fn = {fid: rep.rows_table() for fid, rep in reports.items()}
-        if "prop1" in selected:
-            out["prop1"] = prop1_from_equivalence(equiv)
-        if "thm2" in selected:
-            out["thm2"] = thm2_from_equivalence(equiv)
+        for name, theorem in EQUIVALENCE_THEOREMS.items():
+            if name in selected:
+                out[name] = section_from_equivalence(equiv, theorem)
     for name, suite in (("thm3", thm3_suite), ("cdd", cdd_suite), ("predicates", predicates_suite)):
         if name in selected:
             per_fn = {fid: suite(fid, params) for fid in fids}

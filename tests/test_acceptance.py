@@ -144,7 +144,7 @@ def test_predicate_suite():
     na = get_function("neg_abs")
     g = sample_subdiff_graph(na, na.default_region, 65, source="clarke-numeric")
     v = is_monotone(g)
-    pair_ok = (not v.related) and v.witness is not None
+    pair_ok = (not v.ok) and v.witness is not None
     if pair_ok:
         (p1, c1), (p2, c2) = v.witness
         product = float(np.dot(c2 - c1, p2 - p1))
@@ -153,7 +153,7 @@ def test_predicate_suite():
     _report(
         "Predicate suite",
         ok,
-        f"failing functions={failures}, neg_abs violating pair product={v.min_product:.3g}",
+        f"failing functions={failures}, neg_abs violating pair product={v.residual:.3g}",
     )
     assert not failures
     assert pair_ok

@@ -1,0 +1,52 @@
+"""The traced benchmark's per-layer metrics name functions of the package.
+
+The benchmark's trace mode wraps every public module-level function of the
+eight package modules and exits with "no measurement for ..." when a metric
+named in BENCHMARK.json has none, so renaming, privatizing or deleting such a
+function breaks it. These checks read BENCHMARK.json and import the package;
+they run no benchmark."""
+
+import importlib
+import inspect
+import json
+import re
+from pathlib import Path
+
+from varpolar.core import FunctionOracle
+from varpolar.library import test_library as library_oracles
+
+MODULES = ("core", "library", "subderivative", "subdifferential", "minty", "polar", "suites", "cli")
+METRIC = re.compile(rf"({'|'.join(MODULES)})\.(\w+)\.(calls|self_s|points|pairs|kept_ratio)")
+
+#: The suite entry points whose first argument keys the per-cell wall times.
+SUITE_ENTRY_POINTS = ("equivalence_report", "thm3_suite", "cdd_suite", "predicates_suite")
+
+
+def _per_layer_names() -> list[str]:
+    path = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+    return [m["name"] for m in json.loads(path.read_text(encoding="utf-8"))["per_layer"]]
+
+
+def test_per_layer_metrics_name_public_functions():
+    traced = set()
+    for name in _per_layer_names():
+        match = METRIC.fullmatch(name)
+        if match:
+            traced.add((match[1], match[2]))
+    assert ("polar", "polar_contains") in traced
+    # the two names the tracer wraps by hand: a method and a per-entry side-oracle
+    assert inspect.isfunction(FunctionOracle.values)
+    assert any(f.exact_subdifferential is not None for f in library_oracles())
+    traced -= {("core", "values"), ("library", "exact_subdifferential")}
+    for module, attr in sorted(traced):
+        mod = importlib.import_module(f"varpolar.{module}")
+        obj = getattr(mod, attr, None)
+        public = not attr.startswith("_") and inspect.isfunction(obj)
+        assert public and obj.__module__ == mod.__name__, f"{module}.{attr}"
+
+
+def test_suite_entry_points_take_the_function_id_first():
+    suites = importlib.import_module("varpolar.suites")
+    for attr in SUITE_ENTRY_POINTS:
+        first = next(iter(inspect.signature(getattr(suites, attr)).parameters))
+        assert first == "function_id", attr

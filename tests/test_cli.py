@@ -148,6 +148,19 @@ def test_polar_dump(capsys):
     assert out[0] == "x_1,xstar_1"
 
 
+def test_polar_samples_the_graph_with_the_covector_knobs(tmp_path, capsys):
+    # at covector_resolution = 5 the numeric graph of -|x| is the one pair
+    # (0, 0) that `graph` prints, and 127 candidate pairs are related to it
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[run]\nresolution = 5\ncovector_resolution = 5\n", encoding="utf-8")
+    assert main(["graph", "--config", str(cfg_path), "--function", "neg_abs"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2
+    assert main(["polar", "--config", str(cfg_path), "--function", "neg_abs"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[0] == "x_1,xstar_1"
+    assert len(out) - 1 == 127
+
+
 def test_explain_point_query(capsys):
     code = main(["explain", "--function", "square", "--x", "0", "--xstar", "0"])
     assert code == 0
@@ -172,6 +185,11 @@ def test_explain_minty_query(capsys):
         "thm3_candidates = 1",
         "thm3_candidates_2d = 1",
         "probe_factor = 0",
+        # a NaN or infinite tolerance makes both sides of a comparison agree
+        "tol = nan",
+        "cdd_tol = inf",
+        "band = nan",
+        "covector_half_width = -1",
         # values that cannot be coerced to the knob's type
         "resolution = 1.5",
         "steps = abc",
@@ -260,6 +278,15 @@ def test_explain_minty_routes_match_the_suite_row(tmp_path, capsys):
 def test_explain_outside_the_region_is_a_usage_error(capsys):
     assert main(["explain", "--function", "abs", "--x", "3"]) == 2
     assert "outside the region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "point_args", [["--x", "nan"], ["--x", "0", "--xstar", "inf"]], ids=["x-nan", "xstar-inf"]
+)
+def test_explain_non_finite_point_is_a_usage_error(capsys, point_args):
+    assert main(["explain", "--function", "abs", *point_args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
 
 
 def test_determinism_config_report_matches_the_stored_bytes(tmp_path, monkeypatch):

@@ -12,8 +12,6 @@ from varpolar import (
     IntervalSet,
     PolytopeSet,
     Region,
-    eval_shifted,
-    sample_region,
 )
 from varpolar.library import get_function
 
@@ -22,23 +20,23 @@ from varpolar.library import get_function
 
 def test_box_grid_includes_extremes():
     r = Region.interval(0.0, 1.0)
-    pts = sample_region(r, 3)[:, 0]
+    pts = r.sample(3)[:, 0]
     assert np.allclose(pts, [0.0, 0.5, 1.0])
 
 
 def test_square_box_resolution_two_gives_corners():
     r = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
-    pts = sample_region(r, 2)
+    pts = r.sample(2)
     assert pts.shape == (4, 2)
     assert {tuple(p) for p in pts.tolist()} == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
 
 
 def test_ball_grid_keeps_members_only():
     r = Region.ball(0.0, 1.0)
-    pts = sample_region(r, 3)[:, 0]
+    pts = r.sample(3)[:, 0]
     assert np.allclose(pts, [-1.0, 0.0, 1.0])
     r2 = Region.ball([0.0, 0.0], 1.0)
-    pts2 = sample_region(r2, 3)
+    pts2 = r2.sample(3)
     # corners of the bounding box fall outside the disk
     assert pts2.shape[0] == 5
     assert all(np.linalg.norm(p) <= 1.0 for p in pts2)
@@ -47,7 +45,7 @@ def test_ball_grid_keeps_members_only():
 def test_full_region_contains_everything_but_samples_its_box():
     r = Region.full(1, half_width=10.0)
     assert r.contains([123.0])
-    pts = sample_region(r, 5)[:, 0]
+    pts = r.sample(5)[:, 0]
     assert pts.min() == -10.0 and pts.max() == 10.0
 
 
@@ -59,12 +57,12 @@ def test_interior_sampling_drops_boundary():
 
 def test_sampling_cardinality_bound():
     r = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
-    assert sample_region(r, 4).shape[0] <= 4**2
+    assert r.sample(4).shape[0] <= 4**2
 
 
 def test_resolution_below_two_rejected():
     with pytest.raises(ValueError):
-        sample_region(Region.interval(0, 1), 1)
+        Region.interval(0, 1).sample(1)
 
 
 def test_shrink_box():
@@ -76,23 +74,23 @@ def test_shrink_box():
 
 def test_eval_shifted_zero_shift_is_identity():
     sq = get_function("square")
-    assert float(eval_shifted(sq, [0.0], [3.0])) == 9.0
+    assert float(sq.shifted([0.0])([3.0])) == 9.0
 
 
 def test_eval_shifted_direct_arithmetic():
     sq = get_function("square")
-    assert float(eval_shifted(sq, [2.0], [1.0])) == -1.0
+    assert float(sq.shifted([2.0])([1.0])) == -1.0
 
 
 def test_eval_shifted_preserves_infinity():
     ind = get_function("ind_origin")
-    assert float(eval_shifted(ind, [5.0], [1.0])) == math.inf
+    assert float(ind.shifted([5.0])([1.0])) == math.inf
 
 
 def test_eval_shifted_dimension_mismatch():
     sq = get_function("square")
     with pytest.raises(DimensionMismatchError):
-        eval_shifted(sq, [1.0, 2.0], [1.0])
+        sq.shifted([1.0, 2.0])([1.0])
 
 
 def test_shifted_oracle_matches_pointwise():

@@ -22,12 +22,12 @@ BOX = Region.interval(-2.0, 2.0)
 
 def test_iar_square_at_minimizer():
     rep = iar_check(get_function("square"), 0.0, BOX)
-    assert rep.solution and float(rep.residual) <= 0.0 + 1e-12
+    assert rep.ok and float(rep.residual) <= 0.0 + 1e-12
 
 
 def test_iar_neg_abs_fails_with_documented_witness():
     rep = iar_check(get_function("neg_abs"), 0.0, BOX)
-    assert not rep.solution
+    assert not rep.ok
     assert float(rep.residual) == pytest.approx(2.0)  # f(0) - f(2) = 0 - (-2)
     y, t = rep.witness
     assert abs(y[0]) == pytest.approx(2.0) and t == 1.0
@@ -35,7 +35,7 @@ def test_iar_neg_abs_fails_with_documented_witness():
 
 def test_iar_twowell_sees_the_second_well():
     rep = iar_check(get_function("twowell"), 0.0, Region.interval(-1.0, 3.0))
-    assert not rep.solution
+    assert not rep.ok
     # moving from the shallow well toward 0 climbs the barrier: the residual
     # approaches f(1.5) - f(2) = 0.5 up to t-grid quantization
     assert float(rep.residual) >= 0.45
@@ -53,36 +53,36 @@ def test_empty_finite_grid_is_vacuously_solved():
     # an even-resolution grid on [-2, 2] misses the only domain point of the
     # one-point indicator; the quantifier is then vacuous
     rep = iar_check(get_function("ind_origin"), 0.0, BOX, resolution=64)
-    assert rep.solution and rep.probe_meta["finite_grid_points"] == 0
+    assert rep.ok and rep.details["finite_grid_points"] == 0
     rep2 = minty_subderivative(get_function("ind_origin"), 0.0, BOX, resolution=64)
-    assert rep2.solution and rep2.probe_meta["finite_grid_points"] == 0
+    assert rep2.ok and rep2.details["finite_grid_points"] == 0
 
 
 def test_iar_monotone_in_region_growth():
     f = get_function("twowell")
     small = iar_check(f, 0.0, Region.interval(-0.5, 0.5))
     large = iar_check(f, 0.0, Region.interval(-1.0, 3.0))
-    assert small.solution and not large.solution
+    assert small.ok and not large.ok
 
 
 # -- subderivative route ------------------------------------------------------------
 
 def test_minty_subderivative_square():
     rep = minty_subderivative(get_function("square"), 0.0, BOX)
-    assert rep.solution
+    assert rep.ok
     assert abs(float(rep.residual)) <= 1e-4
 
 
 def test_minty_subderivative_neg_abs_witness():
     rep = minty_subderivative(get_function("neg_abs"), 0.0, BOX)
-    assert not rep.solution
+    assert not rep.ok
     # at y = 1 the subderivative toward 0 is +1
     assert float(rep.residual) >= 1.0 - 1e-9
 
 
 def test_minty_subderivative_abs():
     rep = minty_subderivative(get_function("abs"), 0.0, BOX)
-    assert rep.solution
+    assert rep.ok
 
 
 def test_degenerate_direction_contributes_zero():
@@ -103,7 +103,7 @@ def _exact_graph(fid, resolution=65):
 def test_minty_subdifferential_square():
     f = get_function("square")
     rep = minty_subdifferential(f, 0.0, BOX, _exact_graph("square"))
-    assert rep.solution
+    assert rep.ok
     assert float(rep.residual) == 0.0  # pairs (y, 2y) give -2y^2, and (0,0) gives 0
 
 
@@ -111,7 +111,7 @@ def test_minty_subdifferential_neg_abs():
     f = get_function("neg_abs")
     graph = sample_subdiff_graph(f, BOX, 65, source="clarke-numeric")
     rep = minty_subdifferential(f, 0.0, BOX, graph)
-    assert not rep.solution
+    assert not rep.ok
     # the pair (1, -1) pairs to <-1, 0-1> = 1
     assert float(rep.residual) >= 1.0 - 1e-9
 
@@ -119,7 +119,7 @@ def test_minty_subdifferential_neg_abs():
 def test_minty_subdifferential_abs():
     f = get_function("abs")
     rep = minty_subdifferential(f, 0.0, BOX, _exact_graph("abs"))
-    assert rep.solution and float(rep.residual) == 0.0
+    assert rep.ok and float(rep.residual) == 0.0
 
 
 def test_minty_subdifferential_needs_usable_sample():

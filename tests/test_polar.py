@@ -28,13 +28,13 @@ def _graph(pairs):
 
 def test_single_pair_related():
     v = polar_contains(_graph([(0.0, 0.0)]), [1.0], [1.0])
-    assert v.related and v.min_product == pytest.approx(1.0)
+    assert v.ok and v.residual == pytest.approx(1.0)
 
 
 def test_single_pair_unrelated_with_witness():
     v = polar_contains(_graph([(0.0, 0.0)]), [1.0], [-1.0])
-    assert not v.related
-    assert v.min_product == pytest.approx(-1.0)
+    assert not v.ok
+    assert v.residual == pytest.approx(-1.0)
     assert v.witness[0][0] == 0.0 and v.witness[1][0] == 0.0
 
 
@@ -42,35 +42,35 @@ def test_sign_graph_brute_force():
     T = _graph([(-1.0, -1.0), (1.0, 1.0)])
     v = polar_contains(T, [0.0], [0.5])
     # brute force over the two pairs: (-1-0.5)(-1-0)=1.5 and (1-0.5)(1-0)=0.5
-    assert v.related and v.min_product == pytest.approx(0.5)
+    assert v.ok and v.residual == pytest.approx(0.5)
 
 
 def test_empty_graph_relates_everything():
     empty = GraphSample.empty(1)
     v = polar_contains(empty, [3.0], [-7.0])
-    assert v.related and v.min_product == math.inf and v.witness is None
+    assert v.ok and v.residual == math.inf and v.witness is None
 
 
 # -- is_monotone --------------------------------------------------------------------
 
 def test_gradient_graph_of_square_is_monotone():
     g = sample_subdiff_graph(get_function("square"), Region.interval(-2, 2), 65, source="exact")
-    assert is_monotone(g, tol=1e-9).related
+    assert is_monotone(g, tol=1e-9).ok
 
 
 def test_two_point_swap_is_not_monotone():
     v = is_monotone(_graph([(0.0, 1.0), (1.0, 0.0)]))
-    assert not v.related
-    assert v.min_product == pytest.approx(-1.0)
+    assert not v.ok
+    assert v.residual == pytest.approx(-1.0)
 
 
 def test_clarke_graph_of_neg_abs_is_not_monotone():
     f = get_function("neg_abs")
     g = sample_subdiff_graph(f, Region.interval(-1, 1), 3, source="clarke-numeric")
     v = is_monotone(g)
-    assert not v.related
+    assert not v.ok
     # brute force: the worst unordered pair is (-1, 1) against (1, -1)
-    assert v.min_product == pytest.approx(-4.0)
+    assert v.residual == pytest.approx(-4.0)
     assert v.witness is not None
 
 
@@ -80,7 +80,7 @@ def test_every_convex_exact_graph_is_monotone():
             continue
         res = 65 if f.dim == 1 else 17
         g = sample_subdiff_graph(f, f.default_region, res, source="exact")
-        assert is_monotone(g, tol=1e-9).related, f.name
+        assert is_monotone(g, tol=1e-9).ok, f.name
 
 
 # -- polar_of_sample -----------------------------------------------------------------

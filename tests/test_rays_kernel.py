@@ -60,13 +60,13 @@ def _reference_thm3(fid, params):
         for c in cs:
             pv = polar_contains(graph, x, c, tol=params.tol)
             residual, _ = _reference_rays(f.shifted(c), x, region, probe_res, 33)
-            if pv.related == (residual <= params.tol):
+            if pv.ok == (residual <= params.tol):
                 counts["agree"] += 1
                 continue
-            cls = "indeterminate" if abs(pv.min_product) <= params.polar_band else "hard"
+            cls = "indeterminate" if abs(pv.residual) <= params.polar_band else "hard"
             counts[cls] += 1
             disagreements.append({"x": x.tolist(), "xstar": c.tolist(),
-                                  "min_product": pv.min_product,
+                                  "min_product": pv.residual,
                                   "iar_residual": residual, "class": cls})
     return {
         "function": fid, "region": region.describe(), "candidates": len(xs) * len(cs),

@@ -11,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from varpolar import (
     DomainError,
-    EnlargementParams,
     FunctionOracle,
     GraphSample,
     Region,
-    cdd_inequality_check,
     clarke_subdiff_contains,
     convex_subdiff_contains,
     epsilon_enlargement,
@@ -32,14 +30,14 @@ from varpolar.subdifferential import EPS_LADDER, cdd_profile, sphere_directions
 
 def test_abs_contains_interior_subgradient():
     v = convex_subdiff_contains(get_function("abs"), 0.0, 0.5)
-    assert v.contains and v.residual <= 1e-6
+    assert v.ok and v.residual <= 1e-6
 
 
 def test_abs_rejects_steep_covector():
     # brute maximization of 2y - |y| over the probe grid peaks at the box edge
     f = get_function("abs")
     v = convex_subdiff_contains(f, 0.0, 2.0)
-    assert not v.contains
+    assert not v.ok
     grid = Region.full(1).sample(65)[:, 0]
     brute = max(2.0 * y - abs(y) for y in grid)
     assert v.residual == pytest.approx(brute)
@@ -47,7 +45,7 @@ def test_abs_rejects_steep_covector():
 
 
 def test_square_gradient_is_member():
-    assert convex_subdiff_contains(get_function("square"), 1.0, 2.0).contains
+    assert convex_subdiff_contains(get_function("square"), 1.0, 2.0).ok
 
 
 def test_convex_membership_needs_finite_value():
@@ -59,21 +57,21 @@ def test_convex_membership_needs_finite_value():
 
 def test_neg_abs_generalized_interval_at_kink():
     f = get_function("neg_abs")
-    assert clarke_subdiff_contains(f, 0.0, 1.0).contains
+    assert clarke_subdiff_contains(f, 0.0, 1.0).ok
     v = clarke_subdiff_contains(f, 0.0, 2.0)
-    assert not v.contains
+    assert not v.ok
     assert v.witness is not None and v.witness[0] == 1.0  # violated along d = +1
     assert v.residual == pytest.approx(1.0, abs=1e-3)  # <2,1> - 1
 
 
 def test_square_generalized_membership_smooth():
-    assert clarke_subdiff_contains(get_function("square"), 0.0, 0.0).contains
+    assert clarke_subdiff_contains(get_function("square"), 0.0, 0.0).ok
 
 
 def test_generalized_membership_2d():
     f = get_function("norm2d")
-    assert clarke_subdiff_contains(f, [0.0, 0.0], [0.6, 0.6]).contains
-    assert not clarke_subdiff_contains(f, [0.0, 0.0], [1.2, 0.0]).contains
+    assert clarke_subdiff_contains(f, [0.0, 0.0], [0.6, 0.6]).ok
+    assert not clarke_subdiff_contains(f, [0.0, 0.0], [1.2, 0.0]).ok
 
 
 # -- graph sampling ---------------------------------------------------------------
@@ -173,7 +171,7 @@ def _abs_exact_graph(resolution=9):
 def test_enlargement_keeps_documented_pairs():
     f = get_function("abs")
     g = _abs_exact_graph()
-    kept = epsilon_enlargement(g, f, 0.0, EnlargementParams(0.5))
+    kept = epsilon_enlargement(g, f, 0.0, 0.5)
     pairs = {(p[0], c[0]) for p, c in kept.pairs()}
     assert (0.25, 1.0) in pairs
     assert (1.0, 1.0) not in pairs
@@ -184,7 +182,7 @@ def test_enlargement_keeps_documented_pairs():
 def test_enlargement_is_subset():
     f = get_function("abs")
     g = _abs_exact_graph()
-    kept = epsilon_enlargement(g, f, 0.0, EnlargementParams(0.3))
+    kept = epsilon_enlargement(g, f, 0.0, 0.3)
     all_pairs = {(p[0], c[0]) for p, c in g.pairs()}
     assert {(p[0], c[0]) for p, c in kept.pairs()} <= all_pairs
 
@@ -192,10 +190,12 @@ def test_enlargement_is_subset():
 def test_enlargement_tiny_epsilon_pins_the_point():
     f = get_function("square")
     g = sample_subdiff_graph(f, Region.interval(-1, 1), 513, source="exact")
-    kept = epsilon_enlargement(g, f, 0.0, EnlargementParams(1e-9))
+    kept = epsilon_enlargement(g, f, 0.0, 1e-9)
     assert len(kept) >= 1
     assert all(abs(p[0]) <= 1e-9 for p, _ in kept.pairs())
     assert all(abs(c[0]) <= 2e-9 for _, c in kept.pairs())
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        epsilon_enlargement(g, f, 0.0, 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -207,8 +207,8 @@ def test_enlargement_monotone_in_epsilon(e1, e2):
     lo, hi = sorted((e1, e2))
     f = get_function("abs")
     g = _abs_exact_graph()
-    small = epsilon_enlargement(g, f, 0.0, EnlargementParams(lo))
-    large = epsilon_enlargement(g, f, 0.0, EnlargementParams(hi))
+    small = epsilon_enlargement(g, f, 0.0, lo)
+    large = epsilon_enlargement(g, f, 0.0, hi)
     small_pairs = {(p[0], c[0]) for p, c in small.pairs()}
     large_pairs = {(p[0], c[0]) for p, c in large.pairs()}
     assert small_pairs <= large_pairs
@@ -218,28 +218,28 @@ def test_pair_at_the_base_point_survives_every_epsilon():
     f = get_function("abs")
     g = _abs_exact_graph()
     for eps in (1.0, 1e-3, 1e-9):
-        kept = epsilon_enlargement(g, f, 0.0, EnlargementParams(eps))
+        kept = epsilon_enlargement(g, f, 0.0, eps)
         assert any(p[0] == 0.0 for p, _ in kept.pairs())
 
 
 # -- subderivative / enlargement inequality -------------------------------------
 
 def test_cdd_smooth_case():
-    v = cdd_inequality_check(get_function("square"), 0.0, 1.0)
+    v = cdd_profile(get_function("square"), 0.0, [1.0])[0]
     assert v.ok
     assert v.details["lhs"] == pytest.approx(0.0, abs=1e-4)
     assert v.details["rhs"] == pytest.approx(0.0, abs=1e-2)
 
 
 def test_cdd_kink_keeps_the_surviving_pair():
-    v = cdd_inequality_check(get_function("abs"), 0.0, 1.0)
+    v = cdd_profile(get_function("abs"), 0.0, [1.0])[0]
     assert v.ok
     assert v.details["lhs"] == pytest.approx(1.0, abs=1e-6)
     assert v.details["rhs"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cdd_unbounded_subdifferential_passes_under_truncation():
-    v = cdd_inequality_check(get_function("ind_origin"), 0.0, 1.0)
+    v = cdd_profile(get_function("ind_origin"), 0.0, [1.0])[0]
     assert v.ok
     assert "covector_truncated" in v.flags
     assert v.details["lhs"] == math.inf
@@ -253,7 +253,7 @@ def test_cdd_passes_across_library_spot_checks():
             if not math.isfinite(f.value([x])):
                 continue
             for d in (1.0, -1.0):
-                assert cdd_inequality_check(f, x, d).ok, (fid, x, d)
+                assert cdd_profile(f, x, [d])[0].ok, (fid, x, d)
 
 
 def _cdd_per_epsilon(f, xbar, dirs):
@@ -264,7 +264,7 @@ def _cdd_per_epsilon(f, xbar, dirs):
     for k, eps in enumerate(sorted(EPS_LADDER, reverse=True)):
         local = Region.box([(float(c - eps), float(c + eps)) for c in xbar])
         g = sample_subdiff_graph(f, local, 9, source=source)
-        kept = epsilon_enlargement(g, f, xbar, EnlargementParams(eps))
+        kept = epsilon_enlargement(g, f, xbar, eps)
         if len(kept) > 0:
             sups[k] = (kept.covectors @ dirs.T).max(axis=0)
     lhs = [lower_dini(f, xbar, d).as_float for d in dirs]
@@ -322,9 +322,9 @@ def test_convex_membership_implies_generalized_membership():
                 continue
             for c in covectors:
                 cv = convex_subdiff_contains(f, [x], [c], probe=f.default_region)
-                if cv.contains:
+                if cv.ok:
                     gv = clarke_subdiff_contains(f, [x], [c], tol=1e-6 + 1e-6)
-                    assert gv.contains, (f.name, x, c, gv.residual)
+                    assert gv.ok, (f.name, x, c, gv.residual)
 
 
 def test_tilt_rule_at_membership_level():
@@ -338,7 +338,7 @@ def test_tilt_rule_at_membership_level():
                 for c in (-1.5, 0.0, 0.5, 1.0, 2.0):
                     direct = convex_subdiff_contains(f, [x], [c], probe=f.default_region)
                     tilted = convex_subdiff_contains(g, [x], [c - s], probe=f.default_region)
-                    assert direct.contains == tilted.contains, (fid, s, x, c)
+                    assert direct.ok == tilted.ok, (fid, s, x, c)
                     assert direct.residual == pytest.approx(tilted.residual, abs=1e-9)
 
 
@@ -349,7 +349,7 @@ def test_tilt_rule_for_generalized_membership():
         for c in (-1.0, 0.0, 1.0, 2.0):
             direct = clarke_subdiff_contains(f, [0.0], [c])
             tilted = clarke_subdiff_contains(g, [0.0], [c - s])
-            assert direct.contains == tilted.contains, (s, c)
+            assert direct.ok == tilted.ok, (s, c)
 
 
 # -- separation smoke test -----------------------------------------------------------
@@ -404,7 +404,7 @@ def test_separation_principle_smoke():
                 lo, hi = phi_subdiff(xbar)
                 found = False
                 for s in np.linspace(lo, hi, 41):
-                    if clarke_subdiff_contains(f, [xbar], [-s]).contains:
+                    if clarke_subdiff_contains(f, [xbar], [-s]).ok:
                         found = True
                         break
                 assert found, (f.name, kind, a, b, xbar)

@@ -1,6 +1,8 @@
 """Suite orchestration: result-tree invariants and the exit-status contract
 of the suite verb."""
 
+import math
+
 import pytest
 
 import varpolar.cli as cli
@@ -25,7 +27,12 @@ def test_verdict_counts_sum_to_grid_cardinality():
         ({"t_resolution": 1}, "t_resolution must be >= 2"),
         ({"covector_resolution": 1}, "covector_resolution must be >= 2"),
         ({"probe_factor": 0}, "probe_factor must be >= 1"),
-        ({"cdd_tol": 0.0}, "tolerances must be positive"),
+        ({"cdd_tol": 0.0}, "cdd_tol must be finite and positive"),
+        # NaN and +inf tolerances make both sides of a comparison agree
+        ({"tol": math.nan}, "tol must be finite and positive"),
+        ({"band": math.inf}, "band must be finite and positive"),
+        ({"polar_band": math.nan}, "polar_band must be finite and positive"),
+        ({"covector_half_width": -1.0}, "covector_half_width must be finite and positive"),
     ],
 )
 def test_suite_params_reject_vacuous_knob_values(knobs, message):

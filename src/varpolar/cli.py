@@ -15,20 +15,17 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .core import GraphSample
 from .library import FUNCTION_IDS, get_function
 from .minty import _EquivalenceProbes
-from .polar import (
-    DEFAULT_RAY_RESOLUTION,
-    polar_contains,
-    polar_membership_via_iar,
-    polar_of_sample,
-)
+from .polar import polar_contains, polar_membership_via_iar, polar_of_sample
 from .subderivative import LiminfScheme, clarke_directional, lower_dini
 from .subdifferential import clarke_subdiff_contains, convex_subdiff_contains
 from .suites import (
@@ -36,6 +33,7 @@ from .suites import (
     SUITE_NAMES,
     SuiteParams,
     _candidate_grids,
+    _candidate_product,
     run_suites,
     suite_graph,
     thm3_graph,
@@ -125,7 +123,7 @@ def report_json(report: dict, include_timing: bool = True) -> str:
 
 
 def _suite_rows(report: dict) -> list[list]:
-    rows: list[list] = [["suite", "function", "metric", "value"]]
+    rows: list[list] = []
     for suite in sorted(report["suites"]):
         sec = report["suites"][suite]
         for fid in sorted(sec.get("functions", {})):
@@ -137,17 +135,37 @@ def _suite_rows(report: dict) -> list[list]:
     return rows
 
 
-def write_reports(report: dict, out_dir: str, fmt: str) -> list[Path]:
+def _write_csv(header: list, rows: Iterable[list], path: Path | None = None) -> None:
+    """Write a CSV table to ``path``, or to stdout without one."""
+    with path.open("w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _out_dir(out: str | None) -> Path | None:
+    """Create the output directory, if any, before any work: a path that
+    cannot be created is a usage error, not a failure after the run."""
+    if not out:
+        return None
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc}") from exc
+    return Path(out)
+
+
+def write_reports(report: dict, out_dir: str | Path, fmt: str) -> list[Path]:
+    """Write ``report.json``, and ``report.csv`` for the csv format, into
+    the existing directory ``out_dir``; returns the paths written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     jpath = out / "report.json"
     jpath.write_text(report_json(report) + "\n", encoding="utf-8")
     written.append(jpath)
     if fmt == "csv":
         cpath = out / "report.csv"
-        with cpath.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(_suite_rows(report))
+        _write_csv(["suite", "function", "metric", "value"], _suite_rows(report), cpath)
         written.append(cpath)
     return written
 
@@ -176,6 +194,7 @@ def render_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_suite(cfg: RunConfig) -> int:
+    out = _out_dir(cfg.out)
     t_start = time.time()
     want_rows = bool(cfg.out) and cfg.format == "csv"
     result = run_suites(cfg.functions, cfg.suites, cfg, collect_rows=want_rows)
@@ -187,15 +206,12 @@ def cmd_suite(cfg: RunConfig) -> int:
         "timing": {"seconds_total": round(time.time() - t_start, 3)},
     }
     print(render_text(report))
-    if cfg.out:
-        for path in write_reports(report, cfg.out, cfg.format):
+    if out:
+        for path in write_reports(report, out, cfg.format):
             print(f"wrote {path}")
         for fid, (header, rows) in result.get("equivalence_rows", {}).items():
-            rpath = Path(cfg.out) / f"equivalence_{fid}.csv"
-            with rpath.open("w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                w.writerows(rows)
+            rpath = out / f"equivalence_{fid}.csv"
+            _write_csv(header, rows, rpath)
             print(f"wrote {rpath}")
     return 0 if report["hard_total"] == 0 else 1
 
@@ -235,8 +251,9 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         # the routes of the prop1/thm2 row at x, on the suites' probe grids
         if not region.contains(x):
             raise ConfigError(f"x = {x.tolist()} lies outside the region of {function_id}")
+        graph = suite_graph(f, cfg, cfg.probe_resolution(f.dim))
         probes = _EquivalenceProbes(
-            f, region, cfg.grid_resolution(f.dim), cfg.probe_factor, cfg.t_resolution
+            f, region, cfg.grid_resolution(f.dim), cfg.probe_factor, cfg.t_resolution, graph
         )
         row, witnesses = probes.row(x, cfg.scheme, cfg.tol, cfg.band)
         for label, route in (
@@ -265,26 +282,22 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         print(f"  generalized membership: contains={clk.ok} residual={clk.residual:.6g} witness={None if clk.witness is None else clk.witness.tolist()}")
     pv = polar_contains(thm3_graph(f, cfg), x, xstar, tol=cfg.tol)
     print(f"  polar (graph route): related={pv.ok} min_product={pv.residual:.6g} witness={pv.witness}")
-    iv = polar_membership_via_iar(f, x, xstar, region, ray_resolution=DEFAULT_RAY_RESOLUTION,
-                                  probe_resolution=probe_res, tol=cfg.tol)
+    iv = polar_membership_via_iar(f, x, xstar, region, probe_resolution=probe_res, tol=cfg.tol)
     print(f"  polar (rays route): member={iv.ok} residual={iv.residual:.6g} witness={iv.witness}")
     return 0
 
 
 def cmd_graph(cfg: RunConfig, function_id: str, source: str) -> int:
     f = get_function(function_id)
+    if source == "exact" and f.exact_subdifferential is None:
+        raise ConfigError(f"function {function_id!r} has no exact subdifferential; "
+                          "use --source clarke-numeric or auto")
+    out = _out_dir(cfg.out)
     graph = suite_graph(f, cfg, cfg.grid_resolution(f.dim), source)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(graph.csv_header())
-    writer.writerows(graph.to_rows())
-    if cfg.out:
-        out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
+    _write_csv(graph.csv_header(), graph.to_rows())
+    if out:
         cpath = out / f"graph_{function_id}.csv"
-        with cpath.open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(graph.csv_header())
-            w.writerows(graph.to_rows())
+        _write_csv(graph.csv_header(), graph.to_rows(), cpath)
         (out / f"graph_{function_id}.meta.json").write_text(
             json.dumps(dict(graph.meta), sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
@@ -295,12 +308,9 @@ def cmd_graph(cfg: RunConfig, function_id: str, source: str) -> int:
 def cmd_polar(cfg: RunConfig, function_id: str) -> int:
     f = get_function(function_id)
     graph = suite_graph(f, cfg, cfg.grid_resolution(f.dim))
-    xs, cov = _candidate_grids(f, cfg)
-    candidates = GraphSample(np.repeat(xs, cov.shape[0], axis=0), np.tile(cov, (xs.shape[0], 1)))
+    candidates = GraphSample(*_candidate_product(*_candidate_grids(f, cfg)))
     related = polar_of_sample(graph, candidates, tol=cfg.tol)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(related.csv_header())
-    writer.writerows(related.to_rows())
+    _write_csv(related.csv_header(), related.to_rows())
     return 0
 
 
@@ -365,19 +375,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         if args.verb == "suite":
             return cmd_suite(cfg)
+        if len(cfg.functions) != 1:
+            raise ConfigError(f"{args.verb} needs exactly one --function")
         if args.verb == "explain":
-            if len(cfg.functions) != 1:
-                raise ConfigError("explain needs exactly one --function")
             return cmd_explain(cfg, cfg.functions[0], args.x, args.xstar)
         if args.verb == "graph":
-            if len(cfg.functions) != 1:
-                raise ConfigError("graph needs exactly one --function")
             return cmd_graph(cfg, cfg.functions[0], args.source)
-        if args.verb == "polar":
-            if len(cfg.functions) != 1:
-                raise ConfigError("polar needs exactly one --function")
-            return cmd_polar(cfg, cfg.functions[0])
-        raise ConfigError(f"unknown verb {args.verb!r}")
+        return cmd_polar(cfg, cfg.functions[0])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

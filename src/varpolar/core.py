@@ -373,6 +373,10 @@ class PolytopeSet:
         return np.vstack([self.vertices, self.vertices.mean(axis=0, keepdims=True)]), False
 
 
+#: Boundary points of the fan that represents a ball in 2-D and 3-D.
+_BALL_FAN = 16
+
+
 @dataclass(frozen=True)
 class BallSet:
     """A Euclidean covector ball (e.g. the subdifferential of the norm at 0)."""
@@ -389,19 +393,17 @@ class BallSet:
         x = np.asarray(xstar, dtype=float).reshape(-1)
         return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
 
-    def representatives(
-        self, half_width: float = DEFAULT_BOX_HALF_WIDTH, boundary_points: int = 16
-    ) -> tuple[Array, bool]:
+    def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
         """The center plus a deterministic fan of boundary points."""
         dim = self.center.shape[0]
         if dim == 1:
             pts = np.array([[-self.radius], [0.0], [self.radius]]) + self.center
             return pts, False
         if dim == 2:
-            ang = 2.0 * np.pi * np.arange(boundary_points) / boundary_points
+            ang = 2.0 * np.pi * np.arange(_BALL_FAN) / _BALL_FAN
             ring = self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         else:
-            ring = self.radius * _fibonacci_sphere(boundary_points)
+            ring = self.radius * _fibonacci_sphere(_BALL_FAN)
         return np.vstack([self.center[None, :], self.center[None, :] + ring]), False
 
 

@@ -272,24 +272,23 @@ class EquivalenceReport:
     def disagreements(self, theorem: str) -> list[EquivalenceRow]:
         return [r for r in self.rows if r.classes.get(theorem) in ("indeterminate", "hard")]
 
-    def to_dict(self) -> dict:
-        d = {
+    def section(self, theorem: str) -> dict:
+        """The report section of one comparison (``"subderivative_vs_iar"``
+        or ``"subdifferential_vs_iar"``): its counts over the xbar it
+        classifies, the disagreement rows, and the grid and band."""
+        counts = self.counts(theorem)
+        graded = sum(counts.values())
+        return {
+            **counts,
+            "disagreements": [r.to_dict() for r in self.disagreements(theorem)],
             "function": self.function,
             "region": self.region,
             "resolution": self.resolution,
             "band": self.band,
-            "probe_meta": self.probe_meta,
-            "grid_points": len(self.rows),
+            "grid_points": graded,
+            "indeterminate_fraction": counts["indeterminate"] / graded if graded else 0.0,
+            "hard_count": counts["hard"],
         }
-        for theorem in ("subderivative_vs_iar", "subdifferential_vs_iar"):
-            counts = self.counts(theorem)
-            d[theorem] = {
-                **counts,
-                "disagreements": [
-                    r.to_dict() for r in self.disagreements(theorem)
-                ],
-            }
-        return d
 
     def rows_table(self) -> tuple[list[str], list[list]]:
         """Per-xbar rows as a CSV-ready (header, rows) pair, one row per grid
@@ -322,7 +321,8 @@ class _EquivalenceProbes:
     """The probe constructions of :func:`cross_validate` for one region and
     query-grid resolution: the rays grids at the probe resolution over the
     region (``rays_c``) and over its open interior (``rays_u``), the graph
-    sampled at the probe resolution and its pairs inside the interior.
+    (sampled at the probe resolution unless one is given) and its pairs
+    inside the interior.
 
     The interior is the region shrunk by one query-grid cell. :meth:`row`
     evaluates the three routes at one xbar; ``explain`` calls it as well, so
@@ -336,12 +336,14 @@ class _EquivalenceProbes:
         resolution: int,
         probe_factor: int,
         t_resolution: int,
-        graph_source: str = "auto",
+        graph: GraphSample | None,
     ) -> None:
         self.f = f
         self.probe_resolution = probe_factor * (resolution - 1) + 1
         self.interior_region = region.shrink(region.spacing(resolution))
-        self.graph = sample_subdiff_graph(f, region, self.probe_resolution, source=graph_source)
+        if graph is None:
+            graph = sample_subdiff_graph(f, region, self.probe_resolution, source="auto")
+        self.graph = graph
         self.rays_c = _RayGrid(*_finite_grid(f, region, self.probe_resolution), t_resolution)
         self.rays_u = _RayGrid(
             *_finite_grid(f, self.interior_region, self.probe_resolution), t_resolution
@@ -393,7 +395,7 @@ def cross_validate(
     t_resolution: int = 64,
     band: float = DEFAULT_BAND,
     scheme: LiminfScheme = DEFAULT_SCHEME,
-    graph_source: str = "auto",
+    graph: GraphSample | None = None,
     tol: float = DEFAULT_TOL,
 ) -> EquivalenceReport:
     """Evaluate the subderivative-Minty, subdifferential-Minty, and
@@ -407,12 +409,16 @@ def cross_validate(
     discretized by shrinking the box by one xbar-grid cell; comparisons
     against it are made at interior xbar only, with the rays route re-run on
     the shrunk region so both sides quantify over the same set.
+
+    ``graph`` is the sampled subdifferential graph over the region; without
+    one, the graph is sampled at the probe resolution from the exact
+    side-oracle when f has one, with the default covector box and scheme.
     """
     if region is None:
         region = f.default_region
     if region is None:
         raise ValueError(f"oracle {f.name!r} has no default region; pass one")
-    probes = _EquivalenceProbes(f, region, resolution, probe_factor, t_resolution, graph_source)
+    probes = _EquivalenceProbes(f, region, resolution, probe_factor, t_resolution, graph)
     xgrid = region.sample(resolution)
     finite_x = np.isfinite(f.values(xgrid))
     rows = [probes.row(xb, scheme, tol, band)[0] for xb, ok in zip(xgrid, finite_x) if ok]

@@ -164,7 +164,6 @@ def polar_membership_via_iar(
     x: Sequence[float] | float | Array,
     xstar: Sequence[float] | float | Array,
     probe: Region,
-    ray_resolution: int = DEFAULT_RAY_RESOLUTION,
     probe_resolution: int = 65,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
@@ -173,16 +172,17 @@ def polar_membership_via_iar(
     along every ray starting from x.
 
     Checked as (f - x*)(y + t(x - y)) <= (f - x*)(y) + tol for all probe-grid
-    y with finite value and all t in a uniform [0, 1] grid. Tilting is
-    linear, (f - x*)(p) = f(p) - <x*, p>, so the tilted values are f's values
-    minus the pairing with x*; this is the one-covector case of the rays
-    kernel that the thm3 suite runs over all candidate covectors at once.
+    y with finite value and all t in a uniform [0, 1] grid of
+    :data:`DEFAULT_RAY_RESOLUTION` points. Tilting is linear,
+    (f - x*)(p) = f(p) - <x*, p>, so the tilted values are f's values minus
+    the pairing with x*; this is the one-covector case of the rays kernel
+    that the thm3 suite runs over all candidate covectors at once.
     The witness is the violating (y, t).
     """
     p = as_point(x, f.dim)
     c = as_point(xstar, f.dim)
     [[(residual, witness)]] = _tilted_iar_residuals(
-        f, p[None, :], c[None, :], probe, probe_resolution, ray_resolution
+        f, p[None, :], c[None, :], probe, probe_resolution, DEFAULT_RAY_RESOLUTION
     )
     if witness is None:
         return Verdict(ok=True, residual=residual, witness=None)

@@ -30,7 +30,6 @@ from .core import (
     _fibonacci_sphere,
 )
 from .subderivative import (
-    DEFAULT_DELTAS,
     DEFAULT_SCHEME,
     LiminfScheme,
     clarke_directional_values,
@@ -41,9 +40,17 @@ from .subderivative import (
 #: infimum over epsilon > 0.
 EPS_LADDER: tuple[float, ...] = tuple(2.0 ** -k for k in range(11))
 
+#: Points per axis of the local box grid around each base point and epsilon
+#: in the cdd pass.
+_CDD_GRID = 9
+
 #: Stacked local grid points per block of base points in the cdd pass:
 #: 41 base points in 1-D and 4 in 2-D at the default ladder and grid.
 _CDD_BLOCK_POINTS = 4096
+
+#: Minimum number of sphere directions of the numeric Clarke route (in 1-D
+#: the directions are always +1 and -1).
+_DIR_RESOLUTION = 16
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +110,7 @@ def clarke_subdiff_contains(
     f: FunctionOracle,
     xbar: Sequence[float] | float | Array,
     xstar: Sequence[float] | float | Array,
-    dir_resolution: int = 16,
     scheme: LiminfScheme = DEFAULT_SCHEME,
-    delta_list: Sequence[float] = DEFAULT_DELTAS,
-    nbhd_resolution: int = 3,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Test <xstar, d> <= generalized derivative of f at xbar along d for all
@@ -120,8 +124,8 @@ def clarke_subdiff_contains(
     xs = as_point(xstar, f.dim)
     if not math.isfinite(f.value(xb)):
         raise DomainError("membership tests need f(xbar) finite")
-    dirs = sphere_directions(f.dim, dir_resolution)
-    support = _clarke_support(f, xb[None, :], dirs, scheme, delta_list, nbhd_resolution)[0]
+    dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
+    support = _clarke_support(f, xb[None, :], dirs, scheme)[0]
     # np.dot per direction: a matrix product rounds differently in 2-D and 3-D
     margins = np.array([np.dot(xs, d) for d in dirs]) - support
     j = int(np.argmax(margins))
@@ -130,23 +134,14 @@ def clarke_subdiff_contains(
     return Verdict(ok=best <= tol, residual=best, witness=witness)
 
 
-def _clarke_support(
-    f: FunctionOracle,
-    pts: Array,
-    dirs: Array,
-    scheme: LiminfScheme,
-    delta_list: Sequence[float],
-    nbhd_resolution: int,
-) -> Array:
+def _clarke_support(f: FunctionOracle, pts: Array, dirs: Array, scheme: LiminfScheme) -> Array:
     """(N, J) table of generalized derivatives f_up(pts[i]; dirs[j]), one
     estimator call per direction, in direction order. Entries may be +inf.
     The table is the support function, on the direction grid, of the
     numeric Clarke subdifferential at each point."""
     table = np.empty((pts.shape[0], dirs.shape[0]))
     for j, d in enumerate(dirs):
-        table[:, j] = clarke_directional_values(
-            f, pts, d, scheme, delta_list, nbhd_resolution
-        )[0]
+        table[:, j] = clarke_directional_values(f, pts, d, scheme)[0]
     return table
 
 
@@ -166,13 +161,9 @@ def _graph_rows(
     f: FunctionOracle,
     pts: Array,
     source: str,
-    covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
-    covector_resolution: int = 41,
-    dir_resolution: int = 16,
-    scheme: LiminfScheme = DEFAULT_SCHEME,
-    delta_list: Sequence[float] = DEFAULT_DELTAS,
-    nbhd_resolution: int = 3,
-    tol: float = DEFAULT_TOL,
+    covector_half_width: float,
+    covector_resolution: int,
+    scheme: LiminfScheme,
 ) -> tuple[Array, Array, Array]:
     """Raw graph rows at an (N, dim) array of points where f is finite.
 
@@ -186,21 +177,16 @@ def _graph_rows(
     if source == "exact":
         reps, mask, truncated = f.subdifferential_representatives(pts, covector_half_width)
     else:
-        dirs = sphere_directions(f.dim, dir_resolution)
-        support = _clarke_support(f, pts, dirs, scheme, delta_list, nbhd_resolution)
+        dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
+        support = _clarke_support(f, pts, dirs, scheme)
         axis = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
         cands = tensor_grid([axis] * f.dim)
-        if f.dim == 1:
-            # dirs is [[+1], [-1]]: the numeric Clarke interval [lo, hi]
-            lo, hi = -support[:, 1], support[:, 0]
-            truncated = ~np.isfinite(lo) | ~np.isfinite(hi)
-            mask = (axis[None, :] >= lo[:, None] - tol) & (axis[None, :] <= hi[:, None] + tol)
-        else:
-            pairings = cands @ dirs.T
-            mask = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
-            for j in range(dirs.shape[0]):
-                mask &= pairings[None, :, j] - support[:, j, None] <= tol
-            truncated = np.zeros(pts.shape[0], dtype=bool)
+        pairings = cands @ dirs.T
+        mask = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
+        for j in range(dirs.shape[0]):
+            mask &= pairings[None, :, j] <= support[:, j, None] + DEFAULT_TOL
+        # an infinite support value means the covector set is cut by the box
+        truncated = ~np.all(np.isfinite(support), axis=1)
         reps = np.broadcast_to(cands[None, :, :], mask.shape + (f.dim,))
     owner = np.repeat(np.arange(pts.shape[0]), mask.sum(axis=1))
     return owner, reps[mask], truncated
@@ -213,11 +199,7 @@ def sample_subdiff_graph(
     source: str = "exact",
     covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
     covector_resolution: int = 41,
-    dir_resolution: int = 16,
     scheme: LiminfScheme = DEFAULT_SCHEME,
-    delta_list: Sequence[float] = DEFAULT_DELTAS,
-    nbhd_resolution: int = 3,
-    tol: float = DEFAULT_TOL,
 ) -> GraphSample:
     """Sample representative (point, covector) pairs of the subdifferential
     graph over a region grid.
@@ -225,8 +207,9 @@ def sample_subdiff_graph(
     ``source="exact"`` uses the analytic side-oracle (its batched form when
     the oracle has one): interval endpoints and midpoint in 1-D, the vertex
     list (plus centroid) in n-D, a center-plus-fan for ball sets.
-    ``source="clarke-numeric"`` accepts candidates from a covector grid
-    filtered by the generalized-derivative membership test.
+    ``source="clarke-numeric"`` accepts the candidates x* of a covector grid
+    with <x*, d> <= f_up(x; d) + DEFAULT_TOL for every sphere direction d,
+    and flags a point as truncated where some f_up(x; d) is infinite.
     ``source="auto"`` picks the exact side-oracle when f has one and the
     numeric route otherwise. Points where f is not finite contribute nothing.
     The sample's ``meta`` records the construction (with the source used) and
@@ -239,16 +222,7 @@ def sample_subdiff_graph(
     finite = np.isfinite(f.values(grid))
     pts = grid[finite]
     owner, covectors, truncated = _graph_rows(
-        f,
-        pts,
-        source,
-        covector_half_width,
-        covector_resolution,
-        dir_resolution,
-        scheme,
-        delta_list,
-        nbhd_resolution,
-        tol,
+        f, pts, source, covector_half_width, covector_resolution, scheme
     )
     meta = {
         "function": f.name,
@@ -325,9 +299,6 @@ def _cdd_profiles(
     f: FunctionOracle,
     xbars: Array,
     dirs: Array,
-    eps_list: Sequence[float],
-    ring_resolution: int,
-    source: str,
     scheme: LiminfScheme,
     covector_half_width: float,
     covector_resolution: int,
@@ -344,13 +315,10 @@ def _cdd_profiles(
     each (base, epsilon) supremum. Every per-row operation is the one a
     single-base call makes, so each base gets the same floats as alone.
     """
-    eps_sorted = sorted(eps_list, reverse=True)
-    if not eps_sorted or eps_sorted[-1] <= 0:
-        raise ValueError("eps_list must be a decreasing list of positive reals")
-    source = _resolve_source(f, source)
-    eps = np.asarray(eps_sorted)
+    source = _resolve_source(f, "auto")
+    eps = np.asarray(EPS_LADDER)
     levels = eps.size
-    grid_points = ring_resolution ** f.dim
+    grid_points = _CDD_GRID ** f.dim
     block = max(1, _CDD_BLOCK_POINTS // (levels * grid_points))
     for start in range(0, xbars.shape[0], block):
         xb = xbars[start : start + block]
@@ -361,18 +329,13 @@ def _cdd_profiles(
             raise DomainError("the inequality check needs f(xbar) finite")
 
         # cell[i] = base * levels + level of stacked grid point i
-        pts = _local_grids(xb, eps, ring_resolution).reshape(-1, f.dim)
+        pts = _local_grids(xb, eps, _CDD_GRID).reshape(-1, f.dim)
         cell = np.repeat(np.arange(nb * levels), grid_points)
         fvals = f.values(pts)
         finite = np.isfinite(fvals)
         pts, fvals, cell = pts[finite], fvals[finite], cell[finite]
         owner, covectors, truncated = _graph_rows(
-            f,
-            pts,
-            source,
-            covector_half_width=covector_half_width,
-            covector_resolution=covector_resolution,
-            scheme=scheme,
+            f, pts, source, covector_half_width, covector_resolution, scheme
         )
 
         # Duplicate rows change neither a supremum nor emptiness, so the rows
@@ -396,7 +359,7 @@ def _cdd_profiles(
         ).reshape(nb, -1)
 
         for b in range(nb):
-            empty_eps = eps_sorted[int(np.argmax(empty[b]))] if empty[b].any() else None
+            empty_eps = EPS_LADDER[int(np.argmax(empty[b]))] if empty[b].any() else None
             yield _cdd_verdicts(
                 lhs_values[b], rhs_values[b], dirs, bool(base_truncated[b]), empty_eps, tol
             )
@@ -453,9 +416,6 @@ def cdd_profile(
     f: FunctionOracle,
     xbar: Sequence[float] | float | Array,
     directions: Array,
-    eps_list: Sequence[float] = EPS_LADDER,
-    ring_resolution: int = 9,
-    source: str = "auto",
     scheme: LiminfScheme = DEFAULT_SCHEME,
     covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
     covector_resolution: int = 41,
@@ -464,7 +424,8 @@ def cdd_profile(
     """Check the inequality f'(xbar; d) <= inf_eps sup <enlargement, d> for
     several directions at once, sharing the per-epsilon samples.
 
-    For each epsilon the graph is sampled on a local grid around xbar whose
+    For each epsilon of :data:`EPS_LADDER` the graph is sampled, from the
+    exact side-oracle when f has one, on a local grid around xbar whose
     spacing scales with epsilon, which keeps the enlargement nonempty whenever
     the subdifferential at xbar itself can be sampled. All grids of the ladder
     are sampled in one pass and filtered as :func:`epsilon_enlargement` would,
@@ -478,15 +439,6 @@ def cdd_profile(
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     return next(
         _cdd_profiles(
-            f,
-            xb[None, :],
-            dirs,
-            eps_list,
-            ring_resolution,
-            source,
-            scheme,
-            covector_half_width,
-            covector_resolution,
-            tol,
+            f, xb[None, :], dirs, scheme, covector_half_width, covector_resolution, tol
         )
     )

@@ -19,7 +19,7 @@ from .library import get_function
 from .minty import DEFAULT_BAND, _tilted_iar_residuals, cross_validate
 from .polar import DEFAULT_RAY_RESOLUTION, _min_products, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
-from .subdifferential import EPS_LADDER, _cdd_profiles, sample_subdiff_graph
+from .subdifferential import _cdd_profiles, sample_subdiff_graph
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ class SuiteParams:
 # ---------------------------------------------------------------------------
 
 def equivalence_report(function_id: str, params: SuiteParams):
+    """The prop1/thm2 comparison of one function, with the graph of
+    :func:`suite_graph` at the probe resolution."""
     f = get_function(function_id)
     return cross_validate(
         f,
@@ -84,6 +86,7 @@ def equivalence_report(function_id: str, params: SuiteParams):
         t_resolution=params.t_resolution,
         band=params.band,
         scheme=params.scheme,
+        graph=suite_graph(f, params, params.probe_resolution(f.dim)),
         tol=params.tol,
     )
 
@@ -91,32 +94,6 @@ def equivalence_report(function_id: str, params: SuiteParams):
 #: The comparison of :class:`~varpolar.minty.EquivalenceReport` behind each
 #: equivalence suite.
 EQUIVALENCE_THEOREMS = {"prop1": "subderivative_vs_iar", "thm2": "subdifferential_vs_iar"}
-
-
-def section_from_equivalence(equiv_by_fn: dict[str, dict], theorem: str) -> dict:
-    """The suite section of one equivalence comparison (a value of
-    :data:`EQUIVALENCE_THEOREMS`) from the equivalence reports of each
-    function, as dicts."""
-    funcs = {}
-    for fid, equiv in equiv_by_fn.items():
-        sec = dict(equiv[theorem])
-        counted = sec["agree"] + sec["indeterminate"] + sec["hard"]
-        sec.update(
-            {
-                "function": equiv["function"],
-                "region": equiv["region"],
-                "resolution": equiv["resolution"],
-                "band": equiv["band"],
-                "grid_points": counted,
-                "indeterminate_fraction": (sec["indeterminate"] / counted) if counted else 0.0,
-                "hard_count": sec["hard"],
-            }
-        )
-        funcs[fid] = sec
-    return {
-        "functions": funcs,
-        "hard_count": sum(s["hard"] for s in funcs.values()),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +104,12 @@ def _candidate_grids(f, params: SuiteParams) -> tuple[np.ndarray, np.ndarray]:
     n = params.candidate_resolution(f.dim)
     bound = 4.0 if f.dim == 1 else 2.0
     return f.default_region.sample(n), tensor_grid([np.linspace(-bound, bound, n)] * f.dim)
+
+
+def _candidate_product(xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (x, x*) pair of the points ``xs`` and the covectors ``cs``, as
+    aligned point and covector rows, x-major."""
+    return np.repeat(xs, cs.shape[0], axis=0), np.tile(cs, (xs.shape[0], 1))
 
 
 def suite_graph(f, params: SuiteParams, resolution: int, source: str = "auto") -> GraphSample:
@@ -161,9 +144,7 @@ def thm3_suite(function_id: str, params: SuiteParams) -> dict:
     if len(graph) == 0:
         min_products = np.full((xs.shape[0], cs.shape[0]), np.inf)
     else:
-        mins, _ = _min_products(
-            graph, np.repeat(xs, cs.shape[0], axis=0), np.tile(cs, (xs.shape[0], 1))
-        )
+        mins, _ = _min_products(graph, *_candidate_product(xs, cs))
         min_products = mins.reshape(xs.shape[0], cs.shape[0])
     rays = _tilted_iar_residuals(
         f, xs, cs, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION
@@ -227,16 +208,8 @@ def cdd_suite(function_id: str, params: SuiteParams) -> dict:
     truncated = False
     failures = []
     profiles = _cdd_profiles(
-        f,
-        xbars,
-        dirs,
-        EPS_LADDER,
-        ring_resolution=9,
-        source="auto",
-        scheme=params.scheme,
-        covector_half_width=params.covector_half_width,
-        covector_resolution=params.covector_resolution,
-        tol=params.cdd_tol,
+        f, xbars, dirs, params.scheme, params.covector_half_width,
+        params.covector_resolution, params.cdd_tol,
     )
     for xb, verdicts in zip(xbars, profiles):
         for v in verdicts:
@@ -283,10 +256,7 @@ def _absorbing_candidates(f, region: Region, resolution: int) -> tuple[GraphSamp
         coarse = max(3, (resolution + 1) // 2)
         xs = region.sample(coarse, interior=True)
         axis = np.arange(-4.0, 4.0 + 1e-9, 2 * h)
-    cov = tensor_grid([axis] * f.dim)
-    pts = np.repeat(xs, cov.shape[0], axis=0)
-    cvs = np.tile(cov, (xs.shape[0], 1))
-    return GraphSample(pts, cvs), h
+    return GraphSample(*_candidate_product(xs, tensor_grid([axis] * f.dim))), h
 
 
 def predicates_suite(function_id: str, params: SuiteParams) -> dict:
@@ -358,23 +328,25 @@ def run_suites(
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
     fids = sorted(function_ids)
 
-    out: dict[str, dict] = {}
+    per_suite: dict[str, dict[str, dict]] = {}
     rows_by_fn: dict[str, tuple] = {}
     if "prop1" in selected or "thm2" in selected:
         reports = {fid: equivalence_report(fid, params) for fid in fids}
-        equiv = {fid: rep.to_dict() for fid, rep in reports.items()}
         if collect_rows:
             rows_by_fn = {fid: rep.rows_table() for fid, rep in reports.items()}
         for name, theorem in EQUIVALENCE_THEOREMS.items():
             if name in selected:
-                out[name] = section_from_equivalence(equiv, theorem)
+                per_suite[name] = {fid: rep.section(theorem) for fid, rep in reports.items()}
     for name, suite in (("thm3", thm3_suite), ("cdd", cdd_suite), ("predicates", predicates_suite)):
         if name in selected:
-            per_fn = {fid: suite(fid, params) for fid in fids}
-            out[name] = {
-                "functions": per_fn,
-                "hard_count": sum(s["hard_count"] for s in per_fn.values()),
-            }
+            per_suite[name] = {fid: suite(fid, params) for fid in fids}
+    out = {
+        name: {
+            "functions": per_fn,
+            "hard_count": sum(s["hard_count"] for s in per_fn.values()),
+        }
+        for name, per_fn in per_suite.items()
+    }
 
     truncation = sorted(
         {

@@ -141,6 +141,33 @@ def test_graph_dump_contains_header_and_meta(tmp_path, capsys):
     assert meta["truncated"] is False
 
 
+@pytest.mark.parametrize("fid", ["neg_abs", "twowell"])
+def test_exact_graph_without_a_side_oracle_is_a_usage_error(capsys, fid):
+    assert main(["graph", "--function", fid, "--source", "exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "exact subdifferential" in captured.err
+
+
+@pytest.mark.parametrize(
+    "verb_args",
+    [["suite", "--suite", "cdd"], ["graph"]],
+    ids=["suite", "graph"],
+)
+def test_out_that_cannot_be_created_fails_before_any_work(tmp_path, capsys, verb_args):
+    # a regular file as the parent directory: the error comes before any
+    # suite or graph output
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    argv = verb_args + ["--function", "abs", "--out", str(blocker / "x")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_polar_dump(capsys):
     code = main(["polar", "--function", "square", "--resolution", "9"])
     assert code == 0

@@ -175,7 +175,8 @@ def test_cross_validate_rows_cover_dom_f_only():
 
 def test_cross_validate_report_dict_shape():
     rep = cross_validate(get_function("abs"), resolution=9)
-    d = rep.to_dict()
+    d = rep.section("subderivative_vs_iar")
     assert d["function"] == "abs"
     assert d["grid_points"] == len(rep.rows) == 9
-    assert set(d["subderivative_vs_iar"]) >= {"agree", "indeterminate", "hard", "disagreements"}
+    assert set(d) >= {"agree", "indeterminate", "hard", "disagreements", "hard_count"}
+    assert d["hard_count"] == d["hard"]

@@ -18,6 +18,7 @@ from varpolar import (
     sample_subdiff_graph,
 )
 from varpolar.library import get_function, test_library as library_oracles
+from varpolar.polar import DEFAULT_RAY_RESOLUTION
 
 
 def _graph(pairs):
@@ -190,14 +191,12 @@ def test_rays_route_matches_brute_force_scan():
     f = get_function("twowell")
     region = f.default_region
     ys = region.sample(65)[:, 0]
-    ts = np.linspace(0.0, 1.0, 33)
+    ts = np.linspace(0.0, 1.0, DEFAULT_RAY_RESOLUTION)
     for x, c in ((0.0, -1.0), (-0.5, -1.0), (1.0, 0.5)):
         g = lambda v: f.value([v]) - c * v
         brute = max(
             g(y + t * (x - y)) - g(y) for y in ys for t in ts if math.isfinite(g(y))
         )
-        v = polar_membership_via_iar(
-            f, [x], [c], region, ray_resolution=33, probe_resolution=65
-        )
+        v = polar_membership_via_iar(f, [x], [c], region, probe_resolution=65)
         assert v.residual == pytest.approx(brute, abs=1e-12)
         assert v.ok == (brute <= 1e-6)

@@ -110,6 +110,18 @@ def test_unbounded_subdifferential_sets_truncation_flag():
     )
     assert g.meta["truncated"] is True
     assert all(abs(c[0]) <= 10.0 for _, c in g.pairs())
+    # the numeric route flags the normal cone of a half-space in every
+    # dimension: f_up(0; d) = +inf for d pointing out of the domain
+    for dim in (1, 2):
+        half_space = FunctionOracle(
+            name=f"ind_half_space_{dim}d",
+            dim=dim,
+            fn=lambda x: 0.0 if x[0] >= 0 else math.inf,
+            batch=lambda p: np.where(p[:, 0] >= 0, 0.0, math.inf),
+        )
+        region = Region.box([(-1.0, 1.0)] * dim)
+        g = sample_subdiff_graph(half_space, region, 3, source="clarke-numeric")
+        assert g.meta["truncated"] is True, dim
 
 
 def test_numeric_graph_2d_matches_per_point_loop():
@@ -128,7 +140,7 @@ def test_numeric_graph_2d_matches_per_point_loop():
     p_rows, c_rows = [], []
     for x in region.sample(9):
         ups = np.array([clarke_directional_values(f, x[None, :], d)[0][0] for d in dirs])
-        keep = np.all(cands @ dirs.T - ups[None, :] <= DEFAULT_TOL, axis=1)
+        keep = np.all(cands @ dirs.T <= ups[None, :] + DEFAULT_TOL, axis=1)
         p_rows += [x] * int(keep.sum())
         c_rows += list(cands[keep])
     ref = GraphSample(np.vstack(p_rows), np.vstack(c_rows))

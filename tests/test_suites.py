@@ -1,11 +1,15 @@
 """Suite orchestration: result-tree invariants and the exit-status contract
 of the suite verb."""
 
+import dataclasses
+import inspect
 import math
 
 import pytest
 
 import varpolar.cli as cli
+from varpolar import subdifferential
+from varpolar.subderivative import LiminfScheme
 from varpolar.suites import SuiteParams, run_suites
 
 SMALL = SuiteParams(
@@ -55,6 +59,31 @@ def test_all_expands_to_every_suite():
 def test_truncation_flags_propagate():
     result = run_suites(["ind_origin"], ["cdd"], SMALL)
     assert result["truncation_flags"] == ["ind_origin"]
+
+
+def test_every_suite_graph_is_sampled_with_the_run_knobs(monkeypatch):
+    # neg_abs takes the numeric route and abs the exact one; every graph of
+    # every suite, prop1/thm2's included, must see the run's covector box
+    # and scheme
+    real = subdifferential._graph_rows
+    signature = inspect.signature(real)
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        knobs = ("covector_half_width", "covector_resolution", "scheme")
+        seen.append(tuple(bound.arguments[k] for k in knobs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(subdifferential, "_graph_rows", spy)
+    scheme = LiminfScheme(t0=0.05)
+    params = dataclasses.replace(
+        SMALL, covector_half_width=3.0, covector_resolution=7, scheme=scheme
+    )
+    run_suites(["neg_abs", "abs"], ["all"], params)
+    assert len(seen) >= 8  # two functions, four graph-sampling suites
+    assert set(seen) == {(3.0, 7, scheme)}
 
 
 def test_hard_disagreements_drive_exit_one(tmp_path, monkeypatch, capsys):

@@ -252,10 +252,9 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         if not region.contains(x):
             raise ConfigError(f"x = {x.tolist()} lies outside the region of {function_id}")
         graph = suite_graph(f, cfg, cfg.probe_resolution(f.dim))
-        probes = _EquivalenceProbes(
-            f, region, cfg.grid_resolution(f.dim), cfg.probe_factor, cfg.t_resolution, graph
-        )
-        row, witnesses = probes.row(x, cfg.scheme, cfg.tol, cfg.band)
+        probes = _EquivalenceProbes(f, region, cfg.grid_resolution(f.dim), cfg.probe_factor,
+                                    cfg.t_resolution, graph, cfg.scheme)
+        row, witnesses = probes.row(x, cfg.tol, cfg.band)
         for label, route in (
             ("minty (subderivative)", "subderivative"),
             ("minty (subdifferential)", "subdifferential"),
@@ -333,11 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="ID", help="restrict to this function id (repeatable)")
         p.add_argument("--resolution", type=int, default=None, help="1-D grid resolution")
         p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
-        p.add_argument("--out", default=None, help="output directory for reports")
-        p.add_argument("--format", choices=("json", "csv", "text"), default=None)
 
     p_suite = sub.add_parser("suite", help="run configured verification suites")
     add_common(p_suite)
+    p_suite.add_argument("--out", default=None, help="output directory for reports")
+    p_suite.add_argument("--format", choices=("json", "csv", "text"), default=None)
     p_suite.add_argument("--suite", action="append", dest="suites",
                          choices=SUITE_NAMES + ("all",), help="suite to run (repeatable)")
 
@@ -349,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="dump a sampled subdifferential graph as CSV")
     add_common(p_graph)
     p_graph.add_argument("--source", choices=("exact", "clarke-numeric", "auto"), default="auto")
+    p_graph.add_argument("--out", default=None, help="output directory for the graph files")
 
     p_polar = sub.add_parser("polar", help="dump monotonically related candidate pairs as CSV")
     add_common(p_polar)
@@ -360,8 +360,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "functions": args.functions,
         "resolution": args.resolution,
         "tol": args.tol,
-        "out": args.out,
-        "format": args.format,
+        "out": getattr(args, "out", None),
+        "format": getattr(args, "format", None),
     }
     if getattr(args, "suites", None):
         overrides["suites"] = args.suites

@@ -149,24 +149,22 @@ def as_point(x: Sequence[float] | float | Array, dim: int | None = None) -> Arra
 
 @dataclass(frozen=True)
 class Region:
-    """A sampleable convex subset of R^n: a box, a ball, or the full space
-    truncated to a box for sampling purposes.
+    """A sampleable convex subset of R^n: a box, or the full space truncated
+    to a box for sampling purposes.
 
     ``lower``/``upper`` always describe the sampling box. Membership is exact:
-    boxes test componentwise interval membership, balls test the Euclidean
-    norm, and the truncated full space contains every finite point (the box
-    only bounds the sample and is reported with every verdict built on it).
+    boxes test componentwise interval membership, and the truncated full
+    space contains every finite point (the box only bounds the sample and is
+    reported with every verdict built on it).
     """
 
-    kind: str  # "box" | "ball" | "full"
+    kind: str  # "box" | "full"
     dim: int
     lower: Array
     upper: Array
-    center: Array | None = None
-    radius: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("box", "ball", "full"):
+        if self.kind not in ("box", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
         lo = as_point(self.lower, self.dim)
         hi = as_point(self.upper, self.dim)
@@ -174,10 +172,6 @@ class Region:
             raise ValueError("region bounds are empty: lower > upper on some axis")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if self.kind == "ball":
-            if self.center is None or self.radius is None or self.radius <= 0:
-                raise ValueError("ball regions need a center and a positive radius")
-            object.__setattr__(self, "center", as_point(self.center, self.dim))
 
     # -- constructors ------------------------------------------------------
 
@@ -192,18 +186,6 @@ class Region:
         return cls.box([(lo, hi)])
 
     @classmethod
-    def ball(cls, center: Sequence[float] | float, radius: float) -> "Region":
-        c = as_point(center)
-        return cls(
-            kind="ball",
-            dim=c.shape[0],
-            lower=c - radius,
-            upper=c + radius,
-            center=c,
-            radius=float(radius),
-        )
-
-    @classmethod
     def full(cls, dim: int, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> "Region":
         w = float(half_width)
         return cls(kind="full", dim=dim, lower=-w * np.ones(dim), upper=w * np.ones(dim))
@@ -214,8 +196,6 @@ class Region:
         p = as_point(x, self.dim)
         if self.kind == "full":
             return True
-        if self.kind == "ball":
-            return bool(np.linalg.norm(p - self.center) <= self.radius)
         return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
 
     def contains_many(self, points: Array) -> Array:
@@ -223,8 +203,6 @@ class Region:
         pts = np.asarray(points, dtype=float)
         if self.kind == "full":
             return np.ones(pts.shape[0], dtype=bool)
-        if self.kind == "ball":
-            return np.linalg.norm(pts - self.center[None, :], axis=1) <= self.radius
         return np.all((pts >= self.lower[None, :]) & (pts <= self.upper[None, :]), axis=1)
 
     # -- sampling ----------------------------------------------------------
@@ -233,8 +211,7 @@ class Region:
         """Deterministic uniform grid of member points, shape (N, dim).
 
         The tensor grid over the sampling box has ``resolution`` points per
-        axis (so N <= resolution**dim); box grids include the axis extremes.
-        Ball regions keep only member points of the tensor grid. With
+        axis (so N = resolution**dim) and includes the axis extremes. With
         ``interior=True`` the first and last grid index of every axis are
         dropped, which discretizes the open interior of a box.
         """
@@ -247,10 +224,7 @@ class Region:
             if resolution < 3:
                 raise ValueError("interior sampling needs resolution >= 3")
             axes = [a[1:-1] for a in axes]
-        pts = tensor_grid(axes)
-        if self.kind == "ball":
-            pts = pts[self.contains_many(pts)]
-        return pts
+        return tensor_grid(axes)
 
     def spacing(self, resolution: int) -> float:
         """Largest per-axis grid spacing at the given resolution."""
@@ -264,21 +238,15 @@ class Region:
         lo, hi = self.lower + delta, self.upper - delta
         if np.any(lo > hi):
             raise ValueError("shrinking by delta empties the region")
-        if self.kind == "ball":
-            return Region.ball(self.center, self.radius - delta)
         return Region(kind=self.kind, dim=self.dim, lower=lo, upper=hi)
 
     def describe(self) -> dict:
-        d: dict[str, Any] = {
+        return {
             "kind": self.kind,
             "dim": self.dim,
             "lower": self.lower.tolist(),
             "upper": self.upper.tolist(),
         }
-        if self.kind == "ball":
-            d["center"] = self.center.tolist()
-            d["radius"] = self.radius
-        return d
 
 
 def tensor_grid(axes: Sequence[Array]) -> Array:
@@ -478,7 +446,6 @@ class FunctionOracle:
     fn: Callable[[Array], float]
     batch: Callable[[Array], Array] | None = None
     is_convex: bool = False
-    domain_description: str = "all of R^n"
     exact_subderivative: Callable[[Array, Array], float] | None = None
     exact_subdifferential: Callable[[Array], SubdiffSet | None] | None = None
     default_region: Region | None = None
@@ -509,8 +476,13 @@ class FunctionOracle:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(f"expected (N, {self.dim}) points, got {pts.shape}")
         if self.batch is not None:
-            return np.asarray(self.batch(pts), dtype=float)
-        return np.array([self.fn(p) for p in pts], dtype=float)
+            v = np.asarray(self.batch(pts), dtype=float)
+        else:
+            v = np.array([self.fn(p) for p in pts], dtype=float)
+        # one reduction catches both: a NaN minimum is not > -inf either
+        if v.size and not v.min() > -math.inf:
+            raise ValueError(f"oracle {self.name!r} produced a value outside (-inf, +inf]")
+        return v
 
     def eval(self, x: Sequence[float] | float | Array) -> ExtReal:
         return ExtReal(self.value(x))
@@ -539,9 +511,7 @@ class FunctionOracle:
     def shifted(self, xstar: Sequence[float] | float | Array) -> "FunctionOracle":
         """The tilted oracle x -> f(x) - <xstar, x>.
 
-        Tilting shifts subderivatives by -<xstar, d> and translates every
-        subdifferential set description by -xstar, so the side-oracles carry
-        over exactly.
+        Only the values are tilted: the tilted oracle carries no side-oracles.
         """
         s = as_point(xstar, self.dim)
         base_fn, base_batch = self.fn, self.batch
@@ -552,23 +522,13 @@ class FunctionOracle:
         else:
             batch = None
 
-        exact_sd = None
-        if self.exact_subderivative is not None:
-            base_sd = self.exact_subderivative
-            exact_sd = lambda x, d: base_sd(x, d) - float(np.dot(s, d))  # noqa: E731
-
-        exact_sdiff = None
-        if self.exact_subdifferential is not None:
-            base_sdiff = self.exact_subdifferential
-            exact_sdiff = lambda x: _shift_set(base_sdiff(x), s)  # noqa: E731
-
         return replace(
             self,
             name=f"{self.name}-tilted",
             fn=fn,
             batch=batch,
-            exact_subderivative=exact_sd,
-            exact_subdifferential=exact_sdiff,
+            exact_subderivative=None,
+            exact_subdifferential=None,
             exact_subdifferential_batch=None,
         )
 
@@ -593,16 +553,6 @@ def _representatives_by_point(
         mask[i, : r.shape[0]] = True
     truncated = np.array([t for _, t in per_point], dtype=bool)
     return reps, mask, truncated
-
-
-def _shift_set(desc: SubdiffSet | None, s: Array) -> SubdiffSet | None:
-    if desc is None:
-        return None
-    if isinstance(desc, IntervalSet):
-        return IntervalSet(desc.lo - float(s[0]), desc.hi - float(s[0]))
-    if isinstance(desc, PolytopeSet):
-        return PolytopeSet(desc.vertices - s[None, :])
-    return BallSet(desc.center - s, desc.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +599,13 @@ class GraphSample:
 
     @classmethod
     def from_pairs(
-        cls, pairs: Sequence[tuple[Sequence[float] | float, Sequence[float] | float]],
-        meta: Mapping[str, Any] | None = None,
+        cls, pairs: Sequence[tuple[Sequence[float] | float, Sequence[float] | float]]
     ) -> "GraphSample":
         if not pairs:
             raise ValueError("from_pairs needs at least one pair; use GraphSample.empty")
         pts = np.vstack([as_point(p) for p, _ in pairs])
         cov = np.vstack([as_point(c) for _, c in pairs])
-        return cls(pts, cov, meta or {})
+        return cls(pts, cov)
 
     @property
     def dim(self) -> int:
@@ -669,8 +618,8 @@ class GraphSample:
         for i in range(len(self)):
             yield self.points[i], self.covectors[i]
 
-    def filter(self, mask: Array, meta: Mapping[str, Any] | None = None) -> "GraphSample":
-        return GraphSample(self.points[mask], self.covectors[mask], meta or dict(self.meta))
+    def filter(self, mask: Array) -> "GraphSample":
+        return GraphSample(self.points[mask], self.covectors[mask], dict(self.meta))
 
     def restrict_points(self, region: Region) -> "GraphSample":
         return self.filter(region.contains_many(self.points))

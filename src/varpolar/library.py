@@ -256,7 +256,6 @@ def _build_library() -> dict[str, FunctionOracle]:
             fn=lambda x: 0.0 if x[0] >= 0 else math.inf,
             batch=lambda p: np.where(p[:, 0] >= 0, 0.0, math.inf),
             is_convex=True,
-            domain_description="the half-line [0, +inf)",
             exact_subderivative=_sd_ind_halfline,
             exact_subdifferential=_sdiff_ind_halfline,
             exact_subdifferential_batch=_interval_side_oracle(_bounds_ind_halfline),
@@ -269,7 +268,6 @@ def _build_library() -> dict[str, FunctionOracle]:
             fn=lambda x: 0.0 if x[0] == 0 else math.inf,
             batch=lambda p: np.where(p[:, 0] == 0, 0.0, math.inf),
             is_convex=True,
-            domain_description="the single point {0}",
             exact_subderivative=_sd_ind_origin,
             exact_subdifferential=lambda x: IntervalSet(-math.inf, math.inf) if x[0] == 0 else None,
             exact_subdifferential_batch=_interval_side_oracle(_bounds_ind_origin),

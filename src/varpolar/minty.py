@@ -37,6 +37,12 @@ from .subdifferential import sample_subdiff_graph
 #: indeterminate rather than failures.
 DEFAULT_BAND = 1e-3
 
+#: Points of the uniform [0, 1] t grid of the rays route.
+DEFAULT_T_RESOLUTION = 64
+
+#: How many times finer than the query grid the y-probe grids are.
+DEFAULT_PROBE_FACTOR = 2
+
 
 def _finite_grid(f: FunctionOracle, region: Region, resolution: int) -> tuple[Array, Array]:
     ys = region.sample(resolution)
@@ -121,7 +127,7 @@ def iar_check(
     xbar: Sequence[float] | float | Array,
     region: Region,
     resolution: int = 65,
-    t_resolution: int = 64,
+    t_resolution: int = DEFAULT_T_RESOLUTION,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Does f increase along rays starting from xbar, over the region grid?
@@ -321,8 +327,8 @@ class _EquivalenceProbes:
     """The probe constructions of :func:`cross_validate` for one region and
     query-grid resolution: the rays grids at the probe resolution over the
     region (``rays_c``) and over its open interior (``rays_u``), the graph
-    (sampled at the probe resolution unless one is given) and its pairs
-    inside the interior.
+    (sampled at the probe resolution with ``scheme`` unless one is given) and
+    its pairs inside the interior.
 
     The interior is the region shrunk by one query-grid cell. :meth:`row`
     evaluates the three routes at one xbar; ``explain`` calls it as well, so
@@ -337,12 +343,13 @@ class _EquivalenceProbes:
         probe_factor: int,
         t_resolution: int,
         graph: GraphSample | None,
+        scheme: LiminfScheme,
     ) -> None:
-        self.f = f
+        self.f, self.scheme = f, scheme
         self.probe_resolution = probe_factor * (resolution - 1) + 1
         self.interior_region = region.shrink(region.spacing(resolution))
         if graph is None:
-            graph = sample_subdiff_graph(f, region, self.probe_resolution, source="auto")
+            graph = sample_subdiff_graph(f, region, self.probe_resolution, "auto", scheme=scheme)
         self.graph = graph
         self.rays_c = _RayGrid(*_finite_grid(f, region, self.probe_resolution), t_resolution)
         self.rays_u = _RayGrid(
@@ -350,15 +357,13 @@ class _EquivalenceProbes:
         )
         self.graph_inside = self.graph.restrict_points(self.interior_region)
 
-    def row(
-        self, xb: Array, scheme: LiminfScheme, tol: float, band: float
-    ) -> tuple[EquivalenceRow, dict[str, Any]]:
+    def row(self, xb: Array, tol: float, band: float) -> tuple[EquivalenceRow, dict[str, Any]]:
         """The equivalence row at xbar and the witness of each route's
         residual. The subdifferential route and the interior rays route run
         only at interior xbar and when the interior holds graph pairs."""
         f = self.f
         interior = bool(self.interior_region.contains(xb))
-        r_sd, w_sd = _subderivative_residual(f, xb, self.rays_c.ys, scheme)
+        r_sd, w_sd = _subderivative_residual(f, xb, self.rays_c.ys, self.scheme)
         r_iar, w_iar = _iar_residual(f, xb, self.rays_c)
         v_sd, v_iar = r_sd <= tol, r_iar <= tol
         residuals = {"subderivative": r_sd, "iar": r_iar}
@@ -391,8 +396,8 @@ def cross_validate(
     f: FunctionOracle,
     region: Region | None = None,
     resolution: int = 65,
-    probe_factor: int = 2,
-    t_resolution: int = 64,
+    probe_factor: int = DEFAULT_PROBE_FACTOR,
+    t_resolution: int = DEFAULT_T_RESOLUTION,
     band: float = DEFAULT_BAND,
     scheme: LiminfScheme = DEFAULT_SCHEME,
     graph: GraphSample | None = None,
@@ -412,16 +417,16 @@ def cross_validate(
 
     ``graph`` is the sampled subdifferential graph over the region; without
     one, the graph is sampled at the probe resolution from the exact
-    side-oracle when f has one, with the default covector box and scheme.
+    side-oracle when f has one, with the default covector box and ``scheme``.
     """
     if region is None:
         region = f.default_region
     if region is None:
         raise ValueError(f"oracle {f.name!r} has no default region; pass one")
-    probes = _EquivalenceProbes(f, region, resolution, probe_factor, t_resolution, graph)
+    probes = _EquivalenceProbes(f, region, resolution, probe_factor, t_resolution, graph, scheme)
     xgrid = region.sample(resolution)
     finite_x = np.isfinite(f.values(xgrid))
-    rows = [probes.row(xb, scheme, tol, band)[0] for xb, ok in zip(xgrid, finite_x) if ok]
+    rows = [probes.row(xb, tol, band)[0] for xb, ok in zip(xgrid, finite_x) if ok]
     return EquivalenceReport(
         function=f.name,
         region=region.describe(),

@@ -48,6 +48,9 @@ _CLARKE_BLOCK = 256
 #: drown in float64 cancellation noise.
 MIN_STEP = 1e-12
 
+#: Points of the uniform scan of [x, xbar) in :func:`mean_value_witness`.
+_SEGMENT_RESOLUTION = 33
+
 
 @dataclass(frozen=True)
 class LiminfScheme:
@@ -70,8 +73,6 @@ class LiminfScheme:
             raise ValueError("tail_fraction must lie in (0, 1]")
         if self.t0 * self.ratio ** (self.steps - 1) < MIN_STEP:
             raise ValueError(f"smallest step falls below {MIN_STEP:g}; shorten the grid")
-        if self.tail_count < 1:
-            raise ValueError("tail window is empty")
 
     @property
     def tail_count(self) -> int:
@@ -103,7 +104,6 @@ class SubderivEstimate:
 
     value: ExtReal
     bracket: tuple[ExtReal, ExtReal]
-    scheme_used: LiminfScheme
 
     def __post_init__(self) -> None:
         low, high = self.bracket
@@ -184,9 +184,7 @@ def lower_dini(
     dd = as_point(d, f.dim)
     quot = _tail_quotients(f, xb[None, :], dd[None, :], scheme)[0]
     low, high = float(quot.min()), float(quot.max())
-    return SubderivEstimate(
-        value=ExtReal(low), bracket=(ExtReal(low), ExtReal(high)), scheme_used=scheme
-    )
+    return SubderivEstimate(value=ExtReal(low), bracket=(ExtReal(low), ExtReal(high)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +330,7 @@ def clarke_directional(
     )
     value = float(values[0])
     high = max(value, float(per_delta[0].max()))
-    return SubderivEstimate(
-        value=ExtReal(value),
-        bracket=(ExtReal(value), ExtReal(high)),
-        scheme_used=scheme,
-    )
+    return SubderivEstimate(value=ExtReal(value), bracket=(ExtReal(value), ExtReal(high)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +343,16 @@ def mean_value_witness(
     xbar: Sequence[float] | float | Array,
     lam: float,
     scheme: LiminfScheme = DEFAULT_SCHEME,
-    ray_resolution: int = 33,
     tol: float = DEFAULT_TOL,
 ) -> Array:
     """Find x0 on [x, xbar) whose subderivative along xbar - x is >= lam - tol.
 
-    Scans a uniform grid of the half-open segment, then refines once around
-    the best candidate; when the segment leaves dom f, the domain boundary is
-    bisected and probed as well (for indicator-like functions the witness sits
-    exactly there). Raises :class:`WitnessNotFoundError` with the best
-    candidate when the refinement budget is exhausted.
+    Scans a uniform grid of ``_SEGMENT_RESOLUTION`` points of the half-open
+    segment, then refines once around the best candidate; when the segment
+    leaves dom f, the domain boundary is bisected and probed as well (for
+    indicator-like functions the witness sits exactly there). Raises
+    :class:`WitnessNotFoundError` with the best candidate when the refinement
+    budget is exhausted.
     """
     p = as_point(x, f.dim)
     q = as_point(xbar, f.dim)
@@ -391,7 +385,7 @@ def mean_value_witness(
         best = (pts[idx], float(vals[idx]))
         return None, finite, vals
 
-    ss = np.linspace(0.0, 1.0, ray_resolution, endpoint=False)
+    ss = np.linspace(0.0, 1.0, _SEGMENT_RESOLUTION, endpoint=False)
     hit, finite_mask, vals = probe(ss)
     if hit is not None:
         return hit
@@ -399,8 +393,8 @@ def mean_value_witness(
     # One refinement pass around the most promising grid point.
     if vals is not None:
         best_s = float(ss[finite_mask][int(np.argmax(vals))])
-        h = 1.0 / ray_resolution
-        fine = np.linspace(max(0.0, best_s - h), min(1.0 - 1e-12, best_s + h), 4 * ray_resolution)
+        h = 1.0 / ss.size
+        fine = np.linspace(max(0.0, best_s - h), min(1.0 - 1e-12, best_s + h), 4 * ss.size)
         hit, _, _ = probe(fine)
         if hit is not None:
             return hit

@@ -48,6 +48,12 @@ _CDD_GRID = 9
 #: 41 base points in 1-D and 4 in 2-D at the default ladder and grid.
 _CDD_BLOCK_POINTS = 4096
 
+#: Points per axis of the covector grid of the numeric Clarke route.
+DEFAULT_COVECTOR_RESOLUTION = 41
+
+#: Tolerance of the subderivative / enlargement inequality.
+DEFAULT_CDD_TOL = 1e-3
+
 #: Minimum number of sphere directions of the numeric Clarke route (in 1-D
 #: the directions are always +1 and -1).
 _DIR_RESOLUTION = 16
@@ -198,7 +204,7 @@ def sample_subdiff_graph(
     resolution: int,
     source: str = "exact",
     covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
-    covector_resolution: int = 41,
+    covector_resolution: int = DEFAULT_COVECTOR_RESOLUTION,
     scheme: LiminfScheme = DEFAULT_SCHEME,
 ) -> GraphSample:
     """Sample representative (point, covector) pairs of the subdifferential
@@ -418,8 +424,8 @@ def cdd_profile(
     directions: Array,
     scheme: LiminfScheme = DEFAULT_SCHEME,
     covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
-    covector_resolution: int = 41,
-    tol: float = 1e-3,
+    covector_resolution: int = DEFAULT_COVECTOR_RESOLUTION,
+    tol: float = DEFAULT_CDD_TOL,
 ) -> list[Verdict]:
     """Check the inequality f'(xbar; d) <= inf_eps sup <enlargement, d> for
     several directions at once, sharing the per-epsilon samples.

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BOX_HALF_WIDTH, GraphSample, Region, tensor_grid
+from .core import DEFAULT_BOX_HALF_WIDTH, DEFAULT_TOL, GraphSample, Region, tensor_grid
 from .library import get_function
-from .minty import DEFAULT_BAND, _tilted_iar_residuals, cross_validate
-from .polar import DEFAULT_RAY_RESOLUTION, _min_products, is_absorbing, is_monotone
+from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, cross_validate
+from .minty import _tilted_iar_residuals
+from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, _min_products, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
-from .subdifferential import _cdd_profiles, sample_subdiff_graph
+from .subdifferential import DEFAULT_CDD_TOL, DEFAULT_COVECTOR_RESOLUTION, _cdd_profiles
+from .subdifferential import sample_subdiff_graph
 
 
 @dataclass(frozen=True)
@@ -29,14 +31,14 @@ class SuiteParams:
 
     resolution: int = 65
     resolution_2d: int = 17
-    probe_factor: int = 2
-    t_resolution: int = 64
+    probe_factor: int = DEFAULT_PROBE_FACTOR
+    t_resolution: int = DEFAULT_T_RESOLUTION
     band: float = DEFAULT_BAND
     polar_band: float = 1e-2
-    tol: float = 1e-6
-    cdd_tol: float = 1e-3
+    tol: float = DEFAULT_TOL
+    cdd_tol: float = DEFAULT_CDD_TOL
     covector_half_width: float = DEFAULT_BOX_HALF_WIDTH
-    covector_resolution: int = 41
+    covector_resolution: int = DEFAULT_COVECTOR_RESOLUTION
     thm3_candidates: int = 15
     thm3_candidates_2d: int = 5
     scheme: LiminfScheme = DEFAULT_SCHEME
@@ -268,7 +270,7 @@ def predicates_suite(function_id: str, params: SuiteParams) -> dict:
     resolution = params.grid_resolution(f.dim)
     graph = suite_graph(f, params, resolution)
     source = graph.meta["source"]
-    mono_tol = 1e-9 if source == "exact" else params.tol
+    mono_tol = EXACT_TOL if source == "exact" else params.tol
     mono = is_monotone(graph, tol=mono_tol)
     mono_expected = bool(f.is_convex)
     mono_ok = mono.ok == mono_expected

@@ -1,13 +1,14 @@
 """CLI behavior: exit-status contract, config handling, report artifacts, and
 report determinism."""
 
+import argparse
 import json
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from varpolar.cli import main, load_config, ConfigError, report_json
+from varpolar.cli import build_parser, main, load_config, ConfigError, report_json
 from varpolar.subderivative import LiminfScheme
 from varpolar.suites import SuiteParams, equivalence_report, thm3_suite
 
@@ -166,6 +167,37 @@ def test_out_that_cannot_be_created_fails_before_any_work(tmp_path, capsys, verb
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+COMMON_FLAGS = {"--config", "--function", "--resolution", "--tol"}
+
+
+@pytest.mark.parametrize(
+    "verb, own_flags",
+    [
+        ("suite", {"--out", "--format", "--suite"}),
+        ("explain", {"--x", "--xstar"}),
+        ("graph", {"--source", "--out"}),
+        ("polar", set()),
+    ],
+)
+def test_each_verb_registers_exactly_the_flags_it_reads(verb, own_flags):
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(verbs.choices) == {"suite", "explain", "graph", "polar"}
+    registered = {
+        opt for action in verbs.choices[verb]._actions for opt in action.option_strings
+    } - {"-h", "--help"}
+    assert registered == COMMON_FLAGS | own_flags
+
+
+def test_polar_rejects_out_and_creates_nothing(tmp_path, capsys):
+    target = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exc:
+        main(["polar", "--function", "abs", "--out", str(target)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_polar_dump(capsys):

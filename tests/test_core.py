@@ -1,5 +1,6 @@
-"""Regions, tilted evaluation, graph samples, and covector set descriptions."""
+"""Regions, oracle evaluation, graph samples, and covector set descriptions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from varpolar import (
     IntervalSet,
     PolytopeSet,
     Region,
+    iar_check,
 )
 from varpolar.library import get_function
 
@@ -29,17 +31,6 @@ def test_square_box_resolution_two_gives_corners():
     pts = r.sample(2)
     assert pts.shape == (4, 2)
     assert {tuple(p) for p in pts.tolist()} == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
-
-
-def test_ball_grid_keeps_members_only():
-    r = Region.ball(0.0, 1.0)
-    pts = r.sample(3)[:, 0]
-    assert np.allclose(pts, [-1.0, 0.0, 1.0])
-    r2 = Region.ball([0.0, 0.0], 1.0)
-    pts2 = r2.sample(3)
-    # corners of the bounding box fall outside the disk
-    assert pts2.shape[0] == 5
-    assert all(np.linalg.norm(p) <= 1.0 for p in pts2)
 
 
 def test_full_region_contains_everything_but_samples_its_box():
@@ -98,10 +89,29 @@ def test_shifted_oracle_matches_pointwise():
     g = f.shifted([0.5])
     for x in (-1.0, 0.0, 2.0):
         assert g.value([x]) == pytest.approx(abs(x) - 0.5 * x)
-    # side-oracles shift consistently
-    assert g.exact_subderivative(np.array([0.0]), np.array([1.0])) == pytest.approx(0.5)
-    desc = g.exact_subdifferential(np.array([0.0]))
-    assert (desc.lo, desc.hi) == (-1.5, 0.5)
+    # only the values are tilted
+    assert g.exact_subderivative is None and g.exact_subdifferential is None
+
+
+# -- values outside (-inf, +inf] ------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "minus-inf"])
+def test_values_rejects_nan_and_minus_infinity_on_both_routes(bad):
+    # a NaN that passed through would read as +inf downstream: iar_check
+    # would drop that probe point and pass over the 4 others
+    f = dataclasses.replace(
+        get_function("abs"), batch=lambda p: np.where(p[:, 0] == 0.5, bad, np.abs(p[:, 0]))
+    )
+    looped = dataclasses.replace(
+        f, batch=None, fn=lambda x: bad if x[0] == 0.5 else abs(float(x[0]))
+    )
+    pts = np.array([[0.0], [0.5]])
+    for oracle in (f, looped):
+        with pytest.raises(ValueError, match="outside"):
+            oracle.values(pts)
+        with pytest.raises(ValueError, match="outside"):
+            iar_check(oracle, [0.0], Region.interval(-1.0, 1.0), resolution=5)
+    assert f.values(np.zeros((0, 1))).shape == (0,)
 
 
 # -- graph samples ------------------------------------------------------------

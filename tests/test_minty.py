@@ -1,5 +1,7 @@
 """Variational-inequality residuals and the three-way cross-validation."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from varpolar import (
     minty_subdifferential,
     sample_subdiff_graph,
 )
+from varpolar import subdifferential
 from varpolar.library import get_function
+from varpolar.subderivative import LiminfScheme
 
 
 BOX = Region.interval(-2.0, 2.0)
@@ -171,6 +175,25 @@ def test_cross_validate_rows_cover_dom_f_only():
     rep = cross_validate(get_function("ind_halfline"), resolution=17)
     assert all(r.xbar[0] >= 0 for r in rep.rows)
     assert len(rep.rows) == 9  # the grid points of [0, 2]
+
+
+def test_cross_validate_samples_its_own_graph_with_its_scheme(monkeypatch):
+    # neg_abs has no exact side-oracle, so the fallback graph takes the
+    # numeric route, whose estimator reads the scheme
+    real = subdifferential._graph_rows
+    signature = inspect.signature(real)
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["scheme"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(subdifferential, "_graph_rows", spy)
+    scheme = LiminfScheme(t0=0.05)
+    cross_validate(get_function("neg_abs"), resolution=9, scheme=scheme)
+    assert seen == [scheme]
 
 
 def test_cross_validate_report_dict_shape():

@@ -62,7 +62,7 @@ class RunConfig(SuiteParams):
         for s in self.suites:
             if s != "all" and s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {SUITE_NAMES} or 'all'")
-        if self.format not in ("json", "csv", "text"):
+        if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
 
     def echo(self) -> dict:
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run configured verification suites")
     add_common(p_suite)
     p_suite.add_argument("--out", default=None, help="output directory for reports")
-    p_suite.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    p_suite.add_argument("--format", choices=("json", "csv"), default=None)
     p_suite.add_argument("--suite", action="append", dest="suites",
                          choices=SUITE_NAMES + ("all",), help="suite to run (repeatable)")
 

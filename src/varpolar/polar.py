@@ -7,6 +7,11 @@ such pairs. Because a finite sample imposes finitely many constraints, the
 sampled polar over-approximates the true one; the dual route below tests the
 same membership through the tilted function f - x* instead and is used for
 cross-validation.
+
+The candidate × graph and graph × graph reductions run in row blocks of
+about :data:`_PRODUCT_BLOCK` entries, with the same floats as one matrix: the
+pairings are explicit sums over the coordinates, so every entry is computed
+the same way whatever block holds it.
 """
 
 from __future__ import annotations
@@ -33,18 +38,48 @@ EXACT_TOL = 1e-9
 #: Points per ray of the dual (rays) route to polar membership.
 DEFAULT_RAY_RESOLUTION = 33
 
+#: Entries of one row block of the candidate × graph and graph × graph
+#: reductions below; bounds their peak memory (512 KB per float temporary).
+_PRODUCT_BLOCK = 2**16
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices of ``range(rows)`` whose rows × cols blocks hold about
+    :data:`_PRODUCT_BLOCK` entries (at least one row each)."""
+    step = max(1, _PRODUCT_BLOCK // max(cols, 1))
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _pairings(u: Array, v: Array) -> Array:
+    """The matrix of <u_i, v_j>, summed coordinate by coordinate in order.
+
+    BLAS gives the entries of ``u @ v.T`` different last bits depending on
+    where its kernel splits the matrix, so a row block would not reproduce the
+    whole matrix; these sums depend only on the two rows.
+    """
+    out = u[:, 0, None] * v[None, :, 0]
+    for k in range(1, u.shape[1]):
+        out += u[:, k, None] * v[None, :, k]
+    return out
+
 
 def _min_products(T: GraphSample, points: Array, covectors: Array) -> tuple[Array, Array]:
     """For each candidate row, min over T of <y* - x*, y - x> and argmin."""
     py, cy = T.points, T.covectors
     a = np.einsum("ij,ij->i", cy, py)  # <y*, y>
-    m = (
-        a[None, :]
-        - points @ cy.T
-        - covectors @ py.T
-        + np.einsum("ij,ij->i", covectors, points)[:, None]
-    )
-    return m.min(axis=1), m.argmin(axis=1)
+    b = np.einsum("ij,ij->i", covectors, points)  # <x*, x>
+    mins = np.empty(len(points))
+    args = np.empty(len(points), dtype=np.intp)
+    for rows in _row_blocks(len(points), len(T)):
+        m = (
+            a[None, :]
+            - _pairings(points[rows], cy)
+            - _pairings(covectors[rows], py)
+            + b[rows, None]
+        )
+        mins[rows] = m.min(axis=1)
+        args[rows] = m.argmin(axis=1)
+    return mins, args
 
 
 def polar_contains(
@@ -82,18 +117,29 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
     n = len(T)
     if n <= 1:
         return Verdict(ok=True, residual=math.inf, witness=None)
-    g = T.covectors @ T.points.T
-    diag = np.diag(g)
-    m = diag[:, None] + diag[None, :] - g - g.T
-    iu = np.triu_indices(n, k=1)
-    vals = m[iu]
-    k = int(np.argmin(vals))
-    i, j = int(iu[0][k]), int(iu[1][k])
-    mp = float(vals[k])
+    p, c = T.points, T.covectors
+    diag = np.einsum("ij,ij->i", c, p)  # <x*, x> of every element
+    mins = np.empty(n - 1)
+    args = np.empty(n - 1, dtype=np.intp)
+    for rows in _row_blocks(n - 1, n):
+        # rows i against columns j > rows.start; the pairs with j <= i are masked
+        cols = slice(rows.start + 1, n)
+        m = (
+            diag[rows, None]
+            + diag[None, cols]
+            - _pairings(c[rows], p[cols])
+            - _pairings(c[cols], p[rows]).T
+        )
+        m[np.tril_indices(m.shape[0], -1, m.shape[1])] = np.inf
+        mins[rows] = m.min(axis=1)
+        args[rows] = m.argmin(axis=1) + cols.start
+    i = int(np.argmin(mins))
+    j = int(args[i])
+    mp = float(mins[i])
     return Verdict(
         ok=mp >= -tol,
         residual=mp,
-        witness=((T.points[i], T.covectors[i]), (T.points[j], T.covectors[j])),
+        witness=((p[i], c[i]), (p[j], c[j])),
     )
 
 
@@ -139,9 +185,11 @@ def is_absorbing(
             witness=(related.points[0], related.covectors[0]),
             details={"reason": "empty sample absorbs nothing"},
         )
-    dp = np.linalg.norm(related.points[:, None, :] - T.points[None, :, :], axis=2)
-    dc = np.linalg.norm(related.covectors[:, None, :] - T.covectors[None, :, :], axis=2)
-    dist = np.maximum(dp, dc).min(axis=1)
+    dist = np.empty(len(related))
+    for rows in _row_blocks(len(related), len(T)):
+        dp = np.linalg.norm(related.points[rows, None, :] - T.points[None, :, :], axis=2)
+        dc = np.linalg.norm(related.covectors[rows, None, :] - T.covectors[None, :, :], axis=2)
+        dist[rows] = np.maximum(dp, dc).min(axis=1)
     attributed = dist <= match_radius + 1e-12
     if oracle is not None and oracle.exact_subdifferential is not None:
         for i in np.where(~attributed)[0]:

@@ -27,6 +27,26 @@ def test_unknown_suite_rejected():
     assert exc.value.code == 2
 
 
+def test_text_format_flag_is_rejected(capsys):
+    # the text summary goes to stdout under every format, so `text` would
+    # write the same files as `json`
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--function", "abs", "--format", "text"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "invalid choice: 'text'" in errors[0]
+
+
+def test_text_format_key_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(f"[run]\nformat = text\nout = {tmp_path / 'report'}\n", encoding="utf-8")
+    assert main(["suite", "--config", str(cfg_path), "--function", "abs"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown format 'text'\n"
+    assert not (tmp_path / "report").exists()
+
+
 def test_bad_config_file_is_usage_error(tmp_path, capsys):
     code = main(["suite", "--config", str(tmp_path / "missing.ini")])
     assert code == 2

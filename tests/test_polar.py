@@ -17,8 +17,11 @@ from varpolar import (
     polar_of_sample,
     sample_subdiff_graph,
 )
+from varpolar import polar
 from varpolar.library import get_function, test_library as library_oracles
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
+from varpolar.suites import SuiteParams, predicates_suite
+from test_clarke_kernel import _peak_mb
 
 
 def _graph(pairs):
@@ -163,6 +166,113 @@ def test_sign_map_graph_absorbs():
     cs = np.arange(-1.5, 1.5 + 1e-9, 2 * h)
     cands = GraphSample(np.repeat(xs, len(cs))[:, None], np.tile(cs, len(xs))[:, None])
     assert is_absorbing(T, cands, match_radius=2 * h, oracle=f).ok
+
+
+# -- row blocks of the polar kernels -------------------------------------------------
+
+def _noisy_gradient_graph(rng, n, dim):
+    # a monotone linear map plus noise: some candidates are related, some
+    # unattributed, and some pairs of the graph are not monotone
+    a = rng.normal(size=(dim, dim))
+    pts = rng.normal(size=(n, dim))
+    return GraphSample(pts, pts @ (a @ a.T + np.eye(dim)) + 0.3 * rng.normal(size=(n, dim)))
+
+
+def _tied_graph():
+    # small integers, so every product is exact; the pairs (0, 1), (0, 3)
+    # and (2, 3) of this graph all reach its minimum product -2
+    return _graph([(0.0, 2.0), (1.0, 0.0), (1.0, 3.0), (2.0, 1.0)])
+
+
+def _block_cases():
+    rng = np.random.default_rng(7)
+    cases = {}
+    for dim in (1, 2, 3):
+        T = _noisy_gradient_graph(rng, 23, dim)
+        cands = _noisy_gradient_graph(rng, 50, dim)
+        cases[f"random-{dim}d"] = (T, cands)
+    grid = np.arange(-2.0, 2.5, 1.0)
+    cases["ties"] = (_tied_graph(), GraphSample(np.repeat(grid, 5)[:, None], np.tile(grid, 5)[:, None]))
+    cases["no-candidates"] = (cases["random-2d"][0], GraphSample.empty(2))
+    cases["empty-graph"] = (GraphSample.empty(2), cases["random-2d"][1])
+    cases["one-pair"] = (_graph([(0.5, -0.25)]), cases["random-1d"][1])
+    return cases
+
+
+def _bits(v):
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+
+def _kernel_outputs(T, cands):
+    related = polar_of_sample(T, cands)
+    absorbing = is_absorbing(T, cands, match_radius=0.2)
+    monotone = is_monotone(T)
+    out = {
+        "polar": (_bits(related.points), _bits(related.covectors)),
+        "absorbing": (absorbing.ok, _bits(absorbing.residual), _bits(absorbing.witness),
+                      absorbing.details),
+        "monotone": (monotone.ok, _bits(monotone.residual), _bits(monotone.witness)),
+    }
+    if len(T):
+        mins, args = polar._min_products(T, cands.points, cands.covectors)
+        out["min_products"] = (_bits(mins), args.tolist())
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_block_cases()))
+def test_row_blocks_keep_every_bit(monkeypatch, case):
+    T, cands = _block_cases()[case]
+    monkeypatch.setattr(polar, "_PRODUCT_BLOCK", 10**9)
+    whole = _kernel_outputs(T, cands)
+    # one row per block, and three rows per block, which divides neither the
+    # 50 candidate rows nor the 22 pair rows of the random graphs
+    for budget in (1, 3 * len(T) + 1):
+        monkeypatch.setattr(polar, "_PRODUCT_BLOCK", budget)
+        assert _kernel_outputs(T, cands) == whole
+
+
+def _brute_min_products(T, cands):
+    return [
+        min(
+            (float(np.dot(y_star - x_star, y - x)), k)
+            for k, (y, y_star) in enumerate(T.pairs())
+        )
+        for x, x_star in cands.pairs()
+    ]
+
+
+def test_tied_products_report_the_first_occurrence(monkeypatch):
+    T, cands = _block_cases()["ties"]
+    monkeypatch.setattr(polar, "_PRODUCT_BLOCK", 1)
+    mins, args = polar._min_products(T, cands.points, cands.covectors)
+    assert list(zip(mins.tolist(), args.tolist())) == _brute_min_products(T, cands)
+    # the first of the tied pairs in row-major order over i < j
+    v = is_monotone(T)
+    assert v.residual == -2.0
+    assert np.asarray(v.witness).tolist() == [[[0.0], [2.0]], [[1.0], [0.0]]]
+
+
+def test_predicates_memory_stays_bounded_at_high_resolution():
+    params = SuiteParams(resolution=257)
+    assert _peak_mb(lambda: predicates_suite("twowell", params)) < 32.0
+
+
+def test_is_monotone_memory_stays_bounded():
+    T = _noisy_gradient_graph(np.random.default_rng(3), 2000, 2)
+    assert _peak_mb(lambda: is_monotone(T)) < 16.0
+
+
+def test_is_absorbing_memory_stays_bounded():
+    # every candidate lies on the identity graph, so all 20,000 are related
+    # and reach the distance tensors
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(300, 2))
+    T = GraphSample(pts, pts)
+    xs = rng.normal(size=(20000, 2))
+    cands = GraphSample(xs, xs)
+    v = is_absorbing(T, cands, match_radius=0.05)
+    assert v.details["related"] == 20000 and not v.ok
+    assert _peak_mb(lambda: is_absorbing(T, cands, match_radius=0.05)) < 16.0
 
 
 # -- rays route to polar membership ----------------------------------------------------

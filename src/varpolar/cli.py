@@ -18,7 +18,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -84,10 +84,11 @@ def _coerce(raw: str, default):
     return raw
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
+def load_config(path: str | None, overrides: dict, unread: Collection[str] = ()) -> RunConfig:
     """Build a RunConfig from an INI-style file plus flag overrides. The keys
     are the RunConfig fields with the scheme's fields in place of ``scheme``;
-    each value takes the type of its default."""
+    each value takes the type of its default. A file key in ``unread``, one
+    the calling verb would ignore, is a usage error."""
     defaults = RunConfig().echo()
     values = {}
     if path is not None:
@@ -99,6 +100,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             for key, raw in parser.items(section):
                 if key not in defaults:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
+                if key in unread:
+                    raise ConfigError(
+                        f"config key {key!r} in section [{section}] is not read by this verb"
+                    )
                 try:
                     values[key] = _coerce(raw, defaults[key])
                 except ValueError as exc:
@@ -356,6 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # a verb reads the output keys it has flags for, and rejects the others
+    unread = [key for key in ("out", "format") if not hasattr(args, key)]
     overrides = {
         "functions": args.functions,
         "resolution": args.resolution,
@@ -365,7 +372,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     }
     if getattr(args, "suites", None):
         overrides["suites"] = args.suites
-    return load_config(args.config, overrides)
+    return load_config(args.config, overrides, unread)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -180,7 +180,8 @@ def _sdiff_norm2d_batch(points: Array, half_width: float) -> tuple[Array, Array,
     kink = nx == 0.0
     unit = points / np.where(kink, 1.0, nx)[:, None]
     ball, _ = BallSet(np.zeros(2), 1.0).representatives(half_width)
-    reps = np.where(kink[:, None, None], ball[None], unit[:, None, :])
+    reps = np.repeat(unit[:, None, :], ball.shape[0], axis=1)
+    reps[kink] = ball
     mask = kink[:, None] | (np.arange(ball.shape[0]) == 0)[None, :]
     return reps, mask, np.zeros(points.shape[0], dtype=bool)
 

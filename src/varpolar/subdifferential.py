@@ -140,15 +140,33 @@ def clarke_subdiff_contains(
     return Verdict(ok=best <= tol, residual=best, witness=witness)
 
 
-def _clarke_support(f: FunctionOracle, pts: Array, dirs: Array, scheme: LiminfScheme) -> Array:
+def _clarke_support(
+    f: FunctionOracle, pts: Array, dirs: Array, scheme: LiminfScheme, groups: Array | None = None
+) -> Array:
     """(N, J) table of generalized derivatives f_up(pts[i]; dirs[j]), one
     estimator call per direction, in direction order. Entries may be +inf.
     The table is the support function, on the direction grid, of the
-    numeric Clarke subdifferential at each point."""
-    table = np.empty((pts.shape[0], dirs.shape[0]))
+    numeric Clarke subdifferential at each point.
+
+    The estimator runs once per distinct row of ``pts`` within each group of
+    the integer labels ``groups`` (one group when None), keyed by the row's
+    bytes (so +0.0 and -0.0 stay distinct), and the rows are scattered back.
+    Each row of :func:`clarke_directional_values` depends only on its own
+    base point, so the table is bitwise the one a per-row call gives. The
+    cdd pass groups its rows by base point: the epsilon grids of one base
+    share the base and their dyadic offsets at every resolution, while those
+    of neighbouring bases meet only where the grid spacing is a power of two,
+    which would make the estimator's work depend on the resolution."""
+    rows = np.ascontiguousarray(pts, dtype=float).view(np.uint64)
+    if groups is not None:
+        rows = np.column_stack([np.asarray(groups, dtype=np.uint64), rows])
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = np.asarray(pts, dtype=float)[first]
+    table = np.empty((distinct.shape[0], dirs.shape[0]))
     for j, d in enumerate(dirs):
-        table[:, j] = clarke_directional_values(f, pts, d, scheme)[0]
-    return table
+        table[:, j] = clarke_directional_values(f, distinct, d, scheme)[0]
+    return table[inverse.ravel()]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +188,7 @@ def _graph_rows(
     covector_half_width: float,
     covector_resolution: int,
     scheme: LiminfScheme,
+    groups: Array | None = None,
 ) -> tuple[Array, Array, Array]:
     """Raw graph rows at an (N, dim) array of points where f is finite.
 
@@ -177,14 +196,15 @@ def _graph_rows(
     covectors[r], and truncated[i] says whether the covector set at pts[i]
     was truncated to the covector box. Rows come point by point in the order
     of ``pts``, each point's covectors in the order its construction lists
-    them, and duplicates are kept. See :func:`sample_subdiff_graph` for the
-    sources.
+    them, and duplicates are kept. ``groups`` labels the points for the
+    numeric route's support table (see :func:`_clarke_support`). See
+    :func:`sample_subdiff_graph` for the sources.
     """
     if source == "exact":
         reps, mask, truncated = f.subdifferential_representatives(pts, covector_half_width)
     else:
         dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
-        support = _clarke_support(f, pts, dirs, scheme)
+        support = _clarke_support(f, pts, dirs, scheme, groups)
         axis = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
         cands = tensor_grid([axis] * f.dim)
         pairings = cands @ dirs.T
@@ -215,7 +235,9 @@ def sample_subdiff_graph(
     list (plus centroid) in n-D, a center-plus-fan for ball sets.
     ``source="clarke-numeric"`` accepts the candidates x* of a covector grid
     with <x*, d> <= f_up(x; d) + DEFAULT_TOL for every sphere direction d,
-    and flags a point as truncated where some f_up(x; d) is infinite.
+    and flags a point as truncated where some f_up(x; d) is infinite; the
+    table of f_up(x; d) is evaluated once per distinct point (see
+    :func:`_clarke_support`).
     ``source="auto"`` picks the exact side-oracle when f has one and the
     numeric route otherwise. Points where f is not finite contribute nothing.
     The sample's ``meta`` records the construction (with the source used) and
@@ -341,7 +363,7 @@ def _cdd_profiles(
         finite = np.isfinite(fvals)
         pts, fvals, cell = pts[finite], fvals[finite], cell[finite]
         owner, covectors, truncated = _graph_rows(
-            f, pts, source, covector_half_width, covector_resolution, scheme
+            f, pts, source, covector_half_width, covector_resolution, scheme, cell // levels
         )
 
         # Duplicate rows change neither a supremum nor emptiness, so the rows

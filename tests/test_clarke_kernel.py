@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from varpolar import subderivative, subdifferential
-from varpolar.core import Region
+from varpolar.core import FunctionOracle, Region
 from varpolar.library import FUNCTION_IDS, get_function
 from varpolar.subderivative import (
     DEFAULT_DELTAS,
@@ -121,6 +121,59 @@ def test_kernel_blocks_match_per_point_calls():
             assert _same_bits(values[i : i + 1], v) and _same_bits(per_delta[i : i + 1], p)
         ref_values, ref_per_delta = _reference_clarke(f, pts, d)
         assert _same_bits(values, ref_values) and _same_bits(per_delta, ref_per_delta)
+
+
+#: A 1-D oracle without ``batch`` that tells -0.0 from +0.0: f(-0.0) = 0.25
+#: and f(+0.0) = 0, so the two rows have different support tables.
+_SIGNED_ZERO = FunctionOracle(
+    name="signed_zero",
+    dim=1,
+    fn=lambda x: abs(float(x[0])) + (0.25 if math.copysign(1.0, float(x[0])) < 0 else 0.0),
+    default_region=Region.box([(-1.0, 1.0)]),
+)
+
+
+@pytest.mark.parametrize("f", [get_function("neg_abs"), get_function("mixed2d"), _SIGNED_ZERO],
+                         ids=["neg_abs", "mixed2d", "fn_only"])
+def test_support_table_once_per_distinct_row_matches_per_row_calls(f):
+    dirs = subdifferential.sphere_directions(f.dim, subdifferential._DIR_RESOLUTION)
+    grid = _finite_grid(f, 5 if f.dim == 1 else 3)
+    zero = np.zeros((1, f.dim))
+    pts = np.vstack([grid, grid[::-1], zero, -zero, grid[:2], zero])
+    table = subdifferential._clarke_support(f, pts, dirs, DEFAULT_SCHEME)
+    per_row = np.array(
+        [[clarke_directional_values(f, row[None, :], d)[0][0] for d in dirs] for row in pts]
+    )
+    assert table.shape == (len(pts), len(dirs))
+    assert np.array_equal(table.view(np.uint64), per_row.view(np.uint64))
+    empty = subdifferential._clarke_support(f, np.empty((0, f.dim)), dirs, DEFAULT_SCHEME)
+    assert empty.shape == (0, len(dirs))
+    if f is _SIGNED_ZERO:
+        # the +0.0 and -0.0 rows must not share a table row
+        plus, minus = 2 * len(grid), 2 * len(grid) + 1
+        assert not np.array_equal(per_row[plus], per_row[minus])
+
+
+def test_support_table_is_keyed_within_groups(monkeypatch):
+    # a row shared by two groups is evaluated once per group, a row repeated
+    # within a group once; the table is the ungrouped one either way
+    f = get_function("twowell")
+    dirs = subdifferential.sphere_directions(f.dim, subdifferential._DIR_RESOLUTION)
+    grid = _finite_grid(f, 5)
+    pts = np.vstack([grid, grid, grid[:2]])
+    groups = np.repeat([0, 1, 1], [len(grid), len(grid), 2])
+    sizes = []
+
+    def counting(f, xbars, *args, **kwargs):
+        sizes.append(len(xbars))
+        return clarke_directional_values(f, xbars, *args, **kwargs)
+
+    monkeypatch.setattr(subdifferential, "clarke_directional_values", counting)
+    table = subdifferential._clarke_support(f, pts, dirs, DEFAULT_SCHEME, groups)
+    assert sizes == [2 * len(grid)] * len(dirs)
+    plain = subdifferential._clarke_support(f, pts, dirs, DEFAULT_SCHEME)
+    assert sizes[len(dirs):] == [len(grid)] * len(dirs)
+    assert np.array_equal(table.view(np.uint64), plain.view(np.uint64))
 
 
 def test_local_grids_match_the_box_regions():

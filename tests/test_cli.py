@@ -220,6 +220,37 @@ def test_polar_rejects_out_and_creates_nothing(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "verb_args, key",
+    [
+        (["polar"], "out"),
+        (["polar"], "format"),
+        (["explain", "--x", "0"], "out"),
+        (["explain", "--x", "0"], "format"),
+        (["graph"], "format"),
+    ],
+    ids=["polar-out", "polar-format", "explain-out", "explain-format", "graph-format"],
+)
+def test_config_key_the_verb_does_not_read_is_a_usage_error(tmp_path, capsys, verb_args, key):
+    # the config-file twin of the flags these verbs do not register
+    target = tmp_path / "cfgout"
+    value = {"out": target, "format": "csv"}[key]
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(f"[run]\n{key} = {value}\n", encoding="utf-8")
+    assert main(verb_args + ["--config", str(cfg_path), "--function", "abs"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {key!r} in section [run] is not read by this verb\n"
+    assert not target.exists()
+
+
+def test_graph_reads_out_from_the_config(tmp_path, capsys):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(f"[run]\nout = {tmp_path / 'cfgout'}\nresolution = 3\n", encoding="utf-8")
+    assert main(["graph", "--config", str(cfg_path), "--function", "abs"]) == 0
+    assert (tmp_path / "cfgout" / "graph_abs.csv").exists()
+
+
 def test_polar_dump(capsys):
     code = main(["polar", "--function", "square", "--resolution", "9"])
     assert code == 0

@@ -11,7 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from varpolar import cross_validate, iar_check, polar_contains, polar_membership_via_iar
+from varpolar import (
+    cross_validate,
+    iar_check,
+    polar_contains,
+    polar_membership_via_iar,
+    subdifferential,
+)
 from varpolar.core import FunctionOracle
 from varpolar.library import FUNCTION_IDS, get_function
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
@@ -150,6 +156,24 @@ def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
     # them shares one call per oracle use; one pass per base point made this
     # run 106 calls over the same 24,532 points
     assert (len(counted), sum(counted)) == (28, 24_532)
+
+
+def test_small_numeric_run_clarke_base_point_count(monkeypatch):
+    # base points that reach the generalized-derivative estimator on the
+    # numeric route: the support table is evaluated once per distinct point
+    # of each base's cdd grids, whose epsilons share most of their points;
+    # once per graph point this run sent 3,600 in the same 8 calls
+    sizes = []
+    estimator = subdifferential.clarke_directional_values
+
+    def counting(f, xbars, *args, **kwargs):
+        sizes.append(len(xbars))
+        return estimator(f, xbars, *args, **kwargs)
+
+    monkeypatch.setattr(subdifferential, "clarke_directional_values", counting)
+    result = run_suites(["neg_abs", "twowell"], ["cdd", "predicates"], SMALL)
+    assert result["hard_total"] == 0
+    assert (len(sizes), sum(sizes)) == (8, 1_800)
 
 
 @pytest.mark.parametrize("fid", ["abs", "norm2d"])

@@ -255,6 +255,20 @@ def tensor_grid(axes: Sequence[Array]) -> Array:
     return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
+#: Entries of one row block of the blocked kernels: the rays kernel of
+#: :mod:`~varpolar.minty` and the candidate × graph and graph × graph
+#: reductions of :mod:`~varpolar.polar`. Bounds their peak memory (512 KB per
+#: float temporary) and keeps their working set in cache.
+_BLOCK_ENTRIES = 2**16
+
+
+def _row_blocks(rows: int, cols: int):
+    """Slices of ``range(rows)`` whose rows × cols blocks hold about
+    :data:`_BLOCK_ENTRIES` entries (at least one row each)."""
+    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
 # ---------------------------------------------------------------------------
 # Subdifferential set descriptions
 # ---------------------------------------------------------------------------

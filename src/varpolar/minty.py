@@ -28,9 +28,10 @@ from .core import (
     Region,
     UnusableSampleError,
     Verdict,
+    _row_blocks,
     as_point,
 )
-from .subderivative import DEFAULT_SCHEME, LiminfScheme, lower_dini_values
+from .subderivative import DEFAULT_SCHEME, LiminfScheme, _tail_quotients
 from .subdifferential import sample_subdiff_graph
 
 #: Residual band inside which equivalence disagreements are logged as
@@ -57,7 +58,15 @@ class _RayGrid:
     ``ys`` are the probe points with finite value ``fy`` and ``ts`` a uniform
     [0, 1] grid. The ray starts y(1 - t) do not depend on xbar, so they are
     built once per probe grid; :meth:`points` only adds xbar t, the same
-    operations in the same order as building each ray point from scratch.
+    operations in the same order as building each ray point from scratch,
+    for all of ``ys`` or for a block of its rows.
+
+    ``blocks`` splits the rows of ``ys`` into blocks of about
+    :data:`~varpolar.core._BLOCK_ENTRIES` ray coordinates, and ``scratch``
+    holds the ray points of one block. The grid keeps ``scratch`` for its
+    lifetime, so walking the blocks for one xbar after another reuses the
+    same memory instead of faulting in fresh pages; one grid therefore
+    serves one thread at a time.
     (A plain class: a frozen dataclass costs about 1 ms of import time.)
     """
 
@@ -65,26 +74,45 @@ class _RayGrid:
         self.ys, self.fy = ys, fy
         self.ts = np.linspace(0.0, 1.0, t_resolution)
         self.starts = ys[:, None, :] * (1.0 - self.ts)[None, :, None]
+        self.blocks = list(_row_blocks(ys.shape[0], t_resolution * ys.shape[1]))
+        self.scratch = np.empty_like(self.starts[self.blocks[0]]) if self.blocks else None
 
-    def points(self, xbar: Array) -> Array:
-        """(len(ys) * len(ts), dim) ray points toward xbar, y-major."""
-        pts = self.starts + xbar[None, None, :] * self.ts[None, :, None]
+    def points(self, xbar: Array, rows: slice = slice(None), out: Array | None = None) -> Array:
+        """(len(ys[rows]) * len(ts), dim) ray points toward xbar, y-major,
+        written into ``out`` when given."""
+        pts = np.add(self.starts[rows], xbar[None, None, :] * self.ts[None, :, None], out=out)
         return pts.reshape(-1, xbar.shape[0])
 
-    def max_increase(self, vals: Array, fy: Array) -> tuple[float, tuple[Array, float]]:
-        """max over (y, t) of vals(y, t) - fy(y) and the maximizing (y, t),
-        for ``vals`` evaluated at :meth:`points` (+inf allowed)."""
+    def max_increase(
+        self, vals: Array, fy: Array, rows: slice = slice(None)
+    ) -> tuple[float, tuple[Array, float]]:
+        """max over y in ys[rows] and t of vals(y, t) - fy(y) and the first
+        maximizing (y, t) in y-major order, for ``vals`` evaluated at
+        :meth:`points` of the same rows (+inf allowed)."""
+        ys = self.ys[rows]
         with np.errstate(invalid="ignore"):
-            diffs = vals.reshape(self.ys.shape[0], self.ts.shape[0]) - fy[:, None]
+            diffs = vals.reshape(ys.shape[0], self.ts.shape[0]) - fy[rows, None]
         i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-        return float(diffs[i, j]), (self.ys[i], float(self.ts[j]))
+        return float(diffs[i, j]), (ys[i], float(self.ts[j]))
 
 
 def _iar_residual(f: FunctionOracle, xbar: Array, rays: _RayGrid) -> tuple[float, tuple | None]:
-    """max over (y, t) of f(y + t(xbar - y)) - f(y); +inf allowed."""
-    if rays.ys.shape[0] == 0:
-        return -math.inf, None
-    return rays.max_increase(f.values(rays.points(xbar)), rays.fy)
+    """max over (y, t) of f(y + t(xbar - y)) - f(y) and the first maximizing
+    (y, t) in y-major order; +inf allowed.
+
+    The probe rows go in the grid's row blocks, whose ray points are built in
+    its scratch array, so the working set stays in cache and memory does not
+    grow with the probe grid. A later block's maximum replaces the running
+    one only when strictly larger, which keeps the first maximizer, as one
+    argmax over all rays does, ties and +inf included.
+    """
+    best: tuple[float, tuple | None] = (-math.inf, None)
+    for rows in rays.blocks:
+        pts = rays.points(xbar, rows, out=rays.scratch[: rows.stop - rows.start])
+        r, witness = rays.max_increase(f.values(pts), rays.fy, rows)
+        if r > best[0]:  # r > -inf: the values lie in (-inf, +inf], fy is finite
+            best = (r, witness)
+    return best
 
 
 def _tilted_iar_residuals(
@@ -153,11 +181,14 @@ def _subderivative_residual(
     f: FunctionOracle,
     xbar: Array,
     ys: Array,
+    fy: Array,
     scheme: LiminfScheme,
 ) -> tuple[float, Array | None]:
+    """max over ys of the subderivative toward xbar, with the maximizing y;
+    ``fy`` holds the values at ``ys``, so f is not evaluated there again."""
     if ys.shape[0] == 0:
         return -math.inf, None
-    vals = lower_dini_values(f, ys, xbar[None, :] - ys, scheme)
+    vals = _tail_quotients(f, ys, xbar[None, :] - ys, scheme, fy).min(axis=1)
     i = int(np.argmax(vals))
     return float(vals[i]), ys[i]
 
@@ -176,12 +207,12 @@ def minty_subderivative(
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
-    ys, _ = _finite_grid(f, region, resolution)
+    ys, fy = _finite_grid(f, region, resolution)
     meta = {"region": region.describe(), "resolution": resolution,
             "scheme": scheme.as_dict(), "finite_grid_points": int(ys.shape[0])}
     if ys.shape[0] == 0:
         return Verdict(ok=True, residual=0.0, witness=None, details=meta)
-    residual, witness = _subderivative_residual(f, xb, ys, scheme)
+    residual, witness = _subderivative_residual(f, xb, ys, fy, scheme)
     return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
@@ -363,7 +394,9 @@ class _EquivalenceProbes:
         only at interior xbar and when the interior holds graph pairs."""
         f = self.f
         interior = bool(self.interior_region.contains(xb))
-        r_sd, w_sd = _subderivative_residual(f, xb, self.rays_c.ys, self.scheme)
+        r_sd, w_sd = _subderivative_residual(
+            f, xb, self.rays_c.ys, self.rays_c.fy, self.scheme
+        )
         r_iar, w_iar = _iar_residual(f, xb, self.rays_c)
         v_sd, v_iar = r_sd <= tol, r_iar <= tol
         residuals = {"subderivative": r_sd, "iar": r_iar}

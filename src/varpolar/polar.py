@@ -9,9 +9,9 @@ same membership through the tilted function f - x* instead and is used for
 cross-validation.
 
 The candidate × graph and graph × graph reductions run in row blocks of
-about :data:`_PRODUCT_BLOCK` entries, with the same floats as one matrix: the
-pairings are explicit sums over the coordinates, so every entry is computed
-the same way whatever block holds it.
+about :data:`~varpolar.core._BLOCK_ENTRIES` entries, with the same floats as
+one matrix: the pairings are explicit sums over the coordinates, so every
+entry is computed the same way whatever block holds it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     GraphSample,
     Region,
     Verdict,
+    _row_blocks,
     as_point,
 )
 from .minty import _tilted_iar_residuals
@@ -37,17 +38,6 @@ EXACT_TOL = 1e-9
 
 #: Points per ray of the dual (rays) route to polar membership.
 DEFAULT_RAY_RESOLUTION = 33
-
-#: Entries of one row block of the candidate × graph and graph × graph
-#: reductions below; bounds their peak memory (512 KB per float temporary).
-_PRODUCT_BLOCK = 2**16
-
-
-def _row_blocks(rows: int, cols: int):
-    """Slices of ``range(rows)`` whose rows × cols blocks hold about
-    :data:`_PRODUCT_BLOCK` entries (at least one row each)."""
-    step = max(1, _PRODUCT_BLOCK // max(cols, 1))
-    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 def _pairings(u: Array, v: Array) -> Array:

@@ -150,14 +150,16 @@ def lower_dini_values(
 
 
 def _tail_quotients(
-    f: FunctionOracle, xb: Array, dd: Array, scheme: LiminfScheme
+    f: FunctionOracle, xb: Array, dd: Array, scheme: LiminfScheme, f0: Array | None = None
 ) -> Array:
-    """(N, T) difference quotients over the tail window, largest step first."""
+    """(N, T) difference quotients over the tail window, largest step first.
+    ``f0``, when given, holds the values of f at the base points ``xb``."""
     ts = scheme.tail_grid()
     norms = np.linalg.norm(dd, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     units = dd / safe[:, None]
-    f0 = f.values(xb)
+    if f0 is None:
+        f0 = f.values(xb)
     if np.any(~np.isfinite(f0)):
         raise DomainError("subderivatives are only defined at points where f is finite")
     pts = xb[:, None, :] + ts[None, :, None] * units[:, None, :]

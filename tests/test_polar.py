@@ -17,7 +17,7 @@ from varpolar import (
     polar_of_sample,
     sample_subdiff_graph,
 )
-from varpolar import polar
+from varpolar import core, polar
 from varpolar.library import get_function, test_library as library_oracles
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
 from varpolar.suites import SuiteParams, predicates_suite
@@ -222,12 +222,12 @@ def _kernel_outputs(T, cands):
 @pytest.mark.parametrize("case", sorted(_block_cases()))
 def test_row_blocks_keep_every_bit(monkeypatch, case):
     T, cands = _block_cases()[case]
-    monkeypatch.setattr(polar, "_PRODUCT_BLOCK", 10**9)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 10**9)
     whole = _kernel_outputs(T, cands)
     # one row per block, and three rows per block, which divides neither the
     # 50 candidate rows nor the 22 pair rows of the random graphs
     for budget in (1, 3 * len(T) + 1):
-        monkeypatch.setattr(polar, "_PRODUCT_BLOCK", budget)
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", budget)
         assert _kernel_outputs(T, cands) == whole
 
 
@@ -243,7 +243,7 @@ def _brute_min_products(T, cands):
 
 def test_tied_products_report_the_first_occurrence(monkeypatch):
     T, cands = _block_cases()["ties"]
-    monkeypatch.setattr(polar, "_PRODUCT_BLOCK", 1)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
     mins, args = polar._min_products(T, cands.points, cands.covectors)
     assert list(zip(mins.tolist(), args.tolist())) == _brute_min_products(T, cands)
     # the first of the tied pairs in row-major order over i < j

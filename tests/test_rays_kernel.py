@@ -18,11 +18,13 @@ from varpolar import (
     polar_membership_via_iar,
     subdifferential,
 )
-from varpolar.core import FunctionOracle
+from varpolar.core import FunctionOracle, GraphSample, Region, _row_blocks
 from varpolar.library import FUNCTION_IDS, get_function
+from varpolar.minty import DEFAULT_T_RESOLUTION
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
 from varpolar.subdifferential import sample_subdiff_graph
 from varpolar.suites import SuiteParams, _candidate_grids, run_suites, thm3_suite
+from test_clarke_kernel import _peak_mb
 
 SMALL = SuiteParams(
     resolution=9, resolution_2d=5, t_resolution=8, thm3_candidates=5, thm3_candidates_2d=3
@@ -103,6 +105,78 @@ def test_cross_validate_rays_residuals_match_the_reference(fid):
         assert np.array_equal(rep_x.witness[0], y)
 
 
+def _constant_2d():
+    return FunctionOracle("const2d", 2, fn=lambda p: 1.0, batch=lambda p: np.ones(len(p)))
+
+
+def _holed_2d():
+    """|x|_1 on the plane, +inf on the open square hole max|x_i| < 0.3 (lower
+    semicontinuous); rays between opposite sides of the hole cross it."""
+
+    def batch(p):
+        out = np.abs(p[:, 0]) + np.abs(p[:, 1])
+        return np.where(np.max(np.abs(p), axis=1) < 0.3, math.inf, out)
+
+    return FunctionOracle("holed2d", 2, fn=lambda p: float(batch(p[None, :])[0]), batch=batch)
+
+
+_BOX = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
+
+
+def _assert_rays_match_across_blocks(f, region, resolution, probe_factor, xbars, graph=None):
+    """iar_check and cross_validate against the reference at a probe grid
+    whose rays span at least three row blocks of the kernel."""
+    probe_res = probe_factor * (resolution - 1) + 1
+    rows = len(list(_row_blocks(probe_res**f.dim, DEFAULT_T_RESOLUTION * f.dim)))
+    assert rows >= 3
+    interior = region.shrink(region.spacing(resolution))
+    rep = cross_validate(f, region, resolution=resolution, probe_factor=probe_factor, graph=graph)
+    residuals = {row.xbar: row.residuals for row in rep.rows}
+    out = []
+    for xb in xbars:
+        xb = np.asarray(xb, dtype=float)
+        r, (y, t) = _reference_rays(f, xb, region, probe_res, DEFAULT_T_RESOLUTION)
+        v = iar_check(f, xb, region, resolution=probe_res)
+        assert float(v.residual) == r and v.witness[1] == t
+        assert np.array_equal(v.witness[0], y)
+        row = residuals[tuple(xb.tolist())]
+        assert row["iar"] == r
+        if "iar_open" in row:
+            r_u, _ = _reference_rays(f, xb, interior, probe_res, DEFAULT_T_RESOLUTION)
+            assert row["iar_open"] == r_u
+        out.append(v)
+    return out
+
+
+def test_rays_kernel_blocks_match_the_reference_on_norm2d():
+    f = get_function("norm2d")
+    region = f.default_region
+    xbars = region.sample(17)[[0, 40, 144, 200, 288]]
+    verdicts = _assert_rays_match_across_blocks(f, region, 17, 2, xbars)
+    # from the corner xbar the largest increase starts at y = 0, ray 544 of
+    # 1,089, in the second block of 512 rays
+    assert verdicts[0].residual == math.sqrt(8.0)
+    assert verdicts[0].witness[0].tolist() == [0.0, 0.0]
+
+
+def test_rays_kernel_ties_keep_the_first_ray_point():
+    # every increase is 0: the witness is the first (y, t) in y-major order
+    xbars = [(0.0, 0.0), (1.0, -1.0), (-0.5, 0.75)]
+    graph = GraphSample([[0.5, 0.5]], [[0.0, 0.0]], meta={"source": "exact"})
+    for v in _assert_rays_match_across_blocks(_constant_2d(), _BOX, 9, 4, xbars, graph):
+        assert v.residual == 0.0 and v.witness[1] == 0.0
+        assert v.witness[0].tolist() == [-1.0, -1.0]
+
+
+def test_rays_kernel_keeps_the_first_infinite_increase():
+    # rays from the far side of the hole cross it in every block; the first
+    # +inf in y-major order wins over the later ones
+    xbars = [(0.5, 0.5), (1.0, 0.0), (-0.75, 1.0)]
+    graph = GraphSample([[0.5, 0.5]], [[1.0, 1.0]], meta={"source": "exact"})
+    for v in _assert_rays_match_across_blocks(_holed_2d(), _BOX, 9, 4, xbars, graph):
+        assert v.residual == math.inf
+
+
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
 def test_thm3_suite_matches_the_per_pair_reference(fid):
     assert thm3_suite(fid, SMALL) == _reference_thm3(fid, SMALL)
@@ -145,8 +219,10 @@ def test_small_rays_run_oracle_evaluation_count(counted):
     assert result["hard_total"] == 0
     # thm3 takes 7 calls on abs (graph grid, probe grid, 5 candidate x) and
     # 11 on norm2d (the same with 9 candidate x); one evaluation per
-    # (x, x*) pair made this run 340 calls over 286,116 points
-    assert (len(counted), sum(counted)) == (144, 75_552)
+    # (x, x*) pair made this run 340 calls over 286,116 points. The prop1
+    # route reuses the probe-grid values as the subderivative's base values;
+    # evaluating them again per xbar made it 144 calls over 75,552 points
+    assert (len(counted), sum(counted)) == (110, 73_374)
 
 
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
@@ -186,3 +262,25 @@ def test_thm3_evaluates_the_ray_points_once_per_candidate_x(counted, fid):
     assert ray_calls == len(xs) < len(xs) * len(cs)
     # besides those: one call for the graph grid and one for the probe grid
     assert len(counted) == ray_calls + 2
+
+
+def test_rays_kernel_memory_does_not_grow_with_the_probe_grid():
+    # the ray starts y(1 - t) are the one array that grows with the probe
+    # grid (16.25 MB here); building all ray points in one piece peaked at
+    # 32.9 MB besides them
+    f = get_function("norm2d")
+    resolution, t_resolution = 129, 64
+    starts_mb = resolution**2 * t_resolution * f.dim * 8 / 2**20
+    peak_mb = _peak_mb(
+        lambda: iar_check(f, [0.25, -0.5], f.default_region, resolution, t_resolution)
+    )
+    assert peak_mb - starts_mb < 4.0
+
+
+def test_rays_kernel_evaluates_the_rays_in_row_blocks(counted):
+    # one call on the probe grid, then 1,089 rays of 64 points in row blocks
+    # of 512 rays; all rays in one call made this 2 calls
+    f = get_function("norm2d")
+    iar_check(f, [0.25, -0.5], f.default_region, resolution=33, t_resolution=64)
+    assert counted == [1_089, 512 * 64, 512 * 64, 65 * 64]
+    assert sum(counted) == 70_785

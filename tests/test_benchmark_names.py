@@ -12,8 +12,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
+from varpolar import subderivative
 from varpolar.core import FunctionOracle
-from varpolar.library import test_library as library_oracles
+from varpolar.library import get_function, test_library as library_oracles
 
 MODULES = ("core", "library", "subderivative", "subdifferential", "minty", "polar", "suites", "cli")
 METRIC = re.compile(rf"({'|'.join(MODULES)})\.(\w+)\.(calls|self_s|points|pairs|kept_ratio)")
@@ -50,3 +53,15 @@ def test_suite_entry_points_take_the_function_id_first():
     for attr in SUITE_ENTRY_POINTS:
         first = next(iter(inspect.signature(getattr(suites, attr)).parameters))
         assert first == "function_id", attr
+
+
+def test_clarke_kernel_returns_one_value_per_base_point():
+    # the tracer counts subderivative.clarke_directional_values.points as
+    # len(result[0]), so that must stay the number of base points
+    f = get_function("twowell")
+    for n in (0, 1, subderivative._CLARKE_BLOCK + 44):
+        values, per_delta = subderivative.clarke_directional_values(
+            f, np.linspace(-1.0, 1.0, n)[:, None], [1.0]
+        )
+        assert len(values) == n
+        assert per_delta.shape == (n, len(subderivative.DEFAULT_DELTAS))

@@ -133,6 +133,55 @@ _SIGNED_ZERO = FunctionOracle(
 )
 
 
+#: A 3-D polyhedral oracle, max(x1, x2, x3, -x1 - x2 - x3), whose minimum 0
+#: sits at the origin; no library entry is 3-D.
+_MAX3D = FunctionOracle(
+    name="max3d",
+    dim=3,
+    fn=lambda x: max(float(x[0]), float(x[1]), float(x[2]), -float(x[0] + x[1] + x[2])),
+    batch=lambda p: np.max(np.column_stack([p, -p.sum(axis=1)]), axis=1),
+    default_region=Region.box([(-1.0, 1.0)] * 3),
+)
+
+
+#: f(x) = x1 on R^2, whose ``batch`` returns a view of its input: the kernel
+#: reuses one scratch array for the points of every ball slice, so it must
+#: copy the values it keeps.
+_VIEW = FunctionOracle(
+    name="view",
+    dim=2,
+    fn=lambda x: float(x[0]),
+    batch=lambda p: p[:, 0],
+    default_region=Region.box([(-1.0, 1.0)] * 2),
+)
+
+
+@pytest.mark.parametrize("f", [_MAX3D, _SIGNED_ZERO, _VIEW], ids=["max3d", "fn_only", "view"])
+def test_kernel_slices_match_the_reference_over_several_blocks(monkeypatch, f):
+    # blocks of three base points: several full blocks and a partial last one
+    monkeypatch.setattr(subderivative, "_CLARKE_BLOCK", 3)
+    grid = _finite_grid(f, {1: 5, 2: 3, 3: 3}[f.dim])
+    zero = np.zeros((1, f.dim))
+    pts = np.vstack([grid, zero, -zero, grid[-3:]])
+    assert len(pts) % 3 != 0
+    for d in _directions(f.dim):
+        for kwargs in SETTINGS:
+            got = clarke_directional_values(f, pts, d, **kwargs)
+            want = _reference_clarke(f, pts, d, **kwargs)
+            assert _same_bits(got[0], want[0]), (f.name, d, kwargs)
+            assert _same_bits(got[1], want[1]), (f.name, d, kwargs)
+
+
+@pytest.mark.parametrize(("kwargs", "name"), [
+    ({"delta_list": (math.nan,)}, "delta_list"),
+    ({"delta_list": (math.inf, 0.1)}, "delta_list"),
+    ({"nbhd_resolution": 2.5}, "nbhd_resolution"),
+], ids=["nan_delta", "inf_delta", "fractional_resolution"])
+def test_kernel_rejects_malformed_arguments(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        clarke_directional_values(get_function("abs"), np.zeros((2, 1)), [1.0], **kwargs)
+
+
 @pytest.mark.parametrize("f", [get_function("neg_abs"), get_function("mixed2d"), _SIGNED_ZERO],
                          ids=["neg_abs", "mixed2d", "fn_only"])
 def test_support_table_once_per_distinct_row_matches_per_row_calls(f):
@@ -276,3 +325,30 @@ def test_kernel_memory_does_not_grow_with_the_batch():
 def test_cdd_suite_memory_stays_bounded_at_high_resolution():
     params = SuiteParams(resolution=257)
     assert _peak_mb(lambda: cdd_suite("twowell", params)) < 16.0
+
+
+def test_kernel_peak_memory_is_one_ball_slice():
+    f = get_function("twowell")
+    pts = np.linspace(-1.0, 1.0, 5000)[:, None]
+    assert _peak_mb(lambda: clarke_directional_values(f, pts, [1.0])) < 4.0
+
+
+def test_kernel_oracle_calls_hold_at_most_one_block_of_ring_points(monkeypatch):
+    # f(xbar) once for the batch, then per block one call for the ring and one
+    # per direction-ball slice, each on the block's b T M ring points
+    sizes = []
+    values = FunctionOracle.values
+
+    def counting_values(self, points):
+        sizes.append(len(points))
+        return values(self, points)
+
+    monkeypatch.setattr(FunctionOracle, "values", counting_values)
+    n = 5000
+    clarke_directional_values(get_function("twowell"), np.linspace(-1.0, 1.0, n)[:, None], [1.0])
+    cells = DEFAULT_SCHEME.tail_count * (1 + 2 * 3)  # T M in 1-D
+    slices = 1 + len(DEFAULT_DELTAS) * 2
+    blocks = [min(subderivative._CLARKE_BLOCK, n - lo)
+              for lo in range(0, n, subderivative._CLARKE_BLOCK)]
+    assert max(sizes) <= subderivative._CLARKE_BLOCK * cells == 17_920
+    assert sizes == [n] + [b * cells for b in blocks for _ in range(1 + slices)]

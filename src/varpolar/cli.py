@@ -259,7 +259,7 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         graph = suite_graph(f, cfg, cfg.probe_resolution(f.dim))
         probes = _EquivalenceProbes(f, region, cfg.grid_resolution(f.dim), cfg.probe_factor,
                                     cfg.t_resolution, graph, cfg.scheme)
-        row, witnesses = probes.row(x, cfg.tol, cfg.band)
+        ((row, witnesses),) = probes.rows(x[None, :], cfg.tol, cfg.band)
         for label, route in (
             ("minty (subderivative)", "subderivative"),
             ("minty (subdifferential)", "subdifferential"),

@@ -177,20 +177,35 @@ def iar_check(
     return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
-def _subderivative_residual(
+def _subderivative_residuals(
     f: FunctionOracle,
-    xbar: Array,
+    xbars: Array,
     ys: Array,
     fy: Array,
     scheme: LiminfScheme,
-) -> tuple[float, Array | None]:
-    """max over ys of the subderivative toward xbar, with the maximizing y;
-    ``fy`` holds the values at ``ys``, so f is not evaluated there again."""
+) -> list[tuple[float, Array | None]]:
+    """For each row xbar of ``xbars``, the max over ys of the subderivative
+    toward xbar and the first maximizing y; ``fy`` holds the values at
+    ``ys``, so f is not evaluated there again.
+
+    The xbar go in row blocks of about :data:`~varpolar.core._BLOCK_ENTRIES`
+    tail-point coordinates. A block makes one :func:`_tail_quotients` call
+    over its (y, xbar - y) rows, xbar-major, with the floats of one call per
+    xbar.
+    """
     if ys.shape[0] == 0:
-        return -math.inf, None
-    vals = _tail_quotients(f, ys, xbar[None, :] - ys, scheme, fy).min(axis=1)
-    i = int(np.argmax(vals))
-    return float(vals[i]), ys[i]
+        return [(-math.inf, None)] * xbars.shape[0]
+    n, dim = ys.shape
+    out = []
+    for rows in _row_blocks(xbars.shape[0], n * scheme.tail_count * dim):
+        xb = xbars[rows]
+        b = xb.shape[0]
+        dirs = (xb[:, None, :] - ys[None, :, :]).reshape(-1, dim)
+        quot = _tail_quotients(f, np.tile(ys, (b, 1)), dirs, scheme, np.tile(fy, b))
+        vals = quot.min(axis=1).reshape(b, n)
+        for v, i in zip(vals, vals.argmax(axis=1)):
+            out.append((float(v[i]), ys[i]))
+    return out
 
 
 def minty_subderivative(
@@ -212,17 +227,16 @@ def minty_subderivative(
             "scheme": scheme.as_dict(), "finite_grid_points": int(ys.shape[0])}
     if ys.shape[0] == 0:
         return Verdict(ok=True, residual=0.0, witness=None, details=meta)
-    residual, witness = _subderivative_residual(f, xb, ys, fy, scheme)
+    ((residual, witness),) = _subderivative_residuals(f, xb[None, :], ys, fy, scheme)
     return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
 def _subdifferential_residual(
-    xbar: Array, graph: GraphSample, region: Region
-) -> tuple[float, tuple[Array, Array] | None]:
-    inside = region.contains_many(graph.points)
-    if not np.any(inside):
-        raise UnusableSampleError("the graph sample has no pairs inside the probe region")
-    pts, cov = graph.points[inside], graph.covectors[inside]
+    xbar: Array, graph: GraphSample
+) -> tuple[float, tuple[Array, Array]]:
+    """max over the pairs (y, y*) of ``graph`` of <y*, xbar - y> and the
+    first maximizing pair; the caller restricts the graph to the region."""
+    pts, cov = graph.points, graph.covectors
     vals = np.einsum("ij,ij->i", cov, xbar[None, :] - pts)
     i = int(np.argmax(vals))
     return float(vals[i]), (pts[i], cov[i])
@@ -241,7 +255,10 @@ def minty_subdifferential(
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
-    residual, witness = _subdifferential_residual(xb, graph, region)
+    inside = graph.restrict_points(region)
+    if len(inside) == 0:
+        raise UnusableSampleError("the graph sample has no pairs inside the probe region")
+    residual, witness = _subdifferential_residual(xb, inside)
     return Verdict(
         ok=residual <= tol,
         residual=residual,
@@ -361,9 +378,15 @@ class _EquivalenceProbes:
     (sampled at the probe resolution with ``scheme`` unless one is given) and
     its pairs inside the interior.
 
-    The interior is the region shrunk by one query-grid cell. :meth:`row`
-    evaluates the three routes at one xbar; ``explain`` calls it as well, so
-    its lines match the suite row of the same point.
+    The interior is the region shrunk by one query-grid cell, and the
+    graph's pairs are restricted to it once, so the subdifferential route
+    pairs ⟨y*, xbar - y⟩ over ``graph_inside`` without a membership test per
+    xbar. :meth:`rows` evaluates the three routes at a batch of xbar: the
+    subderivative route in blocks of xbar (see
+    :func:`_subderivative_residuals`), the rays and subdifferential routes
+    one xbar at a time. ``cross_validate`` calls it once over its finite
+    xbar and ``explain`` with one row, so its lines match the suite row of
+    the same point.
     """
 
     def __init__(
@@ -388,41 +411,43 @@ class _EquivalenceProbes:
         )
         self.graph_inside = self.graph.restrict_points(self.interior_region)
 
-    def row(self, xb: Array, tol: float, band: float) -> tuple[EquivalenceRow, dict[str, Any]]:
-        """The equivalence row at xbar and the witness of each route's
-        residual. The subdifferential route and the interior rays route run
-        only at interior xbar and when the interior holds graph pairs."""
+    def rows(
+        self, xbars: Array, tol: float, band: float
+    ) -> list[tuple[EquivalenceRow, dict[str, Any]]]:
+        """The equivalence row at each row xbar of ``xbars`` and the witness
+        of each route's residual. The subderivative route runs over all the
+        xbar at once; the subdifferential route and the interior rays route
+        run only at interior xbar and when the interior holds graph pairs."""
         f = self.f
-        interior = bool(self.interior_region.contains(xb))
-        r_sd, w_sd = _subderivative_residual(
-            f, xb, self.rays_c.ys, self.rays_c.fy, self.scheme
-        )
-        r_iar, w_iar = _iar_residual(f, xb, self.rays_c)
-        v_sd, v_iar = r_sd <= tol, r_iar <= tol
-        residuals = {"subderivative": r_sd, "iar": r_iar}
-        verdicts = {"subderivative": v_sd, "iar": v_iar}
-        witnesses = {"subderivative": w_sd, "iar": w_iar}
-        classes = {"subderivative_vs_iar": classify(v_sd, r_sd, v_iar, r_iar, band)}
-        if interior and len(self.graph_inside) > 0:
-            r_sdiff, w_sdiff = _subdifferential_residual(
-                xb, self.graph_inside, self.interior_region
+        interior = self.interior_region.contains_many(xbars)
+        sub = _subderivative_residuals(f, xbars, self.rays_c.ys, self.rays_c.fy, self.scheme)
+        out = []
+        for xb, inner, (r_sd, w_sd) in zip(xbars, interior, sub):
+            r_iar, w_iar = _iar_residual(f, xb, self.rays_c)
+            v_sd, v_iar = r_sd <= tol, r_iar <= tol
+            residuals = {"subderivative": r_sd, "iar": r_iar}
+            verdicts = {"subderivative": v_sd, "iar": v_iar}
+            witnesses = {"subderivative": w_sd, "iar": w_iar}
+            classes = {"subderivative_vs_iar": classify(v_sd, r_sd, v_iar, r_iar, band)}
+            if inner and len(self.graph_inside) > 0:
+                r_sdiff, w_sdiff = _subdifferential_residual(xb, self.graph_inside)
+                r_iar_u, w_iar_u = _iar_residual(f, xb, self.rays_u)
+                v_sdiff, v_iar_u = r_sdiff <= tol, r_iar_u <= tol
+                residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
+                verdicts.update({"subdifferential": v_sdiff, "iar_open": v_iar_u})
+                witnesses.update({"subdifferential": w_sdiff, "iar_open": w_iar_u})
+                classes["subdifferential_vs_iar"] = classify(
+                    v_sdiff, r_sdiff, v_iar_u, r_iar_u, band
+                )
+            row = EquivalenceRow(
+                xbar=tuple(float(c) for c in xb),
+                interior=bool(inner),
+                residuals=residuals,
+                verdicts=verdicts,
+                classes=classes,
             )
-            r_iar_u, w_iar_u = _iar_residual(f, xb, self.rays_u)
-            v_sdiff, v_iar_u = r_sdiff <= tol, r_iar_u <= tol
-            residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
-            verdicts.update({"subdifferential": v_sdiff, "iar_open": v_iar_u})
-            witnesses.update({"subdifferential": w_sdiff, "iar_open": w_iar_u})
-            classes["subdifferential_vs_iar"] = classify(
-                v_sdiff, r_sdiff, v_iar_u, r_iar_u, band
-            )
-        row = EquivalenceRow(
-            xbar=tuple(float(c) for c in xb),
-            interior=interior,
-            residuals=residuals,
-            verdicts=verdicts,
-            classes=classes,
-        )
-        return row, witnesses
+            out.append((row, witnesses))
+        return out
 
 
 def cross_validate(
@@ -458,8 +483,8 @@ def cross_validate(
         raise ValueError(f"oracle {f.name!r} has no default region; pass one")
     probes = _EquivalenceProbes(f, region, resolution, probe_factor, t_resolution, graph, scheme)
     xgrid = region.sample(resolution)
-    finite_x = np.isfinite(f.values(xgrid))
-    rows = [probes.row(xb, tol, band)[0] for xb, ok in zip(xgrid, finite_x) if ok]
+    xbars = xgrid[np.isfinite(f.values(xgrid))]
+    rows = [row for row, _ in probes.rows(xbars, tol, band)]
     return EquivalenceReport(
         function=f.name,
         region=region.describe(),

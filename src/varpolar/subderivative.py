@@ -142,33 +142,73 @@ def lower_dini_values(
     """Tail-minimum difference quotients for a batch of (base, direction)
     rows; raw floats with math.inf for +inf.
 
-    Callers must ensure f is finite at every base point.
+    Callers must ensure f is finite at every base point; the directions
+    ``ds`` must be finite.
     """
     xb = np.atleast_2d(np.asarray(xbars, dtype=float))
-    dd = np.atleast_2d(np.asarray(ds, dtype=float))
+    dd = _finite_directions(ds, "ds")
     quot = _tail_quotients(f, xb, dd, scheme)
     return quot.min(axis=1)
+
+
+def _finite_directions(ds: Sequence[float] | float | Array, name: str) -> Array:
+    """``ds`` as float rows; a non-finite coordinate is the caller's error,
+    named by ``name``, not the oracle's."""
+    dd = np.atleast_2d(np.asarray(ds, dtype=float))
+    if not np.all(np.isfinite(dd)):
+        raise ValueError(f"direction {name} must have finite coordinates")
+    return dd
+
+
+def _direction_norms(dd: Array) -> Array:
+    """|d| for each row of ``dd``, 0 exactly for the zero rows.
+
+    ``np.linalg.norm`` squares the coordinates, so a row below about 1e-154
+    underflows to 0 and one above about 1e154 overflows to inf. Only those
+    rows are rescaled by their largest coordinate; every other row keeps the
+    bits of ``np.linalg.norm``.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(dd, axis=1)
+    nonzero = np.any(dd != 0.0, axis=1)
+    bad = nonzero & ((norms == 0.0) | np.isinf(norms))
+    if np.any(bad):
+        big = np.abs(dd[bad]).max(axis=1)
+        norms[bad] = big * np.linalg.norm(dd[bad] / big[:, None], axis=1)
+    return norms
 
 
 def _tail_quotients(
     f: FunctionOracle, xb: Array, dd: Array, scheme: LiminfScheme, f0: Array | None = None
 ) -> Array:
     """(N, T) difference quotients over the tail window, largest step first.
-    ``f0``, when given, holds the values of f at the base points ``xb``."""
+    ``f0``, when given, holds the values of f at the base points ``xb``.
+
+    The tail points xb + t d/|d| fill a preallocated (N, T, dim) array one
+    coordinate at a time: the product t d_k/|d| of each coordinate, then
+    xb_k added in place. These are the floats of the broadcast over all
+    coordinates (addition commutes bitwise), without its short innermost
+    coordinate axis. A zero direction (every coordinate 0) keeps every point
+    at the base, so its quotients are 0.
+    """
     ts = scheme.tail_grid()
-    norms = np.linalg.norm(dd, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    units = dd / safe[:, None]
+    n, dim = xb.shape
+    norms = _direction_norms(dd)
+    nonzero = norms > 0.0
+    units = dd / np.where(nonzero, norms, 1.0)[:, None]
     if f0 is None:
         f0 = f.values(xb)
     if np.any(~np.isfinite(f0)):
         raise DomainError("subderivatives are only defined at points where f is finite")
-    pts = xb[:, None, :] + ts[None, :, None] * units[:, None, :]
-    vals = f.values(pts.reshape(-1, xb.shape[1])).reshape(xb.shape[0], ts.shape[0])
+    pts = np.empty((n, ts.shape[0], dim))
+    for k in range(dim):
+        col = pts[:, :, k]
+        np.multiply(units[:, k, None], ts[None, :], out=col)
+        col += xb[:, k, None]
+    vals = f.values(pts.reshape(-1, dim)).reshape(n, ts.shape[0])
     with np.errstate(invalid="ignore"):
         quot = (vals - f0[:, None]) * norms[:, None] / ts[None, :]
-    # A zero direction keeps every point at the base, so its quotients are 0.
-    return np.where(norms[:, None] > 0.0, quot, 0.0)
+    return np.where(nonzero[:, None], quot, 0.0)
 
 
 def lower_dini(
@@ -184,6 +224,7 @@ def lower_dini(
     Raises :class:`DomainError` when f(xbar) is not finite.
     """
     xb = as_point(xbar, f.dim)
+    _finite_directions(d, "d")
     dd = as_point(d, f.dim)
     quot = _tail_quotients(f, xb[None, :], dd[None, :], scheme)[0]
     low, high = float(quot.min()), float(quot.max())
@@ -242,6 +283,7 @@ def clarke_directional_values(
     makes 3 + D (K - 1) calls (11 in 1-D with the four default deltas).
     """
     xb = np.atleast_2d(np.asarray(xbars, dtype=float))
+    _finite_directions(d, "d")
     dd = as_point(d, f.dim)
     deltas = np.asarray(sorted(delta_list, reverse=True), dtype=float)
     if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas > 0)):
@@ -322,6 +364,9 @@ def clarke_directional_values(
         # limsup over the near (t, ring point) pairs of each row
         per_delta[lo : lo + b] = q.reshape(deltas.size, b, -1).max(axis=2).T
 
+    # A max over -0.0 and +0.0 keeps whichever its reduction order meets
+    # first; a zero limsup is +0.0 whatever the block size.
+    per_delta += 0.0
     values = per_delta.max(axis=1)
     if deltas.size >= 2:
         # The finite-delta values underestimate by O(delta); extrapolate the
@@ -349,7 +394,6 @@ def clarke_directional(
     Dominates the lower Dini estimate up to tolerance by construction.
     """
     xb = as_point(xbar, f.dim)
-    as_point(d, f.dim)
     values, per_delta = clarke_directional_values(
         f, xb[None, :], d, scheme, delta_list, nbhd_resolution
     )

@@ -172,6 +172,43 @@ def test_kernel_slices_match_the_reference_over_several_blocks(monkeypatch, f):
             assert _same_bits(got[1], want[1]), (f.name, d, kwargs)
 
 
+def _zero_signs(p):
+    """Zero everywhere, its sign taken from bit 11 of the point's bits."""
+    bits = p.view(np.uint64).sum(axis=1)
+    return np.where((bits >> np.uint64(11)) & np.uint64(1), -0.0, 0.0)
+
+
+#: A 1-D oracle of signed zeros: a quotient is -0.0 where the ball infimum
+#: is -0.0 and the ring value +0.0, and +0.0 elsewhere, so each limsup is a
+#: max over both zeros.
+_ZERO_SIGNS = FunctionOracle(
+    name="zero_signs",
+    dim=1,
+    fn=lambda x: float(_zero_signs(np.asarray(x, dtype=float)[None, :])[0]),
+    batch=_zero_signs,
+    default_region=Region.box([(-1.0, 1.0)]),
+)
+
+
+def test_zero_limsup_is_positive_zero_at_every_block_size(monkeypatch):
+    # which zero a max over -0.0 and +0.0 keeps depends on numpy's reduction
+    # order, which changes with the block's shape; the estimate must not.
+    # Taking the max alone gave 39 to 47 of the 164 per-delta entries -0.0
+    # here, a different set at each block size
+    pts = np.linspace(-1.0, 1.0, 41)[:, None]
+    results = {}
+    for block in (subderivative._CLARKE_BLOCK, 1, 3):
+        monkeypatch.setattr(subderivative, "_CLARKE_BLOCK", block)
+        for d in (1.0, -1.0):
+            values, per_delta = clarke_directional_values(_ZERO_SIGNS, pts, [d])
+            assert np.all(values == 0.0) and np.all(per_delta == 0.0)
+            assert not np.any(np.signbit(values)) and not np.any(np.signbit(per_delta))
+            results.setdefault(d, []).append((values, per_delta))
+    for runs in results.values():
+        for values, per_delta in runs[1:]:
+            assert _same_bits(values, runs[0][0]) and _same_bits(per_delta, runs[0][1])
+
+
 @pytest.mark.parametrize(("kwargs", "name"), [
     ({"delta_list": (math.nan,)}, "delta_list"),
     ({"delta_list": (math.inf, 0.1)}, "delta_list"),

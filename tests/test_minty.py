@@ -1,6 +1,7 @@
 """Variational-inequality residuals and the three-way cross-validation."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from varpolar import (
     minty_subdifferential,
     sample_subdiff_graph,
 )
-from varpolar import subdifferential
+from varpolar import core, minty, subdifferential
+from varpolar.core import GraphSample
 from varpolar.library import get_function
-from varpolar.subderivative import LiminfScheme
+from varpolar.subderivative import DEFAULT_SCHEME, LiminfScheme
+from test_clarke_kernel import _MAX3D, _peak_mb
+from test_subderivative import _reference_tail_quotients
 
 
 BOX = Region.interval(-2.0, 2.0)
@@ -203,3 +207,126 @@ def test_cross_validate_report_dict_shape():
     assert d["grid_points"] == len(rep.rows) == 9
     assert set(d) >= {"agree", "indeterminate", "hard", "disagreements", "hard_count"}
     assert d["hard_count"] == d["hard"]
+
+
+# -- the equivalence rows over a block of xbar ---------------------------------------
+
+def _reference_row(probes, xb, tol, band):
+    """One xbar's row as evaluated one xbar at a time: one tail-quotient call
+    over the probe grid per xbar, with the tail points broadcast over all
+    coordinates, and the graph pairs masked by the interior per xbar."""
+    f, ys, fy = probes.f, probes.rays_c.ys, probes.rays_c.fy
+    if ys.shape[0] == 0:
+        r_sd, w_sd = -math.inf, None
+    else:
+        vals = _reference_tail_quotients(f, ys, xb[None, :] - ys, probes.scheme, fy).min(axis=1)
+        i = int(np.argmax(vals))
+        r_sd, w_sd = float(vals[i]), ys[i]
+    r_iar, w_iar = minty._iar_residual(f, xb, probes.rays_c)
+    residuals = {"subderivative": r_sd, "iar": r_iar}
+    witnesses = {"subderivative": w_sd, "iar": w_iar}
+    classes = {"subderivative_vs_iar": minty.classify(r_sd <= tol, r_sd, r_iar <= tol, r_iar, band)}
+    interior = bool(probes.interior_region.contains(xb))
+    if interior and len(probes.graph_inside) > 0:
+        graph = probes.graph_inside
+        inside = probes.interior_region.contains_many(graph.points)
+        pts, cov = graph.points[inside], graph.covectors[inside]
+        vals = np.einsum("ij,ij->i", cov, xb[None, :] - pts)
+        i = int(np.argmax(vals))
+        r_sdiff, w_sdiff = float(vals[i]), (pts[i], cov[i])
+        r_iar_u, w_iar_u = minty._iar_residual(f, xb, probes.rays_u)
+        residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
+        witnesses.update({"subdifferential": w_sdiff, "iar_open": w_iar_u})
+        classes["subdifferential_vs_iar"] = minty.classify(
+            r_sdiff <= tol, r_sdiff, r_iar_u <= tol, r_iar_u, band
+        )
+    return interior, residuals, witnesses, classes
+
+
+def _same_bits(a, b):
+    """Bitwise equality of floats, arrays, None and tuples of them."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_bits, a, b))
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                          np.asarray(b, dtype=float).view(np.uint64))
+
+
+def _max3d_graph():
+    pts = Region.box([(-1.0, 1.0)] * 3).sample(5)
+    cov = np.where(pts >= 0.0, 1.0, -0.5)
+    return GraphSample(pts, cov, meta={"source": "exact"})
+
+
+@pytest.mark.parametrize(("f", "resolution", "graph"), [
+    (get_function("neg_abs"), 9, None),
+    (get_function("ind_halfline"), 9, None),
+    (get_function("norm2d"), 5, None),
+    (_MAX3D, 3, _max3d_graph()),
+], ids=["neg_abs", "ind_halfline", "norm2d", "max3d"])
+def test_rows_over_blocks_of_xbar_match_the_per_xbar_reference(monkeypatch, f, resolution, graph):
+    region = f.default_region
+    probes = minty._EquivalenceProbes(
+        f, region, resolution, minty.DEFAULT_PROBE_FACTOR, 8, graph, DEFAULT_SCHEME
+    )
+    xgrid = region.sample(resolution)
+    xbars = xgrid[np.isfinite(f.values(xgrid))]
+    # two xbar per block: several blocks and a partial last one
+    cols = len(probes.rays_c.ys) * DEFAULT_SCHEME.tail_count * f.dim
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 2 * cols + 1)
+    assert len(xbars) % 2 == 1 and len(xbars) >= 5
+    rows = probes.rows(xbars, 1e-9, 1e-3)
+    assert len(rows) == len(xbars)
+    for xb, (row, witnesses) in zip(xbars, rows):
+        interior, residuals, ref_witnesses, classes = _reference_row(probes, xb, 1e-9, 1e-3)
+        assert row.xbar == tuple(xb.tolist()) and row.interior == interior
+        assert row.residuals.keys() == residuals.keys() == witnesses.keys()
+        for route, r in residuals.items():
+            assert _same_bits(row.residuals[route], r), (xb, route)
+            assert _same_bits(witnesses[route], ref_witnesses[route]), (xb, route)
+        assert row.classes == classes
+    if f.name == "neg_abs":
+        # f(0) = -0.0 is among the base values of the subderivative route
+        fy = probes.rays_c.fy
+        assert np.any((fy == 0.0) & np.signbit(fy))
+    if f.name == "ind_halfline":
+        # the xbar and probe points where f = +inf are dropped
+        assert len(xbars) < len(xgrid) and len(probes.rays_c.ys) < len(region.sample(17))
+
+
+def test_subderivative_route_without_probe_points_has_no_witness():
+    f = get_function("abs")
+    got = minty._subderivative_residuals(
+        f, np.zeros((3, 1)), np.empty((0, 1)), np.empty(0), DEFAULT_SCHEME
+    )
+    assert got == [(-math.inf, None)] * 3
+
+
+def test_cross_validate_takes_the_tail_quotients_in_blocks_of_xbar(monkeypatch):
+    calls = []
+    real = minty._tail_quotients
+
+    def counting(f, xb, *args):
+        calls.append(len(xb))
+        return real(f, xb, *args)
+
+    monkeypatch.setattr(minty, "_tail_quotients", counting)
+    # 81 xbar over 289 probe points: blocks of 11 xbar (65,536 // 5,780
+    # tail-point coordinates); one call per xbar made this 81 calls
+    rep = cross_validate(get_function("norm2d"), resolution=9)
+    assert len(rep.rows) == 81
+    assert calls == [11 * 289] * 7 + [4 * 289]
+
+
+def test_subderivative_route_memory_is_one_block_of_xbar():
+    # 289 xbar over 1,089 probe points: their tail points in one piece would
+    # take 289 * 1,089 * 10 * 2 floats (48 MB); a block holds 3 xbar
+    f = get_function("norm2d")
+    region = f.default_region
+    ys, fy = minty._finite_grid(f, region, 33)
+    xbars = region.sample(17)
+    peak_mb = _peak_mb(
+        lambda: minty._subderivative_residuals(f, xbars, ys, fy, DEFAULT_SCHEME)
+    )
+    assert peak_mb < 4.0

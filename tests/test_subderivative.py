@@ -20,7 +20,12 @@ from varpolar import (
     mean_value_witness,
 )
 from varpolar.library import get_function, test_library as library_oracles
-from varpolar.subderivative import lower_dini_values
+from varpolar.subderivative import (
+    DEFAULT_SCHEME,
+    _tail_quotients,
+    clarke_directional_values,
+    lower_dini_values,
+)
 
 
 def brute_generalized_derivative(f, xbar, d, delta=1e-3, nt=12, nx=13, nd=21):
@@ -196,6 +201,72 @@ def test_batch_estimates_match_single_calls():
     batch = lower_dini_values(f, pts, ds)
     singles = [lower_dini(f, x, [1.0]).as_float for x in pts]
     assert np.allclose(batch, singles)
+
+
+def _reference_tail_quotients(f, xb, dd, scheme, f0):
+    """The tail quotients with |d| from ``np.linalg.norm`` and the tail
+    points broadcast over all coordinates at once."""
+    ts = scheme.tail_grid()
+    norms = np.linalg.norm(dd, axis=1)
+    units = dd / np.where(norms > 0.0, norms, 1.0)[:, None]
+    pts = xb[:, None, :] + ts[None, :, None] * units[:, None, :]
+    vals = f.values(pts.reshape(-1, xb.shape[1])).reshape(xb.shape[0], ts.shape[0])
+    with np.errstate(invalid="ignore"):
+        quot = (vals - f0[:, None]) * norms[:, None] / ts[None, :]
+    return np.where(norms[:, None] > 0.0, quot, 0.0)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_tail_points_coordinate_by_coordinate_match_the_broadcast():
+    for f in library_oracles():
+        pts = _finite_grid_points(f, 9 if f.dim == 1 else 5)
+        dirs = np.vstack([np.eye(f.dim), -0.3 * np.eye(f.dim), np.zeros((1, f.dim)),
+                          -np.zeros((1, f.dim)), np.full((1, f.dim), 1.7), pts[:1] - pts[-1:]])
+        xb = np.repeat(pts, len(dirs), axis=0)
+        dd = np.tile(dirs, (len(pts), 1))
+        f0 = f.values(xb)
+        got = _tail_quotients(f, xb, dd, DEFAULT_SCHEME, f0)
+        want = _reference_tail_quotients(f, xb, dd, DEFAULT_SCHEME, f0)
+        assert _same_bits(got, want), f.name
+
+
+@pytest.mark.parametrize(("fid", "d", "norm"), [
+    ("abs", [1e-300], 1e-300),
+    ("abs", [-1e-300], 1e-300),
+    ("abs", [1e200], 1e200),
+    ("norm2d", [3e-300, -4e-300], 5e-300),
+    ("norm2d", [3e200, 4e200], 5e200),
+], ids=["tiny", "tiny_negative", "huge", "tiny_2d", "huge_2d"])
+def test_directions_whose_squares_leave_the_float_range_keep_their_length(fid, d, norm):
+    # np.linalg.norm squares the coordinates: the tiny rows read |d| = 0 and
+    # gave 0 as the zero direction, the huge rows |d| = inf and gave nan
+    f = get_function(fid)
+    origin = np.zeros((1, f.dim))
+    ordinary = np.ones((1, f.dim))
+    dd = np.vstack([d, ordinary])
+    got = lower_dini_values(f, np.vstack([origin, origin]), dd)
+    assert got[0] == pytest.approx(norm, rel=1e-12, abs=0.0)
+    assert lower_dini(f, origin[0], d).as_float == got[0]
+    # the other rows keep the bits of np.linalg.norm
+    f0 = f.values(origin)
+    want = _reference_tail_quotients(f, origin, ordinary, DEFAULT_SCHEME, f0).min(axis=1)
+    assert _same_bits(got[1:], want)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_directions_are_the_callers_error(bad):
+    f = get_function("abs")
+    with pytest.raises(ValueError, match="direction ds"):
+        lower_dini_values(f, [[0.0], [1.0]], [[1.0], [bad]])
+    with pytest.raises(ValueError, match="direction d "):
+        lower_dini(f, [0.0], [bad])
+    with pytest.raises(ValueError, match="direction d "):
+        clarke_directional_values(f, [[0.0]], [bad])
+    with pytest.raises(ValueError, match="direction d "):
+        clarke_directional(f, [0.0], [bad])
 
 
 # -- mean value witness -----------------------------------------------------------

@@ -10,10 +10,8 @@ from .core import (
     BallSet,
     DimensionMismatchError,
     DomainError,
-    ExtReal,
     FunctionOracle,
     GraphSample,
-    INF,
     IntervalSet,
     PolytopeSet,
     Region,
@@ -60,11 +58,9 @@ __all__ = [
     "DimensionMismatchError",
     "DomainError",
     "EquivalenceReport",
-    "ExtReal",
     "FUNCTION_IDS",
     "FunctionOracle",
     "GraphSample",
-    "INF",
     "IntervalSet",
     "LiminfScheme",
     "PolytopeSet",

@@ -59,6 +59,8 @@ class RunConfig(SuiteParams):
         for fid in self.functions:
             if fid not in FUNCTION_IDS:
                 raise ConfigError(f"unknown function id {fid!r}; known: {', '.join(FUNCTION_IDS)}")
+        if len(set(self.functions)) != len(self.functions):
+            raise ConfigError(f"function ids repeat: {', '.join(self.functions)}")
         for s in self.suites:
             if s != "all" and s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {SUITE_NAMES} or 'all'")
@@ -202,7 +204,8 @@ def cmd_suite(cfg: RunConfig) -> int:
     out = _out_dir(cfg.out)
     t_start = time.time()
     want_rows = bool(cfg.out) and cfg.format == "csv"
-    result = run_suites(cfg.functions, cfg.suites, cfg, collect_rows=want_rows)
+    functions = [get_function(fid) for fid in cfg.functions]
+    result = run_suites(functions, cfg.suites, cfg, collect_rows=want_rows)
     report = {
         "config": cfg.echo(),
         "suites": result["suites"],
@@ -247,9 +250,9 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
             sd = lower_dini(f, x, d, cfg.scheme)
             up = clarke_directional(f, x, d, cfg.scheme)
             print(
-                f"  direction {d.tolist()}: subderivative {float(sd.value):.6g} "
-                f"(bracket {float(sd.bracket[0]):.6g}..{float(sd.bracket[1]):.6g}), "
-                f"generalized {float(up.value):.6g}"
+                f"  direction {d.tolist()}: subderivative {sd.value:.6g} "
+                f"(bracket {sd.bracket[0]:.6g}..{sd.bracket[1]:.6g}), "
+                f"generalized {up.value:.6g}"
             )
 
     if xstar_raw is None:

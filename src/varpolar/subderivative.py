@@ -29,7 +29,6 @@ from .core import (
     Array,
     DEFAULT_TOL,
     DomainError,
-    ExtReal,
     FunctionOracle,
     as_point,
 )
@@ -101,19 +100,19 @@ DEFAULT_SCHEME = LiminfScheme()
 
 @dataclass(frozen=True)
 class SubderivEstimate:
-    """A directional derivative estimate with its tail-window bracket."""
+    """A directional derivative estimate with its tail-window bracket, in
+    (-inf, +inf] with ``math.inf`` for +inf."""
 
-    value: ExtReal
-    bracket: tuple[ExtReal, ExtReal]
+    value: float
+    bracket: tuple[float, float]
 
     def __post_init__(self) -> None:
         low, high = self.bracket
+        for v in (self.value, low, high):
+            if math.isnan(v) or v == -math.inf:
+                raise ValueError("estimates live in (-inf, +inf]: NaN and -inf are rejected")
         if not (low <= self.value <= high):
             raise ValueError("estimate must lie inside its bracket")
-
-    @property
-    def as_float(self) -> float:
-        return float(self.value)
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -166,7 +165,8 @@ def _direction_norms(dd: Array) -> Array:
     ``np.linalg.norm`` squares the coordinates, so a row below about 1e-154
     underflows to 0 and one above about 1e154 overflows to inf. Only those
     rows are rescaled by their largest coordinate; every other row keeps the
-    bits of ``np.linalg.norm``.
+    bits of ``np.linalg.norm``. A row whose length itself overflows has no
+    unit vector and raises :class:`ValueError`.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(dd, axis=1)
@@ -174,7 +174,10 @@ def _direction_norms(dd: Array) -> Array:
     bad = nonzero & ((norms == 0.0) | np.isinf(norms))
     if np.any(bad):
         big = np.abs(dd[bad]).max(axis=1)
-        norms[bad] = big * np.linalg.norm(dd[bad] / big[:, None], axis=1)
+        with np.errstate(over="ignore"):
+            norms[bad] = big * np.linalg.norm(dd[bad] / big[:, None], axis=1)
+        if np.any(np.isinf(norms)):
+            raise ValueError("a direction's length overflows the float range")
     return norms
 
 
@@ -228,7 +231,7 @@ def lower_dini(
     dd = as_point(d, f.dim)
     quot = _tail_quotients(f, xb[None, :], dd[None, :], scheme)[0]
     low, high = float(quot.min()), float(quot.max())
-    return SubderivEstimate(value=ExtReal(low), bracket=(ExtReal(low), ExtReal(high)))
+    return SubderivEstimate(value=low, bracket=(low, high))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +295,11 @@ def clarke_directional_values(
         raise ValueError("nbhd_resolution must be a positive integer")
 
     n, dim = xb.shape
-    dnorm = float(np.linalg.norm(dd))
+    with np.errstate(over="ignore"):
+        dnorm = float(np.linalg.norm(dd))
+    if math.isinf(dnorm):
+        # the squares overflow; the rescaled length raises if |d| does too
+        dnorm = float(_direction_norms(dd[None, :])[0])
     scale = dnorm if dnorm > 0 else 1.0
     ts = scheme.tail_grid() / scale  # effective steps along d
     radii = RADIUS_FACTOR * ts
@@ -399,7 +406,7 @@ def clarke_directional(
     )
     value = float(values[0])
     high = max(value, float(per_delta[0].max()))
-    return SubderivEstimate(value=ExtReal(value), bracket=(ExtReal(value), ExtReal(high)))
+    return SubderivEstimate(value=value, bracket=(value, high))
 
 
 # ---------------------------------------------------------------------------

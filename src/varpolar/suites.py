@@ -1,6 +1,6 @@
 """Verification suites: reusable, JSON-ready runs of the equivalence checks,
 the dual-route polar comparison, the subderivative/enlargement inequality, and
-the monotonicity predicates over the curated library.
+the monotonicity predicates, for any function oracle.
 
 Each suite function returns a plain dict with a ``hard_count`` entry; the CLI
 sums these for its exit status. All constructions are deterministic, so two
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_BOX_HALF_WIDTH, DEFAULT_TOL, GraphSample, Region, tensor_grid
-from .library import get_function
+from .core import DEFAULT_BOX_HALF_WIDTH, DEFAULT_TOL, FunctionOracle, GraphSample, Region
+from .core import tensor_grid
 from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, cross_validate
 from .minty import _tilted_iar_residuals
 from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, _min_products, is_absorbing, is_monotone
@@ -77,10 +77,9 @@ class SuiteParams:
 # Equivalence suites (subderivative-Minty and subdifferential-Minty vs rays)
 # ---------------------------------------------------------------------------
 
-def equivalence_report(function_id: str, params: SuiteParams):
-    """The prop1/thm2 comparison of one function, with the graph of
-    :func:`suite_graph` at the probe resolution."""
-    f = get_function(function_id)
+def equivalence_report(f: FunctionOracle, params: SuiteParams):
+    """The prop1/thm2 comparison of f, with the graph of :func:`suite_graph`
+    at the probe resolution."""
     return cross_validate(
         f,
         resolution=params.grid_resolution(f.dim),
@@ -136,10 +135,9 @@ def thm3_graph(f, params: SuiteParams) -> GraphSample:
     return suite_graph(f, params, 4 * (params.candidate_resolution(f.dim) - 1) + 1)
 
 
-def thm3_suite(function_id: str, params: SuiteParams) -> dict:
+def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     """Compare sampled-polar membership against the tilted increase-along-rays
     route on a candidate grid, with the graph of :func:`thm3_graph`."""
-    f = get_function(function_id)
     region = f.default_region
     xs, cs = _candidate_grids(f, params)
     graph = thm3_graph(f, params)
@@ -172,7 +170,7 @@ def thm3_suite(function_id: str, params: SuiteParams) -> dict:
                 row["class"] = "hard"
             disagreements.append(row)
     return {
-        "function": function_id,
+        "function": f.name,
         "region": region.describe(),
         "candidates": int(xs.shape[0] * cs.shape[0]),
         "graph_resolution": graph.meta["resolution"],
@@ -191,7 +189,7 @@ def thm3_suite(function_id: str, params: SuiteParams) -> dict:
 # Subderivative / enlargement inequality suite
 # ---------------------------------------------------------------------------
 
-def cdd_suite(function_id: str, params: SuiteParams) -> dict:
+def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     """Check the inequality at every finite grid point along +-e_i.
 
     The grid points go through the stacked pass of
@@ -200,7 +198,6 @@ def cdd_suite(function_id: str, params: SuiteParams) -> dict:
     keeps its own verdicts and truncation flag, as a per-point
     ``cdd_profile`` call gives them.
     """
-    f = get_function(function_id)
     region = f.default_region
     grid = region.sample(params.grid_resolution(f.dim))
     xbars = grid[np.isfinite(f.values(grid))]
@@ -231,7 +228,7 @@ def cdd_suite(function_id: str, params: SuiteParams) -> dict:
                     }
                 )
     return {
-        "function": function_id,
+        "function": f.name,
         "region": region.describe(),
         "checks": checks,
         "pass": passes,
@@ -261,11 +258,10 @@ def _absorbing_candidates(f, region: Region, resolution: int) -> tuple[GraphSamp
     return GraphSample(*_candidate_product(xs, tensor_grid([axis] * f.dim))), h
 
 
-def predicates_suite(function_id: str, params: SuiteParams) -> dict:
+def predicates_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     """Monotonicity of exact graphs (convex entries must pass, the sign-flip
     graph of -|x| must fail with a witness) and monotone absorption of every
     function's dense graph at match radius twice the sampling spacing."""
-    f = get_function(function_id)
     region = f.default_region
     resolution = params.grid_resolution(f.dim)
     graph = suite_graph(f, params, resolution)
@@ -280,7 +276,7 @@ def predicates_suite(function_id: str, params: SuiteParams) -> dict:
 
     failures = int(not mono_ok) + int(not absorb.ok)
     result = {
-        "function": function_id,
+        "function": f.name,
         "graph_source": source,
         "graph_size": len(graph),
         "monotone": mono.ok,
@@ -312,13 +308,14 @@ SUITE_NAMES = ("prop1", "thm2", "thm3", "cdd", "predicates")
 
 
 def run_suites(
-    function_ids: list[str],
+    functions: list[FunctionOracle],
     suites: list[str],
     params: SuiteParams,
     collect_rows: bool = False,
 ) -> dict:
-    """Run the selected suites over the functions and assemble an
-    order-stable result tree (sorted by suite, then function id).
+    """Run the selected suites over the function oracles and assemble an
+    order-stable result tree (sorted by suite, then function name). The
+    names key the tree, so two oracles may not share one.
 
     With ``collect_rows`` the result also carries per-xbar equivalence rows
     under ``equivalence_rows`` (a {function: (header, rows)} map) for CSV
@@ -328,12 +325,17 @@ def run_suites(
     for name in selected:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
-    fids = sorted(function_ids)
+    fs = sorted(functions, key=lambda f: f.name)
+    for a, b in zip(fs, fs[1:]):
+        if a.name == b.name:
+            raise ValueError(f"two function oracles share the name {a.name!r}")
 
+    # every suite takes the oracle positionally: bench/tracer.py keys its
+    # per-cell wall times by the first positional argument
     per_suite: dict[str, dict[str, dict]] = {}
     rows_by_fn: dict[str, tuple] = {}
     if "prop1" in selected or "thm2" in selected:
-        reports = {fid: equivalence_report(fid, params) for fid in fids}
+        reports = {f.name: equivalence_report(f, params) for f in fs}
         if collect_rows:
             rows_by_fn = {fid: rep.rows_table() for fid, rep in reports.items()}
         for name, theorem in EQUIVALENCE_THEOREMS.items():
@@ -341,7 +343,7 @@ def run_suites(
                 per_suite[name] = {fid: rep.section(theorem) for fid, rep in reports.items()}
     for name, suite in (("thm3", thm3_suite), ("cdd", cdd_suite), ("predicates", predicates_suite)):
         if name in selected:
-            per_suite[name] = {fid: suite(fid, params) for fid in fids}
+            per_suite[name] = {f.name: suite(f, params) for f in fs}
     out = {
         name: {
             "functions": per_fn,

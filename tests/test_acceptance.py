@@ -95,7 +95,7 @@ def test_thm3_dual_route_suite():
     disagreements outside the band."""
     hard_total, min_candidates = 0, math.inf
     for f in library_oracles():
-        sec = thm3_suite(f.name, PARAMS)
+        sec = thm3_suite(f, PARAMS)
         hard_total += sec["hard"]
         min_candidates = min(min_candidates, sec["candidates"])
         assert sec["graph_resolution"] >= 4 * (PARAMS.thm3_candidates_2d - 1) + 1
@@ -117,7 +117,7 @@ def test_formula2_suite():
     fail_total = 0
     truncated_fns = set()
     for f in library_oracles():
-        sec = cdd_suite(f.name, PARAMS)
+        sec = cdd_suite(f, PARAMS)
         fail_total += sec["fail"]
         if sec["covector_truncated"]:
             truncated_fns.add(f.name)
@@ -137,7 +137,7 @@ def test_predicate_suite():
     twice the spacing for every dense graph."""
     failures = []
     for f in library_oracles():
-        sec = predicates_suite(f.name, PARAMS)
+        sec = predicates_suite(f, PARAMS)
         if sec["hard_count"]:
             failures.append(f.name)
     # the explicit violating pair for -|x|
@@ -187,7 +187,7 @@ def test_mean_value_inequality_suite():
                     except Exception:
                         failures += 1
                         continue
-                    if lower_dini(f, w, [xb - x]).as_float >= lam - 1e-5:
+                    if lower_dini(f, w, [xb - x]).value >= lam - 1e-5:
                         found += 1
                     else:
                         failures += 1
@@ -213,7 +213,7 @@ def test_numerical_sanity():
         for x in pts:
             for d in dirs:
                 exact = f.exact_subderivative(x, d)
-                est = lower_dini(f, x, d).as_float
+                est = lower_dini(f, x, d).value
                 if math.isinf(exact):
                     assert math.isinf(est), (f.name, x, d)
                 else:
@@ -221,14 +221,14 @@ def test_numerical_sanity():
                 checked += 1
         for x in pts[:: max(1, len(pts) // 4)]:
             for d in np.vstack([np.eye(f.dim), -np.eye(f.dim)]):
-                base = lower_dini(f, x, d).as_float
+                base = lower_dini(f, x, d).value
                 for tau in (0.5, 2.0):
-                    scaled = lower_dini(f, x, tau * d).as_float
+                    scaled = lower_dini(f, x, tau * d).value
                     if math.isinf(base):
                         homogeneity_ok &= math.isinf(scaled)
                     else:
                         homogeneity_ok &= abs(scaled - tau * base) <= 1e-8 * (1 + abs(scaled))
-                up = clarke_directional(f, x, d).as_float
+                up = clarke_directional(f, x, d).value
                 dominance_ok &= base <= up + 1e-6
     ok = checked >= 500 and homogeneity_ok and dominance_ok
     _report(

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import json
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,33 @@ def test_per_layer_metrics_name_public_functions():
 
 
 def test_suite_entry_points_take_the_function_id_first():
+    # the tracer keys a cell by str() of the first argument: the oracle,
+    # whose str is its name, the function id
     suites = importlib.import_module("varpolar.suites")
     for attr in SUITE_ENTRY_POINTS:
-        first = next(iter(inspect.signature(getattr(suites, attr)).parameters))
-        assert first == "function_id", attr
+        fn = getattr(suites, attr)
+        first = next(iter(inspect.signature(fn).parameters.values()))
+        assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, attr
+        assert typing.get_type_hints(fn)[first.name] is FunctionOracle, attr
+    for f in library_oracles():
+        assert str(f) == f.name
+
+
+def test_run_suites_passes_the_oracle_positionally(monkeypatch):
+    # a keyword call leaves the tracer no args[0] to key the cell by
+    suites = importlib.import_module("varpolar.suites")
+    firsts = []
+    for attr in SUITE_ENTRY_POINTS:
+        real = getattr(suites, attr)
+
+        def spy(*args, _real=real, **kwargs):
+            firsts.append((_real.__name__, str(args[0])))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(suites, attr, spy)
+    small = suites.SuiteParams(resolution=9, resolution_2d=5, thm3_candidates=5, thm3_candidates_2d=3)
+    suites.run_suites([get_function("abs")], ["all"], small)
+    assert sorted(firsts) == sorted((attr, "abs") for attr in SUITE_ENTRY_POINTS)
 
 
 def test_clarke_kernel_returns_one_value_per_base_point():

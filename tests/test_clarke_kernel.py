@@ -315,7 +315,7 @@ def _cdd_loop(fid, params):
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
 def test_cdd_suite_matches_a_per_point_profile_loop(fid):
     params = SuiteParams(resolution=9, resolution_2d=5)
-    assert cdd_suite(fid, params) == _cdd_loop(fid, params)
+    assert cdd_suite(get_function(fid), params) == _cdd_loop(fid, params)
 
 
 def _verdict_fields(v):
@@ -361,7 +361,7 @@ def test_kernel_memory_does_not_grow_with_the_batch():
 
 def test_cdd_suite_memory_stays_bounded_at_high_resolution():
     params = SuiteParams(resolution=257)
-    assert _peak_mb(lambda: cdd_suite("twowell", params)) < 16.0
+    assert _peak_mb(lambda: cdd_suite(get_function("twowell"), params)) < 16.0
 
 
 def test_kernel_peak_memory_is_one_ball_slice():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from varpolar.cli import build_parser, main, load_config, ConfigError, report_json
+from varpolar.library import get_function
 from varpolar.subderivative import LiminfScheme
 from varpolar.suites import SuiteParams, equivalence_report, thm3_suite
 
@@ -18,6 +19,19 @@ def test_unknown_function_id_is_a_usage_error(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bogus" in err
+
+
+def test_repeated_function_id_is_a_usage_error(tmp_path, capsys):
+    # the ids key the report's sections: the second run of abs would
+    # overwrite the first, and the config echo would list abs twice
+    assert main(["suite", "--function", "abs", "--function", "abs"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: function ids repeat: abs, abs\n"
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[run]\nfunctions = abs, square, abs\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="repeat"):
+        load_config(str(cfg_path), {})
 
 
 def test_unknown_suite_rejected():
@@ -320,7 +334,7 @@ def test_explain_rays_route_uses_the_thm3_grid(tmp_path, capsys):
     cfg_path.write_text("[run]\nresolution = 5\nthm3_candidates = 9\ntol = 0.2\n", encoding="utf-8")
     params = load_config(str(cfg_path), {})
     row = next(
-        r for r in thm3_suite("square", params)["disagreements"]
+        r for r in thm3_suite(get_function("square"), params)["disagreements"]
         if r["x"] == [1.0] and r["xstar"] == [3.0]
     )
     code = main(["explain", "--config", str(cfg_path), "--function", "square",
@@ -345,7 +359,7 @@ def test_explain_graph_route_uses_the_thm3_graph(tmp_path, capsys):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text("[run]\nresolution = 5\nthm3_candidates = 9\ntol = 0.2\n", encoding="utf-8")
     row = next(
-        r for r in thm3_suite("square", load_config(str(cfg_path), {}))["disagreements"]
+        r for r in thm3_suite(get_function("square"), load_config(str(cfg_path), {}))["disagreements"]
         if r["x"] == [1.0] and r["xstar"] == [3.0]
     )
     assert row["min_product"] == -0.125
@@ -369,7 +383,7 @@ def test_explain_minty_routes_match_the_suite_row(tmp_path, capsys):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text("[run]\nresolution = 5\n", encoding="utf-8")
     params = load_config(str(cfg_path), {})
-    row = next(r for r in equivalence_report("square", params).rows if r.xbar == (-1.0,))
+    row = next(r for r in equivalence_report(get_function("square"), params).rows if r.xbar == (-1.0,))
     assert row.residuals["subderivative"] == pytest.approx(0.5, abs=1e-6)
     assert not row.verdicts["subderivative"]
     code = main(["explain", "--config", str(cfg_path), "--function", "square", "--x", "-1"])

@@ -65,23 +65,23 @@ def test_shrink_box():
 
 def test_eval_shifted_zero_shift_is_identity():
     sq = get_function("square")
-    assert float(sq.shifted([0.0])([3.0])) == 9.0
+    assert sq.shifted([0.0]).value([3.0]) == 9.0
 
 
 def test_eval_shifted_direct_arithmetic():
     sq = get_function("square")
-    assert float(sq.shifted([2.0])([1.0])) == -1.0
+    assert sq.shifted([2.0]).value([1.0]) == -1.0
 
 
 def test_eval_shifted_preserves_infinity():
     ind = get_function("ind_origin")
-    assert float(ind.shifted([5.0])([1.0])) == math.inf
+    assert ind.shifted([5.0]).value([1.0]) == math.inf
 
 
 def test_eval_shifted_dimension_mismatch():
     sq = get_function("square")
     with pytest.raises(DimensionMismatchError):
-        sq.shifted([1.0, 2.0])([1.0])
+        sq.shifted([1.0, 2.0]).value([1.0])
 
 
 def test_shifted_oracle_matches_pointwise():

@@ -254,7 +254,7 @@ def test_tied_products_report_the_first_occurrence(monkeypatch):
 
 def test_predicates_memory_stays_bounded_at_high_resolution():
     params = SuiteParams(resolution=257)
-    assert _peak_mb(lambda: predicates_suite("twowell", params)) < 32.0
+    assert _peak_mb(lambda: predicates_suite(get_function("twowell"), params)) < 32.0
 
 
 def test_is_monotone_memory_stays_bounded():

@@ -179,7 +179,7 @@ def test_rays_kernel_keeps_the_first_infinite_increase():
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
 def test_thm3_suite_matches_the_per_pair_reference(fid):
-    assert thm3_suite(fid, SMALL) == _reference_thm3(fid, SMALL)
+    assert thm3_suite(get_function(fid), SMALL) == _reference_thm3(fid, SMALL)
 
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
@@ -215,7 +215,9 @@ def counted(monkeypatch):
 
 
 def test_small_rays_run_oracle_evaluation_count(counted):
-    result = run_suites(["abs", "norm2d"], ["prop1", "thm2", "thm3"], SMALL)
+    result = run_suites(
+        [get_function("abs"), get_function("norm2d")], ["prop1", "thm2", "thm3"], SMALL
+    )
     assert result["hard_total"] == 0
     # thm3 takes 7 calls on abs (graph grid, probe grid, 5 candidate x) and
     # 11 on norm2d (the same with 9 candidate x); one evaluation per
@@ -228,7 +230,7 @@ def test_small_rays_run_oracle_evaluation_count(counted):
 
 
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
-    result = run_suites(["abs", "norm2d"], ["cdd", "predicates"], SMALL)
+    result = run_suites([get_function("abs"), get_function("norm2d")], ["cdd", "predicates"], SMALL)
     assert result["hard_total"] == 0
     # the cdd pass stacks the local grids of its base points, so a block of
     # them shares one call per oracle use; one pass per base point made this
@@ -249,7 +251,9 @@ def test_small_numeric_run_clarke_base_point_count(monkeypatch):
         return estimator(f, xbars, *args, **kwargs)
 
     monkeypatch.setattr(subdifferential, "clarke_directional_values", counting)
-    result = run_suites(["neg_abs", "twowell"], ["cdd", "predicates"], SMALL)
+    result = run_suites(
+        [get_function("neg_abs"), get_function("twowell")], ["cdd", "predicates"], SMALL
+    )
     assert result["hard_total"] == 0
     assert (len(sizes), sum(sizes)) == (8, 1_800)
 
@@ -258,7 +262,7 @@ def test_small_numeric_run_clarke_base_point_count(monkeypatch):
 def test_thm3_evaluates_the_ray_points_once_per_candidate_x(counted, fid):
     f = get_function(fid)
     xs, cs = _candidate_grids(f, SMALL)
-    thm3_suite(fid, SMALL)
+    thm3_suite(f, SMALL)
     probe_points = SMALL.probe_resolution(f.dim) ** f.dim  # all finite for these two
     ray_calls = counted.count(probe_points * DEFAULT_RAY_RESOLUTION)
     assert ray_calls == len(xs) < len(xs) * len(cs)

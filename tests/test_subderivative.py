@@ -14,6 +14,7 @@ import pytest
 from varpolar import (
     DomainError,
     LiminfScheme,
+    SubderivEstimate,
     WitnessNotFoundError,
     clarke_directional,
     lower_dini,
@@ -55,26 +56,26 @@ def brute_generalized_derivative(f, xbar, d, delta=1e-3, nt=12, nx=13, nd=21):
 
 def test_lower_dini_abs_at_kink():
     est = lower_dini(get_function("abs"), 0.0, 1.0)
-    assert est.as_float == 1.0
-    assert float(est.bracket[0]) == float(est.value) <= float(est.bracket[1])
+    assert est.value == 1.0
+    assert est.bracket[0] == est.value <= est.bracket[1]
 
 
 def test_lower_dini_smooth_matches_classical_derivative():
     est = lower_dini(get_function("square"), 3.0, 1.0)
-    assert est.as_float == pytest.approx(6.0, abs=1e-4)
+    assert est.value == pytest.approx(6.0, abs=1e-4)
 
 
 def test_lower_dini_indicator_blocked_direction_is_infinite():
     est = lower_dini(get_function("ind_halfline"), 0.0, -1.0)
-    assert est.as_float == math.inf
+    assert est.value == math.inf
 
 
 def test_lower_dini_neg_abs():
-    assert lower_dini(get_function("neg_abs"), 0.0, 1.0).as_float == -1.0
+    assert lower_dini(get_function("neg_abs"), 0.0, 1.0).value == -1.0
 
 
 def test_lower_dini_zero_direction_is_zero():
-    assert lower_dini(get_function("square"), 1.0, 0.0).as_float == 0.0
+    assert lower_dini(get_function("square"), 1.0, 0.0).value == 0.0
 
 
 def test_lower_dini_outside_domain_raises():
@@ -87,6 +88,19 @@ def test_lower_dini_dimension_mismatch():
 
     with pytest.raises(DimensionMismatchError):
         lower_dini(get_function("norm2d"), [0.0, 0.0], [1.0])
+
+
+@pytest.mark.parametrize("value, bracket", [
+    (math.nan, (math.nan, math.nan)),
+    (-math.inf, (-math.inf, -math.inf)),
+    (0.0, (-math.inf, 1.0)),
+    (0.0, (0.0, math.nan)),
+], ids=["nan", "minus-inf", "low-minus-inf", "high-nan"])
+def test_estimates_live_in_the_extended_reals(value, bracket):
+    # values live in (-inf, +inf]; a -inf bracket passes the bracket check
+    with pytest.raises(ValueError, match="NaN and -inf are rejected"):
+        SubderivEstimate(value, bracket)
+    assert SubderivEstimate(math.inf, (1.0, math.inf)).value == math.inf
 
 
 def test_scheme_validation():
@@ -102,7 +116,7 @@ def test_scheme_validation():
 
 def test_generalized_smooth_case_near_zero():
     est = clarke_directional(get_function("square"), 0.0, 1.0)
-    assert abs(est.as_float) <= 1e-3
+    assert abs(est.value) <= 1e-3
 
 
 def test_generalized_abs_matches_brute_force():
@@ -111,7 +125,7 @@ def test_generalized_abs_matches_brute_force():
     brute = brute_generalized_derivative(get_function("abs"), 0.0, 1.0)
     assert brute == pytest.approx(expected, abs=1e-3)
     est = clarke_directional(get_function("abs"), 0.0, 1.0)
-    assert est.as_float == pytest.approx(expected, abs=1e-3)
+    assert est.value == pytest.approx(expected, abs=1e-3)
 
 
 def test_generalized_neg_abs_sees_the_upper_slope():
@@ -120,7 +134,7 @@ def test_generalized_neg_abs_sees_the_upper_slope():
     brute = brute_generalized_derivative(get_function("neg_abs"), 0.0, 1.0)
     assert brute == pytest.approx(expected, abs=1e-3)
     est = clarke_directional(get_function("neg_abs"), 0.0, 1.0)
-    assert est.as_float == pytest.approx(expected, abs=1e-3)
+    assert est.value == pytest.approx(expected, abs=1e-3)
 
 
 def test_generalized_concave_kink_of_twowell():
@@ -129,14 +143,14 @@ def test_generalized_concave_kink_of_twowell():
         brute = brute_generalized_derivative(get_function("twowell"), 1.5, d)
         assert brute == pytest.approx(expected, abs=1e-3)
         est = clarke_directional(get_function("twowell"), 1.5, d)
-        assert est.as_float == pytest.approx(expected, abs=1e-3)
+        assert est.value == pytest.approx(expected, abs=1e-3)
 
 
 def test_generalized_indicator_blocked_direction():
     est = clarke_directional(get_function("ind_halfline"), 0.0, -1.0)
-    assert est.as_float == math.inf
+    assert est.value == math.inf
     est2 = clarke_directional(get_function("ind_halfline"), 0.0, 1.0)
-    assert abs(est2.as_float) <= 1e-6
+    assert abs(est2.value) <= 1e-6
 
 
 # -- properties over the library -------------------------------------------------
@@ -152,9 +166,9 @@ def test_positive_homogeneity_of_estimates():
         dirs = np.vstack([np.eye(f.dim), -np.eye(f.dim)])
         for x in pts:
             for d in dirs:
-                base = lower_dini(f, x, d).as_float
+                base = lower_dini(f, x, d).value
                 for tau in (0.5, 2.0):
-                    scaled = lower_dini(f, x, tau * d).as_float
+                    scaled = lower_dini(f, x, tau * d).value
                     if math.isinf(base):
                         assert math.isinf(scaled)
                     else:
@@ -169,8 +183,8 @@ def test_estimates_dominated_by_generalized_derivative():
         dirs = np.vstack([np.eye(f.dim), -np.eye(f.dim)])
         for x in pts:
             for d in dirs:
-                lo = lower_dini(f, x, d).as_float
-                hi = clarke_directional(f, x, d).as_float
+                lo = lower_dini(f, x, d).value
+                hi = clarke_directional(f, x, d).value
                 assert lo <= hi + 1e-6, (f.name, x, d, lo, hi)
 
 
@@ -185,7 +199,7 @@ def test_estimates_agree_with_exact_oracle():
         for x in pts:
             for d in dirs:
                 exact = f.exact_subderivative(x, d)
-                est = lower_dini(f, x, d).as_float
+                est = lower_dini(f, x, d).value
                 if math.isinf(exact):
                     assert math.isinf(est), (f.name, x, d)
                 else:
@@ -199,7 +213,7 @@ def test_batch_estimates_match_single_calls():
     pts = _finite_grid_points(f, 9)
     ds = np.ones_like(pts)
     batch = lower_dini_values(f, pts, ds)
-    singles = [lower_dini(f, x, [1.0]).as_float for x in pts]
+    singles = [lower_dini(f, x, [1.0]).value for x in pts]
     assert np.allclose(batch, singles)
 
 
@@ -249,7 +263,7 @@ def test_directions_whose_squares_leave_the_float_range_keep_their_length(fid, d
     dd = np.vstack([d, ordinary])
     got = lower_dini_values(f, np.vstack([origin, origin]), dd)
     assert got[0] == pytest.approx(norm, rel=1e-12, abs=0.0)
-    assert lower_dini(f, origin[0], d).as_float == got[0]
+    assert lower_dini(f, origin[0], d).value == got[0]
     # the other rows keep the bits of np.linalg.norm
     f0 = f.values(origin)
     want = _reference_tail_quotients(f, origin, ordinary, DEFAULT_SCHEME, f0).min(axis=1)
@@ -269,6 +283,20 @@ def test_non_finite_directions_are_the_callers_error(bad):
         clarke_directional(f, [0.0], [bad])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "estimator", [lower_dini_values, lower_dini, clarke_directional_values, clarke_directional],
+    ids=lambda e: e.__name__,
+)
+def test_directions_whose_length_overflows_are_rejected(estimator):
+    # each coordinate is finite but |d| is not: the lower Dini rows read nan
+    # and the generalized derivative +inf, each with an overflow warning
+    d = [1.5e308, 1.5e308]
+    xbar = [[0.0, 0.0]] if estimator.__name__.endswith("_values") else [0.0, 0.0]
+    with pytest.raises(ValueError, match="length overflows"):
+        estimator(get_function("norm2d"), xbar, [d] if estimator is lower_dini_values else d)
+
+
 # -- mean value witness -----------------------------------------------------------
 
 def test_witness_affine_case_everywhere():
@@ -277,7 +305,7 @@ def test_witness_affine_case_everywhere():
     f = get_function("abs")
     w = mean_value_witness(f, [-1.0], [1.0], 0.0)
     assert -1.0 <= w[0] < 1.0
-    assert lower_dini(f, w, [2.0]).as_float >= -1e-6
+    assert lower_dini(f, w, [2.0]).value >= -1e-6
 
 
 def test_witness_for_square_threshold():
@@ -350,6 +378,6 @@ def test_witness_found_for_all_qualifying_grid_triples():
                         lams.append(gap / 2.0)
                 for lam in lams:
                     w = mean_value_witness(f, [x], [xb], lam)
-                    assert lower_dini(f, w, [xb - x]).as_float >= lam - 1e-5
+                    assert lower_dini(f, w, [xb - x]).value >= lam - 1e-5
                     found += 1
     assert found >= 100

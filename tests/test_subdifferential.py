@@ -279,7 +279,7 @@ def _cdd_per_epsilon(f, xbar, dirs):
         kept = epsilon_enlargement(g, f, xbar, eps)
         if len(kept) > 0:
             sups[k] = (kept.covectors @ dirs.T).max(axis=0)
-    lhs = [lower_dini(f, xbar, d).as_float for d in dirs]
+    lhs = [lower_dini(f, xbar, d).value for d in dirs]
     return lhs, sups.min(axis=0).tolist()
 
 

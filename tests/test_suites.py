@@ -9,6 +9,7 @@ import pytest
 
 import varpolar.cli as cli
 from varpolar import subdifferential
+from varpolar.library import get_function
 from varpolar.subderivative import LiminfScheme
 from varpolar.suites import SuiteParams, run_suites
 
@@ -18,7 +19,9 @@ SMALL = SuiteParams(
 
 
 def test_verdict_counts_sum_to_grid_cardinality():
-    result = run_suites(["abs", "ind_halfline"], ["prop1", "thm2"], SMALL)
+    result = run_suites(
+        [get_function("abs"), get_function("ind_halfline")], ["prop1", "thm2"], SMALL
+    )
     prop1 = result["suites"]["prop1"]["functions"]
     assert prop1["abs"]["agree"] + prop1["abs"]["indeterminate"] + prop1["abs"]["hard"] == 17
     # only the 9 grid points of [0, 2] carry finite values
@@ -47,17 +50,24 @@ def test_suite_params_reject_vacuous_knob_values(knobs, message):
 
 def test_unknown_suite_name_rejected():
     with pytest.raises(ValueError):
-        run_suites(["abs"], ["prop99"], SMALL)
+        run_suites([get_function("abs")], ["prop99"], SMALL)
+
+
+def test_oracles_that_share_a_name_are_rejected():
+    # the names key the result tree, so one section would overwrite the other
+    twin = dataclasses.replace(get_function("square"), name="abs")
+    with pytest.raises(ValueError, match="share the name 'abs'"):
+        run_suites([get_function("abs"), twin], ["cdd"], SMALL)
 
 
 def test_all_expands_to_every_suite():
-    result = run_suites(["abs"], ["all"], SMALL)
+    result = run_suites([get_function("abs")], ["all"], SMALL)
     assert set(result["suites"]) == {"prop1", "thm2", "thm3", "cdd", "predicates"}
     assert result["hard_total"] == 0
 
 
 def test_truncation_flags_propagate():
-    result = run_suites(["ind_origin"], ["cdd"], SMALL)
+    result = run_suites([get_function("ind_origin")], ["cdd"], SMALL)
     assert result["truncation_flags"] == ["ind_origin"]
 
 
@@ -81,13 +91,13 @@ def test_every_suite_graph_is_sampled_with_the_run_knobs(monkeypatch):
     params = dataclasses.replace(
         SMALL, covector_half_width=3.0, covector_resolution=7, scheme=scheme
     )
-    run_suites(["neg_abs", "abs"], ["all"], params)
+    run_suites([get_function("neg_abs"), get_function("abs")], ["all"], params)
     assert len(seen) >= 8  # two functions, four graph-sampling suites
     assert set(seen) == {(3.0, 7, scheme)}
 
 
 def test_hard_disagreements_drive_exit_one(tmp_path, monkeypatch, capsys):
-    def fake_run_suites(function_ids, suites, params, collect_rows=False):
+    def fake_run_suites(functions, suites, params, collect_rows=False):
         return {
             "suites": {"prop1": {"functions": {}, "hard_count": 1}},
             "hard_total": 1,

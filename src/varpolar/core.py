@@ -24,7 +24,7 @@ Array = np.ndarray
 DEFAULT_TOL = 1e-6
 
 #: Half-width of the box that truncates "full space" quantifiers and covector
-#: search grids. Reported alongside every verdict that depends on it.
+#: sets. Reported alongside every verdict that depends on it.
 DEFAULT_BOX_HALF_WIDTH = 10.0
 
 #: Grid-based quantification is capped at this many dimensions (cost is
@@ -187,6 +187,17 @@ def _row_blocks(rows: int, cols: int):
     :data:`_BLOCK_ENTRIES` entries (at least one row each)."""
     step = max(1, _BLOCK_ENTRIES // max(cols, 1))
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _pairings(u: Array, v: Array) -> Array:
+    """<u, v> over the last axis of two broadcastable arrays, summed
+    coordinate by coordinate in order, so an entry depends only on its two
+    operands. A BLAS product gives it different last bits depending on where
+    its kernel splits the matrix, which a row block would not reproduce."""
+    out = u[..., 0] * v[..., 0]
+    for k in range(1, u.shape[-1]):
+        out += u[..., k] * v[..., k]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,21 +481,24 @@ def _representatives_by_point(
 ) -> tuple[Array, Array, Array]:
     """Batched side-oracle layout built from per-point calls of ``sdiff``."""
     n, dim = pts.shape
-    per_point = []
-    for x in pts:
-        desc = sdiff(x)
-        if desc is None:
-            per_point.append((np.zeros((0, dim)), False))
-        else:
-            per_point.append(desc.representatives(half_width))
-    width = max((r.shape[0] for r, _ in per_point), default=0)
-    reps = np.zeros((n, width, dim))
-    mask = np.zeros((n, width), dtype=bool)
-    for i, (r, _) in enumerate(per_point):
-        reps[i, : r.shape[0]] = r
-        mask[i, : r.shape[0]] = True
-    truncated = np.array([t for _, t in per_point], dtype=bool)
-    return reps, mask, truncated
+    per_point = [
+        (np.zeros((0, dim)), False) if desc is None else desc.representatives(half_width)
+        for desc in map(sdiff, pts)
+    ]
+    pieces = [(slice(i, i + 1), r[None], np.ones((1, len(r)), dtype=bool))
+              for i, (r, _) in enumerate(per_point)]
+    return *_padded(pieces, n, dim), np.array([t for _, t in per_point], dtype=bool)
+
+
+def _padded(pieces: Sequence[tuple[slice, Array, Array]], n: int, dim: int) -> tuple[Array, Array]:
+    """One (n, R, dim) side-oracle layout (reps and mask) from pieces
+    (rows, reps, mask) that each cover the points ``rows`` with their own
+    padding; R is the widest piece's."""
+    width = max((r.shape[1] for _, r, _ in pieces), default=0)
+    reps, mask = np.zeros((n, width, dim)), np.zeros((n, width), dtype=bool)
+    for rows, r, m in pieces:
+        reps[rows, : r.shape[1]], mask[rows, : m.shape[1]] = r, m
+    return reps, mask
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .core import (
     GraphSample,
     Region,
     Verdict,
+    _pairings,
     _row_blocks,
     as_point,
 )
@@ -40,19 +41,6 @@ EXACT_TOL = 1e-9
 DEFAULT_RAY_RESOLUTION = 33
 
 
-def _pairings(u: Array, v: Array) -> Array:
-    """The matrix of <u_i, v_j>, summed coordinate by coordinate in order.
-
-    BLAS gives the entries of ``u @ v.T`` different last bits depending on
-    where its kernel splits the matrix, so a row block would not reproduce the
-    whole matrix; these sums depend only on the two rows.
-    """
-    out = u[:, 0, None] * v[None, :, 0]
-    for k in range(1, u.shape[1]):
-        out += u[:, k, None] * v[None, :, k]
-    return out
-
-
 def _min_products(T: GraphSample, points: Array, covectors: Array) -> tuple[Array, Array]:
     """For each candidate row, min over T of <y* - x*, y - x> and argmin."""
     py, cy = T.points, T.covectors
@@ -63,8 +51,8 @@ def _min_products(T: GraphSample, points: Array, covectors: Array) -> tuple[Arra
     for rows in _row_blocks(len(points), len(T)):
         m = (
             a[None, :]
-            - _pairings(points[rows], cy)
-            - _pairings(covectors[rows], py)
+            - _pairings(points[rows, None], cy)
+            - _pairings(covectors[rows, None], py)
             + b[rows, None]
         )
         mins[rows] = m.min(axis=1)
@@ -117,8 +105,8 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
         m = (
             diag[rows, None]
             + diag[None, cols]
-            - _pairings(c[rows], p[cols])
-            - _pairings(c[cols], p[rows]).T
+            - _pairings(c[rows, None], p[cols])
+            - _pairings(c[None, cols], p[rows, None])
         )
         m[np.tril_indices(m.shape[0], -1, m.shape[1])] = np.inf
         mins[rows] = m.min(axis=1)

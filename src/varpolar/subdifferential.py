@@ -2,15 +2,16 @@
 filter, and the subderivative-vs-enlargement inequality check.
 
 Two concrete subdifferentials are available: the exact side-oracles of the
-curated library (convex-analysis subdifferentials) and a numeric route that
-accepts a covector when it is dominated directionally by the generalized
-derivative on a deterministic sphere grid. Covector search grids are truncated
-to a documented box; unbounded subdifferentials are reported with a truncation
-flag rather than silently clipped.
+curated library (convex-analysis subdifferentials) and a numeric route whose
+set at x is the polytope of covectors dominated by the generalized derivative
+f°(x; d) on a deterministic sphere grid of directions d. Both are cut by a
+documented covector box; unbounded subdifferentials are reported with a
+truncation flag rather than silently clipped.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -26,8 +27,10 @@ from .core import (
     Region,
     Verdict,
     as_point,
-    tensor_grid,
     _fibonacci_sphere,
+    _padded,
+    _pairings,
+    _row_blocks,
 )
 from .subderivative import (
     DEFAULT_SCHEME,
@@ -47,9 +50,6 @@ _CDD_GRID = 9
 #: Stacked local grid points per block of base points in the cdd pass:
 #: 41 base points in 1-D and 4 in 2-D at the default ladder and grid.
 _CDD_BLOCK_POINTS = 4096
-
-#: Points per axis of the covector grid of the numeric Clarke route.
-DEFAULT_COVECTOR_RESOLUTION = 41
 
 #: Tolerance of the subderivative / enlargement inequality.
 DEFAULT_CDD_TOL = 1e-3
@@ -181,12 +181,59 @@ def _resolve_source(f: FunctionOracle, source: str) -> str:
     return "exact" if f.exact_subdifferential is not None else "clarke-numeric"
 
 
+def _compact(rows: Array, keep: Array) -> tuple[Array, Array]:
+    """Each point's kept rows of a padded (N, R, dim) array, moved to the
+    front in order, with the padding cut to the largest kept count."""
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max(initial=0)]
+    return np.take_along_axis(rows, order[..., None], 1), np.take_along_axis(keep, order, 1)
+
+
+def _clarke_polytopes(support: Array, dirs: Array, half_width: float) -> tuple[Array, Array, Array]:
+    """The numeric Clarke sets {x* : <x*, dirs[j]> <= support[i, j]}, cut by
+    the covector box, in the ``exact_subdifferential_batch`` layout.
+
+    Each nonsingular dim-subset of the normals [dirs; I; -I] gives a
+    candidate vertex; the candidates within DEFAULT_TOL of every halfspace
+    are the vertices. A vertex within DEFAULT_TOL of an earlier one is merged
+    into it, since a one-point set comes out of the noisy table as a thin
+    sliver. The rows are the merged vertices in subset order, then their
+    centroid when there are two or more. A point is truncated where some
+    support value is +inf. Sums run coordinate by coordinate, so a point's
+    rows do not depend on its row block.
+    """
+    n, dim = support.shape[0], dirs.shape[1]
+    normals = np.vstack([dirs, np.eye(dim), -np.eye(dim)])
+    subsets = np.array(list(itertools.combinations(range(len(normals)), dim)))
+    subsets = subsets[np.abs(np.linalg.det(normals[subsets])) > 1e-9]
+    inverses = np.linalg.inv(normals[subsets])  # the same at every point
+    # +inf leaves x* free along dirs[j] up to the box, whose own support
+    # value there cuts nothing more and keeps the solves finite
+    bounds = np.hstack([np.minimum(support, half_width * np.abs(dirs).sum(axis=1)),
+                        np.full((n, 2 * dim), float(half_width))])
+    pieces = []
+    for rows in _row_blocks(n, len(subsets) * len(normals)):
+        b = bounds[rows]
+        verts = _pairings(inverses[None], b[:, subsets][:, :, None, :])
+        slack = _pairings(verts[:, :, None, :], normals) - b[:, None, :]
+        verts, valid = _compact(verts, np.all(slack <= DEFAULT_TOL, axis=2))
+        merged = np.zeros_like(valid)
+        width = verts.shape[1]
+        for r in _row_blocks(width, len(verts) * width):
+            gap = sum((verts[:, r, None, k] - verts[:, None, :, k]) ** 2 for k in range(dim))
+            earlier = np.arange(width) < np.arange(r.start, r.stop)[:, None]
+            merged[:, r] = np.any((gap <= DEFAULT_TOL**2) & earlier & valid[:, None, :], axis=2)
+        verts, keep = _compact(verts, valid & ~merged)
+        count = keep.sum(axis=1, keepdims=True)
+        centroid = (verts * keep[..., None]).sum(axis=1) / np.maximum(count, 1)
+        pieces.append((rows, np.hstack([verts, centroid[:, None]]), np.hstack([keep, count > 1])))
+    return *_padded(pieces, n, dim), ~np.all(np.isfinite(support), axis=1)
+
+
 def _graph_rows(
     f: FunctionOracle,
     pts: Array,
     source: str,
     covector_half_width: float,
-    covector_resolution: int,
     scheme: LiminfScheme,
     groups: Array | None = None,
 ) -> tuple[Array, Array, Array]:
@@ -205,15 +252,7 @@ def _graph_rows(
     else:
         dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
         support = _clarke_support(f, pts, dirs, scheme, groups)
-        axis = np.linspace(-covector_half_width, covector_half_width, covector_resolution)
-        cands = tensor_grid([axis] * f.dim)
-        pairings = cands @ dirs.T
-        mask = np.ones((pts.shape[0], cands.shape[0]), dtype=bool)
-        for j in range(dirs.shape[0]):
-            mask &= pairings[None, :, j] <= support[:, j, None] + DEFAULT_TOL
-        # an infinite support value means the covector set is cut by the box
-        truncated = ~np.all(np.isfinite(support), axis=1)
-        reps = np.broadcast_to(cands[None, :, :], mask.shape + (f.dim,))
+        reps, mask, truncated = _clarke_polytopes(support, dirs, covector_half_width)
     owner = np.repeat(np.arange(pts.shape[0]), mask.sum(axis=1))
     return owner, reps[mask], truncated
 
@@ -224,7 +263,6 @@ def sample_subdiff_graph(
     resolution: int,
     source: str = "exact",
     covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
-    covector_resolution: int = DEFAULT_COVECTOR_RESOLUTION,
     scheme: LiminfScheme = DEFAULT_SCHEME,
 ) -> GraphSample:
     """Sample representative (point, covector) pairs of the subdifferential
@@ -233,11 +271,11 @@ def sample_subdiff_graph(
     ``source="exact"`` uses the analytic side-oracle (its batched form when
     the oracle has one): interval endpoints and midpoint in 1-D, the vertex
     list (plus centroid) in n-D, a center-plus-fan for ball sets.
-    ``source="clarke-numeric"`` accepts the candidates x* of a covector grid
-    with <x*, d> <= f_up(x; d) + DEFAULT_TOL for every sphere direction d,
-    and flags a point as truncated where some f_up(x; d) is infinite; the
-    table of f_up(x; d) is evaluated once per distinct point (see
-    :func:`_clarke_support`).
+    ``source="clarke-numeric"`` lists the vertices, merged within
+    DEFAULT_TOL, and the centroid of the polytope {x* : <x*, d> <= f_up(x; d)
+    for every sphere direction d} in the covector box, in the same layout
+    (:func:`_clarke_polytopes`), with the table of f_up(x; d) evaluated once
+    per distinct point (:func:`_clarke_support`).
     ``source="auto"`` picks the exact side-oracle when f has one and the
     numeric route otherwise. Points where f is not finite contribute nothing.
     The sample's ``meta`` records the construction (with the source used) and
@@ -249,9 +287,7 @@ def sample_subdiff_graph(
     grid = region.sample(resolution)
     finite = np.isfinite(f.values(grid))
     pts = grid[finite]
-    owner, covectors, truncated = _graph_rows(
-        f, pts, source, covector_half_width, covector_resolution, scheme
-    )
+    owner, covectors, truncated = _graph_rows(f, pts, source, covector_half_width, scheme)
     meta = {
         "function": f.name,
         "region": region.describe(),
@@ -329,7 +365,6 @@ def _cdd_profiles(
     dirs: Array,
     scheme: LiminfScheme,
     covector_half_width: float,
-    covector_resolution: int,
     tol: float,
 ) -> Iterator[list[Verdict]]:
     """The verdicts of :func:`cdd_profile` at each row of ``xbars``, in order.
@@ -363,7 +398,7 @@ def _cdd_profiles(
         finite = np.isfinite(fvals)
         pts, fvals, cell = pts[finite], fvals[finite], cell[finite]
         owner, covectors, truncated = _graph_rows(
-            f, pts, source, covector_half_width, covector_resolution, scheme, cell // levels
+            f, pts, source, covector_half_width, scheme, cell // levels
         )
 
         # Duplicate rows change neither a supremum nor emptiness, so the rows
@@ -410,33 +445,18 @@ def _cdd_verdicts(
         rhs = float(rhs_values[j])
         details = {"lhs": lhs, "rhs": rhs, "direction": dirs[j].tolist()}
         if empty_eps is not None:
-            verdicts.append(
-                Verdict(
-                    ok=False,
-                    residual=math.inf,
-                    witness=empty_eps,
-                    flags=flags + ("empty_enlargement",),
-                    details=details,
-                )
-            )
+            flagged = flags + ("empty_enlargement",)
+            verdicts.append(Verdict(False, math.inf, empty_eps, flagged, details))
             continue
         if lhs == math.inf:
-            # A truncated covector grid cannot reach an infinite supremum;
+            # A covector set cut by the box cannot reach an infinite supremum;
             # with the truncation documented the check passes by convention.
             ok = truncated or rhs == math.inf
             residual = 0.0 if ok else math.inf
         else:
             residual = lhs - rhs
             ok = residual <= tol
-        verdicts.append(
-            Verdict(
-                ok=ok,
-                residual=residual,
-                witness=None if ok else dirs[j],
-                flags=flags,
-                details=details,
-            )
-        )
+        verdicts.append(Verdict(ok, residual, None if ok else dirs[j], flags, details))
     return verdicts
 
 
@@ -446,7 +466,6 @@ def cdd_profile(
     directions: Array,
     scheme: LiminfScheme = DEFAULT_SCHEME,
     covector_half_width: float = DEFAULT_BOX_HALF_WIDTH,
-    covector_resolution: int = DEFAULT_COVECTOR_RESOLUTION,
     tol: float = DEFAULT_CDD_TOL,
 ) -> list[Verdict]:
     """Check the inequality f'(xbar; d) <= inf_eps sup <enlargement, d> for
@@ -465,8 +484,4 @@ def cdd_profile(
     """
     xb = as_point(xbar, f.dim)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    return next(
-        _cdd_profiles(
-            f, xb[None, :], dirs, scheme, covector_half_width, covector_resolution, tol
-        )
-    )
+    return next(_cdd_profiles(f, xb[None, :], dirs, scheme, covector_half_width, tol))

@@ -20,8 +20,7 @@ from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, cro
 from .minty import _tilted_iar_residuals
 from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, _min_products, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
-from .subdifferential import DEFAULT_CDD_TOL, DEFAULT_COVECTOR_RESOLUTION, _cdd_profiles
-from .subdifferential import sample_subdiff_graph
+from .subdifferential import DEFAULT_CDD_TOL, _cdd_profiles, sample_subdiff_graph
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class SuiteParams:
     tol: float = DEFAULT_TOL
     cdd_tol: float = DEFAULT_CDD_TOL
     covector_half_width: float = DEFAULT_BOX_HALF_WIDTH
-    covector_resolution: int = DEFAULT_COVECTOR_RESOLUTION
     thm3_candidates: int = 15
     thm3_candidates_2d: int = 5
     scheme: LiminfScheme = DEFAULT_SCHEME
@@ -46,8 +44,8 @@ class SuiteParams:
     def __post_init__(self) -> None:
         # a grid of one point collapses its quantifier (t_resolution = 1
         # leaves only t = 0, so every rays check passes vacuously)
-        for key in ("resolution", "resolution_2d", "t_resolution", "covector_resolution",
-                    "thm3_candidates", "thm3_candidates_2d"):
+        for key in ("resolution", "resolution_2d", "t_resolution", "thm3_candidates",
+                    "thm3_candidates_2d"):
             if getattr(self, key) < 2:
                 raise ValueError(f"{key} must be >= 2")
         if self.probe_factor < 1:
@@ -124,7 +122,6 @@ def suite_graph(f, params: SuiteParams, resolution: int, source: str = "auto") -
         resolution,
         source=source,
         covector_half_width=params.covector_half_width,
-        covector_resolution=params.covector_resolution,
         scheme=params.scheme,
     )
 
@@ -176,6 +173,7 @@ def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
         "graph_resolution": graph.meta["resolution"],
         "graph_size": len(graph),
         "graph_source": graph.meta["source"],
+        "covector_truncated": graph.meta["truncated"],
         "band": params.polar_band,
         "agree": agree,
         "indeterminate": indeterminate,
@@ -207,8 +205,7 @@ def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     truncated = False
     failures = []
     profiles = _cdd_profiles(
-        f, xbars, dirs, params.scheme, params.covector_half_width,
-        params.covector_resolution, params.cdd_tol,
+        f, xbars, dirs, params.scheme, params.covector_half_width, params.cdd_tol
     )
     for xb, verdicts in zip(xbars, profiles):
         for v in verdicts:
@@ -279,6 +276,7 @@ def predicates_suite(f: FunctionOracle, params: SuiteParams) -> dict:
         "function": f.name,
         "graph_source": source,
         "graph_size": len(graph),
+        "covector_truncated": graph.meta["truncated"],
         "monotone": mono.ok,
         "monotone_expected": mono_expected,
         "monotone_min_product": mono.residual,
@@ -329,6 +327,9 @@ def run_suites(
     for a, b in zip(fs, fs[1:]):
         if a.name == b.name:
             raise ValueError(f"two function oracles share the name {a.name!r}")
+    for f in fs:
+        if f.default_region is None:
+            raise ValueError(f"function oracle {f.name!r} has no default_region to sample")
 
     # every suite takes the oracle positionally: bench/tracer.py keys its
     # per-cell wall times by the first positional argument

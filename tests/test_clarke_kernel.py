@@ -285,7 +285,6 @@ def _cdd_loop(fid, params):
     for xb in grid[np.isfinite(f.values(grid))]:
         for v in cdd_profile(f, xb, dirs, scheme=params.scheme,
                              covector_half_width=params.covector_half_width,
-                             covector_resolution=params.covector_resolution,
                              tol=params.cdd_tol):
             checks += 1
             truncated = truncated or "covector_truncated" in v.flags
@@ -333,7 +332,7 @@ def test_stacked_profiles_keep_per_point_verdicts(monkeypatch, fid):
     xbars = _finite_grid(f, 9 if f.dim == 1 else 5)
     eye = np.eye(f.dim)
     dirs = np.vstack([eye, -eye, np.full((1, f.dim), 0.6)])
-    stacked = list(_cdd_profiles(f, xbars, dirs, DEFAULT_SCHEME, 10.0, 41, 1e-12))
+    stacked = list(_cdd_profiles(f, xbars, dirs, DEFAULT_SCHEME, 10.0, 1e-12))
     assert len(stacked) == len(xbars)
     flags = set()
     for xb, verdicts in zip(xbars, stacked):

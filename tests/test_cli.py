@@ -81,9 +81,10 @@ def test_config_file_roundtrip(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path):
     cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text("[run]\nbogus_knob = 3\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_config(str(cfg_path), {})
+    for line in ("bogus_knob = 3", "covector_resolution = 41"):
+        cfg_path.write_text(f"[run]\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(str(cfg_path), {})
 
 
 def test_suite_writes_report_and_exits_zero(tmp_path, capsys):
@@ -273,16 +274,20 @@ def test_polar_dump(capsys):
 
 
 def test_polar_samples_the_graph_with_the_covector_knobs(tmp_path, capsys):
-    # at covector_resolution = 5 the numeric graph of -|x| is the one pair
-    # (0, 0) that `graph` prints, and 127 candidate pairs are related to it
+    # ind_halfline's normal cone at 0 is cut at -covector_half_width: `graph`
+    # prints (0, -3), and `polar` relates a point x < 0 only to the candidate
+    # covectors x* <= -3 (to none at the default half-width 10)
     cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text("[run]\nresolution = 5\ncovector_resolution = 5\n", encoding="utf-8")
-    assert main(["graph", "--config", str(cfg_path), "--function", "neg_abs"]) == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == 2
-    assert main(["polar", "--config", str(cfg_path), "--function", "neg_abs"]) == 0
+    cfg_path.write_text("[run]\nresolution = 5\ncovector_half_width = 3\n", encoding="utf-8")
+    assert main(["graph", "--config", str(cfg_path), "--function", "ind_halfline"]) == 0
+    graph = capsys.readouterr().out.strip().splitlines()
+    assert min(float(row.split(",")[1]) for row in graph[1:]) == -3.0
+    assert "0.0,-3.0" in graph
+    assert main(["polar", "--config", str(cfg_path), "--function", "ind_halfline"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "x_1,xstar_1"
-    assert len(out) - 1 == 127
+    left = [[float(v) for v in row.split(",")] for row in out[1:] if row.startswith("-")]
+    assert len(left) == 14 and all(xstar <= -3.0 for _, xstar in left)
 
 
 def test_explain_point_query(capsys):
@@ -305,7 +310,7 @@ def test_explain_minty_query(capsys):
     [
         # a one-point t grid leaves only t = 0: every rays check passes vacuously
         "t_resolution = 1",
-        "covector_resolution = 1",
+        "resolution_2d = 1",
         "thm3_candidates = 1",
         "thm3_candidates_2d = 1",
         "probe_factor = 0",

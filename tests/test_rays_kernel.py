@@ -58,7 +58,6 @@ def _reference_thm3(fid, params):
     graph = sample_subdiff_graph(
         f, region, dense_res, source=source,
         covector_half_width=params.covector_half_width,
-        covector_resolution=params.covector_resolution,
         scheme=params.scheme,
     )
     probe_res = params.probe_factor * (params.grid_resolution(f.dim) - 1) + 1
@@ -79,6 +78,7 @@ def _reference_thm3(fid, params):
     return {
         "function": fid, "region": region.describe(), "candidates": len(xs) * len(cs),
         "graph_resolution": dense_res, "graph_size": len(graph), "graph_source": source,
+        "covector_truncated": graph.meta["truncated"],
         "band": params.polar_band, **counts, "hard_count": counts["hard"],
         "disagreements": disagreements,
     }

@@ -3,6 +3,7 @@ subderivative/enlargement inequality, plus the calculus-level invariants:
 the inclusion chain, the tilt rule, and the separation smoke test."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from varpolar import (
     DomainError,
     FunctionOracle,
-    GraphSample,
     Region,
     clarke_subdiff_contains,
     convex_subdiff_contains,
@@ -92,11 +92,18 @@ def test_numeric_graph_of_neg_abs_matches_sign_flip():
     g = sample_subdiff_graph(
         get_function("neg_abs"), Region.interval(-1, 1), 3, source="clarke-numeric"
     )
-    pairs = {(p[0], c[0]) for p, c in g.pairs()}
-    assert (1.0, -1.0) in pairs and (-1.0, 1.0) in pairs
-    fan = sorted(c for x, c in pairs if x == 0.0)
-    assert fan[0] == -1.0 and fan[-1] == 1.0 and len(fan) >= 3
-    assert all(-1.0 <= c <= 1.0 for c in fan)
+    # the Clarke interval at 0 is [-1, 1], read off estimated support values:
+    # its endpoints and the smooth slopes are +-1 up to the estimator's noise
+    slopes = {p[0]: [] for p in g.points}
+    for p, c in g.pairs():
+        slopes[p[0]].append(c[0])
+    assert sorted(slopes) == [-1.0, 0.0, 1.0]
+    assert len(slopes[-1.0]) == 1 and abs(slopes[-1.0][0] - 1.0) <= 1e-9
+    assert len(slopes[1.0]) == 1 and abs(slopes[1.0][0] + 1.0) <= 1e-9
+    fan = sorted(slopes[0.0])
+    assert len(fan) == 3
+    assert abs(fan[0] + 1.0) <= 1e-9 and abs(fan[-1] - 1.0) <= 1e-9
+    assert fan[1] == 0.5 * (fan[0] + fan[-1])
 
 
 def test_exact_graph_requires_oracle():
@@ -124,6 +131,28 @@ def test_unbounded_subdifferential_sets_truncation_flag():
         assert g.meta["truncated"] is True, dim
 
 
+def _clarke_polytope_by_point(support, dirs, half_width):
+    """Vertices (merged within DEFAULT_TOL, in subset order) and centroid of
+    {x* : <x*, d_j> <= support[j]} cut by the box, one linear solve per
+    dim-subset of the halfspaces."""
+    dim = dirs.shape[1]
+    normals = np.vstack([dirs, np.eye(dim), -np.eye(dim)])
+    bounds = np.concatenate([support, np.full(2 * dim, half_width)])
+    candidates = []
+    for subset in itertools.combinations(range(len(normals)), dim):
+        a = normals[list(subset)]
+        if abs(np.linalg.det(a)) <= 1e-9:
+            continue
+        v = np.linalg.solve(a, bounds[list(subset)])
+        if np.all(normals @ v <= bounds + DEFAULT_TOL):
+            candidates.append(v)
+    vertices = [
+        v for k, v in enumerate(candidates)
+        if all(np.linalg.norm(v - w) > DEFAULT_TOL for w in candidates[:k])
+    ]
+    return vertices + ([np.mean(vertices, axis=0)] if len(vertices) > 1 else [])
+
+
 def test_numeric_graph_2d_matches_per_point_loop():
     f = FunctionOracle(
         name="neg_norm2d",
@@ -133,20 +162,17 @@ def test_numeric_graph_2d_matches_per_point_loop():
     )
     region = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
     g = sample_subdiff_graph(f, region, 9, source="clarke-numeric")
-    # Reference: one generalized-derivative call per point and direction.
+    # Reference: one generalized-derivative call per point and direction,
+    # and the polytope of each point built on its own.
     dirs = sphere_directions(2, 16)
-    axis = np.linspace(-10.0, 10.0, 41)
-    cands = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
-    p_rows, c_rows = [], []
+    assert len(g) > 0 and g.meta["truncated"] is False
     for x in region.sample(9):
         ups = np.array([clarke_directional_values(f, x[None, :], d)[0][0] for d in dirs])
-        keep = np.all(cands @ dirs.T <= ups[None, :] + DEFAULT_TOL, axis=1)
-        p_rows += [x] * int(keep.sum())
-        c_rows += list(cands[keep])
-    ref = GraphSample(np.vstack(p_rows), np.vstack(c_rows))
-    assert len(g) > 0 and g.meta["truncated"] is False
-    assert g.points.tobytes() == ref.points.tobytes()
-    assert g.covectors.tobytes() == ref.covectors.tobytes()
+        ref = _clarke_polytope_by_point(ups, dirs, 10.0)
+        got = g.covectors[np.all(g.points == x, axis=1)]
+        assert len(ref) == len(got) >= 1
+        gap = np.linalg.norm(got[:, None, :] - np.asarray(ref)[None, :, :], axis=2)
+        assert gap.min(axis=0).max() <= 1e-9 and gap.min(axis=1).max() <= 1e-9
 
 
 def test_exact_graph_uses_the_batched_side_oracle():

@@ -8,7 +8,7 @@ import math
 import pytest
 
 import varpolar.cli as cli
-from varpolar import subdifferential
+from varpolar import FunctionOracle, subdifferential
 from varpolar.library import get_function
 from varpolar.subderivative import LiminfScheme
 from varpolar.suites import SuiteParams, run_suites
@@ -32,7 +32,7 @@ def test_verdict_counts_sum_to_grid_cardinality():
     "knobs, message",
     [
         ({"t_resolution": 1}, "t_resolution must be >= 2"),
-        ({"covector_resolution": 1}, "covector_resolution must be >= 2"),
+        ({"resolution_2d": 1}, "resolution_2d must be >= 2"),
         ({"probe_factor": 0}, "probe_factor must be >= 1"),
         ({"cdd_tol": 0.0}, "cdd_tol must be finite and positive"),
         # NaN and +inf tolerances make both sides of a comparison agree
@@ -71,6 +71,26 @@ def test_truncation_flags_propagate():
     assert result["truncation_flags"] == ["ind_origin"]
 
 
+def test_thm3_and_predicates_flag_truncated_graphs():
+    fs = [get_function("ind_origin"), get_function("ind_halfline"), get_function("abs")]
+    result = run_suites(fs, ["thm3", "predicates"], SuiteParams())
+    assert result["truncation_flags"] == ["ind_halfline", "ind_origin"]
+    for name in ("thm3", "predicates"):
+        flags = {fid: sec["covector_truncated"] for fid, sec in result["suites"][name]["functions"].items()}
+        assert flags == {"abs": False, "ind_halfline": True, "ind_origin": True}, name
+
+
+def test_an_oracle_without_a_default_region_is_rejected_up_front(monkeypatch):
+    ran = []
+    monkeypatch.setattr(
+        "varpolar.suites.cdd_suite", lambda f, params: ran.append(f.name) or {"hard_count": 0}
+    )
+    bare = FunctionOracle(name="bare", dim=1, fn=lambda x: abs(float(x[0])))
+    with pytest.raises(ValueError, match="'bare' has no default_region"):
+        run_suites([get_function("abs"), bare], ["cdd"], SMALL)
+    assert ran == []
+
+
 def test_every_suite_graph_is_sampled_with_the_run_knobs(monkeypatch):
     # neg_abs takes the numeric route and abs the exact one; every graph of
     # every suite, prop1/thm2's included, must see the run's covector box
@@ -82,18 +102,16 @@ def test_every_suite_graph_is_sampled_with_the_run_knobs(monkeypatch):
     def spy(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        knobs = ("covector_half_width", "covector_resolution", "scheme")
+        knobs = ("covector_half_width", "scheme")
         seen.append(tuple(bound.arguments[k] for k in knobs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(subdifferential, "_graph_rows", spy)
     scheme = LiminfScheme(t0=0.05)
-    params = dataclasses.replace(
-        SMALL, covector_half_width=3.0, covector_resolution=7, scheme=scheme
-    )
+    params = dataclasses.replace(SMALL, covector_half_width=3.0, scheme=scheme)
     run_suites([get_function("neg_abs"), get_function("abs")], ["all"], params)
     assert len(seen) >= 8  # two functions, four graph-sampling suites
-    assert set(seen) == {(3.0, 7, scheme)}
+    assert set(seen) == {(3.0, scheme)}
 
 
 def test_hard_disagreements_drive_exit_one(tmp_path, monkeypatch, capsys):

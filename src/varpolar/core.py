@@ -490,10 +490,12 @@ def _representatives_by_point(
     return *_padded(pieces, n, dim), np.array([t for _, t in per_point], dtype=bool)
 
 
-def _padded(pieces: Sequence[tuple[slice, Array, Array]], n: int, dim: int) -> tuple[Array, Array]:
+def _padded(
+    pieces: Sequence[tuple[slice | Array, Array, Array]], n: int, dim: int
+) -> tuple[Array, Array]:
     """One (n, R, dim) side-oracle layout (reps and mask) from pieces
-    (rows, reps, mask) that each cover the points ``rows`` with their own
-    padding; R is the widest piece's."""
+    (rows, reps, mask) that each cover the points ``rows`` (a slice or an
+    index array) with their own padding; R is the widest piece's."""
     width = max((r.shape[1] for _, r, _ in pieces), default=0)
     reps, mask = np.zeros((n, width, dim)), np.zeros((n, width), dtype=bool)
     for rows, r, m in pieces:

@@ -26,6 +26,7 @@ from .core import (
     DEFAULT_TOL,
     FunctionOracle,
     GraphSample,
+    PolytopeSet,
     Region,
     Verdict,
     _pairings,
@@ -133,6 +134,29 @@ def polar_of_sample(
     return candidates.filter(mins >= -tol)
 
 
+def _in_hull_at_point(T: GraphSample, points: Array, covectors: Array, tol: float) -> Array:
+    """Whether each covectors[i] lies within ``tol`` in the convex hull of
+    T's covectors at the point equal to points[i] (False where T has none).
+
+    One masked pass over row blocks of (row, T element) pairs: in 1-D the
+    hull is the interval [min, max] of the masked covectors; beyond, each
+    row with a nonempty mask is a :class:`~varpolar.core.PolytopeSet` test.
+    """
+    inside = np.zeros(len(points), dtype=bool)
+    for rows in _row_blocks(len(points), len(T)):
+        same = np.all(points[rows, None, :] == T.points[None, :, :], axis=2)
+        if T.dim == 1:
+            c = T.covectors[None, :, 0]
+            lo = np.where(same, c, math.inf).min(axis=1)
+            hi = np.where(same, c, -math.inf).max(axis=1)
+            inside[rows] = (lo - tol <= covectors[rows, 0]) & (covectors[rows, 0] <= hi + tol)
+        else:
+            for i in np.flatnonzero(same.any(axis=1)):
+                hull = PolytopeSet(T.covectors[same[i]])
+                inside[rows.start + i] = hull.contains(covectors[rows.start + i], tol)
+    return inside
+
+
 def is_absorbing(
     T: GraphSample,
     candidates: GraphSample,
@@ -143,10 +167,12 @@ def is_absorbing(
     """Is every candidate related to T attributable to T itself?
 
     A related candidate is attributed when it lies within ``match_radius`` of
-    some sampled element in graph distance max(||dx||, ||dx*||), or when the
-    oracle's exact subdifferential (if available) certifies membership. The
-    verdict's witness is the worst unattributed offender and the residual its
-    attribution distance minus the radius.
+    some sampled element in graph distance max(||dx||, ||dx*||), or when its
+    covector lies within ``tol`` in the set at its point: the oracle's exact
+    subdifferential when it has one, and otherwise the convex hull of T's
+    covectors at that same point (T's sampled set there, such as a numeric
+    Clarke set). The verdict's witness is the worst unattributed offender and
+    the residual its attribution distance minus the radius.
     """
     related = polar_of_sample(T, candidates, tol)
     if len(related) == 0:
@@ -175,6 +201,11 @@ def is_absorbing(
             if desc is not None and desc.contains(related.covectors[i], tol):
                 attributed[i] = True
                 dist[i] = 0.0
+    else:
+        rest = np.flatnonzero(~attributed)
+        inside = _in_hull_at_point(T, related.points[rest], related.covectors[rest], tol)
+        attributed[rest[inside]] = True
+        dist[rest[inside]] = 0.0
     worst = int(np.argmax(np.where(attributed, -math.inf, dist)))
     ok = bool(np.all(attributed))
     return Verdict(

@@ -255,13 +255,14 @@ def clarke_directional_values(
 
     Evaluated points. Steps t run over the tail window divided by |d|. Each
     base xbar gets ring points x = xbar + r o with r = RADIUS_FACTOR t and o in
-    the center plus ``nbhd_resolution`` axis shells (M = 1 + 2 dim
-    nbhd_resolution offsets); a ring point counts only when f(x) is finite
-    and within r of f(xbar). The direction ball is d' = d + delta w with w in
-    {0, +-e_i} (K = 1 + 2 dim), evaluated at x + t d'. Its center d + delta 0
-    is the same vector for every delta, so it is evaluated once: a ring point
-    costs 1 + D (K - 1) oracle points, not D K (9 instead of 12 in 1-D with
-    the four default deltas).
+    the center plus ``nbhd_resolution`` shells along +-e_i and, in 2-D and
+    up, along +-d/|d| (M = 1 + 2 nbhd_resolution offsets in 1-D and
+    1 + 2 (dim + 1) nbhd_resolution beyond); a ring point counts only when
+    f(x) is finite and within r of f(xbar). The direction ball is
+    d' = d + delta w with w in {0, +-e_i} (K = 1 + 2 dim), evaluated at
+    x + t d'. Its center d + delta 0 is the same vector for every delta, so
+    it is evaluated once: a ring point costs 1 + D (K - 1) oracle points, not
+    D K (9 instead of 12 in 1-D with the four default deltas).
 
     Infimum before quotient. The quotient q(m) = (m - f(x)) |d| / t is
     non-decreasing in m under IEEE rounding (a subtraction, then a product and
@@ -304,15 +305,18 @@ def clarke_directional_values(
     ts = scheme.tail_grid() / scale  # effective steps along d
     radii = RADIUS_FACTOR * ts
 
-    # Ring of base-point offsets: the center plus axis shells. Shape (M, dim)
+    # Ring of base-point offsets: the center plus shells along the axes and,
+    # in 2-D and up, along d itself, so the ring reaches x = xbar - r d/|d|
+    # for every d (axis shells alone miss it off the axes). Shape (M, dim)
     # as unit offsets, scaled per step by the shrinking radius.
     eye = np.eye(dim)
+    shell_dirs = eye if dim == 1 else np.vstack([eye, dd[None, :] / scale])
     shells = np.arange(1, nbhd_resolution + 1, dtype=float) / nbhd_resolution
     offsets = [np.zeros(dim)]
     for s in shells:
-        for i in range(dim):
-            offsets.append(s * eye[i])
-            offsets.append(-s * eye[i])
+        for u in shell_dirs:
+            offsets.append(s * u)
+            offsets.append(-s * u)
     offs = np.asarray(offsets)  # (M, dim)
 
     # Direction-ball grid d + delta * w for w in {0, +-e_i}: shape (D, K, dim).

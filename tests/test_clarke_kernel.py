@@ -43,6 +43,9 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DEL
         for i in range(dim):
             offsets.append(s * eye[i])
             offsets.append(-s * eye[i])
+        if dim > 1:
+            offsets.append(s * dd / scale)
+            offsets.append(-s * dd / scale)
     offs = np.asarray(offsets)
     ball = np.vstack([np.zeros((1, dim)), eye, -eye])
     dprime = dd[None, None, :] + deltas[:, None, None] * ball[None, :, :]
@@ -238,6 +241,23 @@ def test_support_table_once_per_distinct_row_matches_per_row_calls(f):
         # the +0.0 and -0.0 rows must not share a table row
         plus, minus = 2 * len(grid), 2 * len(grid) + 1
         assert not np.array_equal(per_row[plus], per_row[minus])
+
+
+def test_support_table_reaches_the_concave_kink_off_the_axes():
+    # f = -||x|| has f°(0; d) = 1 for every unit d, which the ring reaches
+    # at x = -r d/|d|; with axis shells alone the table read 1.0 on the
+    # axes, 0.916 at 22.5 degrees and 0.680 at 45 degrees. The delta
+    # extrapolation overshoots by up to 2.8e-5.
+    f = FunctionOracle(
+        name="neg_norm2d",
+        dim=2,
+        fn=lambda x: -float(np.linalg.norm(x)),
+        batch=lambda p: -np.linalg.norm(p, axis=1),
+    )
+    dirs = subdifferential.sphere_directions(2, 16)
+    table = subdifferential._clarke_support(f, np.zeros((1, 2)), dirs, DEFAULT_SCHEME)
+    assert table.shape == (1, 16)
+    assert np.all(np.abs(table - 1.0) <= 1e-4)
 
 
 def test_support_table_is_keyed_within_groups(monkeypatch):

@@ -168,6 +168,24 @@ def test_sign_map_graph_absorbs():
     assert is_absorbing(T, cands, match_radius=2 * h, oracle=f).ok
 
 
+def test_without_a_side_oracle_the_hull_at_the_point_attributes():
+    # a sampled set at one point (numeric Clarke sets come as vertices and
+    # centroid): a candidate there is attributed when its covector lies in
+    # the hull of the set, however far it is from the sampled covectors
+    T = _graph([(0.0, -1.0), (0.0, 0.0), (0.0, 1.0), (2.0, 5.0)])
+    cands = _graph([(0.0, 0.5), (0.0, -0.5), (0.0, 3.0), (1.0, 2.0)])
+    v = is_absorbing(T, cands, match_radius=0.1)
+    assert v.details == {"related": 4, "unattributed": 2}
+    assert v.witness[1].tolist() == [3.0] and v.residual == pytest.approx(1.9)
+    # in 2-D the hull is a polytope: the unit square's vertices at the origin
+    square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    T = GraphSample(np.zeros((4, 2)), square)
+    cands = GraphSample(np.zeros((3, 2)), np.array([[0.5, 0.5], [0.0, -1.0], [1.5, 0.0]]))
+    v = is_absorbing(T, cands, match_radius=0.1)
+    assert v.details == {"related": 3, "unattributed": 1}
+    assert v.witness[1].tolist() == [1.5, 0.0]
+
+
 # -- row blocks of the polar kernels -------------------------------------------------
 
 def _noisy_gradient_graph(rng, n, dim):

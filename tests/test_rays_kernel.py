@@ -239,23 +239,33 @@ def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
 
 
 def test_small_numeric_run_clarke_base_point_count(monkeypatch):
-    # base points that reach the generalized-derivative estimator on the
-    # numeric route: the support table is evaluated once per distinct point
-    # of each base's cdd grids, whose epsilons share most of their points;
-    # once per graph point this run sent 3,600 in the same 8 calls
-    sizes = []
+    # neg_abs and twowell are Lipschitz, so every point of the numeric route
+    # takes the gradient hull and no base point reaches the generalized-
+    # derivative estimator. With the support table at every point, this run
+    # sent 1,800 base points in 8 calls (3,600 before the table was keyed by
+    # distinct point). The hull takes each cdd pass's 891 grid points and
+    # each 9-point predicates graph in one call.
+    sizes, hulls = [], []
     estimator = subdifferential.clarke_directional_values
+    gradient_hulls = subdifferential._gradient_hulls
 
     def counting(f, xbars, *args, **kwargs):
         sizes.append(len(xbars))
         return estimator(f, xbars, *args, **kwargs)
 
+    def counting_hulls(f, pts, *args):
+        reps, mask, usable = gradient_hulls(f, pts, *args)
+        hulls.append((len(pts), int(usable.sum())))
+        return reps, mask, usable
+
     monkeypatch.setattr(subdifferential, "clarke_directional_values", counting)
+    monkeypatch.setattr(subdifferential, "_gradient_hulls", counting_hulls)
     result = run_suites(
         [get_function("neg_abs"), get_function("twowell")], ["cdd", "predicates"], SMALL
     )
     assert result["hard_total"] == 0
-    assert (len(sizes), sum(sizes)) == (8, 1_800)
+    assert sizes == []
+    assert hulls == [(891, 891), (891, 891), (9, 9), (9, 9)]
 
 
 @pytest.mark.parametrize("fid", ["abs", "norm2d"])

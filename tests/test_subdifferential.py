@@ -20,6 +20,7 @@ from varpolar import (
     lower_dini,
     sample_subdiff_graph,
 )
+from varpolar import subdifferential
 from varpolar.core import DEFAULT_TOL
 from varpolar.library import get_function, test_library as library_oracles
 from varpolar.subderivative import clarke_directional_values
@@ -134,9 +135,10 @@ def test_unbounded_subdifferential_sets_truncation_flag():
 def _clarke_polytope_by_point(support, dirs, half_width):
     """Vertices (merged within DEFAULT_TOL, in subset order) and centroid of
     {x* : <x*, d_j> <= support[j]} cut by the box, one linear solve per
-    dim-subset of the halfspaces."""
+    dim-subset of the halfspaces; an infinite support value is the box's."""
     dim = dirs.shape[1]
     normals = np.vstack([dirs, np.eye(dim), -np.eye(dim)])
+    support = np.minimum(support, half_width * np.abs(dirs).sum(axis=1))
     bounds = np.concatenate([support, np.full(2 * dim, half_width)])
     candidates = []
     for subset in itertools.combinations(range(len(normals)), dim):
@@ -146,33 +148,73 @@ def _clarke_polytope_by_point(support, dirs, half_width):
         v = np.linalg.solve(a, bounds[list(subset)])
         if np.all(normals @ v <= bounds + DEFAULT_TOL):
             candidates.append(v)
-    vertices = [
-        v for k, v in enumerate(candidates)
-        if all(np.linalg.norm(v - w) > DEFAULT_TOL for w in candidates[:k])
+    return _merged_by_point(candidates)
+
+
+def _merged_by_point(rows):
+    """The rows with each one within DEFAULT_TOL of an earlier row dropped,
+    then their centroid when two or more remain."""
+    kept = [
+        v for k, v in enumerate(rows)
+        if all(np.linalg.norm(v - w) > DEFAULT_TOL for w in rows[:k])
     ]
-    return vertices + ([np.mean(vertices, axis=0)] if len(vertices) > 1 else [])
+    return kept + ([np.mean(kept, axis=0)] if len(kept) > 1 else [])
+
+
+def _gradient_hull_by_point(f, x, dirs, half_width):
+    """The merged gradients at x + R u for u in {0} and ``dirs``, each axis
+    difference divided by its realised step, or None where a value is not
+    finite or a gradient leaves the box."""
+    grads = []
+    for u in np.vstack([np.zeros(len(x)), dirs]):
+        y = x + subdifferential._HULL_RADIUS * u
+        g = []
+        for k in range(len(x)):
+            hi, lo = y.copy(), y.copy()
+            hi[k] += subdifferential._HULL_STEP
+            lo[k] -= subdifferential._HULL_STEP
+            f_hi, f_lo = f.values(np.array([hi, lo]))
+            if not (math.isfinite(f_hi) and math.isfinite(f_lo)):
+                return None
+            g.append((f_hi - f_lo) / (hi[k] - lo[k]))
+        if max(abs(c) for c in g) > half_width:
+            return None
+        grads.append(np.array(g))
+    return _merged_by_point(grads)
 
 
 def test_numeric_graph_2d_matches_per_point_loop():
+    # -||x|| on the half-plane x1 >= -0.5: the gradient hull at the interior
+    # points and the support-table polytope on the domain's edge
     f = FunctionOracle(
-        name="neg_norm2d",
+        name="neg_norm2d_half",
         dim=2,
-        fn=lambda x: -float(np.linalg.norm(x)),
-        batch=lambda p: -np.linalg.norm(p, axis=1),
+        fn=lambda x: -float(np.linalg.norm(x)) if x[0] >= -0.5 else math.inf,
+        batch=lambda p: np.where(p[:, 0] >= -0.5, -np.linalg.norm(p, axis=1), math.inf),
     )
     region = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
     g = sample_subdiff_graph(f, region, 9, source="clarke-numeric")
-    # Reference: one generalized-derivative call per point and direction,
-    # and the polytope of each point built on its own.
+    # Reference: per point, the gradient hull built on its own where it is
+    # usable, and otherwise one generalized-derivative call per direction
+    # and the polytope built on its own.
     dirs = sphere_directions(2, 16)
-    assert len(g) > 0 and g.meta["truncated"] is False
+    assert len(g) > 0 and g.meta["truncated"] is True
+    routes = []
     for x in region.sample(9):
-        ups = np.array([clarke_directional_values(f, x[None, :], d)[0][0] for d in dirs])
-        ref = _clarke_polytope_by_point(ups, dirs, 10.0)
+        if not math.isfinite(f.value(x)):
+            assert not np.any(np.all(g.points == x, axis=1))
+            continue
+        ref = _gradient_hull_by_point(f, x, dirs, 10.0)
+        routes.append(ref is not None)
+        if ref is None:
+            ups = np.array([clarke_directional_values(f, x[None, :], d)[0][0] for d in dirs])
+            ref = _clarke_polytope_by_point(ups, dirs, 10.0)
         got = g.covectors[np.all(g.points == x, axis=1)]
         assert len(ref) == len(got) >= 1
         gap = np.linalg.norm(got[:, None, :] - np.asarray(ref)[None, :, :], axis=2)
         assert gap.min(axis=0).max() <= 1e-9 and gap.min(axis=1).max() <= 1e-9
+    # 54 interior points and the 9 on the edge x1 = -0.5
+    assert (routes.count(True), routes.count(False)) == (54, 9)
 
 
 def test_exact_graph_uses_the_batched_side_oracle():
@@ -321,21 +363,19 @@ def test_cdd_profile_matches_per_epsilon_graphs():
             assert [v.details["rhs"] for v in verdicts] == rhs, (f.name, xbar)
 
 
-#: Oracle points of one cdd_profile call. The generalized derivatives of the
-#: numeric route (neg_abs) evaluate each ring point's direction-ball centre
-#: once for all deltas, 1 + 4 * 2 points instead of 4 * 3; once per delta,
-#: neg_abs took 180,499. The support table is evaluated once per distinct
-#: grid point; once per grid point, neg_abs took 138,919.
-CDD_PROFILE_POINTS = {"norm2d": 935, "abs": 121, "neg_abs": 68_819}
+#: Oracle points of one cdd_profile call. The numeric route (neg_abs) takes
+#: the gradient hull at each of the 99 finite grid points: the two sides of
+#: a difference at x and at x +- R, 6 points each. With the support table of
+#: generalized derivatives at every distinct grid point, neg_abs took 25
+#: calls over 68,819 points.
+CDD_PROFILE_POINTS = {"norm2d": 935, "abs": 121, "neg_abs": 715}
 
 
-@pytest.mark.parametrize(("name", "calls"), [("norm2d", 3), ("abs", 3), ("neg_abs", 25)])
+@pytest.mark.parametrize(("name", "calls"), [("norm2d", 3), ("abs", 3), ("neg_abs", 4)])
 def test_cdd_profile_oracle_evaluation_count(monkeypatch, name, calls):
     # One evaluation of the stacked epsilon grids, two for the lhs of all
-    # directions at once, and on the numeric route (neg_abs) eleven for each
-    # of the two 1-D generalized derivatives: f(xbar), the ring, and one call
-    # per direction-ball slice (1 + 4 * 2). With all ball points in one call
-    # per block, neg_abs took 9 calls; the point count is the same.
+    # directions at once, and on the numeric route (neg_abs) one for the
+    # gradient hulls of all grid points.
     counted = []
     values = FunctionOracle.values
 

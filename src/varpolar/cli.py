@@ -22,7 +22,6 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .core import GraphSample
 from .library import FUNCTION_IDS, get_function
 from .minty import _EquivalenceProbes
 from .polar import polar_contains, polar_membership_via_iar, polar_of_sample
@@ -33,7 +32,6 @@ from .suites import (
     SUITE_NAMES,
     SuiteParams,
     _candidate_grids,
-    _candidate_product,
     run_suites,
     suite_graph,
     thm3_graph,
@@ -315,8 +313,7 @@ def cmd_graph(cfg: RunConfig, function_id: str, source: str) -> int:
 def cmd_polar(cfg: RunConfig, function_id: str) -> int:
     f = get_function(function_id)
     graph = suite_graph(f, cfg, cfg.grid_resolution(f.dim))
-    candidates = GraphSample(*_candidate_product(*_candidate_grids(f, cfg)))
-    related = polar_of_sample(graph, candidates, tol=cfg.tol)
+    related = polar_of_sample(graph, *_candidate_grids(f, cfg), tol=cfg.tol)
     _write_csv(related.csv_header(), related.to_rows())
     return 0
 

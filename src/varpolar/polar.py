@@ -8,10 +8,13 @@ sampled polar over-approximates the true one; the dual route below tests the
 same membership through the tilted function f - x* instead and is used for
 cross-validation.
 
-The candidate × graph and graph × graph reductions run in row blocks of
-about :data:`~varpolar.core._BLOCK_ENTRIES` entries, with the same floats as
-one matrix: the pairings are explicit sums over the coordinates, so every
-entry is computed the same way whatever block holds it.
+Candidates come as a product: points ``xs`` and covectors ``cs``, every
+pair (xs[i], cs[j]) tested. The candidate × graph minimum is a (min, +)
+product over that grid (:func:`_min_products`), and it and the graph ×
+graph reduction run in blocks of about :data:`~varpolar.core._BLOCK_ENTRIES`
+entries, with the same floats as one matrix: the pairings are explicit sums
+over the coordinates, so every entry is computed the same way whatever block
+holds it.
 """
 
 from __future__ import annotations
@@ -42,23 +45,48 @@ EXACT_TOL = 1e-9
 DEFAULT_RAY_RESOLUTION = 33
 
 
-def _min_products(T: GraphSample, points: Array, covectors: Array) -> tuple[Array, Array]:
-    """For each candidate row, min over T of <y* - x*, y - x> and argmin."""
+def _min_products(
+    T: GraphSample, xs: Array, cs: Array, argmin: bool = False
+) -> Array | tuple[Array, Array]:
+    """Min over T of <y* - x*, y - x> for every point xs[i] and covector
+    cs[j]: the (len(xs), len(cs)) array of minimum products, and with
+    ``argmin`` also the index in T of each minimum's first occurrence.
+
+    The pairing splits as (<y*, y> - <x, y*>) - <x*, y> + <x*, x>, so the
+    minimum is a (min, +) product of A[x, y] = <y*, y> - <x, y*> and
+    Q[x*, y] = <x*, y>, plus b[x, x*] = <x*, x> after the min: rounding is
+    monotone, so min(z + b) = min(z) + b bit for bit, and each minimum is the
+    value of one of the entries that attain it. A, Q and b are formed block
+    by block, never whole: the blocks hold about
+    :data:`~varpolar.core._BLOCK_ENTRIES` (graph column, x row, covector)
+    entries, and a running minimum gathers them. With ``argmin``, b is added
+    inside the block, each minimum is the value of its first occurrence, and
+    a later block replaces it only when strictly smaller. An empty T gives
+    +inf everywhere (a vacuous quantifier) and index 0.
+    """
     py, cy = T.points, T.covectors
-    a = np.einsum("ij,ij->i", cy, py)  # <y*, y>
-    b = np.einsum("ij,ij->i", covectors, points)  # <x*, x>
-    mins = np.empty(len(points))
-    args = np.empty(len(points), dtype=np.intp)
-    for rows in _row_blocks(len(points), len(T)):
-        m = (
-            a[None, :]
-            - _pairings(points[rows, None], cy)
-            - _pairings(covectors[rows, None], py)
-            + b[rows, None]
-        )
-        mins[rows] = m.min(axis=1)
-        args[rows] = m.argmin(axis=1)
-    return mins, args
+    a = _pairings(cy, py)  # <y*, y>
+    mins = np.full((len(xs), len(cs)), math.inf)
+    args = np.zeros(mins.shape, dtype=np.intp)
+    for cols in _row_blocks(len(T), len(cs)):
+        q = _pairings(py[cols, None], cs)  # Q: (w, nc)
+        for rows in _row_blocks(len(xs), q.size):
+            left = a[cols, None] - _pairings(cy[cols, None], xs[rows])  # A: (w, r)
+            z = left[:, :, None] - q[:, None, :]  # A - Q: (w, r, nc)
+            if argmin:
+                z += _pairings(xs[rows, None], cs)  # b, inside the block
+                k = z.argmin(axis=0)
+                block = np.take_along_axis(z, k[None], 0)[0]
+                better = block < mins[rows]
+                mins[rows] = np.where(better, block, mins[rows])
+                args[rows] = np.where(better, k + cols.start, args[rows])
+            else:
+                np.minimum(mins[rows], z.min(axis=0), out=mins[rows])
+    if argmin:
+        return mins, args
+    for rows in _row_blocks(len(xs), len(cs)):
+        mins[rows] += _pairings(xs[rows, None], cs)  # b, after the min
+    return mins
 
 
 def polar_contains(
@@ -70,7 +98,8 @@ def polar_contains(
     """Is (x, xstar) monotonically related to every sampled pair of T?
 
     The residual is the minimum pairing product over T and the witness the
-    sampled pair achieving it. An empty sample relates everything (vacuous
+    first sampled pair achieving it: the 1 x 1 case of the (min, +) product
+    of :func:`_min_products`. An empty sample relates everything (vacuous
     quantifier): the residual is +inf by convention and no witness is
     reported.
     """
@@ -78,11 +107,11 @@ def polar_contains(
     c = as_point(xstar, p.shape[0])
     if len(T) == 0:
         return Verdict(ok=True, residual=math.inf, witness=None)
-    mins, args = _min_products(T, p[None, :], c[None, :])
-    k = int(args[0])
+    mins, args = _min_products(T, p[None, :], c[None, :], argmin=True)
+    k = int(args[0, 0])
     return Verdict(
-        ok=bool(mins[0] >= -tol),
-        residual=float(mins[0]),
+        ok=bool(mins[0, 0] >= -tol),
+        residual=float(mins[0, 0]),
         witness=(T.points[k], T.covectors[k]),
     )
 
@@ -122,16 +151,12 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
     )
 
 
-def polar_of_sample(
-    T: GraphSample, candidates: GraphSample, tol: float = DEFAULT_TOL
-) -> GraphSample:
-    """The subset of candidate pairs monotonically related to T."""
-    if len(candidates) == 0:
-        return candidates
-    if len(T) == 0:
-        return candidates
-    mins, _ = _min_products(T, candidates.points, candidates.covectors)
-    return candidates.filter(mins >= -tol)
+def polar_of_sample(T: GraphSample, xs: Array, cs: Array, tol: float = DEFAULT_TOL) -> GraphSample:
+    """The candidate pairs (xs[i], cs[j]) of the product of the points ``xs``
+    and the covectors ``cs`` that are monotonically related to T, x-major.
+    Only the related pairs are formed; an empty T relates all of them."""
+    i, j = np.nonzero(_min_products(T, xs, cs) >= -tol)
+    return GraphSample(xs[i], cs[j])
 
 
 def _in_hull_at_point(T: GraphSample, points: Array, covectors: Array, tol: float) -> Array:
@@ -159,12 +184,14 @@ def _in_hull_at_point(T: GraphSample, points: Array, covectors: Array, tol: floa
 
 def is_absorbing(
     T: GraphSample,
-    candidates: GraphSample,
+    xs: Array,
+    cs: Array,
     match_radius: float,
     oracle: FunctionOracle | None = None,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
-    """Is every candidate related to T attributable to T itself?
+    """Is every candidate pair of the product xs x cs that is related to T
+    attributable to T itself?
 
     A related candidate is attributed when it lies within ``match_radius`` of
     some sampled element in graph distance max(||dx||, ||dx*||), or when its
@@ -174,7 +201,7 @@ def is_absorbing(
     Clarke set). The verdict's witness is the worst unattributed offender and
     the residual its attribution distance minus the radius.
     """
-    related = polar_of_sample(T, candidates, tol)
+    related = polar_of_sample(T, xs, cs, tol)
     if len(related) == 0:
         return Verdict(
             ok=True,

@@ -231,8 +231,10 @@ def _clarke_polytopes(support: Array, dirs: Array, half_width: float) -> tuple[A
     are the vertices. The rows are the vertices in subset order, merged and
     closed by their centroid as :func:`_merged_with_centroid` does, since a
     one-point set comes out of the noisy table as a thin sliver. A point is
-    truncated where some support value is +inf. Sums run coordinate by
-    coordinate, so a point's rows do not depend on its row block.
+    truncated where some support value is +inf, and where the box cuts the
+    whole set away (no vertex is left, as for a slope steeper than the box):
+    the point then has no rows, and its flag says why. Sums run coordinate
+    by coordinate, so a point's rows do not depend on its row block.
     """
     n, dim = support.shape[0], dirs.shape[1]
     normals = np.vstack([dirs, np.eye(dim), -np.eye(dim)])
@@ -249,7 +251,8 @@ def _clarke_polytopes(support: Array, dirs: Array, half_width: float) -> tuple[A
         verts = _pairings(inverses[None], b[:, subsets][:, :, None, :])
         slack = _pairings(verts[:, :, None, :], normals) - b[:, None, :]
         pieces.append((rows, *_merged_with_centroid(verts, np.all(slack <= DEFAULT_TOL, axis=2))))
-    return *_padded(pieces, n, dim), ~np.all(np.isfinite(support), axis=1)
+    reps, mask = _padded(pieces, n, dim)
+    return reps, mask, ~np.all(np.isfinite(support), axis=1) | ~mask.any(axis=1)
 
 
 def _gradient_hulls(
@@ -321,7 +324,9 @@ def _graph_rows(
     (:func:`_gradient_hulls`) where that is usable, and otherwise the
     support-table polytope (:func:`_clarke_support`,
     :func:`_clarke_polytopes`), built for the remaining points alone;
-    ``groups`` labels the points for that table. Only the table truncates.
+    ``groups`` labels the points for that table. Only the table truncates,
+    which includes a point whose whole set lies outside the covector box
+    (it contributes no rows).
     """
     if source == "exact":
         reps, mask, truncated = f.subdifferential_representatives(pts, covector_half_width)
@@ -452,6 +457,19 @@ def _local_grids(xbars: Array, eps: Array, resolution: int) -> Array:
     return np.stack([axes[:, :, i, idx[i]] for i in range(dim)], axis=-1)
 
 
+def _cell_suprema(cells: Array, values: Array, n: int) -> Array:
+    """(n, J) maxima of the (R, J) rows of ``values`` by cell, -inf where a
+    cell has no row, for cell labels ``cells`` in nondecreasing order: one
+    segmented maximum per run of equal labels, reduced in row order, which
+    gives the same floats (zero signs included) as an unbuffered
+    ``np.maximum.at`` scatter into -inf."""
+    sups = np.full((n, values.shape[1]), -math.inf)
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    if starts.size:
+        sups[cells[starts]] = np.maximum.reduceat(values, starts, axis=0)
+    return sups
+
+
 def _cdd_profiles(
     f: FunctionOracle,
     xbars: Array,
@@ -468,7 +486,9 @@ def _cdd_profiles(
     :func:`lower_dini_values` call for all left-hand sides; the enlargement
     conditions of :func:`epsilon_enlargement` are applied row by row against
     the base and epsilon of the row's grid, and a segmented maximum gives
-    each (base, epsilon) supremum. Every per-row operation is the one a
+    each (base, epsilon) supremum (:func:`_cell_suprema`: the points come in
+    cell order and each point's rows together, so the kept rows' cells are
+    nondecreasing). Every per-row operation is the one a
     single-base call makes, so each base gets the same floats as alone.
     """
     source = _resolve_source(f, "auto")
@@ -502,8 +522,7 @@ def _cdd_profiles(
         diffs = pts[owner] - xb[row_base]
         kept = _enlargement_mask(diffs, fvals[owner], fx[row_base], covectors, eps_rows)
         pairings = covectors @ dirs.T
-        sups = np.full((nb * levels, dirs.shape[0]), -math.inf)
-        np.maximum.at(sups, row_cell[kept], pairings[kept])
+        sups = _cell_suprema(row_cell[kept], pairings[kept], nb * levels)
         rhs_values = sups.reshape(nb, levels, -1).min(axis=1)
         empty = np.ones(nb * levels, dtype=bool)
         empty[row_cell[kept]] = False

@@ -105,12 +105,6 @@ def _candidate_grids(f, params: SuiteParams) -> tuple[np.ndarray, np.ndarray]:
     return f.default_region.sample(n), tensor_grid([np.linspace(-bound, bound, n)] * f.dim)
 
 
-def _candidate_product(xs: np.ndarray, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (x, x*) pair of the points ``xs`` and the covectors ``cs``, as
-    aligned point and covector rows, x-major."""
-    return np.repeat(xs, cs.shape[0], axis=0), np.tile(cs, (xs.shape[0], 1))
-
-
 def suite_graph(f, params: SuiteParams, resolution: int, source: str = "auto") -> GraphSample:
     """The subdifferential graph of f over its default region at
     ``resolution``, sampled with the covector knobs and the scheme of
@@ -138,11 +132,7 @@ def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     region = f.default_region
     xs, cs = _candidate_grids(f, params)
     graph = thm3_graph(f, params)
-    if len(graph) == 0:
-        min_products = np.full((xs.shape[0], cs.shape[0]), np.inf)
-    else:
-        mins, _ = _min_products(graph, *_candidate_product(xs, cs))
-        min_products = mins.reshape(xs.shape[0], cs.shape[0])
+    min_products = _min_products(graph, xs, cs)
     rays = _tilted_iar_residuals(
         f, xs, cs, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION
     )
@@ -240,10 +230,11 @@ def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
 # Predicate suite
 # ---------------------------------------------------------------------------
 
-def _absorbing_candidates(f, region: Region, resolution: int) -> tuple[GraphSample, float]:
-    """Interior point grid paired with a covector ladder at twice the grid
-    spacing (boundary cells dropped: polar constraints are one-sided there,
-    a truncation artifact, not a property of the operator)."""
+def _absorbing_candidates(f, region: Region, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interior points and a covector ladder at twice the grid spacing, whose
+    product is the absorbing predicate's candidate set (boundary cells
+    dropped: polar constraints are one-sided there, a truncation artifact,
+    not a property of the operator)."""
     h = region.spacing(resolution)
     if f.dim == 1:
         xs = region.sample(resolution)[1:-1]
@@ -252,7 +243,7 @@ def _absorbing_candidates(f, region: Region, resolution: int) -> tuple[GraphSamp
         coarse = max(3, (resolution + 1) // 2)
         xs = region.sample(coarse, interior=True)
         axis = np.arange(-4.0, 4.0 + 1e-9, 2 * h)
-    return GraphSample(*_candidate_product(xs, tensor_grid([axis] * f.dim))), h
+    return xs, tensor_grid([axis] * f.dim)
 
 
 def predicates_suite(f: FunctionOracle, params: SuiteParams) -> dict:
@@ -268,8 +259,9 @@ def predicates_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     mono_expected = bool(f.is_convex)
     mono_ok = mono.ok == mono_expected
 
-    cands, h = _absorbing_candidates(f, region, resolution)
-    absorb = is_absorbing(graph, cands, match_radius=2 * h, oracle=f, tol=params.tol)
+    h = region.spacing(resolution)
+    xs, cs = _absorbing_candidates(f, region, resolution)
+    absorb = is_absorbing(graph, xs, cs, match_radius=2 * h, oracle=f, tol=params.tol)
 
     failures = int(not mono_ok) + int(not absorb.ok)
     result = {

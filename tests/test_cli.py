@@ -273,6 +273,15 @@ def test_polar_dump(capsys):
     assert out[0] == "x_1,xstar_1"
 
 
+@pytest.mark.parametrize("fid", ["abs", "norm2d"])
+def test_polar_output_at_the_default_config_matches_the_stored_bytes(capsys, fid):
+    # the report does not cover the `polar` verb; these rows were taken
+    # when the polar kernel still formed the candidate product row by row
+    assert main(["polar", "--function", fid]) == 0
+    stored = Path(__file__).parent / "data" / f"polar_{fid}.csv"
+    assert capsys.readouterr().out.encode() == stored.read_bytes()
+
+
 def test_polar_samples_the_graph_with_the_covector_knobs(tmp_path, capsys):
     # ind_halfline's normal cone at 0 is cut at -covector_half_width: `graph`
     # prints (0, -3), and `polar` relates a point x < 0 only to the candidate

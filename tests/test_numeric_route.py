@@ -102,6 +102,22 @@ def test_two_dimensional_twins_pass_every_suite_within_budget(fid):
     assert result["truncation_flags"] == []
 
 
+def test_a_set_outside_the_covector_box_is_flagged_truncated():
+    # f(x) = 20x: the Clarke set {20} lies outside the default box [-10, 10],
+    # so no point keeps a row. Unflagged, the empty graph would relate every
+    # thm3 candidate (a vacuous polar quantifier) without a word.
+    f = FunctionOracle(
+        name="steep",
+        dim=1,
+        fn=lambda x: 20.0 * float(x[0]),
+        batch=lambda p: 20.0 * p[:, 0],
+        default_region=Region.interval(-1.0, 1.0),
+    )
+    g = sample_subdiff_graph(f, Region.interval(-1.0, 1.0), 5, source="clarke-numeric")
+    assert len(g) == 0 and g.meta["truncated"] is True
+    assert run_suites([f], ["thm3"], SuiteParams())["truncation_flags"] == ["steep"]
+
+
 @pytest.fixture
 def table_calls(monkeypatch):
     """The points of every support-table call, in call order."""

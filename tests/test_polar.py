@@ -18,6 +18,7 @@ from varpolar import (
     sample_subdiff_graph,
 )
 from varpolar import core, polar
+from varpolar.core import _pairings
 from varpolar.library import get_function, test_library as library_oracles
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
 from varpolar.suites import SuiteParams, predicates_suite
@@ -89,19 +90,21 @@ def test_every_convex_exact_graph_is_monotone():
 
 # -- polar_of_sample -----------------------------------------------------------------
 
+def _column(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
 def test_polar_of_empty_graph_is_full_candidate_set():
-    cands = _graph([(0.0, 0.0), (1.0, -1.0), (-1.0, 1.0)])
-    out = polar_of_sample(GraphSample.empty(1), cands)
-    assert len(out) == len(cands)
+    xs, cs = _column([0.0, 1.0, -1.0]), _column([0.0, -1.0, 1.0])
+    out = polar_of_sample(GraphSample.empty(1), xs, cs)
+    assert len(out) == len(xs) * len(cs)
+    assert np.isposinf(polar._min_products(GraphSample.empty(1), xs, cs)).all()
 
 
 def test_polar_of_origin_pair_is_sign_condition():
     T = _graph([(0.0, 0.0)])
     xs = np.linspace(-1, 1, 9)
-    cands = GraphSample(
-        np.repeat(xs, 9)[:, None], np.tile(np.linspace(-1, 1, 9), 9)[:, None]
-    )
-    out = polar_of_sample(T, cands)
+    out = polar_of_sample(T, xs[:, None], _column(np.linspace(-1, 1, 9)))
     assert all(p[0] * c[0] >= -1e-6 for p, c in out.pairs())
     expected = sum(1 for x in xs for c in np.linspace(-1, 1, 9) if x * c >= -1e-6)
     assert len(out) == expected
@@ -112,10 +115,7 @@ def test_polar_of_abs_graph_hugs_the_sign_map():
     T = sample_subdiff_graph(f, Region.interval(-2, 2), 65, source="exact")
     xs = np.linspace(-1.5, 1.5, 13)
     cs = np.linspace(-2.0, 2.0, 17)
-    cands = GraphSample(
-        np.repeat(xs, len(cs))[:, None], np.tile(cs, len(xs))[:, None]
-    )
-    out = polar_of_sample(T, cands)
+    out = polar_of_sample(T, xs[:, None], cs[:, None])
     assert len(out) > 0
     for p, c in out.pairs():
         assert f.exact_subdifferential(p).contains(c, tol=0.1), (p, c)
@@ -132,9 +132,8 @@ def test_polar_antitone_in_the_graph(split):
     sub = T.filter(np.arange(len(T)) < split)
     xs = np.linspace(-2, 2, 7)
     cs = np.linspace(-4, 4, 7)
-    cands = GraphSample(np.repeat(xs, 7)[:, None], np.tile(cs, 7)[:, None])
-    small = {(p[0], c[0]) for p, c in polar_of_sample(T, cands).pairs()}
-    large = {(p[0], c[0]) for p, c in polar_of_sample(sub, cands).pairs()}
+    small = {(p[0], c[0]) for p, c in polar_of_sample(T, xs[:, None], cs[:, None]).pairs()}
+    large = {(p[0], c[0]) for p, c in polar_of_sample(sub, xs[:, None], cs[:, None]).pairs()}
     assert small <= large
 
 
@@ -146,15 +145,16 @@ def test_dense_gradient_graph_absorbs():
     h = Region.interval(-2, 2).spacing(65)
     xs = Region.interval(-2, 2).sample(65)[1:-1, 0]
     cs = np.arange(-4.5, 4.5 + 1e-9, 2 * h)
-    cands = GraphSample(np.repeat(xs, len(cs))[:, None], np.tile(cs, len(xs))[:, None])
-    assert is_absorbing(T, cands, match_radius=2 * h, oracle=f).ok
+    assert is_absorbing(T, xs[:, None], cs[:, None], match_radius=2 * h, oracle=f).ok
 
 
 def test_single_point_graph_absorbs_nothing():
+    # every candidate pair is related to the pair at the origin (x x* >= 0)
+    # and lies at least 0.25 from it
     T = _graph([(0.0, 0.0)])
-    cands = _graph([(1.0, 1.0), (0.5, 0.25)])
-    v = is_absorbing(T, cands, match_radius=0.1)
+    v = is_absorbing(T, _column([1.0, 0.5]), _column([1.0, 0.25]), match_radius=0.1)
     assert not v.ok
+    assert v.details == {"related": 4, "unattributed": 4}
     assert v.witness is not None
 
 
@@ -164,24 +164,25 @@ def test_sign_map_graph_absorbs():
     h = Region.interval(-2, 2).spacing(65)
     xs = Region.interval(-2, 2).sample(65)[1:-1, 0]
     cs = np.arange(-1.5, 1.5 + 1e-9, 2 * h)
-    cands = GraphSample(np.repeat(xs, len(cs))[:, None], np.tile(cs, len(xs))[:, None])
-    assert is_absorbing(T, cands, match_radius=2 * h, oracle=f).ok
+    assert is_absorbing(T, xs[:, None], cs[:, None], match_radius=2 * h, oracle=f).ok
 
 
 def test_without_a_side_oracle_the_hull_at_the_point_attributes():
     # a sampled set at one point (numeric Clarke sets come as vertices and
     # centroid): a candidate there is attributed when its covector lies in
-    # the hull of the set, however far it is from the sampled covectors
+    # the hull of the set, however far it is from the sampled covectors.
+    # Here the hull at the origin, [-1, 1], attributes (0, 0.5) and
+    # (0, -0.5); of the other six candidate pairs, (1, -0.5) and (1, 0.5)
+    # are unrelated and the rest lie 1 or 2 from T
     T = _graph([(0.0, -1.0), (0.0, 0.0), (0.0, 1.0), (2.0, 5.0)])
-    cands = _graph([(0.0, 0.5), (0.0, -0.5), (0.0, 3.0), (1.0, 2.0)])
-    v = is_absorbing(T, cands, match_radius=0.1)
-    assert v.details == {"related": 4, "unattributed": 2}
-    assert v.witness[1].tolist() == [3.0] and v.residual == pytest.approx(1.9)
+    v = is_absorbing(T, _column([0.0, 1.0]), _column([0.5, -0.5, 3.0, 2.0]), match_radius=0.1)
+    assert v.details == {"related": 6, "unattributed": 4}
+    assert np.asarray(v.witness).tolist() == [[0.0], [3.0]] and v.residual == pytest.approx(1.9)
     # in 2-D the hull is a polytope: the unit square's vertices at the origin
     square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
     T = GraphSample(np.zeros((4, 2)), square)
-    cands = GraphSample(np.zeros((3, 2)), np.array([[0.5, 0.5], [0.0, -1.0], [1.5, 0.0]]))
-    v = is_absorbing(T, cands, match_radius=0.1)
+    cs = np.array([[0.5, 0.5], [0.0, -1.0], [1.5, 0.0]])
+    v = is_absorbing(T, np.zeros((1, 2)), cs, match_radius=0.1)
     assert v.details == {"related": 3, "unattributed": 1}
     assert v.witness[1].tolist() == [1.5, 0.0]
 
@@ -203,17 +204,19 @@ def _tied_graph():
 
 
 def _block_cases():
+    # each case is (T, xs, cs): a graph and the points and covectors whose
+    # product is the candidate set
     rng = np.random.default_rng(7)
     cases = {}
     for dim in (1, 2, 3):
         T = _noisy_gradient_graph(rng, 23, dim)
-        cands = _noisy_gradient_graph(rng, 50, dim)
-        cases[f"random-{dim}d"] = (T, cands)
-    grid = np.arange(-2.0, 2.5, 1.0)
-    cases["ties"] = (_tied_graph(), GraphSample(np.repeat(grid, 5)[:, None], np.tile(grid, 5)[:, None]))
-    cases["no-candidates"] = (cases["random-2d"][0], GraphSample.empty(2))
-    cases["empty-graph"] = (GraphSample.empty(2), cases["random-2d"][1])
-    cases["one-pair"] = (_graph([(0.5, -0.25)]), cases["random-1d"][1])
+        cands = _noisy_gradient_graph(rng, 10, dim)
+        cases[f"random-{dim}d"] = (T, cands.points, cands.covectors[:5])
+    grid = _column(np.arange(-2.0, 2.5, 1.0))
+    cases["ties"] = (_tied_graph(), grid, grid)
+    cases["no-candidates"] = (cases["random-2d"][0], np.zeros((0, 2)), cases["random-2d"][2])
+    cases["empty-graph"] = (GraphSample.empty(2), *cases["random-2d"][1:])
+    cases["one-pair"] = (_graph([(0.5, -0.25)]), *cases["random-1d"][1:])
     return cases
 
 
@@ -221,53 +224,102 @@ def _bits(v):
     return None if v is None else np.asarray(v, dtype=float).tobytes()
 
 
-def _kernel_outputs(T, cands):
-    related = polar_of_sample(T, cands)
-    absorbing = is_absorbing(T, cands, match_radius=0.2)
+def _kernel_outputs(T, xs, cs):
+    related = polar_of_sample(T, xs, cs)
+    absorbing = is_absorbing(T, xs, cs, match_radius=0.2)
     monotone = is_monotone(T)
-    out = {
+    mins, args = polar._min_products(T, xs, cs, argmin=True)
+    return {
         "polar": (_bits(related.points), _bits(related.covectors)),
         "absorbing": (absorbing.ok, _bits(absorbing.residual), _bits(absorbing.witness),
                       absorbing.details),
         "monotone": (monotone.ok, _bits(monotone.residual), _bits(monotone.witness)),
+        "min_products": _bits(polar._min_products(T, xs, cs)),
+        "argmin": (_bits(mins), args.tolist()),
     }
-    if len(T):
-        mins, args = polar._min_products(T, cands.points, cands.covectors)
-        out["min_products"] = (_bits(mins), args.tolist())
-    return out
 
 
 @pytest.mark.parametrize("case", sorted(_block_cases()))
 def test_row_blocks_keep_every_bit(monkeypatch, case):
-    T, cands = _block_cases()[case]
+    T, xs, cs = _block_cases()[case]
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", 10**9)
-    whole = _kernel_outputs(T, cands)
-    # one row per block, and three rows per block, which divides neither the
-    # 50 candidate rows nor the 22 pair rows of the random graphs
-    for budget in (1, 3 * len(T) + 1):
+    whole = _kernel_outputs(T, xs, cs)
+    # one entry per block; three graph rows per block of is_monotone and 14
+    # graph columns per block of the product, neither of which divides the
+    # 23 pairs of the random graphs; and 8 of their 10 x rows per block
+    for budget in (1, 3 * len(T) + 1, 977):
         monkeypatch.setattr(core, "_BLOCK_ENTRIES", budget)
-        assert _kernel_outputs(T, cands) == whole
+        assert _kernel_outputs(T, xs, cs) == whole
 
 
-def _brute_min_products(T, cands):
+def _brute_min_products(T, xs, cs):
     return [
         min(
             (float(np.dot(y_star - x_star, y - x)), k)
             for k, (y, y_star) in enumerate(T.pairs())
         )
-        for x, x_star in cands.pairs()
+        for x in xs
+        for x_star in cs
     ]
 
 
 def test_tied_products_report_the_first_occurrence(monkeypatch):
-    T, cands = _block_cases()["ties"]
+    T, xs, cs = _block_cases()["ties"]
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
-    mins, args = polar._min_products(T, cands.points, cands.covectors)
-    assert list(zip(mins.tolist(), args.tolist())) == _brute_min_products(T, cands)
+    mins, args = polar._min_products(T, xs, cs, argmin=True)
+    brute = _brute_min_products(T, xs, cs)
+    assert list(zip(mins.ravel().tolist(), args.ravel().tolist())) == brute
+    assert polar._min_products(T, xs, cs).ravel().tolist() == [m for m, _ in brute]
     # the first of the tied pairs in row-major order over i < j
     v = is_monotone(T)
     assert v.residual == -2.0
     assert np.asarray(v.witness).tolist() == [[[0.0], [2.0]], [[1.0], [0.0]]]
+
+
+def _pairwise_products(T, x, x_star):
+    """((<y*, y> - <x, y*>) - <x*, y>) + <x*, x> for each pair of T, one
+    pair at a time."""
+    return [
+        float(((_pairings(y_star, y) - _pairings(x, y_star)) - _pairings(x_star, y))
+              + _pairings(x_star, x))
+        for y, y_star in T.pairs()
+    ]
+
+
+def _float_rows(dim, min_size, max_size):
+    # small values, zeros of both signs and repeats, so that products tie
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-8.0, 8.0))
+    return st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=min_size,
+                    max_size=max_size).map(lambda rows: np.array(rows, dtype=float).reshape(-1, dim))
+
+
+@st.composite
+def _product_cases(draw):
+    dim = draw(st.integers(1, 3))
+    points = draw(_float_rows(dim, 1, 6))
+    T = GraphSample(points, draw(_float_rows(dim, len(points), len(points))))
+    return T, draw(_float_rows(dim, 0, 5)), draw(_float_rows(dim, 0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_product_cases(), budget=st.sampled_from([1, 7, 10**9]))
+def test_every_min_product_is_a_pairwise_product_bit_for_bit(case, budget):
+    T, xs, cs = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ENTRIES", budget)
+        mins = polar._min_products(T, xs, cs)
+        first_mins, args = polar._min_products(T, xs, cs, argmin=True)
+    assert mins.shape == first_mins.shape == (len(xs), len(cs))
+    for i, x in enumerate(xs):
+        for j, x_star in enumerate(cs):
+            products = _pairwise_products(T, x, x_star)
+            least = min(products)
+            # the minimum is the value of one of the products that attain it
+            # (a tie of +0.0 and -0.0 may take either sign) ...
+            assert _bits(mins[i, j]) in {_bits(p) for p in products if p == least}
+            # ... and with argmin, that of the first one
+            k = products.index(least)
+            assert args[i, j] == k and _bits(first_mins[i, j]) == _bits(products[k])
 
 
 def test_predicates_memory_stays_bounded_at_high_resolution():
@@ -280,17 +332,23 @@ def test_is_monotone_memory_stays_bounded():
     assert _peak_mb(lambda: is_monotone(T)) < 16.0
 
 
+def test_predicates_memory_stays_bounded_at_high_2d_resolution():
+    # 225 points x 1,089 covectors against a graph of 1,155 pairs; the
+    # product's rows alone would take 7.5 MB
+    params = SuiteParams(resolution_2d=33)
+    assert _peak_mb(lambda: predicates_suite(get_function("mixed2d"), params)) < 16.0
+
+
 def test_is_absorbing_memory_stays_bounded():
-    # every candidate lies on the identity graph, so all 20,000 are related
-    # and reach the distance tensors
+    # the graph lies on the identity far from the 200 x 100 candidate pairs,
+    # so all 20,000 are related and reach the distance tensors
     rng = np.random.default_rng(4)
-    pts = rng.normal(size=(300, 2))
+    pts = 100.0 + rng.normal(size=(300, 2))
     T = GraphSample(pts, pts)
-    xs = rng.normal(size=(20000, 2))
-    cands = GraphSample(xs, xs)
-    v = is_absorbing(T, cands, match_radius=0.05)
+    xs, cs = rng.normal(size=(200, 2)), rng.normal(size=(100, 2))
+    v = is_absorbing(T, xs, cs, match_radius=0.05)
     assert v.details["related"] == 20000 and not v.ok
-    assert _peak_mb(lambda: is_absorbing(T, cands, match_radius=0.05)) < 16.0
+    assert _peak_mb(lambda: is_absorbing(T, xs, cs, match_radius=0.05)) < 16.0
 
 
 # -- rays route to polar membership ----------------------------------------------------

@@ -363,6 +363,26 @@ def test_cdd_profile_matches_per_epsilon_graphs():
             assert [v.details["rhs"] for v in verdicts] == rhs, (f.name, xbar)
 
 
+def test_cell_suprema_match_the_scatter_bit_for_bit():
+    # a block of 2 bases x 11 epsilon levels in 2-D (4 directions), with
+    # rows of +0.0 and -0.0 pairings in both orders within a cell, cells
+    # without rows, and -inf pairings
+    rng = np.random.default_rng(11)
+    levels, n = len(EPS_LADDER), 2 * len(EPS_LADDER)
+    cells = np.sort(rng.integers(0, n, size=120))
+    cells = cells[(cells != 3) & (cells != n - 1)]
+    values = rng.choice([0.0, -0.0, -1.0, 0.25, -math.inf], size=(cells.size, 4))
+    values[:2] = [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]
+    cells[:2] = cells[0]
+    reference = np.full((n, 4), -math.inf)
+    np.maximum.at(reference, cells, values)
+    sups = subdifferential._cell_suprema(cells, values, n)
+    assert sups.tobytes() == reference.tobytes()
+    rhs = sups.reshape(2, levels, -1).min(axis=1)
+    assert rhs.tobytes() == reference.reshape(2, levels, -1).min(axis=1).tobytes()
+    assert np.signbit(sups[sups == 0.0]).any() and not np.signbit(sups[sups == 0.0]).all()
+
+
 #: Oracle points of one cdd_profile call. The numeric route (neg_abs) takes
 #: the gradient hull at each of the 99 finite grid points: the two sides of
 #: a difference at x and at x +- R, 6 points each. With the support table of

@@ -455,16 +455,17 @@ class FunctionOracle:
         """The tilted oracle x -> f(x) - <xstar, x>.
 
         Only the values are tilted: the tilted oracle carries no side-oracles.
+        Both ``fn`` and ``batch`` form <xstar, x> with :func:`_pairings`, so a
+        point's tilted value does not depend on its batch, and the tilted
+        rays kernel (:func:`~varpolar.minty._tilted_iar_residuals`), which
+        subtracts the same sums, gives this oracle's values bit for bit.
         """
         s = as_point(xstar, self.dim)
         base_fn, base_batch = self.fn, self.batch
-        fn = lambda x: base_fn(x) - float(np.dot(s, x))  # noqa: E731
-
-        if base_batch is not None:
-            batch = lambda pts: base_batch(pts) - pts @ s  # noqa: E731
-        else:
-            batch = None
-
+        fn = lambda x: base_fn(x) - float(_pairings(x, s))  # noqa: E731
+        batch = None if base_batch is None else (
+            lambda pts: base_batch(pts) - _pairings(pts, s)
+        )
         return replace(
             self,
             name=f"{self.name}-tilted",

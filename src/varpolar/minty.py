@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     Region,
     UnusableSampleError,
     Verdict,
+    _pairings,
     _row_blocks,
     as_point,
 )
@@ -56,97 +57,115 @@ class _RayGrid:
     """The rays kernel: ray points y + t(xbar - y) over a fixed probe grid.
 
     ``ys`` are the probe points with finite value ``fy`` and ``ts`` a uniform
-    [0, 1] grid. The ray starts y(1 - t) do not depend on xbar, so they are
-    built once per probe grid; :meth:`points` only adds xbar t, the same
-    operations in the same order as building each ray point from scratch,
-    for all of ``ys`` or for a block of its rows.
+    [0, 1] grid. ``blocks`` splits the rows of ``ys`` into blocks of about
+    :data:`~varpolar.core._BLOCK_ENTRIES` ray coordinates. The ray starts
+    y(1 - t) do not depend on xbar, so they are built once per probe grid,
+    one contiguous (dim, T, b) array per block of b probe points:
+    coordinate-major, then t-major. :meth:`walk` adds xbar_k t_j to a
+    block's starts in one ``np.add`` into ``scratch``, the same floats as
+    building each ray point from scratch, and hands the oracle the
+    transpose of the (dim, T b) result: (T b, dim) points, t-major, whose
+    coordinate columns are contiguous.
 
-    ``blocks`` splits the rows of ``ys`` into blocks of about
-    :data:`~varpolar.core._BLOCK_ENTRIES` ray coordinates, and ``scratch``
-    holds the ray points of one block. The grid keeps ``scratch`` for its
-    lifetime, so walking the blocks for one xbar after another reuses the
-    same memory instead of faulting in fresh pages; one grid therefore
-    serves one thread at a time.
+    The grid keeps ``scratch`` for its lifetime, so walking the blocks for
+    one xbar after another reuses the same memory instead of faulting in
+    fresh pages; one grid therefore serves one thread at a time.
     (A plain class: a frozen dataclass costs about 1 ms of import time.)
     """
 
     def __init__(self, ys: Array, fy: Array, t_resolution: int) -> None:
         self.ys, self.fy = ys, fy
         self.ts = np.linspace(0.0, 1.0, t_resolution)
-        self.starts = ys[:, None, :] * (1.0 - self.ts)[None, :, None]
         self.blocks = list(_row_blocks(ys.shape[0], t_resolution * ys.shape[1]))
-        self.scratch = np.empty_like(self.starts[self.blocks[0]]) if self.blocks else None
+        self.starts = [ys[rows].T[:, None, :] * (1.0 - self.ts)[:, None] for rows in self.blocks]
+        self.scratch = np.empty(self.starts[0].size) if self.blocks else None
 
-    def points(self, xbar: Array, rows: slice = slice(None), out: Array | None = None) -> Array:
-        """(len(ys[rows]) * len(ts), dim) ray points toward xbar, y-major,
-        written into ``out`` when given."""
-        pts = np.add(self.starts[rows], xbar[None, None, :] * self.ts[None, :, None], out=out)
-        return pts.reshape(-1, xbar.shape[0])
+    def walk(self, xbar: Array) -> Iterator[tuple[slice, Array]]:
+        """For each block, its rows of ``ys`` and its (T b, dim) ray points
+        toward xbar, t-major; the points live in ``scratch`` until the next
+        step."""
+        xt = (xbar[:, None] * self.ts)[:, :, None]
+        for rows, starts in zip(self.blocks, self.starts):
+            pts = np.add(starts, xt, out=self.scratch[: starts.size].reshape(starts.shape))
+            yield rows, pts.reshape(starts.shape[0], -1).T
 
-    def max_increase(
-        self, vals: Array, fy: Array, rows: slice = slice(None)
-    ) -> tuple[float, tuple[Array, float]]:
-        """max over y in ys[rows] and t of vals(y, t) - fy(y) and the first
-        maximizing (y, t) in y-major order, for ``vals`` evaluated at
-        :meth:`points` of the same rows (+inf allowed)."""
-        ys = self.ys[rows]
-        with np.errstate(invalid="ignore"):
-            diffs = vals.reshape(ys.shape[0], self.ts.shape[0]) - fy[rows, None]
-        i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-        return float(diffs[i, j]), (ys[i], float(self.ts[j]))
+    def fold(self, vals: Array, gy: Array, rows: slice) -> tuple[float, tuple[Array, float]]:
+        """max over y in ys[rows] and t of vals(y, t) - gy(y) and the first
+        maximizing (y, t) in y-major order, for ``vals`` evaluated at the
+        block's points (+inf allowed) and finite ``gy`` over all of ``ys``.
+
+        The max over t comes first, one vectorized max along the block's t
+        axis, and gy(y) is subtracted once per probe: rounding is monotone,
+        so max_t fl(v - g) = fl(max_t v - g). The first y with the largest
+        difference is therefore the first maximizer's y. Only for it are the
+        T differences formed again: the first maximizing t, and its
+        difference as the residual, so a zero residual has the sign that
+        one argmax over all differences gives it.
+        """
+        v = vals.reshape(self.ts.shape[0], -1)
+        g = gy[rows]
+        r = v.max(axis=0)
+        r -= g
+        i = int(np.argmax(r))
+        diffs = v[:, i] - g[i]
+        j = int(np.argmax(diffs))
+        return float(diffs[j]), (self.ys[rows][i], float(self.ts[j]))
+
+
+def _ray_grid(f: FunctionOracle, region: Region, resolution: int, t_resolution: int) -> _RayGrid:
+    """The rays grid over the points of ``region``'s grid where f is finite."""
+    return _RayGrid(*_finite_grid(f, region, resolution), t_resolution)
 
 
 def _iar_residual(f: FunctionOracle, xbar: Array, rays: _RayGrid) -> tuple[float, tuple | None]:
     """max over (y, t) of f(y + t(xbar - y)) - f(y) and the first maximizing
-    (y, t) in y-major order; +inf allowed.
+    (y, t) in y-major order; +inf allowed, -inf with no witness on an empty
+    grid.
 
-    The probe rows go in the grid's row blocks, whose ray points are built in
-    its scratch array, so the working set stays in cache and memory does not
-    grow with the probe grid. A later block's maximum replaces the running
-    one only when strictly larger, which keeps the first maximizer, as one
-    argmax over all rays does, ties and +inf included.
+    The probe rows go in the grid's row blocks (see :class:`_RayGrid`), so
+    the working set stays in cache and memory does not grow with the probe
+    grid. A later block's maximum replaces the running one only when
+    strictly larger, which keeps the first maximizer, as one argmax over all
+    rays does, ties and +inf included.
     """
     best: tuple[float, tuple | None] = (-math.inf, None)
-    for rows in rays.blocks:
-        pts = rays.points(xbar, rows, out=rays.scratch[: rows.stop - rows.start])
-        r, witness = rays.max_increase(f.values(pts), rays.fy, rows)
+    for rows, pts in rays.walk(xbar):
+        r, witness = rays.fold(f.values(pts), rays.fy, rows)
         if r > best[0]:  # r > -inf: the values lie in (-inf, +inf], fy is finite
             best = (r, witness)
     return best
 
 
 def _tilted_iar_residuals(
-    f: FunctionOracle,
-    xs: Array,
-    covectors: Array,
-    probe: Region,
-    probe_resolution: int,
-    ray_resolution: int,
+    f: FunctionOracle, xs: Array, covectors: Array, rays: _RayGrid
 ) -> list[list[tuple[float, tuple[Array, float] | None]]]:
     """Rays residual of the tilted function f - <x*, .> from each x in ``xs``
-    for each row x* of ``covectors``: entry [i][k] is the max over probe-grid
-    y with finite value and t in a uniform [0, 1] grid of
-    (f - x*)(y + t(x_i - y)) - (f - x*)(y), with the maximizing (y, t).
+    for each row x* of ``covectors``: entry [i][k] is the max over the
+    grid's (y, t) of (f - x*)(y + t(x_i - y)) - (f - x*)(y), with the first
+    maximizing (y, t) in y-major order, as :func:`_iar_residual` gives it
+    for ``f.shifted(x*)``.
 
     Tilting is linear, (f - x*)(p) = f(p) - <x*, p>, so f is evaluated once
-    on the probe grid and once on the ray points of each x; each covector
-    only subtracts its pairing. For an oracle with a ``batch`` evaluator
-    these are the same arrays, bitwise, as ``f.shifted(x*).values`` gives.
-    A probe grid without finite values makes every residual -inf with no
-    witness.
+    per block of each x's ray points, and each covector subtracts its
+    pairing from those values and folds them against
+    (f - x*)(y) = f(y) - <x*, y>. The pairings are :func:`_pairings` sums,
+    as ``f.shifted(x*)`` forms them, so for an oracle with a ``batch``
+    evaluator the tilted values are bitwise those of ``f.shifted(x*)``. An
+    empty grid makes every residual -inf with no witness.
     """
-    ys_all = probe.sample(probe_resolution)
-    fy_all = f.values(ys_all)
-    finite = np.isfinite(fy_all)
-    if not np.any(finite):
-        return [[(-math.inf, None)] * len(covectors) for _ in xs]
-    rays = _RayGrid(ys_all[finite], fy_all[finite], ray_resolution)
-    gys = [(fy_all - ys_all @ c)[finite] for c in covectors]
+    gys = [rays.fy - _pairings(rays.ys, c) for c in covectors]
     out = []
     for x in xs:
-        pts = rays.points(x)
-        fp = f.values(pts)
-        out.append([rays.max_increase(fp - pts @ c, gy) for c, gy in zip(covectors, gys)])
+        best: list[tuple[float, tuple | None]] = [(-math.inf, None)] * len(gys)
+        for rows, pts in rays.walk(x):
+            vals = f.values(pts)
+            for k, (c, gy) in enumerate(zip(covectors, gys)):
+                tilted = _pairings(pts, c)
+                np.subtract(vals, tilted, out=tilted)
+                r, witness = rays.fold(tilted, gy, rows)
+                if r > best[k][0]:
+                    best[k] = (r, witness)
+        out.append(best)
     return out
 
 
@@ -405,10 +424,8 @@ class _EquivalenceProbes:
         if graph is None:
             graph = sample_subdiff_graph(f, region, self.probe_resolution, "auto", scheme=scheme)
         self.graph = graph
-        self.rays_c = _RayGrid(*_finite_grid(f, region, self.probe_resolution), t_resolution)
-        self.rays_u = _RayGrid(
-            *_finite_grid(f, self.interior_region, self.probe_resolution), t_resolution
-        )
+        self.rays_c = _ray_grid(f, region, self.probe_resolution, t_resolution)
+        self.rays_u = _ray_grid(f, self.interior_region, self.probe_resolution, t_resolution)
         self.graph_inside = self.graph.restrict_points(self.interior_region)
 
     def rows(

@@ -36,7 +36,7 @@ from .core import (
     _row_blocks,
     as_point,
 )
-from .minty import _tilted_iar_residuals
+from .minty import _ray_grid, _tilted_iar_residuals
 
 #: Tolerance for exact-arithmetic-representable samples.
 EXACT_TOL = 1e-9
@@ -265,9 +265,8 @@ def polar_membership_via_iar(
     """
     p = as_point(x, f.dim)
     c = as_point(xstar, f.dim)
-    [[(residual, witness)]] = _tilted_iar_residuals(
-        f, p[None, :], c[None, :], probe, probe_resolution, DEFAULT_RAY_RESOLUTION
-    )
+    grid = _ray_grid(f, probe, probe_resolution, DEFAULT_RAY_RESOLUTION)
+    [[(residual, witness)]] = _tilted_iar_residuals(f, p[None, :], c[None, :], grid)
     if witness is None:
         return Verdict(ok=True, residual=residual, witness=None)
     return Verdict(

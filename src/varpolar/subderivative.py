@@ -48,6 +48,9 @@ _CLARKE_BLOCK = 256
 #: drown in float64 cancellation noise.
 MIN_STEP = 1e-12
 
+#: Smallest normal float; a tail-quotient product below it has lost digits.
+_TINY = np.finfo(float).tiny
+
 #: Points of the uniform scan of [x, xbar) in :func:`mean_value_witness`.
 _SEGMENT_RESOLUTION = 33
 
@@ -187,12 +190,18 @@ def _tail_quotients(
     """(N, T) difference quotients over the tail window, largest step first.
     ``f0``, when given, holds the values of f at the base points ``xb``.
 
-    The tail points xb + t d/|d| fill a preallocated (N, T, dim) array one
-    coordinate at a time: the product t d_k/|d| of each coordinate, then
-    xb_k added in place. These are the floats of the broadcast over all
-    coordinates (addition commutes bitwise), without its short innermost
-    coordinate axis. A zero direction (every coordinate 0) keeps every point
-    at the base, so its quotients are 0.
+    The tail points xb + t d/|d| fill a preallocated (dim, T, N) array one
+    coordinate at a time: the product t d_k/|d|, then xb_k added in place,
+    the floats of the broadcast over all coordinates. The oracle takes the
+    transpose of its (dim, T N) view, t-major points whose coordinate
+    columns are contiguous, and the quotients (f - f0) |d| / t are formed as
+    (T, N) and returned transposed: a row minimum of the (N, T) result then
+    reduces across contiguous rows. Where the product (f - f0) |d| of a
+    nonzero difference leaves the normal float range (|d| below about
+    1e-301), the quotient is ((f - f0) / t) |d| instead, so a tiny direction
+    keeps its digits; every other entry keeps the first order's bits. A zero
+    direction (every coordinate 0) keeps every point at the base, so its
+    quotients are 0.
     """
     ts = scheme.tail_grid()
     n, dim = xb.shape
@@ -203,15 +212,21 @@ def _tail_quotients(
         f0 = f.values(xb)
     if np.any(~np.isfinite(f0)):
         raise DomainError("subderivatives are only defined at points where f is finite")
-    pts = np.empty((n, ts.shape[0], dim))
+    pts = np.empty((dim, ts.shape[0], n))
     for k in range(dim):
-        col = pts[:, :, k]
-        np.multiply(units[:, k, None], ts[None, :], out=col)
-        col += xb[:, k, None]
-    vals = f.values(pts.reshape(-1, dim)).reshape(n, ts.shape[0])
-    with np.errstate(invalid="ignore"):
-        quot = (vals - f0[:, None]) * norms[:, None] / ts[None, :]
-    return np.where(nonzero[:, None], quot, 0.0)
+        np.multiply(ts[:, None], units[:, k], out=pts[k])
+        pts[k] += xb[:, k]
+    diff = f.values(pts.reshape(dim, -1).T).reshape(ts.shape[0], n) - f0
+    with np.errstate(invalid="ignore"):  # +inf times a zero direction's |d|
+        quot = diff * norms
+    small = (quot < _TINY) & (quot > -_TINY)
+    quot /= ts[:, None]
+    if np.any(small):
+        j, i = np.nonzero(small & (diff != 0.0))
+        quot[j, i] = diff[j, i] / ts[j] * norms[i]
+    if not np.all(nonzero):
+        quot[:, ~nonzero] = 0.0
+    return quot.T
 
 
 def lower_dini(
@@ -253,20 +268,28 @@ def clarke_directional_values(
     finite-delta estimates in decreasing delta order (delta_list sorted).
     Values include the delta -> 0 extrapolation. Raw floats; +inf allowed.
 
-    Evaluated points. Steps t run over the tail window divided by |d|. Each
-    base xbar gets ring points x = xbar + r o with r = RADIUS_FACTOR t and o in
-    the center plus ``nbhd_resolution`` shells along +-e_i and, in 2-D and
-    up, along +-d/|d| (M = 1 + 2 nbhd_resolution offsets in 1-D and
+    Homogeneity. f°(x; .) is positively homogeneous (Clarke, *Optimization
+    and Nonsmooth Analysis*, 1983, Prop. 2.1.1), so the estimate is taken
+    along the unit vector u = d/|d| and ``values`` and ``per_delta`` are
+    multiplied by |d| at the end; a direction of length exactly 1.0 is its
+    own u, and a zero direction is used as it is. The factor |d| is applied
+    once, so a direction of length 1e200 neither overflows nor loses the
+    scale.
+
+    Evaluated points. Steps t run over the tail window. Each base xbar gets
+    ring points x = xbar + r o with r = RADIUS_FACTOR t and o in the center
+    plus ``nbhd_resolution`` shells along +-e_i and, in 2-D and up, along
+    +-u (M = 1 + 2 nbhd_resolution offsets in 1-D and
     1 + 2 (dim + 1) nbhd_resolution beyond); a ring point counts only when
     f(x) is finite and within r of f(xbar). The direction ball is
-    d' = d + delta w with w in {0, +-e_i} (K = 1 + 2 dim), evaluated at
-    x + t d'. Its center d + delta 0 is the same vector for every delta, so
+    u' = u + delta w with w in {0, +-e_i} (K = 1 + 2 dim), evaluated at
+    x + t u'. Its center u + delta 0 is the same vector for every delta, so
     it is evaluated once: a ring point costs 1 + D (K - 1) oracle points, not
     D K (9 instead of 12 in 1-D with the four default deltas).
 
-    Infimum before quotient. The quotient q(m) = (m - f(x)) |d| / t is
-    non-decreasing in m under IEEE rounding (a subtraction, then a product and
-    a division by positive numbers, each rounded monotonically), so
+    Infimum before quotient. The quotient q(m) = (m - f(x)) / t is
+    non-decreasing in m under IEEE rounding (a subtraction, then a division
+    by a positive number, each rounded monotonically), so
     q(min over the ball of f) equals the minimum over the ball of q(f),
     bitwise. The kernel takes the ball minimum on the f-values with
     ``np.fmin``, which skips a NaN value as one quotient per ball point read
@@ -278,7 +301,7 @@ def clarke_directional_values(
     Row blocks. f(xbar) is taken in one call for the whole batch, then base
     points go in blocks of ``_CLARKE_BLOCK``: a block makes one call for its
     ring points and one per ball direction (1 + D (K - 1) calls), each on
-    the block's b T M ring points shifted by t d'. The shifted points go
+    the block's b T M ring points shifted by t u'. The shifted points go
     into one scratch buffer that every slice reuses, each delta's slices
     fold into a running ``np.fmin`` (its K - 1 slices in order, then the
     center as the first argument), and the quotients fill a preallocated
@@ -302,15 +325,16 @@ def clarke_directional_values(
         # the squares overflow; the rescaled length raises if |d| does too
         dnorm = float(_direction_norms(dd[None, :])[0])
     scale = dnorm if dnorm > 0 else 1.0
-    ts = scheme.tail_grid() / scale  # effective steps along d
+    unit = dd / scale
+    ts = scheme.tail_grid()
     radii = RADIUS_FACTOR * ts
 
     # Ring of base-point offsets: the center plus shells along the axes and,
-    # in 2-D and up, along d itself, so the ring reaches x = xbar - r d/|d|
-    # for every d (axis shells alone miss it off the axes). Shape (M, dim)
-    # as unit offsets, scaled per step by the shrinking radius.
+    # in 2-D and up, along u itself, so the ring reaches x = xbar - r u for
+    # every u (axis shells alone miss it off the axes). Shape (M, dim) as
+    # unit offsets, scaled per step by the shrinking radius.
     eye = np.eye(dim)
-    shell_dirs = eye if dim == 1 else np.vstack([eye, dd[None, :] / scale])
+    shell_dirs = eye if dim == 1 else np.vstack([eye, unit[None, :]])
     shells = np.arange(1, nbhd_resolution + 1, dtype=float) / nbhd_resolution
     offsets = [np.zeros(dim)]
     for s in shells:
@@ -319,14 +343,14 @@ def clarke_directional_values(
             offsets.append(-s * u)
     offs = np.asarray(offsets)  # (M, dim)
 
-    # Direction-ball grid d + delta * w for w in {0, +-e_i}: shape (D, K, dim).
+    # Direction-ball grid u + delta * w for w in {0, +-e_i}: shape (D, K, dim).
     # The center column is the same for every delta, so it is kept once,
     # first, then the K - 1 others of each delta: (1 + D (K - 1), dim).
     ball = np.vstack([np.zeros((1, dim)), eye, -eye])  # (K, dim)
-    dprime = dd[None, None, :] + deltas[:, None, None] * ball[None, :, :]
+    dprime = unit[None, None, :] + deltas[:, None, None] * ball[None, :, :]
     k_side = ball.shape[0] - 1
     dirs = np.vstack([dprime[0, :1], dprime[:, 1:].reshape(-1, dim)])
-    steps = ts[None, :, None] * dirs[:, None, :]  # t d' per ball direction and step
+    steps = ts[None, :, None] * dirs[:, None, :]  # t u' per ball direction and step
 
     f0 = f.values(xb)
     if np.any(~np.isfinite(f0)):
@@ -342,7 +366,7 @@ def clarke_directional_values(
     quot = np.empty((deltas.size, *cells))
 
     def ball_values(ring: Array, s: int) -> Array:
-        """f at ring + t d' for ball direction ``s``, shaped like the ring's
+        """f at ring + t u' for ball direction ``s``, shaped like the ring's
         cells. The values may view ``qpts``, which the next call overwrites."""
         pts = qpts[: ring.shape[0]]
         np.add(ring, steps[s][None, :, None, :], out=pts)
@@ -368,7 +392,6 @@ def clarke_directional_values(
             np.fmin(c, acc, out=q[j])
         with np.errstate(invalid="ignore"):
             np.subtract(q, fring, out=q)
-            q *= scale
             q /= ts[None, None, :, None]
         np.copyto(q, math.inf, where=np.isnan(q))
         np.copyto(q, -math.inf, where=~near)
@@ -389,6 +412,8 @@ def clarke_directional_values(
         if np.any(both):
             slope = np.maximum(v_lo[both] - v_hi[both], 0.0) / (d_hi - d_lo)
             values[both] = np.maximum(values[both], v_lo[both] + slope * d_lo)
+    values *= scale
+    per_delta *= scale
     return values, per_delta
 
 

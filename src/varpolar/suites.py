@@ -17,7 +17,7 @@ import numpy as np
 from .core import DEFAULT_BOX_HALF_WIDTH, DEFAULT_TOL, FunctionOracle, GraphSample, Region
 from .core import tensor_grid
 from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, cross_validate
-from .minty import _tilted_iar_residuals
+from .minty import _ray_grid, _tilted_iar_residuals
 from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, _min_products, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
 from .subdifferential import DEFAULT_CDD_TOL, _cdd_profiles, sample_subdiff_graph
@@ -133,9 +133,8 @@ def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     xs, cs = _candidate_grids(f, params)
     graph = thm3_graph(f, params)
     min_products = _min_products(graph, xs, cs)
-    rays = _tilted_iar_residuals(
-        f, xs, cs, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION
-    )
+    grid = _ray_grid(f, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION)
+    rays = _tilted_iar_residuals(f, xs, cs, grid)
     agree = indeterminate = hard = 0
     disagreements = []
     for x, x_mins, x_rays in zip(xs, min_products, rays):

@@ -35,7 +35,8 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DEL
     n, dim = xb.shape
     dnorm = float(np.linalg.norm(dd))
     scale = dnorm if dnorm > 0 else 1.0
-    ts = scheme.tail_grid() / scale
+    u = dd / scale
+    ts = scheme.tail_grid()
     radii = RADIUS_FACTOR * ts
     eye = np.eye(dim)
     offsets = [np.zeros(dim)]
@@ -44,11 +45,11 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DEL
             offsets.append(s * eye[i])
             offsets.append(-s * eye[i])
         if dim > 1:
-            offsets.append(s * dd / scale)
-            offsets.append(-s * dd / scale)
+            offsets.append(s * u)
+            offsets.append(-s * u)
     offs = np.asarray(offsets)
     ball = np.vstack([np.zeros((1, dim)), eye, -eye])
-    dprime = dd[None, None, :] + deltas[:, None, None] * ball[None, :, :]
+    dprime = u[None, None, :] + deltas[:, None, None] * ball[None, :, :]
     f0 = f.values(xb)
     ring = xb[:, None, None, :] + radii[None, :, None, None] * offs[None, None, :, :]
     fring = f.values(ring.reshape(-1, dim)).reshape(n, ts.size, offs.shape[0])
@@ -61,7 +62,7 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DEL
         n, ts.size, offs.shape[0], deltas.size, ball.shape[0]
     )
     with np.errstate(invalid="ignore"):
-        quot = (fq - fring[:, :, :, None, None]) * scale / ts[None, :, None, None, None]
+        quot = (fq - fring[:, :, :, None, None]) / ts[None, :, None, None, None]
     quot = np.where(np.isnan(quot), math.inf, quot)
     inner = np.where(near[:, :, :, None], quot.min(axis=4), -math.inf)
     per_delta = inner.max(axis=(1, 2))
@@ -73,7 +74,7 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DEL
         if np.any(both):
             slope = np.maximum(v_lo[both] - v_hi[both], 0.0) / (d_hi - d_lo)
             values[both] = np.maximum(values[both], v_lo[both] + slope * d_lo)
-    return values, per_delta
+    return values * scale, per_delta * scale
 
 
 def _same_bits(a, b):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varpolar import (
     cross_validate,
@@ -18,9 +19,10 @@ from varpolar import (
     polar_membership_via_iar,
     subdifferential,
 )
+from varpolar import core
 from varpolar.core import FunctionOracle, GraphSample, Region, _row_blocks
 from varpolar.library import FUNCTION_IDS, get_function
-from varpolar.minty import DEFAULT_T_RESOLUTION
+from varpolar.minty import DEFAULT_T_RESOLUTION, _iar_residual, _RayGrid, _tilted_iar_residuals
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
 from varpolar.subdifferential import sample_subdiff_graph
 from varpolar.suites import SuiteParams, _candidate_grids, run_suites, thm3_suite
@@ -33,7 +35,13 @@ SMALL = SuiteParams(
 
 def _reference_rays(g, x, probe, probe_resolution, t_resolution):
     """max over finite probe y and t of g(y + t(x - y)) - g(y), with (y, t)."""
-    ys = probe.sample(probe_resolution)
+    return _reference_rays_at(g, x, probe.sample(probe_resolution), t_resolution)
+
+
+def _reference_rays_at(g, x, ys, t_resolution):
+    """max over the rows y of ``ys`` where g is finite and t of
+    g(y + t(x - y)) - g(y), with the first maximizing (y, t) in y-major
+    order: all ray points in one piece and one argmax."""
     gy = g.values(ys)
     finite = np.isfinite(gy)
     if not np.any(finite):
@@ -175,6 +183,68 @@ def test_rays_kernel_keeps_the_first_infinite_increase():
     graph = GraphSample([[0.5, 0.5]], [[1.0, 1.0]], meta={"source": "exact"})
     for v in _assert_rays_match_across_blocks(_holed_2d(), _BOX, 9, 4, xbars, graph):
         assert v.residual == math.inf
+
+
+def _wavy(p):
+    return np.sin(3.0 * p).sum(axis=1) + 0.1 * (p * p).sum(axis=1)
+
+
+#: Oracles on any dimension, for the property test below: non-dyadic values;
+#: the same sunk to -1e17 on part of the space, where an increase v - f(y)
+#: rounds distinct ray values v to one float; a step function, whose
+#: increases tie and whose zeros carry the sign of the first coordinate; and
+#: +inf on part of the space.
+_ANY_DIM_ORACLES = {
+    "wavy": _wavy,
+    "sunk": lambda p: np.where(p[:, 0] < -1.0, -1e17, _wavy(p)),
+    "steps": lambda p: np.copysign(np.floor(2.0 * p.sum(axis=1)) / 2.0, p[:, 0]),
+    "capped": lambda p: np.where(p[:, 0] > 0.5, math.inf, np.abs(p).sum(axis=1)),
+}
+
+
+@st.composite
+def _rays_cases(draw):
+    """A random oracle, dimension, probe rows, xbar, covectors, t grid and
+    block budget; the coordinates are uniform draws, off every dyadic grid."""
+    dim = draw(st.integers(1, 3))
+    name = draw(st.sampled_from(sorted(_ANY_DIM_ORACLES)))
+    batch = _ANY_DIM_ORACLES[name]
+    f = FunctionOracle(name, dim, fn=lambda x: float(batch(x[None, :])[0]), batch=batch)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ys = rng.uniform(-2.0, 2.0, (draw(st.integers(1, 40)), dim))
+    xbar = rng.uniform(-2.0, 2.0, dim)
+    covectors = rng.uniform(-3.0, 3.0, (draw(st.integers(1, 3)), dim))
+    t_resolution = draw(st.integers(2, 9))
+    budget = draw(st.sampled_from([1, 61, 10**9]))
+    return f, ys, xbar, covectors, t_resolution, budget
+
+
+def _assert_same_rays(got, want):
+    (r, witness), (r_want, witness_want) = got, want
+    assert r == r_want and math.copysign(1.0, r) == math.copysign(1.0, r_want)
+    if witness_want is None:
+        assert witness is None
+    else:
+        assert np.array_equal(witness[0], witness_want[0]) and witness[1] == witness_want[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rays_cases())
+def test_rays_kernel_matches_the_reference_on_non_dyadic_data(case):
+    # both kernels against all ray points in one piece and one argmax: the
+    # plain one on f, the tilted one on f.shifted(x*), residual bits and
+    # first witness included, over one-row, odd and whole-grid blocks
+    f, ys, xbar, covectors, t_resolution, budget = case
+    fy = f.values(ys)
+    finite = np.isfinite(fy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ENTRIES", budget)
+        rays = _RayGrid(ys[finite], fy[finite], t_resolution)
+    plain = _iar_residual(f, xbar, rays)
+    [tilted] = _tilted_iar_residuals(f, xbar[None, :], covectors, rays)
+    _assert_same_rays(plain, _reference_rays_at(f, xbar, ys, t_resolution))
+    for c, got in zip(covectors, tilted):
+        _assert_same_rays(got, _reference_rays_at(f.shifted(c), xbar, ys, t_resolution))
 
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)

@@ -188,6 +188,37 @@ def test_estimates_dominated_by_generalized_derivative():
                 assert lo <= hi + 1e-6, (f.name, x, d, lo, hi)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fid", ["abs", "twowell", "mixed2d"])
+def test_generalized_derivative_is_positively_homogeneous(fid):
+    # f°(x; .) is positively homogeneous. The quotient carried |d| twice:
+    # clarke_directional(abs, [0], [2]) read 4.000000000000002 and [0.5]
+    # 0.25, below lower_dini's 2 and 0.5, and |d| = 1e200 overflowed to +inf
+    f = get_function(fid)
+    tol = 1e-6
+    for x in _finite_grid_points(f, 5):
+        for u in np.vstack([np.eye(f.dim), -np.eye(f.dim)]):
+            base = clarke_directional(f, x, u).value
+            for s in (0.5, 2.0, 1e200):
+                est = clarke_directional(f, x, s * u).value
+                assert est == s * base, (fid, x, u, s)
+                assert est >= lower_dini(f, x, s * u).value - s * tol, (fid, x, u, s)
+
+
+@pytest.mark.parametrize("e", [1e-302, 1e-316, 1e-320])
+def test_tiny_directions_keep_their_digits(e):
+    # the product (f - f0)|d| went subnormal before the division by t, so
+    # these read 0.99999999999999, 0.93 and 0.0 times e
+    f = get_function("abs")
+    origin = np.zeros((2, 1))
+    got = lower_dini_values(f, origin, [[e], [1.0]])
+    assert got[0] / e == pytest.approx(1.0, rel=2**-50, abs=0.0)
+    assert lower_dini(f, [0.0], [e]).value == got[0]
+    # the ordinary row keeps the bits of the product-first quotient
+    want = _reference_tail_quotients(f, origin[:1], np.ones((1, 1)), DEFAULT_SCHEME, np.zeros(1))
+    assert _same_bits(got[1:], want.min(axis=1))
+
+
 def test_estimates_agree_with_exact_oracle():
     checked = 0
     for f in library_oracles():

@@ -223,34 +223,38 @@ class IntervalSet:
         """Representative covectors {low, mid, high} of the interval clipped
         to the covector box [-half_width, half_width]. Returns (reps,
         truncated); see :meth:`batch_representatives` for the rule."""
-        reps, mask, truncated = IntervalSet.batch_representatives(
+        _, reps, truncated = IntervalSet.batch_representatives(
             np.array([self.lo]), np.array([self.hi]), half_width
         )
-        return reps[0][mask[0]], bool(truncated[0])
+        return reps, bool(truncated[0])
 
     @staticmethod
     def batch_representatives(
         lo: Array, hi: Array, half_width: float
     ) -> tuple[Array, Array, Array]:
         """Representatives of the intervals [lo[i], hi[i]] for (N,) bound
-        arrays: padded (N, 3, 1) covectors, an (N, 3) mask and (N,)
-        truncation flags.
+        arrays, in the graph-row layout of
+        :meth:`FunctionOracle.subdifferential_representatives`: (R,) owners,
+        (R, 1) covectors and (N,) truncation flags. A NaN bound marks an
+        empty set, which has no row and is not truncated.
 
         Each interval is clipped to the box: lo_c = min(max(lo, -hw), hi) and
         hi_c = max(min(hi, hw), lo_c), so an interval that misses the box
         keeps only its endpoint nearest to it. The rows are lo_c, the
-        midpoint and hi_c in increasing order, with repeated values masked
-        out; ``truncated`` is set exactly when clipping moved an endpoint.
+        midpoint and hi_c in increasing order, with repeated values dropped;
+        ``truncated`` is set exactly when clipping moved an endpoint.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         lo_c = np.minimum(np.maximum(lo, -half_width), hi)
         hi_c = np.maximum(np.minimum(hi, half_width), lo_c)
         mid = 0.5 * (lo_c + hi_c)
-        reps = np.stack([lo_c, mid, hi_c], axis=1)[:, :, None]
-        mask = np.stack([np.ones(lo_c.shape, dtype=bool), mid != lo_c, hi_c != mid], axis=1)
+        defined = ~np.isnan(lo_c)
+        keep = np.stack([defined, defined & (mid != lo_c), defined & (hi_c != mid)], axis=1)
+        flat = np.flatnonzero(keep)
+        reps = np.take(np.stack([lo_c, mid, hi_c], axis=1), flat)
         truncated = (lo_c > lo) | (hi_c < hi)
-        return reps, mask, truncated
+        return flat // 3, reps[:, None], truncated
 
 
 @dataclass(frozen=True)
@@ -375,15 +379,15 @@ class FunctionOracle:
 
     ``exact_subdifferential_batch(points, half_width)`` is the optional
     batched form of the latter, used by graph sampling. It maps an (N, dim)
-    array of points to ``(reps, mask, truncated)``: padded (N, R, dim)
-    representative covectors, an (N, R) boolean mask of the rows in use, and
-    (N,) truncation flags. For every point i, ``reps[i][mask[i]]`` and
+    array of points to the graph rows ``(owner, covectors, truncated)``: an
+    (R,) nondecreasing integer array of point indices in [0, N), the (R, dim)
+    covectors, and (N,) truncation flags. Row r pairs ``points[owner[r]]``
+    with ``covectors[r]``. For every point i, ``covectors[owner == i]`` and
     ``truncated[i]`` must equal ``exact_subdifferential(x_i)
     .representatives(half_width)`` bitwise, rows in the same order; a point
-    with an empty subdifferential (None) has no row in use and is not
-    truncated. R is the largest row count the oracle can return, and masked
-    slots hold arbitrary finite values. Without it,
-    :meth:`subdifferential_representatives` loops over the per-point oracle.
+    with an empty subdifferential (None) has no row and is not truncated.
+    Without it, :meth:`subdifferential_representatives` loops over the
+    per-point oracle.
     """
 
     name: str
@@ -433,17 +437,22 @@ class FunctionOracle:
         self, points: Array, half_width: float = DEFAULT_BOX_HALF_WIDTH
     ) -> tuple[Array, Array, Array]:
         """Representative covectors of the exact subdifferential at an
-        (N, dim) array of points, in the ``exact_subdifferential_batch``
-        layout. Uses the batched side-oracle when present and otherwise
-        loops over ``exact_subdifferential``."""
+        (N, dim) array of points, as the graph rows ``(owner, covectors,
+        truncated)`` of the ``exact_subdifferential_batch`` contract. Uses
+        the batched side-oracle when present, after checking the shapes of
+        its rows, and otherwise loops over ``exact_subdifferential``."""
         if self.exact_subdifferential is None:
             raise ValueError(f"oracle {self.name!r} has no exact subdifferential")
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(f"expected (N, {self.dim}) points, got {pts.shape}")
-        if self.exact_subdifferential_batch is not None:
-            return self.exact_subdifferential_batch(pts, half_width)
-        return _representatives_by_point(self.exact_subdifferential, pts, half_width)
+        if self.exact_subdifferential_batch is None:
+            return _representatives_by_point(self.exact_subdifferential, pts, half_width)
+        rows = self.exact_subdifferential_batch(pts, half_width)
+        problem = _graph_rows_problem(rows, *pts.shape)
+        if problem:
+            raise ValueError(f"oracle {self.name!r}: exact_subdifferential_batch {problem}")
+        return rows
 
     # bench/tracer.py keys each suite call's wall time by str() of its first argument
     def __str__(self) -> str:
@@ -480,28 +489,34 @@ class FunctionOracle:
 def _representatives_by_point(
     sdiff: Callable[[Array], SubdiffSet | None], pts: Array, half_width: float
 ) -> tuple[Array, Array, Array]:
-    """Batched side-oracle layout built from per-point calls of ``sdiff``."""
+    """Graph rows ``(owner, covectors, truncated)`` from per-point calls of
+    ``sdiff``."""
     n, dim = pts.shape
     per_point = [
         (np.zeros((0, dim)), False) if desc is None else desc.representatives(half_width)
         for desc in map(sdiff, pts)
     ]
-    pieces = [(slice(i, i + 1), r[None], np.ones((1, len(r)), dtype=bool))
-              for i, (r, _) in enumerate(per_point)]
-    return *_padded(pieces, n, dim), np.array([t for _, t in per_point], dtype=bool)
+    owner = np.repeat(np.arange(n), [len(r) for r, _ in per_point])
+    covectors = np.concatenate([np.zeros((0, dim))] + [r for r, _ in per_point])
+    return owner, covectors, np.array([t for _, t in per_point], dtype=bool)
 
 
-def _padded(
-    pieces: Sequence[tuple[slice | Array, Array, Array]], n: int, dim: int
-) -> tuple[Array, Array]:
-    """One (n, R, dim) side-oracle layout (reps and mask) from pieces
-    (rows, reps, mask) that each cover the points ``rows`` (a slice or an
-    index array) with their own padding; R is the widest piece's."""
-    width = max((r.shape[1] for _, r, _ in pieces), default=0)
-    reps, mask = np.zeros((n, width, dim)), np.zeros((n, width), dtype=bool)
-    for rows, r, m in pieces:
-        reps[rows, : r.shape[1]], mask[rows, : m.shape[1]] = r, m
-    return reps, mask
+def _graph_rows_problem(rows: Any, n: int, dim: int) -> str | None:
+    """What is wrong with ``rows`` as the graph rows ``(owner, covectors,
+    truncated)`` of n points in R^dim, or None when nothing is; O(rows)."""
+    try:
+        owner, covectors, truncated = (np.asarray(r) for r in rows)
+    except (TypeError, ValueError):
+        return "must return the triple (owner, covectors, truncated)"
+    if owner.ndim != 1 or not np.issubdtype(owner.dtype, np.integer):
+        return f"owner must be a 1-D integer array, got {owner.dtype} of shape {owner.shape}"
+    if owner.size and (owner[0] < 0 or owner[-1] >= n or np.any(owner[1:] < owner[:-1])):
+        return f"owner must be nondecreasing in [0, {n})"
+    if covectors.shape != (owner.size, dim):
+        return f"covectors must have shape {(owner.size, dim)}, got {covectors.shape}"
+    if truncated.shape != (n,):
+        return f"truncated must have shape {(n,)}, got {truncated.shape}"
+    return None
 
 
 # ---------------------------------------------------------------------------

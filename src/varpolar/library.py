@@ -4,7 +4,8 @@ Every entry is a proper lsc function with a vectorized evaluator, an exact
 subderivative oracle, and (for the convex entries) an exact subdifferential
 oracle. These supply ground truth for the numerical machinery and for the
 cross-validation suites. Every exact subdifferential comes with its batched
-form, written with ``np.where`` over the same pieces. Functions are
+form, built from the same pieces, which emits graph rows only where they
+exist (see :class:`~varpolar.core.FunctionOracle`). Functions are
 addressable by stable string ids.
 """
 
@@ -35,12 +36,7 @@ def _interval_side_oracle(bounds):
     bounds mark points where it is empty."""
 
     def batch(points: Array, half_width: float) -> tuple[Array, Array, Array]:
-        lo, hi = bounds(points[:, 0])
-        defined = ~np.isnan(lo)
-        reps, mask, truncated = IntervalSet.batch_representatives(
-            np.where(defined, lo, 0.0), np.where(defined, hi, 0.0), half_width
-        )
-        return reps, mask & defined[:, None], truncated & defined
+        return IntervalSet.batch_representatives(*bounds(points[:, 0]), half_width)
 
     return batch
 
@@ -177,13 +173,20 @@ def _sdiff_norm2d_batch(points: Array, half_width: float) -> tuple[Array, Array,
     # a single point, so the unit normals match _sdiff_norm2d bitwise
     # (np.linalg.norm(points, axis=1) rounds differently).
     nx = np.sqrt(points[:, None, :] @ points[:, :, None])[:, 0, 0]
-    kink = nx == 0.0
-    unit = points / np.where(kink, 1.0, nx)[:, None]
+    kink = np.flatnonzero(nx == 0.0)
+    n = points.shape[0]
+    if not kink.size:
+        return np.arange(n), points / nx[:, None], np.zeros(n, dtype=bool)
+    # one unit normal per point, and the whole ball at the kink
     ball, _ = BallSet(np.zeros(2), 1.0).representatives(half_width)
-    reps = np.repeat(unit[:, None, :], ball.shape[0], axis=1)
-    reps[kink] = ball
-    mask = kink[:, None] | (np.arange(ball.shape[0]) == 0)[None, :]
-    return reps, mask, np.zeros(points.shape[0], dtype=bool)
+    nx[kink] = 1.0
+    counts = np.ones(n, dtype=np.intp)
+    counts[kink] = ball.shape[0]
+    owner = np.repeat(np.arange(n), counts)
+    covectors = np.take(points / nx[:, None], owner, axis=0)
+    at = kink + (ball.shape[0] - 1) * np.arange(kink.size)  # each kink's first row
+    covectors[at[:, None] + np.arange(ball.shape[0])] = ball
+    return owner, covectors, np.zeros(n, dtype=bool)
 
 
 def _sd_mixed2d(x: Array, d: Array) -> float:
@@ -205,14 +208,22 @@ def _sdiff_mixed2d(x: Array) -> SubdiffSet:
 
 
 def _sdiff_mixed2d_batch(points: Array, half_width: float) -> tuple[Array, Array, Array]:
-    g = 2.0 * points[:, 0]
-    first = np.stack([g, np.where(points[:, 1] > 0, 1.0, -1.0)], axis=-1)
-    second = np.stack([g, np.ones_like(g)], axis=-1)
-    centroid = np.stack([first, second], axis=1).mean(axis=1)
-    reps = np.stack([first, second, centroid], axis=1)
-    kink = points[:, 1] == 0
-    mask = np.stack([np.ones_like(kink), kink, kink], axis=1)
-    return reps, mask, np.zeros(points.shape[0], dtype=bool)
+    # the vertex (g, sign x2), and on the line x2 = 0 the vertices (g, -1)
+    # and (g, 1) and their mean
+    n = points.shape[0]
+    kink = np.flatnonzero(points[:, 1] == 0)
+    counts = np.ones(n, dtype=np.intp)
+    counts[kink] = 3
+    owner = np.repeat(np.arange(n), counts) if kink.size else np.arange(n)
+    covectors = np.empty((owner.size, 2))
+    covectors[:, 0] = np.take(2.0 * points[:, 0], owner)
+    covectors[:, 1] = np.take(np.where(points[:, 1] > 0, 1.0, -1.0), owner)
+    at = kink + 2 * np.arange(kink.size)  # each kink's first row
+    covectors[at + 1, 1] = 1.0
+    # the mean as PolytopeSet.representatives takes it (a plain sum would
+    # keep the sign of g = -0.0)
+    covectors[at + 2] = np.stack([covectors[at], covectors[at + 1]], axis=1).mean(axis=1)
+    return owner, covectors, np.zeros(n, dtype=bool)
 
 
 def _build_library() -> dict[str, FunctionOracle]:

@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     FunctionOracle,
     as_point,
+    _pairings,
 )
 
 #: Ring radius around the base point, as a multiple of the current step.
@@ -165,20 +166,23 @@ def _finite_directions(ds: Sequence[float] | float | Array, name: str) -> Array:
 def _direction_norms(dd: Array) -> Array:
     """|d| for each row of ``dd``, 0 exactly for the zero rows.
 
-    ``np.linalg.norm`` squares the coordinates, so a row below about 1e-154
-    underflows to 0 and one above about 1e154 overflows to inf. Only those
-    rows are rescaled by their largest coordinate; every other row keeps the
-    bits of ``np.linalg.norm``. A row whose length itself overflows has no
-    unit vector and raises :class:`ValueError`.
+    The length is the square root of the coordinate-by-coordinate sum of
+    squares, which has the bits of ``np.linalg.norm(dd, axis=1)`` without
+    its strided reduce. The squares make a row below about 1e-154 underflow
+    to 0 and one above about 1e154 overflow to inf. Only those rows are
+    rescaled by their largest coordinate; every other row keeps its bits. A
+    row whose length itself overflows has no unit vector and raises
+    :class:`ValueError`.
     """
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(dd, axis=1)
+        norms = np.sqrt(_pairings(dd, dd))
     nonzero = np.any(dd != 0.0, axis=1)
     bad = nonzero & ((norms == 0.0) | np.isinf(norms))
     if np.any(bad):
         big = np.abs(dd[bad]).max(axis=1)
+        scaled = dd[bad] / big[:, None]
         with np.errstate(over="ignore"):
-            norms[bad] = big * np.linalg.norm(dd[bad] / big[:, None], axis=1)
+            norms[bad] = big * np.sqrt(_pairings(scaled, scaled))
         if np.any(np.isinf(norms)):
             raise ValueError("a direction's length overflows the float range")
     return norms
@@ -220,9 +224,10 @@ def _tail_quotients(
     with np.errstate(invalid="ignore"):  # +inf times a zero direction's |d|
         quot = diff * norms
     small = (quot < _TINY) & (quot > -_TINY)
+    small &= diff != 0.0  # a zero difference has no digits to lose
     quot /= ts[:, None]
     if np.any(small):
-        j, i = np.nonzero(small & (diff != 0.0))
+        j, i = np.nonzero(small)
         quot[j, i] = diff[j, i] / ts[j] * norms[i]
     if not np.all(nonzero):
         quot[:, ~nonzero] = 0.0
@@ -272,9 +277,10 @@ def clarke_directional_values(
     and Nonsmooth Analysis*, 1983, Prop. 2.1.1), so the estimate is taken
     along the unit vector u = d/|d| and ``values`` and ``per_delta`` are
     multiplied by |d| at the end; a direction of length exactly 1.0 is its
-    own u, and a zero direction is used as it is. The factor |d| is applied
-    once, so a direction of length 1e200 neither overflows nor loses the
-    scale.
+    own u. The factor |d| is applied once, so a direction of length 1e200
+    neither overflows nor loses the scale. The zero direction has no u:
+    f°(x; 0) = 0, and ``values`` and ``per_delta`` are exactly 0 there,
+    with only f(xbar) evaluated.
 
     Evaluated points. Steps t run over the tail window. Each base xbar gets
     ring points x = xbar + r o with r = RADIUS_FACTOR t and o in the center
@@ -321,10 +327,16 @@ def clarke_directional_values(
     n, dim = xb.shape
     with np.errstate(over="ignore"):
         dnorm = float(np.linalg.norm(dd))
-    if math.isinf(dnorm):
-        # the squares overflow; the rescaled length raises if |d| does too
+    if dnorm == 0.0 or math.isinf(dnorm):
+        # the squares underflow or overflow (or d = 0); the rescaled length
+        # is 0 only for d = 0 and raises if |d| itself overflows
         dnorm = float(_direction_norms(dd[None, :])[0])
-    scale = dnorm if dnorm > 0 else 1.0
+    f0 = f.values(xb)
+    if np.any(~np.isfinite(f0)):
+        raise DomainError("the generalized derivative needs f(xbar) finite")
+    if dnorm == 0.0:
+        return np.zeros(n), np.zeros((n, deltas.size))
+    scale = dnorm
     unit = dd / scale
     ts = scheme.tail_grid()
     radii = RADIUS_FACTOR * ts
@@ -351,10 +363,6 @@ def clarke_directional_values(
     k_side = ball.shape[0] - 1
     dirs = np.vstack([dprime[0, :1], dprime[:, 1:].reshape(-1, dim)])
     steps = ts[None, :, None] * dirs[:, None, :]  # t u' per ball direction and step
-
-    f0 = f.values(xb)
-    if np.any(~np.isfinite(f0)):
-        raise DomainError("the generalized derivative needs f(xbar) finite")
 
     per_delta = np.empty((n, deltas.size))
     # Scratch arrays for the largest block, reused by every block and ball

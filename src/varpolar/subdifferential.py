@@ -31,7 +31,6 @@ from .core import (
     Verdict,
     as_point,
     _fibonacci_sphere,
-    _padded,
     _pairings,
     _row_blocks,
 )
@@ -201,13 +200,15 @@ def _compact(rows: Array, keep: Array) -> tuple[Array, Array]:
     return np.take_along_axis(rows, order[..., None], 1), np.take_along_axis(keep, order, 1)
 
 
-def _merged_with_centroid(rows: Array, valid: Array) -> tuple[Array, Array]:
-    """Each point's valid rows of a padded (N, R, dim) array, in order, with a
-    row within DEFAULT_TOL (Euclidean) of an earlier valid row merged into
-    it, then their centroid when two or more remain: padded (N, R', dim)
-    rows and their (N, R') mask. The pairwise comparison runs in nested row
-    blocks, and every sum coordinate by coordinate, so a point's rows do not
-    depend on its block."""
+def _merged_rows(block: slice, rows: Array, valid: Array) -> tuple[Array, Array]:
+    """Graph rows (owner, covectors) of the block of points ``block`` from
+    their candidate rows, a padded (b, S, dim) array: each point's valid
+    rows, in order, with a row within DEFAULT_TOL (Euclidean) of an earlier
+    valid row merged into it, then their centroid when two or more remain.
+    The merge runs on the padded array, since every point has the same S
+    candidates, and the block becomes rows once at the end. The pairwise
+    comparison runs in nested row blocks, and every sum coordinate by
+    coordinate, so a point's rows do not depend on its block."""
     dim = rows.shape[2]
     rows, valid = _compact(rows, valid)
     merged = np.zeros_like(valid)
@@ -219,17 +220,31 @@ def _merged_with_centroid(rows: Array, valid: Array) -> tuple[Array, Array]:
     rows, keep = _compact(rows, valid & ~merged)
     count = keep.sum(axis=1, keepdims=True)
     centroid = (rows * keep[..., None]).sum(axis=1) / np.maximum(count, 1)
-    return np.hstack([rows, centroid[:, None]]), np.hstack([keep, count > 1])
+    # flat indices into the (b, R, dim) rows: far faster than a 2-D
+    # nonzero and fancy index on these narrow axes
+    flat = np.flatnonzero(np.hstack([keep, count > 1]))
+    rows = np.hstack([rows, centroid[:, None]])
+    return block.start + flat // rows.shape[1], np.take(rows.reshape(-1, dim), flat, axis=0)
+
+
+def _joined(pieces: list[tuple[Array, Array]], dim: int) -> tuple[Array, Array]:
+    """One (owner, covectors) pair from the graph rows of consecutive
+    blocks of points."""
+    owners = [np.zeros(0, dtype=np.intp)] + [owner for owner, _ in pieces]
+    covectors = [np.zeros((0, dim))] + [cov for _, cov in pieces]
+    return np.concatenate(owners), np.concatenate(covectors)
 
 
 def _clarke_polytopes(support: Array, dirs: Array, half_width: float) -> tuple[Array, Array, Array]:
     """The numeric Clarke sets {x* : <x*, dirs[j]> <= support[i, j]}, cut by
-    the covector box, in the ``exact_subdifferential_batch`` layout.
+    the covector box, as graph rows ``(owner, covectors, truncated)`` over
+    the rows of ``support`` (the layout of
+    :meth:`~varpolar.core.FunctionOracle.subdifferential_representatives`).
 
     Each nonsingular dim-subset of the normals [dirs; I; -I] gives a
     candidate vertex; the candidates within DEFAULT_TOL of every halfspace
     are the vertices. The rows are the vertices in subset order, merged and
-    closed by their centroid as :func:`_merged_with_centroid` does, since a
+    closed by their centroid as :func:`_merged_rows` does, since a
     one-point set comes out of the noisy table as a thin sliver. A point is
     truncated where some support value is +inf, and where the box cuts the
     whole set away (no vertex is left, as for a slope steeper than the box):
@@ -250,33 +265,35 @@ def _clarke_polytopes(support: Array, dirs: Array, half_width: float) -> tuple[A
         b = bounds[rows]
         verts = _pairings(inverses[None], b[:, subsets][:, :, None, :])
         slack = _pairings(verts[:, :, None, :], normals) - b[:, None, :]
-        pieces.append((rows, *_merged_with_centroid(verts, np.all(slack <= DEFAULT_TOL, axis=2))))
-    reps, mask = _padded(pieces, n, dim)
-    return reps, mask, ~np.all(np.isfinite(support), axis=1) | ~mask.any(axis=1)
+        pieces.append(_merged_rows(rows, verts, np.all(slack <= DEFAULT_TOL, axis=2)))
+    owner, covectors = _joined(pieces, dim)
+    empty = np.ones(n, dtype=bool)
+    empty[owner] = False
+    return owner, covectors, ~np.all(np.isfinite(support), axis=1) | empty
 
 
 def _gradient_hulls(
     f: FunctionOracle, pts: Array, dirs: Array, half_width: float
 ) -> tuple[Array, Array, Array]:
     """Sampled-gradient hulls at an (N, dim) array of points, where f is
-    locally Lipschitz: padded (N, R, dim) rows, their (N, R) mask, and the
-    (N,) flags of the points where the hull is usable.
+    locally Lipschitz: the graph rows (owner, covectors) of the points
+    where the hull is usable, and the (N,) flags of those points.
 
     At each point x, gradients are taken at y = x + R u for u in {0} and
     the rows of ``dirs`` (R = :data:`_HULL_RADIUS`), by central differences
     of step H = :data:`_HULL_STEP` along each axis, divided by the realised
     step (y + H e_k)_k - (y - H e_k)_k rather than 2H, so that the slopes of
     piecewise affine functions come out exact. The rows are the gradients,
-    merged and closed by their centroid as :func:`_merged_with_centroid`
-    does. For locally Lipschitz f the Clarke set is the convex hull of the
-    limits of nearby gradients (Clarke, *Optimization and Nonsmooth
-    Analysis*, Thm 2.5.1), which gradient sampling builds the same way
-    (Burke, Lewis and Overton, SIAM J. Optim. 15, 2005).
+    merged and closed by their centroid as :func:`_merged_rows` does. For
+    locally Lipschitz f the Clarke set is the convex hull of the limits of
+    nearby gradients (Clarke, *Optimization and Nonsmooth Analysis*,
+    Thm 2.5.1), which gradient sampling builds the same way (Burke, Lewis
+    and Overton, SIAM J. Optim. 15, 2005).
 
     The hull is usable where every sampled value is finite and every
     gradient lies in the covector box; elsewhere (near a domain boundary,
-    or where f is steeper than the box) the point's mask is empty. Points
-    go in row blocks, one oracle call per block.
+    or where f is steeper than the box) the point has no rows. Points go in
+    row blocks, one oracle call per block.
     """
     n, dim = pts.shape
     offsets = _HULL_RADIUS * np.vstack([np.zeros((1, dim)), dirs])  # (S, dim)
@@ -298,9 +315,9 @@ def _gradient_hulls(
             np.abs(grads) <= half_width, axis=(1, 2)
         )
         usable[rows] = ok
-        grads[~ok] = 0.0  # masked out below; keeps the merge's sums finite
-        pieces.append((rows, *_merged_with_centroid(grads, np.repeat(ok[:, None], len(offsets), 1))))
-    return *_padded(pieces, n, dim), usable
+        grads[~ok] = 0.0  # not valid below; keeps the merge's sums finite
+        pieces.append(_merged_rows(rows, grads, np.repeat(ok[:, None], len(offsets), 1)))
+    return *_joined(pieces, dim), usable
 
 
 def _graph_rows(
@@ -315,40 +332,42 @@ def _graph_rows(
 
     Returns (owner, covectors, truncated): row r pairs pts[owner[r]] with
     covectors[r], and truncated[i] says whether the covector set at pts[i]
-    was truncated to the covector box. Rows come point by point in the order
-    of ``pts``, each point's covectors in the order its construction lists
-    them, and duplicates are kept. See :func:`sample_subdiff_graph` for the
-    sources.
+    was truncated to the covector box. ``owner`` is nondecreasing: rows come
+    point by point in the order of ``pts``, each point's covectors in the
+    order its construction lists them, and duplicates are kept. Every
+    construction emits this layout itself, with no padding. See
+    :func:`sample_subdiff_graph` for the sources.
 
-    The ``clarke-numeric`` rows of a point are its gradient hull
+    The ``exact`` rows are those of the side-oracle
+    (:meth:`~varpolar.core.FunctionOracle.subdifferential_representatives`),
+    unchanged. The ``clarke-numeric`` rows of a point are its gradient hull
     (:func:`_gradient_hulls`) where that is usable, and otherwise the
     support-table polytope (:func:`_clarke_support`,
     :func:`_clarke_polytopes`), built for the remaining points alone;
-    ``groups`` labels the points for that table. Only the table truncates,
-    which includes a point whose whole set lies outside the covector box
-    (it contributes no rows).
+    ``groups`` labels the points for that table. The two cover disjoint
+    points, so a stable sort on the owner joins them point by point. Only
+    the table truncates, which includes a point whose whole set lies outside
+    the covector box (it contributes no rows).
     """
     if source == "exact":
-        reps, mask, truncated = f.subdifferential_representatives(pts, covector_half_width)
-    else:
-        dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
-        reps, mask, hull = _gradient_hulls(f, pts, dirs, covector_half_width)
-        truncated = np.zeros(len(pts), dtype=bool)
-        rest = np.flatnonzero(~hull)
-        if rest.size:
-            # the support-table polytope at the points the hull cannot take
-            support = _clarke_support(
-                f, pts[rest], dirs, scheme, None if groups is None else groups[rest]
-            )
-            table_reps, table_mask, truncated[rest] = _clarke_polytopes(
-                support, dirs, covector_half_width
-            )
-            done = np.flatnonzero(hull)
-            reps, mask = _padded(
-                [(done, reps[done], mask[done]), (rest, table_reps, table_mask)], *pts.shape
-            )
-    owner = np.repeat(np.arange(pts.shape[0]), mask.sum(axis=1))
-    return owner, reps[mask], truncated
+        return f.subdifferential_representatives(pts, covector_half_width)
+    dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
+    owner, covectors, hull = _gradient_hulls(f, pts, dirs, covector_half_width)
+    truncated = np.zeros(len(pts), dtype=bool)
+    rest = np.flatnonzero(~hull)
+    if rest.size:
+        # the support-table polytope at the points the hull cannot take
+        support = _clarke_support(
+            f, pts[rest], dirs, scheme, None if groups is None else groups[rest]
+        )
+        table_owner, table_covectors, truncated[rest] = _clarke_polytopes(
+            support, dirs, covector_half_width
+        )
+        owner = np.concatenate([owner, rest[table_owner]])
+        order = np.argsort(owner, kind="stable")
+        covectors = np.take(np.concatenate([covectors, table_covectors]), order, axis=0)
+        owner = owner[order]
+    return owner, covectors, truncated
 
 
 def sample_subdiff_graph(
@@ -411,8 +430,10 @@ def _enlargement_mask(
     condition."""
     with np.errstate(invalid="ignore"):
         close_f = np.abs(fvals - fx) <= eps
+    # the square root of the coordinate-by-coordinate sum of squares has the
+    # bits of np.linalg.norm(diffs, axis=1) without its strided reduce
     return (
-        (np.linalg.norm(diffs, axis=1) <= eps)
+        (np.sqrt(_pairings(diffs, diffs)) <= eps)
         & close_f
         & (np.einsum("ij,ij->i", covectors, diffs) <= eps)
     )
@@ -509,7 +530,9 @@ def _cdd_profiles(
         cell = np.repeat(np.arange(nb * levels), grid_points)
         fvals = f.values(pts)
         finite = np.isfinite(fvals)
-        pts, fvals, cell = pts[finite], fvals[finite], cell[finite]
+        # np.compress and np.take gather the rows of a narrow 2-D array
+        # several times faster than boolean and integer indexing
+        pts, fvals, cell = np.compress(finite, pts, axis=0), fvals[finite], cell[finite]
         owner, covectors, truncated = _graph_rows(
             f, pts, source, covector_half_width, scheme, cell // levels
         )
@@ -519,10 +542,10 @@ def _cdd_profiles(
         row_cell = cell[owner]
         row_base = row_cell // levels
         eps_rows = eps[row_cell % levels]
-        diffs = pts[owner] - xb[row_base]
+        diffs = np.take(pts, owner, axis=0) - np.take(xb, row_base, axis=0)
         kept = _enlargement_mask(diffs, fvals[owner], fx[row_base], covectors, eps_rows)
-        pairings = covectors @ dirs.T
-        sups = _cell_suprema(row_cell[kept], pairings[kept], nb * levels)
+        pairings = np.compress(kept, covectors @ dirs.T, axis=0)
+        sups = _cell_suprema(row_cell[kept], pairings, nb * levels)
         rhs_values = sups.reshape(nb, levels, -1).min(axis=1)
         empty = np.ones(nb * levels, dtype=bool)
         empty[row_cell[kept]] = False

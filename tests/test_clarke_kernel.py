@@ -34,7 +34,10 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DEL
     deltas = np.asarray(sorted(delta_list, reverse=True), dtype=float)
     n, dim = xb.shape
     dnorm = float(np.linalg.norm(dd))
-    scale = dnorm if dnorm > 0 else 1.0
+    if dnorm == 0.0:
+        # f°(x; 0) = 0 by positive homogeneity
+        return np.zeros(n), np.zeros((n, deltas.size))
+    scale = dnorm
     u = dd / scale
     ts = scheme.tail_grid()
     radii = RADIUS_FACTOR * ts

@@ -141,15 +141,16 @@ def test_exact_subderivative_matches_difference_quotients_spot_check():
 
 
 def _assert_batched_matches_per_point(f, points, half_width):
-    reps, mask, truncated = f.subdifferential_representatives(points, half_width)
-    assert reps.shape[:2] == mask.shape and truncated.shape == (len(points),)
+    owner, covectors, truncated = f.subdifferential_representatives(points, half_width)
+    assert covectors.shape == (len(owner), f.dim) and truncated.shape == (len(points),)
+    assert np.all(np.diff(owner) >= 0)
     for i, x in enumerate(points):
         desc = f.exact_subdifferential(x)
         if desc is None:
-            assert not mask[i].any() and not truncated[i], (f.name, x)
+            assert not np.any(owner == i) and not truncated[i], (f.name, x)
             continue
         want, want_truncated = desc.representatives(half_width)
-        got = reps[i][mask[i]]
+        got = covectors[owner == i]
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (f.name, x)
         assert bool(truncated[i]) == want_truncated, (f.name, x)
 

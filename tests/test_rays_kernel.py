@@ -324,9 +324,9 @@ def test_small_numeric_run_clarke_base_point_count(monkeypatch):
         return estimator(f, xbars, *args, **kwargs)
 
     def counting_hulls(f, pts, *args):
-        reps, mask, usable = gradient_hulls(f, pts, *args)
+        owner, covectors, usable = gradient_hulls(f, pts, *args)
         hulls.append((len(pts), int(usable.sum())))
-        return reps, mask, usable
+        return owner, covectors, usable
 
     monkeypatch.setattr(subdifferential, "clarke_directional_values", counting)
     monkeypatch.setattr(subdifferential, "_gradient_hulls", counting_hulls)

@@ -59,5 +59,7 @@ def test_the_readme_examples_compute_their_commented_values():
         "agree": 65, "indeterminate": 0, "hard": 0,
     }
     assert claims['result["hard_total"]'] == 0
+    assert claims["owner.tolist()"] == [0, 1, 1, 1, 2]
+    assert claims["covectors[:, 0].tolist()"] == [0.0, 0.0, 0.5, 1.0, 1.0]
     for source, value, claim in checked:
         assert value == claim, source

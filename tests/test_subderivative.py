@@ -205,6 +205,23 @@ def test_generalized_derivative_is_positively_homogeneous(fid):
                 assert est >= lower_dini(f, x, s * u).value - s * tol, (fid, x, u, s)
 
 
+@pytest.mark.parametrize(("fid", "x"), [("square", 1.0), ("abs", 0.5), ("twowell", 1.0)])
+def test_generalized_derivative_is_zero_along_the_zero_direction(fid, x):
+    # f°(x; 0) = 0 by positive homogeneity; the ball around d = 0 read
+    # -2.2e-09, 5.0e-10 and 5.7e-10 here
+    f = get_function(fid)
+    est = clarke_directional(f, [x], [0.0])
+    assert (est.value, est.bracket) == (0.0, (0.0, 0.0))
+    assert not math.copysign(1.0, est.value) < 0
+    values, per_delta = clarke_directional_values(f, np.array([[x], [0.0]]), [0.0])
+    assert values.tolist() == [0.0, 0.0] and per_delta.tolist() == [[0.0] * 4] * 2
+    assert not np.any(np.signbit(values)) and not np.any(np.signbit(per_delta))
+    # a nonzero direction whose squares underflow still has its length
+    assert clarke_directional(f, [x], [1e-200]).value == pytest.approx(
+        1e-200 * clarke_directional(f, [x], [1.0]).value, rel=1e-12
+    )
+
+
 @pytest.mark.parametrize("e", [1e-302, 1e-316, 1e-320])
 def test_tiny_directions_keep_their_digits(e):
     # the product (f - f0)|d| went subnormal before the division by t, so

@@ -135,16 +135,21 @@ class Region:
         ``interior=True`` the first and last grid index of every axis are
         dropped, which discretizes the open interior of a box.
         """
-        if resolution < 2:
-            raise ValueError("resolution must be at least 2")
-        if self.dim > GRID_DIM_CAP:
-            raise ValueError(f"grid sampling is capped at dimension {GRID_DIM_CAP}")
-        axes = [np.linspace(self.lower[i], self.upper[i], resolution) for i in range(self.dim)]
+        axes = self.axes(resolution)
         if interior:
             if resolution < 3:
                 raise ValueError("interior sampling needs resolution >= 3")
             axes = [a[1:-1] for a in axes]
         return tensor_grid(axes)
+
+    def axes(self, resolution: int) -> list[Array]:
+        """The per-axis coordinates of the :meth:`sample` grid: ``resolution``
+        points on each axis of the sampling box, the extremes included."""
+        if resolution < 2:
+            raise ValueError("resolution must be at least 2")
+        if self.dim > GRID_DIM_CAP:
+            raise ValueError(f"grid sampling is capped at dimension {GRID_DIM_CAP}")
+        return [np.linspace(self.lower[i], self.upper[i], resolution) for i in range(self.dim)]
 
     def spacing(self, resolution: int) -> float:
         """Largest per-axis grid spacing at the given resolution."""
@@ -189,12 +194,13 @@ def _row_blocks(rows: int, cols: int):
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-def _pairings(u: Array, v: Array) -> Array:
+def _pairings(u: Array, v: Array, out: Array | None = None) -> Array:
     """<u, v> over the last axis of two broadcastable arrays, summed
     coordinate by coordinate in order, so an entry depends only on its two
-    operands. A BLAS product gives it different last bits depending on where
-    its kernel splits the matrix, which a row block would not reproduce."""
-    out = u[..., 0] * v[..., 0]
+    operands; into ``out`` when given. A BLAS product gives it different
+    last bits depending on where its kernel splits the matrix, which a row
+    block would not reproduce."""
+    out = np.multiply(u[..., 0], v[..., 0], out=out)
     for k in range(1, u.shape[-1]):
         out += u[..., k] * v[..., k]
     return out
@@ -367,10 +373,16 @@ class FunctionOracle:
     """An evaluable proper lower semicontinuous function on R^n.
 
     ``fn`` maps a point to a raw float where ``math.inf`` stands for +inf;
-    ``value`` and ``values`` reject NaN and -inf. ``batch``, when present,
-    evaluates an (N, dim) array of points in one call and is what makes grid
-    quantifiers cheap. Lower semicontinuity and properness are taken on trust
-    from the metadata; the curated library is spot-checked by the test suite.
+    ``value``, ``values`` and ``values_at`` reject NaN and -inf. ``batch``,
+    when present, is what makes grid quantifiers cheap: ``batch(*coords)``
+    takes one float array per coordinate, arrays that broadcast together,
+    and returns f elementwise in their broadcast shape. A point's value may
+    depend only on its own coordinates, never on the shape or the other
+    entries of the arrays: the rays kernel hands ``batch`` the per-axis
+    coordinates of a tensor grid, of shapes (T, b, 1, ...), (T, 1, n_1, ...)
+    and so on, where ``values`` hands it the columns of an (N, dim) array.
+    Lower semicontinuity and properness are taken on trust from the
+    metadata; the curated library is spot-checked by the test suite.
 
     ``exact_subderivative(x, d)`` and ``exact_subdifferential(x)`` are
     optional analytic side-oracles. The former returns a raw float (inf
@@ -393,7 +405,7 @@ class FunctionOracle:
     name: str
     dim: int
     fn: Callable[[Array], float]
-    batch: Callable[[Array], Array] | None = None
+    batch: Callable[..., Array] | None = None
     is_convex: bool = False
     exact_subderivative: Callable[[Array, Array], float] | None = None
     exact_subdifferential: Callable[[Array], SubdiffSet | None] | None = None
@@ -420,14 +432,33 @@ class FunctionOracle:
         return v
 
     def values(self, points: Array) -> Array:
-        """Vectorized evaluation of an (N, dim) array of points."""
+        """Vectorized evaluation of an (N, dim) array of points: ``batch`` of
+        its coordinate columns, or ``fn`` point by point."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(f"expected (N, {self.dim}) points, got {pts.shape}")
         if self.batch is not None:
-            v = np.asarray(self.batch(pts), dtype=float)
-        else:
-            v = np.array([self.fn(p) for p in pts], dtype=float)
+            return self._checked(self.batch(*pts.T), pts.shape[:1])
+        return self._checked([self.fn(p) for p in pts], pts.shape[:1])
+
+    def values_at(self, *coords: Array) -> Array:
+        """f at the points whose k-th coordinates are the broadcast arrays
+        ``coords[k]``, in their broadcast shape. Without ``batch`` the
+        points are materialised and ``fn`` runs point by point."""
+        if len(coords) != self.dim:
+            raise DimensionMismatchError(f"expected {self.dim} coordinate arrays, got {len(coords)}")
+        shape = np.broadcast(*coords).shape
+        if self.batch is not None:
+            return self._checked(self.batch(*coords), shape)
+        pts = np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, self.dim)
+        return self._checked(np.reshape([self.fn(p) for p in pts], shape), shape)
+
+    def _checked(self, raw: Any, shape: tuple[int, ...]) -> Array:
+        """``raw`` values as a float array of ``shape`` (a constant broadcast
+        to it), after checking that they lie in (-inf, +inf]."""
+        v = np.asarray(raw, dtype=float)
+        if v.shape != shape:
+            v = np.broadcast_to(v, shape)
         # one reduction catches both: a NaN minimum is not > -inf either
         if v.size and not v.min() > -math.inf:
             raise ValueError(f"oracle {self.name!r} produced a value outside (-inf, +inf]")
@@ -464,22 +495,27 @@ class FunctionOracle:
         """The tilted oracle x -> f(x) - <xstar, x>.
 
         Only the values are tilted: the tilted oracle carries no side-oracles.
-        Both ``fn`` and ``batch`` form <xstar, x> with :func:`_pairings`, so a
-        point's tilted value does not depend on its batch, and the tilted
-        rays kernel (:func:`~varpolar.minty._tilted_iar_residuals`), which
-        subtracts the same sums, gives this oracle's values bit for bit.
+        Both ``fn`` and ``batch`` form <xstar, x> coordinate by coordinate in
+        the order of :func:`_pairings`, so a point's tilted value does not
+        depend on its batch, and the tilted rays kernel
+        (:func:`~varpolar.minty._tilted_iar_residuals`), which subtracts the
+        same sums, gives this oracle's values bit for bit.
         """
         s = as_point(xstar, self.dim)
         base_fn, base_batch = self.fn, self.batch
         fn = lambda x: base_fn(x) - float(_pairings(x, s))  # noqa: E731
-        batch = None if base_batch is None else (
-            lambda pts: base_batch(pts) - _pairings(pts, s)
-        )
+
+        def batch(*x: Array) -> Array:
+            pairing = x[0] * s[0]
+            for xk, sk in zip(x[1:], s[1:]):
+                pairing = pairing + xk * sk
+            return base_batch(*x) - pairing
+
         return replace(
             self,
             name=f"{self.name}-tilted",
             fn=fn,
-            batch=batch,
+            batch=None if base_batch is None else batch,
             exact_subderivative=None,
             exact_subdifferential=None,
             exact_subdifferential_batch=None,

@@ -1,6 +1,7 @@
 """Curated test-function library.
 
-Every entry is a proper lsc function with a vectorized evaluator, an exact
+Every entry is a proper lsc function with a vectorized evaluator of
+coordinate arrays (see :class:`~varpolar.core.FunctionOracle`), an exact
 subderivative oracle, and (for the convex entries) an exact subdifferential
 oracle. These supply ground truth for the numerical machinery and for the
 cross-validation suites. Every exact subdifferential comes with its batched
@@ -232,7 +233,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="abs",
             dim=1,
             fn=lambda x: abs(float(x[0])),
-            batch=lambda p: np.abs(p[:, 0]),
+            batch=np.abs,
             is_convex=True,
             exact_subderivative=_sd_abs,
             exact_subdifferential=_sdiff_abs,
@@ -244,7 +245,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="square",
             dim=1,
             fn=lambda x: float(x[0]) ** 2,
-            batch=lambda p: p[:, 0] ** 2,
+            batch=lambda x: x ** 2,
             is_convex=True,
             exact_subderivative=_sd_square,
             exact_subdifferential=lambda x: IntervalSet(2.0 * float(x[0]), 2.0 * float(x[0])),
@@ -256,7 +257,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="neg_abs",
             dim=1,
             fn=lambda x: -abs(float(x[0])),
-            batch=lambda p: -np.abs(p[:, 0]),
+            batch=lambda x: -np.abs(x),
             is_convex=False,
             exact_subderivative=_sd_neg_abs,
             default_region=_BOX_1D,
@@ -266,7 +267,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="ind_halfline",
             dim=1,
             fn=lambda x: 0.0 if x[0] >= 0 else math.inf,
-            batch=lambda p: np.where(p[:, 0] >= 0, 0.0, math.inf),
+            batch=lambda x: np.where(x >= 0, 0.0, math.inf),
             is_convex=True,
             exact_subderivative=_sd_ind_halfline,
             exact_subdifferential=_sdiff_ind_halfline,
@@ -278,7 +279,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="ind_origin",
             dim=1,
             fn=lambda x: 0.0 if x[0] == 0 else math.inf,
-            batch=lambda p: np.where(p[:, 0] == 0, 0.0, math.inf),
+            batch=lambda x: np.where(x == 0, 0.0, math.inf),
             is_convex=True,
             exact_subderivative=_sd_ind_origin,
             exact_subdifferential=lambda x: IntervalSet(-math.inf, math.inf) if x[0] == 0 else None,
@@ -290,7 +291,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="maxzero",
             dim=1,
             fn=lambda x: max(float(x[0]), 0.0),
-            batch=lambda p: np.maximum(p[:, 0], 0.0),
+            batch=lambda x: np.maximum(x, 0.0),
             is_convex=True,
             exact_subderivative=_sd_maxzero,
             exact_subdifferential=_sdiff_maxzero,
@@ -302,7 +303,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="twowell",
             dim=1,
             fn=_twowell,
-            batch=lambda p: np.minimum(np.abs(p[:, 0]), np.abs(p[:, 0] - 2.0) + 1.0),
+            batch=lambda x: np.minimum(np.abs(x), np.abs(x - 2.0) + 1.0),
             is_convex=False,
             exact_subderivative=_sd_twowell,
             default_region=_BOX_TWOWELL,
@@ -312,9 +313,9 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="norm2d",
             dim=2,
             fn=lambda x: float(np.linalg.norm(x)),
-            # the same IEEE operations as np.linalg.norm(p, axis=1), without
-            # its strided reduce
-            batch=lambda p: np.sqrt(p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1]),
+            # the same IEEE operations as np.linalg.norm(p, axis=1) on the
+            # points p with coordinates x1, x2, without its strided reduce
+            batch=lambda x1, x2: np.sqrt(x1 * x1 + x2 * x2),
             is_convex=True,
             exact_subderivative=_sd_norm2d,
             exact_subdifferential=_sdiff_norm2d,
@@ -326,7 +327,7 @@ def _build_library() -> dict[str, FunctionOracle]:
             name="mixed2d",
             dim=2,
             fn=lambda x: float(x[0]) ** 2 + abs(float(x[1])),
-            batch=lambda p: p[:, 0] ** 2 + np.abs(p[:, 1]),
+            batch=lambda x1, x2: x1 ** 2 + np.abs(x2),
             is_convex=True,
             exact_subderivative=_sd_mixed2d,
             exact_subdifferential=_sdiff_mixed2d,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .core import (
     _pairings,
     _row_blocks,
     as_point,
+    tensor_grid,
 )
 from .subderivative import DEFAULT_SCHEME, LiminfScheme, _tail_quotients
 from .subdifferential import sample_subdiff_graph
@@ -54,86 +55,128 @@ def _finite_grid(f: FunctionOracle, region: Region, resolution: int) -> tuple[Ar
 
 
 class _RayGrid:
-    """The rays kernel: ray points y + t(xbar - y) over a fixed probe grid.
+    """The rays kernel: ray points y + t(xbar - y) from the points y of a
+    tensor probe grid, toward one xbar after another.
 
-    ``ys`` are the probe points with finite value ``fy`` and ``ts`` a uniform
-    [0, 1] grid. ``blocks`` splits the rows of ``ys`` into blocks of about
-    :data:`~varpolar.core._BLOCK_ENTRIES` ray coordinates. The ray starts
-    y(1 - t) do not depend on xbar, so they are built once per probe grid,
-    one contiguous (dim, T, b) array per block of b probe points:
-    coordinate-major, then t-major. :meth:`walk` adds xbar_k t_j to a
-    block's starts in one ``np.add`` into ``scratch``, the same floats as
-    building each ray point from scratch, and hands the oracle the
-    transpose of the (dim, T b) result: (T b, dim) points, t-major, whose
-    coordinate columns are contiguous.
+    ``axes`` are the grid's per-axis coordinates (last axis fastest, as in
+    :func:`~varpolar.core.tensor_grid`) and ``ts`` a uniform [0, 1] grid of
+    ``t_resolution >= 2`` points. ``ys`` are the grid points where f is
+    finite, in grid order, and ``fy`` their values.
 
-    The grid keeps ``scratch`` for its lifetime, so walking the blocks for
-    one xbar after another reuses the same memory instead of faulting in
-    fresh pages; one grid therefore serves one thread at a time.
-    (A plain class: a frozen dataclass costs about 1 ms of import time.)
+    Coordinate k of a ray point, fl(fl(a_k (1 - t)) + fl(xbar_k t)), depends
+    only on t and on the point's index a_k along axis k. So the grid keeps
+    the per-axis starts a_k(1 - t), one (T, n_k) array per axis, and
+    :meth:`walk` adds xbar_k t to them into per-axis ray coordinates, (T,
+    n_k) scratch arrays that the grid keeps for its lifetime. Axis 0 keeps
+    only its rows that hold a finite y. Those rows go in blocks of about
+    :data:`~varpolar.core._BLOCK_ENTRIES` / dim ray points, and a block's
+    oracle arguments are broadcast views of the ray coordinates: (T, b, 1,
+    ...) for axis 0 and (T, 1, n_1, ...) and so on for the others. The
+    oracle's (T, b, n_1, ...) values are those of building each ray point
+    from scratch, and memory for the ray starts is O(T (n_0 + n_1 + ...)).
+
+    A block's cells are its flat indices into ``points``, the grid points of
+    the kept rows; ``g`` holds f there, 0 where f is not finite, and
+    ``holes`` the cells of a block where f is not finite, whose rays
+    :meth:`fold` masks out. Reusing
+    the scratch for one xbar after another means one grid serves one thread
+    at a time. (A plain class: a frozen dataclass costs about 1 ms of import
+    time.)
     """
 
-    def __init__(self, ys: Array, fy: Array, t_resolution: int) -> None:
-        self.ys, self.fy = ys, fy
+    def __init__(self, f: FunctionOracle, axes: Sequence[Array], t_resolution: int) -> None:
+        if t_resolution < 2:
+            raise ValueError("t_resolution must be >= 2")
+        grid = tensor_grid(axes)
+        values = f.values(grid)
+        finite = np.isfinite(values)
+        self.ys, self.fy = grid[finite], values[finite]
         self.ts = np.linspace(0.0, 1.0, t_resolution)
-        self.blocks = list(_row_blocks(ys.shape[0], t_resolution * ys.shape[1]))
-        self.starts = [ys[rows].T[:, None, :] * (1.0 - self.ts)[:, None] for rows in self.blocks]
-        self.scratch = np.empty(self.starts[0].size) if self.blocks else None
+        by_row = finite.reshape(len(axes[0]), -1)
+        live = np.flatnonzero(by_row.any(axis=1))
+        kept = [axes[0][live], *axes[1:]]
+        self.points = tensor_grid(kept)
+        self.g = np.where(finite, values, 0.0).reshape(by_row.shape)[live].ravel()
+        self.starts = [a * (1.0 - self.ts)[:, None] for a in kept]
+        self.coords = [np.empty_like(s) for s in self.starts]
+        dim, inner = len(axes), by_row.shape[1]
+        t = self.ts.shape[0]
+        rest = [c.reshape((t,) + tuple(len(a) if j == k else 1 for j, a in enumerate(kept)))
+                for k, c in enumerate(self.coords[1:], 1)]
+        self.blocks = []
+        for rows in _row_blocks(live.shape[0], t * inner * dim):
+            cells = slice(rows.start * inner, rows.stop * inner)
+            holes = np.flatnonzero(~by_row[live[rows]].ravel())
+            lead = self.coords[0][:, rows].reshape((t, -1) + (1,) * (dim - 1))
+            self.blocks.append((cells, holes if holes.size else None, (lead, *rest)))
 
-    def walk(self, xbar: Array) -> Iterator[tuple[slice, Array]]:
-        """For each block, its rows of ``ys`` and its (T b, dim) ray points
-        toward xbar, t-major; the points live in ``scratch`` until the next
-        step."""
-        xt = (xbar[:, None] * self.ts)[:, :, None]
-        for rows, starts in zip(self.blocks, self.starts):
-            pts = np.add(starts, xt, out=self.scratch[: starts.size].reshape(starts.shape))
-            yield rows, pts.reshape(starts.shape[0], -1).T
+    def walk(self, xbar: Array) -> list[tuple[slice, Array | None, tuple[Array, ...]]]:
+        """The blocks ``(cells, holes, coords)`` with ``coords`` the oracle's
+        coordinate arrays of the block's ray points toward xbar; they view
+        the grid's ray coordinates, which the next walk overwrites."""
+        for start, coord, xk in zip(self.starts, self.coords, xbar):
+            np.add(start, (xk * self.ts)[:, None], out=coord)
+        return self.blocks
 
-    def fold(self, vals: Array, gy: Array, rows: slice) -> tuple[float, tuple[Array, float]]:
-        """max over y in ys[rows] and t of vals(y, t) - gy(y) and the first
-        maximizing (y, t) in y-major order, for ``vals`` evaluated at the
-        block's points (+inf allowed) and finite ``gy`` over all of ``ys``.
+    def fold(self, vals: Array, g: Array, block: tuple) -> tuple[float, int, int]:
+        """max over the block's y with finite f and over t of
+        vals(y, t) - g(y), and the cell and t index of the first maximizing
+        (y, t) in y-major order, for ``vals`` evaluated at the block's ray
+        points (+inf allowed) and ``g`` finite over every cell.
 
         The max over t comes first, one vectorized max along the block's t
-        axis, and gy(y) is subtracted once per probe: rounding is monotone,
-        so max_t fl(v - g) = fl(max_t v - g). The first y with the largest
-        difference is therefore the first maximizer's y. Only for it are the
-        T differences formed again: the first maximizing t, and its
-        difference as the residual, so a zero residual has the sign that
-        one argmax over all differences gives it.
+        axis, and g(y) is subtracted once per cell: rounding is monotone, so
+        max_t fl(v - g) = fl(max_t v - g). The holes are then masked to
+        -inf, so the first cell with the largest difference is the first
+        maximizer's y. Only for it are the T differences formed again: the
+        first maximizing t, and its difference as the residual, so a zero
+        residual has the sign that one argmax over all differences gives it.
         """
+        cells, holes, _ = block
         v = vals.reshape(self.ts.shape[0], -1)
-        g = gy[rows]
+        g = g[cells]
         r = v.max(axis=0)
         r -= g
+        if holes is not None:
+            r[holes] = -math.inf
         i = int(np.argmax(r))
         diffs = v[:, i] - g[i]
         j = int(np.argmax(diffs))
-        return float(diffs[j]), (self.ys[rows][i], float(self.ts[j]))
+        return float(diffs[j]), cells.start + i, j
+
+    def witness(self, best: tuple[float, int, int] | None) -> tuple[float, tuple | None]:
+        """A running maximum of :meth:`fold` as the residual and its (y, t);
+        -inf with no witness when there is none."""
+        if best is None:
+            return -math.inf, None
+        r, cell, j = best
+        return r, (self.points[cell], float(self.ts[j]))
 
 
 def _ray_grid(f: FunctionOracle, region: Region, resolution: int, t_resolution: int) -> _RayGrid:
-    """The rays grid over the points of ``region``'s grid where f is finite."""
-    return _RayGrid(*_finite_grid(f, region, resolution), t_resolution)
+    """The rays grid over ``region``'s grid at ``resolution``."""
+    return _RayGrid(f, region.axes(resolution), t_resolution)
 
 
 def _iar_residual(f: FunctionOracle, xbar: Array, rays: _RayGrid) -> tuple[float, tuple | None]:
     """max over (y, t) of f(y + t(xbar - y)) - f(y) and the first maximizing
-    (y, t) in y-major order; +inf allowed, -inf with no witness on an empty
-    grid.
+    (y, t) in y-major order; +inf allowed, -inf with no witness on a grid
+    with no finite point.
 
-    The probe rows go in the grid's row blocks (see :class:`_RayGrid`), so
-    the working set stays in cache and memory does not grow with the probe
-    grid. A later block's maximum replaces the running one only when
-    strictly larger, which keeps the first maximizer, as one argmax over all
-    rays does, ties and +inf included.
+    The oracle takes each block's ray points as broadcast coordinate arrays
+    (see :class:`_RayGrid`), so no (T b, dim) array of ray points is built
+    and memory does not grow with the probe grid beyond its values. A later
+    block's maximum replaces the running one only when strictly larger,
+    which keeps the first maximizer, as one argmax over all rays does, ties
+    and +inf included.
     """
-    best: tuple[float, tuple | None] = (-math.inf, None)
-    for rows, pts in rays.walk(xbar):
-        r, witness = rays.fold(f.values(pts), rays.fy, rows)
-        if r > best[0]:  # r > -inf: the values lie in (-inf, +inf], fy is finite
-            best = (r, witness)
-    return best
+    best = None
+    for block in rays.walk(xbar):
+        folded = rays.fold(f.values_at(*block[2]), rays.g, block)
+        # folded[0] > -inf: the values lie in (-inf, +inf] and g is finite
+        if best is None or folded[0] > best[0]:
+            best = folded
+    return rays.witness(best)
 
 
 def _tilted_iar_residuals(
@@ -146,26 +189,36 @@ def _tilted_iar_residuals(
     for ``f.shifted(x*)``.
 
     Tilting is linear, (f - x*)(p) = f(p) - <x*, p>, so f is evaluated once
-    per block of each x's ray points, and each covector subtracts its
-    pairing from those values and folds them against
-    (f - x*)(y) = f(y) - <x*, y>. The pairings are :func:`_pairings` sums,
-    as ``f.shifted(x*)`` forms them, so for an oracle with a ``batch``
-    evaluator the tilted values are bitwise those of ``f.shifted(x*)``. An
-    empty grid makes every residual -inf with no witness.
+    per block of each x's ray points, from the block's coordinate arrays,
+    and each covector subtracts its pairing from those values and folds
+    them against (f - x*)(y) = f(y) - <x*, y>. The pairings are
+    :func:`_pairings` sums over the block's ray points, written once per
+    block into one (dim, T b n_1 ...) scratch array, as ``f.shifted(x*)``
+    forms them, so for an oracle with a ``batch`` evaluator the tilted
+    values are bitwise those of ``f.shifted(x*)``. The pairings and the
+    tilted values share a second scratch array. A grid with no finite point
+    makes every residual -inf with no witness.
     """
-    gys = [rays.fy - _pairings(rays.ys, c) for c in covectors]
+    gys = [rays.g - _pairings(rays.points, c) for c in covectors]
+    t = rays.ts.shape[0]
+    size = max((t * (cells.stop - cells.start) for cells, _, _ in rays.blocks), default=0)
+    scratch, tilted = np.empty((f.dim, size)), np.empty(size)
     out = []
     for x in xs:
-        best: list[tuple[float, tuple | None]] = [(-math.inf, None)] * len(gys)
-        for rows, pts in rays.walk(x):
-            vals = f.values(pts)
+        best: list[tuple[float, int, int] | None] = [None] * len(gys)
+        for block in rays.walk(x):
+            coords = block[2]
+            vals = f.values_at(*coords)
+            pts = scratch[:, : vals.size]
+            for k, coord in enumerate(coords):
+                np.copyto(pts[k].reshape(vals.shape), coord)
             for k, (c, gy) in enumerate(zip(covectors, gys)):
-                tilted = _pairings(pts, c)
-                np.subtract(vals, tilted, out=tilted)
-                r, witness = rays.fold(tilted, gy, rows)
-                if r > best[k][0]:
-                    best[k] = (r, witness)
-        out.append(best)
+                pairing = _pairings(pts.T, c, out=tilted[: vals.size])
+                np.subtract(vals.reshape(-1), pairing, out=pairing)
+                folded = rays.fold(pairing, gy, block)
+                if best[k] is None or folded[0] > best[k][0]:
+                    best[k] = folded
+        out.append([rays.witness(b) for b in best])
     return out
 
 
@@ -186,13 +239,13 @@ def iar_check(
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
-    ys, fy = _finite_grid(f, region, resolution)
+    rays = _ray_grid(f, region, resolution, t_resolution)
     meta = {"region": region.describe(), "resolution": resolution,
-            "t_resolution": t_resolution, "finite_grid_points": int(ys.shape[0])}
-    if ys.shape[0] == 0:
+            "t_resolution": t_resolution, "finite_grid_points": int(rays.ys.shape[0])}
+    if rays.ys.shape[0] == 0:
         # no finite-valued grid point: the quantifier is vacuous
         return Verdict(ok=True, residual=0.0, witness=None, details=meta)
-    residual, witness = _iar_residual(f, xb, _RayGrid(ys, fy, t_resolution))
+    residual, witness = _iar_residual(f, xb, rays)
     return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
@@ -256,7 +309,7 @@ def _subdifferential_residual(
     """max over the pairs (y, y*) of ``graph`` of <y*, xbar - y> and the
     first maximizing pair; the caller restricts the graph to the region."""
     pts, cov = graph.points, graph.covectors
-    vals = np.einsum("ij,ij->i", cov, xbar[None, :] - pts)
+    vals = _pairings(cov, xbar[None, :] - pts)
     i = int(np.argmax(vals))
     return float(vals[i]), (pts[i], cov[i])
 

@@ -126,7 +126,7 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
     if n <= 1:
         return Verdict(ok=True, residual=math.inf, witness=None)
     p, c = T.points, T.covectors
-    diag = np.einsum("ij,ij->i", c, p)  # <x*, x> of every element
+    diag = _pairings(c, p)  # <x*, x> of every element
     mins = np.empty(n - 1)
     args = np.empty(n - 1, dtype=np.intp)
     for rows in _row_blocks(n - 1, n):

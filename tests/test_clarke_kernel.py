@@ -146,7 +146,7 @@ _MAX3D = FunctionOracle(
     name="max3d",
     dim=3,
     fn=lambda x: max(float(x[0]), float(x[1]), float(x[2]), -float(x[0] + x[1] + x[2])),
-    batch=lambda p: np.max(np.column_stack([p, -p.sum(axis=1)]), axis=1),
+    batch=lambda *x: np.max(np.stack(np.broadcast_arrays(*x, -(x[0] + x[1] + x[2]))), axis=0),
     default_region=Region.box([(-1.0, 1.0)] * 3),
 )
 
@@ -158,7 +158,7 @@ _VIEW = FunctionOracle(
     name="view",
     dim=2,
     fn=lambda x: float(x[0]),
-    batch=lambda p: p[:, 0],
+    batch=lambda x1, x2: x1,
     default_region=Region.box([(-1.0, 1.0)] * 2),
 )
 
@@ -179,9 +179,9 @@ def test_kernel_slices_match_the_reference_over_several_blocks(monkeypatch, f):
             assert _same_bits(got[1], want[1]), (f.name, d, kwargs)
 
 
-def _zero_signs(p):
+def _zero_signs(x):
     """Zero everywhere, its sign taken from bit 11 of the point's bits."""
-    bits = p.view(np.uint64).sum(axis=1)
+    bits = x.view(np.uint64)
     return np.where((bits >> np.uint64(11)) & np.uint64(1), -0.0, 0.0)
 
 
@@ -191,7 +191,7 @@ def _zero_signs(p):
 _ZERO_SIGNS = FunctionOracle(
     name="zero_signs",
     dim=1,
-    fn=lambda x: float(_zero_signs(np.asarray(x, dtype=float)[None, :])[0]),
+    fn=lambda x: float(_zero_signs(np.asarray(x, dtype=float))[0]),
     batch=_zero_signs,
     default_region=Region.box([(-1.0, 1.0)]),
 )
@@ -256,7 +256,7 @@ def test_support_table_reaches_the_concave_kink_off_the_axes():
         name="neg_norm2d",
         dim=2,
         fn=lambda x: -float(np.linalg.norm(x)),
-        batch=lambda p: -np.linalg.norm(p, axis=1),
+        batch=lambda x1, x2: -np.sqrt(x1 * x1 + x2 * x2),
     )
     dirs = subdifferential.sphere_directions(2, 16)
     table = subdifferential._clarke_support(f, np.zeros((1, 2)), dirs, DEFAULT_SCHEME)

@@ -15,6 +15,7 @@ from varpolar import (
     Region,
     iar_check,
 )
+from varpolar.core import FunctionOracle, tensor_grid
 from varpolar.library import get_function
 
 
@@ -100,7 +101,7 @@ def test_values_rejects_nan_and_minus_infinity_on_both_routes(bad):
     # a NaN that passed through would read as +inf downstream: iar_check
     # would drop that probe point and pass over the 4 others
     f = dataclasses.replace(
-        get_function("abs"), batch=lambda p: np.where(p[:, 0] == 0.5, bad, np.abs(p[:, 0]))
+        get_function("abs"), batch=lambda x: np.where(x == 0.5, bad, np.abs(x))
     )
     looped = dataclasses.replace(
         f, batch=None, fn=lambda x: bad if x[0] == 0.5 else abs(float(x[0]))
@@ -110,8 +111,28 @@ def test_values_rejects_nan_and_minus_infinity_on_both_routes(bad):
         with pytest.raises(ValueError, match="outside"):
             oracle.values(pts)
         with pytest.raises(ValueError, match="outside"):
+            oracle.values_at(pts)
+        with pytest.raises(ValueError, match="outside"):
             iar_check(oracle, [0.0], Region.interval(-1.0, 1.0), resolution=5)
     assert f.values(np.zeros((0, 1))).shape == (0,)
+
+
+def test_values_at_evaluates_broadcast_coordinates_on_both_routes():
+    # (3, 1) and (1, 4) coordinate arrays: the 12 points of a tensor grid,
+    # with the bits of values() on them, from batch and from fn alone
+    f = get_function("norm2d")
+    looped = dataclasses.replace(f, batch=None)
+    a1, a2 = np.array([-1.5, 0.0, 0.3]), np.array([-2.0, -0.1, 0.7, 1.9])
+    want = f.values(tensor_grid([a1, a2])).reshape(3, 4)
+    for oracle in (f, looped):
+        got = oracle.values_at(a1[:, None], a2[None, :])
+        assert got.shape == (3, 4) and np.array_equal(got, want)
+    # a constant batch is broadcast to the coordinates' shape
+    const = FunctionOracle("const", 2, fn=lambda x: 1.0, batch=lambda x1, x2: 1.0)
+    assert np.array_equal(const.values_at(a1[:, None], a2), np.ones((3, 4)))
+    assert np.array_equal(const.values(np.zeros((5, 2))), np.ones(5))
+    with pytest.raises(DimensionMismatchError):
+        f.values_at(a1)
 
 
 # -- graph samples ------------------------------------------------------------

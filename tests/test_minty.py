@@ -231,7 +231,7 @@ def _reference_row(probes, xb, tol, band):
         graph = probes.graph_inside
         inside = probes.interior_region.contains_many(graph.points)
         pts, cov = graph.points[inside], graph.covectors[inside]
-        vals = np.einsum("ij,ij->i", cov, xb[None, :] - pts)
+        vals = core._pairings(cov, xb[None, :] - pts)
         i = int(np.argmax(vals))
         r_sdiff, w_sdiff = float(vals[i]), (pts[i], cov[i])
         r_iar_u, w_iar_u = minty._iar_residual(f, xb, probes.rays_u)

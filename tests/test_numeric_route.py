@@ -78,7 +78,7 @@ def test_three_dimensional_kink_gives_merged_vertices():
         name="kink3d",
         dim=3,
         fn=lambda x: abs(x[0]) + float(slope @ x),
-        batch=lambda p: np.abs(p[:, 0]) + p @ slope,
+        batch=lambda *x: np.abs(x[0]) + np.stack(np.broadcast_arrays(*x), axis=-1) @ slope,
     )
     # (the hull's gradient at x itself, then its two ends, then the centroid:
     # 4 rows at each kink point, where the support-table polytope had 3)
@@ -110,7 +110,7 @@ def test_a_set_outside_the_covector_box_is_flagged_truncated():
         name="steep",
         dim=1,
         fn=lambda x: 20.0 * float(x[0]),
-        batch=lambda p: 20.0 * p[:, 0],
+        batch=lambda x: 20.0 * x,
         default_region=Region.interval(-1.0, 1.0),
     )
     g = sample_subdiff_graph(f, Region.interval(-1.0, 1.0), 5, source="clarke-numeric")
@@ -174,7 +174,7 @@ def test_boundary_points_take_the_table_and_interior_kinks_the_hull(table_calls)
         name="kinked_halfline",
         dim=1,
         fn=lambda x: abs(float(x[0])) if x[0] >= -0.5 else math.inf,
-        batch=lambda p: np.where(p[:, 0] >= -0.5, np.abs(p[:, 0]), math.inf),
+        batch=lambda x: np.where(x >= -0.5, np.abs(x), math.inf),
     )
     pts = np.array([[-0.5], [0.0], [0.5]])
     dirs = sphere_directions(1, subdifferential._DIR_RESOLUTION)

@@ -19,10 +19,16 @@ from varpolar import (
     polar_membership_via_iar,
     subdifferential,
 )
-from varpolar import core
-from varpolar.core import FunctionOracle, GraphSample, Region, _row_blocks
+from varpolar import core, polar
+from varpolar.core import FunctionOracle, GraphSample, Region, _row_blocks, tensor_grid
 from varpolar.library import FUNCTION_IDS, get_function
-from varpolar.minty import DEFAULT_T_RESOLUTION, _iar_residual, _RayGrid, _tilted_iar_residuals
+from varpolar.minty import (
+    DEFAULT_T_RESOLUTION,
+    _iar_residual,
+    _ray_grid,
+    _RayGrid,
+    _tilted_iar_residuals,
+)
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
 from varpolar.subdifferential import sample_subdiff_graph
 from varpolar.suites import SuiteParams, _candidate_grids, run_suites, thm3_suite
@@ -114,18 +120,20 @@ def test_cross_validate_rays_residuals_match_the_reference(fid):
 
 
 def _constant_2d():
-    return FunctionOracle("const2d", 2, fn=lambda p: 1.0, batch=lambda p: np.ones(len(p)))
+    return FunctionOracle(
+        "const2d", 2, fn=lambda x: 1.0, batch=lambda x1, x2: np.ones(np.broadcast(x1, x2).shape)
+    )
 
 
 def _holed_2d():
     """|x|_1 on the plane, +inf on the open square hole max|x_i| < 0.3 (lower
     semicontinuous); rays between opposite sides of the hole cross it."""
 
-    def batch(p):
-        out = np.abs(p[:, 0]) + np.abs(p[:, 1])
-        return np.where(np.max(np.abs(p), axis=1) < 0.3, math.inf, out)
+    def batch(x1, x2):
+        out = np.abs(x1) + np.abs(x2)
+        return np.where(np.maximum(np.abs(x1), np.abs(x2)) < 0.3, math.inf, out)
 
-    return FunctionOracle("holed2d", 2, fn=lambda p: float(batch(p[None, :])[0]), batch=batch)
+    return FunctionOracle("holed2d", 2, fn=lambda x: float(batch(*x)), batch=batch)
 
 
 _BOX = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
@@ -185,8 +193,17 @@ def test_rays_kernel_keeps_the_first_infinite_increase():
         assert v.residual == math.inf
 
 
-def _wavy(p):
-    return np.sin(3.0 * p).sum(axis=1) + 0.1 * (p * p).sum(axis=1)
+def _total(terms):
+    """The sum of ``terms`` left to right (no leading +0, which would turn a
+    -0.0 into +0.0)."""
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+def _wavy(*x):
+    return _total([np.sin(3.0 * xk) for xk in x]) + 0.1 * _total([xk * xk for xk in x])
 
 
 #: Oracles on any dimension, for the property test below: non-dyadic values;
@@ -196,27 +213,32 @@ def _wavy(p):
 #: +inf on part of the space.
 _ANY_DIM_ORACLES = {
     "wavy": _wavy,
-    "sunk": lambda p: np.where(p[:, 0] < -1.0, -1e17, _wavy(p)),
-    "steps": lambda p: np.copysign(np.floor(2.0 * p.sum(axis=1)) / 2.0, p[:, 0]),
-    "capped": lambda p: np.where(p[:, 0] > 0.5, math.inf, np.abs(p).sum(axis=1)),
+    "sunk": lambda *x: np.where(x[0] < -1.0, -1e17, _wavy(*x)),
+    "steps": lambda *x: np.copysign(np.floor(2.0 * _total(x)) / 2.0, x[0]),
+    "capped": lambda *x: np.where(x[0] > 0.5, math.inf, _total([np.abs(xk) for xk in x])),
 }
+
+
+def _any_dim_oracle(name, dim):
+    batch = _ANY_DIM_ORACLES[name]
+    return FunctionOracle(name, dim, fn=lambda x: float(batch(*x)), batch=batch)
 
 
 @st.composite
 def _rays_cases(draw):
-    """A random oracle, dimension, probe rows, xbar, covectors, t grid and
-    block budget; the coordinates are uniform draws, off every dyadic grid."""
+    """A random oracle, dimension, tensor probe grid, xbar, covectors, t
+    grid and block budget; the per-axis coordinates (unsorted) and the rest
+    are uniform draws, off every dyadic grid."""
     dim = draw(st.integers(1, 3))
-    name = draw(st.sampled_from(sorted(_ANY_DIM_ORACLES)))
-    batch = _ANY_DIM_ORACLES[name]
-    f = FunctionOracle(name, dim, fn=lambda x: float(batch(x[None, :])[0]), batch=batch)
+    f = _any_dim_oracle(draw(st.sampled_from(sorted(_ANY_DIM_ORACLES))), dim)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ys = rng.uniform(-2.0, 2.0, (draw(st.integers(1, 40)), dim))
+    most = {1: 40, 2: 7, 3: 4}[dim]
+    axes = [rng.uniform(-2.0, 2.0, draw(st.integers(1, most))) for _ in range(dim)]
     xbar = rng.uniform(-2.0, 2.0, dim)
     covectors = rng.uniform(-3.0, 3.0, (draw(st.integers(1, 3)), dim))
     t_resolution = draw(st.integers(2, 9))
     budget = draw(st.sampled_from([1, 61, 10**9]))
-    return f, ys, xbar, covectors, t_resolution, budget
+    return f, axes, xbar, covectors, t_resolution, budget
 
 
 def _assert_same_rays(got, want):
@@ -234,17 +256,62 @@ def test_rays_kernel_matches_the_reference_on_non_dyadic_data(case):
     # both kernels against all ray points in one piece and one argmax: the
     # plain one on f, the tilted one on f.shifted(x*), residual bits and
     # first witness included, over one-row, odd and whole-grid blocks
-    f, ys, xbar, covectors, t_resolution, budget = case
-    fy = f.values(ys)
-    finite = np.isfinite(fy)
+    f, axes, xbar, covectors, t_resolution, budget = case
+    ys = tensor_grid(axes)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_ENTRIES", budget)
-        rays = _RayGrid(ys[finite], fy[finite], t_resolution)
+        rays = _RayGrid(f, axes, t_resolution)
     plain = _iar_residual(f, xbar, rays)
     [tilted] = _tilted_iar_residuals(f, xbar[None, :], covectors, rays)
     _assert_same_rays(plain, _reference_rays_at(f, xbar, ys, t_resolution))
     for c, got in zip(covectors, tilted):
         _assert_same_rays(got, _reference_rays_at(f.shifted(c), xbar, ys, t_resolution))
+
+
+@pytest.mark.parametrize("name", ["wavy", "capped"])
+def test_three_dimensional_iar_check_matches_the_reference(name):
+    # 9^3 probe points in blocks of 4 axis-0 rows (65,536 / (64 x 81 x 3));
+    # the capped oracle is +inf on the rows x1 = 0.75 and 1, which the
+    # kernel skips
+    f = _any_dim_oracle(name, 3)
+    region = Region.box([(-1.0, 1.0)] * 3)
+    for xbar in ([0.0, 0.0, 0.0], [0.25, -0.5, 1.0], [-1.0, 0.5, 0.75]):
+        xb = np.array(xbar)
+        want = _reference_rays(f, xb, region, 9, DEFAULT_T_RESOLUTION)
+        v = iar_check(f, xb, region, resolution=9)
+        _assert_same_rays((v.residual, v.witness), want)
+    assert v.details["finite_grid_points"] == (81 * 7 if name == "capped" else 9**3)
+
+
+def test_a_probe_grid_without_a_finite_point():
+    # f = +inf everywhere: no ray starts, so every residual is -inf with no
+    # witness, and iar_check reports the vacuous verdict
+    f = FunctionOracle("nowhere", 2, fn=lambda x: math.inf, batch=lambda x1, x2: math.inf)
+    region = Region.box([(-1.0, 1.0)] * 2)
+    rays = _ray_grid(f, region, 5, 8)
+    assert rays.ys.shape == (0, 2) and rays.blocks == []
+    assert _iar_residual(f, np.zeros(2), rays) == (-math.inf, None)
+    tilted = _tilted_iar_residuals(f, np.zeros((2, 2)), np.ones((3, 2)), rays)
+    assert tilted == [[(-math.inf, None)] * 3] * 2
+    v = iar_check(f, [0.0, 0.0], region, resolution=5)
+    assert (v.ok, v.residual, v.witness, v.details["finite_grid_points"]) == (True, 0.0, None, 0)
+    v = polar_membership_via_iar(f, [0.0, 0.0], [1.0, 1.0], region, probe_resolution=5)
+    assert (v.ok, v.residual, v.witness) == (True, -math.inf, None)
+
+
+@pytest.mark.parametrize("t_resolution", [1, 0])
+def test_a_t_grid_of_fewer_than_two_points_is_rejected(monkeypatch, t_resolution):
+    # t = 0 alone makes every increase f(y) - f(y) = 0: iar_check passed
+    # -|x| at 0 (ok, residual 0.0) and cross_validate found 9 hard prop1
+    # rows; with no t the kernel failed on a reshape
+    f, region = get_function("neg_abs"), Region.interval(-2.0, 2.0)
+    with pytest.raises(ValueError, match="t_resolution must be >= 2"):
+        iar_check(f, [0.0], region, resolution=9, t_resolution=t_resolution)
+    with pytest.raises(ValueError, match="t_resolution must be >= 2"):
+        cross_validate(f, region, resolution=9, t_resolution=t_resolution)
+    monkeypatch.setattr(polar, "DEFAULT_RAY_RESOLUTION", t_resolution)
+    with pytest.raises(ValueError, match="t_resolution must be >= 2"):
+        polar_membership_via_iar(f, [0.0], [0.0], region, probe_resolution=9)
 
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
@@ -272,15 +339,21 @@ def test_polar_membership_via_iar_matches_the_tilted_oracle(fid):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Sizes of every FunctionOracle.values call, in call order."""
+    """Points of every FunctionOracle.values and .values_at call, in call
+    order: the rays kernel evaluates its blocks through ``values_at``."""
     sizes = []
-    values = FunctionOracle.values
+    values, values_at = FunctionOracle.values, FunctionOracle.values_at
 
     def counting_values(self, points):
         sizes.append(len(points))
         return values(self, points)
 
+    def counting_values_at(self, *coords):
+        sizes.append(np.broadcast(*coords).size)
+        return values_at(self, *coords)
+
     monkeypatch.setattr(FunctionOracle, "values", counting_values)
+    monkeypatch.setattr(FunctionOracle, "values_at", counting_values_at)
     return sizes
 
 
@@ -351,22 +424,22 @@ def test_thm3_evaluates_the_ray_points_once_per_candidate_x(counted, fid):
 
 
 def test_rays_kernel_memory_does_not_grow_with_the_probe_grid():
-    # the ray starts y(1 - t) are the one array that grows with the probe
-    # grid (16.25 MB here); building all ray points in one piece peaked at
-    # 32.9 MB besides them
+    # the kernel keeps per-axis ray starts, 2 x (64, 129) floats here, and
+    # evaluates blocks of broadcast coordinates: the whole run peaks at
+    # 1.4 MB, most of it the grid and its values. Starts kept per probe
+    # point took 16.25 MB and a peak of 17.6 MB; building all ray points
+    # in one piece took 33 MB besides them.
     f = get_function("norm2d")
-    resolution, t_resolution = 129, 64
-    starts_mb = resolution**2 * t_resolution * f.dim * 8 / 2**20
-    peak_mb = _peak_mb(
-        lambda: iar_check(f, [0.25, -0.5], f.default_region, resolution, t_resolution)
-    )
-    assert peak_mb - starts_mb < 4.0
+    peak_mb = _peak_mb(lambda: iar_check(f, [0.25, -0.5], f.default_region, 129, 64))
+    assert peak_mb < 2.0
 
 
 def test_rays_kernel_evaluates_the_rays_in_row_blocks(counted):
-    # one call on the probe grid, then 1,089 rays of 64 points in row blocks
-    # of 512 rays; all rays in one call made this 2 calls
+    # one call on the probe grid, then 33 axis-0 rows of 33 rays of 64
+    # points, in blocks of 15 rows (65,536 / (64 x 33 x 2)); blocks of 512
+    # scattered rays made this [1,089, 32,768, 32,768, 4,160], and all rays
+    # in one call 2 calls
     f = get_function("norm2d")
     iar_check(f, [0.25, -0.5], f.default_region, resolution=33, t_resolution=64)
-    assert counted == [1_089, 512 * 64, 512 * 64, 65 * 64]
+    assert counted == [1_089, 15 * 33 * 64, 15 * 33 * 64, 3 * 33 * 64]
     assert sum(counted) == 70_785

@@ -125,7 +125,7 @@ def test_unbounded_subdifferential_sets_truncation_flag():
             name=f"ind_half_space_{dim}d",
             dim=dim,
             fn=lambda x: 0.0 if x[0] >= 0 else math.inf,
-            batch=lambda p: np.where(p[:, 0] >= 0, 0.0, math.inf),
+            batch=lambda *x: np.where(x[0] >= 0, 0.0, math.inf),
         )
         region = Region.box([(-1.0, 1.0)] * dim)
         g = sample_subdiff_graph(half_space, region, 3, source="clarke-numeric")
@@ -190,7 +190,7 @@ def test_numeric_graph_2d_matches_per_point_loop():
         name="neg_norm2d_half",
         dim=2,
         fn=lambda x: -float(np.linalg.norm(x)) if x[0] >= -0.5 else math.inf,
-        batch=lambda p: np.where(p[:, 0] >= -0.5, -np.linalg.norm(p, axis=1), math.inf),
+        batch=lambda x1, x2: np.where(x1 >= -0.5, -np.sqrt(x1 * x1 + x2 * x2), math.inf),
     )
     region = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
     g = sample_subdiff_graph(f, region, 9, source="clarke-numeric")

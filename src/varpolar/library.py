@@ -163,17 +163,14 @@ def _sd_norm2d(x: Array, d: Array) -> float:
 
 
 def _sdiff_norm2d(x: Array) -> SubdiffSet:
-    nx = float(np.linalg.norm(x))
+    nx = float(np.sqrt(x[0] * x[0] + x[1] * x[1]))  # as _sdiff_norm2d_batch takes it
     if nx == 0.0:
         return BallSet(np.zeros(2), 1.0)
     return PolytopeSet((x / nx)[None, :])
 
 
 def _sdiff_norm2d_batch(points: Array, half_width: float) -> tuple[Array, Array, Array]:
-    # The stacked matmul takes the same BLAS dot product as np.linalg.norm of
-    # a single point, so the unit normals match _sdiff_norm2d bitwise
-    # (np.linalg.norm(points, axis=1) rounds differently).
-    nx = np.sqrt(points[:, None, :] @ points[:, :, None])[:, 0, 0]
+    nx = np.sqrt(points[:, 0] * points[:, 0] + points[:, 1] * points[:, 1])
     kink = np.flatnonzero(nx == 0.0)
     n = points.shape[0]
     if not kink.size:

@@ -15,6 +15,9 @@ graph reduction run in blocks of about :data:`~varpolar.core._BLOCK_ENTRIES`
 entries, with the same floats as one matrix: the pairings are explicit sums
 over the coordinates, so every entry is computed the same way whatever block
 holds it.
+
+:func:`is_absorbing` reads T alone, whichever subdifferential it samples: no
+side-oracle decides which related candidates T attributes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .core import (
     DEFAULT_TOL,
     FunctionOracle,
     GraphSample,
-    PolytopeSet,
     Region,
     Verdict,
     _pairings,
@@ -159,27 +161,21 @@ def polar_of_sample(T: GraphSample, xs: Array, cs: Array, tol: float = DEFAULT_T
     return GraphSample(xs[i], cs[j])
 
 
-def _in_hull_at_point(T: GraphSample, points: Array, covectors: Array, tol: float) -> Array:
-    """Whether each covectors[i] lies within ``tol`` in the convex hull of
-    T's covectors at the point equal to points[i] (False where T has none).
-
-    One masked pass over row blocks of (row, T element) pairs: in 1-D the
-    hull is the interval [min, max] of the masked covectors; beyond, each
-    row with a nonempty mask is a :class:`~varpolar.core.PolytopeSet` test.
-    """
-    inside = np.zeros(len(points), dtype=bool)
-    for rows in _row_blocks(len(points), len(T)):
-        same = np.all(points[rows, None, :] == T.points[None, :, :], axis=2)
-        if T.dim == 1:
-            c = T.covectors[None, :, 0]
-            lo = np.where(same, c, math.inf).min(axis=1)
-            hi = np.where(same, c, -math.inf).max(axis=1)
-            inside[rows] = (lo - tol <= covectors[rows, 0]) & (covectors[rows, 0] <= hi + tol)
-        else:
-            for i in np.flatnonzero(same.any(axis=1)):
-                hull = PolytopeSet(T.covectors[same[i]])
-                inside[rows.start + i] = hull.contains(covectors[rows.start + i], tol)
-    return inside
+def _chords(T: GraphSample) -> tuple[Array, Array, Array]:
+    """T's chords as row arrays (point, start, end): at every sampled point
+    p, the segments [y*_i, y*_j] (i <= j) between the covectors that T
+    samples at p; with i = j, each element of T as a segment of length 0."""
+    order = np.lexsort(T.points.T[::-1])
+    points, covectors = T.points[order], T.covectors[order]
+    starts = np.flatnonzero(np.r_[True, np.any(points[1:] != points[:-1], axis=1)])
+    sizes = np.diff(starts, append=len(T))
+    ends = []
+    for k in sorted(set(sizes.tolist())):
+        i, j = np.triu_indices(k)
+        at = starts[sizes == k, None]
+        ends.append(((at + i).ravel(), (at + j).ravel()))
+    a, b = (np.concatenate(e) for e in zip(*ends))
+    return points[a], covectors[a], covectors[b]
 
 
 def is_absorbing(
@@ -187,19 +183,21 @@ def is_absorbing(
     xs: Array,
     cs: Array,
     match_radius: float,
-    oracle: FunctionOracle | None = None,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Is every candidate pair of the product xs x cs that is related to T
     attributable to T itself?
 
-    A related candidate is attributed when it lies within ``match_radius`` of
-    some sampled element in graph distance max(||dx||, ||dx*||), or when its
-    covector lies within ``tol`` in the set at its point: the oracle's exact
-    subdifferential when it has one, and otherwise the convex hull of T's
-    covectors at that same point (T's sampled set there, such as a numeric
-    Clarke set). The verdict's witness is the worst unattributed offender and
-    the residual its attribution distance minus the radius.
+    A related candidate (x, x*) is attributed when, for some sampled point
+    p, both ||x - p|| and the distance from x* to a chord between two
+    covectors that T samples at p (:func:`_chords`) are within
+    ``match_radius``; the chord from a covector to itself gives the graph
+    distance max(||dx||, ||dx*||) to an element of T. Every chord lies in the
+    hull of the covectors sampled at p, so for a convex-valued source it
+    attributes nothing that the set at p would reject, up to the radius band
+    of the graph distance. The witness is the worst unattributed candidate
+    and the residual the largest attribution distance (the least max of the
+    two distances over the chords) minus the radius.
     """
     related = polar_of_sample(T, xs, cs, tol)
     if len(related) == 0:
@@ -216,23 +214,27 @@ def is_absorbing(
             witness=(related.points[0], related.covectors[0]),
             details={"reason": "empty sample absorbs nothing"},
         )
+    at, start, end = _chords(T)
+    edge = end - start
+    length2 = _pairings(edge, edge)
+    offset = _pairings(start, edge)
     dist = np.empty(len(related))
-    for rows in _row_blocks(len(related), len(T)):
-        dp = np.linalg.norm(related.points[rows, None, :] - T.points[None, :, :], axis=2)
-        dc = np.linalg.norm(related.covectors[rows, None, :] - T.covectors[None, :, :], axis=2)
-        dist[rows] = np.maximum(dp, dc).min(axis=1)
+    for rows in _row_blocks(len(related), len(at)):
+        x, xstar = related.points[rows, None], related.covectors[rows, None]
+        # t = <x* - start, edge> / |edge|^2 in [0, 1] marks the chord point
+        # nearest to x* (t = 0 on a chord of length 0)
+        t = _pairings(xstar, edge)
+        t -= offset
+        np.divide(t, length2, out=t, where=length2 > 0)
+        np.clip(t, 0.0, 1.0, out=t)
+        dx2 = np.square(x[..., 0] - at[:, 0])
+        dc2 = np.square(xstar[..., 0] - start[:, 0] - t * edge[:, 0])
+        for k in range(1, T.dim):
+            dx2 += np.square(x[..., k] - at[:, k])
+            dc2 += np.square(xstar[..., k] - start[:, k] - t * edge[:, k])
+        dist[rows] = np.maximum(dx2, dc2).min(axis=1)
+    dist = np.sqrt(dist)  # monotone, so after the minimum it keeps every bit
     attributed = dist <= match_radius + 1e-12
-    if oracle is not None and oracle.exact_subdifferential is not None:
-        for i in np.where(~attributed)[0]:
-            desc = oracle.exact_subdifferential(related.points[i])
-            if desc is not None and desc.contains(related.covectors[i], tol):
-                attributed[i] = True
-                dist[i] = 0.0
-    else:
-        rest = np.flatnonzero(~attributed)
-        inside = _in_hull_at_point(T, related.points[rest], related.covectors[rest], tol)
-        attributed[rest[inside]] = True
-        dist[rest[inside]] = 0.0
     worst = int(np.argmax(np.where(attributed, -math.inf, dist)))
     ok = bool(np.all(attributed))
     return Verdict(

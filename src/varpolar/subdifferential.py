@@ -101,7 +101,7 @@ def convex_subdiff_contains(
     finite = np.isfinite(fy)
     if not np.any(finite):
         return Verdict(ok=True, residual=-math.inf, witness=None)
-    margins = (ys[finite] - xb[None, :]) @ xs + fx - fy[finite]
+    margins = _pairings(ys[finite] - xb[None, :], xs) + fx - fy[finite]
     idx = int(np.argmax(margins))
     residual = float(margins[idx])
     return Verdict(ok=residual <= tol, residual=residual, witness=ys[finite][idx])
@@ -144,8 +144,7 @@ def clarke_subdiff_contains(
         raise DomainError("membership tests need f(xbar) finite")
     dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
     support = _clarke_support(f, xb[None, :], dirs, scheme)[0]
-    # np.dot per direction: a matrix product rounds differently in 2-D and 3-D
-    margins = np.array([np.dot(xs, d) for d in dirs]) - support
+    margins = _pairings(dirs, xs) - support
     j = int(np.argmax(margins))
     best = float(margins[j])
     witness = dirs[j] if best > -math.inf else None
@@ -435,7 +434,7 @@ def _enlargement_mask(
     return (
         (np.sqrt(_pairings(diffs, diffs)) <= eps)
         & close_f
-        & (np.einsum("ij,ij->i", covectors, diffs) <= eps)
+        & (_pairings(covectors, diffs) <= eps)
     )
 
 

@@ -260,7 +260,7 @@ def predicates_suite(f: FunctionOracle, params: SuiteParams) -> dict:
 
     h = region.spacing(resolution)
     xs, cs = _absorbing_candidates(f, region, resolution)
-    absorb = is_absorbing(graph, xs, cs, match_radius=2 * h, oracle=f, tol=params.tol)
+    absorb = is_absorbing(graph, xs, cs, match_radius=2 * h, tol=params.tol)
 
     failures = int(not mono_ok) + int(not absorb.ok)
     result = {

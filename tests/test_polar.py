@@ -1,6 +1,7 @@
 """Monotone polar operations, monotonicity predicates, absorption, and the
 rays route to polar membership."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_dense_gradient_graph_absorbs():
     h = Region.interval(-2, 2).spacing(65)
     xs = Region.interval(-2, 2).sample(65)[1:-1, 0]
     cs = np.arange(-4.5, 4.5 + 1e-9, 2 * h)
-    assert is_absorbing(T, xs[:, None], cs[:, None], match_radius=2 * h, oracle=f).ok
+    assert is_absorbing(T, xs[:, None], cs[:, None], match_radius=2 * h).ok
 
 
 def test_single_point_graph_absorbs_nothing():
@@ -164,14 +165,15 @@ def test_sign_map_graph_absorbs():
     h = Region.interval(-2, 2).spacing(65)
     xs = Region.interval(-2, 2).sample(65)[1:-1, 0]
     cs = np.arange(-1.5, 1.5 + 1e-9, 2 * h)
-    assert is_absorbing(T, xs[:, None], cs[:, None], match_radius=2 * h, oracle=f).ok
+    assert is_absorbing(T, xs[:, None], cs[:, None], match_radius=2 * h).ok
 
 
 def test_without_a_side_oracle_the_hull_at_the_point_attributes():
     # a sampled set at one point (numeric Clarke sets come as vertices and
-    # centroid): a candidate there is attributed when its covector lies in
-    # the hull of the set, however far it is from the sampled covectors.
-    # Here the hull at the origin, [-1, 1], attributes (0, 0.5) and
+    # centroid): a candidate there is attributed when its covector lies
+    # within the radius of a chord between two covectors sampled at the
+    # point, however far it is from the covectors themselves. In 1-D the
+    # chords at the origin cover [-1, 1] and attribute (0, 0.5) and
     # (0, -0.5); of the other six candidate pairs, (1, -0.5) and (1, 0.5)
     # are unrelated and the rest lie 1 or 2 from T
     T = _graph([(0.0, -1.0), (0.0, 0.0), (0.0, 1.0), (2.0, 5.0)])
@@ -185,6 +187,42 @@ def test_without_a_side_oracle_the_hull_at_the_point_attributes():
     v = is_absorbing(T, np.zeros((1, 2)), cs, match_radius=0.1)
     assert v.details == {"related": 3, "unattributed": 1}
     assert v.witness[1].tolist() == [1.5, 0.0]
+    # one chord in 2-D, [(-1, 0), (1, 0)] at the origin: (0.5, 0.05) lies
+    # 0.05 from it and about 0.5 from both its ends, and (0.5, 0.3) lies 0.3
+    # from it, which is the residual's distance
+    T = GraphSample(np.zeros((2, 2)), np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    v = is_absorbing(T, np.zeros((1, 2)), np.array([[0.5, 0.05]]), match_radius=0.1)
+    assert v.ok and v.details == {"related": 1, "unattributed": 0}
+    v = is_absorbing(T, np.zeros((1, 2)), np.array([[0.5, 0.05], [0.5, 0.3]]), match_radius=0.1)
+    assert v.details == {"related": 2, "unattributed": 1}
+    assert v.witness[1].tolist() == [0.5, 0.3] and v.residual == pytest.approx(0.3 - 0.1)
+
+
+_LADDER = [
+    *((fid, r) for fid in ("mixed2d", "norm2d") for r in (17, 25, 33)),
+    *(("abs", r) for r in (65, 129, 257)),
+]
+
+
+@pytest.mark.parametrize("source", ["exact", "numeric"])
+@pytest.mark.parametrize("fid, resolution", _LADDER)
+def test_absorbing_holds_as_the_grid_is_refined(fid, resolution, source):
+    # the match radius shrinks with the grid, while the covectors sampled at
+    # a kink (x2* in {-1, 0, 1} on mixed2d's line x2 = 0) stay 1 apart: only
+    # the chords between them attribute the related candidates in between.
+    # Graph distance, with the exact set or the hull at the same point as
+    # fallback, left 60 of mixed2d's candidates unattributed at
+    # resolution_2d = 33, and 6 of its twin's at 25
+    f = get_function(fid)
+    if source == "numeric":
+        f = dataclasses.replace(
+            f, name=f"{fid}_numeric", exact_subdifferential=None, exact_subdifferential_batch=None
+        )
+    knob = "resolution" if f.dim == 1 else "resolution_2d"
+    section = predicates_suite(f, SuiteParams(**{knob: resolution}))
+    assert section["graph_source"] == ("exact" if source == "exact" else "clarke-numeric")
+    assert section["absorbing_related"] > 0
+    assert (section["absorbing_unattributed"], section["hard_count"]) == (0, 0)
 
 
 # -- row blocks of the polar kernels -------------------------------------------------

@@ -4,9 +4,14 @@ of the suite verb."""
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import varpolar
 import varpolar.cli as cli
 from varpolar import FunctionOracle, subdifferential
 from varpolar.library import get_function
@@ -125,3 +130,34 @@ def test_hard_disagreements_drive_exit_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suites", fake_run_suites)
     code = cli.main(["suite", "--suite", "prop1", "--function", "abs"])
     assert code == 1
+
+
+# A suite run over the library and its twins (entries with their
+# side-oracles removed), in a fresh interpreter; prints the lazily imported
+# modules that a fresh process would pay for on every run.
+_IMPORT_PROBE = """
+import dataclasses, sys
+from varpolar.library import test_library
+from varpolar.suites import SuiteParams, run_suites
+fs = test_library()
+twins = [
+    dataclasses.replace(f, name=f.name + "_numeric", exact_subdifferential=None,
+                        exact_subdifferential_batch=None)
+    for f in fs
+]
+run_suites(fs + twins, ["all"], SuiteParams(resolution=9, resolution_2d=5))
+print([m for m in ("numpy.ma", "scipy.optimize") if m in sys.modules])
+"""
+
+
+def test_a_suite_run_imports_neither_numpy_ma_nor_scipy_optimize():
+    # np.unique on a 1-D array imports numpy.ma, and a PolytopeSet hull test
+    # imports scipy.optimize: about 10 ms and 0.4 s of every fresh process
+    # that meets them (numpy 2.4, 2-core VM, warm file cache)
+    src = str(Path(varpolar.__file__).resolve().parents[1])
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

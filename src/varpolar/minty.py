@@ -78,7 +78,8 @@ class _RayGrid:
     A block's cells are its flat indices into ``points``, the grid points of
     the kept rows; ``g`` holds f there, 0 where f is not finite, and
     ``holes`` the cells of a block where f is not finite, whose rays
-    :meth:`fold` masks out. Reusing
+    :meth:`fold` masks out (:attr:`holes` holds them over all cells, for
+    :meth:`settle`). Reusing
     the scratch for one xbar after another means one grid serves one thread
     at a time. (A plain class: a frozen dataclass costs about 1 ms of import
     time.)
@@ -97,6 +98,7 @@ class _RayGrid:
         kept = [axes[0][live], *axes[1:]]
         self.points = tensor_grid(kept)
         self.g = np.where(finite, values, 0.0).reshape(by_row.shape)[live].ravel()
+        self.holes = np.flatnonzero(~by_row[live].ravel())
         self.starts = [a * (1.0 - self.ts)[:, None] for a in kept]
         self.coords = [np.empty_like(s) for s in self.starts]
         dim, inner = len(axes), by_row.shape[1]
@@ -117,6 +119,32 @@ class _RayGrid:
         for start, coord, xk in zip(self.starts, self.coords, xbar):
             np.add(start, (xk * self.ts)[:, None], out=coord)
         return self.blocks
+
+    def endpoint(self, xbar: Array) -> tuple[Array, ...]:
+        """The oracle's coordinate arrays of the t = 1 ray points toward
+        xbar, one per cell of ``points``, broadcast (n_0, 1, ...), (1, n_1,
+        ...) and so on. Coordinate k is fl(a_k 0 + xbar_k), the last t row
+        that :meth:`walk` writes, so f there gives the kernel's own t = 1
+        values."""
+        dim = len(self.starts)
+        return tuple(
+            np.add(start[-1], xk * self.ts[-1]).reshape([-1 if j == k else 1 for j in range(dim)])
+            for k, (start, xk) in enumerate(zip(self.starts, xbar))
+        )
+
+    def settle(self, diffs: Array) -> list[tuple[float, int, int]]:
+        """Per row of ``diffs`` (rows, cells), the values at t = 1 minus
+        g(y), the max over the cells with finite f and its first cell, as
+        :meth:`fold` gives them with the t index of t = 1. The rows of
+        ``diffs`` are overwritten.
+
+        These are entries of the kernel's (y, t) maximum, so each is a lower
+        bound on the row's residual, exact in floating point: the kernel
+        forms the same differences of the same values."""
+        diffs[:, self.holes] = -math.inf
+        cells = np.argmax(diffs, axis=1)
+        last = self.ts.shape[0] - 1
+        return [(float(r[i]), int(i), last) for r, i in zip(diffs, cells)]
 
     def fold(self, vals: Array, g: Array, block: tuple) -> tuple[float, int, int]:
         """max over the block's y with finite f and over t of
@@ -158,7 +186,9 @@ def _ray_grid(f: FunctionOracle, region: Region, resolution: int, t_resolution: 
     return _RayGrid(f, region.axes(resolution), t_resolution)
 
 
-def _iar_residual(f: FunctionOracle, xbar: Array, rays: _RayGrid) -> tuple[float, tuple | None]:
+def _iar_residual(
+    f: FunctionOracle, xbar: Array, rays: _RayGrid, stop: float = math.inf
+) -> tuple[float, tuple | None]:
     """max over (y, t) of f(y + t(xbar - y)) - f(y) and the first maximizing
     (y, t) in y-major order; +inf allowed, -inf with no witness on a grid
     with no finite point.
@@ -169,7 +199,19 @@ def _iar_residual(f: FunctionOracle, xbar: Array, rays: _RayGrid) -> tuple[float
     block's maximum replaces the running one only when strictly larger,
     which keeps the first maximizer, as one argmax over all rays does, ties
     and +inf included.
+
+    With a finite ``stop``, the endpoint bound comes first: the max over y
+    of f(ray(y, 1)) - f(y), at one oracle point per probe point instead of
+    T (see :meth:`_RayGrid.settle`). When it exceeds ``stop`` it is
+    returned, with its first maximizing (y, 1.0), and no block is walked:
+    the residual is then known to exceed ``stop`` but is a lower bound, not
+    the exact maximum. Otherwise the result is the exact one.
     """
+    if stop < math.inf and rays.g.size:
+        ends = f.values_at(*rays.endpoint(xbar)).reshape(1, -1)
+        (bound,) = rays.settle(ends - rays.g)
+        if bound[0] > stop:
+            return rays.witness(bound)
     best = None
     for block in rays.walk(xbar):
         folded = rays.fold(f.values_at(*block[2]), rays.g, block)
@@ -180,7 +222,7 @@ def _iar_residual(f: FunctionOracle, xbar: Array, rays: _RayGrid) -> tuple[float
 
 
 def _tilted_iar_residuals(
-    f: FunctionOracle, xs: Array, covectors: Array, rays: _RayGrid
+    f: FunctionOracle, xs: Array, covectors: Array, rays: _RayGrid, stops: Array | None = None
 ) -> list[list[tuple[float, tuple[Array, float] | None]]]:
     """Rays residual of the tilted function f - <x*, .> from each x in ``xs``
     for each row x* of ``covectors``: entry [i][k] is the max over the
@@ -198,24 +240,44 @@ def _tilted_iar_residuals(
     values are bitwise those of ``f.shifted(x*)``. The pairings and the
     tilted values share a second scratch array. A grid with no finite point
     makes every residual -inf with no witness.
+
+    ``stops`` (len(xs), len(covectors)), when given, plays the role of
+    :func:`_iar_residual`'s ``stop`` per entry: where it is finite, the
+    tilted endpoint bound is formed first, with :func:`_pairings` on the
+    t = 1 points so its floats are the blocks' own, and an entry whose
+    bound exceeds its stop is that bound, with witness (y, 1.0). The blocks
+    of an x are walked only when one of its entries is not settled so, and
+    fold only those entries.
     """
-    gys = [rays.g - _pairings(rays.points, c) for c in covectors]
+    gys = rays.g - _pairings(rays.points, covectors[:, None])  # (f - x*)(y), one row per x*
     t = rays.ts.shape[0]
     size = max((t * (cells.stop - cells.start) for cells, _, _ in rays.blocks), default=0)
     scratch, tilted = np.empty((f.dim, size)), np.empty(size)
     out = []
-    for x in xs:
+    for i, x in enumerate(xs):
         best: list[tuple[float, int, int] | None] = [None] * len(gys)
-        for block in rays.walk(x):
+        ask = [] if stops is None or not rays.g.size else np.flatnonzero(stops[i] < math.inf)
+        if len(ask):
+            coords = rays.endpoint(x)
+            ends = f.values_at(*coords)
+            pts = np.stack([np.broadcast_to(c, ends.shape).ravel() for c in coords], axis=-1)
+            pairing = _pairings(pts[None], covectors[ask][:, None])
+            bounds = rays.settle(ends.reshape(1, -1) - pairing - gys[ask])
+            for k, bound in zip(ask, bounds):
+                if bound[0] > stops[i][k]:
+                    best[k] = bound
+        walked = [k for k, b in enumerate(best) if b is None]
+        blocks = rays.walk(x) if walked else []
+        for block in blocks:
             coords = block[2]
             vals = f.values_at(*coords)
             pts = scratch[:, : vals.size]
             for k, coord in enumerate(coords):
                 np.copyto(pts[k].reshape(vals.shape), coord)
-            for k, (c, gy) in enumerate(zip(covectors, gys)):
-                pairing = _pairings(pts.T, c, out=tilted[: vals.size])
+            for k in walked:
+                pairing = _pairings(pts.T, covectors[k], out=tilted[: vals.size])
                 np.subtract(vals.reshape(-1), pairing, out=pairing)
-                folded = rays.fold(pairing, gy, block)
+                folded = rays.fold(pairing, gys[k], block)
                 if best[k] is None or folded[0] > best[k][0]:
                     best[k] = folded
         out.append([rays.witness(b) for b in best])
@@ -360,6 +422,13 @@ def classify(
 
 @dataclass
 class EquivalenceRow:
+    """The three routes at one xbar: residual and verdict per route
+    (``subdifferential`` and ``iar_open`` only at interior xbar with graph
+    pairs) and the class of each comparison. :meth:`to_dict` prints all
+    the residuals, so a row whose classes do not all agree carries exact
+    residuals; an agreeing row of ``cross_validate(..., exact=False)`` may
+    carry an endpoint bound on a rays route whose partner is false."""
+
     xbar: tuple[float, ...]
     interior: bool
     residuals: dict[str, float]
@@ -482,18 +551,28 @@ class _EquivalenceProbes:
         self.graph_inside = self.graph.restrict_points(self.interior_region)
 
     def rows(
-        self, xbars: Array, tol: float, band: float
+        self, xbars: Array, tol: float, band: float, exact: bool = True
     ) -> list[tuple[EquivalenceRow, dict[str, Any]]]:
         """The equivalence row at each row xbar of ``xbars`` and the witness
         of each route's residual. The subderivative route runs over all the
         xbar at once; the subdifferential route and the interior rays route
-        run only at interior xbar and when the interior holds graph pairs."""
+        run only at interior xbar and when the interior holds graph pairs.
+
+        With ``exact`` False, a rays route whose partner route is already
+        false (residual > ``tol``) stops at ``tol`` (see
+        :func:`_iar_residual`): its comparison agrees whatever the exact
+        residual, so a row whose classes all agree may carry an endpoint
+        bound there, with its witness. A row with any other class is
+        printed with all its residuals, so its bounds are replaced by the
+        exact residuals and witnesses; its verdicts and classes do not
+        change."""
         f = self.f
         interior = self.interior_region.contains_many(xbars)
         sub = _subderivative_residuals(f, xbars, self.rays_c.ys, self.rays_c.fy, self.scheme)
         out = []
         for xb, inner, (r_sd, w_sd) in zip(xbars, interior, sub):
-            r_iar, w_iar = _iar_residual(f, xb, self.rays_c)
+            stops = {"iar": math.inf if exact or r_sd <= tol else tol}
+            r_iar, w_iar = _iar_residual(f, xb, self.rays_c, stops["iar"])
             v_sd, v_iar = r_sd <= tol, r_iar <= tol
             residuals = {"subderivative": r_sd, "iar": r_iar}
             verdicts = {"subderivative": v_sd, "iar": v_iar}
@@ -501,7 +580,8 @@ class _EquivalenceProbes:
             classes = {"subderivative_vs_iar": classify(v_sd, r_sd, v_iar, r_iar, band)}
             if inner and len(self.graph_inside) > 0:
                 r_sdiff, w_sdiff = _subdifferential_residual(xb, self.graph_inside)
-                r_iar_u, w_iar_u = _iar_residual(f, xb, self.rays_u)
+                stops["iar_open"] = math.inf if exact or r_sdiff <= tol else tol
+                r_iar_u, w_iar_u = _iar_residual(f, xb, self.rays_u, stops["iar_open"])
                 v_sdiff, v_iar_u = r_sdiff <= tol, r_iar_u <= tol
                 residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
                 verdicts.update({"subdifferential": v_sdiff, "iar_open": v_iar_u})
@@ -509,6 +589,11 @@ class _EquivalenceProbes:
                 classes["subdifferential_vs_iar"] = classify(
                     v_sdiff, r_sdiff, v_iar_u, r_iar_u, band
                 )
+            if set(classes.values()) != {"agree"}:
+                grids = {"iar": self.rays_c, "iar_open": self.rays_u}
+                for route, stop in stops.items():
+                    if residuals[route] > stop:
+                        residuals[route], witnesses[route] = _iar_residual(f, xb, grids[route])
             row = EquivalenceRow(
                 xbar=tuple(float(c) for c in xb),
                 interior=bool(inner),
@@ -530,6 +615,7 @@ def cross_validate(
     scheme: LiminfScheme = DEFAULT_SCHEME,
     graph: GraphSample | None = None,
     tol: float = DEFAULT_TOL,
+    exact: bool = True,
 ) -> EquivalenceReport:
     """Evaluate the subderivative-Minty, subdifferential-Minty, and
     increase-along-rays verdicts for every grid xbar in the region with finite
@@ -546,6 +632,12 @@ def cross_validate(
     ``graph`` is the sampled subdifferential graph over the region; without
     one, the graph is sampled at the probe resolution from the exact
     side-oracle when f has one, with the default covector box and ``scheme``.
+
+    Every residual is exact by default. With ``exact`` False, the rows whose
+    classes all agree may carry a rays residual that is only a lower bound
+    above ``tol`` (see :meth:`_EquivalenceProbes.rows`); the verdicts,
+    classes and sections are those of the exact run, and so is every row of
+    :meth:`EquivalenceReport.disagreements`.
     """
     if region is None:
         region = f.default_region
@@ -554,7 +646,7 @@ def cross_validate(
     probes = _EquivalenceProbes(f, region, resolution, probe_factor, t_resolution, graph, scheme)
     xgrid = region.sample(resolution)
     xbars = xgrid[np.isfinite(f.values(xgrid))]
-    rows = [row for row, _ in probes.rows(xbars, tol, band)]
+    rows = [row for row, _ in probes.rows(xbars, tol, band, exact)]
     return EquivalenceReport(
         function=f.name,
         region=region.describe(),

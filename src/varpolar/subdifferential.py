@@ -245,20 +245,22 @@ def _clarke_polytopes(support: Array, dirs: Array, half_width: float) -> tuple[A
     are the vertices. The rows are the vertices in subset order, merged and
     closed by their centroid as :func:`_merged_rows` does, since a
     one-point set comes out of the noisy table as a thin sliver. A point is
-    truncated where some support value is +inf, and where the box cuts the
-    whole set away (no vertex is left, as for a slope steeper than the box):
-    the point then has no rows, and its flag says why. Sums run coordinate
-    by coordinate, so a point's rows do not depend on its row block.
+    truncated where some support value exceeds the box's own support
+    half_width ||dirs[j]||_1 (+inf included: the box then cuts the set
+    along dirs[j]), and where the box cuts the whole set away (no vertex is
+    left, as for a slope steeper than the box): the point then has no
+    rows, and its flag says why. Sums run coordinate by coordinate, so a
+    point's rows do not depend on its row block.
     """
     n, dim = support.shape[0], dirs.shape[1]
     normals = np.vstack([dirs, np.eye(dim), -np.eye(dim)])
     subsets = np.array(list(itertools.combinations(range(len(normals)), dim)))
     subsets = subsets[np.abs(np.linalg.det(normals[subsets])) > 1e-9]
     inverses = np.linalg.inv(normals[subsets])  # the same at every point
-    # +inf leaves x* free along dirs[j] up to the box, whose own support
-    # value there cuts nothing more and keeps the solves finite
-    bounds = np.hstack([np.minimum(support, half_width * np.abs(dirs).sum(axis=1)),
-                        np.full((n, 2 * dim), float(half_width))])
+    # a support value above the box's own leaves x* free along dirs[j] up
+    # to the box, which cuts nothing more there and keeps the solves finite
+    box = half_width * np.abs(dirs).sum(axis=1)
+    bounds = np.hstack([np.minimum(support, box), np.full((n, 2 * dim), float(half_width))])
     pieces = []
     for rows in _row_blocks(n, len(subsets) * len(normals)):
         b = bounds[rows]
@@ -268,7 +270,7 @@ def _clarke_polytopes(support: Array, dirs: Array, half_width: float) -> tuple[A
     owner, covectors = _joined(pieces, dim)
     empty = np.ones(n, dtype=bool)
     empty[owner] = False
-    return owner, covectors, ~np.all(np.isfinite(support), axis=1) | empty
+    return owner, covectors, np.any(~(support <= box), axis=1) | empty
 
 
 def _gradient_hulls(

@@ -75,9 +75,10 @@ class SuiteParams:
 # Equivalence suites (subderivative-Minty and subdifferential-Minty vs rays)
 # ---------------------------------------------------------------------------
 
-def equivalence_report(f: FunctionOracle, params: SuiteParams):
+def equivalence_report(f: FunctionOracle, params: SuiteParams, exact: bool = True):
     """The prop1/thm2 comparison of f, with the graph of :func:`suite_graph`
-    at the probe resolution."""
+    at the probe resolution; ``exact`` as in
+    :func:`~varpolar.minty.cross_validate`."""
     return cross_validate(
         f,
         resolution=params.grid_resolution(f.dim),
@@ -87,6 +88,7 @@ def equivalence_report(f: FunctionOracle, params: SuiteParams):
         scheme=params.scheme,
         graph=suite_graph(f, params, params.probe_resolution(f.dim)),
         tol=params.tol,
+        exact=exact,
     )
 
 
@@ -128,13 +130,18 @@ def thm3_graph(f, params: SuiteParams) -> GraphSample:
 
 def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     """Compare sampled-polar membership against the tilted increase-along-rays
-    route on a candidate grid, with the graph of :func:`thm3_graph`."""
+    route on a candidate grid, with the graph of :func:`thm3_graph`.
+
+    Where the graph route already says "not related" (min product < -tol),
+    the rays route stops at tol: the pair agrees whatever its exact
+    residual, which the suite prints only on disagreement rows."""
     region = f.default_region
     xs, cs = _candidate_grids(f, params)
     graph = thm3_graph(f, params)
     min_products = _min_products(graph, xs, cs)
     grid = _ray_grid(f, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION)
-    rays = _tilted_iar_residuals(f, xs, cs, grid)
+    stops = np.where(min_products < -params.tol, params.tol, math.inf)
+    rays = _tilted_iar_residuals(f, xs, cs, grid, stops)
     agree = indeterminate = hard = 0
     disagreements = []
     for x, x_mins, x_rays in zip(xs, min_products, rays):
@@ -327,7 +334,8 @@ def run_suites(
     per_suite: dict[str, dict[str, dict]] = {}
     rows_by_fn: dict[str, tuple] = {}
     if "prop1" in selected or "thm2" in selected:
-        reports = {f.name: equivalence_report(f, params) for f in fs}
+        # only the CSV rows print the residuals of agreeing rows
+        reports = {f.name: equivalence_report(f, params, exact=collect_rows) for f in fs}
         if collect_rows:
             rows_by_fn = {fid: rep.rows_table() for fid, rep in reports.items()}
         for name, theorem in EQUIVALENCE_THEOREMS.items():

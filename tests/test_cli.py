@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from varpolar.cli import build_parser, main, load_config, ConfigError, report_json
+import numpy as np
+
+from varpolar import minty
+from varpolar.cli import build_parser, main, load_config, ConfigError, report_json, _write_csv
 from varpolar.library import get_function
 from varpolar.subderivative import LiminfScheme
-from varpolar.suites import SuiteParams, equivalence_report, thm3_suite
+from varpolar.suites import SuiteParams, equivalence_report, suite_graph, thm3_suite
 
 
 def test_unknown_function_id_is_a_usage_error(capsys):
@@ -142,6 +145,31 @@ def test_csv_format_exports_per_point_equivalence_rows(tmp_path):
     lines = (tmp_path / "equivalence_abs.csv").read_text().strip().splitlines()
     assert lines[0].startswith("xbar_1,")
     assert len(lines) == 1 + 9  # header plus one row per grid point
+
+
+def test_csv_equivalence_rows_are_those_of_the_exact_cross_validate(tmp_path):
+    # the suite settles most rays routes of agreeing rows by an endpoint
+    # bound, which the CSV prints: with format = csv its rows are the exact
+    # ones, byte for byte. On neg_abs the bound would have printed other
+    # figures; norm2d's minimizer is a probe point, so there every bound
+    # equals the exact residual
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        "[run]\nfunctions = neg_abs, norm2d\nsuites = prop1, thm2\nresolution = 9\n"
+        f"resolution_2d = 5\nout = {tmp_path}\nformat = csv\n",
+        encoding="utf-8",
+    )
+    assert main(["suite", "--config", str(cfg_path)]) == 0
+    params = load_config(str(cfg_path), {})
+    differs = {}
+    for fid in ("neg_abs", "norm2d"):
+        rep = equivalence_report(get_function(fid), params)
+        want = tmp_path / f"exact_{fid}.csv"
+        _write_csv(*rep.rows_table(), want)
+        assert (tmp_path / f"equivalence_{fid}.csv").read_bytes() == want.read_bytes()
+        bounded = equivalence_report(get_function(fid), params, exact=False)
+        differs[fid] = bounded.rows_table() != rep.rows_table()
+    assert differs == {"neg_abs": True, "norm2d": False}
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -411,6 +439,48 @@ def test_explain_minty_routes_match_the_suite_row(tmp_path, capsys):
         assert (f"solution={row.verdicts[route]} "
                 f"residual={row.residuals[route]:.6g} ") in line
     assert "  suite classes: prop1=agree thm2=agree" in lines
+
+
+@pytest.mark.parametrize(
+    "fid, point, lines",
+    [
+        ("norm2d", [1.0, 1.0], [
+            "  increase-along-rays: solution=False residual=1.41421 "
+            "witness=(array([0., 0.]), 1.0)",
+            "  increase-along-rays (interior): solution=False residual=1.41421 "
+            "witness=(array([0., 0.]), 1.0)",
+        ]),
+        ("neg_abs", [1.0], [
+            "  increase-along-rays: solution=False residual=2 "
+            "witness=(array([-2.]), 0.6666666666666666)",
+            "  increase-along-rays (interior): solution=False residual=1.91667 "
+            "witness=(array([-1.9375]), 0.6666666666666666)",
+        ]),
+    ],
+)
+def test_explain_prints_exact_rays_residuals_where_the_bound_settles(
+    monkeypatch, capsys, fid, point, lines
+):
+    # both partner routes are false at these points, so a suite row there
+    # takes the endpoint bound and walks no ray (on neg_abs it reads 1 and
+    # 0.9375 with t = 1); explain walks both rays grids and prints the
+    # exact residuals and witnesses
+    walks = []
+    walk = minty._RayGrid.walk
+    monkeypatch.setattr(minty._RayGrid, "walk",
+                        lambda self, xbar: walks.append(xbar) or walk(self, xbar))
+    f, params = get_function(fid), SuiteParams()
+    probes = minty._EquivalenceProbes(
+        f, f.default_region, params.grid_resolution(f.dim), params.probe_factor,
+        params.t_resolution, suite_graph(f, params, params.probe_resolution(f.dim)), params.scheme,
+    )
+    ((row, _),) = probes.rows(np.array([point]), params.tol, params.band, exact=False)
+    assert walks == [] and set(row.classes.values()) == {"agree"}
+    arg = ",".join(str(c) for c in point)
+    assert main(["explain", "--function", fid, "--x", arg]) == 0
+    assert len(walks) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert [ln for ln in out if ln.startswith("  increase-along-rays")] == lines
 
 
 def test_explain_outside_the_region_is_a_usage_error(capsys):

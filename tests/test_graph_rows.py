@@ -148,8 +148,8 @@ def _padded_polytopes(support, dirs, half_width):
     subsets = np.array(list(itertools.combinations(range(len(normals)), dim)))
     subsets = subsets[np.abs(np.linalg.det(normals[subsets])) > 1e-9]
     inverses = np.linalg.inv(normals[subsets])
-    bounds = np.hstack([np.minimum(support, half_width * np.abs(dirs).sum(axis=1)),
-                        np.full((n, 2 * dim), float(half_width))])
+    box = half_width * np.abs(dirs).sum(axis=1)
+    bounds = np.hstack([np.minimum(support, box), np.full((n, 2 * dim), float(half_width))])
     pieces = []
     for rows in _row_blocks(n, len(subsets) * len(normals)):
         b = bounds[rows]
@@ -157,7 +157,9 @@ def _padded_polytopes(support, dirs, half_width):
         slack = _pairings(verts[:, :, None, :], normals) - b[:, None, :]
         pieces.append((rows, *_padded_merge(verts, np.all(slack <= DEFAULT_TOL, axis=2))))
     reps, mask = _padded(pieces, n, dim)
-    return reps, mask, ~np.all(np.isfinite(support), axis=1) | ~mask.any(axis=1)
+    # truncated where a support value exceeds the box's own (+inf included)
+    # or the box leaves no vertex
+    return reps, mask, np.any(~(support <= box), axis=1) | ~mask.any(axis=1)
 
 
 def _padded_route(f, pts, source, half_width, groups=None):

@@ -118,6 +118,24 @@ def test_a_set_outside_the_covector_box_is_flagged_truncated():
     assert run_suites([f], ["thm3"], SuiteParams())["truncation_flags"] == ["steep"]
 
 
+def test_a_set_the_box_cuts_at_a_jump_is_flagged_truncated():
+    # jump_up is lsc with the regular subdifferential [0, +inf) at 0. Its
+    # support table there reads about 1.1e7 along +1, above the box's own
+    # support 10, and the polytope {10, 0, 5} was clipped to the box with
+    # the flag False; the points off the jump keep their sets unflagged
+    def batch(x):
+        return np.where(x > 0.0, 1.0 + x, 0.0)
+
+    f = FunctionOracle("jump_up", 1, fn=lambda x: float(batch(x[0])), batch=batch,
+                       default_region=Region.interval(-2.0, 2.0))
+    pts = np.array([[-1.0], [0.0], [1.0]])
+    owner, covectors, truncated = _graph_rows(f, pts, "clarke-numeric", 10.0, DEFAULT_SCHEME)
+    assert truncated.tolist() == [False, True, False]
+    assert covectors[owner == 1].max() == 10.0
+    g = sample_subdiff_graph(f, f.default_region, 5, source="clarke-numeric")
+    assert g.meta["truncated"] is True
+
+
 @pytest.fixture
 def table_calls(monkeypatch):
     """The points of every support-table call, in call order."""

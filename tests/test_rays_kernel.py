@@ -19,7 +19,7 @@ from varpolar import (
     polar_membership_via_iar,
     subdifferential,
 )
-from varpolar import core, polar
+from varpolar import core, minty, polar, suites
 from varpolar.core import FunctionOracle, GraphSample, Region, _row_blocks, tensor_grid
 from varpolar.library import FUNCTION_IDS, get_function
 from varpolar.minty import (
@@ -30,6 +30,7 @@ from varpolar.minty import (
     _tilted_iar_residuals,
 )
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
+from varpolar.subderivative import DEFAULT_SCHEME
 from varpolar.subdifferential import sample_subdiff_graph
 from varpolar.suites import SuiteParams, _candidate_grids, run_suites, thm3_suite
 from test_clarke_kernel import _peak_mb
@@ -225,11 +226,11 @@ def _any_dim_oracle(name, dim):
 
 
 @st.composite
-def _rays_cases(draw):
+def _rays_cases(draw, most_dim=3):
     """A random oracle, dimension, tensor probe grid, xbar, covectors, t
     grid and block budget; the per-axis coordinates (unsorted) and the rest
     are uniform draws, off every dyadic grid."""
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, most_dim))
     f = _any_dim_oracle(draw(st.sampled_from(sorted(_ANY_DIM_ORACLES))), dim)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     most = {1: 40, 2: 7, 3: 4}[dim]
@@ -266,6 +267,137 @@ def test_rays_kernel_matches_the_reference_on_non_dyadic_data(case):
     _assert_same_rays(plain, _reference_rays_at(f, xbar, ys, t_resolution))
     for c, got in zip(covectors, tilted):
         _assert_same_rays(got, _reference_rays_at(f.shifted(c), xbar, ys, t_resolution))
+
+
+@st.composite
+def _bound_cases(draw):
+    """A 1-D or 2-D case of :func:`_rays_cases`, with the holed oracle among
+    the 2-D ones, and xbar's first coordinate sometimes a signed zero: the
+    t = 1 ray points fl(a 0 + xbar) of y with a < 0 then differ from the
+    others in the sign of that zero, which the step oracle and, drawn then,
+    :func:`_signed` read."""
+    f, axes, xbar, covectors, t_resolution, budget = draw(_rays_cases(most_dim=2))
+    if f.dim == 2 and draw(st.booleans()):
+        f = _holed_2d()
+    zero = draw(st.sampled_from([None, 0.0, -0.0]))
+    if zero is not None:
+        xbar[0] = zero
+        if draw(st.booleans()):
+            f = FunctionOracle("signed", f.dim, fn=lambda x: float(_signed(*x)), batch=_signed)
+    return f, axes, xbar, covectors, t_resolution, budget
+
+
+def _signed(*x):
+    """The wavy oracle, 2 larger where the first coordinate is -0.0 than at
+    +0.0: a bound that took xbar itself as every t = 1 point would exceed
+    the kernel's own t = 1 entries."""
+    return _wavy(*x) - np.copysign(1.0, x[0])
+
+
+def _stop_choices(bound, exact):
+    """Stops on both sides of a bound and at it, where the bound must not
+    settle (it settles only strictly above its stop)."""
+    return [bound, np.nextafter(bound, -math.inf), exact, 0.0, 1e-6, -1.0, 2.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bound_cases(), st.data())
+def test_the_endpoint_bound_is_exact_below_the_residual(case, data):
+    # a stop of -inf returns every bound. Each is at most the exact residual,
+    # with witness t = 1, and a finite stop gives the bound exactly when it
+    # exceeds the stop, else the exact residual and witness, bit for bit
+    f, axes, xbar, covectors, t_resolution, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ENTRIES", budget)
+        rays = _RayGrid(f, axes, t_resolution)
+    exact = [_iar_residual(f, xbar, rays),
+             *_tilted_iar_residuals(f, xbar[None, :], covectors, rays)[0]]
+    everything = np.full((1, len(covectors)), -math.inf)
+    bounds = [_iar_residual(f, xbar, rays, -math.inf),
+              *_tilted_iar_residuals(f, xbar[None, :], covectors, rays, everything)[0]]
+    stops = []
+    for (b, witness), (r, _) in zip(bounds, exact):
+        assert b <= r
+        assert witness is None or witness[1] == 1.0
+        stops.append(data.draw(st.sampled_from(_stop_choices(b, r))))
+    got = [_iar_residual(f, xbar, rays, stops[0]),
+           *_tilted_iar_residuals(f, xbar[None, :], covectors, rays, np.array([stops[1:]]))[0]]
+    for g, b, e, stop in zip(got, bounds, exact, stops):
+        _assert_same_rays(g, b if b[0] > stop else e)
+
+
+@st.composite
+def _equivalence_cases(draw):
+    """An oracle of the property tests above in 1-D or 2-D on [-2, 2]^dim,
+    the grid knobs, tolerances, and a random graph sample, so that the
+    classes vary between agree, indeterminate and hard."""
+    dim = draw(st.integers(1, 2))
+    name = draw(st.sampled_from(sorted(_ANY_DIM_ORACLES) + (["holed"] if dim == 2 else [])))
+    f = _holed_2d() if name == "holed" else _any_dim_oracle(name, dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    graph = GraphSample(rng.uniform(-2.0, 2.0, (n, dim)), rng.uniform(-3.0, 3.0, (n, dim)),
+                        meta={"source": "exact"})
+    knobs = {
+        "resolution": draw(st.integers(3, 9 if dim == 1 else 5)),
+        "probe_factor": draw(st.integers(1, 2)),
+        "t_resolution": draw(st.integers(2, 9)),
+        "tol": draw(st.sampled_from([1e-6, 0.1, 1.0])),
+        "band": draw(st.sampled_from([1e-3, 0.5])),
+    }
+    return f, Region.box([(-2.0, 2.0)] * dim), graph, knobs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_equivalence_cases())
+def test_equivalence_rows_with_stops_keep_verdicts_classes_and_printed_residuals(case):
+    f, region, graph, knobs = case
+    tol, band = knobs["tol"], knobs["band"]
+    probes = minty._EquivalenceProbes(f, region, knobs["resolution"], knobs["probe_factor"],
+                                      knobs["t_resolution"], graph, DEFAULT_SCHEME)
+    xgrid = region.sample(knobs["resolution"])
+    xbars = xgrid[np.isfinite(f.values(xgrid))]
+    exact, fast = probes.rows(xbars, tol, band), probes.rows(xbars, tol, band, exact=False)
+    assert len(fast) == len(exact) > 0
+    for (row, witnesses), (got, got_witnesses) in zip(exact, fast):
+        assert (got.verdicts, got.classes) == (row.verdicts, row.classes)
+        assert got.residuals.keys() == row.residuals.keys()
+        for route in ("subderivative", "subdifferential"):
+            assert got.residuals.get(route) == row.residuals.get(route)
+        # a row with a class other than agree is printed with all its
+        # residuals: those stay exact; an agreeing row may carry a bound
+        # above tol, with witness t = 1
+        printed = set(row.classes.values()) != {"agree"}
+        for route in {"iar", "iar_open"} & row.residuals.keys():
+            got_pair = (got.residuals[route], got_witnesses[route])
+            want = (row.residuals[route], witnesses[route])
+            try:
+                _assert_same_rays(got_pair, want)
+            except AssertionError:
+                assert not printed and tol < got_pair[0] <= want[0]
+                assert got_pair[1][1] == 1.0
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_cross_validate_sections_do_not_depend_on_exact(fid):
+    f = get_function(fid)
+    resolution = SMALL.grid_resolution(f.dim)
+    exact = cross_validate(f, resolution=resolution, t_resolution=SMALL.t_resolution)
+    fast = cross_validate(f, resolution=resolution, t_resolution=SMALL.t_resolution, exact=False)
+    for theorem in ("subderivative_vs_iar", "subdifferential_vs_iar"):
+        assert fast.section(theorem) == exact.section(theorem)
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_thm3_suite_with_stops_equals_the_suite_without(monkeypatch, fid):
+    # at the default knobs: the stops settle most pairs the graph route
+    # rejects, and no printed figure moves
+    f = get_function(fid)
+    with_stops = thm3_suite(f, SuiteParams())
+    tilted = suites._tilted_iar_residuals
+    monkeypatch.setattr(suites, "_tilted_iar_residuals",
+                        lambda f, xs, cs, rays, stops: tilted(f, xs, cs, rays))
+    assert with_stops == thm3_suite(f, SuiteParams())
 
 
 @pytest.mark.parametrize("name", ["wavy", "capped"])
@@ -362,14 +494,27 @@ def test_small_rays_run_oracle_evaluation_count(counted):
         [get_function("abs"), get_function("norm2d")], ["prop1", "thm2", "thm3"], SMALL
     )
     assert result["hard_total"] == 0
-    # thm3 takes 7 calls on abs (graph grid, probe grid, 5 candidate x) and
-    # 11 on norm2d (the same with 9 candidate x); one evaluation per
-    # (x, x*) pair made this run 340 calls over 286,116 points. The prop1
-    # route reuses the probe-grid values as the subderivative's base values;
-    # evaluating them again per xbar made it 144 calls over 75,552 points.
-    # The subderivative route takes its tail points for a block of xbar in
-    # one call; one call per xbar made it 110 calls over the same 73,374
-    assert (len(counted), sum(counted)) == (78, 73_374)
+    # A rays route whose partner route is false takes its endpoint bound
+    # first, one point per probe point, and walks its (y, t) blocks only
+    # where the bound does not exceed tol: walking every route made this
+    # run 78 calls over 73,374 points. One evaluation per (x, x*) pair in
+    # thm3 made it 340 calls over 286,116 points. The prop1 route reuses the
+    # probe-grid values as the subderivative's base values; evaluating them
+    # again per xbar made it 144 calls over 75,552 points. The subderivative
+    # route takes its tail points for a block of xbar in one call; one call
+    # per xbar made it 110 calls over the same 73,374
+    assert (len(counted), sum(counted)) == (90, 53_256)
+
+
+def test_default_rays_cells_oracle_evaluation_count(counted):
+    # the rays workload's cells: all 9 functions, prop1/thm2/thm3 at the
+    # default knobs. Walking every rays route took 4,260 calls over
+    # 86,102,347 points; the endpoint bound settles most of the routes whose
+    # partner is false
+    result = run_suites([get_function(fid) for fid in FUNCTION_IDS],
+                        ["prop1", "thm2", "thm3"], SuiteParams())
+    assert result["hard_total"] == 0
+    assert (len(counted), sum(counted)) == (2_263, 10_329_513)
 
 
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
@@ -413,14 +558,20 @@ def test_small_numeric_run_clarke_base_point_count(monkeypatch):
 
 @pytest.mark.parametrize("fid", ["abs", "norm2d"])
 def test_thm3_evaluates_the_ray_points_once_per_candidate_x(counted, fid):
+    walked = {"abs": 3, "norm2d": 9}[fid]
     f = get_function(fid)
     xs, cs = _candidate_grids(f, SMALL)
     thm3_suite(f, SMALL)
     probe_points = SMALL.probe_resolution(f.dim) ** f.dim  # all finite for these two
     ray_calls = counted.count(probe_points * DEFAULT_RAY_RESOLUTION)
-    assert ray_calls == len(xs) < len(xs) * len(cs)
-    # besides those: one call for the graph grid and one for the probe grid
-    assert len(counted) == ray_calls + 2
+    # every x has a pair the graph route rejects, so each takes one endpoint
+    # call of one point per probe point; an x walks its ray points only when
+    # one of its pairs is not settled by a bound (before: all 5 and 9)
+    assert ray_calls == walked <= len(xs) < len(xs) * len(cs)
+    # besides those: one call for the graph grid and one for the probe grid,
+    # both of probe_points points here
+    assert counted.count(probe_points) == len(xs) + 2
+    assert len(counted) == ray_calls + len(xs) + 2
 
 
 def test_rays_kernel_memory_does_not_grow_with_the_probe_grid():

@@ -221,10 +221,6 @@ class IntervalSet:
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
 
-    def contains(self, xstar: Array, tol: float = DEFAULT_TOL) -> bool:
-        v = float(np.asarray(xstar).reshape(-1)[0])
-        return self.lo - tol <= v <= self.hi + tol
-
     def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
         """Representative covectors {low, mid, high} of the interval clipped
         to the covector box [-half_width, half_width]. Returns (reps,
@@ -266,7 +262,7 @@ class IntervalSet:
 @dataclass(frozen=True)
 class PolytopeSet:
     """Covector set given by finitely many vertices (a singleton, a segment,
-    or a small polytope); membership is convex-hull membership."""
+    or a small polytope): their convex hull."""
 
     vertices: Array
 
@@ -276,21 +272,9 @@ class PolytopeSet:
             raise ValueError("polytope vertices must be finite")
         object.__setattr__(self, "vertices", v)
 
-    def contains(self, xstar: Array, tol: float = DEFAULT_TOL) -> bool:
-        x = np.asarray(xstar, dtype=float).reshape(-1)
-        v = self.vertices
-        if v.shape[0] == 1:
-            return bool(np.linalg.norm(x - v[0]) <= tol)
-        if v.shape[0] == 2:
-            a, b = v[0], v[1]
-            ab = b - a
-            denom = float(np.dot(ab, ab))
-            t = 0.0 if denom == 0.0 else float(np.clip(np.dot(x - a, ab) / denom, 0.0, 1.0))
-            return bool(np.linalg.norm(a + t * ab - x) <= tol)
-        return _hull_contains(v, x, tol)
-
     def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
-        """All vertices plus the vertex centroid."""
+        """All vertices plus the vertex centroid. The covector box does not
+        cut a polytope: ``half_width`` is ignored and ``truncated`` is False."""
         if self.vertices.shape[0] == 1:
             return self.vertices, False
         return np.vstack([self.vertices, self.vertices.mean(axis=0, keepdims=True)]), False
@@ -312,12 +296,10 @@ class BallSet:
         if not (self.radius > 0):
             raise ValueError("ball radius must be positive")
 
-    def contains(self, xstar: Array, tol: float = DEFAULT_TOL) -> bool:
-        x = np.asarray(xstar, dtype=float).reshape(-1)
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
-
     def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
-        """The center plus a deterministic fan of boundary points."""
+        """The center plus a deterministic fan of boundary points. The
+        covector box does not cut a ball: ``half_width`` is ignored and
+        ``truncated`` is False."""
         dim = self.center.shape[0]
         if dim == 1:
             pts = np.array([[-self.radius], [0.0], [self.radius]]) + self.center
@@ -331,29 +313,6 @@ class BallSet:
 
 
 SubdiffSet = IntervalSet | PolytopeSet | BallSet
-
-
-def _hull_contains(vertices: Array, x: Array, tol: float) -> bool:
-    # Feasibility LP: x = V^T lam, lam >= 0, sum lam = 1. Tiny problems only.
-    from scipy.optimize import linprog
-
-    m, d = vertices.shape
-    a_eq = np.vstack([vertices.T, np.ones((1, m))])
-    b_eq = np.concatenate([x, [1.0]])
-    res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * m, method="highs")
-    if res.status == 0:
-        return True
-    # Retry with the tolerance folded in as an inequality band.
-    res = linprog(
-        np.zeros(m),
-        A_ub=np.vstack([vertices.T, -vertices.T]),
-        b_ub=np.concatenate([x + tol, tol - x]),
-        A_eq=np.ones((1, m)),
-        b_eq=[1.0],
-        bounds=[(0, None)] * m,
-        method="highs",
-    )
-    return res.status == 0
 
 
 def _fibonacci_sphere(n: int) -> Array:

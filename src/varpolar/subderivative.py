@@ -37,12 +37,16 @@ from .core import (
 #: Ring radius around the base point, as a multiple of the current step.
 RADIUS_FACTOR = 10.0
 
-#: Default delta ladder for the direction-ball infimum (decreasing).
+#: Delta ladder for the direction-ball infimum: decreasing, with at least
+#: two entries, since the delta -> 0 extrapolation reads the two smallest.
 DEFAULT_DELTAS: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02)
+
+#: Shells of the ring of base points around xbar, per ring direction.
+_NBHD_RESOLUTION = 3
 
 #: Base points per block of :func:`clarke_directional_values`; bounds its
 #: peak memory. In 1-D one ball slice of a block is 17,920 points (140 KB),
-#: and the block's quotients for the four default deltas take 560 KB.
+#: and the block's quotients for the four deltas take 560 KB.
 _CLARKE_BLOCK = 256
 
 #: Smallest admissible step of a scheme; below this the difference quotients
@@ -263,15 +267,14 @@ def clarke_directional_values(
     xbars: Array,
     d: Sequence[float] | float | Array,
     scheme: LiminfScheme = DEFAULT_SCHEME,
-    delta_list: Sequence[float] = DEFAULT_DELTAS,
-    nbhd_resolution: int = 3,
 ) -> tuple[Array, Array]:
     """Generalized directional derivative estimates for a batch of base
     points, all in direction d.
 
     Returns (values, per_delta) where per_delta has shape (N, D) with the
-    finite-delta estimates in decreasing delta order (delta_list sorted).
-    Values include the delta -> 0 extrapolation. Raw floats; +inf allowed.
+    finite-delta estimates in :data:`DEFAULT_DELTAS` order (decreasing).
+    Values include the delta -> 0 extrapolation of the two smallest deltas.
+    Raw floats; +inf allowed.
 
     Homogeneity. f°(x; .) is positively homogeneous (Clarke, *Optimization
     and Nonsmooth Analysis*, 1983, Prop. 2.1.1), so the estimate is taken
@@ -284,14 +287,14 @@ def clarke_directional_values(
 
     Evaluated points. Steps t run over the tail window. Each base xbar gets
     ring points x = xbar + r o with r = RADIUS_FACTOR t and o in the center
-    plus ``nbhd_resolution`` shells along +-e_i and, in 2-D and up, along
-    +-u (M = 1 + 2 nbhd_resolution offsets in 1-D and
-    1 + 2 (dim + 1) nbhd_resolution beyond); a ring point counts only when
-    f(x) is finite and within r of f(xbar). The direction ball is
+    plus S = :data:`_NBHD_RESOLUTION` shells along +-e_i and, in 2-D and
+    up, along +-u (M = 1 + 2 S offsets in 1-D and 1 + 2 (dim + 1) S
+    beyond); a ring point counts only when f(x) is finite and within r of
+    f(xbar). The direction ball is
     u' = u + delta w with w in {0, +-e_i} (K = 1 + 2 dim), evaluated at
     x + t u'. Its center u + delta 0 is the same vector for every delta, so
     it is evaluated once: a ring point costs 1 + D (K - 1) oracle points, not
-    D K (9 instead of 12 in 1-D with the four default deltas).
+    D K (9 instead of 12 in 1-D with the four deltas).
 
     Infimum before quotient. The quotient q(m) = (m - f(x)) / t is
     non-decreasing in m under IEEE rounding (a subtraction, then a division
@@ -313,16 +316,12 @@ def clarke_directional_values(
     center as the first argument), and the quotients fill a preallocated
     (D, b T M) array, so the working set of a slice stays in cache. The
     peak memory is set by the block, not by N; a batch of at most one block
-    makes 3 + D (K - 1) calls (11 in 1-D with the four default deltas).
+    makes 3 + D (K - 1) calls (11 in 1-D with the four deltas).
     """
     xb = np.atleast_2d(np.asarray(xbars, dtype=float))
     _finite_directions(d, "d")
     dd = as_point(d, f.dim)
-    deltas = np.asarray(sorted(delta_list, reverse=True), dtype=float)
-    if deltas.size == 0 or not np.all(np.isfinite(deltas) & (deltas > 0)):
-        raise ValueError("delta_list must be a nonempty list of positive finite reals")
-    if not isinstance(nbhd_resolution, (int, np.integer)) or nbhd_resolution < 1:
-        raise ValueError("nbhd_resolution must be a positive integer")
+    deltas = np.asarray(DEFAULT_DELTAS)
 
     n, dim = xb.shape
     with np.errstate(over="ignore"):
@@ -347,7 +346,7 @@ def clarke_directional_values(
     # unit offsets, scaled per step by the shrinking radius.
     eye = np.eye(dim)
     shell_dirs = eye if dim == 1 else np.vstack([eye, unit[None, :]])
-    shells = np.arange(1, nbhd_resolution + 1, dtype=float) / nbhd_resolution
+    shells = np.arange(1, _NBHD_RESOLUTION + 1, dtype=float) / _NBHD_RESOLUTION
     offsets = [np.zeros(dim)]
     for s in shells:
         for u in shell_dirs:
@@ -410,16 +409,15 @@ def clarke_directional_values(
     # first; a zero limsup is +0.0 whatever the block size.
     per_delta += 0.0
     values = per_delta.max(axis=1)
-    if deltas.size >= 2:
-        # The finite-delta values underestimate by O(delta); extrapolate the
-        # two smallest deltas linearly to delta = 0 (slope clamped to >= 0,
-        # since shrinking the ball can only raise the infimum).
-        d_hi, d_lo = deltas[-2], deltas[-1]
-        v_hi, v_lo = per_delta[:, -2], per_delta[:, -1]
-        both = np.isfinite(v_hi) & np.isfinite(v_lo)
-        if np.any(both):
-            slope = np.maximum(v_lo[both] - v_hi[both], 0.0) / (d_hi - d_lo)
-            values[both] = np.maximum(values[both], v_lo[both] + slope * d_lo)
+    # The finite-delta values underestimate by O(delta); extrapolate the two
+    # smallest deltas linearly to delta = 0 (slope clamped to >= 0, since
+    # shrinking the ball can only raise the infimum).
+    d_hi, d_lo = deltas[-2], deltas[-1]
+    v_hi, v_lo = per_delta[:, -2], per_delta[:, -1]
+    both = np.isfinite(v_hi) & np.isfinite(v_lo)
+    if np.any(both):
+        slope = np.maximum(v_lo[both] - v_hi[both], 0.0) / (d_hi - d_lo)
+        values[both] = np.maximum(values[both], v_lo[both] + slope * d_lo)
     values *= scale
     per_delta *= scale
     return values, per_delta
@@ -430,17 +428,14 @@ def clarke_directional(
     xbar: Sequence[float] | float | Array,
     d: Sequence[float] | float | Array,
     scheme: LiminfScheme = DEFAULT_SCHEME,
-    delta_list: Sequence[float] = DEFAULT_DELTAS,
-    nbhd_resolution: int = 3,
 ) -> SubderivEstimate:
-    """Generalized directional derivative estimate of f at xbar along d.
+    """Generalized directional derivative estimate of f at xbar along d:
+    :func:`clarke_directional_values` at one base point.
 
     Dominates the lower Dini estimate up to tolerance by construction.
     """
     xb = as_point(xbar, f.dim)
-    values, per_delta = clarke_directional_values(
-        f, xb[None, :], d, scheme, delta_list, nbhd_resolution
-    )
+    values, per_delta = clarke_directional_values(f, xb[None, :], d, scheme)
     value = float(values[0])
     high = max(value, float(per_delta[0].max()))
     return SubderivEstimate(value=value, bracket=(value, high))

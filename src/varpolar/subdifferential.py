@@ -7,9 +7,14 @@ route. Where f is locally Lipschitz, the numeric set at x is the hull of
 gradients sampled by central differences at points near x; elsewhere (a
 domain boundary, or a set that leaves the covector box) it is the polytope of
 covectors dominated by the generalized derivative f°(x; d) on a
-deterministic sphere grid of directions d. Both routes are cut by a
-documented covector box; unbounded subdifferentials are reported with a
-truncation flag rather than silently clipped.
+deterministic sphere grid of directions d.
+
+The covector box [-w, w]^n cuts two kinds of set: the 1-D intervals of the
+exact route and the support-table polytopes of the numeric route. A point
+whose set it cut carries a truncation flag, so an unbounded subdifferential
+is reported rather than silently clipped. The exact route's polytopes and
+balls are listed whole whatever the box, and the gradient hull is used only
+where every sampled gradient lies in the box.
 """
 
 from __future__ import annotations
@@ -151,33 +156,15 @@ def clarke_subdiff_contains(
     return Verdict(ok=best <= tol, residual=best, witness=witness)
 
 
-def _clarke_support(
-    f: FunctionOracle, pts: Array, dirs: Array, scheme: LiminfScheme, groups: Array | None = None
-) -> Array:
+def _clarke_support(f: FunctionOracle, pts: Array, dirs: Array, scheme: LiminfScheme) -> Array:
     """(N, J) table of generalized derivatives f_up(pts[i]; dirs[j]), one
-    estimator call per direction, in direction order. Entries may be +inf.
-    The table is the support function, on the direction grid, of the
-    numeric Clarke subdifferential at each point.
-
-    The estimator runs once per distinct row of ``pts`` within each group of
-    the integer labels ``groups`` (one group when None), keyed by the row's
-    bytes (so +0.0 and -0.0 stay distinct), and the rows are scattered back.
-    Each row of :func:`clarke_directional_values` depends only on its own
-    base point, so the table is bitwise the one a per-row call gives. The
-    cdd pass groups its rows by base point: the epsilon grids of one base
-    share the base and their dyadic offsets at every resolution, while those
-    of neighbouring bases meet only where the grid spacing is a power of two,
-    which would make the estimator's work depend on the resolution."""
-    rows = np.ascontiguousarray(pts, dtype=float).view(np.uint64)
-    if groups is not None:
-        rows = np.column_stack([np.asarray(groups, dtype=np.uint64), rows])
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = np.asarray(pts, dtype=float)[first]
-    table = np.empty((distinct.shape[0], dirs.shape[0]))
+    estimator call per direction over all rows, in direction order. Entries
+    may be +inf. The table is the support function, on the direction grid,
+    of the numeric Clarke subdifferential at each point."""
+    table = np.empty((len(pts), len(dirs)))
     for j, d in enumerate(dirs):
-        table[:, j] = clarke_directional_values(f, distinct, d, scheme)[0]
-    return table[inverse.ravel()]
+        table[:, j] = clarke_directional_values(f, pts, d, scheme)[0]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +314,6 @@ def _graph_rows(
     source: str,
     covector_half_width: float,
     scheme: LiminfScheme,
-    groups: Array | None = None,
 ) -> tuple[Array, Array, Array]:
     """Raw graph rows at an (N, dim) array of points where f is finite.
 
@@ -344,11 +330,10 @@ def _graph_rows(
     unchanged. The ``clarke-numeric`` rows of a point are its gradient hull
     (:func:`_gradient_hulls`) where that is usable, and otherwise the
     support-table polytope (:func:`_clarke_support`,
-    :func:`_clarke_polytopes`), built for the remaining points alone;
-    ``groups`` labels the points for that table. The two cover disjoint
-    points, so a stable sort on the owner joins them point by point. Only
-    the table truncates, which includes a point whose whole set lies outside
-    the covector box (it contributes no rows).
+    :func:`_clarke_polytopes`), built for the remaining points alone. The
+    two cover disjoint points, so a stable sort on the owner joins them
+    point by point. Only the table truncates, which includes a point whose
+    whole set lies outside the covector box (it contributes no rows).
     """
     if source == "exact":
         return f.subdifferential_representatives(pts, covector_half_width)
@@ -358,9 +343,7 @@ def _graph_rows(
     rest = np.flatnonzero(~hull)
     if rest.size:
         # the support-table polytope at the points the hull cannot take
-        support = _clarke_support(
-            f, pts[rest], dirs, scheme, None if groups is None else groups[rest]
-        )
+        support = _clarke_support(f, pts[rest], dirs, scheme)
         table_owner, table_covectors, truncated[rest] = _clarke_polytopes(
             support, dirs, covector_half_width
         )
@@ -392,8 +375,8 @@ def sample_subdiff_graph(
     (:func:`_gradient_hulls`). Elsewhere it lists the vertices, merged the
     same way, and the centroid of the polytope {x* : <x*, d> <= f_up(x; d)
     for every sphere direction d} in the covector box
-    (:func:`_clarke_polytopes`), with the table of f_up(x; d) evaluated once
-    per distinct point (:func:`_clarke_support`).
+    (:func:`_clarke_polytopes`), with the table of f_up(x; d) taken by one
+    estimator call per direction (:func:`_clarke_support`).
     ``source="auto"`` picks the exact side-oracle when f has one and the
     numeric route otherwise. Points where f is not finite contribute nothing.
     The sample's ``meta`` records the construction (with the source used) and
@@ -534,9 +517,7 @@ def _cdd_profiles(
         # np.compress and np.take gather the rows of a narrow 2-D array
         # several times faster than boolean and integer indexing
         pts, fvals, cell = np.compress(finite, pts, axis=0), fvals[finite], cell[finite]
-        owner, covectors, truncated = _graph_rows(
-            f, pts, source, covector_half_width, scheme, cell // levels
-        )
+        owner, covectors, truncated = _graph_rows(f, pts, source, covector_half_width, scheme)
 
         # Duplicate rows change neither a supremum nor emptiness, so the rows
         # need no deduplication.

@@ -27,11 +27,11 @@ from varpolar.subdifferential import EPS_LADDER, _cdd_profiles, _local_grids, cd
 from varpolar.suites import SuiteParams, cdd_suite
 
 
-def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DELTAS,
-                      nbhd_resolution=3):
+def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME):
     xb = np.atleast_2d(np.asarray(xbars, dtype=float))
     dd = np.asarray(d, dtype=float).reshape(f.dim)
-    deltas = np.asarray(sorted(delta_list, reverse=True), dtype=float)
+    deltas = np.asarray(DEFAULT_DELTAS)
+    shells = subderivative._NBHD_RESOLUTION
     n, dim = xb.shape
     dnorm = float(np.linalg.norm(dd))
     if dnorm == 0.0:
@@ -43,7 +43,7 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DEL
     radii = RADIUS_FACTOR * ts
     eye = np.eye(dim)
     offsets = [np.zeros(dim)]
-    for s in np.arange(1, nbhd_resolution + 1, dtype=float) / nbhd_resolution:
+    for s in np.arange(1, shells + 1, dtype=float) / shells:
         for i in range(dim):
             offsets.append(s * eye[i])
             offsets.append(-s * eye[i])
@@ -70,13 +70,12 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME, delta_list=DEFAULT_DEL
     inner = np.where(near[:, :, :, None], quot.min(axis=4), -math.inf)
     per_delta = inner.max(axis=(1, 2))
     values = per_delta.max(axis=1)
-    if deltas.size >= 2:
-        d_hi, d_lo = deltas[-2], deltas[-1]
-        v_hi, v_lo = per_delta[:, -2], per_delta[:, -1]
-        both = np.isfinite(v_hi) & np.isfinite(v_lo)
-        if np.any(both):
-            slope = np.maximum(v_lo[both] - v_hi[both], 0.0) / (d_hi - d_lo)
-            values[both] = np.maximum(values[both], v_lo[both] + slope * d_lo)
+    d_hi, d_lo = deltas[-2], deltas[-1]
+    v_hi, v_lo = per_delta[:, -2], per_delta[:, -1]
+    both = np.isfinite(v_hi) & np.isfinite(v_lo)
+    if np.any(both):
+        slope = np.maximum(v_lo[both] - v_hi[both], 0.0) / (d_hi - d_lo)
+        values[both] = np.maximum(values[both], v_lo[both] + slope * d_lo)
     return values * scale, per_delta * scale
 
 
@@ -94,14 +93,6 @@ def _directions(dim):
     return [*eye, *(-eye), np.zeros(dim), np.full(dim, 0.6), -0.3 * eye[0]]
 
 
-SETTINGS = [
-    {},
-    {"delta_list": (0.05,)},
-    {"delta_list": (0.05, 0.2, 0.1)},
-    {"nbhd_resolution": 1},
-]
-
-
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
 @pytest.mark.parametrize("tilt", [0.0, 0.75])
 def test_kernel_matches_the_full_ball_reference(fid, tilt):
@@ -110,11 +101,10 @@ def test_kernel_matches_the_full_ball_reference(fid, tilt):
         f = f.shifted(np.full(f.dim, tilt))
     pts = _finite_grid(f, 17 if f.dim == 1 else 5)
     for d in _directions(f.dim):
-        for kwargs in SETTINGS:
-            got = clarke_directional_values(f, pts, d, **kwargs)
-            want = _reference_clarke(f, pts, d, **kwargs)
-            assert _same_bits(got[0], want[0]), (fid, tilt, d, kwargs)
-            assert _same_bits(got[1], want[1]), (fid, tilt, d, kwargs)
+        got = clarke_directional_values(f, pts, d)
+        want = _reference_clarke(f, pts, d)
+        assert _same_bits(got[0], want[0]), (fid, tilt, d)
+        assert _same_bits(got[1], want[1]), (fid, tilt, d)
 
 
 def test_kernel_blocks_match_per_point_calls():
@@ -172,11 +162,10 @@ def test_kernel_slices_match_the_reference_over_several_blocks(monkeypatch, f):
     pts = np.vstack([grid, zero, -zero, grid[-3:]])
     assert len(pts) % 3 != 0
     for d in _directions(f.dim):
-        for kwargs in SETTINGS:
-            got = clarke_directional_values(f, pts, d, **kwargs)
-            want = _reference_clarke(f, pts, d, **kwargs)
-            assert _same_bits(got[0], want[0]), (f.name, d, kwargs)
-            assert _same_bits(got[1], want[1]), (f.name, d, kwargs)
+        got = clarke_directional_values(f, pts, d)
+        want = _reference_clarke(f, pts, d)
+        assert _same_bits(got[0], want[0]), (f.name, d)
+        assert _same_bits(got[1], want[1]), (f.name, d)
 
 
 def _zero_signs(x):
@@ -216,19 +205,11 @@ def test_zero_limsup_is_positive_zero_at_every_block_size(monkeypatch):
             assert _same_bits(values, runs[0][0]) and _same_bits(per_delta, runs[0][1])
 
 
-@pytest.mark.parametrize(("kwargs", "name"), [
-    ({"delta_list": (math.nan,)}, "delta_list"),
-    ({"delta_list": (math.inf, 0.1)}, "delta_list"),
-    ({"nbhd_resolution": 2.5}, "nbhd_resolution"),
-], ids=["nan_delta", "inf_delta", "fractional_resolution"])
-def test_kernel_rejects_malformed_arguments(kwargs, name):
-    with pytest.raises(ValueError, match=name):
-        clarke_directional_values(get_function("abs"), np.zeros((2, 1)), [1.0], **kwargs)
-
-
 @pytest.mark.parametrize("f", [get_function("neg_abs"), get_function("mixed2d"), _SIGNED_ZERO],
                          ids=["neg_abs", "mixed2d", "fn_only"])
 def test_support_table_once_per_distinct_row_matches_per_row_calls(f):
+    # a table over repeated rows, both signed zeros included, is bitwise a
+    # loop of single-row calls
     dirs = subdifferential.sphere_directions(f.dim, subdifferential._DIR_RESOLUTION)
     grid = _finite_grid(f, 5 if f.dim == 1 else 3)
     zero = np.zeros((1, f.dim))
@@ -264,26 +245,25 @@ def test_support_table_reaches_the_concave_kink_off_the_axes():
     assert np.all(np.abs(table - 1.0) <= 1e-4)
 
 
-def test_support_table_is_keyed_within_groups(monkeypatch):
-    # a row shared by two groups is evaluated once per group, a row repeated
-    # within a group once; the table is the ungrouped one either way
+def test_support_table_is_one_estimator_call_per_direction_over_all_rows(monkeypatch):
+    # repeated rows are evaluated again, not looked up: each row of the
+    # estimator depends only on its own base point
     f = get_function("twowell")
     dirs = subdifferential.sphere_directions(f.dim, subdifferential._DIR_RESOLUTION)
     grid = _finite_grid(f, 5)
     pts = np.vstack([grid, grid, grid[:2]])
-    groups = np.repeat([0, 1, 1], [len(grid), len(grid), 2])
-    sizes = []
+    calls = []
 
-    def counting(f, xbars, *args, **kwargs):
-        sizes.append(len(xbars))
-        return clarke_directional_values(f, xbars, *args, **kwargs)
+    def counting(f, xbars, d, *args):
+        calls.append((xbars, d))
+        return clarke_directional_values(f, xbars, d, *args)
 
     monkeypatch.setattr(subdifferential, "clarke_directional_values", counting)
-    table = subdifferential._clarke_support(f, pts, dirs, DEFAULT_SCHEME, groups)
-    assert sizes == [2 * len(grid)] * len(dirs)
-    plain = subdifferential._clarke_support(f, pts, dirs, DEFAULT_SCHEME)
-    assert sizes[len(dirs):] == [len(grid)] * len(dirs)
-    assert np.array_equal(table.view(np.uint64), plain.view(np.uint64))
+    table = subdifferential._clarke_support(f, pts, dirs, DEFAULT_SCHEME)
+    assert len(calls) == len(dirs)
+    for (xbars, d), want in zip(calls, dirs):
+        assert _same_bits(xbars, pts) and _same_bits(d, want)
+    assert table.shape == (len(pts), len(dirs))
 
 
 def test_local_grids_match_the_box_regions():

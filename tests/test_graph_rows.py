@@ -162,7 +162,7 @@ def _padded_polytopes(support, dirs, half_width):
     return reps, mask, np.any(~(support <= box), axis=1) | ~mask.any(axis=1)
 
 
-def _padded_route(f, pts, source, half_width, groups=None):
+def _padded_route(f, pts, source, half_width):
     """The padded graph rows: (N, R, dim) covectors and their (N, R) mask
     from the per-point sets or the numeric constructions, then
     ``reps[mask]`` with ``np.repeat`` owners."""
@@ -182,9 +182,7 @@ def _padded_route(f, pts, source, half_width, groups=None):
         truncated = np.zeros(n, dtype=bool)
         rest = np.flatnonzero(~hull)
         if rest.size:
-            support = _clarke_support(
-                f, pts[rest], dirs, DEFAULT_SCHEME, None if groups is None else groups[rest]
-            )
+            support = _clarke_support(f, pts[rest], dirs, DEFAULT_SCHEME)
             table_reps, table_mask, truncated[rest] = _padded_polytopes(support, dirs, half_width)
             done = np.flatnonzero(hull)
             reps, mask = _padded(
@@ -193,9 +191,9 @@ def _padded_route(f, pts, source, half_width, groups=None):
     return np.repeat(np.arange(n), mask.sum(axis=1)), reps[mask], truncated
 
 
-def _assert_rows_match_the_padded_route(f, pts, source, half_width, groups=None):
-    got = _graph_rows(f, pts, source, half_width, DEFAULT_SCHEME, groups)
-    want = _padded_route(f, pts, source, half_width, groups)
+def _assert_rows_match_the_padded_route(f, pts, source, half_width):
+    got = _graph_rows(f, pts, source, half_width, DEFAULT_SCHEME)
+    want = _padded_route(f, pts, source, half_width)
     for g, w, what in zip(got, want, ("owner", "covectors", "truncated")):
         assert _same_bits(g, w), (f.name, source, what)
 
@@ -215,10 +213,8 @@ def test_numeric_rows_match_the_padded_route(f):
     # their rows join the hull's by the stable sort on the owner
     twin = _twin(f)
     pts = _points(twin)
-    _assert_rows_match_the_padded_route(twin, pts, "clarke-numeric", 10.0)
-    # the cdd pass labels its points by base for the table
-    groups = np.arange(len(pts)) % 3
-    _assert_rows_match_the_padded_route(twin, pts, "clarke-numeric", 0.5, groups)
+    for half_width in (10.0, 0.5):
+        _assert_rows_match_the_padded_route(twin, pts, "clarke-numeric", half_width)
 
 
 def test_indicator_twins_take_the_table_fallback():

@@ -528,11 +528,9 @@ def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
 
 def test_small_numeric_run_clarke_base_point_count(monkeypatch):
     # neg_abs and twowell are Lipschitz, so every point of the numeric route
-    # takes the gradient hull and no base point reaches the generalized-
-    # derivative estimator. With the support table at every point, this run
-    # sent 1,800 base points in 8 calls (3,600 before the table was keyed by
-    # distinct point). The hull takes each cdd pass's 891 grid points and
-    # each 9-point predicates graph in one call.
+    # takes the gradient hull and no base point reaches the support table's
+    # generalized-derivative estimator. The hull takes each cdd pass's 891
+    # grid points and each 9-point predicates graph in one call.
     sizes, hulls = [], []
     estimator = subdifferential.clarke_directional_values
     gradient_hulls = subdifferential._gradient_hulls

@@ -146,14 +146,15 @@ twins = [
     for f in fs
 ]
 run_suites(fs + twins, ["all"], SuiteParams(resolution=9, resolution_2d=5))
-print([m for m in ("numpy.ma", "scipy.optimize") if m in sys.modules])
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.split(".")[0] == "scipy"))
 """
 
 
 def test_a_suite_run_imports_neither_numpy_ma_nor_scipy_optimize():
-    # np.unique on a 1-D array imports numpy.ma, and a PolytopeSet hull test
-    # imports scipy.optimize: about 10 ms and 0.4 s of every fresh process
-    # that meets them (numpy 2.4, 2-core VM, warm file cache)
+    # np.unique on a 1-D array imports numpy.ma, about 10 ms of every fresh
+    # process that meets it (numpy 2.4, 2-core VM, warm file cache); scipy
+    # is no dependency of the package, and no module of it may load, even
+    # where it is installed
     src = str(Path(varpolar.__file__).resolve().parents[1])
     paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

@@ -237,7 +237,11 @@ def _parse_point(raw: str, dim: int) -> np.ndarray:
 def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | None) -> int:
     f = get_function(function_id)
     region = f.default_region
+    # every usage error comes before the first line of output
     x = _parse_point(x_raw, f.dim)
+    xstar = None if xstar_raw is None else _parse_point(xstar_raw, f.dim)
+    if xstar is None and not region.contains(x):  # the prop1/thm2 row probes the region
+        raise ConfigError(f"x = {x.tolist()} lies outside the region of {function_id}")
     print(f"function {function_id} on {region.describe()}")
     fx = f.value(x)
     print(f"f({x.tolist()}) = {fx}")
@@ -253,10 +257,8 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
                 f"generalized {up.value:.6g}"
             )
 
-    if xstar_raw is None:
+    if xstar is None:
         # the routes of the prop1/thm2 row at x, on the suites' probe grids
-        if not region.contains(x):
-            raise ConfigError(f"x = {x.tolist()} lies outside the region of {function_id}")
         graph = suite_graph(f, cfg, cfg.probe_resolution(f.dim))
         probes = _EquivalenceProbes(f, region, cfg.grid_resolution(f.dim), cfg.probe_factor,
                                     cfg.t_resolution, graph, cfg.scheme)
@@ -278,7 +280,6 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         ))
         return 0
 
-    xstar = _parse_point(xstar_raw, f.dim)
     probe_res = cfg.probe_resolution(f.dim)
     if math.isfinite(fx):
         conv = convex_subdiff_contains(f, x, xstar, probe=region, resolution=probe_res, tol=cfg.tol)

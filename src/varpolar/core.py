@@ -194,16 +194,24 @@ def _row_blocks(rows: int, cols: int):
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-def _pairings(u: Array, v: Array, out: Array | None = None) -> Array:
-    """<u, v> over the last axis of two broadcastable arrays, summed
-    coordinate by coordinate in order, so an entry depends only on its two
-    operands; into ``out`` when given. A BLAS product gives it different
-    last bits depending on where its kernel splits the matrix, which a row
-    block would not reproduce."""
-    out = np.multiply(u[..., 0], v[..., 0], out=out)
-    for k in range(1, u.shape[-1]):
-        out += u[..., k] * v[..., k]
+def _pairing(us: Sequence, vs: Sequence, out: Array | None = None) -> Array:
+    """The package's one pairing: sum_k us[k] * vs[k] over per-axis arrays
+    that broadcast together, summed in axis order so an entry depends only
+    on its operands (a BLAS product's last bits depend on where it splits
+    the matrix); into ``out`` when given. A tilt <x*, p> pairs the
+    coordinate arrays of the points p with the coordinates of x*."""
+    if out is None:
+        out = np.empty(np.broadcast(*us, *vs).shape)
+    np.multiply(us[0], vs[0], out=out)
+    for u, v in zip(us[1:], vs[1:]):
+        out += u * v
     return out
+
+
+def _pairings(u: Array, v: Array, out: Array | None = None) -> Array:
+    """:func:`_pairing` over the last axis of two broadcastable arrays."""
+    axes = range(u.shape[-1])
+    return _pairing([u[..., k] for k in axes], [v[..., k] for k in axes], out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +348,8 @@ class FunctionOracle:
     entries of the arrays: the rays kernel hands ``batch`` the per-axis
     coordinates of a tensor grid, of shapes (T, b, 1, ...), (T, 1, n_1, ...)
     and so on, where ``values`` hands it the columns of an (N, dim) array.
+    ``batch``, when given, evaluates everything, ``value`` included; ``fn``
+    serves an oracle without one. Nothing outside this class reads either.
     Lower semicontinuity and properness are taken on trust from the
     metadata; the curated library is spot-checked by the test suite.
 
@@ -378,35 +388,34 @@ class FunctionOracle:
         if self.finite_point is not None:
             p = as_point(self.finite_point, self.dim)
             object.__setattr__(self, "finite_point", p)
-            if not math.isfinite(self.fn(p)):
+            if not math.isfinite(self.value(p)):
                 raise ValueError(f"oracle {self.name!r} is not proper at its registered point")
 
     # -- evaluation --------------------------------------------------------
 
     def value(self, x: Sequence[float] | float | Array) -> float:
-        """Raw float value; math.inf encodes +inf."""
-        v = float(self.fn(as_point(x, self.dim)))
-        if math.isnan(v) or v == -math.inf:
-            raise ValueError(f"oracle {self.name!r} produced a value outside (-inf, +inf]")
-        return v
+        """Raw float value at one point; math.inf encodes +inf. Evaluated as
+        a one-point batch, so it has the bits of ``values`` there."""
+        p = as_point(x, self.dim)
+        return float(self._evaluate(p[:, None], (1,))[0])
 
     def values(self, points: Array) -> Array:
-        """Vectorized evaluation of an (N, dim) array of points: ``batch`` of
-        its coordinate columns, or ``fn`` point by point."""
+        """Vectorized evaluation of an (N, dim) array of points."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(f"expected (N, {self.dim}) points, got {pts.shape}")
-        if self.batch is not None:
-            return self._checked(self.batch(*pts.T), pts.shape[:1])
-        return self._checked([self.fn(p) for p in pts], pts.shape[:1])
+        return self._evaluate(pts.T, pts.shape[:1])
 
     def values_at(self, *coords: Array) -> Array:
         """f at the points whose k-th coordinates are the broadcast arrays
-        ``coords[k]``, in their broadcast shape. Without ``batch`` the
-        points are materialised and ``fn`` runs point by point."""
+        ``coords[k]``, in their broadcast shape."""
         if len(coords) != self.dim:
             raise DimensionMismatchError(f"expected {self.dim} coordinate arrays, got {len(coords)}")
-        shape = np.broadcast(*coords).shape
+        return self._evaluate(coords, np.broadcast(*coords).shape)
+
+    def _evaluate(self, coords: Sequence[Array], shape: tuple[int, ...]) -> Array:
+        """The one evaluator behind ``value``, ``values`` and ``values_at``:
+        f at the points with coordinate arrays ``coords``, of ``shape``."""
         if self.batch is not None:
             return self._checked(self.batch(*coords), shape)
         pts = np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, self.dim)
@@ -454,22 +463,16 @@ class FunctionOracle:
         """The tilted oracle x -> f(x) - <xstar, x>.
 
         Only the values are tilted: the tilted oracle carries no side-oracles.
-        Both ``fn`` and ``batch`` form <xstar, x> coordinate by coordinate in
-        the order of :func:`_pairings`, so a point's tilted value does not
-        depend on its batch, and the tilted rays kernel
+        Both ``fn`` and ``batch`` subtract the :func:`_pairing` of the
+        coordinates with xstar, so a point's tilted value does not depend on
+        its batch, and the tilted rays kernel
         (:func:`~varpolar.minty._tilted_iar_residuals`), which subtracts the
-        same sums, gives this oracle's values bit for bit.
+        same pairing from f's values, gives this oracle's values bit for bit.
         """
         s = as_point(xstar, self.dim)
         base_fn, base_batch = self.fn, self.batch
-        fn = lambda x: base_fn(x) - float(_pairings(x, s))  # noqa: E731
-
-        def batch(*x: Array) -> Array:
-            pairing = x[0] * s[0]
-            for xk, sk in zip(x[1:], s[1:]):
-                pairing = pairing + xk * sk
-            return base_batch(*x) - pairing
-
+        fn = lambda x: base_fn(x) - float(_pairing(x, s))  # noqa: E731
+        batch = lambda *x: base_batch(*x) - _pairing(x, s)  # noqa: E731
         return replace(
             self,
             name=f"{self.name}-tilted",

@@ -241,8 +241,8 @@ def _build_library() -> dict[str, FunctionOracle]:
         FunctionOracle(
             name="square",
             dim=1,
-            fn=lambda x: float(x[0]) ** 2,
-            batch=lambda x: x ** 2,
+            fn=lambda x: float(x[0]) * float(x[0]),
+            batch=lambda x: x * x,
             is_convex=True,
             exact_subderivative=_sd_square,
             exact_subdifferential=lambda x: IntervalSet(2.0 * float(x[0]), 2.0 * float(x[0])),
@@ -287,7 +287,7 @@ def _build_library() -> dict[str, FunctionOracle]:
         FunctionOracle(
             name="maxzero",
             dim=1,
-            fn=lambda x: max(float(x[0]), 0.0),
+            fn=lambda x: max(0.0, float(x[0])),  # 0.0 at -0.0, as np.maximum
             batch=lambda x: np.maximum(x, 0.0),
             is_convex=True,
             exact_subderivative=_sd_maxzero,
@@ -309,9 +309,9 @@ def _build_library() -> dict[str, FunctionOracle]:
         FunctionOracle(
             name="norm2d",
             dim=2,
-            fn=lambda x: float(np.linalg.norm(x)),
             # the same IEEE operations as np.linalg.norm(p, axis=1) on the
             # points p with coordinates x1, x2, without its strided reduce
+            fn=lambda x: math.sqrt(x[0] * x[0] + x[1] * x[1]),
             batch=lambda x1, x2: np.sqrt(x1 * x1 + x2 * x2),
             is_convex=True,
             exact_subderivative=_sd_norm2d,
@@ -323,8 +323,8 @@ def _build_library() -> dict[str, FunctionOracle]:
         FunctionOracle(
             name="mixed2d",
             dim=2,
-            fn=lambda x: float(x[0]) ** 2 + abs(float(x[1])),
-            batch=lambda x1, x2: x1 ** 2 + np.abs(x2),
+            fn=lambda x: float(x[0]) * float(x[0]) + abs(float(x[1])),
+            batch=lambda x1, x2: x1 * x1 + np.abs(x2),
             is_convex=True,
             exact_subderivative=_sd_mixed2d,
             exact_subdifferential=_sdiff_mixed2d,

@@ -28,6 +28,7 @@ from .core import (
     Region,
     UnusableSampleError,
     Verdict,
+    _pairing,
     _pairings,
     _row_blocks,
     as_point,
@@ -233,51 +234,47 @@ def _tilted_iar_residuals(
     Tilting is linear, (f - x*)(p) = f(p) - <x*, p>, so f is evaluated once
     per block of each x's ray points, from the block's coordinate arrays,
     and each covector subtracts its pairing from those values and folds
-    them against (f - x*)(y) = f(y) - <x*, y>. The pairings are
-    :func:`_pairings` sums over the block's ray points, written once per
-    block into one (dim, T b n_1 ...) scratch array, as ``f.shifted(x*)``
-    forms them, so for an oracle with a ``batch`` evaluator the tilted
-    values are bitwise those of ``f.shifted(x*)``. The pairings and the
-    tilted values share a second scratch array. A grid with no finite point
-    makes every residual -inf with no witness.
+    them against (f - x*)(y) = f(y) - <x*, y>. Every tilt, of the rows
+    (f - x*)(y), the endpoint bound and the blocks, is the
+    :func:`~varpolar.core._pairing` of the coordinate arrays with x*, as in
+    ``f.shifted(x*)``, so with a ``batch`` the tilted values are bitwise
+    those of ``f.shifted(x*)``. They go into one buffer of the largest
+    block's size (arrays per covector and block cost page faults at high
+    resolution). A grid with no finite point makes every residual -inf
+    with no witness.
 
     ``stops`` (len(xs), len(covectors)), when given, plays the role of
     :func:`_iar_residual`'s ``stop`` per entry: where it is finite, the
-    tilted endpoint bound is formed first, with :func:`_pairings` on the
-    t = 1 points so its floats are the blocks' own, and an entry whose
-    bound exceeds its stop is that bound, with witness (y, 1.0). The blocks
-    of an x are walked only when one of its entries is not settled so, and
-    fold only those entries.
+    tilted endpoint bound is formed first, at the blocks' own t = 1
+    floats, and an entry whose bound exceeds its stop is that bound, with
+    witness (y, 1.0). The blocks of an x are walked only when one of its
+    entries is not settled so, and fold only those entries.
     """
-    gys = rays.g - _pairings(rays.points, covectors[:, None])  # (f - x*)(y), one row per x*
+    gys = rays.g - _pairing(rays.points.T, covectors.T[:, :, None])  # (f - x*)(y) per x*
     t = rays.ts.shape[0]
     size = max((t * (cells.stop - cells.start) for cells, _, _ in rays.blocks), default=0)
-    scratch, tilted = np.empty((f.dim, size)), np.empty(size)
+    tilted = np.empty(size)
     out = []
     for i, x in enumerate(xs):
         best: list[tuple[float, int, int] | None] = [None] * len(gys)
         ask = [] if stops is None or not rays.g.size else np.flatnonzero(stops[i] < math.inf)
         if len(ask):
             coords = rays.endpoint(x)
-            ends = f.values_at(*coords)
-            pts = np.stack([np.broadcast_to(c, ends.shape).ravel() for c in coords], axis=-1)
-            pairing = _pairings(pts[None], covectors[ask][:, None])
-            bounds = rays.settle(ends.reshape(1, -1) - pairing - gys[ask])
+            ends = f.values_at(*coords).reshape(1, -1)
+            cs = covectors[ask].T.reshape((f.dim, -1) + (1,) * f.dim)  # x* on a leading axis
+            pairing = _pairing([c[None] for c in coords], cs).reshape(len(ask), -1)
+            bounds = rays.settle(ends - pairing - gys[ask])
             for k, bound in zip(ask, bounds):
                 if bound[0] > stops[i][k]:
                     best[k] = bound
         walked = [k for k, b in enumerate(best) if b is None]
         blocks = rays.walk(x) if walked else []
         for block in blocks:
-            coords = block[2]
-            vals = f.values_at(*coords)
-            pts = scratch[:, : vals.size]
-            for k, coord in enumerate(coords):
-                np.copyto(pts[k].reshape(vals.shape), coord)
+            vals = f.values_at(*block[2])
+            buf = tilted[: vals.size].reshape(vals.shape)
             for k in walked:
-                pairing = _pairings(pts.T, covectors[k], out=tilted[: vals.size])
-                np.subtract(vals.reshape(-1), pairing, out=pairing)
-                folded = rays.fold(pairing, gys[k], block)
+                pairing = _pairing(block[2], covectors[k], out=buf)
+                folded = rays.fold(np.subtract(vals, pairing, out=buf), gys[k], block)
                 if best[k] is None or folded[0] > best[k][0]:
                     best[k] = folded
         out.append([rays.witness(b) for b in best])
@@ -657,6 +654,7 @@ def cross_validate(
             "t_resolution": t_resolution,
             "graph_source": probes.graph.meta["source"],
             "graph_size": len(probes.graph),
+            "graph_truncated": bool(probes.graph.meta.get("truncated")),
             "interior_region": probes.interior_region.describe(),
             "scheme": scheme.as_dict(),
         },

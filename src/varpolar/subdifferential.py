@@ -486,7 +486,9 @@ def _cdd_profiles(
     """The verdicts of :func:`cdd_profile` at each row of ``xbars``, in order.
 
     Base points go in blocks of about ``_CDD_BLOCK_POINTS`` stacked grid
-    points. A block makes one oracle call on all of its (base, epsilon) local
+    points. A block takes f at its base points in one oracle call (each
+    value has the bits of the ``f.value`` that :func:`epsilon_enlargement`
+    takes), and makes one oracle call on all of its (base, epsilon) local
     grids, one :func:`_graph_rows` call on their finite points and one
     :func:`lower_dini_values` call for all left-hand sides; the enlargement
     conditions of :func:`epsilon_enlargement` are applied row by row against
@@ -504,8 +506,7 @@ def _cdd_profiles(
     for start in range(0, xbars.shape[0], block):
         xb = xbars[start : start + block]
         nb = xb.shape[0]
-        # f(xbar) from the pointwise evaluator, as epsilon_enlargement takes it
-        fx = np.array([f.value(x) for x in xb])
+        fx = f.values(xb)
         if not np.all(np.isfinite(fx)):
             raise DomainError("the inequality check needs f(xbar) finite")
 

@@ -352,18 +352,14 @@ def run_suites(
         for name, per_fn in per_suite.items()
     }
 
-    truncation = sorted(
-        {
-            fid
-            for name in out
-            for fid, sec in out[name].get("functions", {}).items()
-            if sec.get("covector_truncated")
-        }
-    )
+    truncation = {fid for sec in out.values() for fid, fn_sec in sec["functions"].items()
+                  if fn_sec.get("covector_truncated")}
+    if "thm2" in selected:  # no flag in its section, but its route pairs over a graph
+        truncation |= {fid for fid, rep in reports.items() if rep.probe_meta["graph_truncated"]}
     result = {
         "suites": out,
         "hard_total": sum(sec["hard_count"] for sec in out.values()),
-        "truncation_flags": truncation,
+        "truncation_flags": sorted(truncation),
     }
     if collect_rows and rows_by_fn:
         result["equivalence_rows"] = rows_by_fn

@@ -485,7 +485,10 @@ def test_explain_prints_exact_rays_residuals_where_the_bound_settles(
 
 def test_explain_outside_the_region_is_a_usage_error(capsys):
     assert main(["explain", "--function", "abs", "--x", "3"]) == 2
-    assert "outside the region" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "outside the region" in captured.err
+    # the region is checked before anything is printed
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -493,8 +496,11 @@ def test_explain_outside_the_region_is_a_usage_error(capsys):
 )
 def test_explain_non_finite_point_is_a_usage_error(capsys, point_args):
     assert main(["explain", "--function", "abs", *point_args]) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+    # both points are parsed before anything is printed
+    assert captured.out == ""
 
 
 def test_determinism_config_report_matches_the_stored_bytes(tmp_path, monkeypatch):

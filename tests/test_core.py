@@ -196,3 +196,16 @@ def test_ball_set_membership_is_exact_on_the_sphere():
     norms = np.linalg.norm(reps, axis=1)
     assert norms.max() <= 1.0 + 1e-12
     assert norms[0] == 0.0 and np.allclose(norms[1:], 1.0)
+
+
+def test_ball_set_representatives_in_one_and_three_dimensions():
+    # 1-D: the interval's two ends and the center; 3-D: the center and a
+    # Fibonacci fan on the sphere; the box cuts neither
+    reps, truncated = BallSet(np.array([0.5]), 2.0).representatives(half_width=1.0)
+    assert reps.tolist() == [[-1.5], [0.5], [2.5]] and truncated is False
+    center = np.array([1.0, -1.0, 0.0])
+    reps, truncated = BallSet(center, 0.5).representatives()
+    assert reps.shape == (17, 3) and truncated is False
+    assert np.array_equal(reps[0], center)
+    assert np.allclose(np.linalg.norm(reps[1:] - center, axis=1), 0.5)
+    assert len({tuple(r) for r in reps.tolist()}) == 17

@@ -180,10 +180,11 @@ def test_three_dimensional_cdd_profile_at_the_kink(monkeypatch):
     assert time.perf_counter() - start < 5.0
     assert [v.ok for v in verdicts] == [True] * 6
     assert [v.details["rhs"] for v in verdicts] == [1.0] * 6
-    # 8,019 stacked grid points, their hulls (23 samples x 3 axes x 2 sides
-    # each) in 51 blocks of at most 158 points, and the lhs in 2 calls
-    assert len(counted) == 1 + 51 + 2
-    assert sum(counted) == 8_019 * (1 + 23 * 3 * 2) + 66 == 1_114_707
+    # the base point, 8,019 stacked grid points, their hulls (23 samples x
+    # 3 axes x 2 sides each) in 51 blocks of at most 158 points, and the lhs
+    # in 2 calls
+    assert len(counted) == 1 + 1 + 51 + 2
+    assert sum(counted) == 1 + 8_019 * (1 + 23 * 3 * 2) + 66 == 1_114_708
 
 
 def test_boundary_points_take_the_table_and_interior_kinks_the_hull(table_calls):

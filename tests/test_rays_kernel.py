@@ -521,9 +521,10 @@ def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
     result = run_suites([get_function("abs"), get_function("norm2d")], ["cdd", "predicates"], SMALL)
     assert result["hard_total"] == 0
     # the cdd pass stacks the local grids of its base points, so a block of
-    # them shares one call per oracle use; one pass per base point made this
-    # run 106 calls over the same 24,532 points
-    assert (len(counted), sum(counted)) == (28, 24_532)
+    # them shares one call per oracle use, f at its base points included;
+    # one pass per base point made this run 106 calls over 24,532 points,
+    # f(xbar) not counted
+    assert (len(counted), sum(counted)) == (36, 24_566)
 
 
 def test_small_numeric_run_clarke_base_point_count(monkeypatch):

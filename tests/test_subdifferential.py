@@ -326,6 +326,22 @@ def test_cdd_unbounded_subdifferential_passes_under_truncation():
     assert v.details["rhs"] == pytest.approx(10.0)  # the truncated grid maximum
 
 
+def test_cdd_flags_an_empty_enlargement():
+    # a side-oracle with no rows leaves every epsilon's enlargement empty:
+    # the verdict fails at the first rung of the ladder, whatever the lhs
+    f = dataclasses.replace(
+        get_function("abs"),
+        name="abs_no_rows",
+        exact_subdifferential=lambda x: None,
+        exact_subdifferential_batch=None,
+    )
+    verdicts = cdd_profile(f, 0.0, [[1.0], [-1.0]])
+    assert [(v.ok, v.residual, v.witness, v.flags) for v in verdicts] == [
+        (False, math.inf, 1.0, ("empty_enlargement",))
+    ] * 2
+    assert [v.details["rhs"] for v in verdicts] == [-math.inf] * 2
+
+
 def test_cdd_passes_across_library_spot_checks():
     for fid in ("neg_abs", "twowell", "maxzero", "ind_halfline"):
         f = get_function(fid)
@@ -383,19 +399,19 @@ def test_cell_suprema_match_the_scatter_bit_for_bit():
     assert np.signbit(sups[sups == 0.0]).any() and not np.signbit(sups[sups == 0.0]).all()
 
 
-#: Oracle points of one cdd_profile call. The numeric route (neg_abs) takes
-#: the gradient hull at each of the 99 finite grid points: the two sides of
-#: a difference at x and at x +- R, 6 points each. With the support table of
-#: generalized derivatives at every distinct grid point, neg_abs took 25
-#: calls over 68,819 points.
-CDD_PROFILE_POINTS = {"norm2d": 935, "abs": 121, "neg_abs": 715}
+#: Oracle points of one cdd_profile call: the base point, then the grids.
+#: The numeric route (neg_abs) takes the gradient hull at each of the 99
+#: finite grid points: the two sides of a difference at x and at x +- R, 6
+#: points each. With the support table of generalized derivatives at every
+#: distinct grid point, neg_abs took 25 calls over 68,819 points.
+CDD_PROFILE_POINTS = {"norm2d": 936, "abs": 122, "neg_abs": 716}
 
 
-@pytest.mark.parametrize(("name", "calls"), [("norm2d", 3), ("abs", 3), ("neg_abs", 4)])
+@pytest.mark.parametrize(("name", "calls"), [("norm2d", 4), ("abs", 4), ("neg_abs", 5)])
 def test_cdd_profile_oracle_evaluation_count(monkeypatch, name, calls):
-    # One evaluation of the stacked epsilon grids, two for the lhs of all
-    # directions at once, and on the numeric route (neg_abs) one for the
-    # gradient hulls of all grid points.
+    # One evaluation of the base point, one of the stacked epsilon grids,
+    # two for the lhs of all directions at once, and on the numeric route
+    # (neg_abs) one for the gradient hulls of all grid points.
     counted = []
     values = FunctionOracle.values
 

@@ -9,14 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import varpolar
 import varpolar.cli as cli
-from varpolar import FunctionOracle, subdifferential
+from varpolar import FunctionOracle, IntervalSet, Region, subdifferential
 from varpolar.library import get_function
 from varpolar.subderivative import LiminfScheme
-from varpolar.suites import SuiteParams, run_suites
+from varpolar.suites import SuiteParams, predicates_suite, run_suites, thm3_suite
 
 SMALL = SuiteParams(
     resolution=17, resolution_2d=5, thm3_candidates=7, thm3_candidates_2d=3
@@ -83,6 +84,61 @@ def test_thm3_and_predicates_flag_truncated_graphs():
     for name in ("thm3", "predicates"):
         flags = {fid: sec["covector_truncated"] for fid, sec in result["suites"][name]["functions"].items()}
         assert flags == {"abs": False, "ind_halfline": True, "ind_origin": True}, name
+
+
+def test_thm2_lists_its_truncated_graphs():
+    # the thm2 section has no covector_truncated key, but its subdifferential
+    # route pairs over a graph whose sets the covector box cut
+    fs = [get_function("ind_halfline"), get_function("ind_origin"), get_function("abs")]
+    result = run_suites(fs, ["thm2"], SuiteParams(resolution=17))
+    assert result["truncation_flags"] == ["ind_halfline", "ind_origin"]
+    assert all("covector_truncated" not in sec
+               for sec in result["suites"]["thm2"]["functions"].values())
+    # prop1 pairs over no graph
+    assert run_suites(fs, ["prop1"], SuiteParams(resolution=17))["truncation_flags"] == []
+
+
+def _flat_with_side_oracle(slope: float) -> FunctionOracle:
+    """f = 0 on [-2, 2] with the side-oracle {slope} everywhere: wrong for
+    slope != 0, so the graph route and the rays route of thm3 part ways."""
+    return FunctionOracle(
+        name="flat", dim=1, fn=lambda x: 0.0, batch=lambda x: np.zeros_like(x),
+        is_convex=True, exact_subdifferential=lambda x: IntervalSet(slope, slope),
+        default_region=Region.interval(-2.0, 2.0),
+    )
+
+
+def test_thm3_classes_a_disagreement_inside_the_band_indeterminate():
+    # at x* = 0 the tilt of f = 0 is flat, so every x is a rays member, but
+    # the graph pairs (y, 1e-3) give x a min product -1e-3 (x + 2) < -tol
+    params = SuiteParams(thm3_candidates=5)
+    section = thm3_suite(_flat_with_side_oracle(1e-3), params)
+    assert section["hard"] == 0 and section["indeterminate"] > 0
+    rows = section["disagreements"]
+    assert len(rows) == section["indeterminate"]
+    for row in rows:
+        assert row["class"] == "indeterminate"
+        assert -params.polar_band <= row["min_product"] < -params.tol
+        assert row["iar_residual"] <= params.tol
+    # beyond the band the same disagreement is hard
+    assert thm3_suite(_flat_with_side_oracle(1.0), params)["hard"] > 0
+
+
+def test_predicates_report_the_absorbing_witness():
+    # |x| with the side-oracle {0} at the kink: a candidate (x, x*) near 0
+    # with |x*| < 1 can be related to the graph, but the covectors sampled
+    # within the match radius of x are single values, with no chord to span it
+    f = dataclasses.replace(
+        get_function("abs"),
+        name="abs_thin_kink",
+        exact_subdifferential=lambda x: IntervalSet(*[float(np.sign(x[0]))] * 2),
+        exact_subdifferential_batch=None,
+    )
+    result = predicates_suite(f, SuiteParams())
+    assert result["monotone"] and not result["absorbing"]
+    assert result["hard_count"] == 1 and result["absorbing_unattributed"] > 0
+    (x,), (xstar,) = result["absorbing_witness"]
+    assert abs(x) <= result["absorbing_match_radius"] and -1.0 < xstar < 1.0
 
 
 def test_an_oracle_without_a_default_region_is_rejected_up_front(monkeypatch):

@@ -23,7 +23,7 @@ from typing import Collection, Iterable
 import numpy as np
 
 from .library import FUNCTION_IDS, get_function
-from .minty import _EquivalenceProbes
+from .minty import _EquivalenceProbes, classify
 from .polar import polar_contains, polar_membership_via_iar, polar_of_sample
 from .subderivative import LiminfScheme, clarke_directional, lower_dini
 from .subdifferential import clarke_subdiff_contains, convex_subdiff_contains
@@ -290,6 +290,7 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
     print(f"  polar (graph route): related={pv.ok} min_product={pv.residual:.6g} witness={pv.witness}")
     iv = polar_membership_via_iar(f, x, xstar, region, probe_resolution=probe_res, tol=cfg.tol)
     print(f"  polar (rays route): member={iv.ok} residual={iv.residual:.6g} witness={iv.witness}")
+    print(f"  suite class: thm3={classify(pv.ok, -pv.residual, iv.ok, iv.residual, cfg.polar_band)}")
     return 0
 
 

@@ -181,8 +181,8 @@ def tensor_grid(axes: Sequence[Array]) -> Array:
 
 
 #: Entries of one row block of the blocked kernels: the rays kernel of
-#: :mod:`~varpolar.minty` and the candidate × graph and graph × graph
-#: reductions of :mod:`~varpolar.polar`. Bounds their peak memory (512 KB per
+#: :mod:`~varpolar.minty`, :func:`_min_products` and the graph × graph
+#: reduction of :mod:`~varpolar.polar`. Bounds their peak memory (512 KB per
 #: float temporary) and keeps their working set in cache.
 _BLOCK_ENTRIES = 2**16
 
@@ -212,6 +212,51 @@ def _pairings(u: Array, v: Array, out: Array | None = None) -> Array:
     """:func:`_pairing` over the last axis of two broadcastable arrays."""
     axes = range(u.shape[-1])
     return _pairing([u[..., k] for k in axes], [v[..., k] for k in axes], out)
+
+
+def _min_products(
+    T: GraphSample, xs: Array, cs: Array, argmin: bool = False
+) -> Array | tuple[Array, Array]:
+    """Min over T of <y* - x*, y - x> for every point xs[i] and covector
+    cs[j]: the (len(xs), len(cs)) array of minimum products, and with
+    ``argmin`` also the index in T of each minimum's first occurrence.
+
+    The pairing splits as (<y*, y> - <x, y*>) - <x*, y> + <x*, x>, so the
+    minimum is a (min, +) product of A[x, y] = <y*, y> - <x, y*> and
+    Q[x*, y] = <x*, y>, plus b[x, x*] = <x*, x> after the min: rounding is
+    monotone, so min(z + b) = min(z) + b bit for bit, and each minimum is the
+    value of one of the entries that attain it. A, Q and b are formed block
+    by block, never whole: the blocks hold about :data:`_BLOCK_ENTRIES`
+    (graph column, x row, covector) entries, and a running minimum gathers
+    them. With ``argmin``, b is added inside the block, each minimum is the
+    value of its first occurrence, and a later block replaces it only when
+    strictly smaller. An empty T gives +inf everywhere (a vacuous
+    quantifier) and index 0. At x* = 0 alone it is minus the subdifferential
+    Minty residual max <y*, x - y>.
+    """
+    py, cy = T.points, T.covectors
+    a = _pairings(cy, py)  # <y*, y>
+    mins = np.full((len(xs), len(cs)), math.inf)
+    args = np.zeros(mins.shape, dtype=np.intp)
+    for cols in _row_blocks(len(T), len(cs)):
+        q = _pairings(py[cols, None], cs)  # Q: (w, nc)
+        for rows in _row_blocks(len(xs), q.size):
+            left = a[cols, None] - _pairings(cy[cols, None], xs[rows])  # A: (w, r)
+            z = left[:, :, None] - q[:, None, :]  # A - Q: (w, r, nc)
+            if argmin:
+                z += _pairings(xs[rows, None], cs)  # b, inside the block
+                k = z.argmin(axis=0)
+                block = np.take_along_axis(z, k[None], 0)[0]
+                better = block < mins[rows]
+                mins[rows] = np.where(better, block, mins[rows])
+                args[rows] = np.where(better, k + cols.start, args[rows])
+            else:
+                np.minimum(mins[rows], z.min(axis=0), out=mins[rows])
+    if argmin:
+        return mins, args
+    for rows in _row_blocks(len(xs), len(cs)):
+        mins[rows] += _pairings(xs[rows, None], cs)  # b, after the min
+    return mins
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ Dini subderivative of f at every y in C toward xbar is nonpositive; it solves
 the subdifferential-type inequality on an open U when every sampled
 subgradient pairs nonpositively with xbar - y; and it has the
 increase-along-rays property when moving from any y toward xbar never
-increases f. The cross-validator evaluates all three verdicts on a grid of
-xbar and classifies each comparison as agree / indeterminate / hard, where
-"indeterminate" means the two discretizations disagree but the false side's
-residual sits inside the documented band.
+increases f. The subdifferential residual is the polar kernel at x* = 0:
+a Minty solution xbar is a pair (xbar, 0) of the monotone polar. The
+cross-validator evaluates the selected comparisons on a grid of xbar, and
+:func:`classify`, the one rule of prop1, thm2 and thm3, calls each agree /
+indeterminate / hard, where "indeterminate" means the two discretizations
+disagree but the false side's residual sits inside the band.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .core import (
     Region,
     UnusableSampleError,
     Verdict,
+    _min_products,
     _pairing,
-    _pairings,
     _row_blocks,
     as_point,
     tensor_grid,
@@ -46,6 +48,10 @@ DEFAULT_T_RESOLUTION = 64
 
 #: How many times finer than the query grid the y-probe grids are.
 DEFAULT_PROBE_FACTOR = 2
+
+#: The comparisons of :func:`cross_validate`: prop1's routes on the closed
+#: region and thm2's on its open interior, each against the rays route.
+COMPARISONS = ("subderivative_vs_iar", "subdifferential_vs_iar")
 
 
 def _finite_grid(f: FunctionOracle, region: Region, resolution: int) -> tuple[Array, Array]:
@@ -362,17 +368,6 @@ def minty_subderivative(
     return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
-def _subdifferential_residual(
-    xbar: Array, graph: GraphSample
-) -> tuple[float, tuple[Array, Array]]:
-    """max over the pairs (y, y*) of ``graph`` of <y*, xbar - y> and the
-    first maximizing pair; the caller restricts the graph to the region."""
-    pts, cov = graph.points, graph.covectors
-    vals = _pairings(cov, xbar[None, :] - pts)
-    i = int(np.argmax(vals))
-    return float(vals[i]), (pts[i], cov[i])
-
-
 def minty_subdifferential(
     f: FunctionOracle,
     xbar: Sequence[float] | float | Array,
@@ -381,15 +376,17 @@ def minty_subdifferential(
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Subdifferential-type Minty residual: max over sampled pairs (y, y*)
-    with y in the region of <y*, xbar - y>. The witness is the maximizing
-    pair."""
+    with y in the region of <y*, xbar - y>, as 0 minus the polar kernel at
+    x* = 0. The witness is the first maximizing pair."""
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
     inside = graph.restrict_points(region)
     if len(inside) == 0:
         raise UnusableSampleError("the graph sample has no pairs inside the probe region")
-    residual, witness = _subdifferential_residual(xb, inside)
+    mins, args = _min_products(inside, xb[None, :], np.zeros((1, f.dim)), argmin=True)
+    k = int(args[0, 0])
+    residual, witness = 0.0 - float(mins[0, 0]), (inside.points[k], inside.covectors[k])
     return Verdict(
         ok=residual <= tol,
         residual=residual,
@@ -419,10 +416,10 @@ def classify(
 
 @dataclass
 class EquivalenceRow:
-    """The three routes at one xbar: residual and verdict per route
-    (``subdifferential`` and ``iar_open`` only at interior xbar with graph
-    pairs) and the class of each comparison. :meth:`to_dict` prints all
-    the residuals, so a row whose classes do not all agree carries exact
+    """The routes of the selected comparisons at one xbar: residual and
+    verdict per route (``subdifferential`` and ``iar_open`` only at interior
+    xbar with graph pairs) and each class. :meth:`to_dict` prints all the
+    residuals, so a row whose classes do not all agree carries exact
     residuals; an agreeing row of ``cross_validate(..., exact=False)`` may
     carry an endpoint bound on a rays route whose partner is false."""
 
@@ -444,7 +441,7 @@ class EquivalenceRow:
 
 @dataclass
 class EquivalenceReport:
-    """Per-function aggregation of the three-route comparison."""
+    """Per-function aggregation of the selected comparisons."""
 
     function: str
     region: dict
@@ -456,13 +453,12 @@ class EquivalenceReport:
     def counts(self, theorem: str) -> dict[str, int]:
         out = {"agree": 0, "indeterminate": 0, "hard": 0}
         for row in self.rows:
-            cls = row.classes.get(theorem)
-            if cls is not None:
-                out[cls] += 1
+            if theorem in row.classes:
+                out[row.classes[theorem]] += 1
         return out
 
     def disagreements(self, theorem: str) -> list[EquivalenceRow]:
-        return [r for r in self.rows if r.classes.get(theorem) in ("indeterminate", "hard")]
+        return [r for r in self.rows if r.classes.get(theorem, "agree") != "agree"]
 
     def section(self, theorem: str) -> dict:
         """The report section of one comparison (``"subderivative_vs_iar"``
@@ -501,30 +497,28 @@ class EquivalenceReport:
                 + [row.interior]
                 + [row.verdicts.get(r, "") for r in routes]
                 + [row.residuals.get(r, "") for r in routes]
-                + [
-                    row.classes.get("subderivative_vs_iar", ""),
-                    row.classes.get("subdifferential_vs_iar", ""),
-                ]
+                + [row.classes.get(c, "") for c in COMPARISONS]
             )
         return header, table
 
 
 class _EquivalenceProbes:
-    """The probe constructions of :func:`cross_validate` for one region and
-    query-grid resolution: the rays grids at the probe resolution over the
-    region (``rays_c``) and over its open interior (``rays_u``), the graph
-    (sampled at the probe resolution with ``scheme`` unless one is given) and
-    its pairs inside the interior.
+    """The probe constructions of :func:`cross_validate` for one region,
+    query-grid resolution and selection of :data:`COMPARISONS`, each built
+    only when selected (None otherwise): for prop1 the rays grid at the
+    probe resolution over the region (``rays_c``); for thm2 the graph
+    (sampled at the probe resolution with ``scheme`` unless one is given),
+    its pairs inside the open interior (``graph_inside``, restricted once)
+    and the rays grid over the interior (``rays_u``). The interior is the
+    region shrunk by one query-grid cell.
 
-    The interior is the region shrunk by one query-grid cell, and the
-    graph's pairs are restricted to it once, so the subdifferential route
-    pairs ⟨y*, xbar - y⟩ over ``graph_inside`` without a membership test per
-    xbar. :meth:`rows` evaluates the three routes at a batch of xbar: the
+    :meth:`rows` evaluates the selected routes at a batch of xbar: the
     subderivative route in blocks of xbar (see
-    :func:`_subderivative_residuals`), the rays and subdifferential routes
-    one xbar at a time. ``cross_validate`` calls it once over its finite
-    xbar and ``explain`` with one row, so its lines match the suite row of
-    the same point.
+    :func:`_subderivative_residuals`), the subdifferential route at all
+    interior xbar in one call of the polar kernel at x* = 0, and the rays
+    routes one xbar at a time. ``cross_validate`` calls it once over its
+    finite xbar and ``explain`` with one row, so its lines match the suite
+    row of the same point.
     """
 
     def __init__(
@@ -536,24 +530,28 @@ class _EquivalenceProbes:
         t_resolution: int,
         graph: GraphSample | None,
         scheme: LiminfScheme,
+        comparisons: Sequence[str] = COMPARISONS,
     ) -> None:
+        if not set(comparisons) <= set(COMPARISONS):
+            raise ValueError(f"comparisons must be among {COMPARISONS}")
         self.f, self.scheme = f, scheme
         self.probe_resolution = probe_factor * (resolution - 1) + 1
         self.interior_region = region.shrink(region.spacing(resolution))
-        if graph is None:
-            graph = sample_subdiff_graph(f, region, self.probe_resolution, "auto", scheme=scheme)
-        self.graph = graph
-        self.rays_c = _ray_grid(f, region, self.probe_resolution, t_resolution)
-        self.rays_u = _ray_grid(f, self.interior_region, self.probe_resolution, t_resolution)
-        self.graph_inside = self.graph.restrict_points(self.interior_region)
+        self.rays_c = self.rays_u = self.graph = self.graph_inside = None
+        if "subderivative_vs_iar" in comparisons:
+            self.rays_c = _ray_grid(f, region, self.probe_resolution, t_resolution)
+        if "subdifferential_vs_iar" in comparisons:
+            self.graph = graph if graph is not None else sample_subdiff_graph(
+                f, region, self.probe_resolution, "auto", scheme=scheme)
+            self.graph_inside = self.graph.restrict_points(self.interior_region)
+            self.rays_u = _ray_grid(f, self.interior_region, self.probe_resolution, t_resolution)
 
     def rows(
         self, xbars: Array, tol: float, band: float, exact: bool = True
     ) -> list[tuple[EquivalenceRow, dict[str, Any]]]:
         """The equivalence row at each row xbar of ``xbars`` and the witness
-        of each route's residual. The subderivative route runs over all the
-        xbar at once; the subdifferential route and the interior rays route
-        run only at interior xbar and when the interior holds graph pairs.
+        of each route's residual. thm2's routes run only at interior xbar
+        and when the interior holds graph pairs.
 
         With ``exact`` False, a rays route whose partner route is already
         false (residual > ``tol``) stops at ``tol`` (see
@@ -565,40 +563,37 @@ class _EquivalenceProbes:
         change."""
         f = self.f
         interior = self.interior_region.contains_many(xbars)
-        sub = _subderivative_residuals(f, xbars, self.rays_c.ys, self.rays_c.fy, self.scheme)
+        partners = []  # (comparison, route, its (residual, witness) per xbar, rays route, grid)
+        if self.rays_c is not None:
+            sub = _subderivative_residuals(f, xbars, self.rays_c.ys, self.rays_c.fy, self.scheme)
+            partners.append(("subderivative_vs_iar", "subderivative", sub, "iar", self.rays_c))
+        if self.graph_inside is not None and len(self.graph_inside) > 0:
+            g, at = self.graph_inside, np.flatnonzero(interior)
+            mins, args = _min_products(g, xbars[at], np.zeros((1, f.dim)), argmin=True)
+            sdiff = [None] * len(xbars)  # max <y*, xbar - y> = 0 - min <y* - 0, y - xbar>
+            for i, m, k in zip(at, mins[:, 0].tolist(), args[:, 0]):
+                sdiff[i] = (0.0 - m, (g.points[k], g.covectors[k]))
+            partners.append(("subdifferential_vs_iar", "subdifferential", sdiff, "iar_open",
+                             self.rays_u))
         out = []
-        for xb, inner, (r_sd, w_sd) in zip(xbars, interior, sub):
-            stops = {"iar": math.inf if exact or r_sd <= tol else tol}
-            r_iar, w_iar = _iar_residual(f, xb, self.rays_c, stops["iar"])
-            v_sd, v_iar = r_sd <= tol, r_iar <= tol
-            residuals = {"subderivative": r_sd, "iar": r_iar}
-            verdicts = {"subderivative": v_sd, "iar": v_iar}
-            witnesses = {"subderivative": w_sd, "iar": w_iar}
-            classes = {"subderivative_vs_iar": classify(v_sd, r_sd, v_iar, r_iar, band)}
-            if inner and len(self.graph_inside) > 0:
-                r_sdiff, w_sdiff = _subdifferential_residual(xb, self.graph_inside)
-                stops["iar_open"] = math.inf if exact or r_sdiff <= tol else tol
-                r_iar_u, w_iar_u = _iar_residual(f, xb, self.rays_u, stops["iar_open"])
-                v_sdiff, v_iar_u = r_sdiff <= tol, r_iar_u <= tol
-                residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
-                verdicts.update({"subdifferential": v_sdiff, "iar_open": v_iar_u})
-                witnesses.update({"subdifferential": w_sdiff, "iar_open": w_iar_u})
-                classes["subdifferential_vs_iar"] = classify(
-                    v_sdiff, r_sdiff, v_iar_u, r_iar_u, band
-                )
+        for i, (xb, inner) in enumerate(zip(xbars, interior)):
+            residuals, verdicts, witnesses, classes, stops = {}, {}, {}, {}, {}
+            for comparison, route, evaluated, rays, grid in partners:
+                if evaluated[i] is None:
+                    continue
+                r, w = evaluated[i]
+                stops[rays] = (math.inf if exact or r <= tol else tol), grid
+                r_iar, w_iar = _iar_residual(f, xb, grid, stops[rays][0])
+                residuals.update({route: r, rays: r_iar})
+                verdicts.update({route: r <= tol, rays: r_iar <= tol})
+                witnesses.update({route: w, rays: w_iar})
+                classes[comparison] = classify(r <= tol, r, r_iar <= tol, r_iar, band)
             if set(classes.values()) != {"agree"}:
-                grids = {"iar": self.rays_c, "iar_open": self.rays_u}
-                for route, stop in stops.items():
-                    if residuals[route] > stop:
-                        residuals[route], witnesses[route] = _iar_residual(f, xb, grids[route])
-            row = EquivalenceRow(
-                xbar=tuple(float(c) for c in xb),
-                interior=bool(inner),
-                residuals=residuals,
-                verdicts=verdicts,
-                classes=classes,
-            )
-            out.append((row, witnesses))
+                for rays, (stop, grid) in stops.items():
+                    if residuals[rays] > stop:
+                        residuals[rays], witnesses[rays] = _iar_residual(f, xb, grid)
+            xbar = tuple(float(c) for c in xb)
+            out.append((EquivalenceRow(xbar, bool(inner), residuals, verdicts, classes), witnesses))
         return out
 
 
@@ -613,10 +608,12 @@ def cross_validate(
     graph: GraphSample | None = None,
     tol: float = DEFAULT_TOL,
     exact: bool = True,
+    comparisons: Sequence[str] = COMPARISONS,
 ) -> EquivalenceReport:
     """Evaluate the subderivative-Minty, subdifferential-Minty, and
     increase-along-rays verdicts for every grid xbar in the region with finite
-    value, and classify the two pairwise comparisons.
+    value, and classify the pairwise comparisons named in ``comparisons``
+    (both by default); only the routes those comparisons read are evaluated.
 
     The y-probe grids are sampled at ``probe_factor`` times the xbar
     resolution (nested refinement), which keeps residuals faithful enough for
@@ -629,6 +626,8 @@ def cross_validate(
     ``graph`` is the sampled subdifferential graph over the region; without
     one, the graph is sampled at the probe resolution from the exact
     side-oracle when f has one, with the default covector box and ``scheme``.
+    Without thm2's comparison no graph is read or sampled, and ``probe_meta``
+    has no graph entries.
 
     Every residual is exact by default. With ``exact`` False, the rows whose
     classes all agree may carry a rays residual that is only a lower bound
@@ -640,10 +639,15 @@ def cross_validate(
         region = f.default_region
     if region is None:
         raise ValueError(f"oracle {f.name!r} has no default region; pass one")
-    probes = _EquivalenceProbes(f, region, resolution, probe_factor, t_resolution, graph, scheme)
+    probes = _EquivalenceProbes(
+        f, region, resolution, probe_factor, t_resolution, graph, scheme, comparisons
+    )
     xgrid = region.sample(resolution)
     xbars = xgrid[np.isfinite(f.values(xgrid))]
     rows = [row for row, _ in probes.rows(xbars, tol, band, exact)]
+    g = probes.graph
+    graph_meta = {} if g is None else {"graph_source": g.meta["source"], "graph_size": len(g),
+                                       "graph_truncated": bool(g.meta.get("truncated"))}
     return EquivalenceReport(
         function=f.name,
         region=region.describe(),
@@ -652,9 +656,7 @@ def cross_validate(
         probe_meta={
             "probe_resolution": probes.probe_resolution,
             "t_resolution": t_resolution,
-            "graph_source": probes.graph.meta["source"],
-            "graph_size": len(probes.graph),
-            "graph_truncated": bool(probes.graph.meta.get("truncated")),
+            **graph_meta,
             "interior_region": probes.interior_region.describe(),
             "scheme": scheme.as_dict(),
         },

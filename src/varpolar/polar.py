@@ -10,11 +10,11 @@ cross-validation.
 
 Candidates come as a product: points ``xs`` and covectors ``cs``, every
 pair (xs[i], cs[j]) tested. The candidate × graph minimum is a (min, +)
-product over that grid (:func:`_min_products`), and it and the graph ×
-graph reduction run in blocks of about :data:`~varpolar.core._BLOCK_ENTRIES`
-entries, with the same floats as one matrix: the pairings are explicit sums
-over the coordinates, so every entry is computed the same way whatever block
-holds it.
+product over that grid (:func:`~varpolar.core._min_products`, shared with
+the Minty route), and it and the graph × graph reduction run in blocks of
+about :data:`~varpolar.core._BLOCK_ENTRIES` entries, with the same floats as
+one matrix: the pairings are explicit sums over the coordinates, so every
+entry is computed the same way whatever block holds it.
 
 :func:`is_absorbing` reads T alone, whichever subdifferential it samples: no
 side-oracle decides which related candidates T attributes.
@@ -34,6 +34,7 @@ from .core import (
     GraphSample,
     Region,
     Verdict,
+    _min_products,
     _pairings,
     _row_blocks,
     as_point,
@@ -45,50 +46,6 @@ EXACT_TOL = 1e-9
 
 #: Points per ray of the dual (rays) route to polar membership.
 DEFAULT_RAY_RESOLUTION = 33
-
-
-def _min_products(
-    T: GraphSample, xs: Array, cs: Array, argmin: bool = False
-) -> Array | tuple[Array, Array]:
-    """Min over T of <y* - x*, y - x> for every point xs[i] and covector
-    cs[j]: the (len(xs), len(cs)) array of minimum products, and with
-    ``argmin`` also the index in T of each minimum's first occurrence.
-
-    The pairing splits as (<y*, y> - <x, y*>) - <x*, y> + <x*, x>, so the
-    minimum is a (min, +) product of A[x, y] = <y*, y> - <x, y*> and
-    Q[x*, y] = <x*, y>, plus b[x, x*] = <x*, x> after the min: rounding is
-    monotone, so min(z + b) = min(z) + b bit for bit, and each minimum is the
-    value of one of the entries that attain it. A, Q and b are formed block
-    by block, never whole: the blocks hold about
-    :data:`~varpolar.core._BLOCK_ENTRIES` (graph column, x row, covector)
-    entries, and a running minimum gathers them. With ``argmin``, b is added
-    inside the block, each minimum is the value of its first occurrence, and
-    a later block replaces it only when strictly smaller. An empty T gives
-    +inf everywhere (a vacuous quantifier) and index 0.
-    """
-    py, cy = T.points, T.covectors
-    a = _pairings(cy, py)  # <y*, y>
-    mins = np.full((len(xs), len(cs)), math.inf)
-    args = np.zeros(mins.shape, dtype=np.intp)
-    for cols in _row_blocks(len(T), len(cs)):
-        q = _pairings(py[cols, None], cs)  # Q: (w, nc)
-        for rows in _row_blocks(len(xs), q.size):
-            left = a[cols, None] - _pairings(cy[cols, None], xs[rows])  # A: (w, r)
-            z = left[:, :, None] - q[:, None, :]  # A - Q: (w, r, nc)
-            if argmin:
-                z += _pairings(xs[rows, None], cs)  # b, inside the block
-                k = z.argmin(axis=0)
-                block = np.take_along_axis(z, k[None], 0)[0]
-                better = block < mins[rows]
-                mins[rows] = np.where(better, block, mins[rows])
-                args[rows] = np.where(better, k + cols.start, args[rows])
-            else:
-                np.minimum(mins[rows], z.min(axis=0), out=mins[rows])
-    if argmin:
-        return mins, args
-    for rows in _row_blocks(len(xs), len(cs)):
-        mins[rows] += _pairings(xs[rows, None], cs)  # b, after the min
-    return mins
 
 
 def polar_contains(

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .core import DEFAULT_BOX_HALF_WIDTH, DEFAULT_TOL, FunctionOracle, GraphSample, Region
-from .core import tensor_grid
-from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, cross_validate
-from .minty import _ray_grid, _tilted_iar_residuals
-from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, _min_products, is_absorbing, is_monotone
+from .core import _min_products, tensor_grid
+from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, classify
+from .minty import _ray_grid, _tilted_iar_residuals, cross_validate
+from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
 from .subdifferential import DEFAULT_CDD_TOL, _cdd_profiles, sample_subdiff_graph
 
@@ -75,10 +76,16 @@ class SuiteParams:
 # Equivalence suites (subderivative-Minty and subdifferential-Minty vs rays)
 # ---------------------------------------------------------------------------
 
-def equivalence_report(f: FunctionOracle, params: SuiteParams, exact: bool = True):
-    """The prop1/thm2 comparison of f, with the graph of :func:`suite_graph`
-    at the probe resolution; ``exact`` as in
-    :func:`~varpolar.minty.cross_validate`."""
+#: The comparison of :class:`~varpolar.minty.EquivalenceReport` behind each
+#: equivalence suite.
+EQUIVALENCE_THEOREMS = {"prop1": "subderivative_vs_iar", "thm2": "subdifferential_vs_iar"}
+
+
+def equivalence_report(f: FunctionOracle, params: SuiteParams, exact: bool = True,
+                       suites: Sequence[str] = tuple(EQUIVALENCE_THEOREMS)):
+    """The comparisons of the equivalence suites among ``suites`` (prop1 and
+    thm2 by default), with thm2's graph from :func:`suite_graph` at the probe
+    resolution; ``exact`` as in :func:`~varpolar.minty.cross_validate`."""
     return cross_validate(
         f,
         resolution=params.grid_resolution(f.dim),
@@ -86,15 +93,11 @@ def equivalence_report(f: FunctionOracle, params: SuiteParams, exact: bool = Tru
         t_resolution=params.t_resolution,
         band=params.band,
         scheme=params.scheme,
-        graph=suite_graph(f, params, params.probe_resolution(f.dim)),
+        graph=suite_graph(f, params, params.probe_resolution(f.dim)) if "thm2" in suites else None,
         tol=params.tol,
         exact=exact,
+        comparisons=[key for name, key in EQUIVALENCE_THEOREMS.items() if name in suites],
     )
-
-
-#: The comparison of :class:`~varpolar.minty.EquivalenceReport` behind each
-#: equivalence suite.
-EQUIVALENCE_THEOREMS = {"prop1": "subderivative_vs_iar", "thm2": "subdifferential_vs_iar"}
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,10 @@ def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     """Compare sampled-polar membership against the tilted increase-along-rays
     route on a candidate grid, with the graph of :func:`thm3_graph`.
 
+    :func:`~varpolar.minty.classify` classes each pair, as for prop1 and
+    thm2, in ``polar_band``: the graph route reads related when the min
+    product is >= -tol, and its residual is -min product.
+
     Where the graph route already says "not related" (min product < -tol),
     the rays route stops at tol: the pair agrees whatever its exact
     residual, which the suite prints only on disagreement rows."""
@@ -142,26 +149,16 @@ def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     grid = _ray_grid(f, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION)
     stops = np.where(min_products < -params.tol, params.tol, math.inf)
     rays = _tilted_iar_residuals(f, xs, cs, grid, stops)
-    agree = indeterminate = hard = 0
+    counts = {"agree": 0, "indeterminate": 0, "hard": 0}
     disagreements = []
     for x, x_mins, x_rays in zip(xs, min_products, rays):
         for c, min_product, (iar_residual, _) in zip(cs, x_mins.tolist(), x_rays):
-            if (min_product >= -params.tol) == (iar_residual <= params.tol):
-                agree += 1
-                continue
-            row = {
-                "x": x.tolist(),
-                "xstar": c.tolist(),
-                "min_product": min_product,
-                "iar_residual": iar_residual,
-            }
-            if abs(min_product) <= params.polar_band:
-                indeterminate += 1
-                row["class"] = "indeterminate"
-            else:
-                hard += 1
-                row["class"] = "hard"
-            disagreements.append(row)
+            cls = classify(min_product >= -params.tol, -min_product,
+                           iar_residual <= params.tol, iar_residual, params.polar_band)
+            counts[cls] += 1
+            if cls != "agree":
+                disagreements.append({"x": x.tolist(), "xstar": c.tolist(), "class": cls,
+                                      "min_product": min_product, "iar_residual": iar_residual})
     return {
         "function": f.name,
         "region": region.describe(),
@@ -171,10 +168,8 @@ def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
         "graph_source": graph.meta["source"],
         "covector_truncated": graph.meta["truncated"],
         "band": params.polar_band,
-        "agree": agree,
-        "indeterminate": indeterminate,
-        "hard": hard,
-        "hard_count": hard,
+        **counts,
+        "hard_count": counts["hard"],
         "disagreements": disagreements,
     }
 
@@ -332,12 +327,10 @@ def run_suites(
     # every suite takes the oracle positionally: bench/tracer.py keys its
     # per-cell wall times by the first positional argument
     per_suite: dict[str, dict[str, dict]] = {}
-    rows_by_fn: dict[str, tuple] = {}
+    reports = {}
     if "prop1" in selected or "thm2" in selected:
         # only the CSV rows print the residuals of agreeing rows
-        reports = {f.name: equivalence_report(f, params, exact=collect_rows) for f in fs}
-        if collect_rows:
-            rows_by_fn = {fid: rep.rows_table() for fid, rep in reports.items()}
+        reports = {f.name: equivalence_report(f, params, collect_rows, selected) for f in fs}
         for name, theorem in EQUIVALENCE_THEOREMS.items():
             if name in selected:
                 per_suite[name] = {fid: rep.section(theorem) for fid, rep in reports.items()}
@@ -354,13 +347,13 @@ def run_suites(
 
     truncation = {fid for sec in out.values() for fid, fn_sec in sec["functions"].items()
                   if fn_sec.get("covector_truncated")}
-    if "thm2" in selected:  # no flag in its section, but its route pairs over a graph
-        truncation |= {fid for fid, rep in reports.items() if rep.probe_meta["graph_truncated"]}
+    # thm2's section has no flag, but its route pairs over a graph (none without thm2)
+    truncation |= {fid for fid, rep in reports.items() if rep.probe_meta.get("graph_truncated")}
     result = {
         "suites": out,
         "hard_total": sum(sec["hard_count"] for sec in out.values()),
         "truncation_flags": sorted(truncation),
     }
-    if collect_rows and rows_by_fn:
-        result["equivalence_rows"] = rows_by_fn
+    if collect_rows and reports:
+        result["equivalence_rows"] = {fid: rep.rows_table() for fid, rep in reports.items()}
     return result

@@ -382,11 +382,12 @@ def test_explain_rays_route_uses_the_thm3_grid(tmp_path, capsys):
     code = main(["explain", "--config", str(cfg_path), "--function", "square",
                  "--x", "1", "--xstar", "3"])
     assert code == 0
-    rays = next(
-        line for line in capsys.readouterr().out.splitlines() if "polar (rays route)" in line
-    )
+    out = capsys.readouterr().out.splitlines()
+    rays = next(line for line in out if "polar (rays route)" in line)
     assert f"residual={row['iar_residual']:.6g} " in rays
     assert row["iar_residual"] == 0.25
+    # the class line comes from the same rule and band as the suite row
+    assert [line for line in out if "suite class" in line] == [f"  suite class: thm3={row['class']}"]
 
 
 def _explain_line(capsys, cfg_path, route):

@@ -17,8 +17,9 @@ from varpolar import (
 )
 from varpolar import core, minty, subdifferential
 from varpolar.core import GraphSample
-from varpolar.library import get_function
+from varpolar.library import FUNCTION_IDS, get_function
 from varpolar.subderivative import DEFAULT_SCHEME, LiminfScheme
+from varpolar.suites import SuiteParams, suite_graph
 from test_clarke_kernel import _MAX3D, _peak_mb
 from test_subderivative import _reference_tail_quotients
 
@@ -138,6 +139,38 @@ def test_minty_subdifferential_needs_usable_sample():
             np.zeros(len(graph), dtype=bool)))
 
 
+@pytest.mark.parametrize("fid", [fid for fid in FUNCTION_IDS
+                                 if get_function(fid).exact_subdifferential is not None])
+def test_subdifferential_route_is_the_max_pairing_over_the_graph(fid):
+    # the route is the polar kernel at x* = 0, negated; here it meets a loop
+    # over the graph's pairs of <y*, xbar - y>, summed coordinate by
+    # coordinate, with the first maximizing pair as the witness
+    f, params = get_function(fid), SuiteParams()
+    region = f.default_region
+    probes = minty._EquivalenceProbes(
+        f, region, params.grid_resolution(f.dim), params.probe_factor, params.t_resolution,
+        suite_graph(f, params, params.probe_resolution(f.dim)), params.scheme,
+        comparisons=["subdifferential_vs_iar"],
+    )
+    assert probes.rays_c is None
+    xgrid = region.sample(params.grid_resolution(f.dim))
+    xbars = xgrid[np.isfinite(f.values(xgrid))]
+    rows = [(xb, r, w) for xb, (r, w) in zip(xbars, probes.rows(xbars, params.tol, params.band))
+            if "subdifferential" in r.residuals]
+    assert rows
+    xs = np.array([xb for xb, _, _ in rows])
+    graph = probes.graph_inside
+    best, first = np.full(len(xs), -math.inf), np.zeros(len(xs), dtype=int)
+    for k, (y, ystar) in enumerate(graph.pairs()):
+        vals = sum(ystar[i] * (xs[:, i] - y[i]) for i in range(f.dim))
+        better = vals > best
+        best[better], first[better] = vals[better], k
+    for (xb, row, witnesses), value, k in zip(rows, best.tolist(), first):
+        assert row.residuals["subdifferential"] == value, xb
+        y, ystar = witnesses["subdifferential"]
+        assert np.array_equal(y, graph.points[k]) and np.array_equal(ystar, graph.covectors[k])
+
+
 # -- cross-validation -------------------------------------------------------------------
 
 def test_cross_validate_square_solutions_exactly_at_zero():
@@ -231,9 +264,12 @@ def _reference_row(probes, xb, tol, band):
         graph = probes.graph_inside
         inside = probes.interior_region.contains_many(graph.points)
         pts, cov = graph.points[inside], graph.covectors[inside]
-        vals = core._pairings(cov, xb[None, :] - pts)
-        i = int(np.argmax(vals))
-        r_sdiff, w_sdiff = float(vals[i]), (pts[i], cov[i])
+        # the polar kernel at x* = 0 for this xbar alone; its value against
+        # a loop over the pairs is checked on the library graphs below
+        mins, args = core._min_products(GraphSample(pts, cov), xb[None, :],
+                                        np.zeros((1, f.dim)), argmin=True)
+        i = int(args[0, 0])
+        r_sdiff, w_sdiff = 0.0 - float(mins[0, 0]), (pts[i], cov[i])
         r_iar_u, w_iar_u = minty._iar_residual(f, xb, probes.rays_u)
         residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
         witnesses.update({"subdifferential": w_sdiff, "iar_open": w_iar_u})

@@ -85,7 +85,9 @@ def _reference_thm3(fid, params):
             if pv.ok == (residual <= params.tol):
                 counts["agree"] += 1
                 continue
-            cls = "indeterminate" if abs(pv.residual) <= params.polar_band else "hard"
+            # the residual of the side that claims the violation decides
+            false_residual = residual if pv.ok else -pv.residual
+            cls = "indeterminate" if abs(false_residual) <= params.polar_band else "hard"
             counts[cls] += 1
             disagreements.append({"x": x.tolist(), "xstar": c.tolist(),
                                   "min_product": pv.residual,

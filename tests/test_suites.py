@@ -14,8 +14,9 @@ import pytest
 
 import varpolar
 import varpolar.cli as cli
-from varpolar import FunctionOracle, IntervalSet, Region, subdifferential
-from varpolar.library import get_function
+import varpolar.suites as suites_module
+from varpolar import FunctionOracle, IntervalSet, Region, minty, subdifferential
+from varpolar.library import FUNCTION_IDS, get_function
 from varpolar.subderivative import LiminfScheme
 from varpolar.suites import SuiteParams, predicates_suite, run_suites, thm3_suite
 
@@ -122,6 +123,60 @@ def test_thm3_classes_a_disagreement_inside_the_band_indeterminate():
         assert row["iar_residual"] <= params.tol
     # beyond the band the same disagreement is hard
     assert thm3_suite(_flat_with_side_oracle(1.0), params)["hard"] > 0
+
+
+def test_thm3_classes_by_the_residual_of_the_side_claiming_the_violation():
+    # |x| with the side-oracle {0} everywhere: the graph relates (x, 0) for
+    # every x (min product 0), while the rays route sees |x| rise toward the
+    # kink by |x|, far beyond the band: the false side is the rays route
+    f = dataclasses.replace(
+        get_function("abs"),
+        name="abs_flat_side",
+        exact_subdifferential=lambda x: IntervalSet(0.0, 0.0),
+        exact_subdifferential_batch=None,
+    )
+    section = thm3_suite(f, SuiteParams(thm3_candidates=5))
+    assert (section["agree"], section["indeterminate"], section["hard"]) == (21, 0, 4)
+    assert section["disagreements"] == [
+        {"x": [x], "xstar": [0.0], "min_product": 0.0, "iar_residual": abs(x), "class": "hard"}
+        for x in (-2.0, -1.0, 1.0, 2.0)
+    ]
+
+
+def _route_calls(monkeypatch, suites):
+    """Run the library's prop1/thm2 selection ``suites`` at the defaults and
+    count the graph samplings, subderivative-route calls, polar-kernel calls
+    (the subdifferential route) and rays grids the run makes."""
+    calls = {"graph": 0, "subderivative": 0, "subdifferential": 0, "rays_grid": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(minty, "sample_subdiff_graph", counting("graph", minty.sample_subdiff_graph))
+    monkeypatch.setattr(suites_module, "suite_graph", counting("graph", suites_module.suite_graph))
+    monkeypatch.setattr(minty, "_subderivative_residuals",
+                        counting("subderivative", minty._subderivative_residuals))
+    monkeypatch.setattr(minty, "_min_products", counting("subdifferential", minty._min_products))
+    monkeypatch.setattr(minty, "_ray_grid", counting("rays_grid", minty._ray_grid))
+    result = run_suites([get_function(fid) for fid in FUNCTION_IDS], suites, SuiteParams())
+    monkeypatch.undo()
+    return calls, result["suites"]
+
+
+def test_a_run_evaluates_only_the_routes_its_suites_read(monkeypatch):
+    n = len(FUNCTION_IDS)
+    prop1_calls, prop1 = _route_calls(monkeypatch, ["prop1"])
+    # no graph, no subdifferential route, and only the closed-region rays grid
+    assert prop1_calls == {"graph": 0, "subderivative": n, "subdifferential": 0, "rays_grid": n}
+    thm2_calls, thm2 = _route_calls(monkeypatch, ["thm2"])
+    # one graph and one polar-kernel call per function, and only the interior rays grid
+    assert thm2_calls == {"graph": n, "subderivative": 0, "subdifferential": n, "rays_grid": n}
+    both_calls, both = _route_calls(monkeypatch, ["prop1", "thm2"])
+    assert both_calls == {"graph": n, "subderivative": n, "subdifferential": n, "rays_grid": 2 * n}
+    assert (prop1["prop1"], thm2["thm2"]) == (both["prop1"], both["thm2"])
 
 
 def test_predicates_report_the_absorbing_witness():

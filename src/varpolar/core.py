@@ -187,10 +187,16 @@ def tensor_grid(axes: Sequence[Array]) -> Array:
 _BLOCK_ENTRIES = 2**16
 
 
+def _block_rows(cols: int) -> int:
+    """Rows of a block of about :data:`_BLOCK_ENTRIES` entries over ``cols``
+    columns (at least one)."""
+    return max(1, _BLOCK_ENTRIES // max(cols, 1))
+
+
 def _row_blocks(rows: int, cols: int):
     """Slices of ``range(rows)`` whose rows × cols blocks hold about
     :data:`_BLOCK_ENTRIES` entries (at least one row each)."""
-    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
+    step = _block_rows(cols)
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
@@ -327,10 +333,12 @@ class PolytopeSet:
 
     def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
         """All vertices plus the vertex centroid. The covector box does not
-        cut a polytope: ``half_width`` is ignored and ``truncated`` is False."""
-        if self.vertices.shape[0] == 1:
-            return self.vertices, False
-        return np.vstack([self.vertices, self.vertices.mean(axis=0, keepdims=True)]), False
+        cut a polytope, but ``truncated`` is set when a representative lies
+        outside it (see :func:`_beyond_box`)."""
+        reps = self.vertices
+        if reps.shape[0] > 1:
+            reps = np.vstack([reps, reps.mean(axis=0, keepdims=True)])
+        return reps, bool(_beyond_box(reps, half_width).any())
 
 
 #: Boundary points of the fan that represents a ball in 2-D and 3-D.
@@ -351,21 +359,33 @@ class BallSet:
 
     def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
         """The center plus a deterministic fan of boundary points. The
-        covector box does not cut a ball: ``half_width`` is ignored and
-        ``truncated`` is False."""
+        covector box does not cut a ball, but ``truncated`` is set when a
+        representative lies outside it (see :func:`_beyond_box`)."""
         dim = self.center.shape[0]
         if dim == 1:
-            pts = np.array([[-self.radius], [0.0], [self.radius]]) + self.center
-            return pts, False
-        if dim == 2:
-            ang = 2.0 * np.pi * np.arange(_BALL_FAN) / _BALL_FAN
-            ring = self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+            reps = np.array([[-self.radius], [0.0], [self.radius]]) + self.center
         else:
-            ring = self.radius * _fibonacci_sphere(_BALL_FAN)
-        return np.vstack([self.center[None, :], self.center[None, :] + ring]), False
+            if dim == 2:
+                ang = 2.0 * np.pi * np.arange(_BALL_FAN) / _BALL_FAN
+                ring = self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+            else:
+                ring = self.radius * _fibonacci_sphere(_BALL_FAN)
+            reps = np.vstack([self.center[None, :], self.center[None, :] + ring])
+        return reps, bool(_beyond_box(reps, half_width).any())
 
 
 SubdiffSet = IntervalSet | PolytopeSet | BallSet
+
+
+def _beyond_box(covectors: Array, half_width: float) -> Array:
+    """Per row of ``covectors``, whether it lies outside the covector box
+    [-half_width, half_width]^dim. The exact route keeps such a row of a
+    polytope or ball, uncut, and flags its point as truncated. Column by
+    column: a reduce along a short last axis costs ten times as much."""
+    beyond = np.abs(covectors[:, 0]) > half_width
+    for k in range(1, covectors.shape[1]):
+        beyond |= np.abs(covectors[:, k]) > half_width
+    return beyond
 
 
 def _fibonacci_sphere(n: int) -> Array:

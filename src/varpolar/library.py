@@ -24,6 +24,7 @@ from .core import (
     PolytopeSet,
     Region,
     SubdiffSet,
+    _beyond_box,
 )
 
 _BOX_1D = Region.interval(-2.0, 2.0)
@@ -174,17 +175,21 @@ def _sdiff_norm2d_batch(points: Array, half_width: float) -> tuple[Array, Array,
     kink = np.flatnonzero(nx == 0.0)
     n = points.shape[0]
     if not kink.size:
-        return np.arange(n), points / nx[:, None], np.zeros(n, dtype=bool)
+        normals = points / nx[:, None]
+        return np.arange(n), normals, _beyond_box(normals, half_width)
     # one unit normal per point, and the whole ball at the kink
-    ball, _ = BallSet(np.zeros(2), 1.0).representatives(half_width)
+    ball, ball_truncated = BallSet(np.zeros(2), 1.0).representatives(half_width)
     nx[kink] = 1.0
     counts = np.ones(n, dtype=np.intp)
     counts[kink] = ball.shape[0]
     owner = np.repeat(np.arange(n), counts)
-    covectors = np.take(points / nx[:, None], owner, axis=0)
+    normals = points / nx[:, None]
+    covectors = np.take(normals, owner, axis=0)
     at = kink + (ball.shape[0] - 1) * np.arange(kink.size)  # each kink's first row
     covectors[at[:, None] + np.arange(ball.shape[0])] = ball
-    return owner, covectors, np.zeros(n, dtype=bool)
+    truncated = _beyond_box(normals, half_width)
+    truncated[kink] = ball_truncated
+    return owner, covectors, truncated
 
 
 def _sd_mixed2d(x: Array, d: Array) -> float:
@@ -213,15 +218,17 @@ def _sdiff_mixed2d_batch(points: Array, half_width: float) -> tuple[Array, Array
     counts = np.ones(n, dtype=np.intp)
     counts[kink] = 3
     owner = np.repeat(np.arange(n), counts) if kink.size else np.arange(n)
+    g = 2.0 * points[:, 0]
     covectors = np.empty((owner.size, 2))
-    covectors[:, 0] = np.take(2.0 * points[:, 0], owner)
+    covectors[:, 0] = np.take(g, owner)
     covectors[:, 1] = np.take(np.where(points[:, 1] > 0, 1.0, -1.0), owner)
     at = kink + 2 * np.arange(kink.size)  # each kink's first row
     covectors[at + 1, 1] = 1.0
     # the mean as PolytopeSet.representatives takes it (a plain sum would
     # keep the sign of g = -0.0)
     covectors[at + 2] = np.stack([covectors[at], covectors[at + 1]], axis=1).mean(axis=1)
-    return owner, covectors, np.zeros(n, dtype=bool)
+    # every row of a point is (g, c) with |c| <= 1, and one has |c| = 1
+    return owner, covectors, (np.abs(g) > half_width) | (half_width < 1.0)
 
 
 def _build_library() -> dict[str, FunctionOracle]:

@@ -31,6 +31,7 @@ from .core import (
     UnusableSampleError,
     Verdict,
     _min_products,
+    _block_rows,
     _pairing,
     _row_blocks,
     as_point,
@@ -68,7 +69,8 @@ class _RayGrid:
     ``axes`` are the grid's per-axis coordinates (last axis fastest, as in
     :func:`~varpolar.core.tensor_grid`) and ``ts`` a uniform [0, 1] grid of
     ``t_resolution >= 2`` points. ``ys`` are the grid points where f is
-    finite, in grid order, and ``fy`` their values.
+    finite, in grid order, ``fy`` their values and ``finite`` the mask of
+    them, shaped as the grid.
 
     Coordinate k of a ray point, fl(fl(a_k (1 - t)) + fl(xbar_k t)), depends
     only on t and on the point's index a_k along axis k. So the grid keeps
@@ -99,6 +101,7 @@ class _RayGrid:
         values = f.values(grid)
         finite = np.isfinite(values)
         self.ys, self.fy = grid[finite], values[finite]
+        self.finite = finite.reshape([len(a) for a in axes])
         self.ts = np.linspace(0.0, 1.0, t_resolution)
         by_row = finite.reshape(len(axes[0]), -1)
         live = np.flatnonzero(by_row.any(axis=1))
@@ -118,6 +121,14 @@ class _RayGrid:
             holes = np.flatnonzero(~by_row[live[rows]].ravel())
             lead = self.coords[0][:, rows].reshape((t, -1) + (1,) * (dim - 1))
             self.blocks.append((cells, holes if holes.size else None, (lead, *rest)))
+
+    def nested(self, step: int) -> Array:
+        """Indices into ``ys`` of the points on every ``step``-th grid line
+        of each axis, in grid order: the points of the grid ``step`` times
+        coarser that a probe grid refines (all of ``ys`` at step 1)."""
+        on = np.zeros_like(self.finite)
+        on[(slice(None, None, step),) * on.ndim] = True
+        return np.flatnonzero(on[self.finite])
 
     def walk(self, xbar: Array) -> list[tuple[slice, Array | None, tuple[Array, ...]]]:
         """The blocks ``(cells, holes, coords)`` with ``coords`` the oracle's
@@ -314,34 +325,66 @@ def iar_check(
     return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
+def _max_quotients(
+    f: FunctionOracle, xbars: Array, ys: Array, fy: Array, scheme: LiminfScheme, step: int
+) -> list[tuple[float, int]]:
+    """For each row xbar of ``xbars``, the max over ys of the subderivative
+    toward xbar and the index of the first maximizing y; ``fy`` holds the
+    values at ``ys``, so f is not evaluated there again.
+
+    The xbar go in blocks of ``step`` rows. A block makes one
+    :func:`_tail_quotients` call over its (y, xbar - y) rows, xbar-major,
+    with the floats of one call per xbar.
+    """
+    n, dim = ys.shape
+    out = []
+    for lo in range(0, xbars.shape[0], step):
+        xb = xbars[lo:lo + step]
+        b = xb.shape[0]
+        dirs = (xb[:, None, :] - ys[None, :, :]).reshape(-1, dim)
+        quot = _tail_quotients(f, np.tile(ys, (b, 1)), dirs, scheme, np.tile(fy, b))
+        vals = quot.min(axis=1).reshape(b, n)
+        args = vals.argmax(axis=1)
+        out.extend(zip(vals[np.arange(b), args].tolist(), args.tolist()))
+    return out
+
+
 def _subderivative_residuals(
     f: FunctionOracle,
     xbars: Array,
     ys: Array,
     fy: Array,
     scheme: LiminfScheme,
+    stop: float = math.inf,
+    first: Array | None = None,
 ) -> list[tuple[float, Array | None]]:
     """For each row xbar of ``xbars``, the max over ys of the subderivative
-    toward xbar and the first maximizing y; ``fy`` holds the values at
-    ``ys``, so f is not evaluated there again.
+    toward xbar and the first maximizing y (see :func:`_max_quotients`);
+    -inf with no witness when ``ys`` is empty. The xbar go in blocks of
+    about :data:`~varpolar.core._BLOCK_ENTRIES` tail-point coordinates.
 
-    The xbar go in row blocks of about :data:`~varpolar.core._BLOCK_ENTRIES`
-    tail-point coordinates. A block makes one :func:`_tail_quotients` call
-    over its (y, xbar - y) rows, xbar-major, with the floats of one call per
-    xbar.
+    With a finite ``stop``, the rows go over ``ys[first]`` first, a subset
+    of the probe points in ``ys`` order (the query-grid points of a nested
+    probe grid, :meth:`_RayGrid.nested`), in blocks of as many tail points
+    as a block over all of ``ys`` holds. A row whose max there exceeds
+    ``stop`` is settled by it: that partial max, with its first maximizing
+    y of the subset, is a lower bound on the row's residual, not the exact
+    maximum. Only the other rows go over all of ``ys``, and their results
+    are exact. Every quotient keeps the bits it has in the full pass.
     """
     if ys.shape[0] == 0:
         return [(-math.inf, None)] * xbars.shape[0]
     n, dim = ys.shape
-    out = []
-    for rows in _row_blocks(xbars.shape[0], n * scheme.tail_count * dim):
-        xb = xbars[rows]
-        b = xb.shape[0]
-        dirs = (xb[:, None, :] - ys[None, :, :]).reshape(-1, dim)
-        quot = _tail_quotients(f, np.tile(ys, (b, 1)), dirs, scheme, np.tile(fy, b))
-        vals = quot.min(axis=1).reshape(b, n)
-        for v, i in zip(vals, vals.argmax(axis=1)):
-            out.append((float(v[i]), ys[i]))
+    step = _block_rows(n * scheme.tail_count * dim)
+    out: list[tuple[float, Array | None] | None] = [None] * xbars.shape[0]
+    if stop < math.inf and first is not None and first.shape[0] < n:
+        coarse = _max_quotients(f, xbars, ys[first], fy[first], scheme, step * n // first.shape[0])
+        for i, (r, k) in enumerate(coarse):
+            if r > stop:
+                out[i] = (r, ys[first[k]])
+    rest = [i for i, o in enumerate(out) if o is None]
+    for i, (r, k) in zip(rest, _max_quotients(f, xbars[rest], ys, fy, scheme, step)):
+        out[i] = (r, ys[k])
     return out
 
 
@@ -421,7 +464,9 @@ class EquivalenceRow:
     xbar with graph pairs) and each class. :meth:`to_dict` prints all the
     residuals, so a row whose classes do not all agree carries exact
     residuals; an agreeing row of ``cross_validate(..., exact=False)`` may
-    carry an endpoint bound on a rays route whose partner is false."""
+    carry a lower bound above tol on a false subderivative route (its max
+    over the query-grid probe points) and an endpoint bound on a rays
+    route whose partner is false."""
 
     xbar: tuple[float, ...]
     interior: bool
@@ -513,8 +558,8 @@ class _EquivalenceProbes:
     region shrunk by one query-grid cell.
 
     :meth:`rows` evaluates the selected routes at a batch of xbar: the
-    subderivative route in blocks of xbar (see
-    :func:`_subderivative_residuals`), the subdifferential route at all
+    subderivative route in one :func:`_subderivative_residuals` call, in
+    blocks of xbar, the subdifferential route at all
     interior xbar in one call of the polar kernel at x* = 0, and the rays
     routes one xbar at a time. ``cross_validate`` calls it once over its
     finite xbar and ``explain`` with one row, so its lines match the suite
@@ -534,7 +579,7 @@ class _EquivalenceProbes:
     ) -> None:
         if not set(comparisons) <= set(COMPARISONS):
             raise ValueError(f"comparisons must be among {COMPARISONS}")
-        self.f, self.scheme = f, scheme
+        self.f, self.scheme, self.probe_factor = f, scheme, probe_factor
         self.probe_resolution = probe_factor * (resolution - 1) + 1
         self.interior_region = region.shrink(region.spacing(resolution))
         self.rays_c = self.rays_u = self.graph = self.graph_inside = None
@@ -553,20 +598,26 @@ class _EquivalenceProbes:
         of each route's residual. thm2's routes run only at interior xbar
         and when the interior holds graph pairs.
 
-        With ``exact`` False, a rays route whose partner route is already
-        false (residual > ``tol``) stops at ``tol`` (see
-        :func:`_iar_residual`): its comparison agrees whatever the exact
-        residual, so a row whose classes all agree may carry an endpoint
-        bound there, with its witness. A row with any other class is
-        printed with all its residuals, so its bounds are replaced by the
-        exact residuals and witnesses; its verdicts and classes do not
-        change."""
+        With ``exact`` False, the subderivative route stops at ``tol``: a
+        row whose max over the query-grid probe points exceeds ``tol`` keeps
+        that lower bound and its witness, and only the other rows take the
+        whole probe grid (see :func:`_subderivative_residuals`). A rays
+        route whose partner route is already false (residual > ``tol``)
+        stops at ``tol`` too (see :func:`_iar_residual`). Either bound
+        decides its verdict, so a row whose classes all agree may carry it,
+        with its witness. A row with any other class is printed with all
+        its residuals: its bounds are replaced by the exact residuals and
+        witnesses before it is classed, so its verdicts, classes and
+        residuals are those of the exact run."""
         f = self.f
         interior = self.interior_region.contains_many(xbars)
         partners = []  # (comparison, route, its (residual, witness) per xbar, rays route, grid)
+        sub_stop = math.inf if exact else tol
         if self.rays_c is not None:
-            sub = _subderivative_residuals(f, xbars, self.rays_c.ys, self.rays_c.fy, self.scheme)
-            partners.append(("subderivative_vs_iar", "subderivative", sub, "iar", self.rays_c))
+            closed = self.rays_c
+            sub = _subderivative_residuals(f, xbars, closed.ys, closed.fy, self.scheme, sub_stop,
+                                           closed.nested(self.probe_factor))
+            partners.append(("subderivative_vs_iar", "subderivative", sub, "iar", closed))
         if self.graph_inside is not None and len(self.graph_inside) > 0:
             g, at = self.graph_inside, np.flatnonzero(interior)
             mins, args = _min_products(g, xbars[at], np.zeros((1, f.dim)), argmin=True)
@@ -577,7 +628,7 @@ class _EquivalenceProbes:
                              self.rays_u))
         out = []
         for i, (xb, inner) in enumerate(zip(xbars, interior)):
-            residuals, verdicts, witnesses, classes, stops = {}, {}, {}, {}, {}
+            residuals, verdicts, witnesses, stops, graded = {}, {}, {}, {}, []
             for comparison, route, evaluated, rays, grid in partners:
                 if evaluated[i] is None:
                     continue
@@ -587,11 +638,20 @@ class _EquivalenceProbes:
                 residuals.update({route: r, rays: r_iar})
                 verdicts.update({route: r <= tol, rays: r_iar <= tol})
                 witnesses.update({route: w, rays: w_iar})
-                classes[comparison] = classify(r <= tol, r, r_iar <= tol, r_iar, band)
-            if set(classes.values()) != {"agree"}:
+                graded.append((comparison, route, rays))
+            if any(verdicts[route] != verdicts[rays] for _, route, rays in graded):
+                # a class other than agree: the row is printed, so its
+                # bounds give way to the exact residuals and witnesses
                 for rays, (stop, grid) in stops.items():
                     if residuals[rays] > stop:
                         residuals[rays], witnesses[rays] = _iar_residual(f, xb, grid)
+                if residuals.get("subderivative", -math.inf) > sub_stop:
+                    closed = self.rays_c
+                    ((residuals["subderivative"], witnesses["subderivative"]),) = (
+                        _subderivative_residuals(f, xb[None, :], closed.ys, closed.fy, self.scheme))
+            classes = {comparison: classify(verdicts[route], residuals[route],
+                                            verdicts[rays], residuals[rays], band)
+                       for comparison, route, rays in graded}
             xbar = tuple(float(c) for c in xb)
             out.append((EquivalenceRow(xbar, bool(inner), residuals, verdicts, classes), witnesses))
         return out
@@ -630,10 +690,10 @@ def cross_validate(
     has no graph entries.
 
     Every residual is exact by default. With ``exact`` False, the rows whose
-    classes all agree may carry a rays residual that is only a lower bound
-    above ``tol`` (see :meth:`_EquivalenceProbes.rows`); the verdicts,
-    classes and sections are those of the exact run, and so is every row of
-    :meth:`EquivalenceReport.disagreements`.
+    classes all agree may carry a subderivative or rays residual that is
+    only a lower bound above ``tol`` (see :meth:`_EquivalenceProbes.rows`);
+    the verdicts, classes and sections are those of the exact run, and so
+    is every row of :meth:`EquivalenceReport.disagreements`.
     """
     if region is None:
         region = f.default_region

@@ -13,8 +13,9 @@ The covector box [-w, w]^n cuts two kinds of set: the 1-D intervals of the
 exact route and the support-table polytopes of the numeric route. A point
 whose set it cut carries a truncation flag, so an unbounded subdifferential
 is reported rather than silently clipped. The exact route's polytopes and
-balls are listed whole whatever the box, and the gradient hull is used only
-where every sampled gradient lies in the box.
+balls are listed whole whatever the box, flagged where a representative
+leaves it, and the gradient hull is used only where every sampled gradient
+lies in the box.
 """
 
 from __future__ import annotations

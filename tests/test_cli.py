@@ -504,17 +504,26 @@ def test_explain_non_finite_point_is_a_usage_error(capsys, point_args):
     assert captured.out == ""
 
 
-def test_determinism_config_report_matches_the_stored_bytes(tmp_path, monkeypatch):
-    """The timing-free report of the determinism config, byte for byte, as
-    stored in tests/data (a change that keeps behaviour keeps these bytes)."""
-    monkeypatch.chdir(tmp_path)
-    Path("run.ini").write_text(
-        "[run]\nsuites = all\nresolution = 33\nresolution_2d = 9\n"
-        "thm3_candidates = 9\nthm3_candidates_2d = 3\nout = report\n",
-        encoding="utf-8",
-    )
+def _assert_report_matches_the_stored_bytes(config: str, stored: str) -> None:
+    """The timing-free report of the ``[run]`` section ``config`` (run in
+    the current directory, with ``out = report``), byte for byte, as stored
+    in tests/data (a change that keeps behaviour keeps these bytes)."""
+    Path("run.ini").write_text(f"[run]\n{config}out = report\n", encoding="utf-8")
     assert main(["suite", "--config", "run.ini"]) == 0
     report = json.loads(Path("report/report.json").read_text(encoding="utf-8"))
     fresh = report_json(report, include_timing=False) + "\n"
-    stored = Path(__file__).parent / "data" / "determinism_report.json"
-    assert fresh.encode() == stored.read_bytes()
+    assert fresh.encode() == (Path(__file__).parent / "data" / stored).read_bytes()
+
+
+def test_determinism_config_report_matches_the_stored_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _assert_report_matches_the_stored_bytes(
+        "suites = all\nresolution = 33\nresolution_2d = 9\n"
+        "thm3_candidates = 9\nthm3_candidates_2d = 3\n",
+        "determinism_report.json",
+    )
+
+
+def test_default_config_report_matches_the_stored_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _assert_report_matches_the_stored_bytes("", "default_report.json")

@@ -188,6 +188,13 @@ def test_polytope_segment_membership():
     assert any(np.allclose(r, [2.0, 0.0]) for r in reps)
 
 
+def test_a_polytope_outside_the_covector_box_is_flagged_not_cut():
+    seg = PolytopeSet(np.array([[2.0, -1.0], [2.0, 1.0]]))
+    inside, flagged = seg.representatives(half_width=2.0), seg.representatives(half_width=1.5)
+    assert inside[1] is False and flagged[1] is True
+    assert np.array_equal(inside[0], flagged[0]) and inside[0].shape == (3, 2)
+
+
 def test_ball_set_membership_is_exact_on_the_sphere():
     # the representatives are members of the ball: its center and a fan on
     # the sphere
@@ -200,9 +207,12 @@ def test_ball_set_membership_is_exact_on_the_sphere():
 
 def test_ball_set_representatives_in_one_and_three_dimensions():
     # 1-D: the interval's two ends and the center; 3-D: the center and a
-    # Fibonacci fan on the sphere; the box cuts neither
+    # Fibonacci fan on the sphere; the box cuts neither, but flags the 1-D
+    # ball, whose ends lie outside it, and not at half-width 2.5, which
+    # holds them
     reps, truncated = BallSet(np.array([0.5]), 2.0).representatives(half_width=1.0)
-    assert reps.tolist() == [[-1.5], [0.5], [2.5]] and truncated is False
+    assert reps.tolist() == [[-1.5], [0.5], [2.5]] and truncated is True
+    assert BallSet(np.array([0.5]), 2.0).representatives(half_width=2.5)[1] is False
     center = np.array([1.0, -1.0, 0.0])
     reps, truncated = BallSet(center, 0.5).representatives()
     assert reps.shape == (17, 3) and truncated is False

@@ -157,13 +157,13 @@ def _assert_batched_matches_per_point(f, points, half_width):
         assert bool(truncated[i]) == want_truncated, (f.name, x)
 
 
-@pytest.mark.parametrize("half_width", [10.0, 0.5])
+@pytest.mark.parametrize("half_width", [10.0, 0.5, 2.0])
 def test_batched_side_oracle_matches_per_point_representatives(half_width):
     # Default grids, the cdd local grids of the epsilon ladder around the
     # kink at the origin, random points whose coordinates are not dyadic (so
     # that rounding differences show), and a copy without the batched form
     # that takes the generic per-point route; half_width 0.5 clips most
-    # covector sets.
+    # covector sets, and 2.0 flags mixed2d's sets only where |2 x1| > 2.
     rng = np.random.default_rng(0)
     for f in library_oracles():
         if f.exact_subdifferential is None:

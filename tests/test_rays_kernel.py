@@ -27,6 +27,7 @@ from varpolar.minty import (
     _iar_residual,
     _ray_grid,
     _RayGrid,
+    _subderivative_residuals,
     _tilted_iar_residuals,
 )
 from varpolar.polar import DEFAULT_RAY_RESOLUTION
@@ -244,9 +245,14 @@ def _rays_cases(draw, most_dim=3):
     return f, axes, xbar, covectors, t_resolution, budget
 
 
+def _same_float(a, b):
+    """Equal, sign of zero included."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def _assert_same_rays(got, want):
     (r, witness), (r_want, witness_want) = got, want
-    assert r == r_want and math.copysign(1.0, r) == math.copysign(1.0, r_want)
+    assert _same_float(r, r_want)
     if witness_want is None:
         assert witness is None
     else:
@@ -342,7 +348,7 @@ def _equivalence_cases(draw):
                         meta={"source": "exact"})
     knobs = {
         "resolution": draw(st.integers(3, 9 if dim == 1 else 5)),
-        "probe_factor": draw(st.integers(1, 2)),
+        "probe_factor": draw(st.integers(1, 3)),
         "t_resolution": draw(st.integers(2, 9)),
         "tol": draw(st.sampled_from([1e-6, 0.1, 1.0])),
         "band": draw(st.sampled_from([1e-3, 0.5])),
@@ -364,12 +370,18 @@ def test_equivalence_rows_with_stops_keep_verdicts_classes_and_printed_residuals
     for (row, witnesses), (got, got_witnesses) in zip(exact, fast):
         assert (got.verdicts, got.classes) == (row.verdicts, row.classes)
         assert got.residuals.keys() == row.residuals.keys()
-        for route in ("subderivative", "subdifferential"):
-            assert got.residuals.get(route) == row.residuals.get(route)
+        assert got.residuals.get("subdifferential") == row.residuals.get("subdifferential")
         # a row with a class other than agree is printed with all its
-        # residuals: those stay exact; an agreeing row may carry a bound
-        # above tol, with witness t = 1
+        # residuals: those stay exact. On an agreeing row, the subderivative
+        # route and the rays routes may carry a lower bound above tol: the
+        # subderivative's from the query-grid probe points, the rays
+        # routes' with witness t = 1
         printed = set(row.classes.values()) != {"agree"}
+        if "subderivative" in row.residuals:
+            got_pair = (got.residuals["subderivative"], got_witnesses["subderivative"])
+            want = (row.residuals["subderivative"], witnesses["subderivative"])
+            if not (_same_float(got_pair[0], want[0]) and np.array_equal(got_pair[1], want[1])):
+                assert not printed and tol < got_pair[0] <= want[0]
         for route in {"iar", "iar_open"} & row.residuals.keys():
             got_pair = (got.residuals[route], got_witnesses[route])
             want = (row.residuals[route], witnesses[route])
@@ -380,14 +392,70 @@ def test_equivalence_rows_with_stops_keep_verdicts_classes_and_printed_residuals
                 assert got_pair[1][1] == 1.0
 
 
+def _tents(x):
+    """Two tents of height 0.05 on [-2, 2], each rising from a probe point:
+    at -0.5, on the query grid of resolution 9, with slope 0.25; at 0.25,
+    between query points, with slope 50."""
+    def tent(start, width):
+        return 0.05 * np.maximum(0.0, 1.0 - np.abs(x - start - width) / width)
+    return tent(-0.5, 0.2) + tent(0.25, 1e-3)
+
+
+def test_a_row_settled_on_the_query_grid_is_classed_by_its_exact_residual():
+    # no ray rises by more than 0.05 <= tol, so the rays route holds at
+    # every xbar. At -1 the subderivative route fails by 0.1875, inside the
+    # band, from -0.25, between query points. At 0.5 it fails, and at the
+    # query points alone its max, 0.25 from -0.5, lies inside the band; the
+    # exact max, 12.5 from 0.25, makes the row hard, and so must the
+    # settled run
+    f = FunctionOracle("tents", 1, fn=lambda x: float(_tents(x[0])), batch=_tents)
+    probes = minty._EquivalenceProbes(f, Region.box([(-2.0, 2.0)]), 9, 2, 8, None,
+                                      DEFAULT_SCHEME, ["subderivative_vs_iar"])
+    xbars = np.array([[-1.0], [0.5]])
+    exact, fast = probes.rows(xbars, 0.1, 0.5), probes.rows(xbars, 0.1, 0.5, exact=False)
+    assert [row.classes["subderivative_vs_iar"] for row, _ in exact] == ["indeterminate", "hard"]
+    for (row, witnesses), (got, got_witnesses) in zip(exact, fast):
+        assert (got.verdicts, got.classes, got.residuals) == (row.verdicts, row.classes,
+                                                              row.residuals)
+        assert np.array_equal(got_witnesses["subderivative"], witnesses["subderivative"])
+    assert fast[1][0].residuals["subderivative"] > 12.0
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_subderivative_rows_settled_on_the_query_grid_keep_its_max(fid):
+    # the nested probe points are the query grid's; a row whose max over
+    # them exceeds the stop is that max and its first maximizing y, a lower
+    # bound, and every other row is the exact one, bit for bit
+    f = get_function(fid)
+    region = f.default_region
+    rays = _ray_grid(f, region, SMALL.probe_resolution(f.dim), SMALL.t_resolution)
+    first = rays.nested(SMALL.probe_factor)
+    xbars = region.sample(SMALL.grid_resolution(f.dim))
+    xbars = xbars[np.isfinite(f.values(xbars))]
+    assert np.allclose(rays.ys[first], xbars, rtol=0.0, atol=1e-12)
+    exact = _subderivative_residuals(f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME)
+    coarse = _subderivative_residuals(f, xbars, rays.ys[first], rays.fy[first], DEFAULT_SCHEME)
+    for stop in (1e-6, 0.5, -math.inf):
+        got = _subderivative_residuals(f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME, stop, first)
+        for (r, y), e, c in zip(got, exact, coarse):
+            want = c if c[0] > stop else e
+            assert _same_float(r, want[0]) and np.array_equal(y, want[1])
+            assert r <= e[0]
+
+
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
 def test_cross_validate_sections_do_not_depend_on_exact(fid):
+    # probe factor 1 has no coarser query grid to settle rows on first
     f = get_function(fid)
-    resolution = SMALL.grid_resolution(f.dim)
-    exact = cross_validate(f, resolution=resolution, t_resolution=SMALL.t_resolution)
-    fast = cross_validate(f, resolution=resolution, t_resolution=SMALL.t_resolution, exact=False)
-    for theorem in ("subderivative_vs_iar", "subdifferential_vs_iar"):
-        assert fast.section(theorem) == exact.section(theorem)
+    for probe_factor in (1, 2, 3):
+        knobs = {"resolution": SMALL.grid_resolution(f.dim), "probe_factor": probe_factor,
+                 "t_resolution": SMALL.t_resolution}
+        exact = cross_validate(f, **knobs)
+        fast = cross_validate(f, **knobs, exact=False)
+        for theorem in ("subderivative_vs_iar", "subdifferential_vs_iar"):
+            assert fast.section(theorem) == exact.section(theorem), probe_factor
+        graded = [[(r.verdicts, r.classes) for r in rep.rows] for rep in (fast, exact)]
+        assert graded[0] == graded[1], probe_factor
 
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
@@ -504,19 +572,24 @@ def test_small_rays_run_oracle_evaluation_count(counted):
     # probe-grid values as the subderivative's base values; evaluating them
     # again per xbar made it 144 calls over 75,552 points. The subderivative
     # route takes its tail points for a block of xbar in one call; one call
-    # per xbar made it 110 calls over the same 73,374
-    assert (len(counted), sum(counted)) == (90, 53_256)
+    # per xbar made it 110 calls over the same 73,374. The subderivative
+    # route settles a row on the query-grid probe points first and takes
+    # the full probe grid only for the rows left open; taking it for every
+    # row made this run 90 calls over 53,256 points
+    assert (len(counted), sum(counted)) == (92, 39_516)
 
 
 def test_default_rays_cells_oracle_evaluation_count(counted):
     # the rays workload's cells: all 9 functions, prop1/thm2/thm3 at the
     # default knobs. Walking every rays route took 4,260 calls over
     # 86,102,347 points; the endpoint bound settles most of the routes whose
-    # partner is false
+    # partner is false. Taking the subderivative route's full probe grid
+    # for every row took 2,263 calls over 10,329,513 points; the query-grid
+    # probe points settle most false rows first
     result = run_suites([get_function(fid) for fid in FUNCTION_IDS],
                         ["prop1", "thm2", "thm3"], SuiteParams())
     assert result["hard_total"] == 0
-    assert (len(counted), sum(counted)) == (2_263, 10_329_513)
+    assert (len(counted), sum(counted)) == (2_124, 5_599_693)
 
 
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):

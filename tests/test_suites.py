@@ -179,6 +179,14 @@ def test_a_run_evaluates_only_the_routes_its_suites_read(monkeypatch):
     assert (prop1["prop1"], thm2["thm2"]) == (both["prop1"], both["thm2"])
 
 
+def test_exact_covectors_outside_the_box_flag_their_function():
+    # mixed2d's exact polytopes reach (4, 1): the box at half-width 0.5
+    # keeps them whole, and flags them, as it flags the numeric route's cut
+    params = SuiteParams(covector_half_width=0.5, resolution_2d=9)
+    result = run_suites([get_function("mixed2d")], ["thm3", "cdd", "predicates"], params)
+    assert result["truncation_flags"] == ["mixed2d"]
+
+
 def test_predicates_report_the_absorbing_witness():
     # |x| with the side-oracle {0} at the kink: a candidate (x, x*) near 0
     # with |x*| < 1 can be related to the graph, but the covectors sampled

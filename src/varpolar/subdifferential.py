@@ -36,6 +36,7 @@ from .core import (
     Region,
     Verdict,
     as_point,
+    _block_rows,
     _fibonacci_sphere,
     _pairings,
     _row_blocks,
@@ -54,10 +55,6 @@ EPS_LADDER: tuple[float, ...] = tuple(2.0 ** -k for k in range(11))
 #: Points per axis of the local box grid around each base point and epsilon
 #: in the cdd pass.
 _CDD_GRID = 9
-
-#: Stacked local grid points per block of base points in the cdd pass:
-#: 41 base points in 1-D and 4 in 2-D at the default ladder and grid.
-_CDD_BLOCK_POINTS = 4096
 
 #: Tolerance of the subderivative / enlargement inequality.
 DEFAULT_CDD_TOL = 1e-3
@@ -282,14 +279,22 @@ def _gradient_hulls(
     The hull is usable where every sampled value is finite and every
     gradient lies in the covector box; elsewhere (near a domain boundary,
     or where f is steeper than the box) the point has no rows. Points go in
-    row blocks, one oracle call per block.
+    row blocks of about :data:`~varpolar.core._BLOCK_ENTRIES` entries, one
+    oracle call per block, and the budget counts every temporary a point
+    allocates, not only its largest: six entries per coordinate of the
+    point's 2 S dim**2 difference sides. A point's rows do not depend on its
+    block.
     """
     n, dim = pts.shape
     offsets = _HULL_RADIUS * np.vstack([np.zeros((1, dim)), dirs])  # (S, dim)
     axis = np.arange(dim)
     usable = np.zeros(n, dtype=bool)
     pieces = []
-    for rows in _row_blocks(n, 2 * len(offsets) * dim * dim):
+    # Besides its sides, a point holds their values, the steps, the gradients
+    # and the merge's arrays: measured with tracemalloc on one block, 6.6
+    # times the sides' entries in 1-D, 6.8 in 2-D and 4.6 in 3-D. Counting
+    # the sides alone let a 1-D cdd block's hulls set the pass's peak.
+    for rows in _row_blocks(n, 6 * (2 * len(offsets) * dim * dim)):
         # the two sides of each axis difference at each sample: (2, b, S, dim, dim)
         y = pts[rows, None, :] + offsets[None, :, :]
         sides = np.repeat(y[None, :, :, None, :], 2, axis=0).repeat(dim, axis=3)
@@ -405,23 +410,33 @@ def sample_subdiff_graph(
 # Epsilon-enlargement
 # ---------------------------------------------------------------------------
 
-def _enlargement_mask(
-    diffs: Array, fvals: Array, fx: Array | float, covectors: Array, eps: Array | float
-) -> Array:
-    """The three enlargement conditions row by row, for rows (x, x*) with
-    ``diffs`` = x - xbar and ``fvals`` = f(x): ||x - xbar|| <= eps,
-    |f(x) - f(xbar)| <= eps and <x*, x - xbar> <= eps. ``fx`` and ``eps``
-    are scalars or per-row arrays; a row with f(x) = +inf fails the second
-    condition."""
+def _point_conditions(diffs: Array, fvals: Array, fx: Array | float, eps: Array | float) -> Array:
+    """The enlargement conditions on the point x alone, for points with
+    ``diffs`` = x - xbar and ``fvals`` = f(x): ||x - xbar|| <= eps and
+    |f(x) - f(xbar)| <= eps (the f-attentive neighbourhood). ``fx`` and
+    ``eps`` are scalars or per-point arrays; a point where f is not finite
+    fails the second condition."""
     with np.errstate(invalid="ignore"):
         close_f = np.abs(fvals - fx) <= eps
     # the square root of the coordinate-by-coordinate sum of squares has the
     # bits of np.linalg.norm(diffs, axis=1) without its strided reduce
-    return (
-        (np.sqrt(_pairings(diffs, diffs)) <= eps)
-        & close_f
-        & (_pairings(covectors, diffs) <= eps)
-    )
+    return (np.sqrt(_pairings(diffs, diffs)) <= eps) & close_f
+
+
+def _row_condition(covectors: Array, diffs: Array, eps: Array | float) -> Array:
+    """The enlargement condition on the covector, row by row:
+    <x*, x - xbar> <= eps for rows (x, x*) with ``diffs`` = x - xbar."""
+    return _pairings(covectors, diffs) <= eps
+
+
+def _enlargement_mask(
+    diffs: Array, fvals: Array, fx: Array | float, covectors: Array, eps: Array | float
+) -> Array:
+    """The three enlargement conditions row by row, for rows (x, x*) with
+    ``diffs`` = x - xbar and ``fvals`` = f(x): the point conditions
+    (:func:`_point_conditions`) and the row condition
+    (:func:`_row_condition`)."""
+    return _point_conditions(diffs, fvals, fx, eps) & _row_condition(covectors, diffs, eps)
 
 
 def epsilon_enlargement(
@@ -459,8 +474,14 @@ def _local_grids(xbars: Array, eps: Array, resolution: int) -> Array:
         resolution,
         axis=-1,
     )  # (B, L, dim, resolution)
-    idx = np.indices((resolution,) * dim).reshape(dim, -1)  # last axis fastest
-    return np.stack([axes[:, :, i, idx[i]] for i in range(dim)], axis=-1)
+    nb, levels = axes.shape[:2]
+    # coordinate i varies along grid axis i, the last one fastest
+    grids = np.empty((nb, levels) + (resolution,) * dim + (dim,))
+    for i in range(dim):
+        shape = [nb, levels] + [1] * dim
+        shape[2 + i] = resolution
+        grids[..., i] = axes[:, :, i].reshape(shape)
+    return grids.reshape(nb, levels, -1, dim)
 
 
 def _cell_suprema(cells: Array, values: Array, n: int) -> Array:
@@ -483,100 +504,138 @@ def _cdd_profiles(
     scheme: LiminfScheme,
     covector_half_width: float,
     tol: float,
-) -> Iterator[list[Verdict]]:
-    """The verdicts of :func:`cdd_profile` at each row of ``xbars``, in order.
+) -> Iterator[tuple[Array, ...]]:
+    """The verdict arrays of :func:`_cdd_verdicts` for consecutive blocks of
+    the rows of ``xbars``, in order: the stacked pass behind
+    :func:`cdd_profile` and ``suites.cdd_suite``.
 
-    Base points go in blocks of about ``_CDD_BLOCK_POINTS`` stacked grid
-    points. A block takes f at its base points in one oracle call (each
-    value has the bits of the ``f.value`` that :func:`epsilon_enlargement`
-    takes), and makes one oracle call on all of its (base, epsilon) local
-    grids, one :func:`_graph_rows` call on their finite points and one
-    :func:`lower_dini_values` call for all left-hand sides; the enlargement
-    conditions of :func:`epsilon_enlargement` are applied row by row against
-    the base and epsilon of the row's grid, and a segmented maximum gives
-    each (base, epsilon) supremum (:func:`_cell_suprema`: the points come in
-    cell order and each point's rows together, so the kept rows' cells are
-    nondecreasing). Every per-row operation is the one a
-    single-base call makes, so each base gets the same floats as alone.
+    A block holds about :data:`~varpolar.core._BLOCK_ENTRIES` (stacked grid
+    point, direction) entries: 331 base points in 1-D and 18 in 2-D at the
+    default ladder and grid with the directions +-e_i. Each block is one
+    :func:`_cdd_block` call, whose temporaries are gone before the block's
+    arrays are yielded.
     """
     source = _resolve_source(f, "auto")
-    eps = np.asarray(EPS_LADDER)
-    levels = eps.size
-    grid_points = _CDD_GRID ** f.dim
-    block = max(1, _CDD_BLOCK_POINTS // (levels * grid_points))
+    stacked = len(EPS_LADDER) * _CDD_GRID**f.dim
+    block = _block_rows(stacked * dirs.shape[0])
     for start in range(0, xbars.shape[0], block):
         xb = xbars[start : start + block]
-        nb = xb.shape[0]
-        fx = f.values(xb)
-        if not np.all(np.isfinite(fx)):
-            raise DomainError("the inequality check needs f(xbar) finite")
+        yield _cdd_block(f, xb, dirs, source, scheme, covector_half_width, tol)
 
-        # cell[i] = base * levels + level of stacked grid point i
-        pts = _local_grids(xb, eps, _CDD_GRID).reshape(-1, f.dim)
-        cell = np.repeat(np.arange(nb * levels), grid_points)
-        fvals = f.values(pts)
-        finite = np.isfinite(fvals)
-        # np.compress and np.take gather the rows of a narrow 2-D array
-        # several times faster than boolean and integer indexing
-        pts, fvals, cell = np.compress(finite, pts, axis=0), fvals[finite], cell[finite]
-        owner, covectors, truncated = _graph_rows(f, pts, source, covector_half_width, scheme)
 
-        # Duplicate rows change neither a supremum nor emptiness, so the rows
-        # need no deduplication.
-        row_cell = cell[owner]
-        row_base = row_cell // levels
-        eps_rows = eps[row_cell % levels]
-        diffs = np.take(pts, owner, axis=0) - np.take(xb, row_base, axis=0)
-        kept = _enlargement_mask(diffs, fvals[owner], fx[row_base], covectors, eps_rows)
-        pairings = np.compress(kept, covectors @ dirs.T, axis=0)
-        sups = _cell_suprema(row_cell[kept], pairings, nb * levels)
-        rhs_values = sups.reshape(nb, levels, -1).min(axis=1)
-        empty = np.ones(nb * levels, dtype=bool)
-        empty[row_cell[kept]] = False
-        empty = empty.reshape(nb, levels)
-        base_truncated = np.zeros(nb, dtype=bool)
-        base_truncated[cell[truncated] // levels] = True
-        lhs_values = lower_dini_values(
-            f, np.repeat(xb, dirs.shape[0], axis=0), np.tile(dirs, (nb, 1)), scheme
-        ).reshape(nb, -1)
+def _cdd_block(
+    f: FunctionOracle,
+    xb: Array,
+    dirs: Array,
+    source: str,
+    scheme: LiminfScheme,
+    covector_half_width: float,
+    tol: float,
+) -> tuple[Array, ...]:
+    """:func:`_cdd_verdicts` at the block of base points ``xb``.
 
-        for b in range(nb):
-            empty_eps = EPS_LADDER[int(np.argmax(empty[b]))] if empty[b].any() else None
-            yield _cdd_verdicts(
-                lhs_values[b], rhs_values[b], dirs, bool(base_truncated[b]), empty_eps, tol
-            )
+    The block takes f at its base points in one oracle call (each value has
+    the bits of the ``f.value`` that :func:`epsilon_enlargement` takes), and
+    makes one oracle call on all of its (base, epsilon) local grids. The
+    point conditions (:func:`_point_conditions`) drop a stacked point that
+    is too far from its base, in x or in f, before its graph rows are
+    sampled: such a point's rows could never enter the supremum. One
+    :func:`_graph_rows` call samples the rest, and the row condition
+    (:func:`_row_condition`) filters each row against the base and epsilon
+    of its grid; a segmented maximum gives each (base, epsilon) supremum
+    (:func:`_cell_suprema`: the points come in cell order and each point's
+    rows together, so the kept rows' cells are nondecreasing). A base point
+    is truncated when the set of one of its kept points is. One
+    :func:`lower_dini_values` call gives all left-hand sides. Every per-row
+    operation is the one a single-base call makes, so each base gets the
+    same floats as alone.
+    """
+    eps = np.asarray(EPS_LADDER)
+    levels = eps.size
+    nb = xb.shape[0]
+    fx = f.values(xb)
+    if not np.all(np.isfinite(fx)):
+        raise DomainError("the inequality check needs f(xbar) finite")
+
+    cell, pts, diffs = _near_points(f, xb, fx, eps)
+    owner, covectors, truncated = _graph_rows(f, pts, source, covector_half_width, scheme)
+
+    # Duplicate rows change neither a supremum nor emptiness, so the rows
+    # need no deduplication.
+    row_cell = cell[owner]
+    kept = _row_condition(covectors, np.take(diffs, owner, axis=0), eps[row_cell % levels])
+    pairings = np.compress(kept, covectors @ dirs.T, axis=0)
+    kept_cells = row_cell[kept]
+    sups = _cell_suprema(kept_cells, pairings, nb * levels)
+    rhs = sups.reshape(nb, levels, -1).min(axis=1)
+    empty = np.ones(nb * levels, dtype=bool)
+    empty[kept_cells] = False
+    empty = empty.reshape(nb, levels)
+    empty_eps = np.where(empty.any(axis=1), eps[np.argmax(empty, axis=1)], math.nan)
+    base_truncated = np.zeros(nb, dtype=bool)
+    base_truncated[cell[truncated] // levels] = True
+    lhs = lower_dini_values(
+        f, np.repeat(xb, dirs.shape[0], axis=0), np.tile(dirs, (nb, 1)), scheme
+    ).reshape(nb, -1)
+    return _cdd_verdicts(lhs, rhs, base_truncated, empty_eps, tol)
+
+
+def _near_points(f: FunctionOracle, xb: Array, fx: Array, eps: Array) -> tuple[Array, Array, Array]:
+    """The stacked grid points of a block that meet the point conditions
+    (:func:`_point_conditions`) of their base and epsilon, in stacked order:
+    their cells (base * levels + level), their coordinates and their
+    differences x - xbar. One oracle call takes f on all of the block's
+    (base, epsilon) local grids; the whole grids are gone on return."""
+    # (base, level, grid point) axes, broadcast against the base's f(xbar)
+    # and the level's epsilon
+    grids = _local_grids(xb, eps, _CDD_GRID)
+    diffs = grids - xb[:, None, None, :]
+    fvals = f.values(grids.reshape(-1, f.dim)).reshape(grids.shape[:3])
+    near = np.flatnonzero(_point_conditions(diffs, fvals, fx[:, None, None], eps[:, None]))
+    # np.take gathers the rows of a narrow 2-D array several times faster
+    # than integer indexing
+    return (
+        near // grids.shape[2],
+        np.take(grids.reshape(-1, f.dim), near, axis=0),
+        np.take(diffs.reshape(-1, f.dim), near, axis=0),
+    )
 
 
 def _cdd_verdicts(
-    lhs_values: Array,
-    rhs_values: Array,
-    dirs: Array,
-    truncated: bool,
-    empty_eps: float | None,
-    tol: float,
-) -> list[Verdict]:
-    """One verdict per direction from the subderivatives and the minimum
-    over the ladder of the enlargement suprema at one base point."""
-    verdicts = []
+    lhs: Array, rhs: Array, truncated: Array, empty_eps: Array, tol: float
+) -> tuple[Array, ...]:
+    """The one decision rule of the inequality, over a block of base points
+    and directions: from the (B, J) subderivatives ``lhs`` and minima over
+    the ladder of the enlargement suprema ``rhs``, the (B,) truncation
+    flags and the (B,) first epsilon of an empty enlargement (NaN where
+    every enlargement is nonempty), the arrays (lhs, rhs, ok, residual,
+    truncated, empty_eps).
+
+    A check fails with residual +inf where the enlargement is empty. Where
+    lhs is +inf, a covector set cut by the box cannot reach an infinite
+    supremum: with the truncation documented the check passes by
+    convention, as it does when rhs is +inf too, with residual 0 (+inf when
+    it fails). Elsewhere the residual is lhs - rhs and the check passes
+    when it is at most ``tol``.
+    """
+    with np.errstate(invalid="ignore"):
+        residual = lhs - rhs
+    unbounded = lhs == math.inf
+    ok = np.where(unbounded, truncated[:, None] | (rhs == math.inf), residual <= tol)
+    residual[unbounded] = np.where(ok[unbounded], 0.0, math.inf)
+    empty = ~np.isnan(empty_eps)
+    ok[empty] = False
+    residual[empty] = math.inf
+    return lhs, rhs, ok, residual, truncated, empty_eps
+
+
+def _cdd_flags(truncated: bool, empty_eps: float) -> tuple[str, ...]:
+    """The flags of a base point's checks, from its entries of the
+    :func:`_cdd_verdicts` arrays."""
     flags = ("covector_truncated",) if truncated else ()
-    for j in range(dirs.shape[0]):
-        lhs = float(lhs_values[j])
-        rhs = float(rhs_values[j])
-        details = {"lhs": lhs, "rhs": rhs, "direction": dirs[j].tolist()}
-        if empty_eps is not None:
-            flagged = flags + ("empty_enlargement",)
-            verdicts.append(Verdict(False, math.inf, empty_eps, flagged, details))
-            continue
-        if lhs == math.inf:
-            # A covector set cut by the box cannot reach an infinite supremum;
-            # with the truncation documented the check passes by convention.
-            ok = truncated or rhs == math.inf
-            residual = 0.0 if ok else math.inf
-        else:
-            residual = lhs - rhs
-            ok = residual <= tol
-        verdicts.append(Verdict(ok, residual, None if ok else dirs[j], flags, details))
-    return verdicts
+    if not math.isnan(empty_eps):
+        flags += ("empty_enlargement",)
+    return flags
 
 
 def cdd_profile(
@@ -598,9 +657,31 @@ def cdd_profile(
     row by row against their own epsilon. The right-hand side is the minimum
     over the ladder of the supremum of pairings; unbounded covector sets
     enter through their truncated representatives and set the truncation
-    flag on the verdict. This is the one-point case of the stacked pass that
-    ``suites.cdd_suite`` runs over a whole grid of base points.
+    flag on the verdict; only the grid points that meet the point
+    conditions of their own epsilon are sampled, so only their sets can set
+    it. This is the one-point case of the stacked pass that
+    ``suites.cdd_suite`` runs over a whole grid of base points, and its
+    verdicts come from the same :func:`_cdd_verdicts` arrays.
     """
     xb = as_point(xbar, f.dim)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    return next(_cdd_profiles(f, xb[None, :], dirs, scheme, covector_half_width, tol))
+    block = next(_cdd_profiles(f, xb[None, :], dirs, scheme, covector_half_width, tol))
+    return _base_verdicts(block, dirs, 0)
+
+
+def _base_verdicts(block: tuple[Array, ...], dirs: Array, b: int) -> list[Verdict]:
+    """The verdicts, one per direction, of base point ``b`` of a block's
+    :func:`_cdd_verdicts` arrays. A failing check's witness is its
+    direction, or the first epsilon of an empty enlargement."""
+    lhs, rhs, ok, residual, truncated, empty_eps = block
+    flags = _cdd_flags(truncated[b], empty_eps[b])
+    verdicts = []
+    for j in range(dirs.shape[0]):
+        passed = bool(ok[b, j])
+        if math.isnan(empty_eps[b]):
+            witness = None if passed else dirs[j]
+        else:
+            witness = float(empty_eps[b])
+        details = {"lhs": float(lhs[b, j]), "rhs": float(rhs[b, j]), "direction": dirs[j].tolist()}
+        verdicts.append(Verdict(passed, float(residual[b, j]), witness, flags, details))
+    return verdicts

@@ -21,7 +21,7 @@ from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, cla
 from .minty import _ray_grid, _tilted_iar_residuals, cross_validate
 from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
-from .subdifferential import DEFAULT_CDD_TOL, _cdd_profiles, sample_subdiff_graph
+from .subdifferential import DEFAULT_CDD_TOL, _cdd_flags, _cdd_profiles, sample_subdiff_graph
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,8 @@ def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     :func:`~varpolar.subdifferential.cdd_profile` in blocks, so each block of
     base points shares its oracle, graph and subderivative calls; every point
     keeps its own verdicts and truncation flag, as a per-point
-    ``cdd_profile`` call gives them.
+    ``cdd_profile`` call gives them. Passes are counted on each block's
+    verdict arrays, and only a failing check becomes a failure entry.
     """
     region = f.default_region
     grid = region.sample(params.grid_resolution(f.dim))
@@ -198,23 +199,23 @@ def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     profiles = _cdd_profiles(
         f, xbars, dirs, params.scheme, params.covector_half_width, params.cdd_tol
     )
-    for xb, verdicts in zip(xbars, profiles):
-        for v in verdicts:
-            checks += 1
-            truncated = truncated or ("covector_truncated" in v.flags)
-            if v.ok:
-                passes += 1
-            else:
-                failures.append(
-                    {
-                        "xbar": xb.tolist(),
-                        "direction": v.details["direction"],
-                        "lhs": v.details["lhs"],
-                        "rhs": v.details["rhs"],
-                        "residual": v.residual,
-                        "flags": list(v.flags),
-                    }
-                )
+    start = 0
+    for lhs, rhs, ok, residual, base_truncated, empty_eps in profiles:
+        checks += ok.size
+        passes += int(np.count_nonzero(ok))
+        truncated = truncated or bool(base_truncated.any())
+        for b, j in zip(*np.nonzero(~ok)):
+            failures.append(
+                {
+                    "xbar": xbars[start + b].tolist(),
+                    "direction": dirs[j].tolist(),
+                    "lhs": float(lhs[b, j]),
+                    "rhs": float(rhs[b, j]),
+                    "residual": float(residual[b, j]),
+                    "flags": list(_cdd_flags(base_truncated[b], empty_eps[b])),
+                }
+            )
+        start += ok.shape[0]
     return {
         "function": f.name,
         "region": region.describe(),

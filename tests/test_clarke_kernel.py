@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varpolar import subderivative, subdifferential
+from varpolar import core, subderivative, subdifferential
 from varpolar.core import FunctionOracle, Region
 from varpolar.library import FUNCTION_IDS, get_function
 from varpolar.subderivative import (
@@ -23,8 +23,14 @@ from varpolar.subderivative import (
     RADIUS_FACTOR,
     clarke_directional_values,
 )
-from varpolar.subdifferential import EPS_LADDER, _cdd_profiles, _local_grids, cdd_profile
-from varpolar.suites import SuiteParams, cdd_suite
+from varpolar.subdifferential import (
+    EPS_LADDER,
+    _base_verdicts,
+    _cdd_profiles,
+    _local_grids,
+    cdd_profile,
+)
+from varpolar.suites import SuiteParams, cdd_suite, equivalence_report
 
 
 def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME):
@@ -331,13 +337,15 @@ def test_stacked_profiles_keep_per_point_verdicts(monkeypatch, fid):
     # blocks of two base points in 1-D (one in 2-D) against one cdd_profile
     # call each, verdict by verdict; a tight tolerance makes some mixed2d
     # rows fail, and ind_halfline has truncated and untruncated base points
-    monkeypatch.setattr(subdifferential, "_CDD_BLOCK_POINTS", 2 * len(EPS_LADDER) * 9)
     f = get_function(fid)
     xbars = _finite_grid(f, 9 if f.dim == 1 else 5)
     eye = np.eye(f.dim)
     dirs = np.vstack([eye, -eye, np.full((1, f.dim), 0.6)])
-    stacked = list(_cdd_profiles(f, xbars, dirs, DEFAULT_SCHEME, 10.0, 1e-12))
-    assert len(stacked) == len(xbars)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 2 * len(EPS_LADDER) * 9 * len(dirs))
+    blocks = list(_cdd_profiles(f, xbars, dirs, DEFAULT_SCHEME, 10.0, 1e-12))
+    sizes = [len(block[0]) for block in blocks]
+    assert set(sizes[:-1]) == {2 if f.dim == 1 else 1} and sum(sizes) == len(xbars)
+    stacked = [_base_verdicts(block, dirs, b) for block in blocks for b in range(len(block[0]))]
     flags = set()
     for xb, verdicts in zip(xbars, stacked):
         alone = cdd_profile(f, xb, dirs, tol=1e-12)
@@ -365,6 +373,23 @@ def test_kernel_memory_does_not_grow_with_the_batch():
 def test_cdd_suite_memory_stays_bounded_at_high_resolution():
     params = SuiteParams(resolution=257)
     assert _peak_mb(lambda: cdd_suite(get_function("twowell"), params)) < 16.0
+
+
+def test_cdd_suite_memory_does_not_grow_with_its_blocks():
+    # a block's temporaries are gone before the next block starts: at
+    # resolution 2049 (7 blocks of neg_abs's base points) the pass peaks
+    # within 5% of its peak at 1025 (4 blocks) and at one full block, and at
+    # resolution 257 it stays below the equivalence suites' own peak there.
+    # A pass that kept the last block's arrays while computing the next one
+    # peaked at 1.8 times one block.
+    f = get_function("neg_abs")
+    one_block = core._block_rows(len(EPS_LADDER) * subdifferential._CDD_GRID * 2)
+    peaks = {
+        r: _peak_mb(lambda: cdd_suite(f, SuiteParams(resolution=r)))
+        for r in (257, one_block, 1025, 2049)
+    }
+    assert peaks[2049] <= 1.05 * min(peaks[1025], peaks[one_block])
+    assert peaks[257] < _peak_mb(lambda: equivalence_report(f, SuiteParams(resolution=257)))
 
 
 def test_kernel_peak_memory_is_one_ball_slice():

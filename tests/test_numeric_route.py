@@ -180,11 +180,15 @@ def test_three_dimensional_cdd_profile_at_the_kink(monkeypatch):
     assert time.perf_counter() - start < 5.0
     assert [v.ok for v in verdicts] == [True] * 6
     assert [v.details["rhs"] for v in verdicts] == [1.0] * 6
-    # the base point, 8,019 stacked grid points, their hulls (23 samples x
-    # 3 axes x 2 sides each) in 51 blocks of at most 158 points, and the lhs
-    # in 2 calls
-    assert len(counted) == 1 + 1 + 51 + 2
-    assert sum(counted) == 1 + 8_019 * (1 + 23 * 3 * 2) + 66 == 1_114_708
+    # the base point, 8,019 stacked grid points, the hulls (23 samples x 3
+    # axes x 2 sides each) of the 2,618 that meet the point conditions, in
+    # 101 blocks of at most 26 points, and the lhs in 2 calls. With the
+    # hulls of all 8,019 points this took 55 calls over 1,114,708 points.
+    # Over the same 369,370 points, hull blocks that count only the sides'
+    # coordinates (158 points) make 21 calls, and four entries per side
+    # coordinate (39 points) 72.
+    assert len(counted) == 1 + 1 + 101 + 2
+    assert sum(counted) == 1 + 8_019 + 2_618 * 23 * 3 * 2 + 66 == 369_370
 
 
 def test_boundary_points_take_the_table_and_interior_kinks_the_hull(table_calls):

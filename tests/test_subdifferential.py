@@ -21,7 +21,7 @@ from varpolar import (
     sample_subdiff_graph,
 )
 from varpolar import subdifferential
-from varpolar.core import DEFAULT_TOL
+from varpolar.core import DEFAULT_TOL, IntervalSet
 from varpolar.library import get_function, test_library as library_oracles
 from varpolar.subderivative import clarke_directional_values
 from varpolar.subdifferential import EPS_LADDER, cdd_profile, sphere_directions
@@ -324,6 +324,43 @@ def test_cdd_unbounded_subdifferential_passes_under_truncation():
     assert "covector_truncated" in v.flags
     assert v.details["lhs"] == math.inf
     assert v.details["rhs"] == pytest.approx(10.0)  # the truncated grid maximum
+
+
+def _ramp_side_oracle(x):
+    if x[0] > 0:
+        return IntervalSet(10.0, 10.0)
+    return IntervalSet(-math.inf, 10.0) if x[0] == 0 else None
+
+
+#: f(x) = 10x on [0, inf), +inf elsewhere: the only unbounded set is the
+#: exact (-inf, 10] at 0.
+_RAMP = FunctionOracle(
+    name="ramp",
+    dim=1,
+    fn=lambda x: 10.0 * x[0] if x[0] >= 0 else math.inf,
+    batch=lambda x: np.where(x >= 0, 10.0 * x, math.inf),
+    is_convex=True,
+    exact_subdifferential=_ramp_side_oracle,
+    default_region=Region.interval(0.0, 2.0),
+)
+
+
+def test_cdd_truncation_flag_comes_from_points_that_can_enter_the_supremum():
+    # The local grids of xbar = 0.25, 0.5, 0.75 and 1.0 reach the point 0,
+    # whose set the box cuts, but 0 fails |f(0) - f(xbar)| <= eps at every
+    # level that reaches it (f(xbar) >= 2.5 > eps), so its rows never enter
+    # the supremum. Sampling every grid point's rows flagged those four as
+    # well; lhs, rhs and ok were the same.
+    xbars = _RAMP.default_region.sample(9)
+    flagged = []
+    for xb in xbars:
+        verdicts = cdd_profile(_RAMP, xb, [[1.0], [-1.0]])
+        assert all(v.ok for v in verdicts)
+        rhs = [v.details["rhs"] for v in verdicts]
+        assert rhs == ([10.0, 10.0] if xb[0] == 0 else [10.0, -10.0])
+        if "covector_truncated" in verdicts[0].flags:
+            flagged.append(float(xb[0]))
+    assert flagged == [0.0]
 
 
 def test_cdd_flags_an_empty_enlargement():

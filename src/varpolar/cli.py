@@ -64,6 +64,9 @@ class RunConfig(SuiteParams):
                 raise ConfigError(f"unknown suite {s!r}; choose from {SUITE_NAMES} or 'all'")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        for key in ("functions", "suites"):  # an empty one would run nothing and pass
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must name at least one entry")
 
     def echo(self) -> dict:
         """Every config key with its value, the scheme's fields flattened in."""
@@ -88,12 +91,16 @@ def load_config(path: str | None, overrides: dict, unread: Collection[str] = ())
     """Build a RunConfig from an INI-style file plus flag overrides. The keys
     are the RunConfig fields with the scheme's fields in place of ``scheme``;
     each value takes the type of its default. A file key in ``unread``, one
-    the calling verb would ignore, is a usage error."""
+    the calling verb would ignore, is a usage error, as is a file that does
+    not parse as UTF-8 INI with literal values and inline ``;``/``#`` comments."""
     defaults = RunConfig().echo()
     values = {}
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file {path!r} not found or unreadable")
         for section in parser.sections():
@@ -392,9 +399,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_graph(cfg, cfg.functions[0], args.source)
         return cmd_polar(cfg, cfg.functions[0])
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

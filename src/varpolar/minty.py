@@ -6,9 +6,9 @@ Dini subderivative of f at every y in C toward xbar is nonpositive; it solves
 the subdifferential-type inequality on an open U when every sampled
 subgradient pairs nonpositively with xbar - y; and it has the
 increase-along-rays property when moving from any y toward xbar never
-increases f. The subdifferential residual is the polar kernel at x* = 0:
-a Minty solution xbar is a pair (xbar, 0) of the monotone polar. The
-cross-validator evaluates the selected comparisons on a grid of xbar, and
+increases f. A Minty solution xbar is a pair (xbar, 0) of the monotone
+polar: its subdifferential and rays residuals are thm3's kernels at x* = 0.
+The cross-validator evaluates the selected comparisons on a grid of xbar, and
 :func:`classify`, the one rule of prop1, thm2 and thm3, calls each agree /
 indeterminate / hard, where "indeterminate" means the two discretizations
 disagree but the false side's residual sits inside the band.
@@ -63,8 +63,8 @@ def _finite_grid(f: FunctionOracle, region: Region, resolution: int) -> tuple[Ar
 
 
 class _RayGrid:
-    """The rays kernel: ray points y + t(xbar - y) from the points y of a
-    tensor probe grid, toward one xbar after another.
+    """The probe grid of the rays kernel :func:`_tilted_iar_residuals`: ray
+    points y + t(xbar - y) from the points y of a tensor probe grid.
 
     ``axes`` are the grid's per-axis coordinates (last axis fastest, as in
     :func:`~varpolar.core.tensor_grid`) and ``ts`` a uniform [0, 1] grid of
@@ -88,10 +88,9 @@ class _RayGrid:
     the kept rows; ``g`` holds f there, 0 where f is not finite, and
     ``holes`` the cells of a block where f is not finite, whose rays
     :meth:`fold` masks out (:attr:`holes` holds them over all cells, for
-    :meth:`settle`). Reusing
-    the scratch for one xbar after another means one grid serves one thread
-    at a time. (A plain class: a frozen dataclass costs about 1 ms of import
-    time.)
+    :meth:`settle`). Reusing the scratch for one xbar after another means
+    one grid serves one thread at a time. (A plain class: a frozen dataclass
+    costs about 1 ms of import time.)
     """
 
     def __init__(self, f: FunctionOracle, axes: Sequence[Array], t_resolution: int) -> None:
@@ -138,16 +137,17 @@ class _RayGrid:
             np.add(start, (xk * self.ts)[:, None], out=coord)
         return self.blocks
 
-    def endpoint(self, xbar: Array) -> tuple[Array, ...]:
-        """The oracle's coordinate arrays of the t = 1 ray points toward
-        xbar, one per cell of ``points``, broadcast (n_0, 1, ...), (1, n_1,
-        ...) and so on. Coordinate k is fl(a_k 0 + xbar_k), the last t row
-        that :meth:`walk` writes, so f there gives the kernel's own t = 1
-        values."""
+    def endpoints(self, xs: Array) -> tuple[Array, ...]:
+        """The oracle's coordinate arrays of the t = 1 ray points toward each
+        row x of ``xs``, one per (x, cell of ``points``), broadcast (len(xs),
+        n_0, 1, ...), (len(xs), 1, n_1, ...) and so on. Coordinate k is
+        fl(a_k 0 + x_k), the last t row that :meth:`walk` writes, so f there
+        gives the kernel's own t = 1 values."""
         dim = len(self.starts)
         return tuple(
-            np.add(start[-1], xk * self.ts[-1]).reshape([-1 if j == k else 1 for j in range(dim)])
-            for k, (start, xk) in enumerate(zip(self.starts, xbar))
+            np.add(start[-1], (xs[:, k] * self.ts[-1])[:, None]).reshape(
+                (len(xs),) + tuple(start.shape[1] if j == k else 1 for j in range(dim)))
+            for k, start in enumerate(self.starts)
         )
 
     def settle(self, diffs: Array) -> list[tuple[float, int, int]]:
@@ -204,97 +204,81 @@ def _ray_grid(f: FunctionOracle, region: Region, resolution: int, t_resolution: 
     return _RayGrid(f, region.axes(resolution), t_resolution)
 
 
-def _iar_residual(
-    f: FunctionOracle, xbar: Array, rays: _RayGrid, stop: float = math.inf
-) -> tuple[float, tuple | None]:
-    """max over (y, t) of f(y + t(xbar - y)) - f(y) and the first maximizing
-    (y, t) in y-major order; +inf allowed, -inf with no witness on a grid
-    with no finite point.
-
-    The oracle takes each block's ray points as broadcast coordinate arrays
-    (see :class:`_RayGrid`), so no (T b, dim) array of ray points is built
-    and memory does not grow with the probe grid beyond its values. A later
-    block's maximum replaces the running one only when strictly larger,
-    which keeps the first maximizer, as one argmax over all rays does, ties
-    and +inf included.
-
-    With a finite ``stop``, the endpoint bound comes first: the max over y
-    of f(ray(y, 1)) - f(y), at one oracle point per probe point instead of
-    T (see :meth:`_RayGrid.settle`). When it exceeds ``stop`` it is
-    returned, with its first maximizing (y, 1.0), and no block is walked:
-    the residual is then known to exceed ``stop`` but is a lower bound, not
-    the exact maximum. Otherwise the result is the exact one.
-    """
-    if stop < math.inf and rays.g.size:
-        ends = f.values_at(*rays.endpoint(xbar)).reshape(1, -1)
-        (bound,) = rays.settle(ends - rays.g)
-        if bound[0] > stop:
-            return rays.witness(bound)
-    best = None
-    for block in rays.walk(xbar):
-        folded = rays.fold(f.values_at(*block[2]), rays.g, block)
-        # folded[0] > -inf: the values lie in (-inf, +inf] and g is finite
-        if best is None or folded[0] > best[0]:
-            best = folded
-    return rays.witness(best)
+def _stops(ok: Array, tol: float) -> Array:
+    """The one stop rule of prop1, thm2 and thm3: a rays residual stops at
+    ``tol`` where its partner route is already false (not ``ok``), since any
+    residual above ``tol`` then gives the same class, and is exact elsewhere."""
+    return np.where(ok, math.inf, tol)
 
 
 def _tilted_iar_residuals(
     f: FunctionOracle, xs: Array, covectors: Array, rays: _RayGrid, stops: Array | None = None
 ) -> list[list[tuple[float, tuple[Array, float] | None]]]:
-    """Rays residual of the tilted function f - <x*, .> from each x in ``xs``
-    for each row x* of ``covectors``: entry [i][k] is the max over the
-    grid's (y, t) of (f - x*)(y + t(x_i - y)) - (f - x*)(y), with the first
-    maximizing (y, t) in y-major order, as :func:`_iar_residual` gives it
-    for ``f.shifted(x*)``.
+    """The rays kernel: entry [i][k] is the rays residual of the tilted
+    function f - <x*_k, .> from xs[i], the max over the grid's (y, t) of
+    (f - x*)(y + t(x_i - y)) - (f - x*)(y), with the first maximizing (y, t)
+    in y-major order; +inf allowed, -inf with no witness on a grid with no
+    finite point. prop1's and thm2's rays routes and :func:`iar_check` are
+    its x* = 0 column. A zero covector tilts nothing, so their entries are
+    f's own bits (a pairing of -0.0 would turn a value -0.0 into +0.0).
 
-    Tilting is linear, (f - x*)(p) = f(p) - <x*, p>, so f is evaluated once
-    per block of each x's ray points, from the block's coordinate arrays,
-    and each covector subtracts its pairing from those values and folds
-    them against (f - x*)(y) = f(y) - <x*, y>. Every tilt, of the rows
-    (f - x*)(y), the endpoint bound and the blocks, is the
-    :func:`~varpolar.core._pairing` of the coordinate arrays with x*, as in
-    ``f.shifted(x*)``, so with a ``batch`` the tilted values are bitwise
-    those of ``f.shifted(x*)``. They go into one buffer of the largest
-    block's size (arrays per covector and block cost page faults at high
-    resolution). A grid with no finite point makes every residual -inf
-    with no witness.
+    Tilting is linear, so f is evaluated once per block of each x's ray
+    points (see :class:`_RayGrid`), and each nonzero x* subtracts the
+    :func:`~varpolar.core._pairing` of the block's coordinate arrays with x*
+    from those values, into one buffer of the largest block's size, as
+    ``f.shifted(x*)`` does: with a ``batch`` the tilted values are bitwise
+    those of ``f.shifted(x*)``. A later block's maximum replaces the running
+    one only when strictly larger, which keeps the first maximizer, ties and
+    +inf included.
 
-    ``stops`` (len(xs), len(covectors)), when given, plays the role of
-    :func:`_iar_residual`'s ``stop`` per entry: where it is finite, the
-    tilted endpoint bound is formed first, at the blocks' own t = 1
-    floats, and an entry whose bound exceeds its stop is that bound, with
-    witness (y, 1.0). The blocks of an x are walked only when one of its
-    entries is not settled so, and fold only those entries.
+    Where ``stops`` (len(xs), len(covectors)) is finite (see :func:`_stops`),
+    the endpoint bound comes first, the max over y of the t = 1 increase
+    (see :meth:`_RayGrid.settle`), and an entry whose bound exceeds its stop
+    is that bound, a lower bound on the residual, with witness (y, 1.0). The
+    t = 1 values of the x go in blocks of about
+    :data:`~varpolar.core._BLOCK_ENTRIES` entries, one ``values_at`` call
+    each; a block counts per x its values, per entry its differences and
+    their gathered rows, and per tilted entry its pairing's temporaries.
+    Only the entries left open walk the blocks of their x, exactly.
     """
-    gys = rays.g - _pairing(rays.points.T, covectors.T[:, :, None])  # (f - x*)(y) per x*
+    tilts = np.any(covectors != 0.0, axis=1)
+    gys = np.tile(rays.g, (len(covectors), 1))  # (f - x*)(y) per x*
+    gys[tilts] -= _pairing(rays.points.T, covectors[tilts].T[:, :, None])
+    best: list[list[tuple[float, int, int] | None]] = [[None] * len(covectors) for _ in xs]
+    if stops is not None and rays.g.size:
+        asked = stops < math.inf
+        rows, cells = np.flatnonzero(asked.any(axis=1)), rays.g.size
+        for block in _row_blocks(rows.size, cells * (1 + 2 * len(covectors) + 3 * int(tilts.sum()))):
+            at = rows[block]
+            coords = rays.endpoints(xs[at])
+            ends = f.values_at(*coords).reshape(at.size, cells)
+            b, k = np.nonzero(asked[at])  # the entries with a finite stop, x-major
+            diffs = ends[b]
+            m = np.flatnonzero(tilts[k])
+            if m.size:
+                cs = covectors[k[m]].T.reshape((f.dim, -1) + (1,) * f.dim)
+                diffs[m] -= _pairing([c[b[m]] for c in coords], cs).reshape(m.size, cells)
+            diffs -= gys[k]
+            for bound, i, kk in zip(rays.settle(diffs), at[b].tolist(), k.tolist()):
+                if bound[0] > stops[i, kk]:
+                    best[i][kk] = bound
     t = rays.ts.shape[0]
-    size = max((t * (cells.stop - cells.start) for cells, _, _ in rays.blocks), default=0)
-    tilted = np.empty(size)
+    tilted = np.empty(max((t * (cells.stop - cells.start) for cells, _, _ in rays.blocks), default=0))
     out = []
-    for i, x in enumerate(xs):
-        best: list[tuple[float, int, int] | None] = [None] * len(gys)
-        ask = [] if stops is None or not rays.g.size else np.flatnonzero(stops[i] < math.inf)
-        if len(ask):
-            coords = rays.endpoint(x)
-            ends = f.values_at(*coords).reshape(1, -1)
-            cs = covectors[ask].T.reshape((f.dim, -1) + (1,) * f.dim)  # x* on a leading axis
-            pairing = _pairing([c[None] for c in coords], cs).reshape(len(ask), -1)
-            bounds = rays.settle(ends - pairing - gys[ask])
-            for k, bound in zip(ask, bounds):
-                if bound[0] > stops[i][k]:
-                    best[k] = bound
-        walked = [k for k, b in enumerate(best) if b is None]
-        blocks = rays.walk(x) if walked else []
-        for block in blocks:
+    for x, x_best in zip(xs, best):
+        walked = [k for k, b in enumerate(x_best) if b is None]
+        for block in rays.walk(x) if walked else []:
             vals = f.values_at(*block[2])
-            buf = tilted[: vals.size].reshape(vals.shape)
             for k in walked:
-                pairing = _pairing(block[2], covectors[k], out=buf)
-                folded = rays.fold(np.subtract(vals, pairing, out=buf), gys[k], block)
-                if best[k] is None or folded[0] > best[k][0]:
-                    best[k] = folded
-        out.append([rays.witness(b) for b in best])
+                v = vals
+                if tilts[k]:
+                    buf = tilted[: vals.size].reshape(vals.shape)
+                    v = np.subtract(vals, _pairing(block[2], covectors[k], out=buf), out=buf)
+                folded = rays.fold(v, gys[k], block)
+                # folded[0] > -inf: the values lie in (-inf, +inf] and g is finite
+                if x_best[k] is None or folded[0] > x_best[k][0]:
+                    x_best[k] = folded
+        out.append([rays.witness(b) for b in x_best])
     return out
 
 
@@ -310,7 +294,9 @@ def iar_check(
 
     The residual is the largest increase f(y + t(xbar - y)) - f(y) over grid
     points y with finite value and a uniform t grid containing 0 and 1, and
-    the witness the maximizing (y, t); the details hold the probe metadata.
+    the witness the first maximizing (y, t): the x* = 0 entry of the rays
+    kernel :func:`_tilted_iar_residuals`, exact (no stop). The details hold
+    the probe metadata.
     """
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
@@ -321,7 +307,7 @@ def iar_check(
     if rays.ys.shape[0] == 0:
         # no finite-valued grid point: the quantifier is vacuous
         return Verdict(ok=True, residual=0.0, witness=None, details=meta)
-    residual, witness = _iar_residual(f, xb, rays)
+    [[(residual, witness)]] = _tilted_iar_residuals(f, xb[None, :], np.zeros((1, f.dim)), rays)
     return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
 
 
@@ -559,11 +545,11 @@ class _EquivalenceProbes:
 
     :meth:`rows` evaluates the selected routes at a batch of xbar: the
     subderivative route in one :func:`_subderivative_residuals` call, in
-    blocks of xbar, the subdifferential route at all
-    interior xbar in one call of the polar kernel at x* = 0, and the rays
-    routes one xbar at a time. ``cross_validate`` calls it once over its
-    finite xbar and ``explain`` with one row, so its lines match the suite
-    row of the same point.
+    blocks of xbar, the subdifferential route at all interior xbar in one
+    call of the polar kernel at x* = 0, and each rays route in one call of
+    the rays kernel at x* = 0 over the xbar of its partner route.
+    ``cross_validate`` calls it once over its finite xbar and ``explain``
+    with one row, so its lines match the suite row of the same point.
     """
 
     def __init__(
@@ -601,57 +587,63 @@ class _EquivalenceProbes:
         With ``exact`` False, the subderivative route stops at ``tol``: a
         row whose max over the query-grid probe points exceeds ``tol`` keeps
         that lower bound and its witness, and only the other rows take the
-        whole probe grid (see :func:`_subderivative_residuals`). A rays
-        route whose partner route is already false (residual > ``tol``)
-        stops at ``tol`` too (see :func:`_iar_residual`). Either bound
-        decides its verdict, so a row whose classes all agree may carry it,
-        with its witness. A row with any other class is printed with all
-        its residuals: its bounds are replaced by the exact residuals and
-        witnesses before it is classed, so its verdicts, classes and
-        residuals are those of the exact run."""
-        f = self.f
+        whole probe grid (see :func:`_subderivative_residuals`). Each rays
+        route is one kernel call at x* = 0 over the xbar of its partner
+        route, and stops at ``tol`` where the partner is false (see
+        :func:`_stops`). Either bound decides its verdict, so a row whose
+        classes all agree may carry it, with its witness. A row with any
+        other class is printed with all its residuals: its bounds are
+        replaced by the exact residuals and witnesses before it is classed,
+        so its verdicts, classes and residuals are those of the exact run."""
+        f, zero = self.f, np.zeros((1, self.f.dim))
         interior = self.interior_region.contains_many(xbars)
-        partners = []  # (comparison, route, its (residual, witness) per xbar, rays route, grid)
         sub_stop = math.inf if exact else tol
+
+        def with_rays(at, evaluated, grid):
+            """{xbar index: (route's (residual, witness), [rays route's], its stop)}"""
+            stops = _stops(np.array([exact or r <= tol for r, _ in evaluated], dtype=bool), tol)
+            found = _tilted_iar_residuals(f, xbars[at], zero, grid, stops[:, None])
+            return dict(zip(at.tolist(), zip(evaluated, found, stops.tolist())))
+
+        graded = []  # (comparison, route, rays route, grid, with_rays(...))
         if self.rays_c is not None:
             closed = self.rays_c
             sub = _subderivative_residuals(f, xbars, closed.ys, closed.fy, self.scheme, sub_stop,
                                            closed.nested(self.probe_factor))
-            partners.append(("subderivative_vs_iar", "subderivative", sub, "iar", closed))
+            graded.append(("subderivative_vs_iar", "subderivative", "iar", closed,
+                           with_rays(np.arange(len(xbars)), sub, closed)))
         if self.graph_inside is not None and len(self.graph_inside) > 0:
             g, at = self.graph_inside, np.flatnonzero(interior)
-            mins, args = _min_products(g, xbars[at], np.zeros((1, f.dim)), argmin=True)
-            sdiff = [None] * len(xbars)  # max <y*, xbar - y> = 0 - min <y* - 0, y - xbar>
-            for i, m, k in zip(at, mins[:, 0].tolist(), args[:, 0]):
-                sdiff[i] = (0.0 - m, (g.points[k], g.covectors[k]))
-            partners.append(("subdifferential_vs_iar", "subdifferential", sdiff, "iar_open",
-                             self.rays_u))
+            mins, args = _min_products(g, xbars[at], zero, argmin=True)
+            # max <y*, xbar - y> = 0 - min <y* - 0, y - xbar>
+            sdiff = [(0.0 - m, (g.points[k], g.covectors[k]))
+                     for m, k in zip(mins[:, 0].tolist(), args[:, 0])]
+            graded.append(("subdifferential_vs_iar", "subdifferential", "iar_open", self.rays_u,
+                           with_rays(at, sdiff, self.rays_u)))
         out = []
         for i, (xb, inner) in enumerate(zip(xbars, interior)):
-            residuals, verdicts, witnesses, stops, graded = {}, {}, {}, {}, []
-            for comparison, route, evaluated, rays, grid in partners:
-                if evaluated[i] is None:
-                    continue
-                r, w = evaluated[i]
-                stops[rays] = (math.inf if exact or r <= tol else tol), grid
-                r_iar, w_iar = _iar_residual(f, xb, grid, stops[rays][0])
-                residuals.update({route: r, rays: r_iar})
-                verdicts.update({route: r <= tol, rays: r_iar <= tol})
-                witnesses.update({route: w, rays: w_iar})
-                graded.append((comparison, route, rays))
-            if any(verdicts[route] != verdicts[rays] for _, route, rays in graded):
+            residuals, verdicts, witnesses, routes = {}, {}, {}, []
+            for comparison, route, rays, grid, per_xbar in graded:
+                if i in per_xbar:
+                    (r, w), [(r_iar, w_iar)], _ = per_xbar[i]
+                    residuals.update({route: r, rays: r_iar})
+                    verdicts.update({route: r <= tol, rays: r_iar <= tol})
+                    witnesses.update({route: w, rays: w_iar})
+                    routes.append((comparison, route, rays))
+            if any(verdicts[route] != verdicts[rays] for _, route, rays in routes):
                 # a class other than agree: the row is printed, so its
                 # bounds give way to the exact residuals and witnesses
-                for rays, (stop, grid) in stops.items():
-                    if residuals[rays] > stop:
-                        residuals[rays], witnesses[rays] = _iar_residual(f, xb, grid)
+                for _, _, rays, grid, per_xbar in graded:
+                    if i in per_xbar and residuals[rays] > per_xbar[i][2]:
+                        [[(residuals[rays], witnesses[rays])]] = _tilted_iar_residuals(
+                            f, xb[None, :], zero, grid)
                 if residuals.get("subderivative", -math.inf) > sub_stop:
                     closed = self.rays_c
                     ((residuals["subderivative"], witnesses["subderivative"]),) = (
                         _subderivative_residuals(f, xb[None, :], closed.ys, closed.fy, self.scheme))
             classes = {comparison: classify(verdicts[route], residuals[route],
                                             verdicts[rays], residuals[rays], band)
-                       for comparison, route, rays in graded}
+                       for comparison, route, rays in routes}
             xbar = tuple(float(c) for c in xb)
             out.append((EquivalenceRow(xbar, bool(inner), residuals, verdicts, classes), witnesses))
         return out

@@ -218,9 +218,9 @@ def polar_membership_via_iar(
     y with finite value and all t in a uniform [0, 1] grid of
     :data:`DEFAULT_RAY_RESOLUTION` points. Tilting is linear,
     (f - x*)(p) = f(p) - <x*, p>, so the tilted values are f's values minus
-    the pairing with x*; this is the one-covector case of the rays kernel
-    that the thm3 suite runs over all candidate covectors at once.
-    The witness is the violating (y, t).
+    the pairing with x*: one exact entry of the rays kernel
+    :func:`~varpolar.minty._tilted_iar_residuals`, which the thm3 suite
+    runs over all candidate pairs. The witness is the violating (y, t).
     """
     p = as_point(x, f.dim)
     c = as_point(xstar, f.dim)

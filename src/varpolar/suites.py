@@ -18,7 +18,7 @@ import numpy as np
 from .core import DEFAULT_BOX_HALF_WIDTH, DEFAULT_TOL, FunctionOracle, GraphSample, Region
 from .core import _min_products, tensor_grid
 from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, classify
-from .minty import _ray_grid, _tilted_iar_residuals, cross_validate
+from .minty import _ray_grid, _stops, _tilted_iar_residuals, cross_validate
 from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
 from .subdifferential import DEFAULT_CDD_TOL, _cdd_flags, _cdd_profiles, sample_subdiff_graph
@@ -140,14 +140,15 @@ def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     product is >= -tol, and its residual is -min product.
 
     Where the graph route already says "not related" (min product < -tol),
-    the rays route stops at tol: the pair agrees whatever its exact
+    the rays route stops at tol (:func:`~varpolar.minty._stops`, the stop
+    rule of prop1 and thm2 too): the pair agrees whatever its exact
     residual, which the suite prints only on disagreement rows."""
     region = f.default_region
     xs, cs = _candidate_grids(f, params)
     graph = thm3_graph(f, params)
     min_products = _min_products(graph, xs, cs)
     grid = _ray_grid(f, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION)
-    stops = np.where(min_products < -params.tol, params.tol, math.inf)
+    stops = _stops(min_products >= -params.tol, params.tol)
     rays = _tilted_iar_residuals(f, xs, cs, grid, stops)
     counts = {"agree": 0, "indeterminate": 0, "hard": 0}
     disagreements = []

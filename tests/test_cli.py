@@ -10,7 +10,7 @@ import pytest
 
 import numpy as np
 
-from varpolar import minty
+from varpolar import cli, minty
 from varpolar.cli import build_parser, main, load_config, ConfigError, report_json, _write_csv
 from varpolar.library import get_function
 from varpolar.subderivative import LiminfScheme
@@ -80,6 +80,57 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.functions == ["abs", "square"]
     assert cfg.suites == ["predicates"]
     assert cfg.resolution == 17
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (b"functions = abs\n", "File contains no section headers"),
+        (b"[run]\nfunctions = abs\nfunctions = square\n", "option 'functions'"),
+        (b"[run]\nfunctions = abs\nout = caf\xe9\n", "codec can't decode"),
+    ],
+    ids=["no_section_header", "duplicate_key", "not_utf8"],
+)
+def test_a_config_file_that_does_not_parse_is_a_usage_error(tmp_path, capsys, text, message):
+    # these raised out of main, a traceback and exit status 1, the status
+    # of a hard disagreement
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_bytes(text)
+    assert main(["suite", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse config file") and message in captured.err
+
+
+def test_config_values_are_taken_literally(tmp_path):
+    # '%' interpolation made `out = 100%x` raise out of load_config
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[run]\nout = 100%x\n", encoding="utf-8")
+    assert load_config(str(cfg_path), {}).out == "100%x"
+
+
+@pytest.mark.parametrize("key", ["functions", "suites"])
+def test_an_empty_selection_is_a_usage_error(tmp_path, capsys, key):
+    # an empty list ran nothing, printed "total hard disagreements: 0" and
+    # exited 0
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(f"[run]\n{key} =\n", encoding="utf-8")
+    assert main(["suite", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must name at least one entry\n"
+
+
+def test_an_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # every function id is checked before get_function runs, so a KeyError
+    # out of a verb is a fault of the program, not of the usage: it must not
+    # read as exit status 2
+    def broken(cfg):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_suite", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["suite", "--function", "abs"])
 
 
 def test_config_rejects_unknown_keys(tmp_path):

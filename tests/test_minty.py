@@ -21,6 +21,7 @@ from varpolar.library import FUNCTION_IDS, get_function
 from varpolar.subderivative import DEFAULT_SCHEME, LiminfScheme
 from varpolar.suites import SuiteParams, suite_graph
 from test_clarke_kernel import _MAX3D, _peak_mb
+from test_rays_kernel import _reference_rays_at
 from test_subderivative import _reference_tail_quotients
 
 
@@ -247,7 +248,8 @@ def test_cross_validate_report_dict_shape():
 def _reference_row(probes, xb, tol, band):
     """One xbar's row as evaluated one xbar at a time: one tail-quotient call
     over the probe grid per xbar, with the tail points broadcast over all
-    coordinates, and the graph pairs masked by the interior per xbar."""
+    coordinates, the graph pairs masked by the interior per xbar, and the
+    rays routes from every ray point built from scratch in one piece."""
     f, ys, fy = probes.f, probes.rays_c.ys, probes.rays_c.fy
     if ys.shape[0] == 0:
         r_sd, w_sd = -math.inf, None
@@ -255,7 +257,8 @@ def _reference_row(probes, xb, tol, band):
         vals = _reference_tail_quotients(f, ys, xb[None, :] - ys, probes.scheme, fy).min(axis=1)
         i = int(np.argmax(vals))
         r_sd, w_sd = float(vals[i]), ys[i]
-    r_iar, w_iar = minty._iar_residual(f, xb, probes.rays_c)
+    t_resolution = probes.rays_c.ts.shape[0]
+    r_iar, w_iar = _reference_rays_at(f, xb, probes.rays_c.ys, t_resolution)
     residuals = {"subderivative": r_sd, "iar": r_iar}
     witnesses = {"subderivative": w_sd, "iar": w_iar}
     classes = {"subderivative_vs_iar": minty.classify(r_sd <= tol, r_sd, r_iar <= tol, r_iar, band)}
@@ -270,7 +273,7 @@ def _reference_row(probes, xb, tol, band):
                                         np.zeros((1, f.dim)), argmin=True)
         i = int(args[0, 0])
         r_sdiff, w_sdiff = 0.0 - float(mins[0, 0]), (pts[i], cov[i])
-        r_iar_u, w_iar_u = minty._iar_residual(f, xb, probes.rays_u)
+        r_iar_u, w_iar_u = _reference_rays_at(f, xb, probes.rays_u.ys, t_resolution)
         residuals.update({"subdifferential": r_sdiff, "iar_open": r_iar_u})
         witnesses.update({"subdifferential": w_sdiff, "iar_open": w_iar_u})
         classes["subdifferential_vs_iar"] = minty.classify(

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from varpolar import (
     cross_validate,
@@ -24,7 +24,6 @@ from varpolar.core import FunctionOracle, GraphSample, Region, _row_blocks, tens
 from varpolar.library import FUNCTION_IDS, get_function
 from varpolar.minty import (
     DEFAULT_T_RESOLUTION,
-    _iar_residual,
     _ray_grid,
     _RayGrid,
     _subderivative_residuals,
@@ -213,13 +212,17 @@ def _wavy(*x):
 #: Oracles on any dimension, for the property test below: non-dyadic values;
 #: the same sunk to -1e17 on part of the space, where an increase v - f(y)
 #: rounds distinct ray values v to one float; a step function, whose
-#: increases tie and whose zeros carry the sign of the first coordinate; and
-#: +inf on part of the space.
+#: increases tie and whose zeros carry the sign of the first coordinate;
+#: +inf on part of the space; and -|x_1| times a positive factor, -0.0
+#: where the first coordinate is a zero of either sign, where a tilt by
+#: x* = 0 would turn the value into +0.0 at a point with every coordinate
+#: negative or -0.0.
 _ANY_DIM_ORACLES = {
     "wavy": _wavy,
     "sunk": lambda *x: np.where(x[0] < -1.0, -1e17, _wavy(*x)),
     "steps": lambda *x: np.copysign(np.floor(2.0 * _total(x)) / 2.0, x[0]),
     "capped": lambda *x: np.where(x[0] > 0.5, math.inf, _total([np.abs(xk) for xk in x])),
+    "negabs": lambda *x: -np.abs(x[0]) * np.exp(0.1 * _total(x)),
 }
 
 
@@ -230,19 +233,25 @@ def _any_dim_oracle(name, dim):
 
 @st.composite
 def _rays_cases(draw, most_dim=3):
-    """A random oracle, dimension, tensor probe grid, xbar, covectors, t
-    grid and block budget; the per-axis coordinates (unsorted) and the rest
-    are uniform draws, off every dyadic grid."""
+    """A random oracle, dimension, tensor probe grid, one to three points x,
+    covectors, t grid and block budget; the per-axis coordinates (unsorted)
+    and the rest are uniform draws, off every dyadic grid, but for the
+    first coordinates of the first axis and of the first x, each sometimes a
+    signed zero."""
     dim = draw(st.integers(1, most_dim))
     f = _any_dim_oracle(draw(st.sampled_from(sorted(_ANY_DIM_ORACLES))), dim)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     most = {1: 40, 2: 7, 3: 4}[dim]
     axes = [rng.uniform(-2.0, 2.0, draw(st.integers(1, most))) for _ in range(dim)]
-    xbar = rng.uniform(-2.0, 2.0, dim)
+    xs = rng.uniform(-2.0, 2.0, (draw(st.integers(1, 3)), dim))
+    for first in (axes[0], xs[0]):
+        zero = draw(st.sampled_from([None, 0.0, -0.0]))
+        if zero is not None:
+            first[0] = zero
     covectors = rng.uniform(-3.0, 3.0, (draw(st.integers(1, 3)), dim))
     t_resolution = draw(st.integers(2, 9))
     budget = draw(st.sampled_from([1, 61, 10**9]))
-    return f, axes, xbar, covectors, t_resolution, budget
+    return f, axes, xs, covectors, t_resolution, budget
 
 
 def _same_float(a, b):
@@ -259,40 +268,52 @@ def _assert_same_rays(got, want):
         assert np.array_equal(witness[0], witness_want[0]) and witness[1] == witness_want[1]
 
 
+def _with_zero(covectors):
+    """``covectors`` after a first row x* = 0."""
+    return np.vstack([np.zeros((1, covectors.shape[1])), covectors])
+
+
+#: A case where f.shifted(0) reads differently from f: from y = (-0.0, -1)
+#: toward x = (0, 1) every ray point has first coordinate +0.0, and -|x_1|
+#: is -0.0 on the whole ray. Every increase of f is -0.0 - (-0.0) = +0.0,
+#: but the tilt by x* = 0 turns f(y) into +0.0 (its pairing with y is
+#: -0.0) and keeps the ray values, so the shifted oracle's residual is -0.0.
+_ZERO_TILT_CASE = (_any_dim_oracle("negabs", 2), [np.array([-0.0]), np.array([-1.0])],
+                   np.array([[0.0, 1.0]]), np.array([[1.0, 0.5]]), 3, 10**9)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rays_cases())
+@example(_ZERO_TILT_CASE)
 def test_rays_kernel_matches_the_reference_on_non_dyadic_data(case):
-    # both kernels against all ray points in one piece and one argmax: the
-    # plain one on f, the tilted one on f.shifted(x*), residual bits and
-    # first witness included, over one-row, odd and whole-grid blocks
-    f, axes, xbar, covectors, t_resolution, budget = case
+    # the kernel against all ray points in one piece and one argmax: its
+    # x* = 0 column on f itself, the others on f.shifted(x*), residual bits
+    # and first witness included, over one-row, odd and whole-grid blocks
+    f, axes, xs, covectors, t_resolution, budget = case
     ys = tensor_grid(axes)
+    covectors = _with_zero(covectors)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_ENTRIES", budget)
         rays = _RayGrid(f, axes, t_resolution)
-    plain = _iar_residual(f, xbar, rays)
-    [tilted] = _tilted_iar_residuals(f, xbar[None, :], covectors, rays)
-    _assert_same_rays(plain, _reference_rays_at(f, xbar, ys, t_resolution))
-    for c, got in zip(covectors, tilted):
-        _assert_same_rays(got, _reference_rays_at(f.shifted(c), xbar, ys, t_resolution))
+    for x, got in zip(xs, _tilted_iar_residuals(f, xs, covectors, rays)):
+        _assert_same_rays(got[0], _reference_rays_at(f, x, ys, t_resolution))
+        for c, entry in zip(covectors[1:], got[1:]):
+            _assert_same_rays(entry, _reference_rays_at(f.shifted(c), x, ys, t_resolution))
 
 
 @st.composite
 def _bound_cases(draw):
     """A 1-D or 2-D case of :func:`_rays_cases`, with the holed oracle among
-    the 2-D ones, and xbar's first coordinate sometimes a signed zero: the
-    t = 1 ray points fl(a 0 + xbar) of y with a < 0 then differ from the
-    others in the sign of that zero, which the step oracle and, drawn then,
-    :func:`_signed` read."""
-    f, axes, xbar, covectors, t_resolution, budget = draw(_rays_cases(most_dim=2))
+    the 2-D ones, and the first x's first coordinate sometimes a signed
+    zero: the t = 1 ray points fl(a 0 + x_1) of y with a < 0 then differ
+    from the others in the sign of that zero, which the step and -|x_1|
+    oracles and, drawn then, :func:`_signed` read."""
+    f, axes, xs, covectors, t_resolution, budget = draw(_rays_cases(most_dim=2))
     if f.dim == 2 and draw(st.booleans()):
         f = _holed_2d()
-    zero = draw(st.sampled_from([None, 0.0, -0.0]))
-    if zero is not None:
-        xbar[0] = zero
-        if draw(st.booleans()):
-            f = FunctionOracle("signed", f.dim, fn=lambda x: float(_signed(*x)), batch=_signed)
-    return f, axes, xbar, covectors, t_resolution, budget
+    if xs[0, 0] == 0.0 and draw(st.booleans()):
+        f = FunctionOracle("signed", f.dim, fn=lambda x: float(_signed(*x)), batch=_signed)
+    return f, axes, xs, covectors, t_resolution, budget
 
 
 def _signed(*x):
@@ -305,7 +326,7 @@ def _signed(*x):
 def _stop_choices(bound, exact):
     """Stops on both sides of a bound and at it, where the bound must not
     settle (it settles only strictly above its stop)."""
-    return [bound, np.nextafter(bound, -math.inf), exact, 0.0, 1e-6, -1.0, 2.5]
+    return [bound, np.nextafter(bound, -math.inf), exact, 0.0, 1e-6, -1.0, 2.5, math.inf]
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,25 +334,28 @@ def _stop_choices(bound, exact):
 def test_the_endpoint_bound_is_exact_below_the_residual(case, data):
     # a stop of -inf returns every bound. Each is at most the exact residual,
     # with witness t = 1, and a finite stop gives the bound exactly when it
-    # exceeds the stop, else the exact residual and witness, bit for bit
-    f, axes, xbar, covectors, t_resolution, budget = case
+    # exceeds the stop, else the exact residual and witness, bit for bit.
+    # The endpoint blocks hold one x, some or all of them
+    f, axes, xs, covectors, t_resolution, budget = case
+    covectors = _with_zero(covectors)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_ENTRIES", budget)
         rays = _RayGrid(f, axes, t_resolution)
-    exact = [_iar_residual(f, xbar, rays),
-             *_tilted_iar_residuals(f, xbar[None, :], covectors, rays)[0]]
-    everything = np.full((1, len(covectors)), -math.inf)
-    bounds = [_iar_residual(f, xbar, rays, -math.inf),
-              *_tilted_iar_residuals(f, xbar[None, :], covectors, rays, everything)[0]]
-    stops = []
-    for (b, witness), (r, _) in zip(bounds, exact):
-        assert b <= r
-        assert witness is None or witness[1] == 1.0
-        stops.append(data.draw(st.sampled_from(_stop_choices(b, r))))
-    got = [_iar_residual(f, xbar, rays, stops[0]),
-           *_tilted_iar_residuals(f, xbar[None, :], covectors, rays, np.array([stops[1:]]))[0]]
-    for g, b, e, stop in zip(got, bounds, exact, stops):
-        _assert_same_rays(g, b if b[0] > stop else e)
+        exact = _tilted_iar_residuals(f, xs, covectors, rays)
+        for x, got in zip(xs, exact):  # the x* = 0 column is f's own
+            _assert_same_rays(got[0], _reference_rays_at(f, x, tensor_grid(axes), t_resolution))
+        everything = np.full((len(xs), len(covectors)), -math.inf)
+        bounds = _tilted_iar_residuals(f, xs, covectors, rays, everything)
+        stops = np.empty_like(everything)
+        for i, k in np.ndindex(stops.shape):
+            (b, witness), (r, _) = bounds[i][k], exact[i][k]
+            assert b <= r
+            assert witness is None or witness[1] == 1.0
+            stops[i, k] = data.draw(st.sampled_from(_stop_choices(b, r)))
+        got = _tilted_iar_residuals(f, xs, covectors, rays, stops)
+    for i, k in np.ndindex(stops.shape):
+        b, e = bounds[i][k], exact[i][k]
+        _assert_same_rays(got[i][k], b if b[0] > stops[i, k] else e)
 
 
 @st.composite
@@ -492,9 +516,10 @@ def test_a_probe_grid_without_a_finite_point():
     region = Region.box([(-1.0, 1.0)] * 2)
     rays = _ray_grid(f, region, 5, 8)
     assert rays.ys.shape == (0, 2) and rays.blocks == []
-    assert _iar_residual(f, np.zeros(2), rays) == (-math.inf, None)
-    tilted = _tilted_iar_residuals(f, np.zeros((2, 2)), np.ones((3, 2)), rays)
-    assert tilted == [[(-math.inf, None)] * 3] * 2
+    covectors = np.vstack([np.zeros(2), np.ones((2, 2))])
+    assert _tilted_iar_residuals(f, np.zeros((2, 2)), covectors, rays) == [[(-math.inf, None)] * 3] * 2
+    stopped = _tilted_iar_residuals(f, np.zeros((2, 2)), covectors, rays, np.zeros((2, 3)))
+    assert stopped == [[(-math.inf, None)] * 3] * 2
     v = iar_check(f, [0.0, 0.0], region, resolution=5)
     assert (v.ok, v.residual, v.witness, v.details["finite_grid_points"]) == (True, 0.0, None, 0)
     v = polar_membership_via_iar(f, [0.0, 0.0], [1.0, 1.0], region, probe_resolution=5)
@@ -576,7 +601,10 @@ def test_small_rays_run_oracle_evaluation_count(counted):
     # route settles a row on the query-grid probe points first and takes
     # the full probe grid only for the rows left open; taking it for every
     # row made this run 90 calls over 53,256 points
-    assert (len(counted), sum(counted)) == (92, 39_516)
+    # The rays routes of a probe grid take the t = 1 values of all their
+    # xbar in blocks of about core._BLOCK_ENTRIES entries, one call each;
+    # one endpoint call per xbar made this run 92 calls over the same 39,516
+    assert (len(counted), sum(counted)) == (38, 39_516)
 
 
 def test_default_rays_cells_oracle_evaluation_count(counted):
@@ -585,11 +613,13 @@ def test_default_rays_cells_oracle_evaluation_count(counted):
     # 86,102,347 points; the endpoint bound settles most of the routes whose
     # partner is false. Taking the subderivative route's full probe grid
     # for every row took 2,263 calls over 10,329,513 points; the query-grid
-    # probe points settle most false rows first
+    # probe points settle most false rows first. One endpoint call per x
+    # took 2,124 calls over the same 5,599,693 points; a block of x takes
+    # one call
     result = run_suites([get_function(fid) for fid in FUNCTION_IDS],
                         ["prop1", "thm2", "thm3"], SuiteParams())
     assert result["hard_total"] == 0
-    assert (len(counted), sum(counted)) == (2_124, 5_599_693)
+    assert (len(counted), sum(counted)) == (507, 5_599_693)
 
 
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
@@ -640,14 +670,17 @@ def test_thm3_evaluates_the_ray_points_once_per_candidate_x(counted, fid):
     thm3_suite(f, SMALL)
     probe_points = SMALL.probe_resolution(f.dim) ** f.dim  # all finite for these two
     ray_calls = counted.count(probe_points * DEFAULT_RAY_RESOLUTION)
-    # every x has a pair the graph route rejects, so each takes one endpoint
-    # call of one point per probe point; an x walks its ray points only when
-    # one of its pairs is not settled by a bound (before: all 5 and 9)
+    # every x has a pair the graph route rejects, so the t = 1 values of all
+    # the x take one endpoint call of one point per (x, probe point) (one
+    # call per x before: 5 and 9 calls of probe_points points); an x walks
+    # its ray points only when one of its pairs is not settled by a bound
+    # (before: all 5 and 9)
     assert ray_calls == walked <= len(xs) < len(xs) * len(cs)
+    assert counted.count(len(xs) * probe_points) == 1
     # besides those: one call for the graph grid and one for the probe grid,
     # both of probe_points points here
-    assert counted.count(probe_points) == len(xs) + 2
-    assert len(counted) == ray_calls + len(xs) + 2
+    assert counted.count(probe_points) == 2
+    assert len(counted) == ray_calls + 3
 
 
 def test_rays_kernel_memory_does_not_grow_with_the_probe_grid():

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from varpolar.cli import load_config
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -63,3 +65,18 @@ def test_the_readme_examples_compute_their_commented_values():
     assert claims["covectors[:, 0].tolist()"] == [0.0, 0.0, 0.5, 1.0, 1.0]
     for source, value, claim in checked:
         assert value == claim, source
+
+
+def test_the_readme_config_example_loads(tmp_path):
+    # its inline "; comment"s stayed in the values, and
+    # int("65          ; 1-D grid resolution") failed: exit status 2
+    (block,) = re.findall(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    path = tmp_path / "run.ini"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(str(path), {})
+    assert cfg.functions == ["abs", "square", "neg_abs"]
+    assert cfg.suites == ["prop1", "thm2", "thm3", "cdd", "predicates"]
+    assert (cfg.resolution, cfg.resolution_2d, cfg.out, cfg.format) == (65, 17, "reports", "json")
+    assert (cfg.scheme.t0, cfg.scheme.ratio, cfg.scheme.steps) == (0.1, 0.7, 40)
+    assert cfg.scheme.tail_fraction == 0.25
+    assert (cfg.tol, cfg.band, cfg.polar_band) == (1e-6, 1e-3, 1e-2)

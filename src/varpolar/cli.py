@@ -24,7 +24,7 @@ import numpy as np
 
 from .library import FUNCTION_IDS, get_function
 from .minty import _EquivalenceProbes, classify
-from .polar import polar_contains, polar_membership_via_iar, polar_of_sample
+from .polar import _check_tilt, polar_contains, polar_membership_via_iar, polar_of_sample
 from .subderivative import LiminfScheme, clarke_directional, lower_dini
 from .subdifferential import clarke_subdiff_contains, convex_subdiff_contains
 from .suites import (
@@ -92,7 +92,8 @@ def load_config(path: str | None, overrides: dict, unread: Collection[str] = ())
     are the RunConfig fields with the scheme's fields in place of ``scheme``;
     each value takes the type of its default. A file key in ``unread``, one
     the calling verb would ignore, is a usage error, as is a file that does
-    not parse as UTF-8 INI with literal values and inline ``;``/``#`` comments."""
+    not parse as UTF-8 INI with literal values and inline ``;``/``#`` comments.
+    Every section is checked, ``[DEFAULT]`` included (``sections()`` omits it)."""
     defaults = RunConfig().echo()
     values = {}
     if path is not None:
@@ -103,7 +104,7 @@ def load_config(path: str | None, overrides: dict, unread: Collection[str] = ())
             raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file {path!r} not found or unreadable")
-        for section in parser.sections():
+        for section in (parser.default_section, *parser.sections()):
             for key, raw in parser.items(section):
                 if key not in defaults:
                     raise ConfigError(f"unknown config key {key!r} in section [{section}]")
@@ -249,6 +250,11 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
     xstar = None if xstar_raw is None else _parse_point(xstar_raw, f.dim)
     if xstar is None and not region.contains(x):  # the prop1/thm2 row probes the region
         raise ConfigError(f"x = {x.tolist()} lies outside the region of {function_id}")
+    if xstar is not None:
+        try:
+            _check_tilt(region, x, xstar)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     print(f"function {function_id} on {region.describe()}")
     fx = f.value(x)
     print(f"f({x.tolist()}) = {fx}")

@@ -202,6 +202,15 @@ def is_absorbing(
     )
 
 
+def _check_tilt(probe: Region, x: Array, xstar: Array) -> None:
+    """Raise :class:`ValueError` when <x*, p> can overflow on the box of
+    ``probe`` and x: ``f.shifted(x*)`` rejects the values it gives there."""
+    reach = np.max(np.abs([probe.lower, probe.upper, x]), axis=0)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(np.sum(np.abs(xstar) * reach))):
+            raise ValueError(f"the tilt by x* = {xstar.tolist()} overflows on the probe region")
+
+
 def polar_membership_via_iar(
     f: FunctionOracle,
     x: Sequence[float] | float | Array,
@@ -220,10 +229,12 @@ def polar_membership_via_iar(
     (f - x*)(p) = f(p) - <x*, p>, so the tilted values are f's values minus
     the pairing with x*: one exact entry of the rays kernel
     :func:`~varpolar.minty._tilted_iar_residuals`, which the thm3 suite
-    runs over all candidate pairs. The witness is the violating (y, t).
+    runs over all candidate pairs. The witness is the violating (y, t); an
+    x* whose tilt can overflow raises :class:`ValueError`.
     """
     p = as_point(x, f.dim)
     c = as_point(xstar, f.dim)
+    _check_tilt(probe, p, c)
     grid = _ray_grid(f, probe, probe_resolution, DEFAULT_RAY_RESOLUTION)
     [[(residual, witness)]] = _tilted_iar_residuals(f, p[None, :], c[None, :], grid)
     if witness is None:

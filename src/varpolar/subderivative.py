@@ -9,12 +9,8 @@ requested direction, which makes the estimate exactly positively homogeneous
 (scaling d rescales quotients without moving the evaluation points).
 
 The generalized derivative sup_{delta>0} limsup inf_{d' in d + delta B} is
-discretized with a shrinking ring of base points around xbar (both the ring
-radius and the function-value window are tied to the step grid, which encodes
-convergence of x to xbar with f(x) -> f(xbar)), a deterministic direction ball
-grid, and a final linear extrapolation of the finite-delta values to delta=0;
-the extrapolation removes the O(delta)*Lipschitz bias of the inner infimum and
-is exact on piecewise affine functions.
+discretized by :func:`clarke_directional_values` on a shrinking ring of base
+points and a direction-ball grid, extrapolated linearly to delta = 0.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ from .core import (
     FunctionOracle,
     as_point,
     _pairings,
+    _row_blocks,
 )
 
 #: Ring radius around the base point, as a multiple of the current step.
@@ -43,11 +40,6 @@ DEFAULT_DELTAS: tuple[float, ...] = (0.2, 0.1, 0.05, 0.02)
 
 #: Shells of the ring of base points around xbar, per ring direction.
 _NBHD_RESOLUTION = 3
-
-#: Base points per block of :func:`clarke_directional_values`; bounds its
-#: peak memory. In 1-D one ball slice of a block is 17,920 points (140 KB),
-#: and the block's quotients for the four deltas take 560 KB.
-_CLARKE_BLOCK = 256
 
 #: Smallest admissible step of a scheme; below this the difference quotients
 #: drown in float64 cancellation noise.
@@ -273,61 +265,44 @@ def clarke_directional_values(
     scheme: LiminfScheme = DEFAULT_SCHEME,
 ) -> tuple[Array, Array]:
     """Generalized directional derivative estimates for a batch of base
-    points, all in direction d.
-
-    Returns (values, per_delta) where per_delta has shape (N, D) with the
-    finite-delta estimates in :data:`DEFAULT_DELTAS` order (decreasing).
-    Values include the delta -> 0 extrapolation of the two smallest deltas.
-    Raw floats; +inf allowed.
+    points, all in direction d: (values, per_delta), raw floats with +inf
+    allowed. per_delta (N, D) holds the finite-delta estimates in
+    :data:`DEFAULT_DELTAS` order; values add the delta -> 0 extrapolation of
+    the two smallest.
 
     Homogeneity. f°(x; .) is positively homogeneous (Clarke, *Optimization
-    and Nonsmooth Analysis*, 1983, Prop. 2.1.1), so the estimate is taken
-    along the unit vector u = d/|d| and ``values`` and ``per_delta`` are
-    multiplied by |d| at the end; a direction of length exactly 1.0 is its
-    own u. The factor |d| is applied once, so a direction of length 1e200
-    neither overflows nor loses the scale. The zero direction has no u:
-    f°(x; 0) = 0, and ``values`` and ``per_delta`` are exactly 0 there,
-    with only f(xbar) evaluated.
+    and Nonsmooth Analysis*, 1983, Prop. 2.1.1): the estimate is taken along
+    u = d/|d| and multiplied by |d| once, so a direction of length 1e200
+    keeps its scale, and one of length exactly 1.0 is its own u.
+    f°(x; 0) = 0 exactly, with only f(xbar) evaluated.
 
-    Evaluated points. Steps t run over the tail window. Each base xbar gets
-    ring points x = xbar + r o with r = RADIUS_FACTOR t and o in the center
-    plus S = :data:`_NBHD_RESOLUTION` shells along +-e_i and, in 2-D and
-    up, along +-u (M = 1 + 2 S offsets in 1-D and 1 + 2 (dim + 1) S
-    beyond); a ring point counts only when f(x) is finite and within r of
-    f(xbar). The direction ball is
-    u' = u + delta w with w in {0, +-e_i} (K = 1 + 2 dim), evaluated at
-    x + t u'. Its center u + delta 0 is the same vector for every delta, so
-    it is evaluated once: a ring point costs 1 + D (K - 1) oracle points, not
-    D K (9 instead of 12 in 1-D with the four deltas).
+    Points. Steps t run over the tail window. Each xbar gets ring points
+    x = xbar + r o, r = RADIUS_FACTOR t, with o the center and
+    S = :data:`_NBHD_RESOLUTION` shells along +-e_i and, in 2-D and up, +-u
+    (M = 1 + 2 S offsets in 1-D, 1 + 2 (dim + 1) S beyond); a ring point is
+    near when f(x) is finite and within r of f(xbar), so x -> xbar with
+    f(x) -> f(xbar) as t -> 0. The direction ball u' = u + delta w,
+    w in {0, +-e_i} (K = 1 + 2 dim), is evaluated at x + t u'. The
+    extrapolation removes the O(delta) Lipschitz bias of the ball infimum
+    and is exact on piecewise affine functions.
 
-    Infimum before quotient. The quotient q(m) = (m - f(x)) / t is
-    non-decreasing in m under IEEE rounding (a subtraction, then a division
-    by a positive number, each rounded monotonically), so
-    q(min over the ball of f) equals the minimum over the ball of q(f),
-    bitwise. The kernel takes the ball minimum on the f-values with
-    ``np.fmin``, which skips a NaN value as one quotient per ball point read
-    it +inf, and forms one quotient per delta. A NaN quotient still reads
-    +inf; for an oracle without NaN values it arises only where f(x) = +inf,
-    a ring point that is not near. The limsup is the maximum over the near
-    (t, ring point) pairs.
+    Infimum before quotient. q(m) = (m - f(x)) / t is non-decreasing in m
+    under IEEE rounding, so q of the ball minimum of f is bitwise the ball
+    minimum of q(f). Oracle values are never NaN and f(x) is finite at a
+    near ring point, so only the quotients of points that are not near can
+    be NaN (+inf - +inf), and those are masked. The limsup is the maximum
+    over the near (t, ring point) pairs.
 
-    Row blocks. f(xbar) is taken in one call for the whole batch, then base
-    points go in blocks of ``_CLARKE_BLOCK``: a block makes one call for its
-    ring points and one per ball direction (1 + D (K - 1) calls), each on
-    the block's b T M ring points shifted by t u'. The shifted points go
-    into one scratch buffer that every slice reuses, each delta's slices
-    fold into a running ``np.fmin`` (its K - 1 slices in order, then the
-    center as the first argument), and the quotients fill a preallocated
-    (D, b T M) array, so the working set of a slice stays in cache. The
-    peak memory is set by the block, not by N; a batch of at most one block
-    makes 3 + D (K - 1) calls (11 in 1-D with the four deltas).
+    Blocks. f(xbar) takes one call; each of the package's row blocks
+    (:func:`~varpolar.core._row_blocks`, four entries per ball coordinate)
+    takes two, its ring and its whole ball shaped (D, K, b, T, M), so the
+    peak memory is set by the block, not by N.
     """
     xb = np.atleast_2d(np.asarray(xbars, dtype=float))
+    n, dim = xb.shape
     _finite_directions(d, "d")
     dd = as_point(d, f.dim)
     deltas = np.asarray(DEFAULT_DELTAS)
-
-    n, dim = xb.shape
     with np.errstate(over="ignore"):
         dnorm = float(np.linalg.norm(dd))
     if dnorm == 0.0 or math.isinf(dnorm):
@@ -339,75 +314,33 @@ def clarke_directional_values(
         raise DomainError("the generalized derivative needs f(xbar) finite")
     if dnorm == 0.0:
         return np.zeros(n), np.zeros((n, deltas.size))
-    scale = dnorm
-    unit = dd / scale
+    unit = dd / dnorm
     ts = scheme.tail_grid()
     radii = RADIUS_FACTOR * ts
 
-    # Ring of base-point offsets: the center plus shells along the axes and,
-    # in 2-D and up, along u itself, so the ring reaches x = xbar - r u for
-    # every u (axis shells alone miss it off the axes). Shape (M, dim) as
-    # unit offsets, scaled per step by the shrinking radius.
+    # Ring offsets (M, dim): the center, then per shell s the pairs +-s v
+    # for v along the axes and, in 2-D and up, along u itself, so the ring
+    # reaches x = xbar - r u off the axes too.
     eye = np.eye(dim)
     shell_dirs = eye if dim == 1 else np.vstack([eye, unit[None, :]])
     shells = np.arange(1, _NBHD_RESOLUTION + 1, dtype=float) / _NBHD_RESOLUTION
-    offsets = [np.zeros(dim)]
-    for s in shells:
-        for u in shell_dirs:
-            offsets.append(s * u)
-            offsets.append(-s * u)
-    offs = np.asarray(offsets)  # (M, dim)
-
-    # Direction-ball grid u + delta * w for w in {0, +-e_i}: shape (D, K, dim).
-    # The center column is the same for every delta, so it is kept once,
-    # first, then the K - 1 others of each delta: (1 + D (K - 1), dim).
-    ball = np.vstack([np.zeros((1, dim)), eye, -eye])  # (K, dim)
-    dprime = unit[None, None, :] + deltas[:, None, None] * ball[None, :, :]
-    k_side = ball.shape[0] - 1
-    dirs = np.vstack([dprime[0, :1], dprime[:, 1:].reshape(-1, dim)])
-    steps = ts[None, :, None] * dirs[:, None, :]  # t u' per ball direction and step
+    signed = np.multiply.outer(shells, [1.0, -1.0])[:, None, :, None]
+    offs = np.vstack([np.zeros((1, dim)), (signed * shell_dirs[:, None, :]).reshape(-1, dim)])
+    # Ball steps t u', u' = u + delta w, w in {0, +-e_i}: (D, K, 1, T, 1, dim)
+    ball = np.vstack([np.zeros((1, dim)), eye, -eye])
+    dprime = unit + deltas[:, None, None] * ball
+    steps = ts[:, None, None] * dprime[:, :, None, None, None, :]
 
     per_delta = np.empty((n, deltas.size))
-    # Scratch arrays for the largest block, reused by every block and ball
-    # direction: the shifted ring points, the center values, a running ball
-    # infimum and the quotients, each over the block's (b, T, M) ring cells.
-    cells = (min(n, _CLARKE_BLOCK), ts.size, offs.shape[0])
-    qpts = np.empty((*cells, dim))
-    center, inf_ball = np.empty(cells), np.empty(cells)
-    quot = np.empty((deltas.size, *cells))
-
-    def ball_values(ring: Array, s: int) -> Array:
-        """f at ring + t u' for ball direction ``s``, shaped like the ring's
-        cells. The values may view ``qpts``, which the next call overwrites."""
-        pts = qpts[: ring.shape[0]]
-        np.add(ring, steps[s][None, :, None, :], out=pts)
-        return f.values(pts.reshape(-1, dim)).reshape(pts.shape[:3])
-
-    for lo in range(0, n, _CLARKE_BLOCK):
-        rows = xb[lo : lo + _CLARKE_BLOCK]
-        b = rows.shape[0]
-        ring = rows[:, None, None, :] + radii[None, :, None, None] * offs[None, None, :, :]
-        fring = f.values(ring.reshape(-1, dim)).reshape(b, ts.size, offs.shape[0])
-        near = np.isfinite(fring) & (
-            np.abs(fring - f0[lo : lo + b, None, None]) <= radii[None, :, None]
-        )
-        c, acc, q = center[:b], inf_ball[:b], quot[:, :b]
-        np.copyto(c, ball_values(ring, 0))
-        for j in range(deltas.size):
-            # Infimum over the delta's ball on the f-values: its K - 1 slices
-            # in order, then the center; then one quotient per delta.
-            first = 1 + j * k_side
-            np.copyto(acc, ball_values(ring, first))
-            for s in range(first + 1, first + k_side):
-                np.fmin(acc, ball_values(ring, s), out=acc)
-            np.fmin(c, acc, out=q[j])
-        with np.errstate(invalid="ignore"):
-            np.subtract(q, fring, out=q)
-            q /= ts[None, None, :, None]
-        np.copyto(q, math.inf, where=np.isnan(q))
-        np.copyto(q, -math.inf, where=~near)
+    for rows in _row_blocks(n, 4 * steps.size * len(offs)):
+        ring = xb[rows, None, None, :] + radii[:, None, None] * offs  # (b, T, M, dim)
+        fring = f.values(ring.reshape(-1, dim)).reshape(ring.shape[:3])
+        near = np.isfinite(fring) & (np.abs(fring - f0[rows, None, None]) <= radii[:, None])
+        fball = f.values((ring + steps).reshape(-1, dim)).reshape(*dprime.shape[:2], *fring.shape)
+        with np.errstate(invalid="ignore"):  # +inf - +inf where the point is not near
+            quot = np.where(near, (np.fmin.reduce(fball, axis=1) - fring) / ts[:, None], -math.inf)
         # limsup over the near (t, ring point) pairs of each row
-        per_delta[lo : lo + b] = q.reshape(deltas.size, b, -1).max(axis=2).T
+        per_delta[rows] = quot.reshape(deltas.size, len(fring), -1).max(axis=2).T
 
     # A max over -0.0 and +0.0 keeps whichever its reduction order meets
     # first; a zero limsup is +0.0 whatever the block size.
@@ -422,8 +355,8 @@ def clarke_directional_values(
     if np.any(both):
         slope = np.maximum(v_lo[both] - v_hi[both], 0.0) / (d_hi - d_lo)
         values[both] = np.maximum(values[both], v_lo[both] + slope * d_lo)
-    values *= scale
-    per_delta *= scale
+    values *= dnorm
+    per_delta *= dnorm
     return values, per_delta
 
 

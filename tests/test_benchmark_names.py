@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from varpolar import subderivative
+from varpolar import core, subderivative
 from varpolar.core import FunctionOracle
 from varpolar.library import get_function, test_library as library_oracles
 
@@ -79,13 +79,25 @@ def test_run_suites_passes_the_oracle_positionally(monkeypatch):
     assert sorted(firsts) == sorted((attr, "abs") for attr in SUITE_ENTRY_POINTS)
 
 
-def test_clarke_kernel_returns_one_value_per_base_point():
+def test_clarke_kernel_returns_one_value_per_base_point(monkeypatch):
     # the tracer counts subderivative.clarke_directional_values.points as
-    # len(result[0]), so that must stay the number of base points
+    # len(result[0]), so that must stay the number of base points. A row
+    # block holds at most core._BLOCK_ENTRIES rows, so the last batch spans
+    # at least two blocks
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 256)
+    blocks = []
+
+    def spy(rows, cols):
+        found = list(core._row_blocks(rows, cols))
+        blocks.append(len(found))
+        return found
+
+    monkeypatch.setattr(subderivative, "_row_blocks", spy)
     f = get_function("twowell")
-    for n in (0, 1, subderivative._CLARKE_BLOCK + 44):
+    for n in (0, 1, core._BLOCK_ENTRIES + 44):
         values, per_delta = subderivative.clarke_directional_values(
             f, np.linspace(-1.0, 1.0, n)[:, None], [1.0]
         )
         assert len(values) == n
         assert per_delta.shape == (n, len(subderivative.DEFAULT_DELTAS))
+    assert blocks[-1] >= 2

@@ -3,10 +3,11 @@ with the constructions they replace, and bounded memory.
 
 ``_reference_clarke`` is the full (N, T, M, D, K, dim) formulation of the
 kernel: every direction-ball point evaluated once per delta, one quotient per
-ball point, then the infimum over the ball. The kernel evaluates the ball
-center once and takes the infimum on the f-values before the quotient; both
-must give the same floats, signs of zero included. ``cdd_suite`` must equal a
-loop of per-point ``cdd_profile`` calls."""
+ball point, then the infimum over the ball. The kernel evaluates each block's
+whole direction ball in one call and takes the infimum on the f-values before
+the quotient; both must give the same floats, signs of zero included, over
+any number of row blocks. ``cdd_suite`` must equal a loop of per-point
+``cdd_profile`` calls."""
 
 import math
 import tracemalloc
@@ -85,6 +86,27 @@ def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME):
     return values * scale, per_delta * scale
 
 
+def _ball_entries(dim):
+    """Block entries of one base point in the kernel: four per coordinate of
+    its D K T M ball points."""
+    rings = 1 + 2 * subderivative._NBHD_RESOLUTION * (1 if dim == 1 else dim + 1)
+    return 4 * len(DEFAULT_DELTAS) * (1 + 2 * dim) * DEFAULT_SCHEME.tail_count * rings * dim
+
+
+def _spy_blocks(monkeypatch):
+    """The row blocks the kernel walks, as a list of their sizes that fills
+    as it runs."""
+    sizes = []
+
+    def spy(rows, cols):
+        blocks = list(core._row_blocks(rows, cols))
+        sizes.extend(b.stop - b.start for b in blocks)
+        return blocks
+
+    monkeypatch.setattr(subderivative, "_row_blocks", spy)
+    return sizes
+
+
 def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -113,12 +135,16 @@ def test_kernel_matches_the_full_ball_reference(fid, tilt):
         assert _same_bits(got[1], want[1]), (fid, tilt, d)
 
 
-def test_kernel_blocks_match_per_point_calls():
+def test_kernel_blocks_match_per_point_calls(monkeypatch):
+    # two full blocks at the package budget and a last block of one point
     f = get_function("twowell")
-    n = subderivative._CLARKE_BLOCK + 1
+    rows = core._block_rows(_ball_entries(1))
+    n = 2 * rows + 1
     pts = np.linspace(-1.5, 1.5, n)[:, None]
     for d in ([1.0], [-1.0]):
+        blocks = _spy_blocks(monkeypatch)
         values, per_delta = clarke_directional_values(f, pts, d)
+        assert blocks == [rows, rows, 1] and rows >= 2
         for i in (0, 1, n // 2, n - 2, n - 1):
             v, p = clarke_directional_values(f, pts[i : i + 1], d)
             assert _same_bits(values[i : i + 1], v) and _same_bits(per_delta[i : i + 1], p)
@@ -147,9 +173,8 @@ _MAX3D = FunctionOracle(
 )
 
 
-#: f(x) = x1 on R^2, whose ``batch`` returns a view of its input: the kernel
-#: reuses one scratch array for the points of every ball slice, so it must
-#: copy the values it keeps.
+#: f(x) = x1 on R^2, whose ``batch`` returns a view of its input: the values
+#: the kernel keeps must not change when it builds its next points.
 _VIEW = FunctionOracle(
     name="view",
     dim=2,
@@ -162,13 +187,16 @@ _VIEW = FunctionOracle(
 @pytest.mark.parametrize("f", [_MAX3D, _SIGNED_ZERO, _VIEW], ids=["max3d", "fn_only", "view"])
 def test_kernel_slices_match_the_reference_over_several_blocks(monkeypatch, f):
     # blocks of three base points: several full blocks and a partial last one
-    monkeypatch.setattr(subderivative, "_CLARKE_BLOCK", 3)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 3 * _ball_entries(f.dim))
     grid = _finite_grid(f, {1: 5, 2: 3, 3: 3}[f.dim])
     zero = np.zeros((1, f.dim))
     pts = np.vstack([grid, zero, -zero, grid[-3:]])
     assert len(pts) % 3 != 0
     for d in _directions(f.dim):
+        blocks = _spy_blocks(monkeypatch)
         got = clarke_directional_values(f, pts, d)
+        if np.any(d):  # the zero direction evaluates f(xbar) alone
+            assert blocks == [3] * (len(pts) // 3) + [len(pts) % 3] and len(blocks) >= 2
         want = _reference_clarke(f, pts, d)
         assert _same_bits(got[0], want[0]), (f.name, d)
         assert _same_bits(got[1], want[1]), (f.name, d)
@@ -196,13 +224,19 @@ def test_zero_limsup_is_positive_zero_at_every_block_size(monkeypatch):
     # which zero a max over -0.0 and +0.0 keeps depends on numpy's reduction
     # order, which changes with the block's shape; the estimate must not.
     # Taking the max alone gave 39 to 47 of the 164 per-delta entries -0.0
-    # here, a different set at each block size
+    # here, a different set at each block size. Blocks of the package
+    # budget, of one and three points, and one block of all 41
     pts = np.linspace(-1.0, 1.0, 41)[:, None]
     results = {}
-    for block in (subderivative._CLARKE_BLOCK, 1, 3):
-        monkeypatch.setattr(subderivative, "_CLARKE_BLOCK", block)
+    rows = core._block_rows(_ball_entries(1))
+    for budget, block in ((core._BLOCK_ENTRIES, rows), (_ball_entries(1), 1),
+                          (3 * _ball_entries(1), 3), (10**9, len(pts))):
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", budget)
         for d in (1.0, -1.0):
+            blocks = _spy_blocks(monkeypatch)
             values, per_delta = clarke_directional_values(_ZERO_SIGNS, pts, [d])
+            assert set(blocks[:-1]) <= {block} and sum(blocks) == len(pts)
+            assert len(blocks) >= 2 or block == len(pts)
             assert np.all(values == 0.0) and np.all(per_delta == 0.0)
             assert not np.any(np.signbit(values)) and not np.any(np.signbit(per_delta))
             results.setdefault(d, []).append((values, per_delta))
@@ -399,8 +433,10 @@ def test_kernel_peak_memory_is_one_ball_slice():
 
 
 def test_kernel_oracle_calls_hold_at_most_one_block_of_ring_points(monkeypatch):
-    # f(xbar) once for the batch, then per block one call for the ring and one
-    # per direction-ball slice, each on the block's b T M ring points
+    # f(xbar) once for the batch, then per block one call on its b T M ring
+    # points and one on its whole direction ball, D K b T M points; the
+    # largest call stays below the 256 T M slice points of a 256-point block
+    # of a kernel that made one call per ball direction
     sizes = []
     values = FunctionOracle.values
 
@@ -412,8 +448,9 @@ def test_kernel_oracle_calls_hold_at_most_one_block_of_ring_points(monkeypatch):
     n = 5000
     clarke_directional_values(get_function("twowell"), np.linspace(-1.0, 1.0, n)[:, None], [1.0])
     cells = DEFAULT_SCHEME.tail_count * (1 + 2 * 3)  # T M in 1-D
-    slices = 1 + len(DEFAULT_DELTAS) * 2
-    blocks = [min(subderivative._CLARKE_BLOCK, n - lo)
-              for lo in range(0, n, subderivative._CLARKE_BLOCK)]
-    assert max(sizes) <= subderivative._CLARKE_BLOCK * cells == 17_920
-    assert sizes == [n] + [b * cells for b in blocks for _ in range(1 + slices)]
+    ball = len(DEFAULT_DELTAS) * 3  # D K in 1-D
+    rows = core._block_rows(_ball_entries(1))
+    blocks = [min(rows, n - lo) for lo in range(0, n, rows)]
+    assert len(blocks) >= 2
+    assert max(sizes) <= 256 * cells == 17_920
+    assert sizes == [n] + [b * cells * k for b in blocks for k in (1, ball)]

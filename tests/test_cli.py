@@ -141,6 +141,37 @@ def test_config_rejects_unknown_keys(tmp_path):
             load_config(str(cfg_path), {})
 
 
+@pytest.mark.parametrize(
+    ("lines", "message"),
+    [
+        ("bogus = 1", "unknown config key 'bogus' in section [DEFAULT]"),
+        ("resolution = abc", "bad value for 'resolution' in section [DEFAULT]"),
+        ("out = report", "config key 'out' in section [DEFAULT] is not read by this verb"),
+    ],
+    ids=["unknown_key", "bad_value", "unread_key"],
+)
+def test_the_default_section_is_checked_like_any_other(tmp_path, capsys, lines, message):
+    # configparser keeps [DEFAULT] out of sections(), and a file holding
+    # only [DEFAULT] loaded as the default config: explain exited 0
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(f"[DEFAULT]\n{lines}\n", encoding="utf-8")
+    assert main(["explain", "--config", str(cfg_path), "--function", "abs", "--x", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_default_section_keys_are_read(tmp_path):
+    # alone, and under a [run] section that sets a key of its own
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text("[DEFAULT]\nresolution = 9\n", encoding="utf-8")
+    assert load_config(str(cfg_path), {}).resolution == 9
+    cfg_path.write_text("[DEFAULT]\nresolution = 9\nfunctions = abs\n[run]\nfunctions = square\n",
+                        encoding="utf-8")
+    cfg = load_config(str(cfg_path), {})
+    assert (cfg.resolution, cfg.functions) == (9, ["square"])
+
+
 def test_suite_writes_report_and_exits_zero(tmp_path, capsys):
     code = main(
         [
@@ -553,6 +584,15 @@ def test_explain_non_finite_point_is_a_usage_error(capsys, point_args):
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
     # both points are parsed before anything is printed
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("xstar", ["1e308", "-1e308"])
+def test_explain_tilt_that_overflows_is_a_usage_error(capsys, xstar):
+    # the rays route printed member=False residual=nan and exited 0
+    assert main(["explain", "--function", "abs", "--x", "0", f"--xstar={xstar}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the tilt by x* = [{float(xstar)!r}] overflows on the probe region\n"
 
 
 def _assert_report_matches_the_stored_bytes(config: str, stored: str) -> None:

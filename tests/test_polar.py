@@ -412,6 +412,25 @@ def test_rays_route_rejects_offset_tilt_with_witness():
     assert y[0] == pytest.approx(0.5, abs=0.05) and t == 1.0
 
 
+def test_rays_route_rejects_a_tilt_that_overflows():
+    # <x*, y> = 1e308 y overflows on [-2, 2], so f - x* leaves (-inf, +inf]
+    # there, which f.shifted(x*) rejects. The route read residual nan, with
+    # two RuntimeWarnings out of the rays kernel's fold; now it raises
+    # before the kernel runs, for an x* that overflows at the grid or at x
+    f = get_function("abs")
+    region = f.default_region
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="outside"):
+        f.shifted([1e308]).values(region.sample(5))
+    for x, c in ((0.0, 1e308), (0.0, -1e308), (1e300, 1e10)):
+        with pytest.raises(ValueError, match="overflows on the probe region"):
+            polar_membership_via_iar(f, [x], [c], region)
+    g = get_function("norm2d")
+    with pytest.raises(ValueError, match="overflows on the probe region"):
+        polar_membership_via_iar(g, [0.0, 0.0], [0.0, 1e308], g.default_region)
+    # the largest thm3 candidates are far from the float range
+    assert polar_membership_via_iar(f, [0.0], [4.0], region).residual == 6.0
+
+
 def test_rays_route_matches_brute_force_scan():
     f = get_function("twowell")
     region = f.default_region

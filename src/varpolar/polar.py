@@ -14,7 +14,14 @@ product over that grid (:func:`~varpolar.core._min_products`, shared with
 the Minty route), and it and the graph × graph reduction run in blocks of
 about :data:`~varpolar.core._BLOCK_ENTRIES` entries, with the same floats as
 one matrix: the pairings are explicit sums over the coordinates, so every
-entry is computed the same way whatever block holds it.
+entry is computed the same way whatever block holds it. The polar of a
+sample settles most candidates on a strided slice of the graph first and
+runs the full product only on the rows and columns still open
+(:func:`polar_of_sample`).
+
+A tolerance or match radius that is NaN, infinite or negative raises
+:class:`ValueError`: it would make the quantifier vacuous, or fail every
+pair, whatever the sample.
 
 :func:`is_absorbing` reads T alone, whichever subdifferential it samples: no
 side-oracle decides which related candidates T attributes.
@@ -30,6 +37,7 @@ import numpy as np
 from .core import (
     Array,
     DEFAULT_TOL,
+    DimensionMismatchError,
     FunctionOracle,
     GraphSample,
     Region,
@@ -48,6 +56,24 @@ EXACT_TOL = 1e-9
 DEFAULT_RAY_RESOLUTION = 33
 
 
+def _check_bound(name: str, value: float) -> None:
+    """Raise :class:`ValueError` unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def _candidate_rows(name: str, rows: Array, dim: int | None) -> Array:
+    """``rows`` as a float (k, dim) array of finite coordinates (any number
+    of columns with ``dim`` None), or :class:`ValueError` (a
+    :class:`DimensionMismatchError` for a shape)."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
+        raise DimensionMismatchError(f"{name} must have shape (k, {dim or 'n'}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must have finite coordinates")
+    return arr
+
+
 def polar_contains(
     T: GraphSample,
     x: Sequence[float] | float | Array,
@@ -60,8 +86,9 @@ def polar_contains(
     first sampled pair achieving it: the 1 x 1 case of the (min, +) product
     of :func:`_min_products`. An empty sample relates everything (vacuous
     quantifier): the residual is +inf by convention and no witness is
-    reported.
+    reported. A NaN, infinite or negative ``tol`` raises :class:`ValueError`.
     """
+    _check_bound("tol", tol)
     p = as_point(x, T.dim if len(T) else None)
     c = as_point(xstar, p.shape[0])
     if len(T) == 0:
@@ -79,8 +106,10 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
     """Does every pair of elements of T satisfy <y* - x*, y - x> >= -tol?
 
     The residual is the minimum product and the witness the pair of graph
-    elements (as two (point, covector) tuples) achieving it.
+    elements (as two (point, covector) tuples) achieving it. A NaN, infinite
+    or negative ``tol`` raises :class:`ValueError`.
     """
+    _check_bound("tol", tol)
     n = len(T)
     if n <= 1:
         return Verdict(ok=True, residual=math.inf, witness=None)
@@ -113,8 +142,29 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
 def polar_of_sample(T: GraphSample, xs: Array, cs: Array, tol: float = DEFAULT_TOL) -> GraphSample:
     """The candidate pairs (xs[i], cs[j]) of the product of the points ``xs``
     and the covectors ``cs`` that are monotonically related to T, x-major.
-    Only the related pairs are formed; an empty T relates all of them."""
-    i, j = np.nonzero(_min_products(T, xs, cs) >= -tol)
+    Only the related pairs are formed; an empty T relates all of them.
+
+    Two passes of :func:`_min_products`. The first runs over every
+    ⌊√len(T)⌋-th pair of T and its last: a pair whose minimum there is
+    below -tol (or NaN) is unrelated. The second runs over all of T on the
+    x rows and x* columns that still hold an open pair, and decides every
+    pair between them. The related set is that of one pass over all of T:
+    each entry is computed the same way in both, b is added after the
+    minimum and rounding is monotone, so the minimum over T is at most that
+    over the slice (or NaN with it), bit for bit, and a pair the first pass
+    closes stays closed. ``xs`` and ``cs`` must be finite (k, n) arrays,
+    with n = T.dim when T is not empty, and ``tol`` finite and nonnegative
+    (:class:`ValueError` otherwise).
+    """
+    _check_bound("tol", tol)
+    xs = _candidate_rows("xs", xs, T.dim if len(T) else None)
+    cs = _candidate_rows("cs", cs, xs.shape[1])
+    coarse = np.arange(len(T)) % max(1, math.isqrt(len(T))) == 0
+    coarse[-1:] = True
+    related = _min_products(T.filter(coarse), xs, cs) >= -tol
+    i, j = np.flatnonzero(related.any(axis=1)), np.flatnonzero(related.any(axis=0))
+    related[np.ix_(i, j)] = _min_products(T, xs[i], cs[j]) >= -tol
+    i, j = np.nonzero(related)
     return GraphSample(xs[i], cs[j])
 
 
@@ -155,7 +205,14 @@ def is_absorbing(
     of the graph distance. The witness is the worst unattributed candidate
     and the residual the largest attribution distance (the least max of the
     two distances over the chords) minus the radius.
+
+    The related candidates are :func:`polar_of_sample`'s, which settles
+    most of them on a strided slice of T before the full product. A
+    ``match_radius`` or ``tol`` that is NaN, infinite or negative, or
+    candidates that :func:`polar_of_sample` rejects, raise
+    :class:`ValueError` before any product is formed.
     """
+    _check_bound("match_radius", match_radius)
     related = polar_of_sample(T, xs, cs, tol)
     if len(related) == 0:
         return Verdict(

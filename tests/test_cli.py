@@ -383,10 +383,12 @@ def test_polar_dump(capsys):
     assert out[0] == "x_1,xstar_1"
 
 
-@pytest.mark.parametrize("fid", ["abs", "norm2d"])
+@pytest.mark.parametrize("fid", ["abs", "norm2d", "twowell"])
 def test_polar_output_at_the_default_config_matches_the_stored_bytes(capsys, fid):
-    # the report does not cover the `polar` verb; these rows were taken
-    # when the polar kernel still formed the candidate product row by row
+    # the report does not cover the `polar` verb; the abs and norm2d rows
+    # were taken when the polar kernel still formed the candidate product
+    # row by row, and the twowell rows (a Clarke-numeric graph) when it
+    # still ran one pass over the whole graph
     assert main(["polar", "--function", fid]) == 0
     stored = Path(__file__).parent / "data" / f"polar_{fid}.csv"
     assert capsys.readouterr().out.encode() == stored.read_bytes()

@@ -325,9 +325,9 @@ def _pairwise_products(T, x, x_star):
     ]
 
 
-def _float_rows(dim, min_size, max_size):
+def _float_rows(dim, min_size, max_size, special=(0.0, -0.0, 1.0, -1.0, 0.5)):
     # small values, zeros of both signs and repeats, so that products tie
-    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-8.0, 8.0))
+    value = st.one_of(st.sampled_from(special), st.floats(-8.0, 8.0))
     return st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=min_size,
                     max_size=max_size).map(lambda rows: np.array(rows, dtype=float).reshape(-1, dim))
 
@@ -359,6 +359,107 @@ def test_every_min_product_is_a_pairwise_product_bit_for_bit(case, budget):
             # ... and with argmin, that of the first one
             k = products.index(least)
             assert args[i, j] == k and _bits(first_mins[i, j]) == _bits(products[k])
+
+
+def _huge_rows(dim, min_size, max_size):
+    # finite rows with ±1e308 among the small values: their products
+    # overflow to ±inf, and where two such infinities meet, to NaN
+    return _float_rows(dim, min_size, max_size, special=(0.0, -0.0, 1.0, -1.0, 1e308, -1e308))
+
+
+@st.composite
+def _polar_cases(draw):
+    dim = draw(st.integers(1, 3))
+    points = draw(_huge_rows(dim, 0, 12))
+    T = GraphSample(points, draw(_huge_rows(dim, len(points), len(points))))
+    return T, draw(_huge_rows(dim, 0, 5)), draw(_huge_rows(dim, 0, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_polar_cases(), budget=st.sampled_from([1, 7, 10**9]),
+       tol=st.sampled_from([0.0, 1e-6, 0.5]))
+def test_polar_of_sample_relates_what_one_full_product_relates(case, budget, tol):
+    # the strided first pass and the open-pair second pass relate exactly
+    # the pairs whose minimum over all of T is >= -tol, NaN products included
+    T, xs, cs = case
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(core, "_BLOCK_ENTRIES", budget)
+        out = polar_of_sample(T, xs, cs, tol)
+        i, j = np.nonzero(polar._min_products(T, xs, cs) >= -tol)
+    one_pass = GraphSample(xs[i], cs[j])
+    assert (_bits(out.points), _bits(out.covectors)) == (_bits(one_pass.points),
+                                                         _bits(one_pass.covectors))
+
+
+def test_predicates_runs_the_full_product_only_on_open_pairs(monkeypatch):
+    # (min, +) entries, len(T) x len(xs) x len(cs), per product call at
+    # resolution 257: one pass over the whole graph made 259 x 255 x 289
+    # and 263 x 255 x 289 (about 19.1 M each). The first pass takes 18 of
+    # the graph's pairs (every 16th and the last); it leaves no open pair
+    # on neg_abs, and on twowell it leaves 4 x rows by 66 covectors open
+    counts = []
+
+    def counted(T, xs, cs, argmin=False):
+        counts.append(len(T) * len(xs) * len(cs))
+        return core._min_products(T, xs, cs, argmin)
+
+    monkeypatch.setattr(polar, "_min_products", counted)
+    params = SuiteParams(resolution=257)
+    for fid, entries in (("neg_abs", [1326510, 0]), ("twowell", [1326510, 69432])):
+        counts.clear()
+        predicates_suite(get_function(fid), params)
+        assert counts == entries, fid
+
+
+def test_a_vacuous_tolerance_or_match_radius_raises_before_any_work(monkeypatch):
+    # a NaN tolerance failed every comparison, so is_absorbing related
+    # nothing and passed; -inf did the same, and is_monotone passed a
+    # non-monotone graph at tol = inf
+    T = GraphSample([[0.0]], [[0.0]])
+    xs = cs = _column([0.25, 0.5, 0.75, 1.0])
+    v = is_absorbing(T, xs, cs, match_radius=0.1, tol=1e-6)
+    assert not v.ok and v.details == {"related": 16, "unattributed": 16}
+    swap = _graph([(0.0, 1.0), (1.0, 0.0)])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(polar, "_min_products", no_work)
+    monkeypatch.setattr(polar, "_pairings", no_work)
+    for bad in (math.nan, math.inf, -math.inf, -1e-6):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            is_absorbing(T, xs, cs, match_radius=0.1, tol=bad)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            polar_of_sample(T, xs, cs, tol=bad)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            polar_contains(T, [1.0], [1.0], tol=bad)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            is_monotone(swap, tol=bad)
+        with pytest.raises(ValueError, match="match_radius must be finite and nonnegative"):
+            is_absorbing(T, xs, cs, match_radius=bad)
+
+
+def test_candidate_rows_are_checked_before_any_work(monkeypatch):
+    # a (3, 2) xs against a 1-D graph raised IndexError, a flat xs a
+    # broadcast error, and a 2-D cs was paired on its first axis alone
+    def no_work(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(polar, "_min_products", no_work)
+    T = _graph([(0.0, 0.0), (1.0, 1.0)])
+    column = _column([0.0, 1.0])
+    for xs, cs in ((np.zeros((3, 2)), column), (np.zeros(3), column), (column, np.ones((2, 2))),
+                   (np.zeros((1, 2, 1)), column)):
+        for call in (lambda: polar_of_sample(T, xs, cs),
+                     lambda: is_absorbing(T, xs, cs, match_radius=0.1)):
+            with pytest.raises(core.DimensionMismatchError, match="must have shape"):
+                call()
+    # without a sample, xs sets the dimension and cs must follow it
+    with pytest.raises(core.DimensionMismatchError, match=r"cs must have shape \(k, 2\)"):
+        polar_of_sample(GraphSample.empty(2), np.zeros((1, 2)), column)
+    for xs, cs in ((_column([0.0, math.nan]), column), (column, _column([math.inf]))):
+        with pytest.raises(ValueError, match="must have finite coordinates"):
+            polar_of_sample(T, xs, cs)
 
 
 def test_predicates_memory_stays_bounded_at_high_resolution():

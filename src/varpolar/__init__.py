@@ -7,17 +7,15 @@ curated library of exactly-known test functions."""
 from .core import (
     DEFAULT_BOX_HALF_WIDTH,
     DEFAULT_TOL,
-    BallSet,
     DimensionMismatchError,
     DomainError,
     FunctionOracle,
     GraphSample,
-    IntervalSet,
-    PolytopeSet,
     Region,
     UnusableSampleError,
     Verdict,
     as_point,
+    interval_rows,
 )
 from .library import FUNCTION_IDS, get_function, test_library
 from .minty import (
@@ -52,7 +50,6 @@ from .subdifferential import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallSet",
     "DEFAULT_BOX_HALF_WIDTH",
     "DEFAULT_TOL",
     "DimensionMismatchError",
@@ -61,9 +58,7 @@ __all__ = [
     "FUNCTION_IDS",
     "FunctionOracle",
     "GraphSample",
-    "IntervalSet",
     "LiminfScheme",
-    "PolytopeSet",
     "Region",
     "SubderivEstimate",
     "UnusableSampleError",
@@ -77,6 +72,7 @@ __all__ = [
     "epsilon_enlargement",
     "get_function",
     "iar_check",
+    "interval_rows",
     "is_absorbing",
     "is_monotone",
     "lower_dini",

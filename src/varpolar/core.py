@@ -1,4 +1,4 @@
-"""Regions, function oracles, covector set descriptions, and sampled operator graphs.
+"""Regions, function oracles, subdifferential graph rows, and sampled operator graphs.
 
 Everything in this package works in R^n (n <= 3 for grid quantifiers) with the
 Euclidean dot product as the pairing. Function values live in (-inf, +inf]:
@@ -266,115 +266,44 @@ def _min_products(
 
 
 # ---------------------------------------------------------------------------
-# Subdifferential set descriptions
+# Subdifferential graph rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalSet:
-    """A 1-D covector interval [lo, hi]; lo may be -inf and hi may be +inf."""
+def interval_rows(lo: Array, hi: Array, half_width: float) -> tuple[Array, Array, Array]:
+    """Graph rows of the 1-D covector intervals [lo[i], hi[i]] for (N,)
+    bound arrays (lo may be -inf and hi +inf), in the layout of
+    :meth:`FunctionOracle.subdifferential_representatives`: (R,) owners,
+    (R, 1) covectors and (N,) truncation flags. A NaN bound marks an empty
+    set, which has no row and is not truncated.
 
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
-
-    def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
-        """Representative covectors {low, mid, high} of the interval clipped
-        to the covector box [-half_width, half_width]. Returns (reps,
-        truncated); see :meth:`batch_representatives` for the rule."""
-        _, reps, truncated = IntervalSet.batch_representatives(
-            np.array([self.lo]), np.array([self.hi]), half_width
-        )
-        return reps, bool(truncated[0])
-
-    @staticmethod
-    def batch_representatives(
-        lo: Array, hi: Array, half_width: float
-    ) -> tuple[Array, Array, Array]:
-        """Representatives of the intervals [lo[i], hi[i]] for (N,) bound
-        arrays, in the graph-row layout of
-        :meth:`FunctionOracle.subdifferential_representatives`: (R,) owners,
-        (R, 1) covectors and (N,) truncation flags. A NaN bound marks an
-        empty set, which has no row and is not truncated.
-
-        Each interval is clipped to the box: lo_c = min(max(lo, -hw), hi) and
-        hi_c = max(min(hi, hw), lo_c), so an interval that misses the box
-        keeps only its endpoint nearest to it. The rows are lo_c, the
-        midpoint and hi_c in increasing order, with repeated values dropped;
-        ``truncated`` is set exactly when clipping moved an endpoint.
-        """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        lo_c = np.minimum(np.maximum(lo, -half_width), hi)
-        hi_c = np.maximum(np.minimum(hi, half_width), lo_c)
-        mid = 0.5 * (lo_c + hi_c)
-        defined = ~np.isnan(lo_c)
-        keep = np.stack([defined, defined & (mid != lo_c), defined & (hi_c != mid)], axis=1)
-        flat = np.flatnonzero(keep)
-        reps = np.take(np.stack([lo_c, mid, hi_c], axis=1), flat)
-        truncated = (lo_c > lo) | (hi_c < hi)
-        return flat // 3, reps[:, None], truncated
+    Each interval is clipped to the box: lo_c = min(max(lo, -hw), hi) and
+    hi_c = max(min(hi, hw), lo_c), so an interval that misses the box keeps
+    only its endpoint nearest to it. The rows are lo_c, the midpoint and
+    hi_c in increasing order, with repeated values dropped; ``truncated`` is
+    set exactly when clipping moved an endpoint.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    lo_c = np.minimum(np.maximum(lo, -half_width), hi)
+    hi_c = np.maximum(np.minimum(hi, half_width), lo_c)
+    mid = 0.5 * (lo_c + hi_c)
+    defined = ~np.isnan(lo_c)
+    keep = np.stack([defined, defined & (mid != lo_c), defined & (hi_c != mid)], axis=1)
+    flat = np.flatnonzero(keep)
+    reps = np.take(np.stack([lo_c, mid, hi_c], axis=1), flat)
+    truncated = (lo_c > lo) | (hi_c < hi)
+    return flat // 3, reps[:, None], truncated
 
 
-@dataclass(frozen=True)
-class PolytopeSet:
-    """Covector set given by finitely many vertices (a singleton, a segment,
-    or a small polytope): their convex hull."""
-
-    vertices: Array
-
-    def __post_init__(self) -> None:
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polytope vertices must be finite")
-        object.__setattr__(self, "vertices", v)
-
-    def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
-        """All vertices plus the vertex centroid. The covector box does not
-        cut a polytope, but ``truncated`` is set when a representative lies
-        outside it (see :func:`_beyond_box`)."""
-        reps = self.vertices
-        if reps.shape[0] > 1:
-            reps = np.vstack([reps, reps.mean(axis=0, keepdims=True)])
-        return reps, bool(_beyond_box(reps, half_width).any())
-
-
-#: Boundary points of the fan that represents a ball in 2-D and 3-D.
+#: Boundary points of the fan that represents the unit ball in 2-D.
 _BALL_FAN = 16
 
 
-@dataclass(frozen=True)
-class BallSet:
-    """A Euclidean covector ball (e.g. the subdifferential of the norm at 0)."""
-
-    center: Array
-    radius: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", as_point(self.center))
-        if not (self.radius > 0):
-            raise ValueError("ball radius must be positive")
-
-    def representatives(self, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> tuple[Array, bool]:
-        """The center plus a deterministic fan of boundary points. The
-        covector box does not cut a ball, but ``truncated`` is set when a
-        representative lies outside it (see :func:`_beyond_box`)."""
-        dim = self.center.shape[0]
-        if dim == 1:
-            reps = np.array([[-self.radius], [0.0], [self.radius]]) + self.center
-        else:
-            if dim == 2:
-                ang = 2.0 * np.pi * np.arange(_BALL_FAN) / _BALL_FAN
-                ring = self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            else:
-                ring = self.radius * _fibonacci_sphere(_BALL_FAN)
-            reps = np.vstack([self.center[None, :], self.center[None, :] + ring])
-        return reps, bool(_beyond_box(reps, half_width).any())
-
-
-SubdiffSet = IntervalSet | PolytopeSet | BallSet
+def _ball_fan() -> Array:
+    """Representatives of the closed unit ball of R^2: its center, then
+    :data:`_BALL_FAN` points evenly spaced in angle on the circle."""
+    ang = 2.0 * np.pi * np.arange(_BALL_FAN) / _BALL_FAN
+    return np.vstack([np.zeros((1, 2)), np.stack([np.cos(ang), np.sin(ang)], axis=-1)])
 
 
 def _beyond_box(covectors: Array, half_width: float) -> Array:
@@ -404,52 +333,53 @@ def _fibonacci_sphere(n: int) -> Array:
 class FunctionOracle:
     """An evaluable proper lower semicontinuous function on R^n.
 
-    ``fn`` maps a point to a raw float where ``math.inf`` stands for +inf;
-    ``value``, ``values`` and ``values_at`` reject NaN and -inf. ``batch``,
-    when present, is what makes grid quantifiers cheap: ``batch(*coords)``
-    takes one float array per coordinate, arrays that broadcast together,
-    and returns f elementwise in their broadcast shape. A point's value may
-    depend only on its own coordinates, never on the shape or the other
-    entries of the arrays: the rays kernel hands ``batch`` the per-axis
-    coordinates of a tensor grid, of shapes (T, b, 1, ...), (T, 1, n_1, ...)
-    and so on, where ``values`` hands it the columns of an (N, dim) array.
-    ``batch``, when given, evaluates everything, ``value`` included; ``fn``
-    serves an oracle without one. Nothing outside this class reads either.
-    Lower semicontinuity and properness are taken on trust from the
-    metadata; the curated library is spot-checked by the test suite.
+    ``batch(*coords)`` is f's vectorized form: it takes one float array per
+    coordinate, arrays that broadcast together, and returns f elementwise
+    in their broadcast shape. A point's value may depend only on its own
+    coordinates, never on the shape or the other entries of the arrays: the
+    rays kernel hands ``batch`` the per-axis coordinates of a tensor grid,
+    of shapes (T, b, 1, ...), (T, 1, n_1, ...) and so on, where ``values``
+    hands it the columns of an (N, dim) array. ``fn``, optional, wraps a
+    scalar function of one point for an oracle without ``batch``, and is
+    then called point by point; an oracle needs one of the two, and
+    ``batch``, when given, evaluates everything, ``value`` included.
+    Values are raw floats where ``math.inf`` stands for +inf; ``value``,
+    ``values`` and ``values_at`` reject NaN and -inf. Nothing outside this
+    class reads ``fn`` or ``batch``. Lower semicontinuity and properness are
+    taken on trust from the metadata; the curated library is spot-checked
+    by the test suite.
 
-    ``exact_subderivative(x, d)`` and ``exact_subdifferential(x)`` are
-    optional analytic side-oracles. The former returns a raw float (inf
-    allowed), the latter a :data:`SubdiffSet` description or None where the
-    subdifferential is empty or unknown.
+    Two optional analytic side-oracles, each in one vectorized form:
 
-    ``exact_subdifferential_batch(points, half_width)`` is the optional
-    batched form of the latter, used by graph sampling. It maps an (N, dim)
-    array of points to the graph rows ``(owner, covectors, truncated)``: an
-    (R,) nondecreasing integer array of point indices in [0, N), the (R, dim)
-    covectors, and (N,) truncation flags. Row r pairs ``points[owner[r]]``
-    with ``covectors[r]``. For every point i, ``covectors[owner == i]`` and
-    ``truncated[i]`` must equal ``exact_subdifferential(x_i)
-    .representatives(half_width)`` bitwise, rows in the same order; a point
-    with an empty subdifferential (None) has no row and is not truncated.
-    Without it, :meth:`subdifferential_representatives` loops over the
-    per-point oracle.
+    - ``exact_subderivative(xbars, ds)`` takes (N, dim) base points and
+      directions, row by row as :func:`~varpolar.subderivative.lower_dini_values`
+      does, and returns the (N,) raw floats df(xbars[i])(ds[i]) (inf
+      allowed).
+    - ``exact_subdifferential(points, half_width)`` maps an (N, dim) array
+      of points to the graph rows ``(owner, covectors, truncated)`` of the
+      subdifferential: an (R,) nondecreasing integer array of point indices
+      in [0, N), the (R, dim) representative covectors, and (N,) flags, set
+      where the covector box [-half_width, half_width]^dim cut the point's
+      set or a representative lies outside it. Row r pairs
+      ``points[owner[r]]`` with ``covectors[r]``; a point where the
+      subdifferential is empty has no row and is not truncated. A point's
+      rows depend only on the point. :func:`interval_rows` builds these
+      rows for 1-D intervals.
     """
 
     name: str
     dim: int
-    fn: Callable[[Array], float]
+    fn: Callable[[Array], float] | None = None
     batch: Callable[..., Array] | None = None
     is_convex: bool = False
-    exact_subderivative: Callable[[Array, Array], float] | None = None
-    exact_subdifferential: Callable[[Array], SubdiffSet | None] | None = None
+    exact_subderivative: Callable[[Array, Array], Array] | None = None
+    exact_subdifferential: Callable[[Array, float], tuple[Array, Array, Array]] | None = None
     default_region: Region | None = None
     finite_point: Array | None = None
-    exact_subdifferential_batch: (
-        Callable[[Array, float], tuple[Array, Array, Array]] | None
-    ) = None
 
     def __post_init__(self) -> None:
+        if self.fn is None and self.batch is None:
+            raise ValueError(f"oracle {self.name!r} needs fn or batch to evaluate f")
         if self.finite_point is not None:
             p = as_point(self.finite_point, self.dim)
             object.__setattr__(self, "finite_point", p)
@@ -500,22 +430,18 @@ class FunctionOracle:
     def subdifferential_representatives(
         self, points: Array, half_width: float = DEFAULT_BOX_HALF_WIDTH
     ) -> tuple[Array, Array, Array]:
-        """Representative covectors of the exact subdifferential at an
-        (N, dim) array of points, as the graph rows ``(owner, covectors,
-        truncated)`` of the ``exact_subdifferential_batch`` contract. Uses
-        the batched side-oracle when present, after checking the shapes of
-        its rows, and otherwise loops over ``exact_subdifferential``."""
+        """The graph rows ``(owner, covectors, truncated)`` of the exact
+        subdifferential at an (N, dim) array of points: the side-oracle's,
+        after checking their shapes and the order of ``owner``."""
         if self.exact_subdifferential is None:
             raise ValueError(f"oracle {self.name!r} has no exact subdifferential")
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(f"expected (N, {self.dim}) points, got {pts.shape}")
-        if self.exact_subdifferential_batch is None:
-            return _representatives_by_point(self.exact_subdifferential, pts, half_width)
-        rows = self.exact_subdifferential_batch(pts, half_width)
+        rows = self.exact_subdifferential(pts, half_width)
         problem = _graph_rows_problem(rows, *pts.shape)
         if problem:
-            raise ValueError(f"oracle {self.name!r}: exact_subdifferential_batch {problem}")
+            raise ValueError(f"oracle {self.name!r}: exact_subdifferential {problem}")
         return rows
 
     # bench/tracer.py keys each suite call's wall time by str() of its first argument
@@ -528,9 +454,9 @@ class FunctionOracle:
         """The tilted oracle x -> f(x) - <xstar, x>.
 
         Only the values are tilted: the tilted oracle carries no side-oracles.
-        Both ``fn`` and ``batch`` subtract the :func:`_pairing` of the
-        coordinates with xstar, so a point's tilted value does not depend on
-        its batch, and the tilted rays kernel
+        ``fn`` and ``batch``, where given, subtract the :func:`_pairing` of
+        the coordinates with xstar, so a point's tilted value does not
+        depend on its batch, and the tilted rays kernel
         (:func:`~varpolar.minty._tilted_iar_residuals`), which subtracts the
         same pairing from f's values, gives this oracle's values bit for bit.
         """
@@ -541,27 +467,11 @@ class FunctionOracle:
         return replace(
             self,
             name=f"{self.name}-tilted",
-            fn=fn,
+            fn=None if base_fn is None else fn,
             batch=None if base_batch is None else batch,
             exact_subderivative=None,
             exact_subdifferential=None,
-            exact_subdifferential_batch=None,
         )
-
-
-def _representatives_by_point(
-    sdiff: Callable[[Array], SubdiffSet | None], pts: Array, half_width: float
-) -> tuple[Array, Array, Array]:
-    """Graph rows ``(owner, covectors, truncated)`` from per-point calls of
-    ``sdiff``."""
-    n, dim = pts.shape
-    per_point = [
-        (np.zeros((0, dim)), False) if desc is None else desc.representatives(half_width)
-        for desc in map(sdiff, pts)
-    ]
-    owner = np.repeat(np.arange(n), [len(r) for r, _ in per_point])
-    covectors = np.concatenate([np.zeros((0, dim))] + [r for r, _ in per_point])
-    return owner, covectors, np.array([t for _, t in per_point], dtype=bool)
 
 
 def _graph_rows_problem(rows: Any, n: int, dim: int) -> str | None:
@@ -602,10 +512,11 @@ class GraphSample:
     def __post_init__(self) -> None:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         cov = np.atleast_2d(np.asarray(self.covectors, dtype=float))
+        # an empty (0, n) array keeps its n columns
         if pts.size == 0:
-            pts = pts.reshape(0, cov.shape[1] if cov.size else 1)
+            pts = pts.reshape(0, pts.shape[1] or cov.shape[1] or 1)
         if cov.size == 0:
-            cov = cov.reshape(0, pts.shape[1])
+            cov = cov.reshape(0, cov.shape[1] or pts.shape[1])
         if pts.shape != cov.shape:
             raise DimensionMismatchError(
                 f"points {pts.shape} and covectors {cov.shape} must align"

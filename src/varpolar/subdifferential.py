@@ -371,9 +371,10 @@ def sample_subdiff_graph(
     """Sample representative (point, covector) pairs of the subdifferential
     graph over a region grid.
 
-    ``source="exact"`` uses the analytic side-oracle (its batched form when
-    the oracle has one): interval endpoints and midpoint in 1-D, the vertex
-    list (plus centroid) in n-D, a center-plus-fan for ball sets.
+    ``source="exact"`` takes the rows of the analytic side-oracle, one call
+    for the whole grid: for the library, interval endpoints and midpoint in
+    1-D, the vertex list (plus centroid) in n-D, a center-plus-fan for the
+    ball.
     ``source="clarke-numeric"`` samples the Clarke subdifferential in the
     same layout. Where every sampled value is finite and every gradient lies
     in the covector box, it lists the gradients at x and at x + R u for the

@@ -167,7 +167,6 @@ _SIGNED_ZERO = FunctionOracle(
 _MAX3D = FunctionOracle(
     name="max3d",
     dim=3,
-    fn=lambda x: max(float(x[0]), float(x[1]), float(x[2]), -float(x[0] + x[1] + x[2])),
     batch=lambda *x: np.max(np.stack(np.broadcast_arrays(*x, -(x[0] + x[1] + x[2]))), axis=0),
     default_region=Region.box([(-1.0, 1.0)] * 3),
 )
@@ -178,7 +177,6 @@ _MAX3D = FunctionOracle(
 _VIEW = FunctionOracle(
     name="view",
     dim=2,
-    fn=lambda x: float(x[0]),
     batch=lambda x1, x2: x1,
     default_region=Region.box([(-1.0, 1.0)] * 2),
 )
@@ -214,7 +212,6 @@ def _zero_signs(x):
 _ZERO_SIGNS = FunctionOracle(
     name="zero_signs",
     dim=1,
-    fn=lambda x: float(_zero_signs(np.asarray(x, dtype=float))[0]),
     batch=_zero_signs,
     default_region=Region.box([(-1.0, 1.0)]),
 )
@@ -276,7 +273,6 @@ def test_support_table_reaches_the_concave_kink_off_the_axes():
     f = FunctionOracle(
         name="neg_norm2d",
         dim=2,
-        fn=lambda x: -float(np.linalg.norm(x)),
         batch=lambda x1, x2: -np.sqrt(x1 * x1 + x2 * x2),
     )
     dirs = subdifferential.sphere_directions(2, 16)

@@ -1,4 +1,5 @@
-"""Regions, oracle evaluation, graph samples, and covector set descriptions."""
+"""Regions, oracle evaluation, graph samples, and the graph rows of covector
+sets (intervals, segments and balls)."""
 
 import dataclasses
 import math
@@ -6,15 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from varpolar import (
-    BallSet,
-    DimensionMismatchError,
-    GraphSample,
-    IntervalSet,
-    PolytopeSet,
-    Region,
-    iar_check,
-)
+from varpolar import DimensionMismatchError, GraphSample, Region, iar_check, interval_rows
 from varpolar.core import FunctionOracle, tensor_grid
 from varpolar.library import get_function
 
@@ -121,14 +114,14 @@ def test_values_at_evaluates_broadcast_coordinates_on_both_routes():
     # (3, 1) and (1, 4) coordinate arrays: the 12 points of a tensor grid,
     # with the bits of values() on them, from batch and from fn alone
     f = get_function("norm2d")
-    looped = dataclasses.replace(f, batch=None)
+    looped = dataclasses.replace(f, batch=None, fn=lambda x: math.sqrt(x[0] * x[0] + x[1] * x[1]))
     a1, a2 = np.array([-1.5, 0.0, 0.3]), np.array([-2.0, -0.1, 0.7, 1.9])
     want = f.values(tensor_grid([a1, a2])).reshape(3, 4)
     for oracle in (f, looped):
         got = oracle.values_at(a1[:, None], a2[None, :])
         assert got.shape == (3, 4) and np.array_equal(got, want)
     # a constant batch is broadcast to the coordinates' shape
-    const = FunctionOracle("const", 2, fn=lambda x: 1.0, batch=lambda x1, x2: 1.0)
+    const = FunctionOracle("const", 2, batch=lambda x1, x2: 1.0)
     assert np.array_equal(const.values_at(a1[:, None], a2), np.ones((3, 4)))
     assert np.array_equal(const.values(np.zeros((5, 2))), np.ones(5))
     with pytest.raises(DimensionMismatchError):
@@ -160,62 +153,82 @@ def test_graph_sample_restrict_and_rows():
     assert g.to_rows()[0] == [-2.0, 1.0]
 
 
-# -- covector set descriptions -------------------------------------------------
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_an_empty_graph_sample_keeps_its_dimension(dim):
+    g = GraphSample.empty(dim)
+    assert g.dim == dim and len(g) == 0
+    assert g.points.shape == g.covectors.shape == (0, dim)
+    assert g.csv_header() == [f"x_{i + 1}" for i in range(dim)] + [
+        f"xstar_{i + 1}" for i in range(dim)
+    ]
+    # so does a filter that keeps no pair
+    full = GraphSample(np.eye(2, dim), np.zeros((2, dim)))
+    assert len(full) == 2 and full.filter(np.zeros(2, dtype=bool)).dim == dim
+
+
+# -- graph rows of covector sets -----------------------------------------------
+
+def _interval(lo, hi, half_width=10.0):
+    """The rows and the flag of the one interval [lo, hi]."""
+    owner, covectors, truncated = interval_rows(np.array([lo]), np.array([hi]), half_width)
+    assert owner.tolist() == [0] * len(owner)
+    return covectors, bool(truncated[0])
+
 
 def test_interval_set_truncation_flags():
-    reps, truncated = IntervalSet(-math.inf, 0.0).representatives(half_width=10.0)
+    reps, truncated = _interval(-math.inf, 0.0)
     assert truncated
     assert np.allclose(reps[:, 0], [-10.0, -5.0, 0.0])
-    reps2, truncated2 = IntervalSet(-1.0, 1.0).representatives(half_width=10.0)
+    reps2, truncated2 = _interval(-1.0, 1.0)
     assert not truncated2
     assert np.allclose(reps2[:, 0], [-1.0, 0.0, 1.0])
 
 
 def test_interval_set_representatives_outside_the_box_stay_members():
-    reps, truncated = IntervalSet(12.0, 12.0).representatives(half_width=10.0)
+    reps, truncated = _interval(12.0, 12.0)
     assert reps[:, 0].tolist() == [12.0] and not truncated
-    reps, truncated = IntervalSet(-math.inf, -12.0).representatives(half_width=10.0)
+    reps, truncated = _interval(-math.inf, -12.0)
     assert reps[:, 0].tolist() == [-12.0] and truncated
-    reps, truncated = IntervalSet(-1.0, 1.0).representatives(half_width=10.0)
+    reps, truncated = _interval(-1.0, 1.0)
     assert reps[:, 0].tolist() == [-1.0, 0.0, 1.0] and not truncated
 
 
+def test_interval_rows_of_several_points():
+    # an empty set (NaN) has no row and no flag; a singleton one row
+    lo = np.array([0.0, math.nan, -math.inf, 2.0])
+    hi = np.array([1.0, math.nan, math.inf, 2.0])
+    owner, covectors, truncated = interval_rows(lo, hi, 4.0)
+    assert owner.tolist() == [0, 0, 0, 2, 2, 2, 3]
+    assert covectors[:, 0].tolist() == [0.0, 0.5, 1.0, -4.0, 0.0, 4.0, 2.0]
+    assert truncated.tolist() == [False, False, True, False]
+
+
 def test_polytope_segment_membership():
-    # the representatives are members of the segment, its midpoint included
-    seg = PolytopeSet(np.array([[2.0, -1.0], [2.0, 1.0]]))
-    reps, _ = seg.representatives()
-    assert np.all(reps[:, 0] == 2.0) and np.all(np.abs(reps[:, 1]) <= 1.0)
-    assert any(np.allclose(r, [2.0, 0.0]) for r in reps)
+    # mixed2d on its kink line x2 = 0: the segment from (2 x1, -1) to
+    # (2 x1, 1), represented by its vertices and its midpoint
+    owner, reps, truncated = get_function("mixed2d").subdifferential_representatives(
+        np.array([[1.0, 0.0]])
+    )
+    assert owner.tolist() == [0, 0, 0] and not truncated[0]
+    assert reps.tolist() == [[2.0, -1.0], [2.0, 1.0], [2.0, 0.0]]
 
 
 def test_a_polytope_outside_the_covector_box_is_flagged_not_cut():
-    seg = PolytopeSet(np.array([[2.0, -1.0], [2.0, 1.0]]))
-    inside, flagged = seg.representatives(half_width=2.0), seg.representatives(half_width=1.5)
-    assert inside[1] is False and flagged[1] is True
-    assert np.array_equal(inside[0], flagged[0]) and inside[0].shape == (3, 2)
+    f, x = get_function("mixed2d"), np.array([[1.0, 0.0]])
+    inside, flagged = f.subdifferential_representatives(x, 2.0), f.subdifferential_representatives(x, 1.5)
+    assert inside[2].tolist() == [False] and flagged[2].tolist() == [True]
+    assert np.array_equal(inside[1], flagged[1]) and inside[1].shape == (3, 2)
 
 
 def test_ball_set_membership_is_exact_on_the_sphere():
-    # the representatives are members of the ball: its center and a fan on
-    # the sphere
-    ball = BallSet(np.zeros(2), 1.0)
-    reps, _ = ball.representatives()
+    # norm2d's rows at the kink are members of the unit ball: its center
+    # and a fan on the sphere; the box cuts them only in the flag
+    f = get_function("norm2d")
+    owner, reps, truncated = f.subdifferential_representatives(np.zeros((1, 2)))
+    assert owner.tolist() == [0] * 17 and not truncated[0]
     norms = np.linalg.norm(reps, axis=1)
     assert norms.max() <= 1.0 + 1e-12
     assert norms[0] == 0.0 and np.allclose(norms[1:], 1.0)
-
-
-def test_ball_set_representatives_in_one_and_three_dimensions():
-    # 1-D: the interval's two ends and the center; 3-D: the center and a
-    # Fibonacci fan on the sphere; the box cuts neither, but flags the 1-D
-    # ball, whose ends lie outside it, and not at half-width 2.5, which
-    # holds them
-    reps, truncated = BallSet(np.array([0.5]), 2.0).representatives(half_width=1.0)
-    assert reps.tolist() == [[-1.5], [0.5], [2.5]] and truncated is True
-    assert BallSet(np.array([0.5]), 2.0).representatives(half_width=2.5)[1] is False
-    center = np.array([1.0, -1.0, 0.0])
-    reps, truncated = BallSet(center, 0.5).representatives()
-    assert reps.shape == (17, 3) and truncated is False
-    assert np.array_equal(reps[0], center)
-    assert np.allclose(np.linalg.norm(reps[1:] - center, axis=1), 0.5)
     assert len({tuple(r) for r in reps.tolist()}) == 17
+    _, cut, truncated = f.subdifferential_representatives(np.zeros((1, 2)), 0.5)
+    assert np.array_equal(cut, reps) and truncated[0]

@@ -1,7 +1,7 @@
 """f has one evaluator: ``FunctionOracle.value``, ``values`` and
 ``values_at`` all go through it, it runs ``batch`` whenever the oracle has
 one, and no other module of ``src/varpolar`` reads an oracle's ``fn`` or
-``batch``."""
+``batch``. An oracle needs one of the two."""
 
 import ast
 from pathlib import Path
@@ -70,7 +70,26 @@ def test_an_oracle_with_batch_never_calls_fn(dim):
 
 def test_value_has_the_bits_of_values():
     # one evaluator: value is the one-point case of values
-    f = FunctionOracle("sqrt", 2, fn=lambda x: 0.0,
-                       batch=lambda x1, x2: np.sqrt(x1 * x1 + x2 * x2))
+    f = FunctionOracle("sqrt", 2, batch=lambda x1, x2: np.sqrt(x1 * x1 + x2 * x2))
     pts = np.random.default_rng(2).uniform(-3.0, 3.0, size=(200, 2))
     assert np.array([f.value(p) for p in pts]).tobytes() == f.values(pts).tobytes()
+
+
+def test_an_oracle_without_fn_or_batch_is_rejected_naming_it():
+    with pytest.raises(ValueError, match="oracle 'blank' needs fn or batch"):
+        FunctionOracle("blank", 1)
+    with pytest.raises(ValueError, match="oracle 'blank2' needs fn or batch"):
+        FunctionOracle("blank2", 2, fn=None, batch=None, is_convex=True)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shifted_tilts_an_oracle_that_has_only_fn(dim):
+    # x -> |x_1| - <c, x>, evaluated point by point through the tilted fn
+    f = FunctionOracle("scalar", dim, fn=lambda x: abs(float(x[0])))
+    c = np.arange(1.0, dim + 1.0)
+    g = f.shifted(c)
+    assert g.batch is None and g.fn is not None
+    pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(50, dim))
+    want = np.abs(pts[:, 0]) - pts @ c
+    assert np.allclose(g.values(pts), want, rtol=0.0, atol=1e-12)
+    assert g.value(np.ones(dim)) == pytest.approx(1.0 - c.sum())

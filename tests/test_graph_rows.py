@@ -1,8 +1,8 @@
 """The graph-row layout ``(owner, covectors, truncated)`` that every
-subdifferential construction emits: the library side-oracles against their
-per-point sets, ``_graph_rows`` against a reference of the padded route it
+subdifferential construction emits: the library side-oracles on drawn
+points, ``_graph_rows`` against a reference of the padded route it
 replaced, the column norms, the row count of a ``norm2d`` block, and the
-check that rejects a malformed batch."""
+check that rejects a malformed side-oracle."""
 
 import dataclasses
 import itertools
@@ -42,9 +42,7 @@ def _same_bits(a, b):
 
 
 def _twin(f):
-    return dataclasses.replace(
-        f, name=f"{f.name}_numeric", exact_subdifferential=None, exact_subdifferential_batch=None
-    )
+    return dataclasses.replace(f, name=f"{f.name}_numeric", exact_subdifferential=None)
 
 
 def _points(f):
@@ -60,7 +58,7 @@ def _points(f):
     return pts[np.isfinite(f.values(pts))]
 
 
-# -- (a) the side-oracles against the per-point sets ---------------------------
+# -- (a) the side-oracles on drawn points ----------------------------------------
 
 _COORDS = st.one_of(
     st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False),
@@ -75,21 +73,26 @@ _COORDS = st.one_of(
     data=st.data(),
 )
 def test_side_oracle_rows_equal_the_per_point_representatives(f, half_width, data):
+    # a point's rows do not depend on the other points of its batch or on
+    # their order, and every row of a finite point within the box is a
+    # subgradient: f(y) >= f(x) + <x*, y - x> at y = x +- 1e-3 e_k
     flat = data.draw(st.lists(_COORDS, max_size=24 * f.dim))
     drawn = np.array(flat[: len(flat) // f.dim * f.dim], dtype=float).reshape(-1, f.dim)
     pts = np.vstack([drawn, _KINKS[f.dim]])
     pts = pts[data.draw(st.permutations(range(len(pts))))]
-    want = [f.exact_subdifferential(x) for x in pts]
-    want = [(np.zeros((0, f.dim)), False) if w is None else w.representatives(half_width)
-            for w in want]
-    looped = dataclasses.replace(f, exact_subdifferential_batch=None)
-    for oracle in (f, looped):
-        owner, covectors, truncated = oracle.subdifferential_representatives(pts, half_width)
-        assert np.issubdtype(owner.dtype, np.integer) and np.all(np.diff(owner) >= 0)
-        assert truncated.tolist() == [t for _, t in want]
-        for i, (rows, _) in enumerate(want):
-            got = covectors[owner == i]
-            assert _same_bits(got, rows.astype(float)), (oracle.name, pts[i])
+    owner, covectors, truncated = f.subdifferential_representatives(pts, half_width)
+    assert np.issubdtype(owner.dtype, np.integer) and np.all(np.diff(owner) >= 0)
+    for i, x in enumerate(pts):
+        alone = f.subdifferential_representatives(x[None, :], half_width)
+        assert _same_bits(alone[1], covectors[owner == i]), (f.name, x)
+        assert alone[2].tolist() == [truncated[i]], (f.name, x)
+    steps = 1e-3 * np.vstack([np.eye(f.dim), -np.eye(f.dim)])
+    fx = f.values(pts)[owner]
+    inside = np.all(np.abs(covectors) <= half_width, axis=1) & np.isfinite(fx)
+    ys = pts[owner[inside], None, :] + steps[None]
+    fy = f.values(ys.reshape(-1, f.dim)).reshape(ys.shape[:2])
+    gap = fy - fx[inside, None] - (steps[None] @ covectors[inside, :, None])[:, :, 0]
+    assert gap.size == 0 or gap.min() >= -1e-9, f.name
 
 
 # -- (b) _graph_rows against the padded route it replaced -----------------------
@@ -164,18 +167,15 @@ def _padded_polytopes(support, dirs, half_width):
 
 def _padded_route(f, pts, source, half_width):
     """The padded graph rows: (N, R, dim) covectors and their (N, R) mask
-    from the per-point sets or the numeric constructions, then
-    ``reps[mask]`` with ``np.repeat`` owners."""
+    from one side-oracle call per point or from the numeric constructions,
+    then ``reps[mask]`` with ``np.repeat`` owners."""
     n, dim = pts.shape
     if source == "exact":
-        per_point = [
-            (np.zeros((0, dim)), False) if d is None else d.representatives(half_width)
-            for d in map(f.exact_subdifferential, pts)
-        ]
+        per_point = [f.subdifferential_representatives(x[None, :], half_width) for x in pts]
         pieces = [(slice(i, i + 1), r[None], np.ones((1, len(r)), dtype=bool))
-                  for i, (r, _) in enumerate(per_point)]
+                  for i, (_, r, _) in enumerate(per_point)]
         reps, mask = _padded(pieces, n, dim)
-        truncated = np.array([t for _, t in per_point], dtype=bool).reshape(n)
+        truncated = np.array([t[0] for _, _, t in per_point], dtype=bool).reshape(n)
     else:
         dirs = sphere_directions(dim, subdifferential._DIR_RESOLUTION)
         reps, mask, hull = _padded_hulls(f, pts, dirs, half_width)
@@ -200,11 +200,8 @@ def _assert_rows_match_the_padded_route(f, pts, source, half_width):
 
 @pytest.mark.parametrize("f", EXACT, ids=lambda f: f.name)
 def test_exact_rows_match_the_padded_route(f):
-    pts = _points(f)
     for half_width in (10.0, 0.5):
-        _assert_rows_match_the_padded_route(f, pts, "exact", half_width)
-        looped = dataclasses.replace(f, exact_subdifferential_batch=None)
-        _assert_rows_match_the_padded_route(looped, pts, "exact", half_width)
+        _assert_rows_match_the_padded_route(f, _points(f), "exact", half_width)
 
 
 @pytest.mark.parametrize("f", library_oracles(), ids=lambda f: f.name)
@@ -302,7 +299,7 @@ def test_norm2d_block_has_one_row_per_point_and_the_ball_at_the_kink():
 # -- malformed batches -------------------------------------------------------------
 
 def _valid(points, half_width):
-    return get_function("abs").exact_subdifferential_batch(points, half_width)
+    return get_function("abs").exact_subdifferential(points, half_width)
 
 
 def _padded_abs(points, half_width):
@@ -340,13 +337,18 @@ def _edited(which, change):
         "owner_2d", "covectors_1d", "covectors_short", "covectors_wide",
         "truncated_short", "truncated_2d", "pair", "none"])
 def test_a_malformed_batch_is_rejected_naming_the_oracle(batch):
-    f = dataclasses.replace(get_function("abs"), name="abs_bad", exact_subdifferential_batch=batch)
+    f = dataclasses.replace(get_function("abs"), name="abs_bad", exact_subdifferential=batch)
     pts = np.array([[-1.0], [0.0], [0.5]])
-    with pytest.raises(ValueError, match="oracle 'abs_bad': exact_subdifferential_batch"):
+    with pytest.raises(ValueError, match="oracle 'abs_bad': exact_subdifferential "):
         f.subdifferential_representatives(pts, 10.0)
 
 
 def test_the_batch_check_accepts_every_library_side_oracle_on_no_points():
+    # every side-oracle takes (N, dim) arrays, N = 0 included: no entry
+    # carries a per-point form
     for f in EXACT:
         owner, covectors, truncated = f.subdifferential_representatives(np.zeros((0, f.dim)))
         assert owner.shape == (0,) and covectors.shape == (0, f.dim) and truncated.shape == (0,)
+    for f in library_oracles():
+        values = f.exact_subderivative(np.zeros((0, f.dim)), np.zeros((0, f.dim)))
+        assert values.shape == (0,), f.name

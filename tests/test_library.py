@@ -1,14 +1,15 @@
 """Curated library content and its stated invariants: positive homogeneity of
 the exact subderivatives, midpoint convexity of the convex entries, and
-consistency of the side-oracles with plain evaluation."""
+consistency of the side-oracles with plain evaluation: the subgradient
+inequality on the graph rows, difference quotients for the subderivatives,
+and hand-checked points."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from varpolar import IntervalSet, Region
+from varpolar import Region
 from varpolar.library import FUNCTION_IDS, get_function, test_library as library_oracles
 from varpolar.subdifferential import EPS_LADDER
 from varpolar.suites import SuiteParams
@@ -31,9 +32,11 @@ def test_unknown_id_raises():
 
 
 def test_abs_subdifferential_at_zero_is_unit_interval():
-    desc = get_function("abs").exact_subdifferential(np.array([0.0]))
-    assert isinstance(desc, IntervalSet)
-    assert (desc.lo, desc.hi) == (-1.0, 1.0)
+    owner, covectors, truncated = get_function("abs").exact_subdifferential(
+        np.array([[0.0]]), 10.0
+    )
+    assert owner.tolist() == [0, 0, 0] and truncated.tolist() == [False]
+    assert covectors[:, 0].tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_neg_abs_flagged_nonconvex():
@@ -60,40 +63,32 @@ def test_twowell_has_two_wells():
 
 def test_every_entry_has_exact_subderivative_and_convex_entries_have_subdifferential():
     for f in library_oracles():
+        # one vectorized form per oracle: batch evaluates, no scalar fn
+        assert f.fn is None and f.batch is not None, f.name
         assert f.exact_subderivative is not None, f.name
         if f.is_convex:
             assert f.exact_subdifferential is not None, f.name
 
 
-def test_batch_matches_scalar_evaluation():
-    # fn takes batch's IEEE operations: the same bits, sign of zero included
-    # (the negated grid holds -0.0), on the grid and on random points
-    rng = np.random.default_rng(5)
-    for f in library_oracles():
-        grid = f.default_region.sample(9)
-        pts = np.vstack([grid, -grid, rng.uniform(-3.0, 3.0, size=(2_000, f.dim))])
-        batch = f.values(pts)
-        scalar = np.array([f.fn(p) for p in pts])
-        assert batch.tobytes() == scalar.tobytes(), f.name
+def _bases_and_directions(f, resolution=5):
+    """Every finite point of f's default grid paired with the axis
+    directions, their negatives and the all-ones direction, row by row."""
+    pts = f.default_region.sample(resolution)
+    pts = pts[np.isfinite(f.values(pts))]
+    dirs = np.vstack([np.eye(f.dim), -np.eye(f.dim), np.ones((1, f.dim))])
+    return np.repeat(pts, len(dirs), axis=0), np.tile(dirs, (len(pts), 1))
 
 
 @pytest.mark.parametrize("tau", [0.5, 2.0, 10.0])
 def test_exact_subderivative_positively_homogeneous(tau):
     for f in library_oracles():
-        pts = f.default_region.sample(5)
-        dirs = np.vstack([np.eye(f.dim), -np.eye(f.dim), np.ones((1, f.dim))])
-        for x in pts:
-            if not math.isfinite(f.value(x)):
-                continue
-            for d in dirs:
-                base = f.exact_subderivative(x, d)
-                scaled = f.exact_subderivative(x, tau * d)
-                if math.isinf(base):
-                    assert math.isinf(scaled), (f.name, x, d)
-                else:
-                    assert scaled == pytest.approx(tau * base, rel=1e-12, abs=1e-12), (
-                        f.name, x, d,
-                    )
+        xs, ds = _bases_and_directions(f)
+        base = f.exact_subderivative(xs, ds)
+        scaled = f.exact_subderivative(xs, tau * ds)
+        assert base.shape == scaled.shape == (len(xs),), f.name
+        assert np.array_equal(np.isinf(base), np.isinf(scaled)), f.name
+        finite = np.isfinite(base)
+        assert np.allclose(scaled[finite], tau * base[finite], rtol=1e-12, atol=1e-12), f.name
 
 
 def test_convex_entries_are_midpoint_convex_on_grid():
@@ -111,72 +106,110 @@ def test_convex_entries_are_midpoint_convex_on_grid():
 
 
 def test_exact_subdifferential_consistent_with_eval_on_grid():
-    # every represented covector must satisfy the local support inequality
-    # against nearby grid values
+    # every graph row (x, x*) must satisfy the subgradient inequality
+    # f(y) >= f(x) + <x*, y - x> against every finite grid value f(y)
     for f in library_oracles():
         if f.exact_subdifferential is None or not f.is_convex:
             continue
         pts = f.default_region.sample(9 if f.dim == 1 else 5)
         vals = f.values(pts)
         finite = np.isfinite(vals)
-        for x, fx in zip(pts[finite], vals[finite]):
-            desc = f.exact_subdifferential(x)
-            if desc is None:
-                continue
-            reps, _ = desc.representatives()
-            for c in reps:
-                margins = (pts[finite] - x) @ c + fx - vals[finite]
-                assert margins.max() <= 1e-9, (f.name, x, c)
+        ys, fy = pts[finite], vals[finite]
+        owner, covectors, _ = f.subdifferential_representatives(ys)
+        assert len(owner) >= len(ys), f.name  # no finite point of a convex f has an empty set
+        margins = (ys[None, :, :] - ys[owner, None, :]) @ covectors[:, :, None]
+        margins = margins[:, :, 0] + fy[owner, None] - fy[None, :]
+        assert margins.max() <= 1e-9, f.name
 
 
 def test_exact_subderivative_matches_difference_quotients_spot_check():
+    # at every finite grid point and at the registered point, along the axes
+    # and the diagonal: the one-sided quotient at t = 1e-7 (exact for these
+    # piecewise linear or quadratic entries up to O(t))
+    t = 1e-7
     for f in library_oracles():
-        x = f.finite_point
-        for d in np.vstack([np.eye(f.dim), -np.eye(f.dim)]):
-            exact = f.exact_subderivative(x, d)
-            t = 1e-7
-            quotient = (f.value(x + t * d) - f.value(x)) / t
-            if math.isinf(exact):
-                assert math.isinf(quotient)
-            else:
-                assert quotient == pytest.approx(exact, abs=1e-5), (f.name, d)
+        xs, ds = _bases_and_directions(f, 9 if f.dim == 1 else 5)
+        xs, ds = np.vstack([xs, np.repeat(f.finite_point[None], len(ds), 0)]), np.vstack([ds, ds])
+        exact = f.exact_subderivative(xs, ds)
+        quotient = (f.values(xs + t * ds) - f.values(xs)) / t
+        assert np.array_equal(np.isinf(exact), np.isinf(quotient)), f.name
+        finite = np.isfinite(exact)
+        assert np.allclose(quotient[finite], exact[finite], rtol=0.0, atol=1e-5), f.name
 
 
-def _assert_batched_matches_per_point(f, points, half_width):
-    owner, covectors, truncated = f.subdifferential_representatives(points, half_width)
-    assert covectors.shape == (len(owner), f.dim) and truncated.shape == (len(points),)
-    assert np.all(np.diff(owner) >= 0)
-    for i, x in enumerate(points):
-        desc = f.exact_subdifferential(x)
-        if desc is None:
-            assert not np.any(owner == i) and not truncated[i], (f.name, x)
-            continue
-        want, want_truncated = desc.representatives(half_width)
-        got = covectors[owner == i]
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (f.name, x)
-        assert bool(truncated[i]) == want_truncated, (f.name, x)
+def test_exact_subderivative_at_hand_checked_points():
+    # hand-checked values: the kinks, the indicators' edges and a smooth point
+    cases = [
+        ("abs", [0.0], [-2.0], 2.0),
+        ("neg_abs", [0.0], [3.0], -3.0),
+        ("square", [1.5], [-1.0], -3.0),
+        ("ind_halfline", [0.0], [-1.0], math.inf),
+        ("ind_halfline", [0.0], [1.0], 0.0),
+        ("ind_origin", [0.0], [0.0], 0.0),
+        ("ind_origin", [0.0], [1.0], math.inf),
+        ("maxzero", [0.0], [-1.0], 0.0),
+        ("twowell", [1.5], [1.0], -1.0),
+        ("twowell", [1.5], [-1.0], -1.0),
+        ("twowell", [2.0], [-0.5], 0.5),
+        ("norm2d", [0.0, 0.0], [3.0, 4.0], 5.0),
+        ("norm2d", [3.0, 4.0], [1.0, 0.0], 0.6),
+        ("mixed2d", [1.0, 0.0], [1.0, -1.0], 3.0),
+    ]
+    for fid, x, d, want in cases:
+        got = get_function(fid).exact_subderivative(np.array([x]), np.array([d]))
+        assert got.shape == (1,) and got[0] == pytest.approx(want, abs=1e-15), (fid, x, d)
+
+
+def test_exact_subdifferential_at_hand_checked_points():
+    # (point, half-width) -> the covectors of its rows and its flag
+    cases = [
+        ("maxzero", [0.0], 10.0, [[0.0], [0.5], [1.0]], False),
+        ("ind_halfline", [0.0], 10.0, [[-10.0], [-5.0], [0.0]], True),
+        ("ind_halfline", [-1.0], 10.0, np.zeros((0, 1)), False),
+        ("ind_origin", [0.0], 2.0, [[-2.0], [0.0], [2.0]], True),
+        ("square", [1.5], 10.0, [[3.0]], False),
+        ("square", [1.5], 2.0, [[3.0]], False),  # a singleton outside the box stays
+        ("norm2d", [3.0, -4.0], 10.0, [[0.6, -0.8]], False),
+        ("mixed2d", [-1.0, 2.0], 10.0, [[-2.0, 1.0]], False),
+        ("mixed2d", [-1.0, 2.0], 1.5, [[-2.0, 1.0]], True),
+    ]
+    for fid, x, half_width, rows, flag in cases:
+        owner, covectors, truncated = get_function(fid).subdifferential_representatives(
+            np.array([x]), half_width
+        )
+        assert np.allclose(covectors, np.array(rows, dtype=float).reshape(-1, len(x))), (fid, x)
+        assert owner.tolist() == [0] * len(covectors) and truncated.tolist() == [flag], (fid, x)
 
 
 @pytest.mark.parametrize("half_width", [10.0, 0.5, 2.0])
 def test_batched_side_oracle_matches_per_point_representatives(half_width):
     # Default grids, the cdd local grids of the epsilon ladder around the
-    # kink at the origin, random points whose coordinates are not dyadic (so
-    # that rounding differences show), and a copy without the batched form
-    # that takes the generic per-point route; half_width 0.5 clips most
-    # covector sets, and 2.0 flags mixed2d's sets only where |2 x1| > 2.
+    # kink at the origin, and random points whose coordinates are not dyadic:
+    # a point's rows in a batch are its rows alone, one row per point off
+    # the kinks, and every row satisfies the subgradient inequality against
+    # the values at x +- 1e-3 e_k; half_width 0.5 clips most covector sets,
+    # and 2.0 flags mixed2d's sets only where |2 x1| > 2.
     rng = np.random.default_rng(0)
     for f in library_oracles():
         if f.exact_subdifferential is None:
             continue
-        assert f.exact_subdifferential_batch is not None, f.name
+        steps = 1e-3 * np.vstack([np.eye(f.dim), -np.eye(f.dim)])
         grids = [f.default_region.sample(65 if f.dim == 1 else 17)]
         grids += [Region.box([(-eps, eps)] * f.dim).sample(9) for eps in EPS_LADDER]
         grids.append(rng.uniform(-2.0, 2.0, size=(500, f.dim)))
         for pts in grids:
-            _assert_batched_matches_per_point(f, pts, half_width)
-        looped = dataclasses.replace(f, exact_subdifferential_batch=None)
-        for pts in grids[:2]:
-            _assert_batched_matches_per_point(looped, pts, half_width)
+            owner, covectors, truncated = f.subdifferential_representatives(pts, half_width)
+            for i, x in enumerate(pts):
+                alone = f.subdifferential_representatives(x[None, :], half_width)
+                assert alone[1].tobytes() == covectors[owner == i].tobytes(), (f.name, x)
+                assert alone[2].tolist() == [truncated[i]], (f.name, x)
+            finite = np.isfinite(f.values(pts))
+            assert np.array_equal(np.unique(owner), np.flatnonzero(finite)), f.name
+            ys = pts[owner, None, :] + steps[None]
+            fy = f.values(ys.reshape(-1, f.dim)).reshape(ys.shape[:2])
+            pairing = (steps[None] @ covectors[:, :, None])[:, :, 0]
+            gap = fy - f.values(pts)[owner, None] - pairing
+            assert gap.size == 0 or gap.min() >= -1e-9, f.name
 
 
 def test_norm2d_batch_matches_linalg_norm_bitwise():

@@ -24,12 +24,7 @@ TWINS_1D = ("square", "abs", "maxzero", "ind_halfline", "ind_origin")
 
 
 def _twin(fid):
-    return dataclasses.replace(
-        get_function(fid),
-        name=f"{fid}_numeric",
-        exact_subdifferential=None,
-        exact_subdifferential_batch=None,
-    )
+    return dataclasses.replace(get_function(fid), name=f"{fid}_numeric", exact_subdifferential=None)
 
 
 def test_one_dimensional_twins_pass_every_suite():
@@ -77,7 +72,6 @@ def test_three_dimensional_kink_gives_merged_vertices():
     f = FunctionOracle(
         name="kink3d",
         dim=3,
-        fn=lambda x: abs(x[0]) + float(slope @ x),
         batch=lambda *x: np.abs(x[0]) + np.stack(np.broadcast_arrays(*x), axis=-1) @ slope,
     )
     # (the hull's gradient at x itself, then its two ends, then the centroid:
@@ -109,7 +103,6 @@ def test_a_set_outside_the_covector_box_is_flagged_truncated():
     f = FunctionOracle(
         name="steep",
         dim=1,
-        fn=lambda x: 20.0 * float(x[0]),
         batch=lambda x: 20.0 * x,
         default_region=Region.interval(-1.0, 1.0),
     )
@@ -126,7 +119,7 @@ def test_a_set_the_box_cuts_at_a_jump_is_flagged_truncated():
     def batch(x):
         return np.where(x > 0.0, 1.0 + x, 0.0)
 
-    f = FunctionOracle("jump_up", 1, fn=lambda x: float(batch(x[0])), batch=batch,
+    f = FunctionOracle("jump_up", 1, batch=batch,
                        default_region=Region.interval(-2.0, 2.0))
     pts = np.array([[-1.0], [0.0], [1.0]])
     owner, covectors, truncated = _graph_rows(f, pts, "clarke-numeric", 10.0, DEFAULT_SCHEME)
@@ -196,7 +189,6 @@ def test_boundary_points_take_the_table_and_interior_kinks_the_hull(table_calls)
     f = FunctionOracle(
         name="kinked_halfline",
         dim=1,
-        fn=lambda x: abs(float(x[0])) if x[0] >= -0.5 else math.inf,
         batch=lambda x: np.where(x >= -0.5, np.abs(x), math.inf),
     )
     pts = np.array([[-0.5], [0.0], [0.5]])

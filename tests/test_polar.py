@@ -118,9 +118,10 @@ def test_polar_of_abs_graph_hugs_the_sign_map():
     cs = np.linspace(-2.0, 2.0, 17)
     out = polar_of_sample(T, xs[:, None], cs[:, None])
     assert len(out) > 0
+    # within 0.1 of the sign map: {sign x}, and [-1, 1] at the kink
     for p, c in out.pairs():
-        interval = f.exact_subdifferential(p)
-        assert interval.lo - 0.1 <= c[0] <= interval.hi + 0.1, (p, c)
+        lo, hi = (-1.0, 1.0) if p[0] == 0.0 else (np.sign(p[0]),) * 2
+        assert lo - 0.1 <= c[0] <= hi + 0.1, (p, c)
     # the vertical segment at the kink is retained
     kept_at_zero = sorted(c[0] for p, c in out.pairs() if p[0] == 0.0)
     assert kept_at_zero[0] == -1.0 and kept_at_zero[-1] == 1.0
@@ -216,9 +217,7 @@ def test_absorbing_holds_as_the_grid_is_refined(fid, resolution, source):
     # resolution_2d = 33, and 6 of its twin's at 25
     f = get_function(fid)
     if source == "numeric":
-        f = dataclasses.replace(
-            f, name=f"{fid}_numeric", exact_subdifferential=None, exact_subdifferential_batch=None
-        )
+        f = dataclasses.replace(f, name=f"{fid}_numeric", exact_subdifferential=None)
     knob = "resolution" if f.dim == 1 else "resolution_2d"
     section = predicates_suite(f, SuiteParams(**{knob: resolution}))
     assert section["graph_source"] == ("exact" if source == "exact" else "clarke-numeric")

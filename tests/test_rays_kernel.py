@@ -124,7 +124,7 @@ def test_cross_validate_rays_residuals_match_the_reference(fid):
 
 def _constant_2d():
     return FunctionOracle(
-        "const2d", 2, fn=lambda x: 1.0, batch=lambda x1, x2: np.ones(np.broadcast(x1, x2).shape)
+        "const2d", 2, batch=lambda x1, x2: np.ones(np.broadcast(x1, x2).shape)
     )
 
 
@@ -136,7 +136,7 @@ def _holed_2d():
         out = np.abs(x1) + np.abs(x2)
         return np.where(np.maximum(np.abs(x1), np.abs(x2)) < 0.3, math.inf, out)
 
-    return FunctionOracle("holed2d", 2, fn=lambda x: float(batch(*x)), batch=batch)
+    return FunctionOracle("holed2d", 2, batch=batch)
 
 
 _BOX = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
@@ -228,7 +228,7 @@ _ANY_DIM_ORACLES = {
 
 def _any_dim_oracle(name, dim):
     batch = _ANY_DIM_ORACLES[name]
-    return FunctionOracle(name, dim, fn=lambda x: float(batch(*x)), batch=batch)
+    return FunctionOracle(name, dim, batch=batch)
 
 
 @st.composite
@@ -312,7 +312,7 @@ def _bound_cases(draw):
     if f.dim == 2 and draw(st.booleans()):
         f = _holed_2d()
     if xs[0, 0] == 0.0 and draw(st.booleans()):
-        f = FunctionOracle("signed", f.dim, fn=lambda x: float(_signed(*x)), batch=_signed)
+        f = FunctionOracle("signed", f.dim, batch=_signed)
     return f, axes, xs, covectors, t_resolution, budget
 
 
@@ -432,7 +432,7 @@ def test_a_row_settled_on_the_query_grid_is_classed_by_its_exact_residual():
     # query points alone its max, 0.25 from -0.5, lies inside the band; the
     # exact max, 12.5 from 0.25, makes the row hard, and so must the
     # settled run
-    f = FunctionOracle("tents", 1, fn=lambda x: float(_tents(x[0])), batch=_tents)
+    f = FunctionOracle("tents", 1, batch=_tents)
     probes = minty._EquivalenceProbes(f, Region.box([(-2.0, 2.0)]), 9, 2, 8, None,
                                       DEFAULT_SCHEME, ["subderivative_vs_iar"])
     xbars = np.array([[-1.0], [0.5]])
@@ -512,7 +512,7 @@ def test_three_dimensional_iar_check_matches_the_reference(name):
 def test_a_probe_grid_without_a_finite_point():
     # f = +inf everywhere: no ray starts, so every residual is -inf with no
     # witness, and iar_check reports the vacuous verdict
-    f = FunctionOracle("nowhere", 2, fn=lambda x: math.inf, batch=lambda x1, x2: math.inf)
+    f = FunctionOracle("nowhere", 2, batch=lambda x1, x2: math.inf)
     region = Region.box([(-1.0, 1.0)] * 2)
     rays = _ray_grid(f, region, 5, 8)
     assert rays.ys.shape == (0, 2) and rays.blocks == []

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from varpolar import (
     DomainError,
     FunctionOracle,
+    GraphSample,
     Region,
     clarke_subdiff_contains,
     convex_subdiff_contains,
@@ -21,7 +22,7 @@ from varpolar import (
     sample_subdiff_graph,
 )
 from varpolar import subdifferential
-from varpolar.core import DEFAULT_TOL, IntervalSet
+from varpolar.core import DEFAULT_TOL, interval_rows
 from varpolar.library import get_function, test_library as library_oracles
 from varpolar.subderivative import clarke_directional_values
 from varpolar.subdifferential import EPS_LADDER, cdd_profile, sphere_directions
@@ -124,7 +125,6 @@ def test_unbounded_subdifferential_sets_truncation_flag():
         half_space = FunctionOracle(
             name=f"ind_half_space_{dim}d",
             dim=dim,
-            fn=lambda x: 0.0 if x[0] >= 0 else math.inf,
             batch=lambda *x: np.where(x[0] >= 0, 0.0, math.inf),
         )
         region = Region.box([(-1.0, 1.0)] * dim)
@@ -189,7 +189,6 @@ def test_numeric_graph_2d_matches_per_point_loop():
     f = FunctionOracle(
         name="neg_norm2d_half",
         dim=2,
-        fn=lambda x: -float(np.linalg.norm(x)) if x[0] >= -0.5 else math.inf,
         batch=lambda x1, x2: np.where(x1 >= -0.5, -np.sqrt(x1 * x1 + x2 * x2), math.inf),
     )
     region = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
@@ -218,26 +217,29 @@ def test_numeric_graph_2d_matches_per_point_loop():
 
 
 def test_exact_graph_uses_the_batched_side_oracle():
+    # one call of the side-oracle for the whole grid, whose rows become the
+    # graph's pairs (distinct pairs, in row order)
     for f in library_oracles():
         if f.exact_subdifferential is None:
             continue
         calls = []
 
-        def per_point(x, f=f):
-            calls.append(x)
-            return f.exact_subdifferential(x)
+        def spy(points, half_width, f=f):
+            calls.append(len(points))
+            return f.exact_subdifferential(points, half_width)
 
         res = 17 if f.dim == 1 else 9
-        batched = sample_subdiff_graph(
-            dataclasses.replace(f, exact_subdifferential=per_point), f.default_region, res
+        g = sample_subdiff_graph(
+            dataclasses.replace(f, exact_subdifferential=spy), f.default_region, res
         )
-        assert calls == [], f.name
-        looped = sample_subdiff_graph(
-            dataclasses.replace(f, exact_subdifferential_batch=None), f.default_region, res
-        )
-        assert batched.points.tobytes() == looped.points.tobytes(), f.name
-        assert batched.covectors.tobytes() == looped.covectors.tobytes(), f.name
-        assert batched.meta["truncated"] == looped.meta["truncated"], f.name
+        pts = f.default_region.sample(res)
+        pts = pts[np.isfinite(f.values(pts))]
+        assert calls == [len(pts)], f.name
+        owner, covectors, truncated = f.subdifferential_representatives(pts)
+        want = GraphSample(pts[owner], covectors)
+        assert g.points.tobytes() == want.points.tobytes(), f.name
+        assert g.covectors.tobytes() == want.covectors.tobytes(), f.name
+        assert g.meta["truncated"] == bool(truncated.any()), f.name
 
 
 # -- enlargement -------------------------------------------------------------------
@@ -326,10 +328,10 @@ def test_cdd_unbounded_subdifferential_passes_under_truncation():
     assert v.details["rhs"] == pytest.approx(10.0)  # the truncated grid maximum
 
 
-def _ramp_side_oracle(x):
-    if x[0] > 0:
-        return IntervalSet(10.0, 10.0)
-    return IntervalSet(-math.inf, 10.0) if x[0] == 0 else None
+def _ramp_side_oracle(points, half_width):
+    x = points[:, 0]
+    lo = np.where(x > 0, 10.0, np.where(x == 0, -math.inf, math.nan))
+    return interval_rows(lo, np.where(x >= 0, 10.0, math.nan), half_width)
 
 
 #: f(x) = 10x on [0, inf), +inf elsewhere: the only unbounded set is the
@@ -337,7 +339,6 @@ def _ramp_side_oracle(x):
 _RAMP = FunctionOracle(
     name="ramp",
     dim=1,
-    fn=lambda x: 10.0 * x[0] if x[0] >= 0 else math.inf,
     batch=lambda x: np.where(x >= 0, 10.0 * x, math.inf),
     is_convex=True,
     exact_subdifferential=_ramp_side_oracle,
@@ -369,8 +370,9 @@ def test_cdd_flags_an_empty_enlargement():
     f = dataclasses.replace(
         get_function("abs"),
         name="abs_no_rows",
-        exact_subdifferential=lambda x: None,
-        exact_subdifferential_batch=None,
+        exact_subdifferential=lambda points, half_width: interval_rows(
+            np.full(len(points), math.nan), np.full(len(points), math.nan), half_width
+        ),
     )
     verdicts = cdd_profile(f, 0.0, [[1.0], [-1.0]])
     assert [(v.ok, v.residual, v.witness, v.flags) for v in verdicts] == [

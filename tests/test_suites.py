@@ -15,8 +15,8 @@ import pytest
 import varpolar
 import varpolar.cli as cli
 import varpolar.suites as suites_module
-from varpolar import FunctionOracle, IntervalSet, Region, minty, subdifferential
-from varpolar.library import FUNCTION_IDS, get_function
+from varpolar import FunctionOracle, Region, minty, subdifferential
+from varpolar.library import FUNCTION_IDS, _interval_side_oracle, get_function
 from varpolar.subderivative import LiminfScheme
 from varpolar.suites import SuiteParams, predicates_suite, run_suites, thm3_suite
 
@@ -99,12 +99,17 @@ def test_thm2_lists_its_truncated_graphs():
     assert run_suites(fs, ["prop1"], SuiteParams(resolution=17))["truncation_flags"] == []
 
 
+def _singletons(slope):
+    """A 1-D side-oracle whose set at x is {slope(x)}, for (N,) arrays x."""
+    return _interval_side_oracle(lambda x: (slope(x), slope(x)))
+
+
 def _flat_with_side_oracle(slope: float) -> FunctionOracle:
     """f = 0 on [-2, 2] with the side-oracle {slope} everywhere: wrong for
     slope != 0, so the graph route and the rays route of thm3 part ways."""
     return FunctionOracle(
-        name="flat", dim=1, fn=lambda x: 0.0, batch=lambda x: np.zeros_like(x),
-        is_convex=True, exact_subdifferential=lambda x: IntervalSet(slope, slope),
+        name="flat", dim=1, batch=lambda x: np.zeros_like(x), is_convex=True,
+        exact_subdifferential=_singletons(lambda x: np.full_like(x, slope)),
         default_region=Region.interval(-2.0, 2.0),
     )
 
@@ -132,8 +137,7 @@ def test_thm3_classes_by_the_residual_of_the_side_claiming_the_violation():
     f = dataclasses.replace(
         get_function("abs"),
         name="abs_flat_side",
-        exact_subdifferential=lambda x: IntervalSet(0.0, 0.0),
-        exact_subdifferential_batch=None,
+        exact_subdifferential=_singletons(np.zeros_like),
     )
     section = thm3_suite(f, SuiteParams(thm3_candidates=5))
     assert (section["agree"], section["indeterminate"], section["hard"]) == (21, 0, 4)
@@ -194,8 +198,7 @@ def test_predicates_report_the_absorbing_witness():
     f = dataclasses.replace(
         get_function("abs"),
         name="abs_thin_kink",
-        exact_subdifferential=lambda x: IntervalSet(*[float(np.sign(x[0]))] * 2),
-        exact_subdifferential_batch=None,
+        exact_subdifferential=_singletons(np.sign),
     )
     result = predicates_suite(f, SuiteParams())
     assert result["monotone"] and not result["absorbing"]
@@ -213,6 +216,26 @@ def test_an_oracle_without_a_default_region_is_rejected_up_front(monkeypatch):
     with pytest.raises(ValueError, match="'bare' has no default_region"):
         run_suites([get_function("abs"), bare], ["cdd"], SMALL)
     assert ran == []
+
+
+def test_cdd_and_predicates_call_each_entrys_side_oracle():
+    # The benchmark's trace mode counts library.exact_subdifferential.calls
+    # by wrapping each entry's exact_subdifferential attribute. That key
+    # reads real work only while graph sampling calls that attribute, as the
+    # batched side-oracle; a per-point form that nothing calls read 0.
+    calls = []
+
+    def counted(f):
+        def side_oracle(points, half_width):
+            calls.append((f.name, len(points)))
+            return f.exact_subdifferential(points, half_width)
+
+        return dataclasses.replace(f, exact_subdifferential=side_oracle)
+
+    fs = [counted(get_function(fid)) for fid in ("abs", "norm2d")]
+    run_suites(fs, ["cdd", "predicates"], SMALL)
+    assert {name for name, _ in calls} == {"abs", "norm2d"}
+    assert len(calls) > 0 and sum(n for _, n in calls) > 0
 
 
 def test_every_suite_graph_is_sampled_with_the_run_knobs(monkeypatch):
@@ -260,8 +283,7 @@ from varpolar.library import test_library
 from varpolar.suites import SuiteParams, run_suites
 fs = test_library()
 twins = [
-    dataclasses.replace(f, name=f.name + "_numeric", exact_subdifferential=None,
-                        exact_subdifferential_batch=None)
+    dataclasses.replace(f, name=f.name + "_numeric", exact_subdifferential=None)
     for f in fs
 ]
 run_suites(fs + twins, ["all"], SuiteParams(resolution=9, resolution_2d=5))

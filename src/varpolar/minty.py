@@ -50,6 +50,10 @@ DEFAULT_T_RESOLUTION = 64
 #: How many times finer than the query grid the y-probe grids are.
 DEFAULT_PROBE_FACTOR = 2
 
+#: How many times coarser, per axis, each level of the subderivative
+#: route's probe ladder is than the next (see :meth:`_RayGrid.ladder`).
+_LADDER_RATIO = 4
+
 #: The comparisons of :func:`cross_validate`: prop1's routes on the closed
 #: region and thm2's on its open interior, each against the rays route.
 COMPARISONS = ("subderivative_vs_iar", "subdifferential_vs_iar")
@@ -124,10 +128,24 @@ class _RayGrid:
     def nested(self, step: int) -> Array:
         """Indices into ``ys`` of the points on every ``step``-th grid line
         of each axis, in grid order: the points of the grid ``step`` times
-        coarser that a probe grid refines (all of ``ys`` at step 1)."""
+        coarser that a probe grid refines (all of ``ys`` at step 1), empty
+        when f is finite on none of them. The levels of :meth:`ladder`."""
         on = np.zeros_like(self.finite)
         on[(slice(None, None, step),) * on.ndim] = True
         return np.flatnonzero(on[self.finite])
+
+    def ladder(self, step: int) -> list[Array]:
+        """The nested subsets ``nested(step * _LADDER_RATIO**k)`` for k = K,
+        ..., 0, coarsest first, with K the largest k that leaves at least 3
+        grid lines on every axis (K = 0 when none does). With ``step`` the
+        probe factor, the last level is the query grid's points and each
+        level takes every 4th grid line of the next (5, 17 and 65 of 129
+        probe points at the 1-D defaults, 25 and 289 of 1,089 in 2-D): the
+        probe ladder of :func:`_subderivative_residuals`."""
+        steps = [step]
+        while (min(self.finite.shape) - 1) // (steps[-1] * _LADDER_RATIO) >= 2:
+            steps.append(steps[-1] * _LADDER_RATIO)
+        return [self.nested(s) for s in reversed(steps)]
 
     def walk(self, xbar: Array) -> list[tuple[slice, Array | None, tuple[Array, ...]]]:
         """The blocks ``(cells, holes, coords)`` with ``coords`` the oracle's
@@ -342,33 +360,39 @@ def _subderivative_residuals(
     fy: Array,
     scheme: LiminfScheme,
     stop: float = math.inf,
-    first: Array | None = None,
+    levels: Sequence[Array] = (),
 ) -> list[tuple[float, Array | None]]:
     """For each row xbar of ``xbars``, the max over ys of the subderivative
     toward xbar and the first maximizing y (see :func:`_max_quotients`);
     -inf with no witness when ``ys`` is empty. The xbar go in blocks of
     about :data:`~varpolar.core._BLOCK_ENTRIES` tail-point coordinates.
 
-    With a finite ``stop``, the rows go over ``ys[first]`` first, a subset
-    of the probe points in ``ys`` order (the query-grid points of a nested
-    probe grid, :meth:`_RayGrid.nested`), in blocks of as many tail points
-    as a block over all of ``ys`` holds. A row whose max there exceeds
-    ``stop`` is settled by it: that partial max, with its first maximizing
-    y of the subset, is a lower bound on the row's residual, not the exact
-    maximum. Only the other rows go over all of ``ys``, and their results
-    are exact. Every quotient keeps the bits it has in the full pass.
+    With a finite ``stop``, the rows go over ``levels`` first, nested
+    subsets of the probe points in ``ys`` order, coarsest first (the ladder
+    of :meth:`_RayGrid.ladder`). Each level takes only the rows still open,
+    in blocks of as many tail points as a block over all of ``ys`` holds. A
+    row whose max over a level exceeds ``stop`` is settled by it: that
+    partial max, with its first maximizing y of the level, is a lower bound
+    on the row's residual, not the exact maximum. An empty level, or one
+    that holds all of ``ys``, is skipped. The rows still open after the
+    last level go over all of ``ys``, and their results are exact. Every
+    quotient keeps the bits it has in the full pass.
     """
     if ys.shape[0] == 0:
         return [(-math.inf, None)] * xbars.shape[0]
     n, dim = ys.shape
     step = _block_rows(n * scheme.tail_count * dim)
     out: list[tuple[float, Array | None] | None] = [None] * xbars.shape[0]
-    if stop < math.inf and first is not None and first.shape[0] < n:
-        coarse = _max_quotients(f, xbars, ys[first], fy[first], scheme, step * n // first.shape[0])
-        for i, (r, k) in enumerate(coarse):
+    rest = list(range(xbars.shape[0]))
+    for level in levels if stop < math.inf else ():
+        if not 0 < level.shape[0] < n:
+            continue
+        found = _max_quotients(f, xbars[rest], ys[level], fy[level], scheme,
+                               step * n // level.shape[0])
+        for i, (r, k) in zip(rest, found):
             if r > stop:
-                out[i] = (r, ys[first[k]])
-    rest = [i for i, o in enumerate(out) if o is None]
+                out[i] = (r, ys[level[k]])
+        rest = [i for i in rest if out[i] is None]
     for i, (r, k) in zip(rest, _max_quotients(f, xbars[rest], ys, fy, scheme, step)):
         out[i] = (r, ys[k])
     return out
@@ -451,8 +475,9 @@ class EquivalenceRow:
     residuals, so a row whose classes do not all agree carries exact
     residuals; an agreeing row of ``cross_validate(..., exact=False)`` may
     carry a lower bound above tol on a false subderivative route (its max
-    over the query-grid probe points) and an endpoint bound on a rays
-    route whose partner is false."""
+    over the first level of the probe ladder, :meth:`_RayGrid.ladder`, that
+    exceeds tol) and an endpoint bound on a rays route whose partner is
+    false."""
 
     xbar: tuple[float, ...]
     interior: bool
@@ -545,7 +570,8 @@ class _EquivalenceProbes:
 
     :meth:`rows` evaluates the selected routes at a batch of xbar: the
     subderivative route in one :func:`_subderivative_residuals` call, in
-    blocks of xbar, the subdifferential route at all interior xbar in one
+    blocks of xbar (over the probe ladder of ``rays_c`` unless exact), the
+    subdifferential route at all interior xbar in one
     call of the polar kernel at x* = 0, and each rays route in one call of
     the rays kernel at x* = 0 over the xbar of its partner route.
     ``cross_validate`` calls it once over its finite xbar and ``explain``
@@ -584,10 +610,13 @@ class _EquivalenceProbes:
         of each route's residual. thm2's routes run only at interior xbar
         and when the interior holds graph pairs.
 
-        With ``exact`` False, the subderivative route stops at ``tol``: a
-        row whose max over the query-grid probe points exceeds ``tol`` keeps
-        that lower bound and its witness, and only the other rows take the
-        whole probe grid (see :func:`_subderivative_residuals`). Each rays
+        With ``exact`` False, the subderivative route stops at ``tol``: it
+        takes the rows over the ladder of nested probe subsets of
+        :meth:`_RayGrid.ladder`, coarsest first, and a row whose max over a
+        level exceeds ``tol`` keeps that lower bound and its witness; only
+        the rows open after the query grid's points take the whole probe
+        grid (see :func:`_subderivative_residuals`); with ``exact`` it
+        takes no ladder. Each rays
         route is one kernel call at x* = 0 over the xbar of its partner
         route, and stops at ``tol`` where the partner is false (see
         :func:`_stops`). Either bound decides its verdict, so a row whose
@@ -609,7 +638,7 @@ class _EquivalenceProbes:
         if self.rays_c is not None:
             closed = self.rays_c
             sub = _subderivative_residuals(f, xbars, closed.ys, closed.fy, self.scheme, sub_stop,
-                                           closed.nested(self.probe_factor))
+                                           closed.ladder(self.probe_factor))
             graded.append(("subderivative_vs_iar", "subderivative", "iar", closed,
                            with_rays(np.arange(len(xbars)), sub, closed)))
         if self.graph_inside is not None and len(self.graph_inside) > 0:
@@ -682,10 +711,12 @@ def cross_validate(
     has no graph entries.
 
     Every residual is exact by default. With ``exact`` False, the rows whose
-    classes all agree may carry a subderivative or rays residual that is
-    only a lower bound above ``tol`` (see :meth:`_EquivalenceProbes.rows`);
-    the verdicts, classes and sections are those of the exact run, and so
-    is every row of :meth:`EquivalenceReport.disagreements`.
+    classes all agree may carry a subderivative residual that is only a
+    lower bound above ``tol``, its max over a level of the probe ladder, or
+    a rays residual that is only an endpoint bound above ``tol`` (see
+    :meth:`_EquivalenceProbes.rows`); the verdicts, classes and sections are
+    those of the exact run, and so is every row of
+    :meth:`EquivalenceReport.disagreements`.
     """
     if region is None:
         region = f.default_region

@@ -43,10 +43,15 @@ class SuiteParams:
     scheme: LiminfScheme = DEFAULT_SCHEME
 
     def __post_init__(self) -> None:
+        # the equivalence suites shrink the region by one query cell, which
+        # empties it at 2 points per axis
+        for key in ("resolution", "resolution_2d"):
+            if getattr(self, key) < 3:
+                raise ValueError(f"{key} must be >= 3: the equivalence suites shrink "
+                                 "the region by one query cell")
         # a grid of one point collapses its quantifier (t_resolution = 1
         # leaves only t = 0, so every rays check passes vacuously)
-        for key in ("resolution", "resolution_2d", "t_resolution", "thm3_candidates",
-                    "thm3_candidates_2d"):
+        for key in ("t_resolution", "thm3_candidates", "thm3_candidates_2d"):
             if getattr(self, key) < 2:
                 raise ValueError(f"{key} must be >= 2")
         if self.probe_factor < 1:

@@ -121,6 +121,31 @@ def test_an_empty_selection_is_a_usage_error(tmp_path, capsys, key):
     assert captured.err == f"error: {key} must name at least one entry\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "config", "key"),
+    [
+        (["suite", "--resolution", "2"], None, "resolution"),
+        (["explain", "--function", "abs", "--x", "0", "--resolution", "2"], None, "resolution"),
+        (["suite"], "resolution_2d = 2\nsuites = prop1\n", "resolution_2d"),
+    ],
+    ids=["suite", "explain", "config_prop1"],
+)
+def test_a_query_grid_of_two_points_per_axis_is_a_usage_error(tmp_path, capsys, argv, config,
+                                                                key):
+    # shrinking the region by one query cell emptied it: a traceback and
+    # exit status 1, the status of a hard disagreement, even for a prop1 run,
+    # which never reads the interior
+    if config is not None:
+        cfg_path = tmp_path / "run.ini"
+        cfg_path.write_text(f"[run]\n{config}", encoding="utf-8")
+        argv = argv + ["--config", str(cfg_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {key} must be >= 3: the equivalence suites shrink the "
+                            "region by one query cell\n")
+
+
 def test_an_internal_key_error_is_not_a_usage_error(monkeypatch):
     # every function id is checked before get_function runs, so a KeyError
     # out of a verb is a fault of the program, not of the usage: it must not

@@ -358,30 +358,56 @@ def test_the_endpoint_bound_is_exact_below_the_residual(case, data):
         _assert_same_rays(got[i][k], b if b[0] > stops[i, k] else e)
 
 
+def _sliver(center, half_width, slope):
+    """1-D, slope ``slope`` within ``half_width`` of ``center``, +inf
+    elsewhere."""
+    return FunctionOracle("sliver", 1, batch=lambda x: np.where(
+        np.abs(x - center) <= half_width, slope * (x - center), math.inf))
+
+
 @st.composite
 def _equivalence_cases(draw):
     """An oracle of the property tests above in 1-D or 2-D on [-2, 2]^dim,
     the grid knobs, tolerances, and a random graph sample, so that the
-    classes vary between agree, indeterminate and hard."""
+    classes vary between agree, indeterminate and hard. 1-D resolutions
+    reach 33, where the subderivative route's ladder has 3 levels; the 1-D
+    sliver is finite only within 0.45 query cells of one query point off
+    every coarser level, so each level but the query grid's is empty."""
     dim = draw(st.integers(1, 2))
-    name = draw(st.sampled_from(sorted(_ANY_DIM_ORACLES) + (["holed"] if dim == 2 else [])))
-    f = _holed_2d() if name == "holed" else _any_dim_oracle(name, dim)
+    region = Region.box([(-2.0, 2.0)] * dim)
+    resolution = draw(st.integers(3, 33 if dim == 1 else 5))
+    name = draw(st.sampled_from(sorted(_ANY_DIM_ORACLES) + ["holed" if dim == 2 else "sliver"]))
+    if name == "sliver":
+        j = draw(st.integers(1, resolution - 2).filter(lambda j: j % 4))
+        f = _sliver(region.sample(resolution)[j, 0], 0.45 * region.spacing(resolution),
+                    draw(st.sampled_from([-1.0, 0.5, 3.0])))
+    else:
+        f = _holed_2d() if name == "holed" else _any_dim_oracle(name, dim)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 6))
     graph = GraphSample(rng.uniform(-2.0, 2.0, (n, dim)), rng.uniform(-3.0, 3.0, (n, dim)),
                         meta={"source": "exact"})
     knobs = {
-        "resolution": draw(st.integers(3, 9 if dim == 1 else 5)),
+        "resolution": resolution,
         "probe_factor": draw(st.integers(1, 3)),
         "t_resolution": draw(st.integers(2, 9)),
         "tol": draw(st.sampled_from([1e-6, 0.1, 1.0])),
         "band": draw(st.sampled_from([1e-3, 0.5])),
     }
-    return f, Region.box([(-2.0, 2.0)] * dim), graph, knobs
+    return f, region, graph, knobs
+
+
+def _deepest_ladder_case(f):
+    """A case of :func:`_equivalence_cases` at 1-D resolution 33."""
+    knobs = {"resolution": 33, "probe_factor": 2, "t_resolution": 8, "tol": 1e-6, "band": 1e-3}
+    graph = GraphSample([[0.5], [-1.0]], [[1.0], [-0.5]], meta={"source": "exact"})
+    return f, Region.box([(-2.0, 2.0)]), graph, knobs
 
 
 @settings(max_examples=100, deadline=None)
 @given(_equivalence_cases())
+@example(_deepest_ladder_case(_any_dim_oracle("wavy", 1)))
+@example(_deepest_ladder_case(_sliver(-2.0 + 5 * 0.125, 0.45 * 0.125, 3.0)))
 def test_equivalence_rows_with_stops_keep_verdicts_classes_and_printed_residuals(case):
     f, region, graph, knobs = case
     tol, band = knobs["tol"], knobs["band"]
@@ -398,7 +424,7 @@ def test_equivalence_rows_with_stops_keep_verdicts_classes_and_printed_residuals
         # a row with a class other than agree is printed with all its
         # residuals: those stay exact. On an agreeing row, the subderivative
         # route and the rays routes may carry a lower bound above tol: the
-        # subderivative's from the query-grid probe points, the rays
+        # subderivative's from a level of its probe ladder, the rays
         # routes' with witness t = 1
         printed = set(row.classes.values()) != {"agree"}
         if "subderivative" in row.residuals:
@@ -445,31 +471,69 @@ def test_a_row_settled_on_the_query_grid_is_classed_by_its_exact_residual():
     assert fast[1][0].residuals["subderivative"] > 12.0
 
 
+#: Knobs at which the subderivative route's ladder has 3 levels in 1-D
+#: (3, 9 and 33 probe points of 65) and 2 in 2-D (9 and 81 of 289).
+LADDER = SuiteParams(resolution=33, resolution_2d=9)
+
+
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
 def test_subderivative_rows_settled_on_the_query_grid_keep_its_max(fid):
-    # the nested probe points are the query grid's; a row whose max over
-    # them exceeds the stop is that max and its first maximizing y, a lower
-    # bound, and every other row is the exact one, bit for bit
+    # the ladder's levels are nested, coarsest first, each 4 times coarser
+    # per axis than the next, and the last is the query grid's points. A row
+    # is the exact one, bit for bit, or the max over the first level whose
+    # max exceeds the stop, with that level's first maximizing y, a lower
+    # bound on the exact residual
     f = get_function(fid)
     region = f.default_region
-    rays = _ray_grid(f, region, SMALL.probe_resolution(f.dim), SMALL.t_resolution)
-    first = rays.nested(SMALL.probe_factor)
-    xbars = region.sample(SMALL.grid_resolution(f.dim))
+    rays = _ray_grid(f, region, LADDER.probe_resolution(f.dim), LADDER.t_resolution)
+    levels = rays.ladder(LADDER.probe_factor)
+    steps = [32, 8, 2] if f.dim == 1 else [8, 2]
+    assert len(levels) == len(steps)
+    for level, step in zip(levels, steps):
+        assert np.array_equal(level, rays.nested(step))
+    for coarse, fine in zip(levels, levels[1:]):
+        assert np.isin(coarse, fine).all()
+    xbars = region.sample(LADDER.grid_resolution(f.dim))
     xbars = xbars[np.isfinite(f.values(xbars))]
-    assert np.allclose(rays.ys[first], xbars, rtol=0.0, atol=1e-12)
+    assert np.allclose(rays.ys[levels[-1]], xbars, rtol=0.0, atol=1e-12)
     exact = _subderivative_residuals(f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME)
-    coarse = _subderivative_residuals(f, xbars, rays.ys[first], rays.fy[first], DEFAULT_SCHEME)
+    per_level = [_subderivative_residuals(f, xbars, rays.ys[level], rays.fy[level], DEFAULT_SCHEME)
+                 for level in levels]
     for stop in (1e-6, 0.5, -math.inf):
-        got = _subderivative_residuals(f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME, stop, first)
-        for (r, y), e, c in zip(got, exact, coarse):
-            want = c if c[0] > stop else e
+        got = _subderivative_residuals(f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME, stop, levels)
+        for i, ((r, y), e) in enumerate(zip(got, exact)):
+            want = next((found[i] for found in per_level if found[i][0] > stop), e)
             assert _same_float(r, want[0]) and np.array_equal(y, want[1])
             assert r <= e[0]
 
 
+def test_a_ladder_level_without_a_finite_probe_point_is_skipped():
+    # f is finite only on (0.03, 0.06): at the defaults that holds one probe
+    # point, 1/32, and no query point, so every level of the ladder is
+    # empty. The route divided by the empty subset's size
+    # (ZeroDivisionError); the rows go over the whole probe grid instead
+    sliver = FunctionOracle("sliver", 1, batch=lambda x: np.where((x > 0.03) & (x < 0.06), 0.0,
+                                                                  math.inf),
+                            default_region=Region.interval(-2, 2), finite_point=np.array([0.04]))
+    params = SuiteParams()
+    fast = run_suites([sliver], ["prop1"], params)
+    exact = run_suites([sliver], ["prop1"], params, collect_rows=True)
+    assert fast["suites"] == exact["suites"]
+    assert exact["suites"]["prop1"]["functions"]["sliver"]["grid_points"] == 0
+    rays = _ray_grid(sliver, sliver.default_region, params.probe_resolution(1), 8)
+    levels = rays.ladder(params.probe_factor)
+    assert rays.ys.tolist() == [[0.03125]] and [level.size for level in levels] == [0, 0, 0]
+    xbars = sliver.default_region.sample(params.resolution)
+    want = _subderivative_residuals(sliver, xbars, rays.ys, rays.fy, DEFAULT_SCHEME)
+    got = _subderivative_residuals(sliver, xbars, rays.ys, rays.fy, DEFAULT_SCHEME, 1e-6, levels)
+    assert len(got) == 65
+    for (r, y), (e, w) in zip(got, want):
+        assert _same_float(r, e) and np.array_equal(y, w)
+
+
 @pytest.mark.parametrize("fid", FUNCTION_IDS)
 def test_cross_validate_sections_do_not_depend_on_exact(fid):
-    # probe factor 1 has no coarser query grid to settle rows on first
+    # at probe factor 1 the ladder's last level is the whole probe grid
     f = get_function(fid)
     for probe_factor in (1, 2, 3):
         knobs = {"resolution": SMALL.grid_resolution(f.dim), "probe_factor": probe_factor,
@@ -603,8 +667,11 @@ def test_small_rays_run_oracle_evaluation_count(counted):
     # row made this run 90 calls over 53,256 points
     # The rays routes of a probe grid take the t = 1 values of all their
     # xbar in blocks of about core._BLOCK_ENTRIES entries, one call each;
-    # one endpoint call per xbar made this run 92 calls over the same 39,516
-    assert (len(counted), sum(counted)) == (38, 39_516)
+    # one endpoint call per xbar made this run 92 calls over the same 39,516.
+    # The subderivative route settles rows on a ladder of nested probe
+    # subsets, coarsest first (3 and 9 points in 1-D); the query grid's
+    # points alone made this run 38 calls over 39,516 points
+    assert (len(counted), sum(counted)) == (39, 39_066)
 
 
 def test_default_rays_cells_oracle_evaluation_count(counted):
@@ -615,11 +682,13 @@ def test_default_rays_cells_oracle_evaluation_count(counted):
     # for every row took 2,263 calls over 10,329,513 points; the query-grid
     # probe points settle most false rows first. One endpoint call per x
     # took 2,124 calls over the same 5,599,693 points; a block of x takes
-    # one call
+    # one call. Settling the subderivative route's rows on the query grid's
+    # probe points alone, before the ladder of coarser subsets, took 507
+    # calls over 5,599,693 points
     result = run_suites([get_function(fid) for fid in FUNCTION_IDS],
                         ["prop1", "thm2", "thm3"], SuiteParams())
     assert result["hard_total"] == 0
-    assert (len(counted), sum(counted)) == (507, 5_599_693)
+    assert (len(counted), sum(counted)) == (469, 3_950_973)
 
 
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):

@@ -39,7 +39,7 @@ def test_verdict_counts_sum_to_grid_cardinality():
     "knobs, message",
     [
         ({"t_resolution": 1}, "t_resolution must be >= 2"),
-        ({"resolution_2d": 1}, "resolution_2d must be >= 2"),
+        ({"resolution_2d": 2}, "resolution_2d must be >= 3"),
         ({"probe_factor": 0}, "probe_factor must be >= 1"),
         ({"cdd_tol": 0.0}, "cdd_tol must be finite and positive"),
         # NaN and +inf tolerances make both sides of a comparison agree

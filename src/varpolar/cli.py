@@ -283,14 +283,16 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
             ("increase-along-rays (interior)", "iar_open"),
         ):
             if route in row.residuals:
+                witness = probes.witness(route, witnesses[route])
                 print(f"  {label}: solution={row.verdicts[route]} "
-                      f"residual={row.residuals[route]:.6g} witness={witnesses[route]}")
+                      f"residual={row.residuals[route]:.6g} witness={witness}")
             else:
                 print(f"  {label}: not evaluated (x is not an interior point with graph pairs)")
-        print("  suite classes: " + " ".join(
-            f"{suite}={row.classes[key]}"
-            for suite, key in EQUIVALENCE_THEOREMS.items() if key in row.classes
-        ))
+        classes = " ".join(f"{suite}={row.classes[key]}"
+                           for suite, key in EQUIVALENCE_THEOREMS.items() if key in row.classes)
+        if not math.isfinite(fx):
+            classes = "none (f(x) = +inf: the suites grade only points where f is finite)"
+        print(f"  suite classes: {classes}")
         return 0
 
     probe_res = cfg.probe_resolution(f.dim)

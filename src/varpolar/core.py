@@ -187,6 +187,13 @@ def tensor_grid(axes: Sequence[Array]) -> Array:
 _BLOCK_ENTRIES = 2**16
 
 
+def _check_bound(name: str, value: float) -> None:
+    """Raise :class:`ValueError` unless ``value`` is finite and >= 0, as
+    every public ``tol``, ``band`` and ``covector_half_width`` must be."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def _block_rows(cols: int) -> int:
     """Rows of a block of about :data:`_BLOCK_ENTRIES` entries over ``cols``
     columns (at least one)."""

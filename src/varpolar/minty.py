@@ -17,7 +17,7 @@ disagree but the false side's residual sits inside the band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .core import (
     Region,
     UnusableSampleError,
     Verdict,
+    _check_bound,
     _min_products,
     _block_rows,
     _pairing,
@@ -80,21 +81,22 @@ class _RayGrid:
     only on t and on the point's index a_k along axis k. So the grid keeps
     the per-axis starts a_k(1 - t), one (T, n_k) array per axis, and
     :meth:`walk` adds xbar_k t to them into per-axis ray coordinates, (T,
-    n_k) scratch arrays that the grid keeps for its lifetime. Axis 0 keeps
-    only its rows that hold a finite y. Those rows go in blocks of about
-    :data:`~varpolar.core._BLOCK_ENTRIES` / dim ray points, and a block's
-    oracle arguments are broadcast views of the ray coordinates: (T, b, 1,
-    ...) for axis 0 and (T, 1, n_1, ...) and so on for the others. The
-    oracle's (T, b, n_1, ...) values are those of building each ray point
-    from scratch, and memory for the ray starts is O(T (n_0 + n_1 + ...)).
+    n_k) scratch arrays that the grid keeps for its lifetime. The t = 1 row
+    of the starts is +0.0, so every ray ends at ``xbar + 0.0``, bit for bit.
+    Axis 0 keeps only its rows that hold a finite y. Those rows go in blocks
+    of about :data:`~varpolar.core._BLOCK_ENTRIES` / dim ray points, and a
+    block's oracle arguments are broadcast views of the ray coordinates:
+    (T, b, 1, ...) for axis 0 and (T, 1, n_1, ...) and so on for the others.
+    Memory for the ray starts is O(T (n_0 + n_1 + ...)).
 
     A block's cells are its flat indices into ``points``, the grid points of
     the kept rows; ``g`` holds f there, 0 where f is not finite, and
     ``holes`` the cells of a block where f is not finite, whose rays
     :meth:`fold` masks out (:attr:`holes` holds them over all cells, for
-    :meth:`settle`). Reusing the scratch for one xbar after another means
-    one grid serves one thread at a time. (A plain class: a frozen dataclass
-    costs about 1 ms of import time.)
+    :meth:`settle`). A ray point's index is cell * T + (its t index), first
+    in y-major order first. Reusing the scratch for one xbar after another
+    means one grid serves one thread at a time. (A plain class: a frozen
+    dataclass costs about 1 ms of import time.)
     """
 
     def __init__(self, f: FunctionOracle, axes: Sequence[Array], t_resolution: int) -> None:
@@ -113,6 +115,8 @@ class _RayGrid:
         self.g = np.where(finite, values, 0.0).reshape(by_row.shape)[live].ravel()
         self.holes = np.flatnonzero(~by_row[live].ravel())
         self.starts = [a * (1.0 - self.ts)[:, None] for a in kept]
+        for start in self.starts:
+            start[-1] = 0.0  # fl(a_k 0) is -0.0 for a_k < 0
         self.coords = [np.empty_like(s) for s in self.starts]
         dim, inner = len(axes), by_row.shape[1]
         t = self.ts.shape[0]
@@ -155,23 +159,10 @@ class _RayGrid:
             np.add(start, (xk * self.ts)[:, None], out=coord)
         return self.blocks
 
-    def endpoints(self, xs: Array) -> tuple[Array, ...]:
-        """The oracle's coordinate arrays of the t = 1 ray points toward each
-        row x of ``xs``, one per (x, cell of ``points``), broadcast (len(xs),
-        n_0, 1, ...), (len(xs), 1, n_1, ...) and so on. Coordinate k is
-        fl(a_k 0 + x_k), the last t row that :meth:`walk` writes, so f there
-        gives the kernel's own t = 1 values."""
-        dim = len(self.starts)
-        return tuple(
-            np.add(start[-1], (xs[:, k] * self.ts[-1])[:, None]).reshape(
-                (len(xs),) + tuple(start.shape[1] if j == k else 1 for j in range(dim)))
-            for k, start in enumerate(self.starts)
-        )
-
-    def settle(self, diffs: Array) -> list[tuple[float, int, int]]:
+    def settle(self, diffs: Array) -> tuple[Array, Array]:
         """Per row of ``diffs`` (rows, cells), the values at t = 1 minus
-        g(y), the max over the cells with finite f and its first cell, as
-        :meth:`fold` gives them with the t index of t = 1. The rows of
+        g(y): the max over the cells with finite f, and the index of its
+        first ray point at t = 1, as :meth:`fold` gives them. The rows of
         ``diffs`` are overwritten.
 
         These are entries of the kernel's (y, t) maximum, so each is a lower
@@ -179,14 +170,14 @@ class _RayGrid:
         forms the same differences of the same values."""
         diffs[:, self.holes] = -math.inf
         cells = np.argmax(diffs, axis=1)
-        last = self.ts.shape[0] - 1
-        return [(float(r[i]), int(i), last) for r, i in zip(diffs, cells)]
+        t = self.ts.shape[0]
+        return np.take_along_axis(diffs, cells[:, None], 1)[:, 0], cells * t + t - 1
 
-    def fold(self, vals: Array, g: Array, block: tuple) -> tuple[float, int, int]:
+    def fold(self, vals: Array, g: Array, block: tuple) -> tuple[float, int]:
         """max over the block's y with finite f and over t of
-        vals(y, t) - g(y), and the cell and t index of the first maximizing
-        (y, t) in y-major order, for ``vals`` evaluated at the block's ray
-        points (+inf allowed) and ``g`` finite over every cell.
+        vals(y, t) - g(y), and the index of the first maximizing (y, t) in
+        y-major order, for ``vals`` evaluated at the block's ray points
+        (+inf allowed) and ``g`` finite over every cell.
 
         The max over t comes first, one vectorized max along the block's t
         axis, and g(y) is subtracted once per cell: rounding is monotone, so
@@ -197,7 +188,8 @@ class _RayGrid:
         residual has the sign that one argmax over all differences gives it.
         """
         cells, holes, _ = block
-        v = vals.reshape(self.ts.shape[0], -1)
+        t = self.ts.shape[0]
+        v = vals.reshape(t, -1)
         g = g[cells]
         r = v.max(axis=0)
         r -= g
@@ -206,15 +198,15 @@ class _RayGrid:
         i = int(np.argmax(r))
         diffs = v[:, i] - g[i]
         j = int(np.argmax(diffs))
-        return float(diffs[j]), cells.start + i, j
+        return float(diffs[j]), (cells.start + i) * t + j
 
-    def witness(self, best: tuple[float, int, int] | None) -> tuple[float, tuple | None]:
-        """A running maximum of :meth:`fold` as the residual and its (y, t);
-        -inf with no witness when there is none."""
-        if best is None:
-            return -math.inf, None
-        r, cell, j = best
-        return r, (self.points[cell], float(self.ts[j]))
+    def witness(self, index: int) -> tuple[Array, float] | None:
+        """The ray point (y, t) of a kernel witness index, None for -1 (no
+        witness)."""
+        if index < 0:
+            return None
+        cell, j = divmod(int(index), self.ts.shape[0])
+        return self.points[cell], float(self.ts[j])
 
 
 def _ray_grid(f: FunctionOracle, region: Region, resolution: int, t_resolution: int) -> _RayGrid:
@@ -231,11 +223,12 @@ def _stops(ok: Array, tol: float) -> Array:
 
 def _tilted_iar_residuals(
     f: FunctionOracle, xs: Array, covectors: Array, rays: _RayGrid, stops: Array | None = None
-) -> list[list[tuple[float, tuple[Array, float] | None]]]:
-    """The rays kernel: entry [i][k] is the rays residual of the tilted
-    function f - <x*_k, .> from xs[i], the max over the grid's (y, t) of
-    (f - x*)(y + t(x_i - y)) - (f - x*)(y), with the first maximizing (y, t)
-    in y-major order; +inf allowed, -inf with no witness on a grid with no
+) -> tuple[Array, Array]:
+    """The rays kernel: (len(xs), len(covectors)) arrays of residuals and
+    witness indices. Entry [i, k] is the rays residual of f - <x*_k, .> from
+    xs[i], the max over the grid's (y, t) of (f - x*)(y + t(x_i - y)) -
+    (f - x*)(y), and the index of its first maximizer in y-major order
+    (:meth:`_RayGrid.witness`); +inf allowed, -inf and -1 on a grid with no
     finite point. prop1's and thm2's rays routes and :func:`iar_check` are
     its x* = 0 column. A zero covector tilts nothing, so their entries are
     f's own bits (a pairing of -0.0 would turn a value -0.0 into +0.0).
@@ -252,52 +245,47 @@ def _tilted_iar_residuals(
     Where ``stops`` (len(xs), len(covectors)) is finite (see :func:`_stops`),
     the endpoint bound comes first, the max over y of the t = 1 increase
     (see :meth:`_RayGrid.settle`), and an entry whose bound exceeds its stop
-    is that bound, a lower bound on the residual, with witness (y, 1.0). The
-    t = 1 values of the x go in blocks of about
-    :data:`~varpolar.core._BLOCK_ENTRIES` entries, one ``values_at`` call
-    each; a block counts per x its values, per entry its differences and
-    their gathered rows, and per tilted entry its pairing's temporaries.
-    Only the entries left open walk the blocks of their x, exactly.
+    is that bound, a lower bound on the residual, with its witness at t = 1.
+    Every ray ends at x + 0.0, so the bound evaluates f there once per x, in
+    one ``values`` call, and subtracts the rows (f - x*)(y) from
+    fl(f(x + 0) - <x*, x + 0>), in blocks of about
+    :data:`~varpolar.core._BLOCK_ENTRIES` differences, which overwrite the
+    gathered rows. Only the entries left open walk the blocks of their x.
     """
     tilts = np.any(covectors != 0.0, axis=1)
     gys = np.tile(rays.g, (len(covectors), 1))  # (f - x*)(y) per x*
     gys[tilts] -= _pairing(rays.points.T, covectors[tilts].T[:, :, None])
-    best: list[list[tuple[float, int, int] | None]] = [[None] * len(covectors) for _ in xs]
-    if stops is not None and rays.g.size:
-        asked = stops < math.inf
-        rows, cells = np.flatnonzero(asked.any(axis=1)), rays.g.size
-        for block in _row_blocks(rows.size, cells * (1 + 2 * len(covectors) + 3 * int(tilts.sum()))):
-            at = rows[block]
-            coords = rays.endpoints(xs[at])
-            ends = f.values_at(*coords).reshape(at.size, cells)
-            b, k = np.nonzero(asked[at])  # the entries with a finite stop, x-major
-            diffs = ends[b]
-            m = np.flatnonzero(tilts[k])
-            if m.size:
-                cs = covectors[k[m]].T.reshape((f.dim, -1) + (1,) * f.dim)
-                diffs[m] -= _pairing([c[b[m]] for c in coords], cs).reshape(m.size, cells)
-            diffs -= gys[k]
-            for bound, i, kk in zip(rays.settle(diffs), at[b].tolist(), k.tolist()):
-                if bound[0] > stops[i, kk]:
-                    best[i][kk] = bound
+    residuals = np.full((len(xs), len(covectors)), -math.inf)
+    witnesses = np.full(residuals.shape, -1)  # -1: open
+    i, k = np.nonzero(stops < math.inf) if stops is not None and rays.g.size else ((), ())
+    if len(i):  # the entries with a finite stop, x-major
+        ends = xs + 0.0  # every ray's t = 1 point
+        rows, at = np.unique(i, return_inverse=True)
+        top = f.values(ends[rows])[at]
+        m = np.flatnonzero(tilts[k])
+        top[m] -= _pairing(ends[i[m]].T, covectors[k[m]].T)
+        for block in _row_blocks(i.size, rays.g.size):
+            diffs = gys[k[block]]
+            np.subtract(top[block, None], diffs, out=diffs)
+            bound, index = rays.settle(diffs)
+            won = bound > stops[i[block], k[block]]
+            entry = i[block][won], k[block][won]
+            residuals[entry], witnesses[entry] = bound[won], index[won]
     t = rays.ts.shape[0]
     tilted = np.empty(max((t * (cells.stop - cells.start) for cells, _, _ in rays.blocks), default=0))
-    out = []
-    for x, x_best in zip(xs, best):
-        walked = [k for k, b in enumerate(x_best) if b is None]
-        for block in rays.walk(x) if walked else []:
+    for i in np.flatnonzero((witnesses < 0).any(axis=1)):
+        open_ = np.flatnonzero(witnesses[i] < 0)
+        for block in rays.walk(xs[i]):
             vals = f.values_at(*block[2])
-            for k in walked:
+            for k in open_:
                 v = vals
                 if tilts[k]:
                     buf = tilted[: vals.size].reshape(vals.shape)
                     v = np.subtract(vals, _pairing(block[2], covectors[k], out=buf), out=buf)
-                folded = rays.fold(v, gys[k], block)
-                # folded[0] > -inf: the values lie in (-inf, +inf] and g is finite
-                if x_best[k] is None or folded[0] > x_best[k][0]:
-                    x_best[k] = folded
-        out.append([rays.witness(b) for b in x_best])
-    return out
+                r, index = rays.fold(v, gys[k], block)
+                if witnesses[i, k] < 0 or r > residuals[i, k]:
+                    residuals[i, k], witnesses[i, k] = r, index
+    return residuals, witnesses
 
 
 def iar_check(
@@ -316,6 +304,7 @@ def iar_check(
     kernel :func:`_tilted_iar_residuals`, exact (no stop). The details hold
     the probe metadata.
     """
+    _check_bound("tol", tol)
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
@@ -325,32 +314,33 @@ def iar_check(
     if rays.ys.shape[0] == 0:
         # no finite-valued grid point: the quantifier is vacuous
         return Verdict(ok=True, residual=0.0, witness=None, details=meta)
-    [[(residual, witness)]] = _tilted_iar_residuals(f, xb[None, :], np.zeros((1, f.dim)), rays)
-    return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
+    residuals, witnesses = _tilted_iar_residuals(f, xb[None, :], np.zeros((1, f.dim)), rays)
+    residual = float(residuals[0, 0])
+    return Verdict(residual <= tol, residual, rays.witness(witnesses[0, 0]), details=meta)
 
 
 def _max_quotients(
     f: FunctionOracle, xbars: Array, ys: Array, fy: Array, scheme: LiminfScheme, step: int
-) -> list[tuple[float, int]]:
+) -> tuple[Array, Array]:
     """For each row xbar of ``xbars``, the max over ys of the subderivative
-    toward xbar and the index of the first maximizing y; ``fy`` holds the
-    values at ``ys``, so f is not evaluated there again.
+    toward xbar and the index of the first maximizing y, as two arrays;
+    ``fy`` holds the values at ``ys``, so f is not evaluated there again.
 
     The xbar go in blocks of ``step`` rows. A block makes one
     :func:`_tail_quotients` call over its (y, xbar - y) rows, xbar-major,
     with the floats of one call per xbar.
     """
     n, dim = ys.shape
-    out = []
+    maxima, args = np.empty(xbars.shape[0]), np.empty(xbars.shape[0], dtype=np.intp)
     for lo in range(0, xbars.shape[0], step):
         xb = xbars[lo:lo + step]
         b = xb.shape[0]
         dirs = (xb[:, None, :] - ys[None, :, :]).reshape(-1, dim)
         quot = _tail_quotients(f, np.tile(ys, (b, 1)), dirs, scheme, np.tile(fy, b))
         vals = quot.min(axis=1).reshape(b, n)
-        args = vals.argmax(axis=1)
-        out.extend(zip(vals[np.arange(b), args].tolist(), args.tolist()))
-    return out
+        args[lo:lo + b] = vals.argmax(axis=1)
+        maxima[lo:lo + b] = vals[np.arange(b), args[lo:lo + b]]
+    return maxima, args
 
 
 def _subderivative_residuals(
@@ -361,11 +351,12 @@ def _subderivative_residuals(
     scheme: LiminfScheme,
     stop: float = math.inf,
     levels: Sequence[Array] = (),
-) -> list[tuple[float, Array | None]]:
+) -> tuple[Array, Array]:
     """For each row xbar of ``xbars``, the max over ys of the subderivative
-    toward xbar and the first maximizing y (see :func:`_max_quotients`);
-    -inf with no witness when ``ys`` is empty. The xbar go in blocks of
-    about :data:`~varpolar.core._BLOCK_ENTRIES` tail-point coordinates.
+    toward xbar and the index in ``ys`` of the first maximizing y, as two
+    arrays (see :func:`_max_quotients`); -inf and -1 when ``ys`` is empty.
+    The xbar go in blocks of about :data:`~varpolar.core._BLOCK_ENTRIES`
+    tail-point coordinates.
 
     With a finite ``stop``, the rows go over ``levels`` first, nested
     subsets of the probe points in ``ys`` order, coarsest first (the ladder
@@ -378,24 +369,22 @@ def _subderivative_residuals(
     last level go over all of ``ys``, and their results are exact. Every
     quotient keeps the bits it has in the full pass.
     """
+    residuals, witnesses = np.full(xbars.shape[0], -math.inf), np.full(xbars.shape[0], -1)
     if ys.shape[0] == 0:
-        return [(-math.inf, None)] * xbars.shape[0]
+        return residuals, witnesses
     n, dim = ys.shape
     step = _block_rows(n * scheme.tail_count * dim)
-    out: list[tuple[float, Array | None] | None] = [None] * xbars.shape[0]
-    rest = list(range(xbars.shape[0]))
+    rest = np.arange(xbars.shape[0])
     for level in levels if stop < math.inf else ():
         if not 0 < level.shape[0] < n:
             continue
-        found = _max_quotients(f, xbars[rest], ys[level], fy[level], scheme,
-                               step * n // level.shape[0])
-        for i, (r, k) in zip(rest, found):
-            if r > stop:
-                out[i] = (r, ys[level[k]])
-        rest = [i for i in rest if out[i] is None]
-    for i, (r, k) in zip(rest, _max_quotients(f, xbars[rest], ys, fy, scheme, step)):
-        out[i] = (r, ys[k])
-    return out
+        r, k = _max_quotients(f, xbars[rest], ys[level], fy[level], scheme,
+                              step * n // level.shape[0])
+        won = r > stop
+        residuals[rest[won]], witnesses[rest[won]] = r[won], level[k[won]]
+        rest = rest[~won]
+    residuals[rest], witnesses[rest] = _max_quotients(f, xbars[rest], ys, fy, scheme, step)
+    return residuals, witnesses
 
 
 def minty_subderivative(
@@ -409,6 +398,7 @@ def minty_subderivative(
     """Subderivative-type Minty residual: max over grid y in C with finite
     value of the subderivative of f at y toward xbar (y = xbar contributes
     exactly 0). The witness is the maximizing y."""
+    _check_bound("tol", tol)
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
@@ -417,8 +407,9 @@ def minty_subderivative(
             "scheme": scheme.as_dict(), "finite_grid_points": int(ys.shape[0])}
     if ys.shape[0] == 0:
         return Verdict(ok=True, residual=0.0, witness=None, details=meta)
-    ((residual, witness),) = _subderivative_residuals(f, xb[None, :], ys, fy, scheme)
-    return Verdict(ok=residual <= tol, residual=residual, witness=witness, details=meta)
+    residuals, witnesses = _subderivative_residuals(f, xb[None, :], ys, fy, scheme)
+    residual = float(residuals[0])
+    return Verdict(ok=residual <= tol, residual=residual, witness=ys[witnesses[0]], details=meta)
 
 
 def minty_subdifferential(
@@ -431,6 +422,7 @@ def minty_subdifferential(
     """Subdifferential-type Minty residual: max over sampled pairs (y, y*)
     with y in the region of <y*, xbar - y>, as 0 minus the polar kernel at
     x* = 0. The witness is the first maximizing pair."""
+    _check_bound("tol", tol)
     xb = as_point(xbar, f.dim)
     if not region.contains(xb):
         raise ValueError("xbar must belong to the probe region")
@@ -452,19 +444,19 @@ def minty_subdifferential(
 # Cross-validation
 # ---------------------------------------------------------------------------
 
-def classify(
-    verdict_a: bool, residual_a: float, verdict_b: bool, residual_b: float, band: float
-) -> str:
-    """agree / indeterminate / hard for one pair of route verdicts.
+def classify(verdict_a, residual_a, verdict_b, residual_b, band: float) -> Array:
+    """agree / indeterminate / hard for pairs of route verdicts, elementwise
+    over verdict and residual arrays that broadcast together (a 0-d array
+    for one pair; ``str()`` reads it).
 
     Disagreements are indeterminate when the false side's residual lies inside
     the band (it could be discretization noise); a wrong-sign residual beyond
     the band is a hard disagreement.
     """
-    if verdict_a == verdict_b:
-        return "agree"
-    false_res = residual_b if verdict_a else residual_a
-    return "indeterminate" if abs(false_res) <= band else "hard"
+    _check_bound("band", band)
+    false_res = np.where(verdict_a, residual_b, residual_a)
+    return np.where(np.equal(verdict_a, verdict_b), "agree",
+                    np.where(np.abs(false_res) <= band, "indeterminate", "hard"))
 
 
 @dataclass
@@ -486,13 +478,7 @@ class EquivalenceRow:
     classes: dict[str, str]
 
     def to_dict(self) -> dict:
-        return {
-            "xbar": list(self.xbar),
-            "interior": self.interior,
-            "residuals": self.residuals,
-            "verdicts": self.verdicts,
-            "classes": self.classes,
-        }
+        return {**asdict(self), "xbar": list(self.xbar)}
 
 
 @dataclass
@@ -568,14 +554,10 @@ class _EquivalenceProbes:
     and the rays grid over the interior (``rays_u``). The interior is the
     region shrunk by one query-grid cell.
 
-    :meth:`rows` evaluates the selected routes at a batch of xbar: the
-    subderivative route in one :func:`_subderivative_residuals` call, in
-    blocks of xbar (over the probe ladder of ``rays_c`` unless exact), the
-    subdifferential route at all interior xbar in one
-    call of the polar kernel at x* = 0, and each rays route in one call of
-    the rays kernel at x* = 0 over the xbar of its partner route.
-    ``cross_validate`` calls it once over its finite xbar and ``explain``
-    with one row, so its lines match the suite row of the same point.
+    :meth:`rows` evaluates the selected routes at a batch of xbar, each in
+    one call of its kernel. ``cross_validate`` calls it once over its finite
+    xbar and ``explain`` with one row, so its lines match the suite row of
+    the same point.
     """
 
     def __init__(
@@ -605,77 +587,82 @@ class _EquivalenceProbes:
 
     def rows(
         self, xbars: Array, tol: float, band: float, exact: bool = True
-    ) -> list[tuple[EquivalenceRow, dict[str, Any]]]:
-        """The equivalence row at each row xbar of ``xbars`` and the witness
-        of each route's residual. thm2's routes run only at interior xbar
-        and when the interior holds graph pairs.
+    ) -> list[tuple[EquivalenceRow, dict[str, int]]]:
+        """The equivalence row at each row xbar of ``xbars`` and the index
+        of each route's witness (:meth:`witness` decodes it). thm2's routes
+        run only at interior xbar and when the interior holds graph pairs.
+        Each route is one array over the xbar it grades: the subderivative
+        route one :func:`_subderivative_residuals` call, the subdifferential
+        route one call of the polar kernel at x* = 0, and each rays route
+        one call of the rays kernel at x* = 0. A comparison grades its two
+        routes as aligned columns.
 
         With ``exact`` False, the subderivative route stops at ``tol``: it
-        takes the rows over the ladder of nested probe subsets of
-        :meth:`_RayGrid.ladder`, coarsest first, and a row whose max over a
-        level exceeds ``tol`` keeps that lower bound and its witness; only
-        the rows open after the query grid's points take the whole probe
-        grid (see :func:`_subderivative_residuals`); with ``exact`` it
-        takes no ladder. Each rays
-        route is one kernel call at x* = 0 over the xbar of its partner
-        route, and stops at ``tol`` where the partner is false (see
-        :func:`_stops`). Either bound decides its verdict, so a row whose
-        classes all agree may carry it, with its witness. A row with any
-        other class is printed with all its residuals: its bounds are
-        replaced by the exact residuals and witnesses before it is classed,
+        takes the ladder of nested probe subsets of :meth:`_RayGrid.ladder`,
+        coarsest first, and a row whose max over a level exceeds ``tol``
+        keeps that lower bound and its witness (see
+        :func:`_subderivative_residuals`). Each rays route is one kernel
+        call at x* = 0 over the xbar of its partner route, and stops at
+        ``tol`` where the partner is false (see :func:`_stops`). Either
+        bound decides its verdict, so a row whose classes all agree may
+        carry it. A row with any other class is printed with all its
+        residuals: its bounds give way to the exact residuals and witnesses,
+        one batched call per route over all such rows, before it is classed,
         so its verdicts, classes and residuals are those of the exact run."""
-        f, zero = self.f, np.zeros((1, self.f.dim))
+        f, zero, closed = self.f, np.zeros((1, self.f.dim)), self.rays_c
         interior = self.interior_region.contains_many(xbars)
         sub_stop = math.inf if exact else tol
-
-        def with_rays(at, evaluated, grid):
-            """{xbar index: (route's (residual, witness), [rays route's], its stop)}"""
-            stops = _stops(np.array([exact or r <= tol for r, _ in evaluated], dtype=bool), tol)
-            found = _tilted_iar_residuals(f, xbars[at], zero, grid, stops[:, None])
-            return dict(zip(at.tolist(), zip(evaluated, found, stops.tolist())))
-
-        graded = []  # (comparison, route, rays route, grid, with_rays(...))
-        if self.rays_c is not None:
-            closed = self.rays_c
+        graded = []  # (comparison, route, rays route, rays grid, graded xbar, route's arrays)
+        if closed is not None:
             sub = _subderivative_residuals(f, xbars, closed.ys, closed.fy, self.scheme, sub_stop,
                                            closed.ladder(self.probe_factor))
             graded.append(("subderivative_vs_iar", "subderivative", "iar", closed,
-                           with_rays(np.arange(len(xbars)), sub, closed)))
+                           np.arange(len(xbars)), *sub))
         if self.graph_inside is not None and len(self.graph_inside) > 0:
-            g, at = self.graph_inside, np.flatnonzero(interior)
-            mins, args = _min_products(g, xbars[at], zero, argmin=True)
+            at = np.flatnonzero(interior)
+            mins, args = _min_products(self.graph_inside, xbars[at], zero, argmin=True)
             # max <y*, xbar - y> = 0 - min <y* - 0, y - xbar>
-            sdiff = [(0.0 - m, (g.points[k], g.covectors[k]))
-                     for m, k in zip(mins[:, 0].tolist(), args[:, 0])]
             graded.append(("subdifferential_vs_iar", "subdifferential", "iar_open", self.rays_u,
-                           with_rays(at, sdiff, self.rays_u)))
-        out = []
-        for i, (xb, inner) in enumerate(zip(xbars, interior)):
-            residuals, verdicts, witnesses, routes = {}, {}, {}, []
-            for comparison, route, rays, grid, per_xbar in graded:
-                if i in per_xbar:
-                    (r, w), [(r_iar, w_iar)], _ = per_xbar[i]
-                    residuals.update({route: r, rays: r_iar})
-                    verdicts.update({route: r <= tol, rays: r_iar <= tol})
-                    witnesses.update({route: w, rays: w_iar})
-                    routes.append((comparison, route, rays))
-            if any(verdicts[route] != verdicts[rays] for _, route, rays in routes):
-                # a class other than agree: the row is printed, so its
-                # bounds give way to the exact residuals and witnesses
-                for _, _, rays, grid, per_xbar in graded:
-                    if i in per_xbar and residuals[rays] > per_xbar[i][2]:
-                        [[(residuals[rays], witnesses[rays])]] = _tilted_iar_residuals(
-                            f, xb[None, :], zero, grid)
-                if residuals.get("subderivative", -math.inf) > sub_stop:
-                    closed = self.rays_c
-                    ((residuals["subderivative"], witnesses["subderivative"]),) = (
-                        _subderivative_residuals(f, xb[None, :], closed.ys, closed.fy, self.scheme))
-            classes = {comparison: classify(verdicts[route], residuals[route],
-                                            verdicts[rays], residuals[rays], band)
-                       for comparison, route, rays in routes}
-            xbar = tuple(float(c) for c in xb)
-            out.append((EquivalenceRow(xbar, bool(inner), residuals, verdicts, classes), witnesses))
+                           at, 0.0 - mins[:, 0], args[:, 0]))
+        printed, columns = np.zeros(len(xbars), dtype=bool), []
+        for *names, grid, at, r, w in graded:
+            stops = _stops(np.logical_or(exact, r <= tol), tol)
+            r_iar, w_iar = (a[:, 0] for a in _tilted_iar_residuals(f, xbars[at], zero, grid,
+                                                                  stops[:, None]))
+            printed[at] |= (r <= tol) != (r_iar <= tol)
+            columns.append((*names, grid, at, r, w, r_iar, w_iar, stops))
+        out = [(EquivalenceRow(tuple(xb.tolist()), inner, {}, {}, {}), {})
+               for xb, inner in zip(xbars, interior.tolist())]
+        for comparison, route, rays, grid, at, r, w, r_iar, w_iar, stops in columns:
+            # a printed row's bounds give way to the exact residuals and witnesses
+            redo = np.flatnonzero(printed[at] & (r_iar > stops))
+            if redo.size:
+                r_iar[redo], w_iar[redo] = (a[:, 0] for a in _tilted_iar_residuals(
+                    f, xbars[at[redo]], zero, grid))
+            redo = np.flatnonzero(printed & (r > sub_stop)) if route == "subderivative" else []
+            if len(redo):
+                r[redo], w[redo] = _subderivative_residuals(f, xbars[redo], closed.ys, closed.fy,
+                                                            self.scheme)
+            classes = classify(r <= tol, r, r_iar <= tol, r_iar, band).tolist()
+            for i, *entry in zip(at.tolist(), r.tolist(), r_iar.tolist(), w.tolist(),
+                                 w_iar.tolist(), classes):
+                (row, witnesses), (res, res_iar, wit, wit_iar, cls) = out[i], entry
+                row.residuals.update({route: res, rays: res_iar})
+                row.verdicts.update({route: res <= tol, rays: res_iar <= tol})
+                row.classes[comparison] = cls
+                witnesses.update({route: wit, rays: wit_iar})
         return out
+
+    def witness(self, route: str, index: int) -> Any:
+        """``route``'s witness from its index in :meth:`rows`: a probe point
+        y, a graph pair (y, y*) or a ray point (y, t); None for -1."""
+        if index < 0:
+            return None
+        if route == "subderivative":
+            return self.rays_c.ys[index]
+        if route == "subdifferential":
+            return self.graph_inside.points[index], self.graph_inside.covectors[index]
+        return (self.rays_c if route == "iar" else self.rays_u).witness(index)
 
 
 def cross_validate(
@@ -718,6 +705,8 @@ def cross_validate(
     those of the exact run, and so is every row of
     :meth:`EquivalenceReport.disagreements`.
     """
+    _check_bound("band", band)
+    _check_bound("tol", tol)
     if region is None:
         region = f.default_region
     if region is None:

@@ -42,6 +42,7 @@ from .core import (
     GraphSample,
     Region,
     Verdict,
+    _check_bound,
     _min_products,
     _pairings,
     _row_blocks,
@@ -54,12 +55,6 @@ EXACT_TOL = 1e-9
 
 #: Points per ray of the dual (rays) route to polar membership.
 DEFAULT_RAY_RESOLUTION = 33
-
-
-def _check_bound(name: str, value: float) -> None:
-    """Raise :class:`ValueError` unless ``value`` is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _candidate_rows(name: str, rows: Array, dim: int | None) -> Array:
@@ -213,6 +208,7 @@ def is_absorbing(
     :class:`ValueError` before any product is formed.
     """
     _check_bound("match_radius", match_radius)
+    _check_bound("tol", tol)
     related = polar_of_sample(T, xs, cs, tol)
     if len(related) == 0:
         return Verdict(
@@ -289,16 +285,12 @@ def polar_membership_via_iar(
     runs over all candidate pairs. The witness is the violating (y, t); an
     x* whose tilt can overflow raises :class:`ValueError`.
     """
+    _check_bound("tol", tol)
     p = as_point(x, f.dim)
     c = as_point(xstar, f.dim)
     _check_tilt(probe, p, c)
     grid = _ray_grid(f, probe, probe_resolution, DEFAULT_RAY_RESOLUTION)
-    [[(residual, witness)]] = _tilted_iar_residuals(f, p[None, :], c[None, :], grid)
-    if witness is None:
-        return Verdict(ok=True, residual=residual, witness=None)
-    return Verdict(
-        ok=residual <= tol,
-        residual=residual,
-        witness=witness,
-        details={"probe": probe.describe(), "probe_resolution": probe_resolution},
-    )
+    residuals, witnesses = _tilted_iar_residuals(f, p[None, :], c[None, :], grid)
+    residual = float(residuals[0, 0])
+    return Verdict(residual <= tol, residual, grid.witness(witnesses[0, 0]),
+                   details={"probe": probe.describe(), "probe_resolution": probe_resolution})

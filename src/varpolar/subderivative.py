@@ -27,6 +27,7 @@ from .core import (
     DomainError,
     FunctionOracle,
     as_point,
+    _check_bound,
     _pairings,
     _row_blocks,
 )
@@ -399,6 +400,7 @@ def mean_value_witness(
     :class:`WitnessNotFoundError` with the best candidate when the refinement
     budget is exhausted.
     """
+    _check_bound("tol", tol)
     p = as_point(x, f.dim)
     q = as_point(xbar, f.dim)
     if np.array_equal(p, q):

@@ -37,6 +37,7 @@ from .core import (
     Verdict,
     as_point,
     _block_rows,
+    _check_bound,
     _fibonacci_sphere,
     _pairings,
     _row_blocks,
@@ -93,6 +94,7 @@ def convex_subdiff_contains(
     (<= tol when xstar is a member) and the witness the grid point achieving
     it.
     """
+    _check_bound("tol", tol)
     xb = as_point(xbar, f.dim)
     xs = as_point(xstar, f.dim)
     fx = f.value(xb)
@@ -141,6 +143,7 @@ def clarke_subdiff_contains(
     the bound is +inf) and the witness the first direction achieving it, or
     None when every margin is -inf.
     """
+    _check_bound("tol", tol)
     xb = as_point(xbar, f.dim)
     xs = as_point(xstar, f.dim)
     if not math.isfinite(f.value(xb)):
@@ -389,6 +392,7 @@ def sample_subdiff_graph(
     The sample's ``meta`` records the construction (with the source used) and
     whether any covector set was truncated to the covector box.
     """
+    _check_bound("covector_half_width", covector_half_width)
     source = _resolve_source(f, source)
     if source not in ("exact", "clarke-numeric"):
         raise ValueError(f"unknown source {source!r}")
@@ -664,6 +668,8 @@ def cdd_profile(
     ``suites.cdd_suite`` runs over a whole grid of base points, and its
     verdicts come from the same :func:`_cdd_verdicts` arrays.
     """
+    _check_bound("covector_half_width", covector_half_width)
+    _check_bound("tol", tol)
     xb = as_point(xbar, f.dim)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     block = next(_cdd_profiles(f, xb[None, :], dirs, scheme, covector_half_width, tol))

@@ -147,24 +147,24 @@ def thm3_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     Where the graph route already says "not related" (min product < -tol),
     the rays route stops at tol (:func:`~varpolar.minty._stops`, the stop
     rule of prop1 and thm2 too): the pair agrees whatever its exact
-    residual, which the suite prints only on disagreement rows."""
+    residual, which the suite prints only on disagreement rows. The pairs
+    are graded as (x, x*) arrays, counted with numpy, and only the
+    disagreement rows become dicts."""
     region = f.default_region
     xs, cs = _candidate_grids(f, params)
     graph = thm3_graph(f, params)
     min_products = _min_products(graph, xs, cs)
     grid = _ray_grid(f, region, params.probe_resolution(f.dim), DEFAULT_RAY_RESOLUTION)
     stops = _stops(min_products >= -params.tol, params.tol)
-    rays = _tilted_iar_residuals(f, xs, cs, grid, stops)
-    counts = {"agree": 0, "indeterminate": 0, "hard": 0}
-    disagreements = []
-    for x, x_mins, x_rays in zip(xs, min_products, rays):
-        for c, min_product, (iar_residual, _) in zip(cs, x_mins.tolist(), x_rays):
-            cls = classify(min_product >= -params.tol, -min_product,
-                           iar_residual <= params.tol, iar_residual, params.polar_band)
-            counts[cls] += 1
-            if cls != "agree":
-                disagreements.append({"x": x.tolist(), "xstar": c.tolist(), "class": cls,
-                                      "min_product": min_product, "iar_residual": iar_residual})
+    rays, _ = _tilted_iar_residuals(f, xs, cs, grid, stops)
+    classes = classify(min_products >= -params.tol, -min_products,
+                       rays <= params.tol, rays, params.polar_band)
+    counts = {c: int(np.count_nonzero(classes == c)) for c in ("agree", "indeterminate", "hard")}
+    disagreements = [
+        {"x": xs[i].tolist(), "xstar": cs[k].tolist(), "class": str(classes[i, k]),
+         "min_product": float(min_products[i, k]), "iar_residual": float(rays[i, k])}
+        for i, k in zip(*np.nonzero(classes != "agree"))
+    ]
     return {
         "function": f.name,
         "region": region.describe(),

@@ -451,6 +451,18 @@ def test_explain_minty_query(capsys):
     assert "solution=True" in out
 
 
+def test_explain_prints_no_suite_classes_where_f_is_infinite(capsys):
+    # the suites grade only points where f is finite; explain printed
+    # "suite classes: prop1=agree thm2=agree" at x = 1 on ind_origin
+    assert main(["explain", "--function", "ind_origin", "--x", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "f([1.0]) = inf"
+    assert out[-1] == ("  suite classes: none (f(x) = +inf: the suites grade only points "
+                       "where f is finite)")
+    assert main(["explain", "--function", "ind_origin", "--x", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "  suite classes: prop1=agree thm2=agree"
+
+
 @pytest.mark.parametrize(
     "line",
     [

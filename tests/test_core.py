@@ -7,9 +7,25 @@ import math
 import numpy as np
 import pytest
 
-from varpolar import DimensionMismatchError, GraphSample, Region, iar_check, interval_rows
+from varpolar import (
+    DimensionMismatchError,
+    GraphSample,
+    Region,
+    clarke_subdiff_contains,
+    convex_subdiff_contains,
+    cross_validate,
+    iar_check,
+    interval_rows,
+    mean_value_witness,
+    minty_subderivative,
+    minty_subdifferential,
+    polar_membership_via_iar,
+    sample_subdiff_graph,
+)
 from varpolar.core import FunctionOracle, tensor_grid
 from varpolar.library import get_function
+from varpolar.minty import classify
+from varpolar.subdifferential import cdd_profile
 
 
 # -- regions ----------------------------------------------------------------
@@ -232,3 +248,49 @@ def test_ball_set_membership_is_exact_on_the_sphere():
     assert len({tuple(r) for r in reps.tolist()}) == 17
     _, cut, truncated = f.subdifferential_representatives(np.zeros((1, 2)), 0.5)
     assert np.array_equal(cut, reps) and truncated[0]
+
+
+# -- tolerances, bands and covector boxes -----------------------------------
+
+def _bound_calls():
+    """(knob, call of one bound value) for every public function with a
+    ``tol``, ``band`` or ``covector_half_width`` parameter."""
+    f = get_function("abs")
+    region, graph = f.default_region, GraphSample([[0.0]], [[1.0]])
+    return [
+        ("tol", lambda v: cross_validate(f, resolution=9, tol=v)),
+        ("band", lambda v: cross_validate(f, resolution=9, band=v)),
+        ("band", lambda v: classify(True, 0.0, False, 1.0, v)),
+        ("tol", lambda v: iar_check(f, [0.5], region, tol=v)),
+        ("tol", lambda v: minty_subderivative(f, [0.5], region, tol=v)),
+        ("tol", lambda v: minty_subdifferential(f, [0.5], region, graph, tol=v)),
+        ("tol", lambda v: polar_membership_via_iar(f, [0.5], [1.0], region, tol=v)),
+        ("tol", lambda v: convex_subdiff_contains(f, [0.5], [1.0], tol=v)),
+        ("tol", lambda v: clarke_subdiff_contains(f, [0.5], [1.0], tol=v)),
+        ("tol", lambda v: cdd_profile(f, [0.5], [[1.0]], tol=v)),
+        ("covector_half_width", lambda v: cdd_profile(f, [0.5], [[1.0]], covector_half_width=v)),
+        ("covector_half_width", lambda v: sample_subdiff_graph(f, region, 9, covector_half_width=v)),
+        ("tol", lambda v: mean_value_witness(f, [0.0], [1.0], 0.5, tol=v)),
+    ]
+
+
+def test_a_vacuous_bound_of_the_library_api_raises_before_any_work(monkeypatch):
+    # SuiteParams rejected these values, but the library functions took
+    # them: cross_validate(abs_flipped, band=inf) called the sign-flip
+    # mutant's thm2 violation indeterminate (hard 1 -> 0) and with tol=inf
+    # 63 agree; iar_check(neg_abs, 0.5, tol=inf) passed; and
+    # sample_subdiff_graph(abs, ..., covector_half_width=nan) returned 0
+    # pairs, not flagged as truncated
+    from test_negative_controls import FLIPPED
+
+    assert cross_validate(FLIPPED).section("subdifferential_vs_iar")["hard"] == 1
+    assert not iar_check(get_function("neg_abs"), [0.5], Region.interval(-2.0, 2.0)).ok
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("f was evaluated")
+
+    monkeypatch.setattr(FunctionOracle, "_evaluate", no_work)
+    for knob, call in _bound_calls():
+        for bad in (math.nan, math.inf, -math.inf, -1e-6):
+            with pytest.raises(ValueError, match=f"^{knob} must be finite and nonnegative"):
+                call(bad)

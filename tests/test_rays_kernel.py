@@ -48,7 +48,8 @@ def _reference_rays(g, x, probe, probe_resolution, t_resolution):
 def _reference_rays_at(g, x, ys, t_resolution):
     """max over the rows y of ``ys`` where g is finite and t of
     g(y + t(x - y)) - g(y), with the first maximizing (y, t) in y-major
-    order: all ray points in one piece and one argmax."""
+    order: all ray points in one piece and one argmax. Every ray ends at
+    x + 0.0, which differs from fl(y 0 + x) only in the sign of a zero."""
     gy = g.values(ys)
     finite = np.isfinite(gy)
     if not np.any(finite):
@@ -56,6 +57,7 @@ def _reference_rays_at(g, x, ys, t_resolution):
     ys, gy = ys[finite], gy[finite]
     ts = np.linspace(0.0, 1.0, t_resolution)
     pts = ys[:, None, :] * (1.0 - ts)[None, :, None] + x[None, None, :] * ts[None, :, None]
+    pts[:, -1] = x + 0.0
     vals = g.values(pts.reshape(-1, g.dim)).reshape(ys.shape[0], ts.shape[0])
     with np.errstate(invalid="ignore"):
         diffs = vals - gy[:, None]
@@ -268,6 +270,12 @@ def _assert_same_rays(got, want):
         assert np.array_equal(witness[0], witness_want[0]) and witness[1] == witness_want[1]
 
 
+def _entries(rays, found):
+    """The rays kernel's (residuals, witness indices) arrays as rows of
+    (residual, (y, t) or None) entries."""
+    return [[(float(r), rays.witness(w)) for r, w in zip(*row)] for row in zip(*found)]
+
+
 def _with_zero(covectors):
     """``covectors`` after a first row x* = 0."""
     return np.vstack([np.zeros((1, covectors.shape[1])), covectors])
@@ -295,7 +303,7 @@ def test_rays_kernel_matches_the_reference_on_non_dyadic_data(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_ENTRIES", budget)
         rays = _RayGrid(f, axes, t_resolution)
-    for x, got in zip(xs, _tilted_iar_residuals(f, xs, covectors, rays)):
+    for x, got in zip(xs, _entries(rays, _tilted_iar_residuals(f, xs, covectors, rays))):
         _assert_same_rays(got[0], _reference_rays_at(f, x, ys, t_resolution))
         for c, entry in zip(covectors[1:], got[1:]):
             _assert_same_rays(entry, _reference_rays_at(f.shifted(c), x, ys, t_resolution))
@@ -305,9 +313,9 @@ def test_rays_kernel_matches_the_reference_on_non_dyadic_data(case):
 def _bound_cases(draw):
     """A 1-D or 2-D case of :func:`_rays_cases`, with the holed oracle among
     the 2-D ones, and the first x's first coordinate sometimes a signed
-    zero: the t = 1 ray points fl(a 0 + x_1) of y with a < 0 then differ
-    from the others in the sign of that zero, which the step and -|x_1|
-    oracles and, drawn then, :func:`_signed` read."""
+    zero, which the step and -|x_1| oracles and, drawn then,
+    :func:`_signed` read: every ray ends at x + 0.0, so the bound and the
+    walk must both read +0.0 there."""
     f, axes, xs, covectors, t_resolution, budget = draw(_rays_cases(most_dim=2))
     if f.dim == 2 and draw(st.booleans()):
         f = _holed_2d()
@@ -318,8 +326,8 @@ def _bound_cases(draw):
 
 def _signed(*x):
     """The wavy oracle, 2 larger where the first coordinate is -0.0 than at
-    +0.0: a bound that took xbar itself as every t = 1 point would exceed
-    the kernel's own t = 1 entries."""
+    +0.0: a bound that read xbar itself at t = 1, where the walk reads
+    xbar + 0.0, would exceed the kernel's own t = 1 entries."""
     return _wavy(*x) - np.copysign(1.0, x[0])
 
 
@@ -341,21 +349,56 @@ def test_the_endpoint_bound_is_exact_below_the_residual(case, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_BLOCK_ENTRIES", budget)
         rays = _RayGrid(f, axes, t_resolution)
-        exact = _tilted_iar_residuals(f, xs, covectors, rays)
+        exact = _entries(rays, _tilted_iar_residuals(f, xs, covectors, rays))
         for x, got in zip(xs, exact):  # the x* = 0 column is f's own
             _assert_same_rays(got[0], _reference_rays_at(f, x, tensor_grid(axes), t_resolution))
         everything = np.full((len(xs), len(covectors)), -math.inf)
-        bounds = _tilted_iar_residuals(f, xs, covectors, rays, everything)
+        bounds = _entries(rays, _tilted_iar_residuals(f, xs, covectors, rays, everything))
         stops = np.empty_like(everything)
         for i, k in np.ndindex(stops.shape):
             (b, witness), (r, _) = bounds[i][k], exact[i][k]
             assert b <= r
             assert witness is None or witness[1] == 1.0
             stops[i, k] = data.draw(st.sampled_from(_stop_choices(b, r)))
-        got = _tilted_iar_residuals(f, xs, covectors, rays, stops)
+        got = _entries(rays, _tilted_iar_residuals(f, xs, covectors, rays, stops))
     for i, k in np.ndindex(stops.shape):
         b, e = bounds[i][k], exact[i][k]
         _assert_same_rays(got[i][k], b if b[0] > stops[i, k] else e)
+
+
+@st.composite
+def _signed_zero_cases(draw):
+    """A case of :func:`_rays_cases` on the ``_signed`` or step oracle, both
+    of which read the sign of a zero, with no -0.0 on the probe axes (no
+    query or candidate grid holds one) and each coordinate of the x
+    sometimes -0.0."""
+    _, axes, xs, covectors, t_resolution, budget = draw(_rays_cases(most_dim=2))
+    batch = draw(st.sampled_from([_signed, _ANY_DIM_ORACLES["steps"]]))
+    zeros = draw(st.lists(st.booleans(), min_size=xs.size, max_size=xs.size))
+    xs[np.reshape(zeros, xs.shape)] = -0.0
+    f = FunctionOracle("signed zeros", len(axes), batch=batch)
+    return f, [a + 0.0 for a in axes], xs, covectors, t_resolution, budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signed_zero_cases())
+def test_a_negative_zero_in_x_gives_the_kernel_results_of_x_plus_zero(case):
+    # every ray ends at x + 0.0, and below t = 1 a coordinate x_k t = -0.0
+    # adds to a start a_k (1 - t) that is not -0.0: the kernel's residuals
+    # and witnesses at x and at x + 0.0 are the same bits, with and without
+    # stops. Before, the t = 1 point of a ray from y with y_k < 0 kept the
+    # -0.0, and the bound and the walk read f there
+    f, axes, xs, covectors, t_resolution, budget = case
+    covectors = _with_zero(covectors)
+    shape = (len(xs), len(covectors))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ENTRIES", budget)
+        rays = _RayGrid(f, axes, t_resolution)
+        for stops in (None, np.full(shape, -math.inf), np.zeros(shape), np.full(shape, 0.5)):
+            (r, w), (r0, w0) = (_tilted_iar_residuals(f, x, covectors, rays, stops)
+                                for x in (xs, xs + 0.0))
+            assert np.array_equal(r.view(np.uint64), r0.view(np.uint64))
+            assert np.array_equal(w, w0)
 
 
 def _sliver(center, half_width, slope):
@@ -428,13 +471,15 @@ def test_equivalence_rows_with_stops_keep_verdicts_classes_and_printed_residuals
         # routes' with witness t = 1
         printed = set(row.classes.values()) != {"agree"}
         if "subderivative" in row.residuals:
-            got_pair = (got.residuals["subderivative"], got_witnesses["subderivative"])
-            want = (row.residuals["subderivative"], witnesses["subderivative"])
+            got_pair = (got.residuals["subderivative"],
+                        probes.witness("subderivative", got_witnesses["subderivative"]))
+            want = (row.residuals["subderivative"],
+                    probes.witness("subderivative", witnesses["subderivative"]))
             if not (_same_float(got_pair[0], want[0]) and np.array_equal(got_pair[1], want[1])):
                 assert not printed and tol < got_pair[0] <= want[0]
         for route in {"iar", "iar_open"} & row.residuals.keys():
-            got_pair = (got.residuals[route], got_witnesses[route])
-            want = (row.residuals[route], witnesses[route])
+            got_pair = (got.residuals[route], probes.witness(route, got_witnesses[route]))
+            want = (row.residuals[route], probes.witness(route, witnesses[route]))
             try:
                 _assert_same_rays(got_pair, want)
             except AssertionError:
@@ -471,6 +516,12 @@ def test_a_row_settled_on_the_query_grid_is_classed_by_its_exact_residual():
     assert fast[1][0].residuals["subderivative"] > 12.0
 
 
+def _subderivative_entries(found, ys):
+    """The subderivative route's (residuals, y indices) arrays as a list of
+    (residual, y or None) entries."""
+    return [(float(r), None if k < 0 else ys[k]) for r, k in zip(*found)]
+
+
 #: Knobs at which the subderivative route's ladder has 3 levels in 1-D
 #: (3, 9 and 33 probe points of 65) and 2 in 2-D (9 and 81 of 289).
 LADDER = SuiteParams(resolution=33, resolution_2d=9)
@@ -496,11 +547,14 @@ def test_subderivative_rows_settled_on_the_query_grid_keep_its_max(fid):
     xbars = region.sample(LADDER.grid_resolution(f.dim))
     xbars = xbars[np.isfinite(f.values(xbars))]
     assert np.allclose(rays.ys[levels[-1]], xbars, rtol=0.0, atol=1e-12)
-    exact = _subderivative_residuals(f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME)
-    per_level = [_subderivative_residuals(f, xbars, rays.ys[level], rays.fy[level], DEFAULT_SCHEME)
+    exact = _subderivative_entries(
+        _subderivative_residuals(f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME), rays.ys)
+    per_level = [_subderivative_entries(_subderivative_residuals(
+        f, xbars, rays.ys[level], rays.fy[level], DEFAULT_SCHEME), rays.ys[level])
                  for level in levels]
     for stop in (1e-6, 0.5, -math.inf):
-        got = _subderivative_residuals(f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME, stop, levels)
+        got = _subderivative_entries(_subderivative_residuals(
+            f, xbars, rays.ys, rays.fy, DEFAULT_SCHEME, stop, levels), rays.ys)
         for i, ((r, y), e) in enumerate(zip(got, exact)):
             want = next((found[i] for found in per_level if found[i][0] > stop), e)
             assert _same_float(r, want[0]) and np.array_equal(y, want[1])
@@ -524,8 +578,10 @@ def test_a_ladder_level_without_a_finite_probe_point_is_skipped():
     levels = rays.ladder(params.probe_factor)
     assert rays.ys.tolist() == [[0.03125]] and [level.size for level in levels] == [0, 0, 0]
     xbars = sliver.default_region.sample(params.resolution)
-    want = _subderivative_residuals(sliver, xbars, rays.ys, rays.fy, DEFAULT_SCHEME)
-    got = _subderivative_residuals(sliver, xbars, rays.ys, rays.fy, DEFAULT_SCHEME, 1e-6, levels)
+    want = _subderivative_entries(
+        _subderivative_residuals(sliver, xbars, rays.ys, rays.fy, DEFAULT_SCHEME), rays.ys)
+    got = _subderivative_entries(_subderivative_residuals(
+        sliver, xbars, rays.ys, rays.fy, DEFAULT_SCHEME, 1e-6, levels), rays.ys)
     assert len(got) == 65
     for (r, y), (e, w) in zip(got, want):
         assert _same_float(r, e) and np.array_equal(y, w)
@@ -581,9 +637,10 @@ def test_a_probe_grid_without_a_finite_point():
     rays = _ray_grid(f, region, 5, 8)
     assert rays.ys.shape == (0, 2) and rays.blocks == []
     covectors = np.vstack([np.zeros(2), np.ones((2, 2))])
-    assert _tilted_iar_residuals(f, np.zeros((2, 2)), covectors, rays) == [[(-math.inf, None)] * 3] * 2
+    exact = _tilted_iar_residuals(f, np.zeros((2, 2)), covectors, rays)
+    assert _entries(rays, exact) == [[(-math.inf, None)] * 3] * 2
     stopped = _tilted_iar_residuals(f, np.zeros((2, 2)), covectors, rays, np.zeros((2, 3)))
-    assert stopped == [[(-math.inf, None)] * 3] * 2
+    assert _entries(rays, stopped) == [[(-math.inf, None)] * 3] * 2
     v = iar_check(f, [0.0, 0.0], region, resolution=5)
     assert (v.ok, v.residual, v.witness, v.details["finite_grid_points"]) == (True, 0.0, None, 0)
     v = polar_membership_via_iar(f, [0.0, 0.0], [1.0, 1.0], region, probe_resolution=5)
@@ -671,7 +728,10 @@ def test_small_rays_run_oracle_evaluation_count(counted):
     # The subderivative route settles rows on a ladder of nested probe
     # subsets, coarsest first (3 and 9 points in 1-D); the query grid's
     # points alone made this run 38 calls over 39,516 points
-    assert (len(counted), sum(counted)) == (39, 39_066)
+    # Every ray ends at x + 0.0, so the endpoint bound takes one point per
+    # x, not one per (x, probe point): that made this run 39 calls over
+    # 39,066 points
+    assert (len(counted), sum(counted)) == (39, 35_482)
 
 
 def test_default_rays_cells_oracle_evaluation_count(counted):
@@ -684,11 +744,14 @@ def test_default_rays_cells_oracle_evaluation_count(counted):
     # took 2,124 calls over the same 5,599,693 points; a block of x takes
     # one call. Settling the subderivative route's rows on the query grid's
     # probe points alone, before the ladder of coarser subsets, took 507
-    # calls over 5,599,693 points
+    # calls over 5,599,693 points. An endpoint bound of one point per (x,
+    # probe point), in blocks of x, took 469 calls over 3,950,973 points;
+    # every ray ends at x + 0.0, so it takes one point per x, in one call
+    # per kernel call
     result = run_suites([get_function(fid) for fid in FUNCTION_IDS],
                         ["prop1", "thm2", "thm3"], SuiteParams())
     assert result["hard_total"] == 0
-    assert (len(counted), sum(counted)) == (469, 3_950_973)
+    assert (len(counted), sum(counted)) == (360, 2_698_813)
 
 
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
@@ -740,12 +803,13 @@ def test_thm3_evaluates_the_ray_points_once_per_candidate_x(counted, fid):
     probe_points = SMALL.probe_resolution(f.dim) ** f.dim  # all finite for these two
     ray_calls = counted.count(probe_points * DEFAULT_RAY_RESOLUTION)
     # every x has a pair the graph route rejects, so the t = 1 values of all
-    # the x take one endpoint call of one point per (x, probe point) (one
-    # call per x before: 5 and 9 calls of probe_points points); an x walks
-    # its ray points only when one of its pairs is not settled by a bound
-    # (before: all 5 and 9)
+    # the x take one endpoint call of one point per x, x + 0.0, where every
+    # ray ends (one point per (x, probe point) before, and before that one
+    # call per x: 5 and 9 calls of probe_points points); an x walks its ray
+    # points only when one of its pairs is not settled by a bound (before:
+    # all 5 and 9)
     assert ray_calls == walked <= len(xs) < len(xs) * len(cs)
-    assert counted.count(len(xs) * probe_points) == 1
+    assert counted.count(len(xs)) == 1
     # besides those: one call for the graph grid and one for the probe grid,
     # both of probe_points points here
     assert counted.count(probe_points) == 2

@@ -39,6 +39,7 @@ from .core import (
     _block_rows,
     _check_bound,
     _fibonacci_sphere,
+    _pairing,
     _pairings,
     _row_blocks,
 )
@@ -317,6 +318,26 @@ def _gradient_hulls(
     return *_joined(pieces, dim), usable
 
 
+def _distinct(pts: Array) -> tuple[Array, Array]:
+    """The bit-distinct rows of an (N, dim) array: indices ``first`` of one
+    row of each, and the (N,) ``inverse`` with ``pts[first][inverse]``
+    equal to ``pts`` bit for bit. Rows are keyed on the int64 view of their
+    coordinates, so +0.0 and -0.0 stay distinct, and grouped by one sort (a
+    lexicographic one beyond 1-D); ``first`` follows the keys' order."""
+    keys = np.ascontiguousarray(pts).view(np.int64)
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
+    new = np.zeros(len(order), dtype=bool)  # the first row of each key
+    new[:1] = True
+    for k in range(keys.shape[1]):  # column by column, as in _beyond_box
+        column = np.take(keys[:, k], order)
+        new[1:] |= column[1:] != column[:-1]
+    group = np.cumsum(new, out=column)  # the sorted rows' groups, in place
+    group -= 1
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = group
+    return order[new], inverse
+
+
 def _graph_rows(
     f: FunctionOracle,
     pts: Array,
@@ -343,16 +364,24 @@ def _graph_rows(
     two cover disjoint points, so a stable sort on the owner joins them
     point by point. Only the table truncates, which includes a point whose
     whole set lies outside the covector box (it contributes no rows).
+
+    A numeric point's rows depend only on its own bits, so they are built
+    once per bit-distinct point (:func:`_distinct`; +0.0 and -0.0 are
+    distinct) and gathered back to every repeat, in the order of ``pts``:
+    the cdd pass's stacked local grids repeat most of their points. The
+    ``exact`` side-oracle costs less than that sort and takes every point.
     """
     if source == "exact":
         return f.subdifferential_representatives(pts, covector_half_width)
+    first, inverse = _distinct(pts)
+    distinct = pts[first]
     dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
-    owner, covectors, hull = _gradient_hulls(f, pts, dirs, covector_half_width)
-    truncated = np.zeros(len(pts), dtype=bool)
+    owner, covectors, hull = _gradient_hulls(f, distinct, dirs, covector_half_width)
+    truncated = np.zeros(len(distinct), dtype=bool)
     rest = np.flatnonzero(~hull)
     if rest.size:
         # the support-table polytope at the points the hull cannot take
-        support = _clarke_support(f, pts[rest], dirs, scheme)
+        support = _clarke_support(f, distinct[rest], dirs, scheme)
         table_owner, table_covectors, truncated[rest] = _clarke_polytopes(
             support, dirs, covector_half_width
         )
@@ -360,7 +389,20 @@ def _graph_rows(
         order = np.argsort(owner, kind="stable")
         covectors = np.take(np.concatenate([covectors, table_covectors]), order, axis=0)
         owner = owner[order]
-    return owner, covectors, truncated
+    # each point takes the consecutive rows of its distinct point: row j of
+    # point i is row j of the group, shifted by the group's end minus i's
+    # (in place where it can: these arrays are as long as ``pts``)
+    per_group = np.bincount(owner, minlength=first.size)
+    truncated = truncated[inverse]
+    shift = np.cumsum(per_group)[inverse]
+    counts = per_group[inverse]
+    del inverse
+    shift -= np.cumsum(counts)
+    rows = np.repeat(shift, counts)
+    del shift
+    rows += np.arange(rows.size)
+    owner = np.repeat(np.arange(len(pts)), counts)
+    return owner, np.take(covectors, rows, axis=0), truncated
 
 
 def sample_subdiff_graph(
@@ -389,6 +431,9 @@ def sample_subdiff_graph(
     estimator call per direction (:func:`_clarke_support`).
     ``source="auto"`` picks the exact side-oracle when f has one and the
     numeric route otherwise. Points where f is not finite contribute nothing.
+    The numeric route builds its rows once per bit-distinct point
+    (:func:`_graph_rows`); a region grid repeats none, so each of its
+    points is built.
     The sample's ``meta`` records the construction (with the source used) and
     whether any covector set was truncated to the covector box.
     """
@@ -415,17 +460,20 @@ def sample_subdiff_graph(
 # Epsilon-enlargement
 # ---------------------------------------------------------------------------
 
-def _point_conditions(diffs: Array, fvals: Array, fx: Array | float, eps: Array | float) -> Array:
+def _point_conditions(
+    offsets: Sequence[Array], fvals: Array, fx: Array | float, eps: Array | float
+) -> Array:
     """The enlargement conditions on the point x alone, for points with
-    ``diffs`` = x - xbar and ``fvals`` = f(x): ||x - xbar|| <= eps and
+    per-axis offsets ``offsets[k]`` = x_k - xbar_k and ``fvals`` = f(x),
+    arrays that broadcast together: ||x - xbar|| <= eps and
     |f(x) - f(xbar)| <= eps (the f-attentive neighbourhood). ``fx`` and
-    ``eps`` are scalars or per-point arrays; a point where f is not finite
-    fails the second condition."""
+    ``eps`` are scalars or arrays that broadcast with them; a point where f
+    is not finite fails the second condition."""
     with np.errstate(invalid="ignore"):
         close_f = np.abs(fvals - fx) <= eps
     # the square root of the coordinate-by-coordinate sum of squares has the
     # bits of np.linalg.norm(diffs, axis=1) without its strided reduce
-    return (np.sqrt(_pairings(diffs, diffs)) <= eps) & close_f
+    return (np.sqrt(_pairing(offsets, offsets)) <= eps) & close_f
 
 
 def _row_condition(covectors: Array, diffs: Array, eps: Array | float) -> Array:
@@ -441,7 +489,8 @@ def _enlargement_mask(
     ``diffs`` = x - xbar and ``fvals`` = f(x): the point conditions
     (:func:`_point_conditions`) and the row condition
     (:func:`_row_condition`)."""
-    return _point_conditions(diffs, fvals, fx, eps) & _row_condition(covectors, diffs, eps)
+    offsets = [diffs[:, k] for k in range(diffs.shape[1])]
+    return _point_conditions(offsets, fvals, fx, eps) & _row_condition(covectors, diffs, eps)
 
 
 def epsilon_enlargement(
@@ -467,27 +516,6 @@ def epsilon_enlargement(
 # ---------------------------------------------------------------------------
 # Subderivative / enlargement inequality
 # ---------------------------------------------------------------------------
-
-def _local_grids(xbars: Array, eps: Array, resolution: int) -> Array:
-    """(B, L, resolution**dim, dim) stack of the box grids of half-width
-    eps[l] around xbars[b]; entry [b, l] is bitwise
-    ``Region.box([(c - eps[l], c + eps[l]) for c in xbars[b]]).sample(resolution)``."""
-    dim = xbars.shape[1]
-    axes = np.linspace(
-        xbars[:, None, :] - eps[None, :, None],
-        xbars[:, None, :] + eps[None, :, None],
-        resolution,
-        axis=-1,
-    )  # (B, L, dim, resolution)
-    nb, levels = axes.shape[:2]
-    # coordinate i varies along grid axis i, the last one fastest
-    grids = np.empty((nb, levels) + (resolution,) * dim + (dim,))
-    for i in range(dim):
-        shape = [nb, levels] + [1] * dim
-        shape[2 + i] = resolution
-        grids[..., i] = axes[:, :, i].reshape(shape)
-    return grids.reshape(nb, levels, -1, dim)
-
 
 def _cell_suprema(cells: Array, values: Array, n: int) -> Array:
     """(n, J) maxima of the (R, J) rows of ``values`` by cell, -inf where a
@@ -518,7 +546,10 @@ def _cdd_profiles(
     point, direction) entries: 331 base points in 1-D and 18 in 2-D at the
     default ladder and grid with the directions +-e_i. Each block is one
     :func:`_cdd_block` call, whose temporaries are gone before the block's
-    arrays are yielded.
+    arrays are yielded. The stacked grids repeat most of their points
+    across the ladder and neighbouring bases, and the numeric graph rows
+    are built once per bit-distinct point of a block (:func:`_graph_rows`),
+    so a wider block shares more of them.
     """
     source = _resolve_source(f, "auto")
     stacked = len(EPS_LADDER) * _CDD_GRID**f.dim
@@ -541,11 +572,13 @@ def _cdd_block(
 
     The block takes f at its base points in one oracle call (each value has
     the bits of the ``f.value`` that :func:`epsilon_enlargement` takes), and
-    makes one oracle call on all of its (base, epsilon) local grids. The
-    point conditions (:func:`_point_conditions`) drop a stacked point that
-    is too far from its base, in x or in f, before its graph rows are
-    sampled: such a point's rows could never enter the supremum. One
-    :func:`_graph_rows` call samples the rest, and the row condition
+    makes one oracle call on the tensor axes of all of its (base, epsilon)
+    local grids (:func:`_near_points`). The point conditions
+    (:func:`_point_conditions`) drop a stacked point that is too far from
+    its base, in x or in f, before its graph rows are sampled: such a
+    point's rows could never enter the supremum. One :func:`_graph_rows`
+    call samples the rest, the numeric route once per bit-distinct point,
+    and the row condition
     (:func:`_row_condition`) filters each row against the base and epsilon
     of its grid; a segmented maximum gives each (base, epsilon) supremum
     (:func:`_cell_suprema`: the points come in cell order and each point's
@@ -589,21 +622,42 @@ def _near_points(f: FunctionOracle, xb: Array, fx: Array, eps: Array) -> tuple[A
     """The stacked grid points of a block that meet the point conditions
     (:func:`_point_conditions`) of their base and epsilon, in stacked order:
     their cells (base * levels + level), their coordinates and their
-    differences x - xbar. One oracle call takes f on all of the block's
-    (base, epsilon) local grids; the whole grids are gone on return."""
-    # (base, level, grid point) axes, broadcast against the base's f(xbar)
-    # and the level's epsilon
-    grids = _local_grids(xb, eps, _CDD_GRID)
-    diffs = grids - xb[:, None, None, :]
-    fvals = f.values(grids.reshape(-1, f.dim)).reshape(grids.shape[:3])
-    near = np.flatnonzero(_point_conditions(diffs, fvals, fx[:, None, None], eps[:, None]))
-    # np.take gathers the rows of a narrow 2-D array several times faster
-    # than integer indexing
-    return (
-        near // grids.shape[2],
-        np.take(grids.reshape(-1, f.dim), near, axis=0),
-        np.take(diffs.reshape(-1, f.dim), near, axis=0),
-    )
+    differences x - xbar.
+
+    The local grid of base b and epsilon eps[l] is the tensor grid over the
+    axes ``np.linspace(xb[b, k] - eps[l], xb[b, k] + eps[l], _CDD_GRID)``,
+    bitwise ``Region.box(...).sample(_CDD_GRID)``, last axis fastest. As in
+    the rays kernel, the block keeps only these (B, L, dim, G) axes and
+    their offsets from the base, never the (B, L, G**dim, dim) grids: one
+    ``values_at`` call takes f on the axes broadcast to (B, L, G, ..., G),
+    and the point conditions pair the per-axis offsets, with the floats of
+    the same operations on whole grids. Only the near points' coordinates
+    and offsets are gathered, by flat index into the axes."""
+    dim, g = f.dim, _CDD_GRID
+    axes = np.linspace(xb[:, None, :] - eps[None, :, None], xb[:, None, :] + eps[None, :, None],
+                       g, axis=-1)  # (B, L, dim, G)
+    offsets = axes - xb[:, None, :, None]
+
+    def on_grid_axis(a: Array, k: int) -> Array:
+        shape = [*a.shape[:2]] + [1] * dim
+        shape[2 + k] = g
+        return a[:, :, k].reshape(shape)
+
+    near = np.flatnonzero(_point_conditions(
+        [on_grid_axis(offsets, k) for k in range(dim)],
+        f.values_at(*(on_grid_axis(axes, k) for k in range(dim))),
+        fx.reshape((-1,) + (1,) * (dim + 1)),
+        eps.reshape((-1,) + (1,) * dim),
+    ))
+    cell = near // g**dim
+    near -= cell * g**dim  # the index in the cell's local grid
+    # coordinate k of grid point j of a cell's local grid is entry
+    # table[j, k] of the cell's (dim, G) axes
+    table = np.indices((g,) * dim).reshape(dim, -1).T + np.arange(dim) * g
+    index = np.take(table, near, axis=0)
+    del near
+    index += (cell * (dim * g))[:, None]
+    return cell, np.take(axes, index), np.take(offsets, index)
 
 
 def _cdd_verdicts(

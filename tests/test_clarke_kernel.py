@@ -28,10 +28,26 @@ from varpolar.subdifferential import (
     EPS_LADDER,
     _base_verdicts,
     _cdd_profiles,
-    _local_grids,
     cdd_profile,
 )
 from varpolar.suites import SuiteParams, cdd_suite, equivalence_report
+
+
+def _local_grids(xbars, eps, resolution):
+    """(B, L, resolution**dim, dim) stack of the box grids of half-width
+    eps[l] around xbars[b]: entry [b, l] is bitwise
+    ``Region.box([(c - eps[l], c + eps[l]) for c in xbars[b]]).sample(resolution)``,
+    the local grids of the cdd pass, whole."""
+    dim = xbars.shape[1]
+    axes = np.linspace(xbars[:, None, :] - eps[None, :, None],
+                       xbars[:, None, :] + eps[None, :, None], resolution, axis=-1)
+    nb, levels = axes.shape[:2]
+    grids = np.empty((nb, levels) + (resolution,) * dim + (dim,))
+    for i in range(dim):
+        shape = [nb, levels] + [1] * dim
+        shape[2 + i] = resolution
+        grids[..., i] = axes[:, :, i].reshape(shape)
+    return grids.reshape(nb, levels, -1, dim)
 
 
 def _reference_clarke(f, xbars, d, scheme=DEFAULT_SCHEME):

@@ -22,9 +22,10 @@ from varpolar.subdifferential import (
     _compact,
     _enlargement_mask,
     _graph_rows,
-    _local_grids,
     sphere_directions,
 )
+
+from test_clarke_kernel import _local_grids
 
 EXACT = [f for f in library_oracles() if f.exact_subdifferential is not None]
 

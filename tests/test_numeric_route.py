@@ -160,13 +160,14 @@ def test_three_dimensional_cdd_profile_at_the_kink(monkeypatch):
     # 1 along +-e_i. With the support table at every grid point this profile
     # took 209 s.
     counted = []
-    values = FunctionOracle.values
+    evaluate = FunctionOracle._evaluate
 
-    def counting_values(self, points):
-        counted.append(len(points))
-        return values(self, points)
+    def counting_evaluate(self, coords, shape):
+        counted.append(math.prod(shape))
+        return evaluate(self, coords, shape)
 
-    monkeypatch.setattr(FunctionOracle, "values", counting_values)
+    # counted at the one evaluator behind value, values and values_at
+    monkeypatch.setattr(FunctionOracle, "_evaluate", counting_evaluate)
     eye = np.eye(3)
     start = time.perf_counter()
     verdicts = cdd_profile(_MAX3D, np.zeros(3), np.vstack([eye, -eye]))
@@ -174,14 +175,15 @@ def test_three_dimensional_cdd_profile_at_the_kink(monkeypatch):
     assert [v.ok for v in verdicts] == [True] * 6
     assert [v.details["rhs"] for v in verdicts] == [1.0] * 6
     # the base point, 8,019 stacked grid points, the hulls (23 samples x 3
-    # axes x 2 sides each) of the 2,618 that meet the point conditions, in
-    # 101 blocks of at most 26 points, and the lhs in 2 calls. With the
-    # hulls of all 8,019 points this took 55 calls over 1,114,708 points.
-    # Over the same 369,370 points, hull blocks that count only the sides'
-    # coordinates (158 points) make 21 calls, and four entries per side
-    # coordinate (39 points) 72.
-    assert len(counted) == 1 + 1 + 101 + 2
-    assert sum(counted) == 1 + 8_019 + 2_618 * 23 * 3 * 2 + 66 == 369_370
+    # axes x 2 sides each) of the 2,298 bit-distinct points among the 2,618
+    # that meet the point conditions, in 89 blocks of at most 26 points, and
+    # the lhs in 2 calls. With the hulls of all 8,019 points this took 55
+    # calls over 1,114,708 points. Over 369,370 points, hull blocks that
+    # count only the sides' coordinates (158 points) make 21 calls, and four
+    # entries per side coordinate (39 points) 72. The hulls of all 2,618
+    # near points, repeats included, took 101 blocks: 105 calls over 369,370.
+    assert len(counted) == 1 + 1 + 89 + 2
+    assert sum(counted) == 1 + 8_019 + 2_298 * 23 * 3 * 2 + 66 == 325_210
 
 
 def test_boundary_points_take_the_table_and_interior_kinks_the_hull(table_calls):

@@ -730,8 +730,10 @@ def test_small_rays_run_oracle_evaluation_count(counted):
     # points alone made this run 38 calls over 39,516 points
     # Every ray ends at x + 0.0, so the endpoint bound takes one point per
     # x, not one per (x, probe point): that made this run 39 calls over
-    # 39,066 points
-    assert (len(counted), sum(counted)) == (39, 35_482)
+    # 39,066 points. Each ladder level takes only the probe points the
+    # levels before it did not hold; a row left open took every level's
+    # points again, 39 calls over 35,482 points
+    assert (len(counted), sum(counted)) == (39, 35_112)
 
 
 def test_default_rays_cells_oracle_evaluation_count(counted):
@@ -747,11 +749,14 @@ def test_default_rays_cells_oracle_evaluation_count(counted):
     # calls over 5,599,693 points. An endpoint bound of one point per (x,
     # probe point), in blocks of x, took 469 calls over 3,950,973 points;
     # every ray ends at x + 0.0, so it takes one point per x, in one call
-    # per kernel call
+    # per kernel call. A subderivative row left open by a ladder level took
+    # that level's probe points again at the next level and in the full
+    # pass: 360 calls over 2,698,813 points; each level now takes only the
+    # points the levels before it did not hold
     result = run_suites([get_function(fid) for fid in FUNCTION_IDS],
                         ["prop1", "thm2", "thm3"], SuiteParams())
     assert result["hard_total"] == 0
-    assert (len(counted), sum(counted)) == (360, 2_698_813)
+    assert (len(counted), sum(counted)) == (360, 2_635_193)
 
 
 def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
@@ -769,11 +774,15 @@ def test_small_cdd_and_predicates_run_oracle_evaluation_count(counted):
 def test_small_numeric_run_clarke_base_point_count(monkeypatch):
     # neg_abs and twowell are Lipschitz, so every point of the numeric route
     # takes the gradient hull and no base point reaches the support table's
-    # generalized-derivative estimator. The hull takes each cdd pass's 891
-    # grid points and each 9-point predicates graph in one call.
-    sizes, hulls = [], []
+    # generalized-derivative estimator. The hull takes the 369 bit-distinct
+    # points among each cdd pass's 891 grid points, and each 9-point
+    # predicates graph, in one call; the hulls of all 891, repeats included,
+    # made this run 16 oracle calls over 13,032 points (counted at the one
+    # evaluator behind value, values and values_at).
+    sizes, hulls, counted = [], [], []
     estimator = subdifferential.clarke_directional_values
     gradient_hulls = subdifferential._gradient_hulls
+    evaluate = FunctionOracle._evaluate
 
     def counting(f, xbars, *args, **kwargs):
         sizes.append(len(xbars))
@@ -784,14 +793,20 @@ def test_small_numeric_run_clarke_base_point_count(monkeypatch):
         hulls.append((len(pts), int(usable.sum())))
         return owner, covectors, usable
 
+    def counting_evaluate(self, coords, shape):
+        counted.append(math.prod(shape))
+        return evaluate(self, coords, shape)
+
     monkeypatch.setattr(subdifferential, "clarke_directional_values", counting)
     monkeypatch.setattr(subdifferential, "_gradient_hulls", counting_hulls)
+    monkeypatch.setattr(FunctionOracle, "_evaluate", counting_evaluate)
     result = run_suites(
         [get_function("neg_abs"), get_function("twowell")], ["cdd", "predicates"], SMALL
     )
     assert result["hard_total"] == 0
     assert sizes == []
-    assert hulls == [(891, 891), (891, 891), (9, 9), (9, 9)]
+    assert hulls == [(369, 369), (369, 369), (9, 9), (9, 9)]
+    assert (len(counted), sum(counted)) == (16, 6_768)
 
 
 @pytest.mark.parametrize("fid", ["abs", "norm2d"])

@@ -439,26 +439,29 @@ def test_cell_suprema_match_the_scatter_bit_for_bit():
 
 
 #: Oracle points of one cdd_profile call: the base point, then the grids.
-#: The numeric route (neg_abs) takes the gradient hull at each of the 99
-#: finite grid points: the two sides of a difference at x and at x +- R, 6
-#: points each. With the support table of generalized derivatives at every
-#: distinct grid point, neg_abs took 25 calls over 68,819 points.
-CDD_PROFILE_POINTS = {"norm2d": 936, "abs": 122, "neg_abs": 716}
+#: The numeric route (neg_abs) takes the gradient hull at each of the 49
+#: bit-distinct points among the 99 finite grid points: the two sides of a
+#: difference at x and at x +- R, 6 points each. With the support table of
+#: generalized derivatives at every distinct grid point, neg_abs took 25
+#: calls over 68,819 points; with the hull at every grid point, repeats
+#: included, 5 calls over 716 points.
+CDD_PROFILE_POINTS = {"norm2d": 936, "abs": 122, "neg_abs": 416}
 
 
 @pytest.mark.parametrize(("name", "calls"), [("norm2d", 4), ("abs", 4), ("neg_abs", 5)])
 def test_cdd_profile_oracle_evaluation_count(monkeypatch, name, calls):
     # One evaluation of the base point, one of the stacked epsilon grids,
     # two for the lhs of all directions at once, and on the numeric route
-    # (neg_abs) one for the gradient hulls of all grid points.
+    # (neg_abs) one for the gradient hulls of all distinct grid points.
+    # Counted at the one evaluator behind value, values and values_at.
     counted = []
-    values = FunctionOracle.values
+    evaluate = FunctionOracle._evaluate
 
-    def counting_values(self, points):
-        counted.append(len(points))
-        return values(self, points)
+    def counting_evaluate(self, coords, shape):
+        counted.append(math.prod(shape))
+        return evaluate(self, coords, shape)
 
-    monkeypatch.setattr(FunctionOracle, "values", counting_values)
+    monkeypatch.setattr(FunctionOracle, "_evaluate", counting_evaluate)
     f = get_function(name)
     eye = np.eye(f.dim)
     verdicts = cdd_profile(f, np.zeros(f.dim), np.vstack([eye, -eye]))

@@ -1,8 +1,9 @@
 """Numerical variational analysis in R^n: lower Dini subderivatives,
-generalized directional derivatives, subdifferential membership and graph
-sampling, Minty variational inequalities, the increase-along-rays property,
-and monotone polars of sampled operator graphs, cross-validated against a
-curated library of exactly-known test functions."""
+generalized directional derivatives, subdifferential graph sampling and its
+epsilon-enlargement, Minty variational inequalities, the
+increase-along-rays property, and monotone polars of sampled operator
+graphs, cross-validated against a curated library of exactly-known test
+functions."""
 
 from .core import (
     DEFAULT_BOX_HALF_WIDTH,
@@ -12,19 +13,12 @@ from .core import (
     FunctionOracle,
     GraphSample,
     Region,
-    UnusableSampleError,
     Verdict,
     as_point,
     interval_rows,
 )
 from .library import FUNCTION_IDS, get_function, test_library
-from .minty import (
-    EquivalenceReport,
-    cross_validate,
-    iar_check,
-    minty_subderivative,
-    minty_subdifferential,
-)
+from .minty import EquivalenceReport, cross_validate
 from .polar import (
     is_absorbing,
     is_monotone,
@@ -36,16 +30,10 @@ from .subderivative import (
     LiminfScheme,
     SubderivEstimate,
     WitnessNotFoundError,
-    clarke_directional,
     lower_dini,
     mean_value_witness,
 )
-from .subdifferential import (
-    clarke_subdiff_contains,
-    convex_subdiff_contains,
-    epsilon_enlargement,
-    sample_subdiff_graph,
-)
+from .subdifferential import cdd_profile, epsilon_enlargement, sample_subdiff_graph
 
 __version__ = "0.1.0"
 
@@ -61,24 +49,18 @@ __all__ = [
     "LiminfScheme",
     "Region",
     "SubderivEstimate",
-    "UnusableSampleError",
     "Verdict",
     "WitnessNotFoundError",
     "as_point",
-    "clarke_directional",
-    "clarke_subdiff_contains",
-    "convex_subdiff_contains",
+    "cdd_profile",
     "cross_validate",
     "epsilon_enlargement",
     "get_function",
-    "iar_check",
     "interval_rows",
     "is_absorbing",
     "is_monotone",
     "lower_dini",
     "mean_value_witness",
-    "minty_subderivative",
-    "minty_subdifferential",
     "polar_contains",
     "polar_membership_via_iar",
     "polar_of_sample",

@@ -25,8 +25,8 @@ import numpy as np
 from .library import FUNCTION_IDS, get_function
 from .minty import _EquivalenceProbes, classify
 from .polar import _check_tilt, polar_contains, polar_membership_via_iar, polar_of_sample
-from .subderivative import LiminfScheme, clarke_directional, lower_dini
-from .subdifferential import clarke_subdiff_contains, convex_subdiff_contains
+from .subderivative import LiminfScheme, clarke_directional_values, lower_dini
+from .subdifferential import cdd_profile
 from .suites import (
     EQUIVALENCE_THEOREMS,
     SUITE_NAMES,
@@ -260,14 +260,18 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
     print(f"f({x.tolist()}) = {fx}")
 
     if math.isfinite(fx):
+        # the cdd suite's row at x: its directions, verdicts and flags
         eye = np.eye(f.dim)
-        for d in np.vstack([eye, -eye]):
-            sd = lower_dini(f, x, d, cfg.scheme)
-            up = clarke_directional(f, x, d, cfg.scheme)
+        dirs = np.vstack([eye, -eye])
+        checks = cdd_profile(f, x, dirs, cfg.scheme, cfg.covector_half_width, cfg.cdd_tol)
+        for d, check in zip(dirs, checks):
+            low, high = lower_dini(f, x, d, cfg.scheme).bracket
+            up = float(clarke_directional_values(f, x[None, :], d, cfg.scheme)[0][0])
             print(
-                f"  direction {d.tolist()}: subderivative {sd.value:.6g} "
-                f"(bracket {sd.bracket[0]:.6g}..{sd.bracket[1]:.6g}), "
-                f"generalized {up.value:.6g}"
+                f"  direction {d.tolist()}: lhs={check.details['lhs']!r} "
+                f"(subderivative, bracket {low!r}..{high!r}) rhs={check.details['rhs']!r} "
+                f"residual={check.residual!r} pass={check.ok} flags={list(check.flags)} "
+                f"generalized={up!r}"
             )
 
     if xstar is None:
@@ -295,15 +299,11 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         print(f"  suite classes: {classes}")
         return 0
 
-    probe_res = cfg.probe_resolution(f.dim)
-    if math.isfinite(fx):
-        conv = convex_subdiff_contains(f, x, xstar, probe=region, resolution=probe_res, tol=cfg.tol)
-        print(f"  convex membership: contains={conv.ok} residual={conv.residual:.6g} witness={None if conv.witness is None else conv.witness.tolist()}")
-        clk = clarke_subdiff_contains(f, x, xstar, scheme=cfg.scheme, tol=cfg.tol)
-        print(f"  generalized membership: contains={clk.ok} residual={clk.residual:.6g} witness={None if clk.witness is None else clk.witness.tolist()}")
+    # thm3's routes at (x, x*): the one-pair calls of its two kernels
     pv = polar_contains(thm3_graph(f, cfg), x, xstar, tol=cfg.tol)
     print(f"  polar (graph route): related={pv.ok} min_product={pv.residual:.6g} witness={pv.witness}")
-    iv = polar_membership_via_iar(f, x, xstar, region, probe_resolution=probe_res, tol=cfg.tol)
+    iv = polar_membership_via_iar(f, x, xstar, region, probe_resolution=cfg.probe_resolution(f.dim),
+                                  tol=cfg.tol)
     print(f"  polar (rays route): member={iv.ok} residual={iv.residual:.6g} witness={iv.witness}")
     print(f"  suite class: thm3={classify(pv.ok, -pv.residual, iv.ok, iv.residual, cfg.polar_band)}")
     return 0
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain", help="single-point drill-down across all routes")
     add_common(p_explain)
     p_explain.add_argument("--x", required=True, help="query point, comma-separated coordinates")
-    p_explain.add_argument("--xstar", default=None, help="optional covector for membership/polar routes")
+    p_explain.add_argument("--xstar", default=None, help="optional covector: print thm3's routes at (x, xstar)")
 
     p_graph = sub.add_parser("graph", help="dump a sampled subdifferential graph as CSV")
     add_common(p_graph)

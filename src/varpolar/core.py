@@ -40,10 +40,6 @@ class DomainError(ValueError):
     """A point violates a domain precondition (e.g. f(x) is not finite)."""
 
 
-class UnusableSampleError(ValueError):
-    """A graph sample carries no usable pairs for the requested operation."""
-
-
 # ---------------------------------------------------------------------------
 # Vectors
 # ---------------------------------------------------------------------------
@@ -60,6 +56,18 @@ def as_point(x: Sequence[float] | float | Array, dim: int | None = None) -> Arra
         raise ValueError(f"point coordinates must be finite, got {arr!r}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {arr.shape[0]}")
+    return arr
+
+
+def _candidate_rows(name: str, rows: Array, dim: int | None) -> Array:
+    """``rows`` as a float (k, dim) array of finite coordinates (any number
+    of columns with ``dim`` None), or :class:`ValueError` (a
+    :class:`DimensionMismatchError` for a shape)."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
+        raise DimensionMismatchError(f"{name} must have shape (k, {dim or 'n'}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must have finite coordinates")
     return arr
 
 

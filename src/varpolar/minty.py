@@ -28,14 +28,11 @@ from .core import (
     FunctionOracle,
     GraphSample,
     Region,
-    UnusableSampleError,
-    Verdict,
     _check_bound,
     _min_products,
     _block_rows,
     _pairing,
     _row_blocks,
-    as_point,
     tensor_grid,
 )
 from .subderivative import DEFAULT_SCHEME, LiminfScheme, _tail_quotients
@@ -58,13 +55,6 @@ _LADDER_RATIO = 4
 #: The comparisons of :func:`cross_validate`: prop1's routes on the closed
 #: region and thm2's on its open interior, each against the rays route.
 COMPARISONS = ("subderivative_vs_iar", "subdifferential_vs_iar")
-
-
-def _finite_grid(f: FunctionOracle, region: Region, resolution: int) -> tuple[Array, Array]:
-    ys = region.sample(resolution)
-    fy = f.values(ys)
-    finite = np.isfinite(fy)
-    return ys[finite], fy[finite]
 
 
 class _RayGrid:
@@ -229,9 +219,11 @@ def _tilted_iar_residuals(
     xs[i], the max over the grid's (y, t) of (f - x*)(y + t(x_i - y)) -
     (f - x*)(y), and the index of its first maximizer in y-major order
     (:meth:`_RayGrid.witness`); +inf allowed, -inf and -1 on a grid with no
-    finite point. prop1's and thm2's rays routes and :func:`iar_check` are
-    its x* = 0 column. A zero covector tilts nothing, so their entries are
-    f's own bits (a pairing of -0.0 would turn a value -0.0 into +0.0).
+    finite point. prop1's and thm2's rays routes are its x* = 0 column,
+    thm3's its whole candidate grid and
+    :func:`~varpolar.polar.polar_membership_via_iar` one entry. A zero
+    covector tilts nothing, so the x* = 0 entries are f's own bits (a
+    pairing of -0.0 would turn a value -0.0 into +0.0).
 
     Tilting is linear, so f is evaluated once per block of each x's ray
     points (see :class:`_RayGrid`), and each nonzero x* subtracts the
@@ -286,37 +278,6 @@ def _tilted_iar_residuals(
                 if witnesses[i, k] < 0 or r > residuals[i, k]:
                     residuals[i, k], witnesses[i, k] = r, index
     return residuals, witnesses
-
-
-def iar_check(
-    f: FunctionOracle,
-    xbar: Sequence[float] | float | Array,
-    region: Region,
-    resolution: int = 65,
-    t_resolution: int = DEFAULT_T_RESOLUTION,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Does f increase along rays starting from xbar, over the region grid?
-
-    The residual is the largest increase f(y + t(xbar - y)) - f(y) over grid
-    points y with finite value and a uniform t grid containing 0 and 1, and
-    the witness the first maximizing (y, t): the x* = 0 entry of the rays
-    kernel :func:`_tilted_iar_residuals`, exact (no stop). The details hold
-    the probe metadata.
-    """
-    _check_bound("tol", tol)
-    xb = as_point(xbar, f.dim)
-    if not region.contains(xb):
-        raise ValueError("xbar must belong to the probe region")
-    rays = _ray_grid(f, region, resolution, t_resolution)
-    meta = {"region": region.describe(), "resolution": resolution,
-            "t_resolution": t_resolution, "finite_grid_points": int(rays.ys.shape[0])}
-    if rays.ys.shape[0] == 0:
-        # no finite-valued grid point: the quantifier is vacuous
-        return Verdict(ok=True, residual=0.0, witness=None, details=meta)
-    residuals, witnesses = _tilted_iar_residuals(f, xb[None, :], np.zeros((1, f.dim)), rays)
-    residual = float(residuals[0, 0])
-    return Verdict(residual <= tol, residual, rays.witness(witnesses[0, 0]), details=meta)
 
 
 def _max_quotients(
@@ -391,59 +352,6 @@ def _subderivative_residuals(
         residuals[rest], witnesses[rest] = np.where(better, r, run), np.where(better, k, wit)
         rest = rest[~(residuals[rest] > stop)]
     return residuals, witnesses
-
-
-def minty_subderivative(
-    f: FunctionOracle,
-    xbar: Sequence[float] | float | Array,
-    region: Region,
-    resolution: int = 65,
-    scheme: LiminfScheme = DEFAULT_SCHEME,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Subderivative-type Minty residual: max over grid y in C with finite
-    value of the subderivative of f at y toward xbar (y = xbar contributes
-    exactly 0). The witness is the maximizing y."""
-    _check_bound("tol", tol)
-    xb = as_point(xbar, f.dim)
-    if not region.contains(xb):
-        raise ValueError("xbar must belong to the probe region")
-    ys, fy = _finite_grid(f, region, resolution)
-    meta = {"region": region.describe(), "resolution": resolution,
-            "scheme": scheme.as_dict(), "finite_grid_points": int(ys.shape[0])}
-    if ys.shape[0] == 0:
-        return Verdict(ok=True, residual=0.0, witness=None, details=meta)
-    residuals, witnesses = _subderivative_residuals(f, xb[None, :], ys, fy, scheme)
-    residual = float(residuals[0])
-    return Verdict(ok=residual <= tol, residual=residual, witness=ys[witnesses[0]], details=meta)
-
-
-def minty_subdifferential(
-    f: FunctionOracle,
-    xbar: Sequence[float] | float | Array,
-    region: Region,
-    graph: GraphSample,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Subdifferential-type Minty residual: max over sampled pairs (y, y*)
-    with y in the region of <y*, xbar - y>, as 0 minus the polar kernel at
-    x* = 0. The witness is the first maximizing pair."""
-    _check_bound("tol", tol)
-    xb = as_point(xbar, f.dim)
-    if not region.contains(xb):
-        raise ValueError("xbar must belong to the probe region")
-    inside = graph.restrict_points(region)
-    if len(inside) == 0:
-        raise UnusableSampleError("the graph sample has no pairs inside the probe region")
-    mins, args = _min_products(inside, xb[None, :], np.zeros((1, f.dim)), argmin=True)
-    k = int(args[0, 0])
-    residual, witness = 0.0 - float(mins[0, 0]), (inside.points[k], inside.covectors[k])
-    return Verdict(
-        ok=residual <= tol,
-        residual=residual,
-        witness=witness,
-        details={"region": region.describe(), "graph": dict(graph.meta)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +470,9 @@ class _EquivalenceProbes:
 
     :meth:`rows` evaluates the selected routes at a batch of xbar, each in
     one call of its kernel. ``cross_validate`` calls it once over its finite
-    xbar and ``explain`` with one row, so its lines match the suite row of
-    the same point.
+    xbar and ``explain`` once with the one row x, exact: its prop1/thm2
+    lines are the row of ``cross_validate(..., exact=True)`` at x. No other
+    path evaluates these routes at a point.
     """
 
     def __init__(

@@ -19,6 +19,11 @@ sample settles most candidates on a strided slice of the graph first and
 runs the full product only on the rows and columns still open
 (:func:`polar_of_sample`).
 
+:func:`polar_contains` and :func:`polar_membership_via_iar` are the
+one-pair calls of thm3's two kernels, the polar kernel on the suite's graph
+and the rays kernel, and ``explain --xstar`` prints them: a pair's lines
+are the thm3 suite's row of that pair.
+
 A tolerance or match radius that is NaN, infinite or negative raises
 :class:`ValueError`: it would make the quantifier vacuous, or fail every
 pair, whatever the sample.
@@ -37,11 +42,11 @@ import numpy as np
 from .core import (
     Array,
     DEFAULT_TOL,
-    DimensionMismatchError,
     FunctionOracle,
     GraphSample,
     Region,
     Verdict,
+    _candidate_rows,
     _check_bound,
     _min_products,
     _pairings,
@@ -55,18 +60,6 @@ EXACT_TOL = 1e-9
 
 #: Points per ray of the dual (rays) route to polar membership.
 DEFAULT_RAY_RESOLUTION = 33
-
-
-def _candidate_rows(name: str, rows: Array, dim: int | None) -> Array:
-    """``rows`` as a float (k, dim) array of finite coordinates (any number
-    of columns with ``dim`` None), or :class:`ValueError` (a
-    :class:`DimensionMismatchError` for a shape)."""
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
-        raise DimensionMismatchError(f"{name} must have shape (k, {dim or 'n'}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must have finite coordinates")
-    return arr
 
 
 def polar_contains(

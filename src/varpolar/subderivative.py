@@ -361,24 +361,6 @@ def clarke_directional_values(
     return values, per_delta
 
 
-def clarke_directional(
-    f: FunctionOracle,
-    xbar: Sequence[float] | float | Array,
-    d: Sequence[float] | float | Array,
-    scheme: LiminfScheme = DEFAULT_SCHEME,
-) -> SubderivEstimate:
-    """Generalized directional derivative estimate of f at xbar along d:
-    :func:`clarke_directional_values` at one base point.
-
-    Dominates the lower Dini estimate up to tolerance by construction.
-    """
-    xb = as_point(xbar, f.dim)
-    values, per_delta = clarke_directional_values(f, xb[None, :], d, scheme)
-    value = float(values[0])
-    high = max(value, float(per_delta[0].max()))
-    return SubderivEstimate(value=value, bracket=(value, high))
-
-
 # ---------------------------------------------------------------------------
 # Mean value witness
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Subdifferential membership tests, graph sampling, the epsilon-enlargement
-filter, and the subderivative-vs-enlargement inequality check.
+"""Subdifferential graph sampling, the epsilon-enlargement filter, and the
+subderivative-vs-enlargement inequality check.
 
 Two concrete subdifferentials are available: the exact side-oracles of the
 curated library (convex-analysis subdifferentials) and a numeric Clarke
@@ -37,6 +37,7 @@ from .core import (
     Verdict,
     as_point,
     _block_rows,
+    _candidate_rows,
     _check_bound,
     _fibonacci_sphere,
     _pairing,
@@ -77,41 +78,8 @@ _HULL_STEP = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Membership tests
+# Support table of the numeric route
 # ---------------------------------------------------------------------------
-
-def convex_subdiff_contains(
-    f: FunctionOracle,
-    xbar: Sequence[float] | float | Array,
-    xstar: Sequence[float] | float | Array,
-    probe: Region | None = None,
-    resolution: int = 65,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Test the global support inequality <xstar, y - xbar> + f(xbar) <= f(y)
-    over a probe grid.
-
-    The residual is the largest violation over grid points with f(y) finite
-    (<= tol when xstar is a member) and the witness the grid point achieving
-    it.
-    """
-    _check_bound("tol", tol)
-    xb = as_point(xbar, f.dim)
-    xs = as_point(xstar, f.dim)
-    fx = f.value(xb)
-    if not math.isfinite(fx):
-        raise DomainError("membership tests need f(xbar) finite")
-    region = probe if probe is not None else Region.full(f.dim)
-    ys = region.sample(resolution)
-    fy = f.values(ys)
-    finite = np.isfinite(fy)
-    if not np.any(finite):
-        return Verdict(ok=True, residual=-math.inf, witness=None)
-    margins = _pairings(ys[finite] - xb[None, :], xs) + fx - fy[finite]
-    idx = int(np.argmax(margins))
-    residual = float(margins[idx])
-    return Verdict(ok=residual <= tol, residual=residual, witness=ys[finite][idx])
-
 
 def sphere_directions(dim: int, resolution: int) -> Array:
     """Deterministic grid of unit directions with at least ``resolution``
@@ -128,34 +96,6 @@ def sphere_directions(dim: int, resolution: int) -> Array:
     extra = _fibonacci_sphere(max(resolution, 2 * dim))
     dirs = np.vstack([axes, extra])
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-
-
-def clarke_subdiff_contains(
-    f: FunctionOracle,
-    xbar: Sequence[float] | float | Array,
-    xstar: Sequence[float] | float | Array,
-    scheme: LiminfScheme = DEFAULT_SCHEME,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
-    """Test <xstar, d> <= generalized derivative of f at xbar along d for all
-    unit d in a deterministic sphere grid.
-
-    The residual is the largest margin <xstar, d> - f_up(xbar; d) (-inf where
-    the bound is +inf) and the witness the first direction achieving it, or
-    None when every margin is -inf.
-    """
-    _check_bound("tol", tol)
-    xb = as_point(xbar, f.dim)
-    xs = as_point(xstar, f.dim)
-    if not math.isfinite(f.value(xb)):
-        raise DomainError("membership tests need f(xbar) finite")
-    dirs = sphere_directions(f.dim, _DIR_RESOLUTION)
-    support = _clarke_support(f, xb[None, :], dirs, scheme)[0]
-    margins = _pairings(dirs, xs) - support
-    j = int(np.argmax(margins))
-    best = float(margins[j])
-    witness = dirs[j] if best > -math.inf else None
-    return Verdict(ok=best <= tol, residual=best, witness=witness)
 
 
 def _clarke_support(f: FunctionOracle, pts: Array, dirs: Array, scheme: LiminfScheme) -> Array:
@@ -721,11 +661,16 @@ def cdd_profile(
     it. This is the one-point case of the stacked pass that
     ``suites.cdd_suite`` runs over a whole grid of base points, and its
     verdicts come from the same :func:`_cdd_verdicts` arrays.
+
+    ``directions`` must be a (k, dim) array of finite coordinates (one
+    direction may come as a flat list); any other shape raises
+    :class:`~varpolar.core.DimensionMismatchError` and a non-finite
+    coordinate :class:`ValueError`, before f is evaluated.
     """
     _check_bound("covector_half_width", covector_half_width)
     _check_bound("tol", tol)
     xb = as_point(xbar, f.dim)
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    dirs = _candidate_rows("directions", np.atleast_2d(directions), f.dim)
     block = next(_cdd_profiles(f, xb[None, :], dirs, scheme, covector_half_width, tol))
     return _base_verdicts(block, dirs, 0)
 

@@ -5,9 +5,12 @@ negative value raises before any work instead of making a quantifier
 vacuous."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
+
+from varpolar import DimensionMismatchError, FunctionOracle, cdd_profile, get_function
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "varpolar").glob("*.py"))
@@ -80,5 +83,24 @@ def test_the_check_sees_an_unchecked_bound():
                                 "graded:covector_half_width"]
     minty = ast.parse((ROOT / "src" / "varpolar" / "minty.py").read_text(encoding="utf-8"))
     assert [fn.name for fn in _public_functions(minty)
-            if _checked(fn)] == ["iar_check", "minty_subderivative", "minty_subdifferential",
-                                 "classify", "cross_validate"]
+            if _checked(fn)] == ["classify", "cross_validate"]
+
+
+def test_cdd_profile_checks_its_directions_before_any_work(monkeypatch):
+    # on abs, directions [[1.0, 2.0]] ran the whole stacked pass and then
+    # raised numpy's matmul core-dimension error, and [[nan]] ran it too and
+    # warned "invalid value encountered in matmul" at the pairings before
+    # lower_dini_values raised
+    def no_work(*args, **kwargs):
+        raise AssertionError("f was evaluated")
+
+    monkeypatch.setattr(FunctionOracle, "_evaluate", no_work)
+    f, g = get_function("abs"), get_function("norm2d")
+    for oracle, xbar, bad in ((f, [0.5], [[1.0, 2.0]]), (f, [0.5], [[[1.0]]]),
+                              (g, [0.0, 0.0], [1.0, 0.0, 0.0]), (g, [0.0, 0.0], [[1.0], [0.0]])):
+        with pytest.raises(DimensionMismatchError, match="directions must have shape"):
+            cdd_profile(oracle, xbar, bad)
+    for oracle, xbar, bad in ((f, [0.5], [[math.nan]]), (f, [0.5], [[1.0], [-math.inf]]),
+                              (g, [0.0, 0.0], [[1.0, 0.0], [0.0, math.inf]])):
+        with pytest.raises(ValueError, match="directions must have finite coordinates"):
+            cdd_profile(oracle, xbar, bad)

@@ -531,15 +531,6 @@ def test_explain_graph_route_uses_the_thm3_graph(tmp_path, capsys):
     assert f"min_product={row['min_product']:.6g} " in graph
 
 
-def test_explain_convex_membership_probes_the_default_region(tmp_path, capsys):
-    # df(1) = {2} for the square; a 5-point probe of [-10, 10] only sees
-    # y in {-10, -5, 0, 5, 10} and reported contains=True residual=-2
-    cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text("[run]\nresolution = 5\n", encoding="utf-8")
-    conv = _explain_line(capsys, cfg_path, "convex membership")
-    assert "contains=False residual=0.25 " in conv
-
-
 def test_explain_minty_routes_match_the_suite_row(tmp_path, capsys):
     # prop1/thm2 probe at probe_factor times the grid resolution (9 points
     # here); at the 5-point grid explain missed y = -0.5 and printed

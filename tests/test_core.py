@@ -11,14 +11,9 @@ from varpolar import (
     DimensionMismatchError,
     GraphSample,
     Region,
-    clarke_subdiff_contains,
-    convex_subdiff_contains,
     cross_validate,
-    iar_check,
     interval_rows,
     mean_value_witness,
-    minty_subderivative,
-    minty_subdifferential,
     polar_membership_via_iar,
     sample_subdiff_graph,
 )
@@ -107,8 +102,8 @@ def test_shifted_oracle_matches_pointwise():
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "minus-inf"])
 def test_values_rejects_nan_and_minus_infinity_on_both_routes(bad):
-    # a NaN that passed through would read as +inf downstream: iar_check
-    # would drop that probe point and pass over the 4 others
+    # a NaN that passed through would read as +inf downstream: the rays
+    # kernel would drop that probe point and pass over the 4 others
     f = dataclasses.replace(
         get_function("abs"), batch=lambda x: np.where(x == 0.5, bad, np.abs(x))
     )
@@ -122,7 +117,7 @@ def test_values_rejects_nan_and_minus_infinity_on_both_routes(bad):
         with pytest.raises(ValueError, match="outside"):
             oracle.values_at(pts)
         with pytest.raises(ValueError, match="outside"):
-            iar_check(oracle, [0.0], Region.interval(-1.0, 1.0), resolution=5)
+            polar_membership_via_iar(oracle, [0.0], [0.0], Region.interval(-1.0, 1.0), 5)
     assert f.values(np.zeros((0, 1))).shape == (0,)
 
 
@@ -256,17 +251,12 @@ def _bound_calls():
     """(knob, call of one bound value) for every public function with a
     ``tol``, ``band`` or ``covector_half_width`` parameter."""
     f = get_function("abs")
-    region, graph = f.default_region, GraphSample([[0.0]], [[1.0]])
+    region = f.default_region
     return [
         ("tol", lambda v: cross_validate(f, resolution=9, tol=v)),
         ("band", lambda v: cross_validate(f, resolution=9, band=v)),
         ("band", lambda v: classify(True, 0.0, False, 1.0, v)),
-        ("tol", lambda v: iar_check(f, [0.5], region, tol=v)),
-        ("tol", lambda v: minty_subderivative(f, [0.5], region, tol=v)),
-        ("tol", lambda v: minty_subdifferential(f, [0.5], region, graph, tol=v)),
         ("tol", lambda v: polar_membership_via_iar(f, [0.5], [1.0], region, tol=v)),
-        ("tol", lambda v: convex_subdiff_contains(f, [0.5], [1.0], tol=v)),
-        ("tol", lambda v: clarke_subdiff_contains(f, [0.5], [1.0], tol=v)),
         ("tol", lambda v: cdd_profile(f, [0.5], [[1.0]], tol=v)),
         ("covector_half_width", lambda v: cdd_profile(f, [0.5], [[1.0]], covector_half_width=v)),
         ("covector_half_width", lambda v: sample_subdiff_graph(f, region, 9, covector_half_width=v)),
@@ -278,13 +268,14 @@ def test_a_vacuous_bound_of_the_library_api_raises_before_any_work(monkeypatch):
     # SuiteParams rejected these values, but the library functions took
     # them: cross_validate(abs_flipped, band=inf) called the sign-flip
     # mutant's thm2 violation indeterminate (hard 1 -> 0) and with tol=inf
-    # 63 agree; iar_check(neg_abs, 0.5, tol=inf) passed; and
+    # 63 agree; the rays route of neg_abs at (0.5, 0) passed with tol=inf; and
     # sample_subdiff_graph(abs, ..., covector_half_width=nan) returned 0
     # pairs, not flagged as truncated
     from test_negative_controls import FLIPPED
 
     assert cross_validate(FLIPPED).section("subdifferential_vs_iar")["hard"] == 1
-    assert not iar_check(get_function("neg_abs"), [0.5], Region.interval(-2.0, 2.0)).ok
+    assert not polar_membership_via_iar(get_function("neg_abs"), [0.5], [0.0],
+                                        Region.interval(-2.0, 2.0)).ok
 
     def no_work(*args, **kwargs):
         raise AssertionError("f was evaluated")

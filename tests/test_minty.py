@@ -6,101 +6,96 @@ import math
 import numpy as np
 import pytest
 
-from varpolar import (
-    Region,
-    UnusableSampleError,
-    cross_validate,
-    iar_check,
-    minty_subderivative,
-    minty_subdifferential,
-    sample_subdiff_graph,
-)
+from varpolar import Region, cross_validate, sample_subdiff_graph
 from varpolar import core, minty, subdifferential
-from varpolar.core import GraphSample
+from varpolar.core import DEFAULT_TOL, GraphSample
 from varpolar.library import FUNCTION_IDS, get_function
+from varpolar.minty import DEFAULT_T_RESOLUTION
 from varpolar.subderivative import DEFAULT_SCHEME, LiminfScheme
 from varpolar.suites import SuiteParams, suite_graph
 from test_clarke_kernel import _MAX3D, _peak_mb
-from test_rays_kernel import _reference_rays_at
+from test_rays_kernel import _iar, _reference_rays_at
 from test_subderivative import _reference_tail_quotients
 
 
 BOX = Region.interval(-2.0, 2.0)
 
 
+def _row(f, xbar, region=BOX, resolution=33, probe_factor=2, graph=None):
+    """The exact row of ``cross_validate`` at the query-grid point xbar:
+    prop1's and thm2's routes there, on probe grids of
+    probe_factor (resolution - 1) + 1 points (65 by default, on BOX)."""
+    rep = cross_validate(f, region, resolution=resolution, probe_factor=probe_factor, graph=graph)
+    return next(r for r in rep.rows if r.xbar == (float(xbar),))
+
+
 # -- increase along rays ----------------------------------------------------------
 
 def test_iar_square_at_minimizer():
-    rep = iar_check(get_function("square"), 0.0, BOX)
-    assert rep.ok and float(rep.residual) <= 0.0 + 1e-12
+    residual, _ = _iar(get_function("square"), 0.0, BOX, 65)
+    assert residual <= 0.0 + 1e-12
 
 
 def test_iar_neg_abs_fails_with_documented_witness():
-    rep = iar_check(get_function("neg_abs"), 0.0, BOX)
-    assert not rep.ok
-    assert float(rep.residual) == pytest.approx(2.0)  # f(0) - f(2) = 0 - (-2)
-    y, t = rep.witness
+    residual, (y, t) = _iar(get_function("neg_abs"), 0.0, BOX, 65)
+    assert residual > DEFAULT_TOL
+    assert residual == pytest.approx(2.0)  # f(0) - f(2) = 0 - (-2)
     assert abs(y[0]) == pytest.approx(2.0) and t == 1.0
 
 
 def test_iar_twowell_sees_the_second_well():
-    rep = iar_check(get_function("twowell"), 0.0, Region.interval(-1.0, 3.0))
-    assert not rep.ok
+    residual, (y, t) = _iar(get_function("twowell"), 0.0, Region.interval(-1.0, 3.0), 65)
     # moving from the shallow well toward 0 climbs the barrier: the residual
     # approaches f(1.5) - f(2) = 0.5 up to t-grid quantization
-    assert float(rep.residual) >= 0.45
-    y, t = rep.witness
+    assert residual >= 0.45
     assert y[0] == pytest.approx(2.0, abs=0.2)
     assert t == pytest.approx(0.25, abs=0.05)
 
 
-def test_iar_requires_xbar_in_region():
-    with pytest.raises(ValueError):
-        iar_check(get_function("square"), 5.0, BOX)
-
-
 def test_empty_finite_grid_is_vacuously_solved():
     # an even-resolution grid on [-2, 2] misses the only domain point of the
-    # one-point indicator; the quantifier is then vacuous
-    rep = iar_check(get_function("ind_origin"), 0.0, BOX, resolution=64)
-    assert rep.ok and rep.details["finite_grid_points"] == 0
-    rep2 = minty_subderivative(get_function("ind_origin"), 0.0, BOX, resolution=64)
-    assert rep2.ok and rep2.details["finite_grid_points"] == 0
+    # one-point indicator; the quantifiers are then vacuous: both routes
+    # read -inf, a solution, with no witness
+    f = get_function("ind_origin")
+    rays = minty._ray_grid(f, BOX, 64, DEFAULT_T_RESOLUTION)
+    assert rays.ys.shape[0] == 0
+    assert _iar(f, 0.0, BOX, 64) == (-math.inf, None)
+    residuals, witnesses = minty._subderivative_residuals(f, np.zeros((1, 1)), rays.ys, rays.fy,
+                                                          DEFAULT_SCHEME)
+    assert (residuals.tolist(), witnesses.tolist()) == ([-math.inf], [-1])
 
 
 def test_iar_monotone_in_region_growth():
     f = get_function("twowell")
-    small = iar_check(f, 0.0, Region.interval(-0.5, 0.5))
-    large = iar_check(f, 0.0, Region.interval(-1.0, 3.0))
-    assert small.ok and not large.ok
+    small, _ = _iar(f, 0.0, Region.interval(-0.5, 0.5), 65)
+    large, _ = _iar(f, 0.0, Region.interval(-1.0, 3.0), 65)
+    assert small <= DEFAULT_TOL < large
 
 
 # -- subderivative route ------------------------------------------------------------
 
 def test_minty_subderivative_square():
-    rep = minty_subderivative(get_function("square"), 0.0, BOX)
-    assert rep.ok
-    assert abs(float(rep.residual)) <= 1e-4
+    row = _row(get_function("square"), 0.0)
+    assert row.verdicts["subderivative"]
+    assert abs(row.residuals["subderivative"]) <= 1e-4
 
 
 def test_minty_subderivative_neg_abs_witness():
-    rep = minty_subderivative(get_function("neg_abs"), 0.0, BOX)
-    assert not rep.ok
+    row = _row(get_function("neg_abs"), 0.0)
+    assert not row.verdicts["subderivative"]
     # at y = 1 the subderivative toward 0 is +1
-    assert float(rep.residual) >= 1.0 - 1e-9
+    assert row.residuals["subderivative"] >= 1.0 - 1e-9
 
 
 def test_minty_subderivative_abs():
-    rep = minty_subderivative(get_function("abs"), 0.0, BOX)
-    assert rep.ok
+    assert _row(get_function("abs"), 0.0).verdicts["subderivative"]
 
 
 def test_degenerate_direction_contributes_zero():
     # the probe grid contains xbar itself; its row is exactly 0
-    rep = minty_subderivative(get_function("abs"), 0.0, BOX, resolution=5)
-    assert float(rep.residual) >= 0.0
-    rep2 = iar_check(get_function("abs"), 0.0, BOX, resolution=5)
-    assert float(rep2.residual) >= 0.0
+    row = _row(get_function("abs"), 0.0, resolution=5, probe_factor=1)
+    assert row.residuals["subderivative"] >= 0.0
+    assert row.residuals["iar"] >= 0.0
 
 
 # -- subdifferential route ------------------------------------------------------------
@@ -111,33 +106,36 @@ def _exact_graph(fid, resolution=65):
 
 
 def test_minty_subdifferential_square():
-    f = get_function("square")
-    rep = minty_subdifferential(f, 0.0, BOX, _exact_graph("square"))
-    assert rep.ok
-    assert float(rep.residual) == 0.0  # pairs (y, 2y) give -2y^2, and (0,0) gives 0
+    row = _row(get_function("square"), 0.0, graph=_exact_graph("square"))
+    assert row.verdicts["subdifferential"]
+    # pairs (y, 2y) give -2y^2, and (0, 0) gives 0
+    assert row.residuals["subdifferential"] == 0.0
 
 
 def test_minty_subdifferential_neg_abs():
     f = get_function("neg_abs")
-    graph = sample_subdiff_graph(f, BOX, 65, source="clarke-numeric")
-    rep = minty_subdifferential(f, 0.0, BOX, graph)
-    assert not rep.ok
+    row = _row(f, 0.0, graph=sample_subdiff_graph(f, BOX, 65, source="clarke-numeric"))
+    assert not row.verdicts["subdifferential"]
     # the pair (1, -1) pairs to <-1, 0-1> = 1
-    assert float(rep.residual) >= 1.0 - 1e-9
+    assert row.residuals["subdifferential"] >= 1.0 - 1e-9
 
 
 def test_minty_subdifferential_abs():
-    f = get_function("abs")
-    rep = minty_subdifferential(f, 0.0, BOX, _exact_graph("abs"))
-    assert rep.ok and float(rep.residual) == 0.0
+    row = _row(get_function("abs"), 0.0, graph=_exact_graph("abs"))
+    assert row.verdicts["subdifferential"] and row.residuals["subdifferential"] == 0.0
 
 
 def test_minty_subdifferential_needs_usable_sample():
+    # without a graph pair inside the open interior, thm2's routes are not
+    # run: no row carries them or a thm2 class
     f = get_function("square")
     graph = _exact_graph("square")
-    with pytest.raises(UnusableSampleError):
-        minty_subdifferential(f, 0.1, Region.interval(0.05, 0.11), graph.filter(
-            np.zeros(len(graph), dtype=bool)))
+    rep = cross_validate(f, Region.interval(0.05, 0.11), resolution=5,
+                         graph=graph.filter(np.zeros(len(graph), dtype=bool)))
+    assert len(rep.rows) == 5
+    for row in rep.rows:
+        assert set(row.residuals) == {"subderivative", "iar"}
+        assert set(row.classes) == {"subderivative_vs_iar"}
 
 
 @pytest.mark.parametrize("fid", [fid for fid in FUNCTION_IDS
@@ -364,7 +362,8 @@ def test_subderivative_route_memory_is_one_block_of_xbar():
     # take 289 * 1,089 * 10 * 2 floats (48 MB); a block holds 3 xbar
     f = get_function("norm2d")
     region = f.default_region
-    ys, fy = minty._finite_grid(f, region, 33)
+    probes = minty._ray_grid(f, region, 33, DEFAULT_T_RESOLUTION)
+    ys, fy = probes.ys, probes.fy
     xbars = region.sample(17)
     peak_mb = _peak_mb(
         lambda: minty._subderivative_residuals(f, xbars, ys, fy, DEFAULT_SCHEME)

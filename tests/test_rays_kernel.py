@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from varpolar import (
     cross_validate,
-    iar_check,
     polar_contains,
     polar_membership_via_iar,
     subdifferential,
@@ -63,6 +62,16 @@ def _reference_rays_at(g, x, ys, t_resolution):
         diffs = vals - gy[:, None]
     i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
     return float(diffs[i, j]), (ys[i], float(ts[j]))
+
+
+def _iar(f, xbar, region, resolution, t_resolution=DEFAULT_T_RESOLUTION):
+    """The rays residual of f from xbar over ``region``'s grid at
+    ``resolution``, exact, and its witness (y, t) or None: the x* = 0 entry
+    of one rays-kernel call, as prop1's rays route takes it at xbar."""
+    rays = _ray_grid(f, region, resolution, t_resolution)
+    xb = np.asarray(xbar, dtype=float).reshape(1, f.dim)
+    residuals, witnesses = _tilted_iar_residuals(f, xb, np.zeros((1, f.dim)), rays)
+    return float(residuals[0, 0]), rays.witness(witnesses[0, 0])
 
 
 def _reference_thm3(fid, params):
@@ -119,9 +128,8 @@ def test_cross_validate_rays_residuals_match_the_reference(fid):
         if "iar_open" in row.residuals:
             r_u, _ = _reference_rays(f, xb, interior, probe_res, SMALL.t_resolution)
             assert row.residuals["iar_open"] == r_u, row
-        rep_x = iar_check(f, xb, region, resolution=probe_res, t_resolution=SMALL.t_resolution)
-        assert float(rep_x.residual) == r and rep_x.witness[1] == t
-        assert np.array_equal(rep_x.witness[0], y)
+        r_x, (y_x, t_x) = _iar(f, xb, region, probe_res, SMALL.t_resolution)
+        assert r_x == r and t_x == t and np.array_equal(y_x, y)
 
 
 def _constant_2d():
@@ -145,8 +153,9 @@ _BOX = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
 
 
 def _assert_rays_match_across_blocks(f, region, resolution, probe_factor, xbars, graph=None):
-    """iar_check and cross_validate against the reference at a probe grid
-    whose rays span at least three row blocks of the kernel."""
+    """One rays-kernel call per xbar and cross_validate against the
+    reference at a probe grid whose rays span at least three row blocks of
+    the kernel; the kernel's (residual, witness) per xbar."""
     probe_res = probe_factor * (resolution - 1) + 1
     rows = len(list(_row_blocks(probe_res**f.dim, DEFAULT_T_RESOLUTION * f.dim)))
     assert rows >= 3
@@ -157,9 +166,8 @@ def _assert_rays_match_across_blocks(f, region, resolution, probe_factor, xbars,
     for xb in xbars:
         xb = np.asarray(xb, dtype=float)
         r, (y, t) = _reference_rays(f, xb, region, probe_res, DEFAULT_T_RESOLUTION)
-        v = iar_check(f, xb, region, resolution=probe_res)
-        assert float(v.residual) == r and v.witness[1] == t
-        assert np.array_equal(v.witness[0], y)
+        v = _iar(f, xb, region, probe_res)
+        assert v[0] == r and v[1][1] == t and np.array_equal(v[1][0], y)
         row = residuals[tuple(xb.tolist())]
         assert row["iar"] == r
         if "iar_open" in row:
@@ -173,20 +181,20 @@ def test_rays_kernel_blocks_match_the_reference_on_norm2d():
     f = get_function("norm2d")
     region = f.default_region
     xbars = region.sample(17)[[0, 40, 144, 200, 288]]
-    verdicts = _assert_rays_match_across_blocks(f, region, 17, 2, xbars)
+    entries = _assert_rays_match_across_blocks(f, region, 17, 2, xbars)
     # from the corner xbar the largest increase starts at y = 0, ray 544 of
     # 1,089, in the second block of 512 rays
-    assert verdicts[0].residual == math.sqrt(8.0)
-    assert verdicts[0].witness[0].tolist() == [0.0, 0.0]
+    residual, (y, _) = entries[0]
+    assert residual == math.sqrt(8.0) and y.tolist() == [0.0, 0.0]
 
 
 def test_rays_kernel_ties_keep_the_first_ray_point():
     # every increase is 0: the witness is the first (y, t) in y-major order
     xbars = [(0.0, 0.0), (1.0, -1.0), (-0.5, 0.75)]
     graph = GraphSample([[0.5, 0.5]], [[0.0, 0.0]], meta={"source": "exact"})
-    for v in _assert_rays_match_across_blocks(_constant_2d(), _BOX, 9, 4, xbars, graph):
-        assert v.residual == 0.0 and v.witness[1] == 0.0
-        assert v.witness[0].tolist() == [-1.0, -1.0]
+    for residual, (y, t) in _assert_rays_match_across_blocks(_constant_2d(), _BOX, 9, 4, xbars,
+                                                               graph):
+        assert residual == 0.0 and t == 0.0 and y.tolist() == [-1.0, -1.0]
 
 
 def test_rays_kernel_keeps_the_first_infinite_increase():
@@ -194,8 +202,8 @@ def test_rays_kernel_keeps_the_first_infinite_increase():
     # +inf in y-major order wins over the later ones
     xbars = [(0.5, 0.5), (1.0, 0.0), (-0.75, 1.0)]
     graph = GraphSample([[0.5, 0.5]], [[1.0, 1.0]], meta={"source": "exact"})
-    for v in _assert_rays_match_across_blocks(_holed_2d(), _BOX, 9, 4, xbars, graph):
-        assert v.residual == math.inf
+    for residual, _ in _assert_rays_match_across_blocks(_holed_2d(), _BOX, 9, 4, xbars, graph):
+        assert residual == math.inf
 
 
 def _total(terms):
@@ -624,14 +632,14 @@ def test_three_dimensional_iar_check_matches_the_reference(name):
     for xbar in ([0.0, 0.0, 0.0], [0.25, -0.5, 1.0], [-1.0, 0.5, 0.75]):
         xb = np.array(xbar)
         want = _reference_rays(f, xb, region, 9, DEFAULT_T_RESOLUTION)
-        v = iar_check(f, xb, region, resolution=9)
-        _assert_same_rays((v.residual, v.witness), want)
-    assert v.details["finite_grid_points"] == (81 * 7 if name == "capped" else 9**3)
+        _assert_same_rays(_iar(f, xb, region, 9), want)
+    rays = _ray_grid(f, region, 9, DEFAULT_T_RESOLUTION)
+    assert rays.ys.shape[0] == (81 * 7 if name == "capped" else 9**3)
 
 
 def test_a_probe_grid_without_a_finite_point():
     # f = +inf everywhere: no ray starts, so every residual is -inf with no
-    # witness, and iar_check reports the vacuous verdict
+    # witness
     f = FunctionOracle("nowhere", 2, batch=lambda x1, x2: math.inf)
     region = Region.box([(-1.0, 1.0)] * 2)
     rays = _ray_grid(f, region, 5, 8)
@@ -641,20 +649,18 @@ def test_a_probe_grid_without_a_finite_point():
     assert _entries(rays, exact) == [[(-math.inf, None)] * 3] * 2
     stopped = _tilted_iar_residuals(f, np.zeros((2, 2)), covectors, rays, np.zeros((2, 3)))
     assert _entries(rays, stopped) == [[(-math.inf, None)] * 3] * 2
-    v = iar_check(f, [0.0, 0.0], region, resolution=5)
-    assert (v.ok, v.residual, v.witness, v.details["finite_grid_points"]) == (True, 0.0, None, 0)
     v = polar_membership_via_iar(f, [0.0, 0.0], [1.0, 1.0], region, probe_resolution=5)
     assert (v.ok, v.residual, v.witness) == (True, -math.inf, None)
 
 
 @pytest.mark.parametrize("t_resolution", [1, 0])
 def test_a_t_grid_of_fewer_than_two_points_is_rejected(monkeypatch, t_resolution):
-    # t = 0 alone makes every increase f(y) - f(y) = 0: iar_check passed
-    # -|x| at 0 (ok, residual 0.0) and cross_validate found 9 hard prop1
+    # t = 0 alone makes every increase f(y) - f(y) = 0: the rays route
+    # passed -|x| at 0 (residual 0.0) and cross_validate found 9 hard prop1
     # rows; with no t the kernel failed on a reshape
     f, region = get_function("neg_abs"), Region.interval(-2.0, 2.0)
     with pytest.raises(ValueError, match="t_resolution must be >= 2"):
-        iar_check(f, [0.0], region, resolution=9, t_resolution=t_resolution)
+        _ray_grid(f, region, 9, t_resolution)
     with pytest.raises(ValueError, match="t_resolution must be >= 2"):
         cross_validate(f, region, resolution=9, t_resolution=t_resolution)
     monkeypatch.setattr(polar, "DEFAULT_RAY_RESOLUTION", t_resolution)
@@ -838,7 +844,7 @@ def test_rays_kernel_memory_does_not_grow_with_the_probe_grid():
     # point took 16.25 MB and a peak of 17.6 MB; building all ray points
     # in one piece took 33 MB besides them.
     f = get_function("norm2d")
-    peak_mb = _peak_mb(lambda: iar_check(f, [0.25, -0.5], f.default_region, 129, 64))
+    peak_mb = _peak_mb(lambda: _iar(f, [0.25, -0.5], f.default_region, 129, 64))
     assert peak_mb < 2.0
 
 
@@ -848,6 +854,6 @@ def test_rays_kernel_evaluates_the_rays_in_row_blocks(counted):
     # scattered rays made this [1,089, 32,768, 32,768, 4,160], and all rays
     # in one call 2 calls
     f = get_function("norm2d")
-    iar_check(f, [0.25, -0.5], f.default_region, resolution=33, t_resolution=64)
+    _iar(f, [0.25, -0.5], f.default_region, 33, 64)
     assert counted == [1_089, 15 * 33 * 64, 15 * 33 * 64, 3 * 33 * 64]
     assert sum(counted) == 70_785

@@ -1,7 +1,8 @@
 """One rays kernel: ``minty._tilted_iar_residuals`` is the only code of
 ``src/varpolar`` that calls a rays grid's ``walk``, ``fold`` or ``settle``,
-so prop1, thm2, thm3, ``iar_check`` and ``polar_membership_via_iar`` share
-its endpoint bound, stop rule and block walk. Likewise one subderivative
+so prop1, thm2, thm3 and ``polar_membership_via_iar`` (the one-pair rays
+route of ``explain --xstar``) share its endpoint bound, stop rule and
+block walk. Likewise one subderivative
 route: ``minty._subderivative_residuals`` is the only caller of
 ``minty._max_quotients``, so every max over probe points takes its stop
 and probe ladder."""

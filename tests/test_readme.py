@@ -56,7 +56,7 @@ def test_the_readme_examples_compute_their_commented_values():
     claims = {source: claim for source, _, claim in checked}
     # the values the README states, so that a rewrite of a comment shows here
     assert claims["lower_dini(f, 0.0, 1.0).value"] == -1.0
-    assert claims["clarke_directional(f, 0.0, 1.0).value"] == 1.0
+    assert claims["clarke_directional_values(f, [[0.0]], 1.0)[0][0]"] == 1.0
     assert claims['report.counts("subderivative_vs_iar")'] == {
         "agree": 65, "indeterminate": 0, "hard": 0,
     }

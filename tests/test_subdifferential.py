@@ -1,6 +1,14 @@
-"""Membership tests, graph sampling, the enlargement filter, and the
-subderivative/enlargement inequality, plus the calculus-level invariants:
-the inclusion chain, the tilt rule, and the separation smoke test."""
+"""Membership through the suites' kernels, graph sampling, the enlargement
+filter, and the subderivative/enlargement inequality, plus the
+calculus-level invariants: the inclusion chain, the tilt rule, and the
+separation smoke test.
+
+Convex membership x* in df(x) is read through thm3's rays route at
+(x, x*): for convex f it holds exactly when f - x* increases along the rays
+from x, and for any f the route's residual bounds the global support
+inequality's violation from above (its t = 1 entries are that violation).
+Generalized membership is read off the numeric route's support table
+f°(x; d) over its sphere directions."""
 
 import dataclasses
 import itertools
@@ -11,34 +19,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varpolar import (
-    DomainError,
     FunctionOracle,
     GraphSample,
     Region,
-    clarke_subdiff_contains,
-    convex_subdiff_contains,
     epsilon_enlargement,
     lower_dini,
+    polar_membership_via_iar,
     sample_subdiff_graph,
 )
 from varpolar import subdifferential
 from varpolar.core import DEFAULT_TOL, interval_rows
 from varpolar.library import get_function, test_library as library_oracles
-from varpolar.subderivative import clarke_directional_values
+from varpolar.subderivative import DEFAULT_SCHEME, clarke_directional_values
 from varpolar.subdifferential import EPS_LADDER, cdd_profile, sphere_directions
 
 
-# -- convex membership ---------------------------------------------------------
+# -- convex membership: thm3's rays route at (x, x*) ---------------------------
 
 def test_abs_contains_interior_subgradient():
-    v = convex_subdiff_contains(get_function("abs"), 0.0, 0.5)
+    v = polar_membership_via_iar(get_function("abs"), 0.0, 0.5, Region.full(1))
     assert v.ok and v.residual <= 1e-6
 
 
 def test_abs_rejects_steep_covector():
-    # brute maximization of 2y - |y| over the probe grid peaks at the box edge
+    # brute maximization of 2y - |y| over the probe grid peaks at the box
+    # edge, where the ray from y reaches x = 0 at t = 1
     f = get_function("abs")
-    v = convex_subdiff_contains(f, 0.0, 2.0)
+    v = polar_membership_via_iar(f, 0.0, 2.0, Region.full(1))
     assert not v.ok
     grid = Region.full(1).sample(65)[:, 0]
     brute = max(2.0 * y - abs(y) for y in grid)
@@ -47,33 +54,46 @@ def test_abs_rejects_steep_covector():
 
 
 def test_square_gradient_is_member():
-    assert convex_subdiff_contains(get_function("square"), 1.0, 2.0).ok
+    assert polar_membership_via_iar(get_function("square"), 1.0, 2.0, Region.full(1)).ok
 
 
-def test_convex_membership_needs_finite_value():
-    with pytest.raises(DomainError):
-        convex_subdiff_contains(get_function("ind_origin"), 1.0, 0.0)
+# -- generalized membership: the numeric route's support table -------------------
+
+def _support(f, x):
+    """The numeric route's sphere directions and its support table
+    f°(x; d) over them at the one point x."""
+    dirs = sphere_directions(f.dim, subdifferential._DIR_RESOLUTION)
+    xb = np.atleast_2d(np.asarray(x, dtype=float))
+    return dirs, subdifferential._clarke_support(f, xb, dirs, DEFAULT_SCHEME)[0]
 
 
-# -- generalized membership ------------------------------------------------------
+def _margin(table, xstar):
+    """The largest margin <x*, d> - f°(x; d) over a ``_support`` table
+    (-inf where f°(x; d) = +inf) and the first direction that attains it:
+    x* lies in the numeric Clarke set at x when it is at most tol."""
+    dirs, support = table
+    margins = np.sum(dirs * np.asarray(xstar, dtype=float), axis=1) - support
+    j = int(np.argmax(margins))
+    return float(margins[j]), dirs[j]
+
 
 def test_neg_abs_generalized_interval_at_kink():
-    f = get_function("neg_abs")
-    assert clarke_subdiff_contains(f, 0.0, 1.0).ok
-    v = clarke_subdiff_contains(f, 0.0, 2.0)
-    assert not v.ok
-    assert v.witness is not None and v.witness[0] == 1.0  # violated along d = +1
-    assert v.residual == pytest.approx(1.0, abs=1e-3)  # <2,1> - 1
+    table = _support(get_function("neg_abs"), 0.0)
+    assert _margin(table, 1.0)[0] <= DEFAULT_TOL
+    residual, witness = _margin(table, 2.0)
+    assert residual > DEFAULT_TOL
+    assert witness[0] == 1.0  # violated along d = +1
+    assert residual == pytest.approx(1.0, abs=1e-3)  # <2,1> - 1
 
 
 def test_square_generalized_membership_smooth():
-    assert clarke_subdiff_contains(get_function("square"), 0.0, 0.0).ok
+    assert _margin(_support(get_function("square"), 0.0), 0.0)[0] <= DEFAULT_TOL
 
 
 def test_generalized_membership_2d():
-    f = get_function("norm2d")
-    assert clarke_subdiff_contains(f, [0.0, 0.0], [0.6, 0.6]).ok
-    assert not clarke_subdiff_contains(f, [0.0, 0.0], [1.2, 0.0]).ok
+    table = _support(get_function("norm2d"), [0.0, 0.0])
+    assert _margin(table, [0.6, 0.6])[0] <= DEFAULT_TOL
+    assert _margin(table, [1.2, 0.0])[0] > DEFAULT_TOL
 
 
 # -- graph sampling ---------------------------------------------------------------
@@ -479,11 +499,11 @@ def test_convex_membership_implies_generalized_membership():
         for x in (0.0, 0.5, 1.0):
             if not math.isfinite(f.value([x])):
                 continue
+            table = _support(f, [x])
             for c in covectors:
-                cv = convex_subdiff_contains(f, [x], [c], probe=f.default_region)
-                if cv.ok:
-                    gv = clarke_subdiff_contains(f, [x], [c], tol=1e-6 + 1e-6)
-                    assert gv.ok, (f.name, x, c, gv.residual)
+                if polar_membership_via_iar(f, [x], [c], f.default_region).ok:
+                    residual, _ = _margin(table, [c])
+                    assert residual <= 1e-6 + 1e-6, (f.name, x, c, residual)
 
 
 def test_tilt_rule_at_membership_level():
@@ -495,20 +515,21 @@ def test_tilt_rule_at_membership_level():
             g = f.shifted([s])
             for x in (0.0, 0.5):
                 for c in (-1.5, 0.0, 0.5, 1.0, 2.0):
-                    direct = convex_subdiff_contains(f, [x], [c], probe=f.default_region)
-                    tilted = convex_subdiff_contains(g, [x], [c - s], probe=f.default_region)
+                    direct = polar_membership_via_iar(f, [x], [c], f.default_region)
+                    tilted = polar_membership_via_iar(g, [x], [c - s], f.default_region)
                     assert direct.ok == tilted.ok, (fid, s, x, c)
                     assert direct.residual == pytest.approx(tilted.residual, abs=1e-9)
 
 
 def test_tilt_rule_for_generalized_membership():
     f = get_function("neg_abs")
+    table = _support(f, [0.0])
     for s in (-0.5, 1.0):
-        g = f.shifted([s])
+        shifted = _support(f.shifted([s]), [0.0])
         for c in (-1.0, 0.0, 1.0, 2.0):
-            direct = clarke_subdiff_contains(f, [0.0], [c])
-            tilted = clarke_subdiff_contains(g, [0.0], [c - s])
-            assert direct.ok == tilted.ok, (s, c)
+            direct, _ = _margin(table, [c])
+            tilted, _ = _margin(shifted, [c - s])
+            assert (direct <= DEFAULT_TOL) == (tilted <= DEFAULT_TOL), (s, c)
 
 
 # -- separation smoke test -----------------------------------------------------------
@@ -561,9 +582,10 @@ def test_separation_principle_smoke():
             total = lambda x, phi=phi: f.value([x]) + phi(x)
             for xbar in _interior_grid_local_minima(total, f.default_region, 17):
                 lo, hi = phi_subdiff(xbar)
+                table = _support(f, [xbar])
                 found = False
                 for s in np.linspace(lo, hi, 41):
-                    if clarke_subdiff_contains(f, [xbar], [-s]).ok:
+                    if _margin(table, [-s])[0] <= DEFAULT_TOL:
                         found = True
                         break
                 assert found, (f.name, kind, a, b, xbar)

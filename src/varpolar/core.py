@@ -235,8 +235,21 @@ def _pairings(u: Array, v: Array, out: Array | None = None) -> Array:
     return _pairing([u[..., k] for k in axes], [v[..., k] for k in axes], out)
 
 
+def _split_fits(T: GraphSample, xs: Array, cs: Array) -> bool:
+    """Whether no term or partial sum of the split pairing of
+    :func:`_min_products` can overflow for T, points ``xs`` and covectors
+    ``cs``: each is at most dim (|y*| + |x*|)(|y| + |x|) in the largest
+    magnitudes of the operands, up to rounding, and that bound is kept below
+    a quarter of the float range."""
+    def top(a: Array) -> float:
+        return float(np.abs(a).max(initial=0.0))
+
+    bound = T.dim * (top(T.covectors) + top(cs)) * (top(T.points) + top(xs))
+    return bool(bound <= np.finfo(float).max / 4)
+
+
 def _min_products(
-    T: GraphSample, xs: Array, cs: Array, argmin: bool = False
+    T: GraphSample, xs: Array, cs: Array, argmin: bool = False, split: bool | None = None
 ) -> Array | tuple[Array, Array]:
     """Min over T of <y* - x*, y - x> for every point xs[i] and covector
     cs[j]: the (len(xs), len(cs)) array of minimum products, and with
@@ -254,18 +267,37 @@ def _min_products(
     strictly smaller. An empty T gives +inf everywhere (a vacuous
     quantifier) and index 0. At x* = 0 alone it is minus the subdifferential
     Minty residual max <y*, x - y>.
+
+    The split terms can overflow where the product does not: with T =
+    {(8, 1e308)}, x = -8 and x* = 1e308 they read inf - inf, where
+    (y* - x*)(y - x) = 0. ``split`` says which form the call takes, for
+    every entry alike; by default :func:`_split_fits` decides it once from
+    the operands' magnitudes. Where it does not fit, each entry is the
+    coordinate-wise sum of (y*_k - x*_k)(y_k - x_k) in axis order, in the
+    same blocks. A caller that runs several products over parts of one
+    problem passes one decision to all of them.
     """
+    if split is None:
+        split = _split_fits(T, xs, cs)
     py, cy = T.points, T.covectors
-    a = _pairings(cy, py)  # <y*, y>
+    if split:
+        a = _pairings(cy, py)  # <y*, y>
     mins = np.full((len(xs), len(cs)), math.inf)
     args = np.zeros(mins.shape, dtype=np.intp)
     for cols in _row_blocks(len(T), len(cs)):
-        q = _pairings(py[cols, None], cs)  # Q: (w, nc)
-        for rows in _row_blocks(len(xs), q.size):
-            left = a[cols, None] - _pairings(cy[cols, None], xs[rows])  # A: (w, r)
-            z = left[:, :, None] - q[:, None, :]  # A - Q: (w, r, nc)
+        if split:
+            q = _pairings(py[cols, None], cs)  # Q: (w, nc)
+        else:
+            dc = cy[cols, None, None] - cs  # y* - x*: (w, 1, nc, dim)
+        for rows in _row_blocks(len(xs), (cols.stop - cols.start) * len(cs)):
+            if split:
+                left = a[cols, None] - _pairings(cy[cols, None], xs[rows])  # A: (w, r)
+                z = left[:, :, None] - q[:, None, :]  # A - Q: (w, r, nc)
+                if argmin:
+                    z += _pairings(xs[rows, None], cs)  # b, inside the block
+            else:
+                z = _pairings(dc, py[cols, None, None] - xs[rows, None])  # (w, r, nc)
             if argmin:
-                z += _pairings(xs[rows, None], cs)  # b, inside the block
                 k = z.argmin(axis=0)
                 block = np.take_along_axis(z, k[None], 0)[0]
                 better = block < mins[rows]
@@ -273,11 +305,10 @@ def _min_products(
                 args[rows] = np.where(better, k + cols.start, args[rows])
             else:
                 np.minimum(mins[rows], z.min(axis=0), out=mins[rows])
-    if argmin:
-        return mins, args
-    for rows in _row_blocks(len(xs), len(cs)):
-        mins[rows] += _pairings(xs[rows, None], cs)  # b, after the min
-    return mins
+    if split and not argmin:
+        for rows in _row_blocks(len(xs), len(cs)):
+            mins[rows] += _pairings(xs[rows, None], cs)  # b, after the min
+    return (mins, args) if argmin else mins
 
 
 # ---------------------------------------------------------------------------

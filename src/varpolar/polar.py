@@ -51,6 +51,7 @@ from .core import (
     _min_products,
     _pairings,
     _row_blocks,
+    _split_fits,
     as_point,
 )
 from .minty import _ray_grid, _tilted_iar_residuals
@@ -137,10 +138,11 @@ def polar_of_sample(T: GraphSample, xs: Array, cs: Array, tol: float = DEFAULT_T
     below -tol (or NaN) is unrelated. The second runs over all of T on the
     x rows and x* columns that still hold an open pair, and decides every
     pair between them. The related set is that of one pass over all of T:
-    each entry is computed the same way in both, b is added after the
-    minimum and rounding is monotone, so the minimum over T is at most that
-    over the slice (or NaN with it), bit for bit, and a pair the first pass
-    closes stays closed. ``xs`` and ``cs`` must be finite (k, n) arrays,
+    each entry is computed the same way in both, in the one form of the
+    pairing that :func:`_split_fits` picks for all of T, ``xs`` and ``cs``;
+    b is added after the minimum and rounding is monotone, so the minimum
+    over T is at most that over the slice (or NaN with it), bit for bit, and
+    a pair the first pass closes stays closed. ``xs`` and ``cs`` must be finite (k, n) arrays,
     with n = T.dim when T is not empty, and ``tol`` finite and nonnegative
     (:class:`ValueError` otherwise).
     """
@@ -149,9 +151,10 @@ def polar_of_sample(T: GraphSample, xs: Array, cs: Array, tol: float = DEFAULT_T
     cs = _candidate_rows("cs", cs, xs.shape[1])
     coarse = np.arange(len(T)) % max(1, math.isqrt(len(T))) == 0
     coarse[-1:] = True
-    related = _min_products(T.filter(coarse), xs, cs) >= -tol
+    split = _split_fits(T, xs, cs)
+    related = _min_products(T.filter(coarse), xs, cs, split=split) >= -tol
     i, j = np.flatnonzero(related.any(axis=1)), np.flatnonzero(related.any(axis=0))
-    related[np.ix_(i, j)] = _min_products(T, xs[i], cs[j]) >= -tol
+    related[np.ix_(i, j)] = _min_products(T, xs[i], cs[j], split=split) >= -tol
     i, j = np.nonzero(related)
     return GraphSample(xs[i], cs[j])
 

@@ -477,92 +477,159 @@ def _cdd_profiles(
     scheme: LiminfScheme,
     covector_half_width: float,
     tol: float,
+    bound: bool = False,
 ) -> Iterator[tuple[Array, ...]]:
     """The verdict arrays of :func:`_cdd_verdicts` for consecutive blocks of
     the rows of ``xbars``, in order: the stacked pass behind
     :func:`cdd_profile` and ``suites.cdd_suite``.
 
-    A block holds about :data:`~varpolar.core._BLOCK_ENTRIES` (stacked grid
-    point, direction) entries: 331 base points in 1-D and 18 in 2-D at the
-    default ladder and grid with the directions +-e_i. Each block is one
+    f at the base points and the left-hand sides of all base points come
+    first: one oracle call (each value has the bits of the ``f.value`` that
+    :func:`epsilon_enlargement` takes), then :func:`lower_dini_values` in
+    row blocks of about :data:`~varpolar.core._BLOCK_ENTRIES` tail points,
+    one call for the whole grid of every library entry at the default
+    config (a row's value does not depend on its block). A block of the
+    stacked pass holds about ``_BLOCK_ENTRIES`` (stacked grid point,
+    direction) entries: 331 base points in 1-D and 18 in 2-D at the default
+    ladder and grid with the directions +-e_i. Each block is one
     :func:`_cdd_block` call, whose temporaries are gone before the block's
     arrays are yielded. The stacked grids repeat most of their points
     across the ladder and neighbouring bases, and the numeric graph rows
     are built once per bit-distinct point of a block (:func:`_graph_rows`),
     so a wider block shares more of them.
+
+    With ``bound``, a base point whose checks all pass on the lower bound
+    of its grids' centres is settled there, and its ``rhs`` and residuals
+    are that bound's (see :func:`_cdd_block`); its verdicts, flags and
+    ``lhs`` are exact. Without it every ``rhs`` is exact.
     """
+    fx = f.values(xbars)
+    if not np.all(np.isfinite(fx)):
+        raise DomainError("the inequality check needs f(xbar) finite")
+    nd = dirs.shape[0]
+    lhs = np.empty(xbars.shape[0] * nd)
+    for rows in _row_blocks(lhs.size, scheme.tail_count):
+        i = np.arange(rows.start, rows.stop)
+        lhs[rows] = lower_dini_values(f, xbars[i // nd], dirs[i % nd], scheme)
+    lhs = lhs.reshape(-1, nd)
     source = _resolve_source(f, "auto")
-    stacked = len(EPS_LADDER) * _CDD_GRID**f.dim
-    block = _block_rows(stacked * dirs.shape[0])
+    block = _block_rows(len(EPS_LADDER) * _CDD_GRID**f.dim * nd)
     for start in range(0, xbars.shape[0], block):
-        xb = xbars[start : start + block]
-        yield _cdd_block(f, xb, dirs, source, scheme, covector_half_width, tol)
+        b = slice(start, start + block)
+        yield _cdd_block(f, xbars[b], fx[b], lhs[b], dirs, source, scheme, covector_half_width,
+                         tol, bound)
 
 
 def _cdd_block(
     f: FunctionOracle,
     xb: Array,
+    fx: Array,
+    lhs: Array,
     dirs: Array,
     source: str,
     scheme: LiminfScheme,
     covector_half_width: float,
     tol: float,
+    bound: bool,
 ) -> tuple[Array, ...]:
-    """:func:`_cdd_verdicts` at the block of base points ``xb``.
+    """:func:`_cdd_verdicts` at the block of base points ``xb``, with f
+    there ``fx`` and the (B, J) left-hand sides ``lhs``.
 
-    The block takes f at its base points in one oracle call (each value has
-    the bits of the ``f.value`` that :func:`epsilon_enlargement` takes), and
-    makes one oracle call on the tensor axes of all of its (base, epsilon)
-    local grids (:func:`_near_points`). The point conditions
-    (:func:`_point_conditions`) drop a stacked point that is too far from
-    its base, in x or in f, before its graph rows are sampled: such a
-    point's rows could never enter the supremum. One :func:`_graph_rows`
-    call samples the rest, the numeric route once per bit-distinct point,
-    and the row condition
-    (:func:`_row_condition`) filters each row against the base and epsilon
-    of its grid; a segmented maximum gives each (base, epsilon) supremum
-    (:func:`_cell_suprema`: the points come in cell order and each point's
-    rows together, so the kept rows' cells are nondecreasing). A base point
-    is truncated when the set of one of its kept points is. One
-    :func:`lower_dini_values` call gives all left-hand sides. Every per-row
-    operation is the one a single-base call makes, so each base gets the
-    same floats as alone.
+    The block makes one oracle call on the tensor axes of all of its
+    (base, epsilon) local grids (:func:`_near_points`). The point
+    conditions (:func:`_point_conditions`) drop a stacked point that is too
+    far from its base, in x or in f, before its graph rows are sampled:
+    such a point's rows could never enter the supremum. One
+    :func:`_graph_rows` call samples the rest, the numeric route once per
+    bit-distinct point. A base point is truncated when the set of one of
+    its kept points is. :func:`_enlargement_minima` filters rows by the
+    row condition against the base and epsilon of their grid and takes
+    each (base, epsilon) supremum and its minimum over the ladder. Every
+    per-row operation is the one a single-base call makes, so each base
+    gets the same floats as alone.
+
+    With ``bound``, the rows of the grids' centres come first. A centre
+    that meets its enlargement's conditions (checked, not assumed) is in
+    it, so the minimum over the ladder of its rows' suprema is a lower
+    bound on ``rhs``, -inf where a centre has no row in its enlargement.
+    :func:`_cdd_verdicts` is monotone in ``rhs``: rounding is monotone, a
+    larger rhs never turns a pass at lhs = +inf into a failure, and an
+    enlargement is empty only where its centre has no row. So a base whose
+    checks all pass on the bound passes them with the exact ``rhs``, and
+    keeps the bound; only the rows of the other bases enter the exact
+    supremum pass, and their arrays are exact.
     """
     eps = np.asarray(EPS_LADDER)
     levels = eps.size
     nb = xb.shape[0]
-    fx = f.values(xb)
-    if not np.all(np.isfinite(fx)):
-        raise DomainError("the inequality check needs f(xbar) finite")
-
-    cell, pts, diffs = _near_points(f, xb, fx, eps)
+    cell, pts, diffs, centre = _near_points(f, xb, fx, eps)
     owner, covectors, truncated = _graph_rows(f, pts, source, covector_half_width, scheme)
-
-    # Duplicate rows change neither a supremum nor emptiness, so the rows
-    # need no deduplication.
-    row_cell = cell[owner]
-    kept = _row_condition(covectors, np.take(diffs, owner, axis=0), eps[row_cell % levels])
-    pairings = np.compress(kept, covectors @ dirs.T, axis=0)
-    kept_cells = row_cell[kept]
-    sups = _cell_suprema(kept_cells, pairings, nb * levels)
-    rhs = sups.reshape(nb, levels, -1).min(axis=1)
-    empty = np.ones(nb * levels, dtype=bool)
-    empty[kept_cells] = False
-    empty = empty.reshape(nb, levels)
-    empty_eps = np.where(empty.any(axis=1), eps[np.argmax(empty, axis=1)], math.nan)
     base_truncated = np.zeros(nb, dtype=bool)
     base_truncated[cell[truncated] // levels] = True
-    lhs = lower_dini_values(
-        f, np.repeat(xb, dirs.shape[0], axis=0), np.tile(dirs, (nb, 1)), scheme
-    ).reshape(nb, -1)
+
+    def minima(rows: Array) -> tuple[Array, Array]:
+        return _enlargement_minima(rows, cell, owner, covectors, diffs, dirs, eps, nb)
+
+    exact = np.ones(nb, dtype=bool)
+    rhs = np.empty_like(lhs)
+    empty_eps = np.full(nb, math.nan)
+    if bound:
+        rhs, empty_eps = minima(np.flatnonzero(centre[owner]))
+        settled = _cdd_verdicts(lhs, rhs, base_truncated, empty_eps, tol)[2]
+        exact = ~settled.all(axis=1)
+    if exact.any():
+        sups, empties = minima(np.flatnonzero(exact[cell[owner] // levels]))
+        rhs[exact], empty_eps[exact] = sups[exact], empties[exact]
     return _cdd_verdicts(lhs, rhs, base_truncated, empty_eps, tol)
 
 
-def _near_points(f: FunctionOracle, xb: Array, fx: Array, eps: Array) -> tuple[Array, Array, Array]:
+def _enlargement_minima(
+    rows: Array,
+    cell: Array,
+    owner: Array,
+    covectors: Array,
+    diffs: Array,
+    dirs: Array,
+    eps: Array,
+    nb: int,
+) -> tuple[Array, Array]:
+    """The (nb, J) minima over the ladder of the enlargement suprema of
+    <x*, dirs[j]>, and the (nb,) first epsilon of an empty enlargement (NaN
+    where none is), over the graph rows ``rows`` alone: a base or cell that
+    ``rows`` misses reads -inf and empty.
+
+    Row r pairs point owner[r], of cell ``cell[owner[r]]`` (base * levels +
+    level) and offset ``diffs[owner[r]]`` from its base, with
+    ``covectors[r]``. The row condition (:func:`_row_condition`) keeps a
+    row against the epsilon of its cell, and a segmented maximum gives each
+    cell's supremum (:func:`_cell_suprema`: the points come in cell order
+    and each point's rows together, so the kept rows' cells are
+    nondecreasing). Duplicate rows change neither a supremum nor
+    emptiness, so the rows need no deduplication.
+    """
+    levels = eps.size
+    points = owner[rows]
+    cells = cell[points]
+    kept = _row_condition(np.take(covectors, rows, axis=0), np.take(diffs, points, axis=0),
+                          eps[cells % levels])
+    cells = cells[kept]
+    pairings = _pairings(np.take(covectors, rows[kept], axis=0)[:, None, :], dirs)
+    sups = _cell_suprema(cells, pairings, nb * levels)
+    empty = np.ones(nb * levels, dtype=bool)
+    empty[cells] = False
+    empty = empty.reshape(nb, levels)
+    empty_eps = np.where(empty.any(axis=1), eps[np.argmax(empty, axis=1)], math.nan)
+    return sups.reshape(nb, levels, -1).min(axis=1), empty_eps
+
+
+def _near_points(
+    f: FunctionOracle, xb: Array, fx: Array, eps: Array
+) -> tuple[Array, Array, Array, Array]:
     """The stacked grid points of a block that meet the point conditions
     (:func:`_point_conditions`) of their base and epsilon, in stacked order:
-    their cells (base * levels + level), their coordinates and their
-    differences x - xbar.
+    their cells (base * levels + level), their coordinates, their
+    differences x - xbar, and whether each is its local grid's centre (local
+    index G**dim // 2, the midpoint of every axis).
 
     The local grid of base b and epsilon eps[l] is the tensor grid over the
     axes ``np.linspace(xb[b, k] - eps[l], xb[b, k] + eps[l], _CDD_GRID)``,
@@ -591,13 +658,14 @@ def _near_points(f: FunctionOracle, xb: Array, fx: Array, eps: Array) -> tuple[A
     ))
     cell = near // g**dim
     near -= cell * g**dim  # the index in the cell's local grid
+    centre = near == g**dim // 2
     # coordinate k of grid point j of a cell's local grid is entry
     # table[j, k] of the cell's (dim, G) axes
     table = np.indices((g,) * dim).reshape(dim, -1).T + np.arange(dim) * g
     index = np.take(table, near, axis=0)
     del near
     index += (cell * (dim * g))[:, None]
-    return cell, np.take(axes, index), np.take(offsets, index)
+    return cell, np.take(axes, index), np.take(offsets, index), centre
 
 
 def _cdd_verdicts(
@@ -660,7 +728,9 @@ def cdd_profile(
     conditions of their own epsilon are sampled, so only their sets can set
     it. This is the one-point case of the stacked pass that
     ``suites.cdd_suite`` runs over a whole grid of base points, and its
-    verdicts come from the same :func:`_cdd_verdicts` arrays.
+    verdicts come from the same :func:`_cdd_verdicts` arrays. It runs the
+    pass without the suite's centre bound, so every ``rhs`` it reports is
+    the exact minimum over the ladder, passing checks included.
 
     ``directions`` must be a (k, dim) array of finite coordinates (one
     direction may come as a flat list); any other shape raises

@@ -189,10 +189,18 @@ def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
 
     The grid points go through the stacked pass of
     :func:`~varpolar.subdifferential.cdd_profile` in blocks, so each block of
-    base points shares its oracle, graph and subderivative calls; every point
-    keeps its own verdicts and truncation flag, as a per-point
-    ``cdd_profile`` call gives them. Passes are counted on each block's
-    verdict arrays, and only a failing check becomes a failure entry.
+    base points shares its oracle and graph calls; every point keeps its own
+    verdicts and truncation flag, as a per-point ``cdd_profile`` call gives
+    them. Passes are counted on each block's verdict arrays, and only a
+    failing check becomes a failure entry.
+
+    The pass runs with the centre bound (the ``bound`` argument of
+    ``_cdd_profiles``, as thm3's rays kernel takes its stops): a base point
+    whose checks all pass on the lower bound from its local grids' centres
+    is settled without its enlargement suprema, since a check that passes
+    on the bound passes on the exact rhs. A failing check's point takes the
+    exact pass, so every failure entry, ``rhs`` included, is that of the
+    pass without the bound, and so is the report.
     """
     region = f.default_region
     grid = region.sample(params.grid_resolution(f.dim))
@@ -203,7 +211,7 @@ def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     truncated = False
     failures = []
     profiles = _cdd_profiles(
-        f, xbars, dirs, params.scheme, params.covector_half_width, params.cdd_tol
+        f, xbars, dirs, params.scheme, params.covector_half_width, params.cdd_tol, bound=True
     )
     start = 0
     for lhs, rhs, ok, residual, base_truncated, empty_eps in profiles:

@@ -92,7 +92,7 @@ _GRID_RESOLUTIONS = [9, 17, 65, 7, 15, 63]
 def _whole_grid_near_points(f, xb, fx, eps):
     """The near points of a block from its whole local grids: f on every
     stacked point, the point conditions on the (B, L, G**dim, dim)
-    differences."""
+    differences; a centre is the middle one of its grid's G**dim points."""
     grids = _local_grids(xb, eps, subdifferential._CDD_GRID)
     diffs = grids - xb[:, None, None, :]
     fvals = f.values(grids.reshape(-1, f.dim)).reshape(grids.shape[:3])
@@ -103,6 +103,7 @@ def _whole_grid_near_points(f, xb, fx, eps):
         near // grids.shape[2],
         np.take(grids.reshape(-1, f.dim), near, axis=0),
         np.take(diffs.reshape(-1, f.dim), near, axis=0),
+        near % grids.shape[2] == grids.shape[2] // 2,
     )
 
 

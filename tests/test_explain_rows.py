@@ -3,8 +3,9 @@
 On a small config over the whole library, every line that ``explain``
 prints at a suite's grid point or candidate pair equals that suite's row
 there: the prop1/thm2 routes and classes of ``equivalence_report(...,
-exact=True)``, the cdd checks of ``cdd_suite`` (their verdict arrays, read
-back bit for bit, and its failure entries, on the sign-flip control too),
+exact=True)``, the cdd checks of ``cdd_suite`` (the verdict arrays of its
+pass without the centre bound, read back bit for bit, and its failure
+entries, on the sign-flip control too),
 and on two entries thm3's two routes and class at every candidate pair."""
 
 import re
@@ -75,14 +76,17 @@ def _explain(capsys, path, fid, x, xstar=None):
 
 
 def _cdd_arrays(monkeypatch, f, params):
-    """``cdd_suite``'s report of f and its verdict arrays (lhs, rhs, ok,
-    residual, truncated, empty_eps) over its grid points, as the suite's
-    stacked pass yields them block by block."""
+    """``cdd_suite``'s report of f and the verdict arrays (lhs, rhs, ok,
+    residual, truncated, empty_eps) over its grid points of the suite's
+    stacked pass run without the centre bound, block by block: every rhs
+    exact, as explain prints it. That pass's report is the suite's."""
+    report = cdd_suite(f, params)
     blocks = []
     profiles = suites._cdd_profiles
+    # the suite runs the pass with the bound; this one runs it without
     monkeypatch.setattr(suites, "_cdd_profiles",
-                        lambda *args: (blocks.append(b) or b for b in profiles(*args)))
-    report = cdd_suite(f, params)
+                        lambda *args, bound: (blocks.append(b) or b for b in profiles(*args)))
+    assert cdd_suite(f, params) == report
     monkeypatch.setattr(suites, "_cdd_profiles", profiles)
     return report, [np.concatenate(field) for field in zip(*blocks)]
 

@@ -3,6 +3,7 @@ rays route to polar membership."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,69 @@ def test_every_min_product_is_a_pairwise_product_bit_for_bit(case, budget):
             assert args[i, j] == k and _bits(first_mins[i, j]) == _bits(products[k])
 
 
+def _coordinate_products(T, x, x_star):
+    """sum_k (y*_k - x*_k)(y_k - x_k) in axis order for each pair of T."""
+    products = []
+    for y, y_star in T.pairs():
+        product = (y_star[0] - x_star[0]) * (y[0] - x[0])
+        for k in range(1, len(y)):
+            product += (y_star[k] - x_star[k]) * (y[k] - x[k])
+        products.append(float(product))
+    return products
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_product_cases(), budget=st.sampled_from([1, 7, 10**9]))
+def test_the_unsplit_form_takes_each_coordinate_product(case, budget):
+    # the form the kernel takes where the split terms could overflow,
+    # forced here on small operands: each minimum is the value of one of the
+    # coordinate-wise products, and with argmin that of the first one
+    T, xs, cs = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ENTRIES", budget)
+        mins = polar._min_products(T, xs, cs, split=False)
+        first_mins, args = polar._min_products(T, xs, cs, argmin=True, split=False)
+    for i, x in enumerate(xs):
+        for j, x_star in enumerate(cs):
+            products = _coordinate_products(T, x, x_star)
+            least = min(products)
+            assert _bits(mins[i, j]) in {_bits(p) for p in products if p == least}
+            k = products.index(least)
+            assert args[i, j] == k and _bits(first_mins[i, j]) == _bits(products[k])
+
+
+def test_a_product_whose_split_terms_overflow_is_formed_whole():
+    # <y*, y> = 8e308 and <x*, y> = 8e308 overflow, and the split form read
+    # inf - inf; the product (y* - x*)(y - x) = 0 * 16 is 0. A sample whose
+    # magnitudes fit keeps the split form.
+    T = GraphSample([[8.0]], [[1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = polar_contains(T, [-8.0], [1e308])
+        related = polar_of_sample(T, np.array([[-8.0], [0.0]]), np.array([[1e308]]))
+    assert (v.ok, v.residual) == (True, 0.0)
+    assert related.points.tolist() == [[-8.0], [0.0]]
+    assert not core._split_fits(T, np.array([[-8.0]]), np.array([[1e308]]))
+    assert not core._split_fits(T, np.array([[-8.0]]), np.array([[1.0]]))
+    small = GraphSample([[8.0]], [[1e150]])
+    assert core._split_fits(small, np.array([[-8.0]]), np.array([[1e150]]))
+
+
+def test_both_passes_of_polar_of_sample_take_the_form_of_all_of_T():
+    # the products with x = (0.548, -0.921), x* = (0.3, -0.7) are -0.0, 7e199,
+    # about 1 and about 1 whole; the split form reads -1.1e-16 for the first.
+    # The coarse pass takes pairs 0, 2 and 3, which alone fit the split form,
+    # and must still form them whole, as one pass over all of T does (pair 1
+    # does not fit), so at tol 0 the candidate is related
+    x, x_star = np.array([[0.548, -0.921]]), np.array([[0.3, -0.7]])
+    T = GraphSample([[0.548, -1.836], [0.548, 1e200], [1.548, -0.921], [-0.452, -0.921]],
+                    [[0.1, -0.7], [1e200, 0.0], [1.3, -0.7], [-0.7, -0.7]])
+    assert polar._min_products(T.filter([0]), x, x_star)[0, 0] < 0.0
+    assert polar._min_products(T, x, x_star)[0, 0] == 0.0
+    related = polar_of_sample(T, x, x_star, tol=0.0)
+    assert related.points.tolist() == x.tolist()
+
+
 def _huge_rows(dim, min_size, max_size):
     # finite rows with ±1e308 among the small values: their products
     # overflow to ±inf, and where two such infinities meet, to NaN
@@ -398,9 +462,9 @@ def test_predicates_runs_the_full_product_only_on_open_pairs(monkeypatch):
     # on neg_abs, and on twowell it leaves 4 x rows by 66 covectors open
     counts = []
 
-    def counted(T, xs, cs, argmin=False):
+    def counted(T, xs, cs, argmin=False, split=None):
         counts.append(len(T) * len(xs) * len(cs))
-        return core._min_products(T, xs, cs, argmin)
+        return core._min_products(T, xs, cs, argmin, split)
 
     monkeypatch.setattr(polar, "_min_products", counted)
     params = SuiteParams(resolution=257)

@@ -413,7 +413,9 @@ def test_cdd_passes_across_library_spot_checks():
 
 def _cdd_per_epsilon(f, xbar, dirs):
     """(lhs, rhs) of the inequality from one deduplicated graph and one
-    enlargement per ladder step, and one lower_dini call per direction."""
+    enlargement per ladder step, and one lower_dini call per direction. A
+    pairing <x*, d> is the coordinate sum in axis order, the package's one
+    pairing, not a BLAS product, whose last bits depend on its split."""
     source = "exact" if f.exact_subdifferential is not None else "clarke-numeric"
     sups = np.full((len(EPS_LADDER), len(dirs)), -math.inf)
     for k, eps in enumerate(sorted(EPS_LADDER, reverse=True)):
@@ -421,7 +423,10 @@ def _cdd_per_epsilon(f, xbar, dirs):
         g = sample_subdiff_graph(f, local, 9, source=source)
         kept = epsilon_enlargement(g, f, xbar, eps)
         if len(kept) > 0:
-            sups[k] = (kept.covectors @ dirs.T).max(axis=0)
+            pairings = kept.covectors[:, None, 0] * dirs[:, 0]
+            for i in range(1, f.dim):
+                pairings = pairings + kept.covectors[:, None, i] * dirs[:, i]
+            sups[k] = pairings.max(axis=0)
     lhs = [lower_dini(f, xbar, d).value for d in dirs]
     return lhs, sups.min(axis=0).tolist()
 

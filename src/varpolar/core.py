@@ -275,28 +275,21 @@ def _min_products(
     the operands' magnitudes. Where it does not fit, each entry is the
     coordinate-wise sum of (y*_k - x*_k)(y_k - x_k) in axis order, in the
     same blocks. A caller that runs several products over parts of one
-    problem passes one decision to all of them.
+    problem passes one decision to all of them; :func:`_min_products_at`
+    takes the same entries at chosen pairs only.
     """
     if split is None:
         split = _split_fits(T, xs, cs)
-    py, cy = T.points, T.covectors
-    if split:
-        a = _pairings(cy, py)  # <y*, y>
+    a = _pairings(T.covectors, T.points) if split else None  # <y*, y>
     mins = np.full((len(xs), len(cs)), math.inf)
     args = np.zeros(mins.shape, dtype=np.intp)
     for cols in _row_blocks(len(T), len(cs)):
-        if split:
-            q = _pairings(py[cols, None], cs)  # Q: (w, nc)
-        else:
-            dc = cy[cols, None, None] - cs  # y* - x*: (w, 1, nc, dim)
+        v = _covector_terms(T, cols, cs, split)
         for rows in _row_blocks(len(xs), (cols.stop - cols.start) * len(cs)):
-            if split:
-                left = a[cols, None] - _pairings(cy[cols, None], xs[rows])  # A: (w, r)
-                z = left[:, :, None] - q[:, None, :]  # A - Q: (w, r, nc)
-                if argmin:
-                    z += _pairings(xs[rows, None], cs)  # b, inside the block
-            else:
-                z = _pairings(dc, py[cols, None, None] - xs[rows, None])  # (w, r, nc)
+            u = _point_terms(T, cols, xs[rows], a)
+            z = _entries(u[:, :, None], v[:, None], split)  # (w, r, nc)
+            if split and argmin:
+                z += _pairings(xs[rows, None], cs)  # b, inside the block
             if argmin:
                 k = z.argmin(axis=0)
                 block = np.take_along_axis(z, k[None], 0)[0]
@@ -309,6 +302,73 @@ def _min_products(
         for rows in _row_blocks(len(xs), len(cs)):
             mins[rows] += _pairings(xs[rows, None], cs)  # b, after the min
     return (mins, args) if argmin else mins
+
+
+def _min_products_at(T: GraphSample, xs: Array, cs: Array, i: Array, j: Array,
+                     split: bool) -> Array:
+    """The entries of :func:`_min_products` at the pairs (xs[i[p]], cs[j[p]])
+    alone, in the form ``split`` names: the (len(i),) minima over T, bit for
+    bit those of the full product.
+
+    Per block of graph pairs, A (or y - x) is formed once per point that
+    ``i`` names and Q (or y* - x*) once per covector that ``j`` names; both
+    are gathered by pair, and in the split form b is added after the
+    minimum. A block holds about :data:`_BLOCK_ENTRIES` entries of the two
+    gathers: (graph pair, candidate pair), times dim in the whole form.
+    """
+    ui, pi = _distinct_indices(i, len(xs))
+    uj, pj = _distinct_indices(j, len(cs))
+    px, pc = xs[ui], cs[uj]
+    a = _pairings(T.covectors, T.points) if split else None  # <y*, y>
+    gathered = 2 if split else 2 * T.dim
+    mins = np.full(len(i), math.inf)
+    for cols in _row_blocks(len(T), gathered * len(i)):
+        u = _point_terms(T, cols, px, a)
+        v = _covector_terms(T, cols, pc, split)
+        for pairs in _row_blocks(len(i), gathered * (cols.stop - cols.start)):
+            # np.take keeps the gathers C-ordered, so the minimum runs over
+            # whole rows; the fancy index u[:, pi] lays the pairs out first
+            z = _entries(np.take(u, pi[pairs], axis=1), np.take(v, pj[pairs], axis=1), split)
+            np.minimum(mins[pairs], z.min(axis=0), out=mins[pairs])
+    if split:
+        mins += _pairings(xs[i], cs[j])  # b, after the min
+    return mins
+
+
+def _distinct_indices(idx: Array, n: int) -> tuple[Array, Array]:
+    """The distinct entries of the index array ``idx`` (each below n), in
+    increasing order, and the position of each entry of ``idx`` among them:
+    ``np.unique(idx, return_inverse=True)`` without its sort (and without
+    the ``numpy.ma`` import that ``np.unique`` makes on 1-D arrays)."""
+    held = np.zeros(n, dtype=bool)
+    held[idx] = True
+    return np.flatnonzero(held), np.cumsum(held)[idx] - 1
+
+
+def _point_terms(T: GraphSample, cols: slice, xs: Array, a: Array | None) -> Array:
+    """The terms of the graph pairs ``cols`` of T with the points ``xs``:
+    A[y, x] = <y*, y> - <x, y*>, shape (w, len(xs)), in the split form,
+    where ``a`` holds <y*, y> over T; y - x, shape (w, len(xs), dim), in the
+    whole form (``a`` None)."""
+    if a is None:
+        return T.points[cols, None] - xs
+    return a[cols, None] - _pairings(T.covectors[cols, None], xs)
+
+
+def _covector_terms(T: GraphSample, cols: slice, cs: Array, split: bool) -> Array:
+    """The terms of the graph pairs ``cols`` of T with the covectors ``cs``:
+    Q[y, x*] = <x*, y>, shape (w, len(cs)), in the split form; y* - x*,
+    shape (w, len(cs), dim), in the whole form."""
+    if split:
+        return _pairings(T.points[cols, None], cs)
+    return T.covectors[cols, None] - cs
+
+
+def _entries(u: Array, v: Array, split: bool) -> Array:
+    """The entries of point terms ``u`` and covector terms ``v`` that
+    broadcast together: A - Q, an entry less b, in the split form, and
+    <y* - x*, y - x> in the whole form."""
+    return u - v if split else _pairings(v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +663,14 @@ class GraphSample:
             yield self.points[i], self.covectors[i]
 
     def filter(self, mask: Array) -> "GraphSample":
-        return GraphSample(self.points[mask], self.covectors[mask], dict(self.meta))
+        """The pairs that ``mask`` selects (a boolean mask, or indices without
+        repeats), in order. Pairs of a sample are finite and distinct, so
+        they are not checked or merged again."""
+        sub = object.__new__(GraphSample)
+        object.__setattr__(sub, "points", self.points[mask])
+        object.__setattr__(sub, "covectors", self.covectors[mask])
+        object.__setattr__(sub, "meta", dict(self.meta))
+        return sub
 
     def restrict_points(self, region: Region) -> "GraphSample":
         return self.filter(region.contains_many(self.points))

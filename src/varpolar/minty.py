@@ -57,6 +57,17 @@ _LADDER_RATIO = 4
 COMPARISONS = ("subderivative_vs_iar", "subdifferential_vs_iar")
 
 
+def _ladder_steps(lines: int, step: int = 1) -> list[int]:
+    """The strides ``step * _LADDER_RATIO**k`` for k = K, ..., 0, coarsest
+    first, with K the largest k whose stride takes at least 3 of ``lines``
+    lines (K = 0 when none does): the levels of :meth:`_RayGrid.ladder` and
+    of :func:`~varpolar.polar.polar_of_sample`'s graph ladder."""
+    steps = [step]
+    while (lines - 1) // (steps[-1] * _LADDER_RATIO) >= 2:
+        steps.append(steps[-1] * _LADDER_RATIO)
+    return steps[::-1]
+
+
 class _RayGrid:
     """The probe grid of the rays kernel :func:`_tilted_iar_residuals`: ray
     points y + t(xbar - y) from the points y of a tensor probe grid.
@@ -136,10 +147,7 @@ class _RayGrid:
         level takes every 4th grid line of the next (5, 17 and 65 of 129
         probe points at the 1-D defaults, 25 and 289 of 1,089 in 2-D): the
         probe ladder of :func:`_subderivative_residuals`."""
-        steps = [step]
-        while (min(self.finite.shape) - 1) // (steps[-1] * _LADDER_RATIO) >= 2:
-            steps.append(steps[-1] * _LADDER_RATIO)
-        return [self.nested(s) for s in reversed(steps)]
+        return [self.nested(s) for s in _ladder_steps(min(self.finite.shape), step)]
 
     def walk(self, xbar: Array) -> list[tuple[slice, Array | None, tuple[Array, ...]]]:
         """The blocks ``(cells, holes, coords)`` with ``coords`` the oracle's

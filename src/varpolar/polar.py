@@ -15,9 +15,10 @@ the Minty route), and it and the graph × graph reduction run in blocks of
 about :data:`~varpolar.core._BLOCK_ENTRIES` entries, with the same floats as
 one matrix: the pairings are explicit sums over the coordinates, so every
 entry is computed the same way whatever block holds it. The polar of a
-sample settles most candidates on a strided slice of the graph first and
-runs the full product only on the rows and columns still open
-(:func:`polar_of_sample`).
+sample takes the graph in a ladder of nested levels, coarsest first: the
+coarsest runs the product over all candidates, and each finer level runs
+only its new graph pairs on the candidate pairs still open
+(:func:`polar_of_sample`, :func:`~varpolar.core._min_products_at`).
 
 :func:`polar_contains` and :func:`polar_membership_via_iar` are the
 one-pair calls of thm3's two kernels, the polar kernel on the suite's graph
@@ -49,12 +50,13 @@ from .core import (
     _candidate_rows,
     _check_bound,
     _min_products,
+    _min_products_at,
     _pairings,
     _row_blocks,
     _split_fits,
     as_point,
 )
-from .minty import _ray_grid, _tilted_iar_residuals
+from .minty import _LADDER_RATIO, _ladder_steps, _ray_grid, _tilted_iar_residuals
 
 #: Tolerance for exact-arithmetic-representable samples.
 EXACT_TOL = 1e-9
@@ -115,7 +117,7 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
             - _pairings(c[rows, None], p[cols])
             - _pairings(c[None, cols], p[rows, None])
         )
-        m[np.tril_indices(m.shape[0], -1, m.shape[1])] = np.inf
+        m[np.arange(m.shape[1]) < np.arange(m.shape[0])[:, None]] = np.inf
         mins[rows] = m.min(axis=1)
         args[rows] = m.argmin(axis=1) + cols.start
     i = int(np.argmin(mins))
@@ -133,30 +135,47 @@ def polar_of_sample(T: GraphSample, xs: Array, cs: Array, tol: float = DEFAULT_T
     and the covectors ``cs`` that are monotonically related to T, x-major.
     Only the related pairs are formed; an empty T relates all of them.
 
-    Two passes of :func:`_min_products`. The first runs over every
-    ⌊√len(T)⌋-th pair of T and its last: a pair whose minimum there is
-    below -tol (or NaN) is unrelated. The second runs over all of T on the
-    x rows and x* columns that still hold an open pair, and decides every
-    pair between them. The related set is that of one pass over all of T:
-    each entry is computed the same way in both, in the one form of the
-    pairing that :func:`_split_fits` picks for all of T, ``xs`` and ``cs``;
-    b is added after the minimum and rounding is monotone, so the minimum
-    over T is at most that over the slice (or NaN with it), bit for bit, and
-    a pair the first pass closes stays closed. ``xs`` and ``cs`` must be finite (k, n) arrays,
-    with n = T.dim when T is not empty, and ``tol`` finite and nonnegative
+    The graph pairs go in a ladder of nested levels, coarsest first
+    (:func:`_graph_ladder`). The coarsest level runs :func:`_min_products`
+    over the whole product, and each finer level runs
+    :func:`~varpolar.core._min_products_at` over its new pairs of T alone,
+    at the candidate pairs still open: a pair whose minimum over a level is
+    below -tol (or NaN) is unrelated. The related set is that of one pass
+    over all of T: each entry is computed the same way at every level, in
+    the one form of the pairing that :func:`_split_fits` picks for all of T,
+    ``xs`` and ``cs``; b is added after the minimum and rounding is
+    monotone, so the minimum over T, plus b, is the least of the levels'
+    (or NaN with one of them), bit for bit, and a pair closed at one level
+    stays closed. ``xs`` and ``cs`` must be finite (k, n) arrays, with n =
+    T.dim when T is not empty, and ``tol`` finite and nonnegative
     (:class:`ValueError` otherwise).
     """
     _check_bound("tol", tol)
     xs = _candidate_rows("xs", xs, T.dim if len(T) else None)
     cs = _candidate_rows("cs", cs, xs.shape[1])
-    coarse = np.arange(len(T)) % max(1, math.isqrt(len(T))) == 0
-    coarse[-1:] = True
     split = _split_fits(T, xs, cs)
-    related = _min_products(T.filter(coarse), xs, cs, split=split) >= -tol
-    i, j = np.flatnonzero(related.any(axis=1)), np.flatnonzero(related.any(axis=0))
-    related[np.ix_(i, j)] = _min_products(T, xs[i], cs[j], split=split) >= -tol
-    i, j = np.nonzero(related)
+    coarsest, *finer = _graph_ladder(len(T))
+    i, j = np.nonzero(_min_products(T.filter(coarsest), xs, cs, split=split) >= -tol)
+    for level in finer:
+        if i.size == 0:
+            break
+        still = _min_products_at(T.filter(level), xs, cs, i, j, split) >= -tol
+        i, j = i[still], j[still]
     return GraphSample(xs[i], cs[j])
+
+
+def _graph_ladder(n: int) -> list[Array]:
+    """The levels of :func:`polar_of_sample` over the n pairs of a graph,
+    coarsest first, as indices: level k holds every ``_LADDER_RATIO**k``-th
+    pair (the strides of :func:`~varpolar.minty._ladder_steps`) less the
+    pairs of the coarser levels, and the coarsest also holds the last pair.
+    Every pair is in exactly one level."""
+    top, *steps = _ladder_steps(n)
+    levels = [np.concatenate([np.arange(0, n - 1, top), np.arange(n)[-1:]])]
+    for step in steps:
+        rows = np.arange(0, n, step)
+        levels.append(rows[(rows % (step * _LADDER_RATIO) != 0) & (rows != n - 1)])
+    return levels
 
 
 def _chords(T: GraphSample) -> tuple[Array, Array, Array]:
@@ -198,7 +217,7 @@ def is_absorbing(
     two distances over the chords) minus the radius.
 
     The related candidates are :func:`polar_of_sample`'s, which settles
-    most of them on a strided slice of T before the full product. A
+    most of them on the coarsest level of its ladder over T. A
     ``match_radius`` or ``tol`` that is NaN, infinite or negative, or
     candidates that :func:`polar_of_sample` rejects, raise
     :class:`ValueError` before any product is formed.

@@ -138,16 +138,18 @@ def lower_dini_values(
     xbars: Array,
     ds: Array,
     scheme: LiminfScheme = DEFAULT_SCHEME,
+    f0: Array | None = None,
 ) -> Array:
     """Tail-minimum difference quotients for a batch of (base, direction)
     rows; raw floats with math.inf for +inf.
 
     Callers must ensure f is finite at every base point; the directions
-    ``ds`` must be finite.
+    ``ds`` must be finite. ``f0``, when given, holds f at the base points,
+    which are then not evaluated again.
     """
     xb = np.atleast_2d(np.asarray(xbars, dtype=float))
     dd = _finite_directions(ds, "ds")
-    quot = _tail_quotients(f, xb, dd, scheme)
+    quot = _tail_quotients(f, xb, dd, scheme, f0)
     return quot.min(axis=1)
 
 

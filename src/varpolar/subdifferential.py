@@ -485,10 +485,11 @@ def _cdd_profiles(
 
     f at the base points and the left-hand sides of all base points come
     first: one oracle call (each value has the bits of the ``f.value`` that
-    :func:`epsilon_enlargement` takes), then :func:`lower_dini_values` in
-    row blocks of about :data:`~varpolar.core._BLOCK_ENTRIES` tail points,
-    one call for the whole grid of every library entry at the default
-    config (a row's value does not depend on its block). A block of the
+    :func:`epsilon_enlargement` takes), then :func:`lower_dini_values` on
+    those values as its f0, so f is taken once per base point, in row
+    blocks of about :data:`~varpolar.core._BLOCK_ENTRIES` tail points, one
+    call for the whole grid of every library entry at the default config
+    (a row's value does not depend on its block). A block of the
     stacked pass holds about ``_BLOCK_ENTRIES`` (stacked grid point,
     direction) entries: 331 base points in 1-D and 18 in 2-D at the default
     ladder and grid with the directions +-e_i. Each block is one
@@ -510,7 +511,7 @@ def _cdd_profiles(
     lhs = np.empty(xbars.shape[0] * nd)
     for rows in _row_blocks(lhs.size, scheme.tail_count):
         i = np.arange(rows.start, rows.stop)
-        lhs[rows] = lower_dini_values(f, xbars[i // nd], dirs[i % nd], scheme)
+        lhs[rows] = lower_dini_values(f, xbars[i // nd], dirs[i % nd], scheme, fx[i // nd])
     lhs = lhs.reshape(-1, nd)
     source = _resolve_source(f, "auto")
     block = _block_rows(len(EPS_LADDER) * _CDD_GRID**f.dim * nd)

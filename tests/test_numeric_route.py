@@ -177,13 +177,16 @@ def test_three_dimensional_cdd_profile_at_the_kink(monkeypatch):
     # the base point, 8,019 stacked grid points, the hulls (23 samples x 3
     # axes x 2 sides each) of the 2,298 bit-distinct points among the 2,618
     # that meet the point conditions, in 89 blocks of at most 26 points, and
-    # the lhs in 2 calls. With the hulls of all 8,019 points this took 55
+    # the lhs in 1 call. With the hulls of all 8,019 points this took 55
     # calls over 1,114,708 points. Over 369,370 points, hull blocks that
     # count only the sides' coordinates (158 points) make 21 calls, and four
     # entries per side coordinate (39 points) 72. The hulls of all 2,618
     # near points, repeats included, took 101 blocks: 105 calls over 369,370.
-    assert len(counted) == 1 + 1 + 89 + 2
-    assert sum(counted) == 1 + 8_019 + 2_298 * 23 * 3 * 2 + 66 == 325_210
+    # The lhs took f at the base point again, once per direction: 2 calls
+    # over 66 points, 93 calls over 325,210 in all; it now takes f(xbar)
+    # from the first call, and its one call evaluates the 60 tail points.
+    assert len(counted) == 1 + 1 + 89 + 1
+    assert sum(counted) == 1 + 8_019 + 2_298 * 23 * 3 * 2 + 60 == 325_204
 
 
 def test_boundary_points_take_the_table_and_interior_kinks_the_hull(table_calls):

@@ -392,6 +392,28 @@ def test_the_unsplit_form_takes_each_coordinate_product(case, budget):
             assert args[i, j] == k and _bits(first_mins[i, j]) == _bits(products[k])
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_product_cases(), budget=st.sampled_from([1, 7, 10**9]), split=st.booleans(),
+       data=st.data())
+def test_the_per_pair_form_takes_the_least_product_of_each_pair(case, budget, split, data):
+    # the form of the ladder's finer levels: at pairs (xs[i], cs[j]) in any
+    # order, repeats included, each minimum is the value of one of the
+    # products of its pair that attain it, in the form that split names
+    T, xs, cs = case
+    pairs = st.tuples(st.integers(0, len(xs) - 1), st.integers(0, len(cs) - 1))
+    drawn = data.draw(st.lists(pairs, max_size=12)) if len(xs) and len(cs) else []
+    i = np.array([p for p, _ in drawn], dtype=np.intp)
+    j = np.array([q for _, q in drawn], dtype=np.intp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ENTRIES", budget)
+        mins = core._min_products_at(T, xs, cs, i, j, split)
+    assert mins.shape == (len(drawn),)
+    products = _pairwise_products if split else _coordinate_products
+    for m, p, q in zip(mins, i, j):
+        values = products(T, xs[p], cs[q])
+        assert _bits(m) in {_bits(v) for v in values if v == min(values)}
+
+
 def test_a_product_whose_split_terms_overflow_is_formed_whole():
     # <y*, y> = 8e308 and <x*, y> = 8e308 overflow, and the split form read
     # inf - inf; the product (y* - x*)(y - x) = 0 * 16 is 0. A sample whose
@@ -410,15 +432,21 @@ def test_a_product_whose_split_terms_overflow_is_formed_whole():
 
 
 def test_both_passes_of_polar_of_sample_take_the_form_of_all_of_T():
-    # the products with x = (0.548, -0.921), x* = (0.3, -0.7) are -0.0, 7e199,
-    # about 1 and about 1 whole; the split form reads -1.1e-16 for the first.
-    # The coarse pass takes pairs 0, 2 and 3, which alone fit the split form,
-    # and must still form them whole, as one pass over all of T does (pair 1
-    # does not fit), so at tol 0 the candidate is related
+    # the products with x = (0.548, -0.921), x* = (0.3, -0.7) are 7e199 for
+    # the pair with 1e200, -0.0 for the next one formed whole (the split form
+    # reads -1.1e-16), and t^2 for the pairs (x + t e1, x* + t e1). The
+    # ladder of these 9 pairs has two levels: the coarsest takes pairs 0, 4
+    # and 8, and the finer one the others, which alone fit the split form;
+    # the finer pass must still form them whole, as one pass over all of T
+    # does (pair 0 does not fit), so at tol 0 the candidate is related
     x, x_star = np.array([[0.548, -0.921]]), np.array([[0.3, -0.7]])
-    T = GraphSample([[0.548, -1.836], [0.548, 1e200], [1.548, -0.921], [-0.452, -0.921]],
-                    [[0.1, -0.7], [1e200, 0.0], [1.3, -0.7], [-0.7, -0.7]])
-    assert polar._min_products(T.filter([0]), x, x_star)[0, 0] < 0.0
+    t = np.array([[1.0], [-1.0], [2.0], [-2.0], [3.0], [-3.0], [4.0]]) * [1.0, 0.0]
+    T = GraphSample(np.concatenate([[[0.548, 1e200], [0.548, -1.836]], x + t]),
+                    np.concatenate([[[1e200, 0.0], [0.1, -0.7]], x_star + t]))
+    coarsest, finer = polar._graph_ladder(len(T))
+    assert coarsest.tolist() == [0, 4, 8] and 1 in finer
+    assert core._split_fits(T.filter(finer), x, x_star)
+    assert polar._min_products(T.filter([1]), x, x_star)[0, 0] < 0.0
     assert polar._min_products(T, x, x_star)[0, 0] == 0.0
     related = polar_of_sample(T, x, x_star, tol=0.0)
     assert related.points.tolist() == x.tolist()
@@ -432,18 +460,34 @@ def _huge_rows(dim, min_size, max_size):
 
 @st.composite
 def _polar_cases(draw):
+    # a graph of up to 80 pairs, so that the ladder takes three levels from
+    # 33 pairs on. Random pairs close almost every candidate at the coarsest
+    # level, so the covectors of most pairs lie on the line y* = s y, with
+    # some candidates on it too: those stay open through the finer levels
+    # until a pair off the line closes them. Half the cases draw ±1e308
+    # among the values, which takes the whole form of the pairing, and half
+    # draw small values, which take the split form
     dim = draw(st.integers(1, 3))
-    points = draw(_huge_rows(dim, 0, 12))
-    T = GraphSample(points, draw(_huge_rows(dim, len(points), len(points))))
-    return T, draw(_huge_rows(dim, 0, 5)), draw(_huge_rows(dim, 0, 5))
+    rows = draw(st.sampled_from([_float_rows, _huge_rows]))
+    n = draw(st.one_of(st.integers(0, 12), st.integers(33, 80)))
+    slope = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    points = draw(rows(dim, n, n))
+    covectors = slope * points
+    off = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    covectors[off] = draw(rows(dim, n, n))[off]
+    xs = draw(rows(dim, 0, 5))
+    on_line = slope * xs[: draw(st.integers(0, len(xs)))]
+    cs = np.concatenate([on_line, draw(rows(dim, 0, 3))])
+    return GraphSample(points, covectors), xs, cs
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_polar_cases(), budget=st.sampled_from([1, 7, 10**9]),
        tol=st.sampled_from([0.0, 1e-6, 0.5]))
 def test_polar_of_sample_relates_what_one_full_product_relates(case, budget, tol):
-    # the strided first pass and the open-pair second pass relate exactly
-    # the pairs whose minimum over all of T is >= -tol, NaN products included
+    # the ladder's coarsest rectangle and its finer levels on the open
+    # pairs relate exactly the pairs whose minimum over all of T is >= -tol,
+    # NaN products included
     T, xs, cs = case
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(core, "_BLOCK_ENTRIES", budget)
@@ -454,21 +498,80 @@ def test_polar_of_sample_relates_what_one_full_product_relates(case, budget, tol
                                                          _bits(one_pass.covectors))
 
 
+def test_the_graph_ladder_puts_every_pair_in_one_level():
+    # every 4**k-th pair, coarsest first, the last pair in the coarsest
+    # level; a stride joins while it takes at least 3 pairs
+    assert [len(polar._graph_ladder(n)) for n in (0, 1, 8, 9, 32, 33, 128, 129)] == [
+        1, 1, 1, 2, 2, 3, 3, 4]
+    levels = polar._graph_ladder(80)
+    assert levels[0].tolist() == [0, 16, 32, 48, 64, 79]
+    assert levels[1].tolist() == [k for k in range(0, 80, 4) if k % 16]
+    assert np.sort(np.concatenate(levels)).tolist() == list(range(80))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 10**9])
+def test_every_level_of_the_ladder_closes_pairs_on_its_new_rows_alone(monkeypatch, budget):
+    # 80 pairs on y* = y in 2-D, with pair 4 (level 2 of the ladder) and
+    # pair 1 (level 3) moved off the line, and candidates x* in {x_0, ...,
+    # x_4, (9, 9)} at 5 points x; x_0 is the candidate that only pair 4
+    # closes, x_1 the one that only pair 1 closes. 11 of the 30 pairs stay
+    # open through the coarsest level. Level 2 runs its 15 new pairs of T on
+    # those 11 and leaves 8, (x_1, x_1) among them; level 3 runs the other 59
+    # on those 8 and closes it. The related set is that of one full product
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-2.0, 2.0, (80, 2))
+    covectors = points.copy()
+    covectors[4], covectors[1] = points[4] + [-3.0, 0.0], points[1] + [0.0, -3.0]
+    T = GraphSample(points, covectors)
+    xs = rng.uniform(-2.0, 2.0, (5, 2))
+    xs[0], xs[1] = points[4] - [1.0, 0.0], points[1] - [0.0, 1.0]
+    cs = np.concatenate([xs, [[9.0, 9.0]]])
+    runs = []
+
+    def counted(T, xs, cs, i, j, split):
+        runs.append((len(T), len(i), (0, 0) in zip(i, j), (1, 1) in zip(i, j)))
+        return core._min_products_at(T, xs, cs, i, j, split)
+
+    monkeypatch.setattr(polar, "_min_products_at", counted)
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", budget)
+    out = polar_of_sample(T, xs, cs)
+    i, j = np.nonzero(polar._min_products(T, xs, cs) >= -1e-6)
+    assert (_bits(out.points), _bits(out.covectors)) == (_bits(xs[i]), _bits(cs[j]))
+    assert runs == [(15, 11, True, True), (59, 8, False, True)]
+    assert list(zip(i, j)) == [(2, 2), (3, 3)]
+
+
 def test_predicates_runs_the_full_product_only_on_open_pairs(monkeypatch):
-    # (min, +) entries, len(T) x len(xs) x len(cs), per product call at
-    # resolution 257: one pass over the whole graph made 259 x 255 x 289
-    # and 263 x 255 x 289 (about 19.1 M each). The first pass takes 18 of
-    # the graph's pairs (every 16th and the last); it leaves no open pair
-    # on neg_abs, and on twowell it leaves 4 x rows by 66 covectors open
+    # (min, +) entries per level of the graph ladder: rows x len(xs) x
+    # len(cs) at the coarsest level, rows x open pairs at each finer one.
+    # One pass over the whole graph made 259 x 255 x 289 (neg_abs) and 263 x
+    # 255 x 289 (twowell) at resolution 257, about 19.1 M each. A strided
+    # first pass over every 16th pair and the last, and the full graph on
+    # the open rectangle after it, made [1326510, 0] and [1326510, 69432];
+    # norm2d and mixed2d at the default config made 1,793,449 and 4,160,835
+    # in all, of which the open rectangle was 1,524,390 and 3,877,615. The
+    # ladder's coarsest level takes every 64th pair and the last (6 pairs
+    # of 259 or 263; 7 of 323 for mixed2d, 6 of 305 for norm2d); neg_abs
+    # leaves no pair open there, so no finer level runs
     counts = []
 
-    def counted(T, xs, cs, argmin=False, split=None):
+    def rectangle(T, xs, cs, argmin=False, split=None):
         counts.append(len(T) * len(xs) * len(cs))
         return core._min_products(T, xs, cs, argmin, split)
 
-    monkeypatch.setattr(polar, "_min_products", counted)
-    params = SuiteParams(resolution=257)
-    for fid, entries in (("neg_abs", [1326510, 0]), ("twowell", [1326510, 69432])):
+    def pairs(T, xs, cs, i, j, split):
+        counts.append(len(T) * len(i))
+        return core._min_products_at(T, xs, cs, i, j, split)
+
+    monkeypatch.setattr(polar, "_min_products", rectangle)
+    monkeypatch.setattr(polar, "_min_products_at", pairs)
+    fine = SuiteParams(resolution=257)
+    for fid, params, entries in (
+        ("neg_abs", fine, [442170]),
+        ("twowell", fine, [442170, 1584, 6468, 25088]),
+        ("norm2d", SuiteParams(), [84966, 11536, 17955, 5700]),
+        ("mixed2d", SuiteParams(), [99127, 48435, 54300, 66034]),
+    ):
         counts.clear()
         predicates_suite(get_function(fid), params)
         assert counts == entries, fid

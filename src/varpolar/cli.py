@@ -23,7 +23,7 @@ from typing import Collection, Iterable
 import numpy as np
 
 from .library import FUNCTION_IDS, get_function
-from .minty import _EquivalenceProbes, classify
+from .minty import _EquivalenceProbes, _equivalence_row, classify
 from .polar import _check_tilt, polar_contains, polar_membership_via_iar, polar_of_sample
 from .subderivative import LiminfScheme, clarke_directional_values, lower_dini
 from .subdifferential import cdd_profile
@@ -279,21 +279,24 @@ def cmd_explain(cfg: RunConfig, function_id: str, x_raw: str, xstar_raw: str | N
         graph = suite_graph(f, cfg, cfg.probe_resolution(f.dim))
         probes = _EquivalenceProbes(f, region, cfg.grid_resolution(f.dim), cfg.probe_factor,
                                     cfg.t_resolution, graph, cfg.scheme)
-        ((row, witnesses),) = probes.rows(x[None, :], cfg.tol, cfg.band)
+        interior, graded = probes.rows(x[None, :], cfg.tol, cfg.band)
+        row = _equivalence_row(x[None, :], interior, graded, cfg.tol, 0)
+        witnesses = {route: w[0] for at, _, ws, _ in graded.values() if at.size
+                     for route, w in ws.items()}
         for label, route in (
             ("minty (subderivative)", "subderivative"),
             ("minty (subdifferential)", "subdifferential"),
             ("increase-along-rays", "iar"),
             ("increase-along-rays (interior)", "iar_open"),
         ):
-            if route in row.residuals:
+            if route in row["residuals"]:
                 witness = probes.witness(route, witnesses[route])
-                print(f"  {label}: solution={row.verdicts[route]} "
-                      f"residual={row.residuals[route]:.6g} witness={witness}")
+                print(f"  {label}: solution={row['verdicts'][route]} "
+                      f"residual={row['residuals'][route]:.6g} witness={witness}")
             else:
                 print(f"  {label}: not evaluated (x is not an interior point with graph pairs)")
-        classes = " ".join(f"{suite}={row.classes[key]}"
-                           for suite, key in EQUIVALENCE_THEOREMS.items() if key in row.classes)
+        classes = " ".join(f"{suite}={row['classes'][key]}"
+                           for suite, key in EQUIVALENCE_THEOREMS.items() if key in row["classes"])
         if not math.isfinite(fx):
             classes = "none (f(x) = +inf: the suites grade only points where f is finite)"
         print(f"  suite classes: {classes}")

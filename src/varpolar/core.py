@@ -77,23 +77,15 @@ def _candidate_rows(name: str, rows: Array, dim: int | None) -> Array:
 
 @dataclass(frozen=True)
 class Region:
-    """A sampleable convex subset of R^n: a box, or the full space truncated
-    to a box for sampling purposes.
-
-    ``lower``/``upper`` always describe the sampling box. Membership is exact:
-    boxes test componentwise interval membership, and the truncated full
-    space contains every finite point (the box only bounds the sample and is
-    reported with every verdict built on it).
+    """A sampleable box in R^n, [lower, upper] per axis. Membership is
+    exact: componentwise interval membership.
     """
 
-    kind: str  # "box" | "full"
     dim: int
     lower: Array
     upper: Array
 
     def __post_init__(self) -> None:
-        if self.kind not in ("box", "full"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
         lo = as_point(self.lower, self.dim)
         hi = as_point(self.upper, self.dim)
         if np.any(lo > hi):
@@ -107,52 +99,36 @@ class Region:
     def box(cls, bounds: Sequence[tuple[float, float]]) -> "Region":
         lo = np.array([b[0] for b in bounds], dtype=float)
         hi = np.array([b[1] for b in bounds], dtype=float)
-        return cls(kind="box", dim=len(bounds), lower=lo, upper=hi)
+        return cls(dim=len(bounds), lower=lo, upper=hi)
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "Region":
         return cls.box([(lo, hi)])
 
-    @classmethod
-    def full(cls, dim: int, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> "Region":
-        w = float(half_width)
-        return cls(kind="full", dim=dim, lower=-w * np.ones(dim), upper=w * np.ones(dim))
-
     # -- membership --------------------------------------------------------
 
     def contains(self, x: Sequence[float] | float | Array) -> bool:
         p = as_point(x, self.dim)
-        if self.kind == "full":
-            return True
         return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
 
     def contains_many(self, points: Array) -> Array:
         """Boolean membership mask for an (N, dim) array of points."""
         pts = np.asarray(points, dtype=float)
-        if self.kind == "full":
-            return np.ones(pts.shape[0], dtype=bool)
         return np.all((pts >= self.lower[None, :]) & (pts <= self.upper[None, :]), axis=1)
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, resolution: int, interior: bool = False) -> Array:
+    def sample(self, resolution: int) -> Array:
         """Deterministic uniform grid of member points, shape (N, dim).
 
-        The tensor grid over the sampling box has ``resolution`` points per
-        axis (so N = resolution**dim) and includes the axis extremes. With
-        ``interior=True`` the first and last grid index of every axis are
-        dropped, which discretizes the open interior of a box.
+        The tensor grid over the box has ``resolution`` points per axis (so
+        N = resolution**dim) and includes the axis extremes.
         """
-        axes = self.axes(resolution)
-        if interior:
-            if resolution < 3:
-                raise ValueError("interior sampling needs resolution >= 3")
-            axes = [a[1:-1] for a in axes]
-        return tensor_grid(axes)
+        return tensor_grid(self.axes(resolution))
 
     def axes(self, resolution: int) -> list[Array]:
         """The per-axis coordinates of the :meth:`sample` grid: ``resolution``
-        points on each axis of the sampling box, the extremes included."""
+        points on each axis of the box, the extremes included."""
         if resolution < 2:
             raise ValueError("resolution must be at least 2")
         if self.dim > GRID_DIM_CAP:
@@ -171,11 +147,11 @@ class Region:
         lo, hi = self.lower + delta, self.upper - delta
         if np.any(lo > hi):
             raise ValueError("shrinking by delta empties the region")
-        return Region(kind=self.kind, dim=self.dim, lower=lo, upper=hi)
+        return Region(dim=self.dim, lower=lo, upper=hi)
 
     def describe(self) -> dict:
         return {
-            "kind": self.kind,
+            "kind": "box",
             "dim": self.dim,
             "lower": self.lower.tolist(),
             "upper": self.upper.tolist(),

@@ -381,48 +381,63 @@ def classify(verdict_a, residual_a, verdict_b, residual_b, band: float) -> Array
                     np.where(np.abs(false_res) <= band, "indeterminate", "hard"))
 
 
-@dataclass
-class EquivalenceRow:
-    """The routes of the selected comparisons at one xbar: residual and
-    verdict per route (``subdifferential`` and ``iar_open`` only at interior
-    xbar with graph pairs) and each class. :meth:`to_dict` prints all the
-    residuals, so a row whose classes do not all agree carries exact
-    residuals; an agreeing row of ``cross_validate(..., exact=False)`` may
-    carry a lower bound above tol on a false subderivative route (its max
-    over the first level of the probe ladder, :meth:`_RayGrid.ladder`, that
-    exceeds tol) and an endpoint bound on a rays route whose partner is
-    false."""
+def _equivalence_row(xbars: Array, interior: Array, graded: dict, tol: float, i: int) -> dict:
+    """The row of ``xbars[i]`` that the report, the CSV and ``explain``
+    print, from the interior mask and the ``graded`` arrays of
+    :meth:`_EquivalenceProbes.rows`: the xbar, whether it is interior, and
+    the residual and verdict (residual <= ``tol``) of each route and the
+    class of each comparison that grades it (``subdifferential`` and
+    ``iar_open`` only at interior xbar with graph pairs). A row whose
+    classes do not all agree carries exact residuals; an agreeing row of
+    ``cross_validate(..., exact=False)`` may carry a lower bound above tol
+    on a false subderivative route (its max over the first level of the
+    probe ladder, :meth:`_RayGrid.ladder`, that exceeds tol) and an endpoint
+    bound on a rays route whose partner is false."""
+    row = {"xbar": xbars[i].tolist(), "interior": bool(interior[i]),
+           "residuals": {}, "verdicts": {}, "classes": {}}
+    for comparison, (at, residuals, _, classes) in graded.items():
+        j = int(np.searchsorted(at, i))
+        if j < at.size and at[j] == i:
+            for route, r in residuals.items():
+                row["residuals"][route] = float(r[j])
+                row["verdicts"][route] = float(r[j]) <= tol
+            row["classes"][comparison] = str(classes[j])
+    return row
 
-    xbar: tuple[float, ...]
-    interior: bool
-    residuals: dict[str, float]
-    verdicts: dict[str, bool]
-    classes: dict[str, str]
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "xbar": list(self.xbar)}
-
-
-@dataclass
+@dataclass(eq=False)
 class EquivalenceReport:
-    """Per-function aggregation of the selected comparisons."""
+    """Per-function aggregation of the selected comparisons: the graded
+    xbar (``xbars``, the grid points with finite f), their ``interior``
+    mask and the ``graded`` arrays of :meth:`_EquivalenceProbes.rows`, with
+    the band and tol they were classed at. :func:`_equivalence_row` forms
+    the row of an xbar that is printed."""
 
     function: str
     region: dict
     resolution: int
     band: float
+    tol: float
     probe_meta: dict
-    rows: list[EquivalenceRow]
+    xbars: Array
+    interior: Array
+    graded: dict[str, tuple[Array, dict[str, Array], dict[str, Array], Array]]
+
+    def _classes(self, theorem: str) -> tuple[Array, Array]:
+        """The indices of the xbar that ``theorem`` grades and their
+        classes; empty when it grades none."""
+        if theorem not in self.graded:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=str)
+        at, _, _, classes = self.graded[theorem]
+        return at, classes
+
+    def row(self, i: int) -> dict:
+        """:func:`_equivalence_row` at ``xbars[i]``."""
+        return _equivalence_row(self.xbars, self.interior, self.graded, self.tol, i)
 
     def counts(self, theorem: str) -> dict[str, int]:
-        out = {"agree": 0, "indeterminate": 0, "hard": 0}
-        for row in self.rows:
-            if theorem in row.classes:
-                out[row.classes[theorem]] += 1
-        return out
-
-    def disagreements(self, theorem: str) -> list[EquivalenceRow]:
-        return [r for r in self.rows if r.classes.get(theorem, "agree") != "agree"]
+        _, classes = self._classes(theorem)
+        return {c: int(np.count_nonzero(classes == c)) for c in ("agree", "indeterminate", "hard")}
 
     def section(self, theorem: str) -> dict:
         """The report section of one comparison (``"subderivative_vs_iar"``
@@ -430,9 +445,10 @@ class EquivalenceReport:
         classifies, the disagreement rows, and the grid and band."""
         counts = self.counts(theorem)
         graded = sum(counts.values())
+        at, classes = self._classes(theorem)
         return {
             **counts,
-            "disagreements": [r.to_dict() for r in self.disagreements(theorem)],
+            "disagreements": [self.row(i) for i in at[classes != "agree"].tolist()],
             "function": self.function,
             "region": self.region,
             "resolution": self.resolution,
@@ -445,7 +461,7 @@ class EquivalenceReport:
     def rows_table(self) -> tuple[list[str], list[list]]:
         """Per-xbar rows as a CSV-ready (header, rows) pair, one row per grid
         point, for plotting solution sets externally."""
-        dim = len(self.rows[0].xbar) if self.rows else 0
+        dim = self.xbars.shape[1] if len(self.xbars) else 0
         routes = ("subderivative", "subdifferential", "iar", "iar_open")
         header = (
             [f"xbar_{i + 1}" for i in range(dim)]
@@ -455,13 +471,14 @@ class EquivalenceReport:
             + ["class_prop1", "class_thm2"]
         )
         table = []
-        for row in self.rows:
+        for i in range(len(self.xbars)):
+            row = self.row(i)
             table.append(
-                list(row.xbar)
-                + [row.interior]
-                + [row.verdicts.get(r, "") for r in routes]
-                + [row.residuals.get(r, "") for r in routes]
-                + [row.classes.get(c, "") for c in COMPARISONS]
+                row["xbar"]
+                + [row["interior"]]
+                + [row["verdicts"].get(r, "") for r in routes]
+                + [row["residuals"].get(r, "") for r in routes]
+                + [row["classes"].get(c, "") for c in COMPARISONS]
             )
         return header, table
 
@@ -479,8 +496,9 @@ class _EquivalenceProbes:
     :meth:`rows` evaluates the selected routes at a batch of xbar, each in
     one call of its kernel. ``cross_validate`` calls it once over its finite
     xbar and ``explain`` once with the one row x, exact: its prop1/thm2
-    lines are the row of ``cross_validate(..., exact=True)`` at x. No other
-    path evaluates these routes at a point.
+    lines print :func:`_equivalence_row` of that call, the row of
+    ``cross_validate(..., exact=True)`` at x. No other path evaluates these
+    routes at a point.
     """
 
     def __init__(
@@ -510,15 +528,19 @@ class _EquivalenceProbes:
 
     def rows(
         self, xbars: Array, tol: float, band: float, exact: bool = True
-    ) -> list[tuple[EquivalenceRow, dict[str, int]]]:
-        """The equivalence row at each row xbar of ``xbars`` and the index
-        of each route's witness (:meth:`witness` decodes it). thm2's routes
-        run only at interior xbar and when the interior holds graph pairs.
-        Each route is one array over the xbar it grades: the subderivative
-        route one :func:`_subderivative_residuals` call, the subdifferential
-        route one call of the polar kernel at x* = 0, and each rays route
-        one call of the rays kernel at x* = 0. A comparison grades its two
-        routes as aligned columns.
+    ) -> tuple[Array, dict[str, tuple[Array, dict[str, Array], dict[str, Array], Array]]]:
+        """The interior mask of the rows xbar of ``xbars`` and the arrays
+        that grade each selected comparison: ``(at, residuals, witnesses,
+        classes)``, with ``at`` the ascending indices of the xbar it grades,
+        ``residuals`` and ``witnesses`` its route's and its rays route's
+        arrays over them, keyed by route (:meth:`witness` decodes an index),
+        and ``classes`` its class at each. thm2's routes run only at
+        interior xbar and when the interior holds graph pairs; without them
+        thm2 has no entry. Each route is one array over the xbar it grades:
+        the subderivative route one :func:`_subderivative_residuals` call,
+        the subdifferential route one call of the polar kernel at x* = 0,
+        and each rays route one call of the rays kernel at x* = 0.
+        :func:`_equivalence_row` forms the row of one xbar from them.
 
         With ``exact`` False, the subderivative route stops at ``tol``: it
         takes the ladder of nested probe subsets of :meth:`_RayGrid.ladder`,
@@ -554,8 +576,7 @@ class _EquivalenceProbes:
                                                                   stops[:, None]))
             printed[at] |= (r <= tol) != (r_iar <= tol)
             columns.append((*names, grid, at, r, w, r_iar, w_iar, stops))
-        out = [(EquivalenceRow(tuple(xb.tolist()), inner, {}, {}, {}), {})
-               for xb, inner in zip(xbars, interior.tolist())]
+        out = {}
         for comparison, route, rays, grid, at, r, w, r_iar, w_iar, stops in columns:
             # a printed row's bounds give way to the exact residuals and witnesses
             redo = np.flatnonzero(printed[at] & (r_iar > stops))
@@ -566,15 +587,9 @@ class _EquivalenceProbes:
             if len(redo):
                 r[redo], w[redo] = _subderivative_residuals(f, xbars[redo], closed.ys, closed.fy,
                                                             self.scheme)
-            classes = classify(r <= tol, r, r_iar <= tol, r_iar, band).tolist()
-            for i, *entry in zip(at.tolist(), r.tolist(), r_iar.tolist(), w.tolist(),
-                                 w_iar.tolist(), classes):
-                (row, witnesses), (res, res_iar, wit, wit_iar, cls) = out[i], entry
-                row.residuals.update({route: res, rays: res_iar})
-                row.verdicts.update({route: res <= tol, rays: res_iar <= tol})
-                row.classes[comparison] = cls
-                witnesses.update({route: wit, rays: wit_iar})
-        return out
+            out[comparison] = (at, {route: r, rays: r_iar}, {route: w, rays: w_iar},
+                               classify(r <= tol, r, r_iar <= tol, r_iar, band))
+        return interior, out
 
     def witness(self, route: str, index: int) -> Any:
         """``route``'s witness from its index in :meth:`rows`: a probe point
@@ -625,8 +640,8 @@ def cross_validate(
     lower bound above ``tol``, its max over a level of the probe ladder, or
     a rays residual that is only an endpoint bound above ``tol`` (see
     :meth:`_EquivalenceProbes.rows`); the verdicts, classes and sections are
-    those of the exact run, and so is every row of
-    :meth:`EquivalenceReport.disagreements`.
+    those of the exact run, and so is every disagreement row of
+    :meth:`EquivalenceReport.section`.
     """
     _check_bound("band", band)
     _check_bound("tol", tol)
@@ -639,7 +654,7 @@ def cross_validate(
     )
     xgrid = region.sample(resolution)
     xbars = xgrid[np.isfinite(f.values(xgrid))]
-    rows = [row for row, _ in probes.rows(xbars, tol, band, exact)]
+    interior, graded = probes.rows(xbars, tol, band, exact)
     g = probes.graph
     graph_meta = {} if g is None else {"graph_source": g.meta["source"], "graph_size": len(g),
                                        "graph_truncated": bool(g.meta.get("truncated"))}
@@ -648,12 +663,15 @@ def cross_validate(
         region=region.describe(),
         resolution=resolution,
         band=band,
+        tol=tol,
         probe_meta={
             "probe_resolution": probes.probe_resolution,
             "t_resolution": t_resolution,
             **graph_meta,
             "interior_region": probes.interior_region.describe(),
-            "scheme": scheme.as_dict(),
+            "scheme": asdict(scheme),
         },
-        rows=rows,
+        xbars=xbars,
+        interior=interior,
+        graded=graded,
     )

@@ -49,6 +49,7 @@ from .core import (
     Verdict,
     _candidate_rows,
     _check_bound,
+    _entries,
     _min_products,
     _min_products_at,
     _pairings,
@@ -99,24 +100,35 @@ def is_monotone(T: GraphSample, tol: float = DEFAULT_TOL) -> Verdict:
     The residual is the minimum product and the witness the pair of graph
     elements (as two (point, covector) tuples) achieving it. A NaN, infinite
     or negative ``tol`` raises :class:`ValueError`.
+
+    The product expands as <x*, x> + <y*, y> - <x*, y> - <y*, x> where
+    :func:`~varpolar.core._split_fits` says no term of it can overflow for T,
+    and is otherwise the coordinate-wise sum of (y*_k - x*_k)(y_k - x_k)
+    (the whole form of :func:`~varpolar.core._min_products`): with T =
+    {(8, 1e308), (-8, 1e308)} the expanded terms overflow where the product
+    is 0. One form is taken for all of T.
     """
     _check_bound("tol", tol)
     n = len(T)
     if n <= 1:
         return Verdict(ok=True, residual=math.inf, witness=None)
     p, c = T.points, T.covectors
-    diag = _pairings(c, p)  # <x*, x> of every element
+    split = _split_fits(T, p, c)
+    diag = _pairings(c, p) if split else None  # <x*, x> of every element
     mins = np.empty(n - 1)
     args = np.empty(n - 1, dtype=np.intp)
-    for rows in _row_blocks(n - 1, n):
+    for rows in _row_blocks(n - 1, n if split else n * T.dim):
         # rows i against columns j > rows.start; the pairs with j <= i are masked
         cols = slice(rows.start + 1, n)
-        m = (
-            diag[rows, None]
-            + diag[None, cols]
-            - _pairings(c[rows, None], p[cols])
-            - _pairings(c[None, cols], p[rows, None])
-        )
+        if split:
+            m = (
+                diag[rows, None]
+                + diag[None, cols]
+                - _pairings(c[rows, None], p[cols])
+                - _pairings(c[None, cols], p[rows, None])
+            )
+        else:
+            m = _entries(p[None, cols] - p[rows, None], c[None, cols] - c[rows, None], False)
         m[np.arange(m.shape[1]) < np.arange(m.shape[0])[:, None]] = np.inf
         mins[rows] = m.min(axis=1)
         args[rows] = m.argmin(axis=1) + cols.start

@@ -87,14 +87,6 @@ class LiminfScheme:
         """The tail window: the smallest ``tail_count`` steps, decreasing."""
         return self.step_grid()[self.steps - self.tail_count :]
 
-    def as_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "ratio": self.ratio,
-            "steps": self.steps,
-            "tail_fraction": self.tail_fraction,
-        }
-
 
 DEFAULT_SCHEME = LiminfScheme()
 

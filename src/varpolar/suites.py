@@ -21,7 +21,8 @@ from .minty import DEFAULT_BAND, DEFAULT_PROBE_FACTOR, DEFAULT_T_RESOLUTION, cla
 from .minty import _ray_grid, _stops, _tilted_iar_residuals, cross_validate
 from .polar import DEFAULT_RAY_RESOLUTION, EXACT_TOL, is_absorbing, is_monotone
 from .subderivative import DEFAULT_SCHEME, LiminfScheme
-from .subdifferential import DEFAULT_CDD_TOL, _cdd_flags, _cdd_profiles, sample_subdiff_graph
+from .subdifferential import DEFAULT_CDD_TOL, _cdd_flags, _cdd_profiles, _cdd_verdicts
+from .subdifferential import sample_subdiff_graph
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,9 @@ def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     :func:`~varpolar.subdifferential.cdd_profile` in blocks, so each block of
     base points shares its oracle and graph calls; every point keeps its own
     verdicts and truncation flag, as a per-point ``cdd_profile`` call gives
-    them. Passes are counted on each block's verdict arrays, and only a
-    failing check becomes a failure entry.
+    them. The blocks' verdict arrays are read as whole arrays over the grid
+    points: passes are counted on them, and only a failing check becomes a
+    failure entry.
 
     The pass runs with the centre bound (the ``bound`` argument of
     ``_cdd_profiles``, as thm3's rays kernel takes its stops): a base point
@@ -207,37 +209,32 @@ def cdd_suite(f: FunctionOracle, params: SuiteParams) -> dict:
     xbars = grid[np.isfinite(f.values(grid))]
     eye = np.eye(f.dim)
     dirs = np.vstack([eye, -eye])
-    checks = passes = 0
-    truncated = False
-    failures = []
-    profiles = _cdd_profiles(
+    # an empty block first, so a grid where f is finite nowhere reads as empty arrays
+    empty = _cdd_verdicts(np.empty((0, len(dirs))), np.empty((0, len(dirs))),
+                          np.zeros(0, dtype=bool), np.empty(0), params.cdd_tol)
+    blocks = _cdd_profiles(
         f, xbars, dirs, params.scheme, params.covector_half_width, params.cdd_tol, bound=True
     )
-    start = 0
-    for lhs, rhs, ok, residual, base_truncated, empty_eps in profiles:
-        checks += ok.size
-        passes += int(np.count_nonzero(ok))
-        truncated = truncated or bool(base_truncated.any())
-        for b, j in zip(*np.nonzero(~ok)):
-            failures.append(
-                {
-                    "xbar": xbars[start + b].tolist(),
-                    "direction": dirs[j].tolist(),
-                    "lhs": float(lhs[b, j]),
-                    "rhs": float(rhs[b, j]),
-                    "residual": float(residual[b, j]),
-                    "flags": list(_cdd_flags(base_truncated[b], empty_eps[b])),
-                }
-            )
-        start += ok.shape[0]
+    lhs, rhs, ok, residual, truncated, empty_eps = map(np.concatenate, zip(empty, *blocks))
+    failures = [
+        {
+            "xbar": xbars[b].tolist(),
+            "direction": dirs[j].tolist(),
+            "lhs": float(lhs[b, j]),
+            "rhs": float(rhs[b, j]),
+            "residual": float(residual[b, j]),
+            "flags": list(_cdd_flags(truncated[b], empty_eps[b])),
+        }
+        for b, j in zip(*np.nonzero(~ok))
+    ]
     return {
         "function": f.name,
         "region": region.describe(),
-        "checks": checks,
-        "pass": passes,
+        "checks": ok.size,
+        "pass": int(np.count_nonzero(ok)),
         "fail": len(failures),
         "hard_count": len(failures),
-        "covector_truncated": truncated,
+        "covector_truncated": bool(truncated.any()),
         "failures": failures,
     }
 
@@ -257,7 +254,7 @@ def _absorbing_candidates(f, region: Region, resolution: int) -> tuple[np.ndarra
         axis = np.arange(-4.5, 4.5 + 1e-9, 2 * h)
     else:
         coarse = max(3, (resolution + 1) // 2)
-        xs = region.sample(coarse, interior=True)
+        xs = tensor_grid([a[1:-1] for a in region.axes(coarse)])
         axis = np.arange(-4.0, 4.0 + 1e-9, 2 * h)
     return xs, tensor_grid([axis] * f.dim)
 

@@ -273,7 +273,9 @@ def test_csv_equivalence_rows_are_those_of_the_exact_cross_validate(tmp_path):
         rep = equivalence_report(get_function(fid), params)
         want = tmp_path / f"exact_{fid}.csv"
         _write_csv(*rep.rows_table(), want)
-        assert (tmp_path / f"equivalence_{fid}.csv").read_bytes() == want.read_bytes()
+        got = (tmp_path / f"equivalence_{fid}.csv").read_bytes()
+        assert got == want.read_bytes()
+        assert got == (Path(__file__).parent / "data" / f"equivalence_{fid}.csv").read_bytes()
         bounded = equivalence_report(get_function(fid), params, exact=False)
         differs[fid] = bounded.rows_table() != rep.rows_table()
     assert differs == {"neg_abs": True, "norm2d": False}
@@ -538,9 +540,10 @@ def test_explain_minty_routes_match_the_suite_row(tmp_path, capsys):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text("[run]\nresolution = 5\n", encoding="utf-8")
     params = load_config(str(cfg_path), {})
-    row = next(r for r in equivalence_report(get_function("square"), params).rows if r.xbar == (-1.0,))
-    assert row.residuals["subderivative"] == pytest.approx(0.5, abs=1e-6)
-    assert not row.verdicts["subderivative"]
+    rep = equivalence_report(get_function("square"), params)
+    row = rep.row(rep.xbars[:, 0].tolist().index(-1.0))
+    assert row["residuals"]["subderivative"] == pytest.approx(0.5, abs=1e-6)
+    assert not row["verdicts"]["subderivative"]
     code = main(["explain", "--config", str(cfg_path), "--function", "square", "--x", "-1"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
@@ -549,8 +552,8 @@ def test_explain_minty_routes_match_the_suite_row(tmp_path, capsys):
                          ("increase-along-rays", "iar"),
                          ("increase-along-rays (interior)", "iar_open")):
         line = next(ln for ln in lines if ln.startswith(f"  {label}: "))
-        assert (f"solution={row.verdicts[route]} "
-                f"residual={row.residuals[route]:.6g} ") in line
+        assert (f"solution={row['verdicts'][route]} "
+                f"residual={row['residuals'][route]:.6g} ") in line
     assert "  suite classes: prop1=agree thm2=agree" in lines
 
 
@@ -587,8 +590,9 @@ def test_explain_prints_exact_rays_residuals_where_the_bound_settles(
         f, f.default_region, params.grid_resolution(f.dim), params.probe_factor,
         params.t_resolution, suite_graph(f, params, params.probe_resolution(f.dim)), params.scheme,
     )
-    ((row, _),) = probes.rows(np.array([point]), params.tol, params.band, exact=False)
-    assert walks == [] and set(row.classes.values()) == {"agree"}
+    _, graded = probes.rows(np.array([point]), params.tol, params.band, exact=False)
+    classes = {c for _, _, _, cs in graded.values() for c in cs.tolist()}
+    assert walks == [] and classes == {"agree"}
     arg = ",".join(str(c) for c in point)
     assert main(["explain", "--function", fid, "--x", arg]) == 0
     assert len(walks) == 2

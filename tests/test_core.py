@@ -38,19 +38,6 @@ def test_square_box_resolution_two_gives_corners():
     assert {tuple(p) for p in pts.tolist()} == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
 
 
-def test_full_region_contains_everything_but_samples_its_box():
-    r = Region.full(1, half_width=10.0)
-    assert r.contains([123.0])
-    pts = r.sample(5)[:, 0]
-    assert pts.min() == -10.0 and pts.max() == 10.0
-
-
-def test_interior_sampling_drops_boundary():
-    r = Region.interval(-1.0, 1.0)
-    pts = r.sample(5, interior=True)[:, 0]
-    assert np.allclose(pts, [-0.5, 0.0, 0.5])
-
-
 def test_sampling_cardinality_bound():
     r = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
     assert r.sample(4).shape[0] <= 4**2

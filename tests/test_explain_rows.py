@@ -120,13 +120,13 @@ def _check_cdd_lines(f, params, x, lines, arrays, b):
 def _check_equivalence_lines(row, lines):
     for label, route in ROUTES:
         (line,) = [ln for ln in lines if ln.startswith(f"  {label}: ")]
-        if route in row.residuals:
-            assert line.startswith(f"  {label}: solution={row.verdicts[route]} "
-                                   f"residual={row.residuals[route]:.6g} witness="), line
+        if route in row["residuals"]:
+            assert line.startswith(f"  {label}: solution={row['verdicts'][route]} "
+                                   f"residual={row['residuals'][route]:.6g} witness="), line
         else:
             assert "not evaluated" in line
-    classes = " ".join(f"{suite}={row.classes[key]}"
-                       for suite, key in EQUIVALENCE_THEOREMS.items() if key in row.classes)
+    classes = " ".join(f"{suite}={row['classes'][key]}"
+                       for suite, key in EQUIVALENCE_THEOREMS.items() if key in row["classes"])
     assert lines[-1] == f"  suite classes: {classes}"
 
 
@@ -135,12 +135,13 @@ def _check_rows(monkeypatch, capsys, config, f, fid=None):
     each of the suites' grid points of f against the equivalence and cdd
     rows there; returns the cdd report."""
     path, params = config
-    rows = equivalence_report(f, params, exact=True).rows
+    rep = equivalence_report(f, params, exact=True)
+    rows = [rep.row(i) for i in range(len(rep.xbars))]
     report, arrays = _cdd_arrays(monkeypatch, f, params)
     assert len(rows) == arrays[0].shape[0] > 0
     failures = []
     for b, row in enumerate(rows):
-        x = np.array(row.xbar)
+        x = np.array(row["xbar"])
         lines = _explain(capsys, path, fid or f.name, x)
         _check_equivalence_lines(row, lines)
         failures += _check_cdd_lines(f, params, x, lines, arrays, b)

@@ -14,7 +14,7 @@ from varpolar.minty import DEFAULT_T_RESOLUTION
 from varpolar.subderivative import DEFAULT_SCHEME, LiminfScheme
 from varpolar.suites import SuiteParams, suite_graph
 from test_clarke_kernel import _MAX3D, _peak_mb
-from test_rays_kernel import _iar, _reference_rays_at
+from test_rays_kernel import _iar, _probe_rows, _reference_rays_at, _rows
 from test_subderivative import _reference_tail_quotients
 
 
@@ -26,7 +26,7 @@ def _row(f, xbar, region=BOX, resolution=33, probe_factor=2, graph=None):
     prop1's and thm2's routes there, on probe grids of
     probe_factor (resolution - 1) + 1 points (65 by default, on BOX)."""
     rep = cross_validate(f, region, resolution=resolution, probe_factor=probe_factor, graph=graph)
-    return next(r for r in rep.rows if r.xbar == (float(xbar),))
+    return next(r for r in _rows(rep) if r["xbar"] == [float(xbar)])
 
 
 # -- increase along rays ----------------------------------------------------------
@@ -76,26 +76,26 @@ def test_iar_monotone_in_region_growth():
 
 def test_minty_subderivative_square():
     row = _row(get_function("square"), 0.0)
-    assert row.verdicts["subderivative"]
-    assert abs(row.residuals["subderivative"]) <= 1e-4
+    assert row["verdicts"]["subderivative"]
+    assert abs(row["residuals"]["subderivative"]) <= 1e-4
 
 
 def test_minty_subderivative_neg_abs_witness():
     row = _row(get_function("neg_abs"), 0.0)
-    assert not row.verdicts["subderivative"]
+    assert not row["verdicts"]["subderivative"]
     # at y = 1 the subderivative toward 0 is +1
-    assert row.residuals["subderivative"] >= 1.0 - 1e-9
+    assert row["residuals"]["subderivative"] >= 1.0 - 1e-9
 
 
 def test_minty_subderivative_abs():
-    assert _row(get_function("abs"), 0.0).verdicts["subderivative"]
+    assert _row(get_function("abs"), 0.0)["verdicts"]["subderivative"]
 
 
 def test_degenerate_direction_contributes_zero():
     # the probe grid contains xbar itself; its row is exactly 0
     row = _row(get_function("abs"), 0.0, resolution=5, probe_factor=1)
-    assert row.residuals["subderivative"] >= 0.0
-    assert row.residuals["iar"] >= 0.0
+    assert row["residuals"]["subderivative"] >= 0.0
+    assert row["residuals"]["iar"] >= 0.0
 
 
 # -- subdifferential route ------------------------------------------------------------
@@ -107,22 +107,22 @@ def _exact_graph(fid, resolution=65):
 
 def test_minty_subdifferential_square():
     row = _row(get_function("square"), 0.0, graph=_exact_graph("square"))
-    assert row.verdicts["subdifferential"]
+    assert row["verdicts"]["subdifferential"]
     # pairs (y, 2y) give -2y^2, and (0, 0) gives 0
-    assert row.residuals["subdifferential"] == 0.0
+    assert row["residuals"]["subdifferential"] == 0.0
 
 
 def test_minty_subdifferential_neg_abs():
     f = get_function("neg_abs")
     row = _row(f, 0.0, graph=sample_subdiff_graph(f, BOX, 65, source="clarke-numeric"))
-    assert not row.verdicts["subdifferential"]
+    assert not row["verdicts"]["subdifferential"]
     # the pair (1, -1) pairs to <-1, 0-1> = 1
-    assert row.residuals["subdifferential"] >= 1.0 - 1e-9
+    assert row["residuals"]["subdifferential"] >= 1.0 - 1e-9
 
 
 def test_minty_subdifferential_abs():
     row = _row(get_function("abs"), 0.0, graph=_exact_graph("abs"))
-    assert row.verdicts["subdifferential"] and row.residuals["subdifferential"] == 0.0
+    assert row["verdicts"]["subdifferential"] and row["residuals"]["subdifferential"] == 0.0
 
 
 def test_minty_subdifferential_needs_usable_sample():
@@ -132,10 +132,10 @@ def test_minty_subdifferential_needs_usable_sample():
     graph = _exact_graph("square")
     rep = cross_validate(f, Region.interval(0.05, 0.11), resolution=5,
                          graph=graph.filter(np.zeros(len(graph), dtype=bool)))
-    assert len(rep.rows) == 5
-    for row in rep.rows:
-        assert set(row.residuals) == {"subderivative", "iar"}
-        assert set(row.classes) == {"subderivative_vs_iar"}
+    assert len(rep.xbars) == 5 and set(rep.graded) == {"subderivative_vs_iar"}
+    for row in _rows(rep):
+        assert set(row["residuals"]) == {"subderivative", "iar"}
+        assert set(row["classes"]) == {"subderivative_vs_iar"}
 
 
 @pytest.mark.parametrize("fid", [fid for fid in FUNCTION_IDS
@@ -154,19 +154,20 @@ def test_subdifferential_route_is_the_max_pairing_over_the_graph(fid):
     assert probes.rays_c is None
     xgrid = region.sample(params.grid_resolution(f.dim))
     xbars = xgrid[np.isfinite(f.values(xgrid))]
-    rows = [(xb, r, w) for xb, (r, w) in zip(xbars, probes.rows(xbars, params.tol, params.band))
-            if "subdifferential" in r.residuals]
-    assert rows
-    xs = np.array([xb for xb, _, _ in rows])
+    _, graded = probes.rows(xbars, params.tol, params.band)
+    at, residuals, witnesses, _ = graded["subdifferential_vs_iar"]
+    assert at.size
+    xs = xbars[at]
     graph = probes.graph_inside
     best, first = np.full(len(xs), -math.inf), np.zeros(len(xs), dtype=int)
     for k, (y, ystar) in enumerate(graph.pairs()):
         vals = sum(ystar[i] * (xs[:, i] - y[i]) for i in range(f.dim))
         better = vals > best
         best[better], first[better] = vals[better], k
-    for (xb, row, witnesses), value, k in zip(rows, best.tolist(), first):
-        assert row.residuals["subdifferential"] == value, xb
-        y, ystar = probes.witness("subdifferential", witnesses["subdifferential"])
+    for xb, r, w, value, k in zip(xs, residuals["subdifferential"].tolist(),
+                                  witnesses["subdifferential"], best.tolist(), first):
+        assert r == value, xb
+        y, ystar = probes.witness("subdifferential", w)
         assert np.array_equal(y, graph.points[k]) and np.array_equal(ystar, graph.covectors[k])
 
 
@@ -174,43 +175,43 @@ def test_subdifferential_route_is_the_max_pairing_over_the_graph(fid):
 
 def test_cross_validate_square_solutions_exactly_at_zero():
     rep = cross_validate(get_function("square"), resolution=33)
-    for row in rep.rows:
-        expected = row.xbar == (0.0,)
-        assert row.verdicts["subderivative"] == expected, row
-        assert row.verdicts["iar"] == expected, row
-        if "subdifferential" in row.verdicts:
-            assert row.verdicts["subdifferential"] == expected, row
+    for row in _rows(rep):
+        expected = row["xbar"] == [0.0]
+        assert row["verdicts"]["subderivative"] == expected, row
+        assert row["verdicts"]["iar"] == expected, row
+        if "subdifferential" in row["verdicts"]:
+            assert row["verdicts"]["subdifferential"] == expected, row
     assert rep.counts("subderivative_vs_iar")["hard"] == 0
 
 
 def test_cross_validate_abs_solutions_exactly_at_zero():
     rep = cross_validate(get_function("abs"), resolution=33)
-    sols = [r.xbar for r in rep.rows if r.verdicts["iar"]]
-    assert sols == [(0.0,)]
-    assert all(r.classes["subderivative_vs_iar"] == "agree" for r in rep.rows)
+    sols = [r["xbar"] for r in _rows(rep) if r["verdicts"]["iar"]]
+    assert sols == [[0.0]]
+    assert all(r["classes"]["subderivative_vs_iar"] == "agree" for r in _rows(rep))
 
 
 def test_cross_validate_neg_abs_has_no_solutions():
     rep = cross_validate(get_function("neg_abs"), resolution=33)
-    for row in rep.rows:
-        assert not row.verdicts["subderivative"]
-        assert not row.verdicts["iar"]
-        if "subdifferential" in row.verdicts:
-            assert not row.verdicts["subdifferential"]
+    for row in _rows(rep):
+        assert not row["verdicts"]["subderivative"]
+        assert not row["verdicts"]["iar"]
+        if "subdifferential" in row["verdicts"]:
+            assert not row["verdicts"]["subdifferential"]
 
 
 def test_cross_validate_coercive_convex_contains_minimizer():
     for fid in ("square", "abs", "norm2d", "mixed2d"):
         f = get_function(fid)
         rep = cross_validate(f, resolution=17 if f.dim == 1 else 9)
-        sols = {r.xbar for r in rep.rows if r.verdicts["iar"]}
+        sols = {tuple(r["xbar"]) for r in _rows(rep) if r["verdicts"]["iar"]}
         assert tuple([0.0] * f.dim) in sols, fid
 
 
 def test_cross_validate_rows_cover_dom_f_only():
     rep = cross_validate(get_function("ind_halfline"), resolution=17)
-    assert all(r.xbar[0] >= 0 for r in rep.rows)
-    assert len(rep.rows) == 9  # the grid points of [0, 2]
+    assert all(r["xbar"][0] >= 0 for r in _rows(rep))
+    assert len(rep.xbars) == 9  # the grid points of [0, 2]
 
 
 def test_cross_validate_samples_its_own_graph_with_its_scheme(monkeypatch):
@@ -236,7 +237,7 @@ def test_cross_validate_report_dict_shape():
     rep = cross_validate(get_function("abs"), resolution=9)
     d = rep.section("subderivative_vs_iar")
     assert d["function"] == "abs"
-    assert d["grid_points"] == len(rep.rows) == 9
+    assert d["grid_points"] == len(rep.xbars) == 9
     assert set(d) >= {"agree", "indeterminate", "hard", "disagreements", "hard_count"}
     assert d["hard_count"] == d["hard"]
 
@@ -313,17 +314,17 @@ def test_rows_over_blocks_of_xbar_match_the_per_xbar_reference(monkeypatch, f, r
     cols = len(probes.rays_c.ys) * DEFAULT_SCHEME.tail_count * f.dim
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", 2 * cols + 1)
     assert len(xbars) % 2 == 1 and len(xbars) >= 5
-    rows = probes.rows(xbars, 1e-9, 1e-3)
+    rows = _probe_rows(probes, xbars, 1e-9, 1e-3)
     assert len(rows) == len(xbars)
     for xb, (row, witnesses) in zip(xbars, rows):
         interior, residuals, ref_witnesses, classes = _reference_row(probes, xb, 1e-9, 1e-3)
-        assert row.xbar == tuple(xb.tolist()) and row.interior == interior
-        assert row.residuals.keys() == residuals.keys() == witnesses.keys()
+        assert row["xbar"] == xb.tolist() and row["interior"] == interior
+        assert row["residuals"].keys() == residuals.keys() == witnesses.keys()
         for route, r in residuals.items():
-            assert _same_bits(row.residuals[route], r), (xb, route)
+            assert _same_bits(row["residuals"][route], r), (xb, route)
             assert _same_bits(probes.witness(route, witnesses[route]), ref_witnesses[route]), (
                 xb, route)
-        assert row.classes == classes
+        assert row["classes"] == classes
     if f.name == "neg_abs":
         # f(0) = -0.0 is among the base values of the subderivative route
         fy = probes.rays_c.fy
@@ -353,7 +354,7 @@ def test_cross_validate_takes_the_tail_quotients_in_blocks_of_xbar(monkeypatch):
     # 81 xbar over 289 probe points: blocks of 11 xbar (65,536 // 5,780
     # tail-point coordinates); one call per xbar made this 81 calls
     rep = cross_validate(get_function("norm2d"), resolution=9)
-    assert len(rep.rows) == 81
+    assert len(rep.xbars) == 81
     assert calls == [11 * 289] * 7 + [4 * 289]
 
 

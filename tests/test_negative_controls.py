@@ -12,9 +12,11 @@ side-oracle.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from varpolar.cli import report_json
 from varpolar.library import _bounds_abs, _interval_side_oracle, get_function
 from varpolar.suites import SUITE_NAMES, SuiteParams, run_suites
 
@@ -59,3 +61,12 @@ def test_a_renamed_copy_gives_the_sections_of_the_original(result, suite):
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_the_sign_flipped_side_oracle_is_caught(result, suite, name):
     assert _section(result, suite, name)["hard_count"] == FLIPPED_HARD[suite]
+
+
+def test_the_sign_flipped_report_matches_the_stored_bytes():
+    # the stored reports under tests/data hold no disagreement or failure
+    # row; this one holds thm2's and thm3's disagreement rows and the 64 cdd
+    # failures, so their dicts are pinned byte for byte
+    fresh = report_json(run_suites([FLIPPED], ["all"], SuiteParams()), include_timing=False) + "\n"
+    stored = Path(__file__).parent / "data" / "flipped_report.json"
+    assert fresh.encode() == stored.read_bytes()

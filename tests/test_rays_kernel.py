@@ -74,6 +74,24 @@ def _iar(f, xbar, region, resolution, t_resolution=DEFAULT_T_RESOLUTION):
     return float(residuals[0, 0]), rays.witness(witnesses[0, 0])
 
 
+def _rows(rep):
+    """Every row of a ``cross_validate`` report, as its CSV prints them."""
+    return [rep.row(i) for i in range(len(rep.xbars))]
+
+
+def _probe_rows(probes, xbars, tol, band, exact=True):
+    """One ``probes.rows`` call at ``xbars``, read row by row: per xbar, its
+    row (the one row function) and the index of each route's witness in
+    the graded arrays."""
+    interior, graded = probes.rows(xbars, tol, band, exact)
+    out = []
+    for i in range(len(xbars)):
+        witnesses = {route: w[np.searchsorted(at, i)] for at, _, ws, _ in graded.values()
+                     if i in at for route, w in ws.items()}
+        out.append((minty._equivalence_row(xbars, interior, graded, tol, i), witnesses))
+    return out
+
+
 def _reference_thm3(fid, params):
     f = get_function(fid)
     region = f.default_region
@@ -120,14 +138,14 @@ def test_cross_validate_rays_residuals_match_the_reference(fid):
     region = f.default_region
     interior = region.shrink(region.spacing(resolution))
     rep = cross_validate(f, resolution=resolution, t_resolution=SMALL.t_resolution)
-    assert rep.rows
-    for row in rep.rows:
-        xb = np.array(row.xbar)
+    assert len(rep.xbars)
+    for row in _rows(rep):
+        xb = np.array(row["xbar"])
         r, (y, t) = _reference_rays(f, xb, region, probe_res, SMALL.t_resolution)
-        assert row.residuals["iar"] == r, row
-        if "iar_open" in row.residuals:
+        assert row["residuals"]["iar"] == r, row
+        if "iar_open" in row["residuals"]:
             r_u, _ = _reference_rays(f, xb, interior, probe_res, SMALL.t_resolution)
-            assert row.residuals["iar_open"] == r_u, row
+            assert row["residuals"]["iar_open"] == r_u, row
         r_x, (y_x, t_x) = _iar(f, xb, region, probe_res, SMALL.t_resolution)
         assert r_x == r and t_x == t and np.array_equal(y_x, y)
 
@@ -161,7 +179,7 @@ def _assert_rays_match_across_blocks(f, region, resolution, probe_factor, xbars,
     assert rows >= 3
     interior = region.shrink(region.spacing(resolution))
     rep = cross_validate(f, region, resolution=resolution, probe_factor=probe_factor, graph=graph)
-    residuals = {row.xbar: row.residuals for row in rep.rows}
+    residuals = {tuple(row["xbar"]): row["residuals"] for row in _rows(rep)}
     out = []
     for xb in xbars:
         xb = np.asarray(xb, dtype=float)
@@ -466,28 +484,29 @@ def test_equivalence_rows_with_stops_keep_verdicts_classes_and_printed_residuals
                                       knobs["t_resolution"], graph, DEFAULT_SCHEME)
     xgrid = region.sample(knobs["resolution"])
     xbars = xgrid[np.isfinite(f.values(xgrid))]
-    exact, fast = probes.rows(xbars, tol, band), probes.rows(xbars, tol, band, exact=False)
+    exact = _probe_rows(probes, xbars, tol, band)
+    fast = _probe_rows(probes, xbars, tol, band, exact=False)
     assert len(fast) == len(exact) > 0
     for (row, witnesses), (got, got_witnesses) in zip(exact, fast):
-        assert (got.verdicts, got.classes) == (row.verdicts, row.classes)
-        assert got.residuals.keys() == row.residuals.keys()
-        assert got.residuals.get("subdifferential") == row.residuals.get("subdifferential")
+        assert (got["verdicts"], got["classes"]) == (row["verdicts"], row["classes"])
+        assert got["residuals"].keys() == row["residuals"].keys()
+        assert got["residuals"].get("subdifferential") == row["residuals"].get("subdifferential")
         # a row with a class other than agree is printed with all its
         # residuals: those stay exact. On an agreeing row, the subderivative
         # route and the rays routes may carry a lower bound above tol: the
         # subderivative's from a level of its probe ladder, the rays
         # routes' with witness t = 1
-        printed = set(row.classes.values()) != {"agree"}
-        if "subderivative" in row.residuals:
-            got_pair = (got.residuals["subderivative"],
+        printed = set(row["classes"].values()) != {"agree"}
+        if "subderivative" in row["residuals"]:
+            got_pair = (got["residuals"]["subderivative"],
                         probes.witness("subderivative", got_witnesses["subderivative"]))
-            want = (row.residuals["subderivative"],
+            want = (row["residuals"]["subderivative"],
                     probes.witness("subderivative", witnesses["subderivative"]))
             if not (_same_float(got_pair[0], want[0]) and np.array_equal(got_pair[1], want[1])):
                 assert not printed and tol < got_pair[0] <= want[0]
-        for route in {"iar", "iar_open"} & row.residuals.keys():
-            got_pair = (got.residuals[route], probes.witness(route, got_witnesses[route]))
-            want = (row.residuals[route], probes.witness(route, witnesses[route]))
+        for route in {"iar", "iar_open"} & row["residuals"].keys():
+            got_pair = (got["residuals"][route], probes.witness(route, got_witnesses[route]))
+            want = (row["residuals"][route], probes.witness(route, witnesses[route]))
             try:
                 _assert_same_rays(got_pair, want)
             except AssertionError:
@@ -515,13 +534,14 @@ def test_a_row_settled_on_the_query_grid_is_classed_by_its_exact_residual():
     probes = minty._EquivalenceProbes(f, Region.box([(-2.0, 2.0)]), 9, 2, 8, None,
                                       DEFAULT_SCHEME, ["subderivative_vs_iar"])
     xbars = np.array([[-1.0], [0.5]])
-    exact, fast = probes.rows(xbars, 0.1, 0.5), probes.rows(xbars, 0.1, 0.5, exact=False)
-    assert [row.classes["subderivative_vs_iar"] for row, _ in exact] == ["indeterminate", "hard"]
+    exact = _probe_rows(probes, xbars, 0.1, 0.5)
+    fast = _probe_rows(probes, xbars, 0.1, 0.5, exact=False)
+    assert [row["classes"]["subderivative_vs_iar"] for row, _ in exact] == ["indeterminate",
+                                                                           "hard"]
     for (row, witnesses), (got, got_witnesses) in zip(exact, fast):
-        assert (got.verdicts, got.classes, got.residuals) == (row.verdicts, row.classes,
-                                                              row.residuals)
+        assert got == row
         assert np.array_equal(got_witnesses["subderivative"], witnesses["subderivative"])
-    assert fast[1][0].residuals["subderivative"] > 12.0
+    assert fast[1][0]["residuals"]["subderivative"] > 12.0
 
 
 def _subderivative_entries(found, ys):
@@ -606,8 +626,11 @@ def test_cross_validate_sections_do_not_depend_on_exact(fid):
         fast = cross_validate(f, **knobs, exact=False)
         for theorem in ("subderivative_vs_iar", "subdifferential_vs_iar"):
             assert fast.section(theorem) == exact.section(theorem), probe_factor
-        graded = [[(r.verdicts, r.classes) for r in rep.rows] for rep in (fast, exact)]
+        graded = [[(r["verdicts"], r["classes"]) for r in _rows(rep)] for rep in (fast, exact)]
         assert graded[0] == graded[1], probe_factor
+        for theorem, (at, _, _, classes) in exact.graded.items():
+            assert np.array_equal(fast.graded[theorem][0], at)
+            assert np.array_equal(fast.graded[theorem][3], classes)
 
 
 @pytest.mark.parametrize("fid", FUNCTION_IDS)

@@ -60,6 +60,9 @@ def test_the_readme_examples_compute_their_commented_values():
     assert claims['report.counts("subderivative_vs_iar")'] == {
         "agree": 65, "indeterminate": 0, "hard": 0,
     }
+    assert claims['report.row(32)["verdicts"]'] == {
+        "subderivative": False, "iar": False, "subdifferential": False, "iar_open": False,
+    }
     assert claims['result["hard_total"]'] == 0
     assert claims["owner.tolist()"] == [0, 1, 1, 1, 2]
     assert claims["covectors[:, 0].tolist()"] == [0.0, 0.0, 0.5, 1.0, 1.0]

@@ -37,7 +37,7 @@ from varpolar.subdifferential import EPS_LADDER, cdd_profile, sphere_directions
 # -- convex membership: thm3's rays route at (x, x*) ---------------------------
 
 def test_abs_contains_interior_subgradient():
-    v = polar_membership_via_iar(get_function("abs"), 0.0, 0.5, Region.full(1))
+    v = polar_membership_via_iar(get_function("abs"), 0.0, 0.5, Region.interval(-10, 10))
     assert v.ok and v.residual <= 1e-6
 
 
@@ -45,16 +45,16 @@ def test_abs_rejects_steep_covector():
     # brute maximization of 2y - |y| over the probe grid peaks at the box
     # edge, where the ray from y reaches x = 0 at t = 1
     f = get_function("abs")
-    v = polar_membership_via_iar(f, 0.0, 2.0, Region.full(1))
+    v = polar_membership_via_iar(f, 0.0, 2.0, Region.interval(-10, 10))
     assert not v.ok
-    grid = Region.full(1).sample(65)[:, 0]
+    grid = Region.interval(-10, 10).sample(65)[:, 0]
     brute = max(2.0 * y - abs(y) for y in grid)
     assert v.residual == pytest.approx(brute)
     assert v.residual >= 1.0  # e.g. y = 1 already violates by 1
 
 
 def test_square_gradient_is_member():
-    assert polar_membership_via_iar(get_function("square"), 1.0, 2.0, Region.full(1)).ok
+    assert polar_membership_via_iar(get_function("square"), 1.0, 2.0, Region.interval(-10, 10)).ok
 
 
 # -- generalized membership: the numeric route's support table -------------------

@@ -207,6 +207,18 @@ def test_predicates_report_the_absorbing_witness():
     assert abs(x) <= result["absorbing_match_radius"] and -1.0 < xstar < 1.0
 
 
+def test_absorbing_candidate_points_drop_the_boundary():
+    # the candidate points are the grid's interior, its first and last line
+    # on every axis dropped: at the grid resolution in 1-D, at the coarse
+    # one (here 5) in 2-D
+    inner = [-0.5, 0.0, 0.5]
+    xs, _ = suites_module._absorbing_candidates(get_function("abs"), Region.interval(-1.0, 1.0), 5)
+    assert xs[:, 0].tolist() == inner
+    box = Region.box([(-1.0, 1.0), (-1.0, 1.0)])
+    xs, _ = suites_module._absorbing_candidates(get_function("norm2d"), box, 9)
+    assert xs.tolist() == [[a, b] for a in inner for b in inner]
+
+
 def test_an_oracle_without_a_default_region_is_rejected_up_front(monkeypatch):
     ran = []
     monkeypatch.setattr(
